@@ -191,8 +191,8 @@ def eigencorrelator_profile(spec: SpectralData, lambda0: float, s: int, x: int) 
         raise ValueError(f"site index {x} outside 0..{n - 1}")
     if S.size == 0:
         return np.zeros(n)
-    phi = np.abs(spec.modes[:, S])
-    weights = spec.gammas[S] ** s if s != 0 else np.ones(S.size)
+    phi = np.abs(spec.modes[:, : S.size])  # S is a prefix of the modes
+    weights = spec.gammas[: S.size] ** s if s != 0 else np.ones(S.size)
     return phi @ (weights * phi[int(x)])
 
 

@@ -17,7 +17,6 @@ EXPERIMENT_KINDS = (
     "correlations",
     "energy-density",
     "gap-stats",
-    "oracle-check",
 )
 
 #: Kinds that aggregate observables over l1 shells around a center site.
@@ -50,8 +49,6 @@ class ExperimentConfig:
     lambda_grid_max: float | None = None
     mb_length: int = 4
     mb_occupation: int = 2
-    oracle_budget: int = 20736
-    oracle_instances: int = 20
 
     # -- derived helpers -----------------------------------------------------
 
@@ -181,8 +178,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     direct = (
         "seed", "lambda0", "kappa", "samples", "workers", "amplitude",
         "powers", "alpha_random", "lengths_ladder", "lambda_grid_points",
-        "lambda_grid_max", "mb_length", "mb_occupation", "oracle_budget",
-        "oracle_instances", "center",
+        "lambda_grid_max", "mb_length", "mb_occupation", "center",
     )
     for name in direct:
         if name in raw and raw[name] is not None:

@@ -1,0 +1,178 @@
+import numpy as np
+import pytest
+
+from osclab import ensembles
+from osclab.anderson import DisorderConfig, assemble, diagonalize, localized_modes, sample_disorder
+from osclab.config import EXPERIMENT_KINDS, config_from_dict
+from osclab.errors import ConfigError
+from osclab.freeboson import delta_field
+from osclab.lattice import BoxGeometry
+from osclab.results import render_csv
+from osclab.weyl import (
+    diagonal_elements,
+    diagonal_products,
+    dynamic_correlation,
+    mode_product_sum,
+    quasi_locality_bound,
+    quasi_locality_error,
+)
+
+from conftest import make_chain_spec
+
+
+def _rowwise_products(alphas, z):
+    """Reference: one diagonal_elements call and one np.prod per occupation vector."""
+    return np.stack([np.prod(diagonal_elements(al[None, :], z), axis=-1) for al in alphas])
+
+
+def _half_sq(z):
+    return np.abs(z) ** 2 / 2.0
+
+
+class TestDiagonalProducts:
+    def test_matches_rowwise_products(self):
+        rng = np.random.default_rng(4)
+        m = 9
+        constant = np.repeat(np.arange(4)[:, None], m, axis=1)
+        mixed = rng.integers(0, 4, size=(5, m))
+        alphas = np.vstack([constant, mixed])
+        z = 1.5 * (rng.standard_normal((6, m)) + 1j * rng.standard_normal((6, m)))
+        got = diagonal_products(alphas, _half_sq(z))
+        ref = _rowwise_products(alphas, z)
+        assert got.shape == (alphas.shape[0], 6)
+        assert np.max(np.abs(got - ref)) < 1e-13
+
+    def test_without_leading_axes(self):
+        rng = np.random.default_rng(5)
+        alphas = rng.integers(0, 4, size=(3, 7))
+        z = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+        got = diagonal_products(alphas, _half_sq(z))
+        ref = [np.prod(diagonal_elements(al, z)) for al in alphas]
+        assert got.shape == (3,)
+        assert np.max(np.abs(got - ref)) < 1e-13
+
+    def test_finite_at_large_displacements(self):
+        rng = np.random.default_rng(6)
+        m = 400
+        radii = np.linspace(0.0, 40.0, m)
+        z = radii * np.exp(2j * np.pi * rng.uniform(size=(3, m)))
+        alphas = np.vstack([np.full(m, k) for k in range(4)] + [rng.integers(0, 4, size=m)])
+        got = diagonal_products(alphas, _half_sq(z))
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(got) <= 1.0)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            diagonal_products(np.zeros((2, 3), int), np.zeros((4, 5)))
+        with pytest.raises(ValueError):
+            diagonal_products(np.zeros(3, int), np.zeros(3))
+        with pytest.raises(ValueError):
+            diagonal_products(-np.ones((1, 3), int), np.zeros(3))
+
+
+def _config(kind, lambda0, **extra):
+    doc = {
+        "experiment": kind,
+        "box": {"lengths": [12]},
+        "lambda0": lambda0,
+        "kappa": 2,
+        "samples": 1,
+        "time_grid": {"points": 5, "t_max": 3.0},
+        **extra,
+    }
+    return config_from_dict(doc)
+
+
+def _family(config, spec):
+    """Occupation vectors the kernels use, padded to one entry per mode."""
+    S = localized_modes(spec, config.lambda0_value())
+    short = ensembles._alpha_family(config, spec, S, 0)
+    full = np.zeros((short.shape[0], spec.n), dtype=int)
+    full[:, : S.size] = short
+    return full
+
+
+@pytest.mark.parametrize("lambda0", ["full", 2.0])
+class TestKernelsAgainstScalarForms:
+    """The batched kernels reproduce the scalar closed forms of weyl.py."""
+
+    def test_correlations(self, chain12, lambda0):
+        box, spec = chain12
+        center = 2
+        config = _config("correlations", lambda0, center=[center], shells=[1, 3, 5, 9], amplitude=0.9)
+        rows, flags, _ = ensembles.KERNELS["correlations"](config, box, spec, 0)
+        table = dict(rows)
+        lam = config.lambda0_value()
+        times = ensembles._time_grid(config, spec)
+        alphas = _family(config, spec)
+        assert alphas.shape[0] >= 2
+        f = delta_field(12, center, config.amplitude)
+        for d in config.shells:
+            sups, overlaps = [], []
+            for y in (center - d, center + d):
+                if not 0 <= y < 12:
+                    continue
+                g = delta_field(12, y, config.amplitude)
+                sups.append(
+                    max(abs(dynamic_correlation(spec, lam, al, f, g, t)) for al in alphas for t in times)
+                )
+                overlaps.append(mode_product_sum(spec, lam, f, g))
+            assert table[(d, "correlation_sup")] == pytest.approx(np.mean(sups), rel=1e-12, abs=1e-14)
+            assert table[(d, "overlap_sum")] == pytest.approx(np.mean(overlaps), rel=1e-12, abs=1e-14)
+        assert flags == {"correlation_bound_violations": 0}
+
+    def test_quasi_locality(self, chain12, lambda0):
+        box, spec = chain12
+        self._check_quasi_locality(box, spec, _config("quasi-locality", lambda0, n_values=[3, 1, 3, 2]))
+
+    def test_quasi_locality_square(self, lambda0):
+        box = BoxGeometry.of_lengths([4, 4])
+        sample = sample_disorder(DisorderConfig(k_max=1.0, master_seed=8), box, 0)
+        spec = diagonalize(assemble(box, sample))
+        config = _config("quasi-locality", lambda0, box={"lengths": [4, 4]}, n_values=[0, 2, 1, 4])
+        self._check_quasi_locality(box, spec, config)
+
+    @staticmethod
+    def _check_quasi_locality(box, spec, config):
+        rows, flags, _ = ensembles.KERNELS["quasi-locality"](config, box, spec, 0)
+        lam = config.lambda0_value()
+        times = ensembles._time_grid(config, spec)
+        alphas = _family(config, spec)
+        center = config.center_index()
+        f = delta_field(box.n_sites, center, config.amplitude)
+        expected = []
+        for n in config.n_values:
+            err = max(
+                quasi_locality_error(spec, box, lam, al, f, [center], n, t) for al in alphas for t in times
+            )
+            bound = max(quasi_locality_bound(spec, box, lam, f, [center], n, t, config.kappa) for t in times)
+            expected += [((n, "error_sup"), err), ((n, "bound_sup"), bound)]
+        assert [key for key, _ in rows] == [key for key, _ in expected]
+        for (_, got), (_, want) in zip(rows, expected):
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
+        assert flags == {"bound_violations": 0}
+
+
+class TestRunEnsemble:
+    @pytest.mark.parametrize("kind", ["correlations", "quasi-locality"])
+    def test_csv_independent_of_workers(self, kind):
+        doc = {
+            "experiment": kind,
+            "box": {"lengths": [12]},
+            "lambda0": "full",
+            "kappa": 1,
+            "samples": 3,
+            "seed": 21,
+            "time_grid": {"points": 20},
+        }
+        serial = render_csv(ensembles.run_ensemble(config_from_dict(doc), workers=1))
+        pooled = render_csv(ensembles.run_ensemble(config_from_dict(doc), workers=2))
+        assert serial == pooled
+
+    def test_every_kind_has_key_fields(self):
+        assert set(ensembles.KEY_FIELDS) == set(EXPERIMENT_KINDS)
+        assert set(ensembles.KERNELS) <= set(EXPERIMENT_KINDS)
+
+    def test_oracle_check_rejected_at_config_time(self):
+        with pytest.raises(ConfigError):
+            config_from_dict({"experiment": "oracle-check"})

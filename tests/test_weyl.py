@@ -91,6 +91,32 @@ class TestMatrixElement1d:
                     k += 1
                 assert abs(total - 1.0) < 1e-8
 
+    def test_large_occupations_against_mpmath(self):
+        """Absolute error <= 1e-12 for occupations up to 300 and |z| up to 30."""
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 60
+
+        def reference(n, k, z):
+            if n > k:
+                return mp.conj(reference(k, n, -z))
+            z = mp.mpc(z.real, z.imag)
+            x = abs(z) ** 2 / 2
+            return (
+                mp.sqrt(mp.factorial(n) / mp.factorial(k))
+                * (1j * mp.conj(z) / mp.sqrt(2)) ** (k - n)
+                * mp.laguerre(n, k - n, x)
+                * mp.exp(-x / 2)
+            )
+
+        rng = np.random.default_rng(30)
+        occupations = (0, 1, 7, 40, 61, 120, 200, 300)
+        for n in occupations:
+            for k in occupations:
+                for radius in (0.3, 2.0, 8.0, 17.0, 30.0):
+                    z = radius * np.exp(2j * np.pi * rng.uniform())
+                    ref = complex(reference(n, k, z))
+                    assert abs(matrix_element_1d(n, k, z) - ref) <= 1e-12
+
     def test_diagonal_elements_match(self):
         rng = np.random.default_rng(3)
         alphas = rng.integers(0, 6, size=8)
