@@ -14,12 +14,14 @@ from .anderson import (
     DisorderConfig,
     DisorderSample,
     SpectralData,
+    Spectrum,
     assemble,
     diagonalize,
     eigencorrelator,
     localized_modes,
     min_gap,
     sample_disorder,
+    spectrum,
 )
 from .freeboson import (
     counting_function,

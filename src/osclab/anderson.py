@@ -1,11 +1,15 @@
 """Disorder sampling and spectra of the effective Hamiltonian h = h_0 + k.
 
 The random potential k is i.i.d. per site with a bounded density on
-(0, k_max]; the default is uniform.  Diagonalization goes through a dense
-symmetric eigensolver and is wrapped in ``SpectralData``, which carries the
-ascending frequencies gamma_j (positive square roots of the eigenvalues)
-and the orthogonal mode matrix.  ``eigencorrelator`` evaluates the
-per-realization localization kernel
+(0, k_max]; the default is uniform.  Spectra come from dense symmetric
+eigensolvers in two forms.  ``spectrum`` (``eigvalsh``) returns a
+``Spectrum``: the ascending eigenvalues and the frequencies gamma_j, their
+positive square roots, checked against the O(n^2) invariants tr h and
+||h||_F^2.  It serves the eigenvalue-only statistics (counting function,
+energy density, gaps).  ``diagonalize`` (``eigh``) returns ``SpectralData``,
+a ``Spectrum`` that also carries the orthogonal mode matrix, checked by
+reconstructing h.  ``eigencorrelator`` evaluates the per-realization
+localization kernel
 
     Q_s(x, y) = sum_{j in S} gamma_j^s |phi_j(x)| |phi_j(y)|,
 
@@ -22,7 +26,7 @@ import numpy as np
 from .errors import ConfigError, NumericError
 from .lattice import BoxGeometry, dirichlet_laplacian, neumann_laplacian
 
-#: Reconstruction tolerance of the eigensolver, relative to ||h||.
+#: Accuracy tolerance of the eigensolvers, relative to max|h_ij|.
 RECONSTRUCTION_RTOL = 1e-10
 
 #: Relative gap below which a spectrum is flagged as degenerate.
@@ -108,17 +112,14 @@ def assemble(box: BoxGeometry, sample: DisorderSample, bc: str = "neumann") -> n
 
 
 @dataclass(frozen=True)
-class SpectralData:
-    """Eigenpairs of the effective Hamiltonian.
+class Spectrum:
+    """Eigenvalues of the effective Hamiltonian, without eigenvectors.
 
-    ``eigenvalues`` are ascending, ``gammas`` their positive square roots,
-    and the columns of ``modes`` are the corresponding orthonormal real
-    eigenvectors, so that modes.T @ h @ modes = diag(eigenvalues).
+    ``eigenvalues`` are ascending and ``gammas`` their positive square roots.
     """
 
     eigenvalues: np.ndarray
     gammas: np.ndarray
-    modes: np.ndarray
     bc: str = "neumann"
 
     @property
@@ -141,12 +142,25 @@ class SpectralData:
         return self.min_gap() <= rtol * max(self.norm, np.finfo(float).tiny)
 
 
-def diagonalize(h: np.ndarray, bc: str = "neumann") -> SpectralData:
-    """Full eigendecomposition of a symmetric matrix, checked for accuracy.
+@dataclass(frozen=True)
+class SpectralData(Spectrum):
+    """Eigenpairs of the effective Hamiltonian.
 
-    Raises NumericError if the reconstruction ||O G^2 O^T - h||_max exceeds
-    RECONSTRUCTION_RTOL * ||h||.  Eigenvalues within a tiny negative
-    round-off band are clamped to zero (the model itself is positive).
+    The columns of ``modes`` are the orthonormal real eigenvectors of the
+    ``eigenvalues``, so that modes.T @ h @ modes = diag(eigenvalues).
+    """
+
+    modes: np.ndarray = field(kw_only=True)
+
+
+def _solve_checked(h, solve):
+    """Run ``solve(h) -> (eigenvalues, extra)`` on a validated symmetric matrix.
+
+    Raises ValueError unless h is square and symmetric, and NumericError when
+    the solver fails or finds an eigenvalue below the round-off band
+    -1e-9 * max|h_ij|; eigenvalues inside the band are clamped to zero (the
+    model itself is positive).  Returns (h, scale, eigenvalues, extra) with
+    scale = max|h_ij|.
     """
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -155,20 +169,51 @@ def diagonalize(h: np.ndarray, bc: str = "neumann") -> SpectralData:
     if np.max(np.abs(h - h.T)) > 1e-12 * scale:
         raise ValueError("h must be symmetric")
     try:
-        evals, vecs = np.linalg.eigh(h)
+        evals, extra = solve(h)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver failed on a {h.shape[0]}x{h.shape[0]} matrix: {exc}") from exc
     if evals[0] < -1e-9 * scale:
         raise NumericError(f"matrix has a negative eigenvalue {evals[0]:.3e}; not a valid h")
-    evals = np.clip(evals, 0.0, None)
+    return h, scale, np.clip(evals, 0.0, None), extra
+
+
+def spectrum(h: np.ndarray, bc: str = "neumann") -> Spectrum:
+    """Eigenvalues of a symmetric matrix, without eigenvectors, checked for accuracy.
+
+    The accuracy contract is the pair of O(n^2) invariants
+    |sum_j lambda_j - tr h| <= RECONSTRUCTION_RTOL * n * scale and
+    |sum_j lambda_j^2 - ||h||_F^2| <= RECONSTRUCTION_RTOL * n * scale^2,
+    with scale = max|h_ij|; a violation raises NumericError.  Validation and
+    the clamping of round-off negatives are those of ``_solve_checked``.
+    """
+    h, scale, evals, _ = _solve_checked(h, lambda m: (np.linalg.eigvalsh(m), None))
+    n = h.shape[0]
+    trace_err = abs(float(np.sum(evals)) - float(np.trace(h)))
+    frob_err = abs(float(np.dot(evals, evals)) - float(np.vdot(h, h)))
+    if trace_err > RECONSTRUCTION_RTOL * n * scale or frob_err > RECONSTRUCTION_RTOL * n * scale**2:
+        raise NumericError(
+            f"eigenvalues miss the invariants of h: trace error {trace_err:.3e}, "
+            f"Frobenius error {frob_err:.3e} (tolerances {RECONSTRUCTION_RTOL:.0e} * n * scale, * n * scale^2)"
+        )
+    return Spectrum(eigenvalues=evals, gammas=np.sqrt(evals), bc=bc)
+
+
+def diagonalize(h: np.ndarray, bc: str = "neumann") -> SpectralData:
+    """Full eigendecomposition of a symmetric matrix, checked for accuracy.
+
+    Raises NumericError if the reconstruction ||O G^2 O^T - h||_max exceeds
+    RECONSTRUCTION_RTOL * max|h_ij|.  Validation and the clamping of
+    round-off negatives are those of ``_solve_checked``.
+    """
+    h, scale, evals, vecs = _solve_checked(h, np.linalg.eigh)
     recon = (vecs * evals) @ vecs.T
     err = np.max(np.abs(recon - h))
     if err > RECONSTRUCTION_RTOL * scale:
-        raise NumericError(f"reconstruction error {err:.3e} exceeds {RECONSTRUCTION_RTOL:.0e} * ||h||")
+        raise NumericError(f"reconstruction error {err:.3e} exceeds {RECONSTRUCTION_RTOL:.0e} * max|h_ij|")
     return SpectralData(eigenvalues=evals, gammas=np.sqrt(evals), modes=vecs, bc=bc)
 
 
-def localized_modes(spec: SpectralData, lambda0: float) -> np.ndarray:
+def localized_modes(spec: Spectrum, lambda0: float) -> np.ndarray:
     """Indices j with gamma_j^2 <= lambda0 (a prefix, gammas are ascending)."""
     if lambda0 < 0:
         raise ValueError("lambda0 must be nonnegative")
@@ -196,6 +241,6 @@ def eigencorrelator_profile(spec: SpectralData, lambda0: float, s: int, x: int) 
     return phi @ (weights * phi[int(x)])
 
 
-def min_gap(spec: SpectralData) -> float:
+def min_gap(spec: Spectrum) -> float:
     """Smallest eigenvalue spacing of h, reported per realization."""
     return spec.min_gap()

@@ -104,6 +104,12 @@ class ExperimentConfig:
             raise ConfigError("time grid needs at least one point")
         if self.amplitude <= 0:
             raise ConfigError("amplitude must be positive")
+        # A repeated key would be folded into one row with count samples x
+        # repeats and a stderr that treats the copies as independent draws.
+        for name in ("shells", "n_values", "powers", "lengths_ladder"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{name} has repeated entries: {list(values)}")
         if self.experiment in SHELL_KINDS or self.experiment == "quasi-locality":
             box = self.box()
             try:

@@ -1,10 +1,11 @@
 """Monte Carlo disorder-averaging engine and the experiment kernels.
 
 Each disorder realization is a pure function of (seed, sample index): the
-worker assembles and diagonalizes the effective Hamiltonian, evaluates the
-experiment's kernel on it, and returns per-key scalar rows.  Reduction
-happens after all samples are collected, in sample-index order, so the
-output is bit-identical regardless of the worker count.
+worker assembles the effective Hamiltonian, diagonalizes it (eigenvalues
+only for the eigenvalue-only kinds ``energy-density`` and ``gap-stats``),
+evaluates the experiment's kernel on it, and returns per-key scalar rows.
+Reduction happens after all samples are collected, in sample-index order,
+so the output is bit-identical regardless of the worker count.
 
 Every kernel also verifies its theorem-shape dominations pointwise on the
 evaluation grid (commutator values against envelopes, quasi-locality
@@ -28,6 +29,7 @@ from .anderson import (
     eigencorrelator_profile,
     localized_modes,
     sample_disorder,
+    spectrum,
 )
 from .config import ExperimentConfig
 from .errors import NumericError
@@ -276,7 +278,7 @@ def _kernel_quasi_locality(config, box, spec, index):
     vr = np.zeros((2 * steps, cnt))
     reached = np.inf
     per_n = {}
-    for n in sorted(set(config.n_range()), reverse=True):
+    for n in sorted(config.n_range(), reverse=True):
         ring = (dist > n) & (dist <= reached)
         vr += pos[ring].T @ phi[ring]
         reached = n
@@ -306,8 +308,8 @@ def _energy_density_sample(config, index):
     for length in config.lengths_ladder:
         box = BoxGeometry.of_lengths([int(length)])
         sample = sample_disorder(disorder, box, index)
-        spec_n = diagonalize(assemble(box, sample, "neumann"), "neumann")
-        spec_d = diagonalize(assemble(box, sample, "dirichlet"), "dirichlet")
+        spec_n = spectrum(assemble(box, sample, "neumann"), "neumann")
+        spec_d = spectrum(assemble(box, sample, "dirichlet"), "dirichlet")
         degenerate += int(spec_n.flag_degenerate() or spec_d.flag_degenerate())
         grid = np.linspace(0.0, grid_max, config.lambda_grid_points)
         diff = counting_function(spec_n, grid) - counting_function(spec_d, grid)
@@ -330,11 +332,11 @@ def _energy_density_sample(config, index):
 def _gap_stats_sample(config, index):
     disorder = _disorder_config(config)
     box = config.box()
-    spec = diagonalize(assemble(box, sample_disorder(disorder, box, index)))
+    spec = spectrum(assemble(box, sample_disorder(disorder, box, index)))
     gap = spec.min_gap()
     rel = gap / spec.norm
     mb_box = BoxGeometry.of_lengths([config.mb_length])
-    mb_spec = diagonalize(assemble(mb_box, sample_disorder(disorder, mb_box, index)))
+    mb_spec = spectrum(assemble(mb_box, sample_disorder(disorder, mb_box, index)))
     occ = config.mb_occupation
     grids = np.meshgrid(*[np.arange(occ + 1)] * mb_box.n_sites, indexing="ij")
     alphas = np.stack([g.ravel() for g in grids], axis=1)

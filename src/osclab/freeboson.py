@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .anderson import SpectralData, localized_modes
+from .anderson import SpectralData, Spectrum, localized_modes
 from .lattice import BoxGeometry
 
 
@@ -164,7 +164,7 @@ def many_body_energy(spec: SpectralData, alpha) -> float:
     return float(np.sum(spec.gammas * (2 * alpha + 1)))
 
 
-def excitation_energy_density(spec: SpectralData, lambda0: float, kappa: int) -> float:
+def excitation_energy_density(spec: Spectrum, lambda0: float, kappa: int) -> float:
     """(2 kappa / n) * sum of gamma_j over localized modes.
 
     Energy density per site of the state with kappa excitations in every
@@ -176,7 +176,7 @@ def excitation_energy_density(spec: SpectralData, lambda0: float, kappa: int) ->
     return 2.0 * kappa * float(np.sum(spec.gammas[S])) / spec.n
 
 
-def counting_function(spec: SpectralData, lambda_grid) -> np.ndarray:
+def counting_function(spec: Spectrum, lambda_grid) -> np.ndarray:
     """N(lambda) = number of eigenvalues strictly below lambda, per grid point."""
     grid = np.asarray(lambda_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from osclab.anderson import (
+    RECONSTRUCTION_RTOL,
     DisorderConfig,
     SpectralData,
+    Spectrum,
     assemble,
     diagonalize,
     eigencorrelator,
@@ -11,6 +13,7 @@ from osclab.anderson import (
     localized_modes,
     min_gap,
     sample_disorder,
+    spectrum,
 )
 from osclab.errors import ConfigError, NumericError
 from osclab.lattice import BoxGeometry
@@ -123,6 +126,87 @@ class TestDiagonalize:
     def test_norm_bound(self):
         box, spec = make_chain_spec(30, seed=4, k_max=0.8)
         assert spec.norm <= 4 * 1 + 0.8 + 1e-12
+
+
+def _box_hamiltonian(lengths, bc, seed=6):
+    box = BoxGeometry.of_lengths(lengths)
+    sample = sample_disorder(DisorderConfig(k_max=1.5, master_seed=seed), box, 0)
+    return assemble(box, sample, bc)
+
+
+BOXES = [pytest.param([30], id="chain30"), pytest.param([6, 5], id="box6x5")]
+BCS = ["neumann", "dirichlet"]
+
+
+class TestSpectrum:
+    @pytest.mark.parametrize("bc", BCS)
+    @pytest.mark.parametrize("lengths", BOXES)
+    def test_matches_diagonalize(self, lengths, bc):
+        h = _box_hamiltonian(lengths, bc)
+        spec = spectrum(h, bc)
+        dense = diagonalize(h, bc)
+        assert type(spec) is Spectrum and spec.bc == bc
+        assert np.max(np.abs(spec.eigenvalues - dense.eigenvalues)) <= 1e-12 * dense.norm
+        assert np.array_equal(spec.gammas, np.sqrt(spec.eigenvalues))
+        assert spec.flag_degenerate() == dense.flag_degenerate()
+        assert localized_modes(spec, 2.0).size == localized_modes(dense, 2.0).size
+
+    def test_has_no_modes(self):
+        spec = spectrum(_box_hamiltonian([8], "neumann"))
+        with pytest.raises(AttributeError):
+            spec.modes
+
+    @pytest.mark.parametrize("solve", [spectrum, diagonalize])
+    @pytest.mark.parametrize(
+        "h",
+        [
+            pytest.param(np.array([[1.0, 2.0], [0.0, 1.0]]), id="nonsymmetric"),
+            pytest.param(np.ones((2, 3)), id="nonsquare"),
+            pytest.param(np.ones(3), id="vector"),
+        ],
+    )
+    def test_rejects_malformed(self, solve, h):
+        with pytest.raises(ValueError):
+            solve(h)
+
+    @pytest.mark.parametrize("solve", [spectrum, diagonalize])
+    def test_negative_eigenvalue(self, solve):
+        with pytest.raises(NumericError):
+            solve(np.diag([-1.0, 2.0]))
+
+    @pytest.mark.parametrize("solve", [spectrum, diagonalize])
+    def test_round_off_negatives_clamped(self, solve):
+        spec = solve(np.diag([-1e-12, 1.0, 2.0]))
+        assert spec.eigenvalues[0] == 0.0 and spec.gammas[0] == 0.0
+
+    def test_solver_failure(self, monkeypatch):
+        def fail(h):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(NumericError):
+            spectrum(np.eye(3))
+
+    @pytest.mark.parametrize("bc", BCS)
+    @pytest.mark.parametrize("lengths", BOXES)
+    @pytest.mark.parametrize("broken", ["shifted", "trace_kept"])
+    def test_invariant_check(self, monkeypatch, lengths, bc, broken):
+        h = _box_hamiltonian(lengths, bc)
+        scale = np.max(np.abs(h))
+        solve = np.linalg.eigvalsh
+
+        def wrong(m):
+            evals = solve(m).copy()
+            if broken == "shifted":
+                return evals + 1e3 * RECONSTRUCTION_RTOL * scale
+            # moves two eigenvalues apart: the trace stays, ||h||_F^2 does not
+            evals[0] -= 1e-3 * scale
+            evals[-1] += 1e-3 * scale
+            return evals
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", wrong)
+        with pytest.raises(NumericError):
+            spectrum(h, bc)
 
 
 class TestLocalizedModes:

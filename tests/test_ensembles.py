@@ -123,7 +123,7 @@ class TestKernelsAgainstScalarForms:
 
     def test_quasi_locality(self, chain12, lambda0):
         box, spec = chain12
-        self._check_quasi_locality(box, spec, _config("quasi-locality", lambda0, n_values=[3, 1, 3, 2]))
+        self._check_quasi_locality(box, spec, _config("quasi-locality", lambda0, n_values=[3, 1, 2]))
 
     def test_quasi_locality_square(self, lambda0):
         box = BoxGeometry.of_lengths([4, 4])
@@ -151,6 +151,30 @@ class TestKernelsAgainstScalarForms:
         for (_, got), (_, want) in zip(rows, expected):
             assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
         assert flags == {"bound_violations": 0}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        pytest.param({"experiment": "energy-density", "lambda0": "full", "lengths_ladder": [10, 20]}, id="ed-full"),
+        pytest.param({"experiment": "energy-density", "lambda0": 2.0, "lengths_ladder": [10, 20]}, id="ed-2"),
+        pytest.param({"experiment": "gap-stats", "box": {"lengths": [40]}, "mb_length": 3}, id="gaps-1d"),
+        pytest.param({"experiment": "gap-stats", "box": {"lengths": [6, 6]}, "mb_length": 3}, id="gaps-2d"),
+    ],
+)
+def test_eigenvalue_only_kinds_match_dense_path(monkeypatch, doc):
+    """energy-density and gap-stats on eigvalsh spectra against full eigendecompositions."""
+    config = config_from_dict({**doc, "kappa": 1, "samples": 3, "seed": 5})
+    fast = ensembles.run_ensemble(config)
+    monkeypatch.setattr(ensembles, "spectrum", diagonalize)
+    dense = ensembles.run_ensemble(config)
+    # flag counts are integers, so a relative 1e-10 compares them exactly
+    assert fast.metadata == pytest.approx(dense.metadata, rel=1e-10)
+    assert [r.key for r in fast.rows] == [r.key for r in dense.rows]
+    for got, want in zip(fast.rows, dense.rows):
+        assert got.count == want.count
+        assert got.mean == pytest.approx(want.mean, rel=1e-10, abs=1e-300)
+        assert got.stderr == pytest.approx(want.stderr, rel=1e-10, abs=1e-300)
 
 
 class TestRunEnsemble:
