@@ -32,7 +32,6 @@ from .freeboson import (
     many_body_energy,
     project_localized,
     sup_t_overlap,
-    uniform_field,
     v_inverse,
     v_map,
 )

@@ -227,19 +227,25 @@ def _kernel_correlations(config, box, spec, index):
     x_eta = abs_eta**2 / 2.0
     d_eta = diagonal_products(alphas, x_eta)[:, None]
 
+    ys = np.concatenate([sites for sites in shells.values()]) if shells else np.array([], int)
+    xis = a * w[ys, :cnt]  # (sites, modes)
+    x_xis = xis * xis / 2.0
+    d_xis = diagonal_products(alphas, x_xis)  # (A, sites)
+
     rows = []
     violations = 0
+    pos = 0
     for d, sites in shells.items():
         sup_d, env_d = [], []
         for y in sites:
-            xi = a * w[y, :cnt]
+            xi = xis[pos]
             cc = c_center * np.exp(-0.25 * a * a * tails[y])
             # xi is real: Im<eta, xi> = -Im(eta) . xi and |eta + xi|^2/2 expands
             theta = -(eta_im @ xi)
-            x_xi = xi * xi / 2.0
-            x_joint = eta_re * xi + (x_eta + x_xi)
+            x_joint = eta_re * xi + (x_eta + x_xis[pos])
             d_joint = diagonal_products(alphas, x_joint)  # (A, T)
-            d_xi = diagonal_products(alphas, x_xi)[:, None]
+            d_xi = d_xis[:, pos, None]
+            pos += 1
             mags = np.abs(cc * (np.exp(-0.5j * theta) * d_joint - d_eta * d_xi))
             violations += int(np.sum(mags > 2.0 + DOMINATION_SLACK))
             sup_d.append(float(mags.max()))

@@ -27,13 +27,6 @@ def delta_field(n_sites: int, x: int, amplitude: complex = 1.0) -> np.ndarray:
     return f
 
 
-def uniform_field(n_sites: int, sites, amplitude: complex = 1.0) -> np.ndarray:
-    """Field equal to ``amplitude`` on the given sites and zero elsewhere."""
-    f = np.zeros(n_sites, dtype=complex)
-    f[np.asarray(list(sites), dtype=int)] = amplitude
-    return f
-
-
 def support(f: np.ndarray) -> np.ndarray:
     """Indices where the field is nonzero."""
     return np.flatnonzero(f)

@@ -9,6 +9,7 @@ the boundary correction 2*(2*nu - degree) on the diagonal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -133,13 +134,25 @@ def _edges(box: BoxGeometry):
         yield i, i + strides[d], d
 
 
+@lru_cache(maxsize=32)
+def _graph(box: BoxGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All nearest-neighbor pairs (i, j) of the box and the degree of every site.
+
+    O(n) index data, built once per box and kept read-only, so every
+    Laplacian of the same box walks the edges and coordinates only once.
+    """
+    pairs = list(_edges(box))
+    i = np.concatenate([p[0] for p in pairs])
+    j = np.concatenate([p[1] for p in pairs])
+    deg = np.bincount(np.concatenate([i, j]), minlength=box.n_sites)
+    for arr in (i, j, deg):
+        arr.setflags(write=False)
+    return i, j, deg
+
+
 def degrees(box: BoxGeometry) -> np.ndarray:
     """Number of nearest neighbors of each site inside the box."""
-    deg = np.zeros(box.n_sites, dtype=int)
-    for i, j, _ in _edges(box):
-        deg[i] += 1
-        deg[j] += 1
-    return deg
+    return _graph(box)[2].copy()
 
 
 def box_boundary(box: BoxGeometry) -> np.ndarray:
@@ -147,15 +160,20 @@ def box_boundary(box: BoxGeometry) -> np.ndarray:
     return np.flatnonzero(degrees(box) < 2 * box.nu)
 
 
+def _graph_laplacian(box: BoxGeometry, diagonal: np.ndarray) -> np.ndarray:
+    """-1 on every nearest-neighbor pair and ``diagonal`` on the diagonal."""
+    n = box.n_sites
+    i, j, _ = _graph(box)
+    h = np.zeros((n, n))
+    h[i, j] = -1.0
+    h[j, i] = -1.0
+    h[np.arange(n), np.arange(n)] = diagonal
+    return h
+
+
 def neumann_laplacian(box: BoxGeometry) -> np.ndarray:
     """Graph Laplacian of the box: (h f)(x) = sum_{|x-y|=1} (f(x) - f(y))."""
-    n = box.n_sites
-    h = np.zeros((n, n))
-    for i, j, _ in _edges(box):
-        h[i, j] -= 1.0
-        h[j, i] -= 1.0
-    h[np.arange(n), np.arange(n)] = degrees(box).astype(float)
-    return h
+    return _graph_laplacian(box, _graph(box)[2])
 
 
 def dirichlet_laplacian(box: BoxGeometry) -> np.ndarray:
@@ -165,7 +183,5 @@ def dirichlet_laplacian(box: BoxGeometry) -> np.ndarray:
     the two operators differ by a nonnegative diagonal supported on the
     boundary of the box.
     """
-    h = neumann_laplacian(box)
-    corr = 2.0 * (2 * box.nu - degrees(box))
-    h[np.arange(box.n_sites), np.arange(box.n_sites)] += corr
-    return h
+    deg = _graph(box)[2]
+    return _graph_laplacian(box, deg + 2.0 * (2 * box.nu - deg))

@@ -44,16 +44,15 @@ from .lattice import BoxGeometry, neighborhood
 # ---------------------------------------------------------------------------
 
 def _laguerre_orders(top: int, x: np.ndarray, k: int = 0):
-    """Yield (m, L_m^{(k)}(x)) for m = 0..top by the stable three-term recurrence.
+    """Yield (m, L_m^{(k)}(x)) for m = 1..top by the stable three-term recurrence.
 
     The single implementation of the recurrence; every Laguerre value in
-    this module comes from here.
+    this module comes from here.  L_0 = 1 is left to the caller, so no
+    table of ones is built.
     """
-    prev = np.ones_like(x)
-    yield 0, prev
     if top == 0:
         return
-    cur = 1.0 + k - x
+    prev, cur = 1.0, 1.0 + k - x
     yield 1, cur
     for m in range(1, top):
         prev, cur = cur, ((2 * m + k + 1 - x) * cur - (m + k) * prev) / (m + 1)
@@ -65,6 +64,7 @@ def laguerre(n: int, k: int, x) -> float | np.ndarray:
     if n < 0 or k < 0:
         raise ValueError("laguerre needs n, k >= 0")
     x = np.asarray(x, dtype=float)
+    cur = np.ones_like(x)
     for _, cur in _laguerre_orders(n, x, k):
         pass
     return float(cur) if cur.ndim == 0 else cur
@@ -78,8 +78,7 @@ def _laguerre_plain(ns: np.ndarray, xs: np.ndarray) -> np.ndarray:
     out = np.ones(xs.shape, dtype=float)
     top = int(ns.max()) if ns.size else 0
     for m, cur in _laguerre_orders(top, xs):
-        if m:
-            out = np.where(ns == m, cur, out)
+        out = np.where(ns == m, cur, out)
     return out
 
 
@@ -126,6 +125,13 @@ def diagonal_elements(alphas, zs) -> np.ndarray:
     return _laguerre_plain(alphas, x) * np.exp(-x / 2.0)
 
 
+#: Stand-in for log 0 in the exponent matmuls of ``diagonal_products``:
+#: finite, so a zero indicator times it is 0 rather than NaN, and so far
+#: below log of the smallest double (about -745) that exp of any sum
+#: containing it is exactly 0; m copies of it still sum to a finite number.
+_LOG_ZERO = -1e300
+
+
 def diagonal_products(alphas, x) -> np.ndarray:
     """prod_j L_{alpha_j}(x_j) exp(-x_j/2) for every row alpha of a family.
 
@@ -134,11 +140,23 @@ def diagonal_products(alphas, x) -> np.ndarray:
     result has shape (A, ...): the diagonal element <psi_alpha, W_z psi_alpha>
     for each alpha and each leading index of ``x``.
 
-    The one-mode tables L_k(x) exp(-x/2), k <= max(alphas), come from one
-    recurrence pass shared by the whole family; each row then picks, per
-    mode, the table of its order and multiplies the modes in index order.
-    Every factor has modulus at most 1, so the product cannot overflow
-    however many modes enter it.
+    The product is taken in log space for the whole family at once.  With
+    the one-mode values L_k(x) from one recurrence pass,
+
+        log|D_alpha| = -sum_j x_j / 2 + sum_{k>=1} log|L_k(x)| @ 1[alpha = k],
+
+    and the sign of D_alpha is the parity of
+    sum_{k>=1} [L_k(x) < 0] @ 1[alpha = k].  Each order k >= 1 that the
+    family uses costs one elementwise log and signbit over x; both tables
+    of every such order go through one matrix product against the
+    indicators 1[alpha = k], and the vacuum order costs only the row sum.
+    An exactly zero factor enters as ``_LOG_ZERO`` and gives exactly 0.
+
+    The exponent equals sum_j (log|L_{alpha_j}(x_j)| - x_j/2), and each
+    term is at most 0 for x_j >= 0 because |L_k(x)| e^{-x/2} <= 1, so exp
+    cannot overflow however many modes enter.  The relative error of the
+    result is about machine epsilon times the size of the exponent's
+    terms.  Neither the exponent nor the result is clipped.
     """
     alphas = np.asarray(alphas, dtype=int)
     x = np.asarray(x, dtype=float)
@@ -146,19 +164,25 @@ def diagonal_products(alphas, x) -> np.ndarray:
         raise ValueError("need an (A, m) occupation family and x with m entries on the last axis")
     if np.any(alphas < 0):
         raise ValueError("occupations must be nonnegative")
-    damp = np.exp(-x / 2.0)
-    tables = [
-        damp if k == 0 else lag * damp
-        for k, lag in _laguerre_orders(int(alphas.max(initial=0)), x)
-    ]
-    out = np.empty((alphas.shape[0],) + x.shape[:-1])
-    for i, alpha in enumerate(alphas):
-        orders = np.unique(alpha)
-        factors = tables[orders[0]] if orders.size else damp
-        for k in orders[1:]:
-            factors = np.where(alpha == k, tables[k], factors)
-        out[i] = np.prod(factors, axis=-1)
-    return out
+    # log|L_k(x)| and [L_k(x) < 0] for the K orders k >= 1 the family uses,
+    # shape (2, ..., K, m), against the (K * m, A) indicators 1[alpha = k]
+    orders = [k for k in range(1, int(alphas.max(initial=0)) + 1) if np.any(alphas == k)]
+    lead, m = x.shape[:-1], x.shape[-1]
+    table = np.empty((2,) + lead + (len(orders), m))
+    for k, lag in _laguerre_orders(max(orders, default=0), x):
+        if k in orders:
+            i = orders.index(k)
+            log_abs = np.abs(lag, out=table[0, ..., i, :])
+            with np.errstate(divide="ignore"):
+                np.log(log_abs, out=log_abs)
+            # moves only log 0 = -inf: every finite log|L| is above -745
+            np.maximum(log_abs, _LOG_ZERO, out=log_abs)
+            np.signbit(lag, out=table[1, ..., i, :])
+    hits = (np.asarray(orders, dtype=int)[:, None, None] == alphas.T).reshape(-1, alphas.shape[0])
+    # C order: the comparison leaves a transposed layout, on which the product is slower
+    log_sum, negatives = table.reshape((2,) + lead + (len(orders) * m,)) @ hits.astype(float, order="C")
+    sign = 1.0 - 2.0 * np.fmod(negatives, 2.0)
+    return np.moveaxis(sign * np.exp(log_sum - 0.5 * x.sum(axis=-1, keepdims=True)), -1, 0)
 
 
 def matrix_element(spec: SpectralData, alpha, beta, f) -> complex:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from osclab import ensembles
 from osclab.anderson import DisorderConfig, assemble, diagonalize, localized_modes, sample_disorder
@@ -60,6 +62,62 @@ class TestDiagonalProducts:
         got = diagonal_products(alphas, _half_sq(z))
         assert np.all(np.isfinite(got))
         assert np.all(np.abs(got) <= 1.0)
+
+    def test_zero_factor_gives_exact_zero(self):
+        # L_1(1) = 0 exactly; the rows with alpha_j != 1 there must stay finite
+        m = 5
+        x = np.array([[1.0, 0.3, 2.0, 0.7, 4.0], [0.2, 1.0, 1.0, 3.0, 0.0]])
+        alphas = np.array([[1, 0, 2, 0, 3], [0, 1, 0, 3, 0], [0] * m, [2, 2, 2, 2, 2], [1, 1, 1, 1, 1]])
+        got = diagonal_products(alphas, x)
+        assert not np.any(np.isnan(got))
+        assert got[0, 0] == 0.0 and got[1, 1] == 0.0 and got[4, 0] == 0.0 and got[4, 1] == 0.0
+        ref = _rowwise_products(alphas, np.sqrt(2.0 * x))
+        assert np.max(np.abs(got - ref)) < 1e-13
+        assert np.count_nonzero(got) == 6
+
+    @pytest.mark.parametrize("negatives", [1, 2, 3])
+    def test_sign_is_parity_of_negative_factors(self, negatives):
+        # L_1(2) = -1 and L_2(1) = -1/2: each such mode flips the sign
+        x = np.array([2.0, 1.0, 2.0, 0.5])
+        alpha = np.array([[1, 2, 1, 0]])
+        alpha[0, negatives:3] = 0
+        got = diagonal_products(alpha, x)[0]
+        ref = float(np.prod(diagonal_elements(alpha[0], np.sqrt(2.0 * x))))
+        assert np.sign(got) == (-1.0) ** negatives
+        assert got == pytest.approx(ref, rel=1e-14)
+
+    def test_modulus_at_most_one_near_vacuum(self):
+        # products close to 1, where rounding in the exponent could push them above 1
+        rng = np.random.default_rng(7)
+        m = 400
+        x = rng.uniform(0.0, 1e-6, size=(4, m))
+        alphas = np.vstack([np.full(m, k) for k in range(4)] + [rng.integers(0, 4, size=m)])
+        got = diagonal_products(alphas, x)
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(got) <= 1.0 + 1e-12)
+        assert np.max(np.abs(got - _rowwise_products(alphas, np.sqrt(2.0 * x)))) < 1e-12
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda m: st.tuples(
+                st.lists(st.lists(st.integers(0, 5), min_size=m, max_size=m), min_size=1, max_size=6),
+                st.lists(
+                    st.lists(st.floats(0.0, 12.0), min_size=m, max_size=m), min_size=1, max_size=3
+                ),
+                st.lists(st.floats(0.0, 2.0 * np.pi), min_size=m, max_size=m),
+            )
+        )
+    )
+    def test_matches_rowwise_property(self, data):
+        rows, radii, angles = data
+        alphas = np.array(rows)
+        z = np.array(radii) * np.exp(1j * np.array(angles))
+        got = diagonal_products(alphas, _half_sq(z))
+        ref = _rowwise_products(alphas, z)
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got) <= 1.0 + 1e-12)
+        assert np.allclose(got, ref, rtol=1e-11, atol=1e-13)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -175,6 +233,45 @@ def test_eigenvalue_only_kinds_match_dense_path(monkeypatch, doc):
         assert got.count == want.count
         assert got.mean == pytest.approx(want.mean, rel=1e-10, abs=1e-300)
         assert got.stderr == pytest.approx(want.stderr, rel=1e-10, abs=1e-300)
+
+
+def test_planted_correlation_violation_is_counted(monkeypatch):
+    """One value above the bound 2 in one sample is counted there and summed by _reduce."""
+    config = config_from_dict(
+        {
+            "experiment": "correlations",
+            "box": {"lengths": [12]},
+            "lambda0": "full",
+            "kappa": 1,
+            "samples": 3,
+            "seed": 4,
+            "time_grid": {"points": 7, "t_max": 3.0},
+        }
+    )
+    honest = [ensembles.run_sample(config, i) for i in range(config.samples)]
+    assert all(o.flags["correlation_bound_violations"] == 0 for o in honest)
+
+    joint_calls = []
+
+    def planted(alphas, x):
+        out = diagonal_products(alphas, x)
+        if x.shape == (config.time_points, config.box().n_sites):
+            if not joint_calls:
+                out[0, 0] = 50.0  # the joint element of the first site, first alpha, t = 0
+            joint_calls.append(x)
+        return out
+
+    monkeypatch.setattr(ensembles, "diagonal_products", planted)
+    tampered = ensembles.run_sample(config, 1)
+    assert len(joint_calls) > 1
+    assert tampered.flags["correlation_bound_violations"] == 1
+    # the planted value reaches the table unclamped
+    assert max(v for (_, name), v in tampered.rows if name == "correlation_sup") > 2.0
+
+    result = ensembles._reduce(config, [honest[0], tampered, honest[2]])
+    assert result.metadata["correlation_bound_violations"] == 1
+    twice = ensembles._reduce(config, [tampered, honest[1], tampered])
+    assert twice.metadata["correlation_bound_violations"] == 2
 
 
 class TestRunEnsemble:

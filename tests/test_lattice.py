@@ -149,6 +149,23 @@ class TestLaplacians:
         assert np.all(np.diag(diff) >= 0.0)
         assert set(np.flatnonzero(np.diag(diff))) <= set(box_boundary(box))
 
+    def test_matches_definition_and_survives_caller_edits(self):
+        # brute force over l1 neighbors on a 3D box away from the origin;
+        # the edge data behind the Laplacians is built once per box, so
+        # editing returned arrays must not leak into later calls
+        box = BoxGeometry(((1, 3), (-2, 0), (4, 5)))
+        c = box.coords()
+        adjacent = (np.abs(c[:, None, :] - c[None, :, :]).sum(axis=2) == 1).astype(float)
+        deg = adjacent.sum(axis=1)
+        expected = np.diag(deg) - adjacent
+        for _ in range(2):
+            h = neumann_laplacian(box)
+            assert np.array_equal(h, expected)
+            assert np.array_equal(dirichlet_laplacian(box), expected + np.diag(2.0 * (6 - deg)))
+            assert np.array_equal(degrees(box), deg)
+            h[:] = 0.0
+            degrees(box)[:] = 0
+
     def test_degrees_2d(self):
         box = BoxGeometry(((0, 2), (0, 2)))
         deg = degrees(box)
