@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, asdict
 
 from .errors import ConfigError
@@ -96,6 +97,11 @@ class ExperimentConfig:
             raise ConfigError("kappa must be nonnegative")
         if not self.lengths or any(l < 1 for l in self.lengths):
             raise ConfigError("box lengths must be positive")
+        # json.load accepts Infinity and NaN, and NaN passes every sign test below
+        for name in ("k_max", "amplitude", "lambda0", "t_max", "lambda_grid_max"):
+            value = getattr(self, name)
+            if value is not None and value != "full" and not math.isfinite(float(value)):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.lambda0 != "full" and float(self.lambda0) < 0:
             raise ConfigError("lambda0 must be nonnegative or 'full'")
         if self.k_max <= 0:

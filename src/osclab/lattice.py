@@ -8,6 +8,7 @@ the boundary correction 2*(2*nu - degree) on the diagonal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -44,7 +45,7 @@ class BoxGeometry:
 
     @property
     def n_sites(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     def coords(self) -> np.ndarray:
         """(n_sites, nu) integer array, row i = coordinate of site index i."""

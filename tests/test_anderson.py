@@ -3,6 +3,7 @@ import pytest
 
 from osclab.anderson import (
     RECONSTRUCTION_RTOL,
+    SYMMETRY_TILE,
     DisorderConfig,
     SpectralData,
     Spectrum,
@@ -14,6 +15,7 @@ from osclab.anderson import (
     min_gap,
     sample_disorder,
     spectrum,
+    _max_asymmetry,
 )
 from osclab.errors import ConfigError, NumericError
 from osclab.lattice import BoxGeometry
@@ -65,6 +67,8 @@ class TestSampling:
             dict(k_max=1.0, master_seed=0, kind="inverse_cdf"),
             dict(k_max=1.0, master_seed=0, kind="inverse_cdf", table_u=(0.0, 1.0), table_k=(0.5, 0.2)),
             dict(k_max=1.0, master_seed=0, kind="inverse_cdf", table_u=(0.1, 1.0), table_k=(0.0, 1.0)),
+            dict(k_max=float("inf"), master_seed=0),
+            dict(k_max=float("nan"), master_seed=0),
         ],
     )
     def test_malformed_config(self, kwargs):
@@ -127,6 +131,27 @@ class TestDiagonalize:
         box, spec = make_chain_spec(30, seed=4, k_max=0.8)
         assert spec.norm <= 4 * 1 + 0.8 + 1e-12
 
+    @pytest.mark.parametrize("broken", ["eigenvalue", "eigenvector", "nan"])
+    def test_reconstruction_check(self, monkeypatch, broken):
+        h = _box_hamiltonian([6, 5], "neumann")
+        scale = np.max(np.abs(h))
+        solve = np.linalg.eigh
+
+        def wrong(m):
+            evals, vecs = solve(m)
+            evals, vecs = evals.copy(), vecs.copy()
+            if broken == "eigenvalue":
+                evals[-1] += 1e3 * RECONSTRUCTION_RTOL * scale
+            elif broken == "eigenvector":
+                vecs[:, -1] += 1e-6 * vecs[:, 0]
+            else:
+                vecs[3, 7] = np.nan
+            return evals, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", wrong)
+        with pytest.raises(NumericError, match="reconstruction"):
+            diagonalize(h)
+
 
 def _box_hamiltonian(lengths, bc, seed=6):
     box = BoxGeometry.of_lengths(lengths)
@@ -163,6 +188,8 @@ class TestSpectrum:
             pytest.param(np.array([[1.0, 2.0], [0.0, 1.0]]), id="nonsymmetric"),
             pytest.param(np.ones((2, 3)), id="nonsquare"),
             pytest.param(np.ones(3), id="vector"),
+            pytest.param(np.array([[2.0, np.inf], [np.inf, 2.0]]), id="inf"),
+            pytest.param(np.array([[2.0, np.nan], [np.nan, 2.0]]), id="nan"),
         ],
     )
     def test_rejects_malformed(self, solve, h):
@@ -189,7 +216,7 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("bc", BCS)
     @pytest.mark.parametrize("lengths", BOXES)
-    @pytest.mark.parametrize("broken", ["shifted", "trace_kept"])
+    @pytest.mark.parametrize("broken", ["shifted", "trace_kept", "nan"])
     def test_invariant_check(self, monkeypatch, lengths, bc, broken):
         h = _box_hamiltonian(lengths, bc)
         scale = np.max(np.abs(h))
@@ -199,6 +226,9 @@ class TestSpectrum:
             evals = solve(m).copy()
             if broken == "shifted":
                 return evals + 1e3 * RECONSTRUCTION_RTOL * scale
+            if broken == "nan":
+                evals[-1] = np.nan
+                return evals
             # moves two eigenvalues apart: the trace stays, ||h||_F^2 does not
             evals[0] -= 1e-3 * scale
             evals[-1] += 1e-3 * scale
@@ -207,6 +237,39 @@ class TestSpectrum:
         monkeypatch.setattr(np.linalg, "eigvalsh", wrong)
         with pytest.raises(NumericError):
             spectrum(h, bc)
+
+
+# n is not a multiple of the tile, so the last tile is ragged
+_ASYMMETRY_N = 2 * SYMMETRY_TILE + 37
+
+
+class TestSymmetryCheck:
+    @pytest.mark.parametrize("n", [1, 5, SYMMETRY_TILE, SYMMETRY_TILE + 1, _ASYMMETRY_N])
+    def test_tiles_match_dense_form(self, n):
+        h = np.random.default_rng(n).standard_normal((n, n))
+        assert _max_asymmetry(h) == np.max(np.abs(h - h.T))
+        assert _max_asymmetry(h + h.T) == 0.0
+
+    @pytest.mark.parametrize("solve", [spectrum, diagonalize])
+    @pytest.mark.parametrize(
+        "where",
+        [
+            pytest.param((70, 3), id="diagonal-tile"),
+            pytest.param((5, SYMMETRY_TILE + 9), id="off-diagonal-tile"),
+            pytest.param((_ASYMMETRY_N - 30, _ASYMMETRY_N - 1), id="ragged-tile"),
+        ],
+    )
+    @pytest.mark.parametrize("size, rejected", [(2e-12, True), (0.5e-12, False)])
+    def test_planted_asymmetry(self, solve, where, size, rejected):
+        h = _box_hamiltonian([_ASYMMETRY_N], "neumann")
+        scale = np.max(np.abs(h))
+        assert h[where] == 0.0
+        h[where] = size * scale
+        if rejected:
+            with pytest.raises(ValueError, match="symmetric"):
+                solve(h)
+        else:
+            assert solve(h).n == _ASYMMETRY_N
 
 
 class TestLocalizedModes:

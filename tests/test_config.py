@@ -6,6 +6,7 @@ from osclab.config import ExperimentConfig, config_from_dict, load_config
 from osclab.errors import ConfigError
 
 BASE = {"experiment": "lr-bound", "box": {"lengths": [20]}, "samples": 2}
+INF, NAN = float("inf"), float("nan")
 
 
 def _doc(**changes):
@@ -26,6 +27,16 @@ class TestValidation:
             pytest.param(_doc(disorder={"k_max": 0.0}), id="zero-k_max"),
             pytest.param(_doc(time_grid={"points": 0}), id="empty-time-grid"),
             pytest.param(_doc(amplitude=0.0), id="zero-amplitude"),
+            pytest.param(_doc(disorder={"k_max": INF}), id="infinite-k_max"),
+            pytest.param(_doc(disorder={"k_max": NAN}), id="nan-k_max"),
+            pytest.param(_doc(amplitude=INF), id="infinite-amplitude"),
+            pytest.param(_doc(amplitude=NAN), id="nan-amplitude"),
+            pytest.param(_doc(lambda0=INF), id="infinite-lambda0"),
+            pytest.param(_doc(lambda0=NAN), id="nan-lambda0"),
+            pytest.param(_doc(time_grid={"t_max": INF}), id="infinite-t_max"),
+            pytest.param(_doc(time_grid={"t_max": NAN}), id="nan-t_max"),
+            pytest.param(_doc(experiment="energy-density", lambda_grid_max=INF), id="infinite-lambda_grid_max"),
+            pytest.param(_doc(experiment="energy-density", lambda_grid_max=NAN), id="nan-lambda_grid_max"),
             pytest.param(_doc(center=[40]), id="center-outside"),
             pytest.param(_doc(shells=[5, 11]), id="shell-beyond-box"),
             pytest.param(_doc(experiment="quasi-locality", n_values=[3, 20]), id="radius-beyond-box"),
@@ -101,4 +112,12 @@ class TestLoadConfig:
         path = tmp_path / "cfg.json"
         path.write_text("{experiment: lr-bound", encoding="utf-8")
         with pytest.raises(ConfigError):
+            load_config(path)
+
+    @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN"])
+    def test_non_finite_json_literal(self, tmp_path, literal):
+        # json.load accepts these literals; the config must not
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(BASE)[:-1] + f', "amplitude": {literal}}}', encoding="utf-8")
+        with pytest.raises(ConfigError, match="finite"):
             load_config(path)

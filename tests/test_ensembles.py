@@ -274,6 +274,89 @@ def test_planted_correlation_violation_is_counted(monkeypatch):
     assert twice.metadata["correlation_bound_violations"] == 2
 
 
+@pytest.mark.parametrize("kind, planted", [("lr-bound", 1), ("pq-bound", 3)])
+def test_planted_domination_violation_is_counted(monkeypatch, kind, planted):
+    """A value above its envelope at one (t, y) is counted there and summed by _reduce.
+
+    An imaginary part on one grid time lets |sin| and |cos| exceed 1 at that
+    time only, which breaks each domination (one in lr-bound; qq, qp and pp
+    in pq-bound) at the one shell site.
+    """
+    # the center is the end of the chain, so shell 5 is the single site 5
+    config = config_from_dict(
+        {
+            "experiment": kind,
+            "box": {"lengths": [12]},
+            "lambda0": "full",
+            "center": [0],
+            "shells": [5],
+            "samples": 3,
+            "seed": 4,
+            "time_grid": {"points": 7, "t_max": 3.0},
+        }
+    )
+    honest = [ensembles.run_sample(config, i) for i in range(config.samples)]
+    assert all(o.flags["domination_violations"] == 0 for o in honest)
+
+    grid = ensembles._time_grid
+
+    def planted_grid(config, spec):
+        times = grid(config, spec).astype(complex)
+        times[3] += 3j
+        return times
+
+    monkeypatch.setattr(ensembles, "_time_grid", planted_grid)
+    tampered = ensembles.run_sample(config, 1)
+    assert tampered.flags["domination_violations"] == planted
+    sups = [v for (_, name), v in tampered.rows if name.endswith("_sup")]
+    bounds = [v for (_, name), v in tampered.rows if "envelope" in name]
+    assert min(sups) > max(bounds)  # the planted values reach the table unclamped
+
+    result = ensembles._reduce(config, [honest[0], tampered, honest[2]])
+    assert result.metadata["domination_violations"] == planted
+    twice = ensembles._reduce(config, [tampered, honest[1], tampered])
+    assert twice.metadata["domination_violations"] == 2 * planted
+
+
+def test_planted_quasi_locality_violation_is_counted(monkeypatch):
+    """An error above its bound at one (alpha, t, n) is counted there and summed by _reduce."""
+    config = config_from_dict(
+        {
+            "experiment": "quasi-locality",
+            "box": {"lengths": [12]},
+            "lambda0": "full",
+            "kappa": 1,
+            "n_values": [2, 4],
+            "samples": 3,
+            "seed": 4,
+            "time_grid": {"points": 7, "t_max": 3.0},
+        }
+    )
+    honest = [ensembles.run_sample(config, i) for i in range(config.samples)]
+    assert all(o.flags["bound_violations"] == 0 for o in honest)
+
+    calls = []
+
+    def planted(alphas, x):
+        out = diagonal_products(alphas, x)
+        if not calls:
+            out[0, 0] = -1e6  # the vacuum at t = 0 for the largest radius
+        calls.append(x)
+        return out
+
+    monkeypatch.setattr(ensembles, "diagonal_products", planted)
+    tampered = ensembles.run_sample(config, 1)
+    assert len(calls) == 2
+    assert tampered.flags["bound_violations"] == 1
+    rows = dict(tampered.rows)
+    assert rows[(4, "error_sup")] > 1e3 > rows[(4, "bound_sup")]  # unclamped
+
+    result = ensembles._reduce(config, [honest[0], tampered, honest[2]])
+    assert result.metadata["bound_violations"] == 1
+    twice = ensembles._reduce(config, [tampered, honest[1], tampered])
+    assert twice.metadata["bound_violations"] == 2
+
+
 class TestRunEnsemble:
     @pytest.mark.parametrize("kind", ["correlations", "quasi-locality"])
     def test_csv_independent_of_workers(self, kind):
