@@ -19,26 +19,21 @@ from .anderson import (
     diagonalize,
     eigencorrelator,
     localized_modes,
-    min_gap,
+    propagator_sums,
     sample_disorder,
     spectrum,
 )
 from .freeboson import (
     counting_function,
     delta_field,
-    dynamics_block_matrix,
     evolve,
     excitation_energy_density,
     many_body_energy,
     project_localized,
-    sup_t_overlap,
     v_inverse,
     v_map,
 )
 from .weyl import (
-    RestrictionData,
-    WeylDescriptor,
-    correlation_series,
     dynamic_correlation,
     laguerre,
     lr_weyl_commutator_norm,
@@ -48,13 +43,4 @@ from .weyl import (
     quasi_locality_bound,
     quasi_locality_error,
     restriction_constant,
-)
-from .fock_oracle import (
-    OracleBundle,
-    TruncationSpec,
-    build_restricted_operators,
-    ladder_matrices,
-    oracle_commutator_norm,
-    oracle_expectation,
-    weyl_matrix_1d_oracle,
 )

@@ -15,6 +15,8 @@ localization kernel
 
 the exact value of the supremum over Borel functions |u| <= 1 of
 |<delta_x, h^{s/2} u(h) X delta_y>| when the spectrum is simple.
+``propagator_sums`` evaluates those bilinear forms for u = cos or sin of
+2t sqrt(h) on a time grid; the commutator kernels are built from them.
 """
 
 from __future__ import annotations
@@ -269,6 +271,24 @@ def eigencorrelator_profile(spec: SpectralData, lambda0: float, s: int, x: int) 
     return phi @ (weights * phi[int(x)])
 
 
-def min_gap(spec: Spectrum) -> float:
-    """Smallest eigenvalue spacing of h, reported per realization."""
-    return spec.min_gap()
+def propagator_sums(spec: SpectralData, lambda0: float, x: int, sites, times, powers) -> tuple:
+    """The sums sum_{j in S} gamma_j^s phi_j(x) phi_j(y) u(2 t gamma_j) for each s in ``powers``.
+
+    u is cos for s = 0 and sin for s = -1, +1, so each sum is the coefficient
+    <delta_x, h^{s/2} u(2t sqrt(h)) X delta_y> of a restricted
+    position/momentum commutator, and |sum| <= Q_s(x, y) at every t.
+    Returns one (times, sites) array per power, in the order of ``powers``;
+    at most one sine and one cosine table are built.  ``times`` keeps its
+    dtype, so a complex grid gives complex sums.
+    """
+    n = spec.n
+    sites = np.asarray(sites, dtype=int)
+    if not 0 <= int(x) < n or np.any((sites < 0) | (sites >= n)):
+        raise ValueError(f"site index outside 0..{n - 1}")
+    cnt = localized_modes(spec, lambda0).size
+    gam = spec.gammas[:cnt]
+    prod = spec.modes[int(x), :cnt][:, None] * spec.modes[sites, :cnt].T  # (modes, sites)
+    ang = 2.0 * np.asarray(times)[:, None] * gam[None, :]
+    cos = np.cos(ang) if 0 in powers else None
+    sin = np.sin(ang) if any(s != 0 for s in powers) else None
+    return tuple((cos if s == 0 else sin) @ (prod * gam[:, None] ** s) for s in powers)

@@ -108,6 +108,10 @@ class ExperimentConfig:
             raise ConfigError("k_max must be positive")
         if self.time_points < 1:
             raise ConfigError("time grid needs at least one point")
+        if self.t_max is not None and self.t_max <= 0:
+            raise ConfigError(f"t_max must be positive, got {self.t_max!r}")
+        if not set(self.powers) <= {-1, 0, 1}:
+            raise ConfigError(f"eigencorrelator powers must be -1, 0 or 1, got {list(self.powers)}")
         if self.amplitude <= 0:
             raise ConfigError("amplitude must be positive")
         # A repeated key would be folded into one row with count samples x
@@ -136,6 +140,8 @@ class ExperimentConfig:
                 raise ConfigError("lambda grid needs at least two points")
         if self.experiment == "gap-stats" and self.mb_length < 2:
             raise ConfigError("many-body gap box needs at least two sites")
+        if self.mb_occupation < 1:
+            raise ConfigError(f"mb_occupation must be at least 1, got {self.mb_occupation!r}")
 
 
 def _tupled(value, kind=int):

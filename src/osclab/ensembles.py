@@ -28,6 +28,7 @@ from .anderson import (
     diagonalize,
     eigencorrelator_profile,
     localized_modes,
+    propagator_sums,
     sample_disorder,
     spectrum,
 )
@@ -111,9 +112,22 @@ def _alpha_family(config: ExperimentConfig, spec, S, index: int) -> np.ndarray:
 # kernels
 # ---------------------------------------------------------------------------
 
-def _delta_mode_matrix(spec) -> np.ndarray:
-    """Row x = V(delta_x): real mode coefficients gamma^{-1/2} phi_j(x)."""
-    return spec.modes / np.sqrt(spec.gammas)[None, :]
+def _shell_rows(shells, quantities) -> list:
+    """Per-shell means of per-site vectors laid out shell after shell."""
+    rows = []
+    pos = 0
+    for d, sites in shells.items():
+        sl = slice(pos, pos + sites.size)
+        for name, vals in quantities:
+            rows.append(((d, name), float(vals[sl].mean())))
+        pos += sites.size
+    return rows
+
+
+def _delta_restriction(spec, cnt: int, amplitude: float, sites) -> np.ndarray:
+    """C_f = exp(-a^2/4 sum_{j not in S} phi_j(x)^2 / gamma_j) for f = a delta_x at each site x."""
+    tails = np.square(spec.modes[sites, cnt:]) @ (1.0 / spec.gammas[cnt:])
+    return np.exp(-0.25 * amplitude**2 * tails)
 
 
 def _kernel_eigencorrelator(config, box, spec, index):
@@ -123,8 +137,6 @@ def _kernel_eigencorrelator(config, box, spec, index):
     names = {-1: "q_minus", 0: "q_zero", 1: "q_plus"}
     rows = []
     for s in config.powers:
-        if s not in names:
-            raise NumericError(f"eigencorrelator power {s} not in {{-1,0,1}}")
         profile = eigencorrelator_profile(spec, lam, s, center)
         for d, sites in shells.items():
             rows.append(((d, names[s]), float(profile[sites].mean())))
@@ -136,59 +148,33 @@ def _kernel_lr(config, box, spec, index):
     cnt = localized_modes(spec, lam).size
     center = config.center_index()
     shells = _shell_sites(box, center, config.shell_values())
+    ys = np.concatenate(list(shells.values()))
     a2 = config.amplitude**2
     times = _time_grid(config, spec)
-    w = _delta_mode_matrix(spec)
-    tails = np.sum(w[:, cnt:] ** 2, axis=1)
-    c_center = np.exp(-0.25 * a2 * tails[center])
-    c_sites = np.exp(-0.25 * a2 * tails)
-
-    ys = np.concatenate([sites for sites in shells.values()]) if shells else np.array([], int)
-    coef = w[center, :cnt][:, None] * w[ys, :cnt].T  # (modes, sites)
-    ang = 2.0 * times[:, None] * spec.gammas[:cnt][None, :]
-    theta = -a2 * (np.sin(ang) @ coef)  # (times, sites)
-    cc = c_center * c_sites[ys]
-    values = 2.0 * np.abs(np.sin(theta / 2.0)) * cc[None, :]
-    envelopes = cc * np.minimum(2.0, a2 * np.sum(np.abs(coef), axis=0))
+    # (V a delta_x)_j = a phi_j(x) / sqrt(gamma_j), so Im<X f_t, X g> = -a^2 times the s = -1 sum
+    (sums,) = propagator_sums(spec, lam, center, ys, times, (-1,))
+    c = _delta_restriction(spec, cnt, config.amplitude, np.concatenate([[center], ys]))
+    cc = c[0] * c[1:]
+    values = 2.0 * np.abs(np.sin(-a2 * sums / 2.0)) * cc[None, :]
+    envelopes = cc * np.minimum(2.0, a2 * eigencorrelator_profile(spec, lam, -1, center)[ys])
     violations = int(np.sum(values > envelopes[None, :] + DOMINATION_SLACK))
-
-    sups = values.max(axis=0) if times.size else np.zeros(ys.size)
-    rows = []
-    pos = 0
-    for d, sites in shells.items():
-        sl = slice(pos, pos + sites.size)
-        rows.append(((d, "commutator_sup"), float(sups[sl].mean())))
-        rows.append(((d, "commutator_envelope"), float(envelopes[sl].mean())))
-        pos += sites.size
+    rows = _shell_rows(shells, (("commutator_sup", values.max(axis=0)), ("commutator_envelope", envelopes)))
     return rows, {"domination_violations": violations}, {}
 
 
 def _kernel_pq(config, box, spec, index):
     lam = config.lambda0_value()
-    cnt = localized_modes(spec, lam).size
     center = config.center_index()
     shells = _shell_sites(box, center, config.shell_values())
+    ys = np.concatenate(list(shells.values()))
     times = _time_grid(config, spec)
-    gam = spec.gammas[:cnt]
-    ys = np.concatenate([sites for sites in shells.values()]) if shells else np.array([], int)
-    prod = spec.modes[center, :cnt][:, None] * spec.modes[ys, :cnt].T  # (modes, sites)
-    ang = 2.0 * times[:, None] * gam[None, :]
-    cos, sin = np.cos(ang), np.sin(ang)
-
-    qq = np.abs(sin @ (prod / gam[:, None]))
-    qp = np.abs(cos @ prod)
-    pp = np.abs(sin @ (prod * gam[:, None]))
-    env_minus = np.sum(np.abs(prod) / gam[:, None], axis=0)
-    env_zero = np.sum(np.abs(prod), axis=0)
-    env_plus = np.sum(np.abs(prod) * gam[:, None], axis=0)
+    qq, qp, pp = (np.abs(v) for v in propagator_sums(spec, lam, center, ys, times, (-1, 0, 1)))
+    env_minus, env_zero, env_plus = (eigencorrelator_profile(spec, lam, s, center)[ys] for s in (-1, 0, 1))
     violations = int(
         np.sum(qq > env_minus[None, :] + DOMINATION_SLACK)
         + np.sum(qp > env_zero[None, :] + DOMINATION_SLACK)
         + np.sum(pp > env_plus[None, :] + DOMINATION_SLACK)
     )
-
-    rows = []
-    pos = 0
     quantities = (
         ("qq_sup", qq.max(axis=0)),
         ("qp_sup", qp.max(axis=0)),
@@ -198,12 +184,7 @@ def _kernel_pq(config, box, spec, index):
         ("envelope_zero", env_zero),
         ("envelope_plus", env_plus),
     )
-    for d, sites in shells.items():
-        sl = slice(pos, pos + sites.size)
-        for name, vals in quantities:
-            rows.append(((d, name), float(vals[sl].mean())))
-        pos += sites.size
-    return rows, {"domination_violations": violations}, {}
+    return _shell_rows(shells, quantities), {"domination_violations": violations}, {}
 
 
 def _kernel_correlations(config, box, spec, index):
@@ -212,46 +193,38 @@ def _kernel_correlations(config, box, spec, index):
     cnt = S.size
     center = config.center_index()
     shells = _shell_sites(box, center, config.shell_values())
+    ys = np.concatenate(list(shells.values()))
     a = config.amplitude
     times = _time_grid(config, spec)
-    w = _delta_mode_matrix(spec)
-    tails = np.sum(w[:, cnt:] ** 2, axis=1)
-    c_center = np.exp(-0.25 * a * a * tails[center])
+    c = _delta_restriction(spec, cnt, a, np.concatenate([[center], ys]))
+    cc = c[0] * c[1:]
     alphas = _alpha_family(config, spec, S, index)
 
     gam = spec.gammas[:cnt]
-    eta = a * np.exp(2j * times[:, None] * gam[None, :]) * w[center, :cnt][None, :]  # (T, modes)
+    sq = np.sqrt(gam)
+    w_center = spec.modes[center, :cnt] / sq
+    eta = a * np.exp(2j * times[:, None] * gam[None, :]) * w_center[None, :]  # (T, modes)
     eta_re, eta_im = eta.real.copy(), eta.imag.copy()
-    abs_eta = a * np.abs(w[center, :cnt])
     # |eta_j(t)| does not depend on t, so |eta|^2/2 and d_eta are per sample
-    x_eta = abs_eta**2 / 2.0
+    x_eta = (a * np.abs(w_center)) ** 2 / 2.0
     d_eta = diagonal_products(alphas, x_eta)[:, None]
 
-    ys = np.concatenate([sites for sites in shells.values()]) if shells else np.array([], int)
-    xis = a * w[ys, :cnt]  # (sites, modes)
+    xis = a * (spec.modes[ys, :cnt] / sq[None, :])  # (sites, modes)
     x_xis = xis * xis / 2.0
     d_xis = diagonal_products(alphas, x_xis)  # (A, sites)
+    overlap = a * a * eigencorrelator_profile(spec, lam, -1, center)[ys]
 
-    rows = []
+    sups = np.empty(ys.size)
     violations = 0
-    pos = 0
-    for d, sites in shells.items():
-        sup_d, env_d = [], []
-        for y in sites:
-            xi = xis[pos]
-            cc = c_center * np.exp(-0.25 * a * a * tails[y])
-            # xi is real: Im<eta, xi> = -Im(eta) . xi and |eta + xi|^2/2 expands
-            theta = -(eta_im @ xi)
-            x_joint = eta_re * xi + (x_eta + x_xis[pos])
-            d_joint = diagonal_products(alphas, x_joint)  # (A, T)
-            d_xi = d_xis[:, pos, None]
-            pos += 1
-            mags = np.abs(cc * (np.exp(-0.5j * theta) * d_joint - d_eta * d_xi))
-            violations += int(np.sum(mags > 2.0 + DOMINATION_SLACK))
-            sup_d.append(float(mags.max()))
-            env_d.append(float(np.sum(abs_eta * np.abs(xi))))
-        rows.append(((d, "correlation_sup"), float(np.mean(sup_d))))
-        rows.append(((d, "overlap_sum"), float(np.mean(env_d))))
+    for pos, xi in enumerate(xis):
+        # xi is real: Im<eta, xi> = -Im(eta) . xi and |eta + xi|^2/2 expands
+        theta = -(eta_im @ xi)
+        x_joint = eta_re * xi + (x_eta + x_xis[pos])
+        d_joint = diagonal_products(alphas, x_joint)  # (A, T)
+        mags = np.abs(cc[pos] * (np.exp(-0.5j * theta) * d_joint - d_eta * d_xis[:, pos, None]))
+        violations += int(np.sum(mags > 2.0 + DOMINATION_SLACK))
+        sups[pos] = mags.max()
+    rows = _shell_rows(shells, (("correlation_sup", sups), ("overlap_sum", overlap)))
     return rows, {"correlation_bound_violations": violations}, {}
 
 
@@ -262,9 +235,7 @@ def _kernel_quasi_locality(config, box, spec, index):
     center = config.center_index()
     a = config.amplitude
     times = _time_grid(config, spec)
-    w = _delta_mode_matrix(spec)
-    tails = np.sum(w[center, cnt:] ** 2)
-    c_f = np.exp(-0.25 * a * a * tails)
+    c_f = _delta_restriction(spec, cnt, a, [center])[0]
     gam = spec.gammas[:cnt]
     sq = np.sqrt(gam)
     alphas = _alpha_family(config, spec, S, index)
@@ -272,7 +243,7 @@ def _kernel_quasi_locality(config, box, spec, index):
 
     # X f_t in position space for the whole grid at once, the real and the
     # imaginary part side by side: (sites, 2 * times)
-    eta = a * np.exp(2j * gam[:, None] * times[None, :]) * w[center, :cnt][:, None]
+    eta = a * np.exp(2j * gam[:, None] * times[None, :]) * (spec.modes[center, :cnt] / sq)[:, None]
     phi = spec.modes[:, :cnt]
     pos = phi @ np.hstack([sq[:, None] * eta.real, eta.imag / sq[:, None]])
     steps = times.size

@@ -6,7 +6,9 @@ one-mode spaces, in the normal-mode basis where the Hamiltonian is
 diagonal.  One-mode Weyl operators come from exponentiating the Hermitian
 generator (conj(z) a + z a*)/sqrt(2); many-body operators are Kronecker
 products.  Intended for tiny systems (at most three modes) as an oracle
-for the exact formulas, never as a production path.
+for the exact formulas, never as a production path.  ``correlation_series``
+is a second reference of the same kind: the dynamic correlation summed
+over intermediate occupation states instead of in closed form.
 
 The regime projection keeps modes outside the localized set at occupation
 zero.  An optional per-mode occupation cutoff confines operators to a low
@@ -28,7 +30,7 @@ import numpy as np
 from .anderson import SpectralData, localized_modes
 from .errors import BudgetError
 from .freeboson import v_map
-from .weyl import WeylDescriptor
+from .weyl import _check_alpha, _split_vmap, matrix_element_1d
 
 DEFAULT_BUDGET = 20736
 
@@ -171,9 +173,6 @@ class OracleBundle:
         """W(f) as the tensor product over modes of one-mode Weyl matrices."""
         return self.weyl_from_modes(v_map(self.spec, np.asarray(f, dtype=complex)))
 
-    def weyl_from_descriptor(self, desc: WeylDescriptor) -> np.ndarray:
-        return np.exp(1j * desc.phase) * self.weyl_from_modes(desc.displacements)
-
     def heisenberg(self, op: np.ndarray, t: float) -> np.ndarray:
         """exp(itH) op exp(-itH); H is diagonal in this basis."""
         phases = np.exp(1j * float(t) * self.energies)
@@ -203,3 +202,34 @@ def oracle_commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
 def oracle_expectation(state: np.ndarray, op: np.ndarray) -> complex:
     """<state| op |state>."""
     return complex(np.vdot(state, op @ state))
+
+
+def correlation_series(
+    spec: SpectralData, lambda0: float, alpha, f, g, t: float, beta_cutoff: int
+) -> complex:
+    """Intermediate-state expansion of the dynamic correlation.
+
+    Sums over occupation vectors beta != alpha with beta_j <= beta_cutoff,
+    restricted to modes actually displaced (elsewhere the summand forces
+    beta_j = alpha_j).  Converges to ``dynamic_correlation`` as the cutoff
+    grows.
+    """
+    wf, S, mask, cf = _split_vmap(spec, lambda0, f)
+    wg, _, _, cg = _split_vmap(spec, lambda0, g)
+    alpha = _check_alpha(alpha, spec.n, mask)
+    if beta_cutoff < int(alpha.max(initial=0)):
+        raise ValueError("beta_cutoff must be at least max(alpha)")
+    eta = np.where(mask, np.exp(2j * t * spec.gammas) * wf, 0.0)
+    xi = np.where(mask, wg, 0.0)
+    active = np.flatnonzero((eta != 0) | (xi != 0))
+    full = 1.0 + 0.0j
+    diag = 1.0 + 0.0j
+    for j in active:
+        a = int(alpha[j])
+        per_beta = [
+            matrix_element_1d(a, b, eta[j]) * matrix_element_1d(b, a, xi[j])
+            for b in range(int(beta_cutoff) + 1)
+        ]
+        full *= sum(per_beta)
+        diag *= per_beta[a]
+    return cf * cg * (full - diag)

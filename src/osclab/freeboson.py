@@ -17,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from .anderson import SpectralData, Spectrum, localized_modes
-from .lattice import BoxGeometry
 
 
 def delta_field(n_sites: int, x: int, amplitude: complex = 1.0) -> np.ndarray:
@@ -67,73 +66,6 @@ def project_localized(spec: SpectralData, lambda0: float, f: np.ndarray) -> np.n
         return np.zeros_like(f)
     phi = spec.modes[:, S]
     return phi @ (phi.T @ f)
-
-
-def dynamics_block_matrix(spec: SpectralData, lambda0: float, t: float):
-    """The four real blocks mapping (Re g, Im g) to (Re[X g_t], Im[X g_t]).
-
-    Returns (upper_left, upper_right, lower_left, lower_right) =
-    (cos(2t sqrt(h)) X, -sin(2t sqrt(h)) sqrt(h) X,
-     sin(2t sqrt(h)) h^{-1/2} X, cos(2t sqrt(h)) X).
-    """
-    S = localized_modes(spec, lambda0)
-    n = spec.n
-    if S.size == 0:
-        z = np.zeros((n, n))
-        return z, z.copy(), z.copy(), z.copy()
-    phi = spec.modes[:, S]
-    g = spec.gammas[S]
-    c, s = np.cos(2 * t * g), np.sin(2 * t * g)
-    cos_block = (phi * c) @ phi.T
-    upper_right = -(phi * (s * g)) @ phi.T
-    lower_left = (phi * (s / g)) @ phi.T
-    return cos_block, upper_right, lower_left, cos_block.copy()
-
-
-def _overlap_mode_coefficients(spec, lambda0, f, g):
-    """Per-mode (A, B, C, D) with <f, X g_t> = sum_j (A cos + B sin) + i (C cos + D sin).
-
-    The angle is 2 t gamma_j per mode j in S.
-    """
-    S = localized_modes(spec, lambda0)
-    phiT = spec.modes[:, S].T
-    gam = spec.gammas[S]
-    rf, imf = phiT @ np.real(f), phiT @ np.imag(f)
-    rg, img = phiT @ np.real(g), phiT @ np.imag(g)
-    A = rf * rg + imf * img
-    B = imf * rg / gam - gam * rf * img
-    C = rf * img - imf * rg
-    D = rf * rg / gam + gam * imf * img
-    return gam, A, B, C, D
-
-
-def sup_t_overlap(spec: SpectralData, lambda0: float, f, g, times) -> tuple[float, float]:
-    """Bracket sup_t |<f, X g_t>| by (grid maximum, per-mode envelope).
-
-    The lower bound is the maximum over the time grid; the upper bound sums
-    the largest singular value of each mode's 2x2 coefficient matrix
-    [[A, B], [C, D]], a rigorous triangle-inequality envelope that the grid
-    value can never exceed.
-    """
-    times = np.asarray(times, dtype=float)
-    if times.size == 0:
-        raise ValueError("time grid must be nonempty")
-    f = np.asarray(f, dtype=complex)
-    g = np.asarray(g, dtype=complex)
-    gam, A, B, C, D = _overlap_mode_coefficients(spec, lambda0, f, g)
-    if gam.size == 0:
-        return 0.0, 0.0
-    ang = 2.0 * times[:, None] * gam[None, :]
-    cos, sin = np.cos(ang), np.sin(ang)
-    vals = (cos @ A + sin @ B) + 1j * (cos @ C + sin @ D)
-    lower = float(np.max(np.abs(vals)))
-    # sigma_max of [[A,B],[C,D]] via the closed form for 2x2 singular values
-    frob2 = A * A + B * B + C * C + D * D
-    det = A * D - B * C
-    disc = np.sqrt(np.maximum(frob2 * frob2 - 4.0 * det * det, 0.0))
-    upper = float(np.sum(np.sqrt((frob2 + disc) / 2.0)))
-    # the envelope dominates mathematically; guard against rounding at saturation
-    return lower, max(upper, lower)
 
 
 def default_time_grid(spec: SpectralData, points: int = 2000, t_max: float | None = None) -> np.ndarray:

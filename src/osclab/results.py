@@ -1,4 +1,4 @@
-"""Result tables, exponential-decay fits, and artifact emission.
+"""Result tables, their CSV and JSON files, and exponential-decay fits.
 
 An ensemble result is a table keyed by (key fields..., quantity) with the
 sample mean, standard error and count per key, plus a metadata block
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import io
 import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -178,65 +177,3 @@ def fit_exponential(result: EnsembleResult, fit_range, quantity: str | None = No
         fit_range=(lo, hi),
         n_points=len(pts),
     )
-
-
-_PLOT_TEMPLATE = '''#!/usr/bin/env python3
-"""Log-linear decay plot for an ensemble result; writes a PNG next to itself."""
-
-import json
-import os
-
-import matplotlib
-
-matplotlib.use("Agg")
-import matplotlib.pyplot as plt
-import numpy as np
-
-DATA = json.loads(r"""{data}""")
-
-fig, ax = plt.subplots(figsize=(7, 5))
-for quantity, rows in DATA["series"].items():
-    x = np.array([r[0] for r in rows], dtype=float)
-    mean = np.array([r[1] for r in rows], dtype=float)
-    err = np.array([r[2] for r in rows], dtype=float)
-    keep = mean > 0
-    if not np.any(keep):
-        continue
-    ax.errorbar(x[keep], mean[keep], yerr=err[keep], marker="o", ls="none", ms=3, label=quantity)
-    if np.count_nonzero(keep) >= 4:
-        slope, intercept = np.polyfit(x[keep], np.log(mean[keep]), 1)
-        xs = np.linspace(x[keep].min(), x[keep].max(), 100)
-        ax.plot(xs, np.exp(intercept + slope * xs), lw=1,
-                label=f"{{quantity}} fit: mu={{-slope:.4f}}")
-
-ax.set_yscale("log")
-ax.set_xlabel(DATA["xlabel"])
-ax.set_ylabel("sample mean")
-ax.set_title(f"{{DATA['kind']}}  (digest {{DATA['digest']}})")
-ax.legend(fontsize=8)
-fig.tight_layout()
-out = os.path.splitext(os.path.abspath(__file__))[0] + ".png"
-fig.savefig(out, dpi=150)
-print(out)
-'''
-
-
-def emit_plot_script(result: EnsembleResult, path) -> None:
-    """Write a self-contained matplotlib script rendering the decay curves."""
-    series: dict[str, list] = {}
-    for row in result.sorted_rows():
-        if len(row.key) < 2 or not isinstance(row.key[0], (int, float)):
-            continue
-        series.setdefault(str(row.key[-1]), []).append(
-            [float(row.key[0]), row.mean, row.stderr]
-        )
-    data = {
-        "kind": result.kind,
-        "digest": result.metadata.get("config_digest", ""),
-        "xlabel": result.key_fields[0] if result.key_fields else "key",
-        "series": series,
-    }
-    script = _PLOT_TEMPLATE.format(data=json.dumps(data))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(script)
-    os.chmod(path, 0o755)

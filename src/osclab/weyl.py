@@ -1,8 +1,8 @@
 """Closed-form Weyl-operator algebra on the regime of localized excitations.
 
 Everything here works with displacement data, never with operator matrices:
-a Weyl operator is determined by its mode displacement vector V f plus an
-accumulated phase, and compositions follow the Weyl relation
+a Weyl operator W(f) is determined by its mode displacement vector V f, and
+products follow the Weyl relation
 
     W(f) W(g) = exp(-(i/2) Im<f, g>) W(f + g),
 
@@ -24,17 +24,19 @@ Restriction to the localized regime enters through the scalar
 C_f = exp(-||1_{S^c} V f||^2 / 4): the restricted operator equals
 C_f W(X f) P and has norm C_f.  The exact restricted quantities below
 (commutator norms, dynamic correlations, quasi-locality errors) all reduce
-to phases, C-factors and diagonal matrix elements.
+to phases, C-factors and diagonal matrix elements.  For delta fields the
+experiment kernels evaluate the same quantities in batched form from
+``anderson.propagator_sums``, ``anderson.eigencorrelator_profile`` and
+``diagonal_products``, and are tested against the forms here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lgamma
 
 import numpy as np
 
-from .anderson import SpectralData, localized_modes
+from .anderson import SpectralData, localized_modes, propagator_sums
 from .freeboson import support, v_map
 from .lattice import BoxGeometry, neighborhood
 
@@ -201,47 +203,8 @@ def matrix_element(spec: SpectralData, alpha, beta, f) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Descriptors and restriction data
+# Restriction to the localized regime
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WeylDescriptor:
-    """A Weyl operator as exp(i * phase) W(displacements) in mode space."""
-
-    displacements: np.ndarray
-    phase: float = 0.0
-
-    @classmethod
-    def identity(cls, n_modes: int) -> "WeylDescriptor":
-        return cls(np.zeros(n_modes, dtype=complex), 0.0)
-
-    @classmethod
-    def from_field(cls, spec: SpectralData, f) -> "WeylDescriptor":
-        return cls(v_map(spec, np.asarray(f, dtype=complex)), 0.0)
-
-    def compose(self, other: "WeylDescriptor") -> "WeylDescriptor":
-        """Descriptor of (this operator) * (other operator)."""
-        d1, d2 = self.displacements, other.displacements
-        sym = float(np.sum(np.imag(np.conj(d1) * d2)))
-        return WeylDescriptor(d1 + d2, self.phase + other.phase - 0.5 * sym)
-
-    def inverse(self) -> "WeylDescriptor":
-        return WeylDescriptor(-self.displacements, -self.phase)
-
-    def expectation(self, alpha) -> complex:
-        """<psi_alpha, (this operator) psi_alpha>."""
-        diag = diagonal_elements(np.asarray(alpha, dtype=int), self.displacements)
-        return np.exp(1j * self.phase) * complex(np.prod(diag))
-
-
-@dataclass(frozen=True)
-class RestrictionData:
-    """Restriction of a Weyl operator: localized modes and the norm C_f."""
-
-    lambda0: float
-    modes: np.ndarray
-    constant: float
-
 
 def _split_vmap(spec: SpectralData, lambda0: float, f):
     """V f together with the localized-mode mask and the constant C_f."""
@@ -253,10 +216,9 @@ def _split_vmap(spec: SpectralData, lambda0: float, f):
     return w, S, mask, float(np.exp(-0.25 * tail))
 
 
-def restriction_constant(spec: SpectralData, lambda0: float, f) -> RestrictionData:
+def restriction_constant(spec: SpectralData, lambda0: float, f) -> float:
     """C_f = exp(-||1_{S^c} V f||^2 / 4); equals 1 iff V f lives on S."""
-    _, S, _, c = _split_vmap(spec, lambda0, f)
-    return RestrictionData(lambda0=float(lambda0), modes=S, constant=c)
+    return _split_vmap(spec, lambda0, f)[3]
 
 
 # ---------------------------------------------------------------------------
@@ -316,20 +278,11 @@ def pq_commutator_matrix(spec: SpectralData, lambda0: float, x: int, y: int, t: 
         [[-<dx, h^{-1/2} sin(2t sqrt(h)) X dy>,  <dx, cos(2t sqrt(h)) X dy>],
          [-<dx, cos(2t sqrt(h)) X dy>,          -<dx, h^{1/2} sin(2t sqrt(h)) X dy>]];
     each commutator equals i times its coefficient times the regime projection.
+    The entries are ``anderson.propagator_sums`` at one site y and one time t.
     """
-    S = localized_modes(spec, lambda0)
-    n = spec.n
-    if not (0 <= int(x) < n and 0 <= int(y) < n):
-        raise ValueError("site index outside box")
-    if S.size == 0:
-        return np.zeros((2, 2))
-    gam = spec.gammas[S]
-    prod = spec.modes[int(x), S] * spec.modes[int(y), S]
-    c = np.cos(2 * t * gam)
-    s = np.sin(2 * t * gam)
-    cos_sum = float(np.sum(c * prod))
-    sin_minus = float(np.sum(s / gam * prod))
-    sin_plus = float(np.sum(s * gam * prod))
+    sin_minus, cos_sum, sin_plus = (
+        float(v[0, 0]) for v in propagator_sums(spec, lambda0, x, [y], [t], (-1, 0, 1))
+    )
     return np.array([[-sin_minus, cos_sum], [-cos_sum, -sin_plus]])
 
 
@@ -365,37 +318,6 @@ def dynamic_correlation(spec: SpectralData, lambda0: float, alpha, f, g, t: floa
     x = np.stack([_half_modulus_sq(eta + xi), _half_modulus_sq(eta), _half_modulus_sq(xi)])
     joint, d_eta, d_xi = diagonal_products(alpha[None, :], x)[0]
     return cf * cg * (np.exp(-0.5j * theta) * joint - d_eta * d_xi)
-
-
-def correlation_series(
-    spec: SpectralData, lambda0: float, alpha, f, g, t: float, beta_cutoff: int
-) -> complex:
-    """Intermediate-state expansion of the dynamic correlation.
-
-    Sums over occupation vectors beta != alpha with beta_j <= beta_cutoff,
-    restricted to modes actually displaced (elsewhere the summand forces
-    beta_j = alpha_j).  Converges to ``dynamic_correlation`` as the cutoff
-    grows.
-    """
-    wf, S, mask, cf = _split_vmap(spec, lambda0, f)
-    wg, _, _, cg = _split_vmap(spec, lambda0, g)
-    alpha = _check_alpha(alpha, spec.n, mask)
-    if beta_cutoff < int(alpha.max(initial=0)):
-        raise ValueError("beta_cutoff must be at least max(alpha)")
-    eta = np.where(mask, np.exp(2j * t * spec.gammas) * wf, 0.0)
-    xi = np.where(mask, wg, 0.0)
-    active = np.flatnonzero((eta != 0) | (xi != 0))
-    full = 1.0 + 0.0j
-    diag = 1.0 + 0.0j
-    for j in active:
-        a = int(alpha[j])
-        per_beta = [
-            matrix_element_1d(a, b, eta[j]) * matrix_element_1d(b, a, xi[j])
-            for b in range(int(beta_cutoff) + 1)
-        ]
-        full *= sum(per_beta)
-        diag *= per_beta[a]
-    return cf * cg * (full - diag)
 
 
 # ---------------------------------------------------------------------------

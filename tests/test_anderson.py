@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from osclab.anderson import (
     RECONSTRUCTION_RTOL,
@@ -12,11 +14,12 @@ from osclab.anderson import (
     eigencorrelator,
     eigencorrelator_profile,
     localized_modes,
-    min_gap,
+    propagator_sums,
     sample_disorder,
     spectrum,
     _max_asymmetry,
 )
+from osclab.ensembles import DOMINATION_SLACK
 from osclab.errors import ConfigError, NumericError
 from osclab.lattice import BoxGeometry
 
@@ -338,14 +341,59 @@ class TestEigencorrelator:
             assert abs(row[y] - eigencorrelator(spec, lam, -1, 5, y)) < 1e-14
 
 
+class TestPropagatorSums:
+    def test_matches_mode_sums(self, chain12):
+        _, spec = chain12
+        lam = float(np.percentile(spec.eigenvalues, 70))
+        S = localized_modes(spec, lam)
+        gam = spec.gammas[S]
+        x, sites = 4, np.array([0, 4, 9])
+        times = np.array([0.0, 0.4, 3.7, 250.0])
+        sums = propagator_sums(spec, lam, x, sites, times, (1, -1, 0))
+        for s, got in zip((1, -1, 0), sums):
+            assert got.shape == (times.size, sites.size)
+            u = np.cos if s == 0 else np.sin
+            for i, t in enumerate(times):
+                for k, y in enumerate(sites):
+                    want = np.sum(u(2 * t * gam) * gam**s * spec.modes[x, S] * spec.modes[y, S])
+                    assert abs(got[i, k] - want) < 1e-13
+
+    def test_sites_outside_box_rejected(self, chain12):
+        _, spec = chain12
+        for x, sites in ((-1, [0]), (12, [0]), (0, [12]), (0, [-1])):
+            with pytest.raises(ValueError):
+                propagator_sums(spec, spec.norm, x, sites, [0.0], (0,))
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        lengths=st.one_of(st.tuples(st.integers(1, 12)), st.tuples(st.integers(2, 4), st.integers(2, 3))),
+        seed=st.integers(0, 2**16),
+        k_max=st.floats(0.05, 8.0),
+        level=st.one_of(st.none(), st.floats(0.0, 1.1)),
+        times=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=8),
+        data=st.data(),
+    )
+    def test_dominated_by_eigencorrelator(self, lengths, seed, k_max, level, times, data):
+        """|sum| <= Q_s(x, y) for every s, off any grid: the domination the pq-bound flag tests."""
+        box = BoxGeometry.of_lengths(list(lengths))
+        sample = sample_disorder(DisorderConfig(k_max=k_max, master_seed=seed), box, 0)
+        spec = diagonalize(assemble(box, sample))
+        lam = np.inf if level is None else level * spec.norm
+        x = data.draw(st.integers(0, box.n_sites - 1))
+        sums = propagator_sums(spec, lam, x, np.arange(box.n_sites), np.array(times), (-1, 0, 1))
+        for s, got in zip((-1, 0, 1), sums):
+            envelope = eigencorrelator_profile(spec, lam, s, x)
+            assert np.all(np.abs(got) <= envelope[None, :] + DOMINATION_SLACK)
+
+
 class TestMinGap:
     def test_simple(self):
-        assert min_gap(diagonalize(np.diag([1.0, 2.0, 3.0]))) == 1.0
+        assert diagonalize(np.diag([1.0, 2.0, 3.0])).min_gap() == 1.0
 
     def test_degenerate(self):
         spec = diagonalize(np.diag([2.0, 2.0, 5.0]))
-        assert min_gap(spec) == 0.0
+        assert spec.min_gap() == 0.0
         assert spec.flag_degenerate()
 
     def test_single_mode(self):
-        assert min_gap(diagonalize(np.array([[2.0]]))) == np.inf
+        assert diagonalize(np.array([[2.0]])).min_gap() == np.inf

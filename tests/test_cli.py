@@ -46,6 +46,16 @@ def test_config_error_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_zero_many_body_occupation_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    doc = {"experiment": "gap-stats", "box": {"lengths": [12]}, "samples": 1, "mb_occupation": 0}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "table.csv"
+    assert cli.main(["run", str(path), "--out", str(out)]) == 2
+    _one_line_error(capsys, "ConfigError")
+    assert not out.exists()
+
+
 def test_unwritable_out_exits_2(config_path, tmp_path, capsys):
     assert cli.main(["run", str(config_path), "--out", str(tmp_path / "absent" / "t.csv")]) == 2
     _one_line_error(capsys, "OSError")

@@ -43,6 +43,12 @@ class TestValidation:
             pytest.param(_doc(experiment="energy-density", lengths_ladder=[1, 10]), id="short-ladder"),
             pytest.param(_doc(experiment="energy-density", lambda_grid_points=1), id="one-point-grid"),
             pytest.param(_doc(experiment="gap-stats", mb_length=1), id="one-site-many-body-box"),
+            pytest.param(_doc(experiment="gap-stats", mb_occupation=0), id="no-many-body-occupation"),
+            pytest.param(_doc(experiment="gap-stats", mb_occupation=-1), id="negative-many-body-occupation"),
+            pytest.param(_doc(time_grid={"t_max": 0.0}), id="zero-t_max"),
+            pytest.param(_doc(time_grid={"t_max": -1.0}), id="negative-t_max"),
+            pytest.param(_doc(experiment="eigencorrelator", powers=[2]), id="power-two"),
+            pytest.param(_doc(experiment="eigencorrelator", powers=[0, -2]), id="power-minus-two"),
             pytest.param(_doc(samples="many"), id="ill-typed"),
             pytest.param(_doc(sample_count=3), id="unknown-field"),
             pytest.param({"box": {"lengths": [20]}}, id="no-experiment"),

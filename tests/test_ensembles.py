@@ -10,11 +10,15 @@ from osclab.errors import ConfigError
 from osclab.freeboson import delta_field
 from osclab.lattice import BoxGeometry
 from osclab.results import render_csv
+from osclab.anderson import eigencorrelator
 from osclab.weyl import (
     diagonal_elements,
     diagonal_products,
     dynamic_correlation,
+    lr_envelope,
+    lr_weyl_commutator_norm,
     mode_product_sum,
+    pq_commutator_matrix,
     quasi_locality_bound,
     quasi_locality_error,
 )
@@ -150,6 +154,11 @@ def _family(config, spec):
     return full
 
 
+def _shell(center, d, n_sites=12):
+    """Sites of a chain at distance d from the center, in the kernels' order."""
+    return [y for y in (center - d, center + d) if 0 <= y < n_sites]
+
+
 @pytest.mark.parametrize("lambda0", ["full", 2.0])
 class TestKernelsAgainstScalarForms:
     """The batched kernels reproduce the scalar closed forms of weyl.py."""
@@ -167,9 +176,7 @@ class TestKernelsAgainstScalarForms:
         f = delta_field(12, center, config.amplitude)
         for d in config.shells:
             sups, overlaps = [], []
-            for y in (center - d, center + d):
-                if not 0 <= y < 12:
-                    continue
+            for y in _shell(center, d):
                 g = delta_field(12, y, config.amplitude)
                 sups.append(
                     max(abs(dynamic_correlation(spec, lam, al, f, g, t)) for al in alphas for t in times)
@@ -178,6 +185,48 @@ class TestKernelsAgainstScalarForms:
             assert table[(d, "correlation_sup")] == pytest.approx(np.mean(sups), rel=1e-12, abs=1e-14)
             assert table[(d, "overlap_sum")] == pytest.approx(np.mean(overlaps), rel=1e-12, abs=1e-14)
         assert flags == {"correlation_bound_violations": 0}
+
+    def test_lr_bound(self, chain12, lambda0):
+        box, spec = chain12
+        center = 2
+        config = _config("lr-bound", lambda0, center=[center], shells=[1, 3, 5, 9], amplitude=0.9)
+        rows, flags, _ = ensembles.KERNELS["lr-bound"](config, box, spec, 0)
+        table = dict(rows)
+        lam = config.lambda0_value()
+        times = ensembles._time_grid(config, spec)
+        f = delta_field(12, center, config.amplitude)
+        for d in config.shells:
+            sups, envelopes = [], []
+            for y in _shell(center, d):
+                g = delta_field(12, y, config.amplitude)
+                sups.append(max(lr_weyl_commutator_norm(spec, lam, f, g, t) for t in times))
+                envelopes.append(lr_envelope(spec, lam, f, g))
+            assert table[(d, "commutator_sup")] == pytest.approx(np.mean(sups), rel=1e-12, abs=1e-14)
+            assert table[(d, "commutator_envelope")] == pytest.approx(np.mean(envelopes), rel=1e-12, abs=1e-14)
+        assert flags == {"domination_violations": 0}
+
+    def test_pq_bound(self, chain12, lambda0):
+        box, spec = chain12
+        center = 2
+        config = _config("pq-bound", lambda0, center=[center], shells=[1, 3, 5, 9])
+        rows, flags, _ = ensembles.KERNELS["pq-bound"](config, box, spec, 0)
+        table = dict(rows)
+        lam = config.lambda0_value()
+        times = ensembles._time_grid(config, spec)
+        # |coefficient| of the (position, position), (position, momentum),
+        # (momentum, position) and (momentum, momentum) commutator
+        entries = {"qq_sup": (0, 0), "qp_sup": (0, 1), "pq_sup": (1, 0), "pp_sup": (1, 1)}
+        powers = {"envelope_minus": -1, "envelope_zero": 0, "envelope_plus": 1}
+        for d in config.shells:
+            sites = _shell(center, d)
+            mats = np.array([[pq_commutator_matrix(spec, lam, center, y, t) for t in times] for y in sites])
+            for name, (i, j) in entries.items():
+                want = np.mean(np.abs(mats[:, :, i, j]).max(axis=1))
+                assert table[(d, name)] == pytest.approx(want, rel=1e-12, abs=1e-14)
+            for name, s in powers.items():
+                want = np.mean([eigencorrelator(spec, lam, s, center, y) for y in sites])
+                assert table[(d, name)] == pytest.approx(want, rel=1e-12, abs=1e-14)
+        assert flags == {"domination_violations": 0}
 
     def test_quasi_locality(self, chain12, lambda0):
         box, spec = chain12

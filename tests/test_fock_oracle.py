@@ -154,7 +154,7 @@ class TestLemma31Structure:
         rng = np.random.default_rng(2)
         for _ in range(5):
             f = random_field(rng, 2, scale=0.7)
-            cf = restriction_constant(spec, lam, f).constant
+            cf = restriction_constant(spec, lam, f)
             assert cf < 1.0  # generic field leaks outside the regime
             norm = np.linalg.norm(bundle.restricted(bundle.weyl(f)), 2)
             assert abs(norm - cf) < 1e-8
@@ -208,8 +208,8 @@ class TestRestrictedQuantitiesOracle:
             t = rng.uniform(-2, 2)
             a = bundle.heisenberg(bundle.restricted(bundle.weyl(f)), t)
             b = bundle.restricted(bundle.weyl(g))
-            cf = restriction_constant(spec, lam, f).constant
-            cg = restriction_constant(spec, lam, g).constant
+            cf = restriction_constant(spec, lam, f)
+            cg = restriction_constant(spec, lam, g)
             theta = float(symplectic_phase_on_grid(spec, lam, f, g, t)[0])
             xft = project_localized(spec, lam, evolve(spec, f, t))
             xg = project_localized(spec, lam, g)
@@ -291,8 +291,8 @@ class TestRestrictedQuantitiesOracle:
             xft = project_localized(spec, lam, evolve(spec, f, t))
             chopped = xft.copy()
             chopped[1:] = 0.0  # X(0) = {0}
-            cf = restriction_constant(spec, lam, f).constant
-            c_loc = restriction_constant(spec, lam, chopped).constant
+            cf = restriction_constant(spec, lam, f)
+            c_loc = restriction_constant(spec, lam, chopped)
             w_hat = (cf / c_loc) * bundle.weyl(chopped)
             a = bundle.heisenberg(bundle.weyl(f), t)
             diff_restricted = bundle.restricted(a - w_hat)

@@ -6,16 +6,14 @@ from osclab.freeboson import (
     counting_function,
     default_time_grid,
     delta_field,
-    dynamics_block_matrix,
     evolve,
     excitation_energy_density,
     many_body_energy,
     project_localized,
-    sup_t_overlap,
     v_inverse,
     v_map,
 )
-from osclab.anderson import eigencorrelator, localized_modes
+from osclab.anderson import eigencorrelator, localized_modes, propagator_sums
 from osclab.lattice import BoxGeometry, box_boundary
 
 from conftest import make_chain_spec, random_field
@@ -52,6 +50,15 @@ class TestVMap:
         lhs = v_map(spec, a * f + b * f.conj())
         rhs = a * v_map(spec, f) + b * v_map(spec, f.conj())
         assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+    def test_preserves_symplectic_form(self, chain12):
+        # Im<Vf, Vg> = Im<f, g>: the Weyl-relation phase is the same in sites and modes
+        _, spec = chain12
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            f = random_field(rng, 12)
+            g = random_field(rng, 12)
+            assert abs(np.imag(np.vdot(v_map(spec, f), v_map(spec, g))) - np.imag(np.vdot(f, g))) < 1e-12
 
     def test_real_field_real_modes(self, chain12):
         _, spec = chain12
@@ -116,11 +123,25 @@ class TestProjection:
             assert np.max(np.abs(a - b)) < 1e-10
 
 
+def dynamics_blocks(spec, lam, t):
+    """The four real blocks mapping (Re g, Im g) to (Re[X g_t], Im[X g_t]).
+
+    (cos(2t sqrt(h)) X, -sin(2t sqrt(h)) sqrt(h) X, sin(2t sqrt(h)) h^{-1/2} X,
+    cos(2t sqrt(h)) X), one row x at a time from the propagator sums.
+    """
+    sites = np.arange(spec.n)
+    rows = [propagator_sums(spec, lam, x, sites, [t], (-1, 0, 1)) for x in sites]
+    minus, zero, plus = (np.array([row[k][0] for row in rows]) for k in range(3))
+    return zero, -plus, minus, zero
+
+
 class TestBlockMatrix:
+    """The propagator sums over all site pairs are the blocks of the free dynamics."""
+
     def test_time_zero(self, chain12):
         _, spec = chain12
         lam = float(np.median(spec.eigenvalues))
-        ul, ur, ll, lr = dynamics_block_matrix(spec, lam, 0.0)
+        ul, ur, ll, lr = dynamics_blocks(spec, lam, 0.0)
         S = localized_modes(spec, lam)
         X = spec.modes[:, S] @ spec.modes[:, S].T
         assert np.max(np.abs(ul - X)) < 1e-13
@@ -133,7 +154,7 @@ class TestBlockMatrix:
         rng = np.random.default_rng(6)
         for t in (0.3, 1.7):
             g = random_field(rng, 12)
-            ul, ur, ll, lr = dynamics_block_matrix(spec, lam, t)
+            ul, ur, ll, lr = dynamics_blocks(spec, lam, t)
             re = ul @ g.real + ur @ g.imag
             im = ll @ g.real + lr @ g.imag
             direct = project_localized(spec, lam, evolve(spec, g, t))
@@ -144,41 +165,10 @@ class TestBlockMatrix:
         _, spec = chain12
         lam = float(np.percentile(spec.eigenvalues, 70))
         for t in (0.0, 0.9, 4.1):
-            ul = dynamics_block_matrix(spec, lam, t)[0]
+            ul = dynamics_blocks(spec, lam, t)[0]
             for x in (0, 5):
                 for y in (3, 11):
                     assert abs(ul[x, y]) <= eigencorrelator(spec, lam, 0, x, y) + 1e-12
-
-
-class TestSupOverlap:
-    def test_zero_field(self, chain12):
-        _, spec = chain12
-        f = random_field(np.random.default_rng(7), 12)
-        lo, up = sup_t_overlap(spec, spec.norm, f, np.zeros(12, complex), np.linspace(0, 5, 50))
-        assert lo == 0.0 and up == 0.0
-
-    def test_single_mode_tight(self):
-        spec = single_site_spec(4.0)
-        f = np.array([1.0 + 0.0j])
-        grid = np.linspace(0.0, np.pi, 4001)
-        lo, up = sup_t_overlap(spec, 5.0, f, f, grid)
-        assert abs(up - 1.0) < 1e-12  # max(1, 1/gamma) with gamma = 2
-        assert up - lo < 1e-5
-
-    def test_bracket_property(self, chain12):
-        _, spec = chain12
-        rng = np.random.default_rng(8)
-        grid = np.linspace(0, 8, 160)
-        lam = float(np.percentile(spec.eigenvalues, 60))
-        for _ in range(200):
-            f = random_field(rng, 12)
-            g = random_field(rng, 12)
-            lo, up = sup_t_overlap(spec, lam, f, g, grid)
-            assert lo <= up
-            # the grid value at any single time never exceeds the envelope
-            t = rng.uniform(0, 20)
-            xgt = project_localized(spec, lam, evolve(spec, g, t))
-            assert abs(np.vdot(f, xgt)) <= up + 1e-10
 
 
 class TestEnergies:

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from osclab.anderson import eigencorrelator, localized_modes
+from osclab.fock_oracle import correlation_series
 from osclab.freeboson import delta_field, evolve, project_localized, v_inverse, v_map
 from osclab.lattice import BoxGeometry
 from osclab.weyl import (
-    WeylDescriptor,
-    correlation_series,
     diagonal_elements,
     dynamic_correlation,
     laguerre,
@@ -162,42 +161,6 @@ class TestManyBodyElements:
             assert abs(lhs - phase * acc) < 1e-7
 
 
-class TestDescriptor:
-    def test_identity(self):
-        d = WeylDescriptor.identity(3)
-        assert d.phase == 0.0 and np.all(d.displacements == 0.0)
-
-    def test_compose_phase_bookkeeping(self, pair_spec):
-        _, spec = pair_spec
-        rng = np.random.default_rng(7)
-        f = random_field(rng, 2, scale=0.5)
-        g = random_field(rng, 2, scale=0.5)
-        df = WeylDescriptor.from_field(spec, f)
-        dg = WeylDescriptor.from_field(spec, g)
-        composed = df.compose(dg)
-        # symplectic form is preserved by V: phase equals -Im<f, g>/2
-        assert abs(composed.phase + 0.5 * np.imag(np.vdot(f, g))) < 1e-12
-        assert np.max(np.abs(composed.displacements - v_map(spec, f + g))) < 1e-12
-        # inverse composes to the identity descriptor
-        back = composed.compose(composed.inverse())
-        assert np.max(np.abs(back.displacements)) < 1e-12
-        assert abs(back.phase) < 1e-12
-
-    def test_expectation_matches_resolution_of_identity(self, pair_spec):
-        _, spec = pair_spec
-        rng = np.random.default_rng(8)
-        f = random_field(rng, 2, scale=0.4)
-        g = random_field(rng, 2, scale=0.4)
-        alpha = np.array([1, 0])
-        composed = WeylDescriptor.from_field(spec, f).compose(WeylDescriptor.from_field(spec, g))
-        acc = 0.0 + 0.0j
-        for c0 in range(25):
-            for c1 in range(25):
-                mid = np.array([c0, c1])
-                acc += matrix_element(spec, alpha, mid, f) * matrix_element(spec, mid, alpha, g)
-        assert abs(composed.expectation(alpha) - acc) < 1e-8
-
-
 class TestRestriction:
     def test_supported_inside(self, chain12):
         _, spec = chain12
@@ -206,12 +169,12 @@ class TestRestriction:
         g = np.zeros(12, dtype=complex)
         g[S] = 1.0 + 0.5j
         f = v_inverse(spec, g)
-        assert abs(restriction_constant(spec, lam, f).constant - 1.0) < 1e-12
+        assert abs(restriction_constant(spec, lam, f) - 1.0) < 1e-12
 
     def test_empty_regime(self, chain12):
         _, spec = chain12
         f = random_field(np.random.default_rng(9), 12)
-        c = restriction_constant(spec, 1e-9, f).constant
+        c = restriction_constant(spec, 1e-9, f)
         expected = np.exp(-np.linalg.norm(v_map(spec, f)) ** 2 / 4)
         assert abs(c - expected) < 1e-13
 
@@ -220,9 +183,9 @@ class TestRestriction:
         lam = float(np.median(spec.eigenvalues))
         rng = np.random.default_rng(10)
         f = random_field(rng, 12)
-        c0 = restriction_constant(spec, lam, f).constant
+        c0 = restriction_constant(spec, lam, f)
         for t in rng.uniform(-8, 8, size=100):
-            ct = restriction_constant(spec, lam, evolve(spec, f, t)).constant
+            ct = restriction_constant(spec, lam, evolve(spec, f, t))
             assert abs(ct - c0) < 1e-12
 
 
@@ -251,8 +214,8 @@ class TestLiebRobinson:
             g = random_field(rng, 12)
             t = rng.uniform(-5, 5)
             val = lr_weyl_commutator_norm(spec, lam, f, g, t)
-            cf = restriction_constant(spec, lam, f).constant
-            cg = restriction_constant(spec, lam, g).constant
+            cf = restriction_constant(spec, lam, f)
+            cg = restriction_constant(spec, lam, g)
             theta = float(symplectic_phase_on_grid(spec, lam, f, g, t)[0])
             xft = project_localized(spec, lam, evolve(spec, f, t))
             im_direct = np.imag(np.vdot(xft, g))
@@ -280,6 +243,12 @@ class TestPqCommutators:
         assert m[0, 0] == 0.0 and m[1, 1] == 0.0
         assert abs(m[0, 1] - overlap) < 1e-13
         assert abs(m[1, 0] + overlap) < 1e-13
+
+    def test_site_outside_box_rejected(self, chain12):
+        _, spec = chain12
+        for x, y in ((0, 12), (12, 0), (-1, 3)):
+            with pytest.raises(ValueError):
+                pq_commutator_matrix(spec, spec.norm, x, y, 0.5)
 
     def test_envelopes(self, chain12):
         _, spec = chain12
