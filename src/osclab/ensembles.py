@@ -37,7 +37,7 @@ from .errors import NumericError
 from .freeboson import default_time_grid, excitation_energy_density, counting_function
 from .lattice import BoxGeometry, box_boundary, l1_distances_from
 from .results import EnsembleResult, ResultRow
-from .weyl import diagonal_products
+from .weyl import OccupationFamily
 
 #: Slack for floating-point comparisons of mathematically strict dominations.
 DOMINATION_SLACK = 1e-12
@@ -198,30 +198,41 @@ def _kernel_correlations(config, box, spec, index):
     times = _time_grid(config, spec)
     c = _delta_restriction(spec, cnt, a, np.concatenate([[center], ys]))
     cc = c[0] * c[1:]
-    alphas = _alpha_family(config, spec, S, index)
+    family = OccupationFamily(_alpha_family(config, spec, S, index))
 
     gam = spec.gammas[:cnt]
     sq = np.sqrt(gam)
     w_center = spec.modes[center, :cnt] / sq
-    eta = a * np.exp(2j * times[:, None] * gam[None, :]) * w_center[None, :]  # (T, modes)
-    eta_re, eta_im = eta.real.copy(), eta.imag.copy()
+    # eta = a e^{2 i t gamma} w_center, real and imaginary part as (T, modes) tables
+    ang = 2.0 * times[:, None] * gam[None, :]
+    eta_re = np.cos(ang)
+    eta_re *= a
+    eta_re *= w_center
+    eta_im = np.sin(ang, out=ang)
+    eta_im *= a
+    eta_im *= w_center
     # |eta_j(t)| does not depend on t, so |eta|^2/2 and d_eta are per sample
     x_eta = (a * np.abs(w_center)) ** 2 / 2.0
-    d_eta = diagonal_products(alphas, x_eta)[:, None]
+    d_eta = family(x_eta)[:, None]
 
     xis = a * (spec.modes[ys, :cnt] / sq[None, :])  # (sites, modes)
     x_xis = xis * xis / 2.0
-    d_xis = diagonal_products(alphas, x_xis)  # (A, sites)
+    d_xis = family(x_xis)  # (A, sites)
     overlap = a * a * eigencorrelator_profile(spec, lam, -1, center)[ys]
 
+    # xi is real: Im<eta, xi> = -Im(eta) . xi, and |eta + xi|^2/2 is, per mode,
+    # Re(eta) xi + |eta|^2/2 + xi^2/2; the phases and the mode sums of the
+    # joint arguments for every site and time come from two products
+    theta = -(eta_im @ xis.T)  # (T, sites)
+    x_sums = eta_re @ xis.T + (x_eta.sum() + x_xis.sum(axis=1))
+    x_joint = np.empty_like(eta_re)
     sups = np.empty(ys.size)
     violations = 0
     for pos, xi in enumerate(xis):
-        # xi is real: Im<eta, xi> = -Im(eta) . xi and |eta + xi|^2/2 expands
-        theta = -(eta_im @ xi)
-        x_joint = eta_re * xi + (x_eta + x_xis[pos])
-        d_joint = diagonal_products(alphas, x_joint)  # (A, T)
-        mags = np.abs(cc[pos] * (np.exp(-0.5j * theta) * d_joint - d_eta * d_xis[:, pos, None]))
+        np.multiply(eta_re, xi, out=x_joint)
+        x_joint += x_eta + x_xis[pos]
+        d_joint = family(x_joint, x_sums[:, pos])  # (A, T)
+        mags = np.abs(cc[pos] * (np.exp(-0.5j * theta[:, pos]) * d_joint - d_eta * d_xis[:, pos, None]))
         violations += int(np.sum(mags > 2.0 + DOMINATION_SLACK))
         sups[pos] = mags.max()
     rows = _shell_rows(shells, (("correlation_sup", sups), ("overlap_sum", overlap)))
@@ -238,30 +249,52 @@ def _kernel_quasi_locality(config, box, spec, index):
     c_f = _delta_restriction(spec, cnt, a, [center])[0]
     gam = spec.gammas[:cnt]
     sq = np.sqrt(gam)
-    alphas = _alpha_family(config, spec, S, index)
-    per_state = np.sqrt(2.0 * (alphas.max(axis=1, initial=0) + 1))[:, None]
+    family = OccupationFamily(_alpha_family(config, spec, S, index))
+    per_state = np.sqrt(2.0 * (family.alphas.max(axis=1, initial=0) + 1))[:, None]
 
-    # X f_t in position space for the whole grid at once, the real and the
-    # imaginary part side by side: (sites, 2 * times)
-    eta = a * np.exp(2j * gam[:, None] * times[None, :]) * (spec.modes[center, :cnt] / sq)[:, None]
-    phi = spec.modes[:, :cnt]
-    pos = phi @ np.hstack([sq[:, None] * eta.real, eta.imag / sq[:, None]])
-    steps = times.size
+    # X f_t in position space for the whole grid at once: the sites x times
+    # tables O sqrt(gamma) Re(eta) and O Im(eta) / sqrt(gamma), where
+    # eta = a e^{2 i t gamma} phi(center) / sqrt(gamma) on the regime modes.
+    # Sites are sorted by distance from the center, so every ring below is a slice.
+    dist = l1_distances_from(box, center)
+    order = np.argsort(dist, kind="stable")
+    dist = dist[order]
+    phi = spec.modes[order, :cnt]
+    w_center = (spec.modes[center, :cnt] / sq)[:, None]
+    ang = 2.0 * gam[:, None] * times[None, :]
+    eta_re = np.cos(ang)
+    eta_re *= a
+    eta_re *= w_center
+    eta_re *= sq[:, None]
+    eta_im = np.sin(ang, out=ang)
+    eta_im *= a
+    eta_im *= w_center
+    eta_im /= sq[:, None]
+    pos_re, pos_im = phi @ eta_re, phi @ eta_im
+    # V f_{n,t} = sqrt(2) (u + i v) with u = O^T pos_re / sqrt(2 gamma) and
+    # v = sqrt(gamma / 2) O^T pos_im over the sites outside X(n), so that the
+    # Laguerre argument |V f_{n,t}|^2 / 2 is u^2 + v^2 per mode
+    phi_re = phi / (sq * np.sqrt(2.0))
+    phi_im = phi * (sq / np.sqrt(2.0))
 
     # V f_{n,t} for the radii in decreasing order: one product over the sites
     # outside the largest X(n), then each smaller radius adds back its ring.
     # Nothing is subtracted, so small tails keep their relative accuracy.
-    dist = l1_distances_from(box, center)
-    vr = np.zeros((2 * steps, cnt))
-    reached = np.inf
+    steps = times.size
+    u, v = np.zeros((steps, cnt)), np.zeros((steps, cnt))
+    x, scratch = np.empty((steps, cnt)), np.empty((steps, cnt))
+    reached = dist.size
     per_n = {}
     for n in sorted(config.n_range(), reverse=True):
-        ring = (dist > n) & (dist <= reached)
-        vr += pos[ring].T @ phi[ring]
-        reached = n
-        mod_sq = np.square(vr[:steps] / sq) + np.square(vr[steps:] * sq)  # (T, modes)
-        norms = np.sqrt(np.sum(mod_sq, axis=1))
-        err = c_f * np.sqrt(np.maximum(0.0, 2.0 - 2.0 * diagonal_products(alphas, mod_sq / 2.0)))
+        ring = slice(int(np.searchsorted(dist, n, side="right")), reached)
+        u += np.matmul(pos_re[ring].T, phi_re[ring], out=scratch)
+        v += np.matmul(pos_im[ring].T, phi_im[ring], out=scratch)
+        reached = ring.start
+        np.square(u, out=x)
+        x += np.square(v, out=scratch)
+        x_sum = x.sum(axis=1)
+        norms = np.sqrt(2.0 * x_sum)
+        err = c_f * np.sqrt(np.maximum(0.0, 2.0 - 2.0 * family(x, x_sum)))
         bound = float(np.sqrt(2.0 * (config.kappa + 1)) * norms.max())
         per_n[n] = (
             [((int(n), "error_sup"), float(err.max())), ((int(n), "bound_sup"), bound)],

@@ -9,6 +9,8 @@ products.  Intended for tiny systems (at most three modes) as an oracle
 for the exact formulas, never as a production path.  ``correlation_series``
 is a second reference of the same kind: the dynamic correlation summed
 over intermediate occupation states instead of in closed form.
+``diagonal_elements`` is the row-by-row reference for the batched
+``weyl.OccupationFamily``: one Laguerre value per mode, no log space.
 
 The regime projection keeps modes outside the localized set at occupation
 zero.  An optional per-mode occupation cutoff confines operators to a low
@@ -30,7 +32,7 @@ import numpy as np
 from .anderson import SpectralData, localized_modes
 from .errors import BudgetError
 from .freeboson import v_map
-from .weyl import _check_alpha, _split_vmap, matrix_element_1d
+from .weyl import _check_alpha, _half_modulus_sq, _laguerre_orders, _split_vmap, matrix_element_1d
 
 DEFAULT_BUDGET = 20736
 
@@ -233,3 +235,28 @@ def correlation_series(
         full *= sum(per_beta)
         diag *= per_beta[a]
     return cf * cg * (full - diag)
+
+
+def _laguerre_plain(ns: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """L_{ns}^{(0)}(xs) elementwise, for arrays of orders and arguments."""
+    ns = np.asarray(ns, dtype=int)
+    xs = np.asarray(xs, dtype=float)
+    ns, xs = np.broadcast_arrays(ns, xs)
+    out = np.ones(xs.shape, dtype=float)
+    top = int(ns.max()) if ns.size else 0
+    for m, cur in _laguerre_orders(top, xs):
+        out = np.where(ns == m, cur, out)
+    return out
+
+
+def diagonal_elements(alphas, zs) -> np.ndarray:
+    """<alpha_j|W_{z_j}|alpha_j> = L_{alpha_j}(|z_j|^2/2) exp(-|z_j|^2/4), per mode.
+
+    ``zs`` may carry extra trailing axes (e.g. a time grid); ``alphas``
+    broadcasts against them.  The result is real.
+    """
+    x = _half_modulus_sq(zs)
+    alphas = np.asarray(alphas, dtype=int)
+    while alphas.ndim < x.ndim:
+        alphas = alphas[..., None]
+    return _laguerre_plain(alphas, x) * np.exp(-x / 2.0)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .anderson import SpectralData, Spectrum, localized_modes
+from .errors import NumericError
 
 
 def delta_field(n_sites: int, x: int, amplitude: complex = 1.0) -> np.ndarray:
@@ -69,13 +70,20 @@ def project_localized(spec: SpectralData, lambda0: float, f: np.ndarray) -> np.n
 
 
 def default_time_grid(spec: SpectralData, points: int = 2000, t_max: float | None = None) -> np.ndarray:
-    """Uniform grid on [0, T]; by default T = 4 pi / (min gamma spacing)."""
+    """Uniform grid on [0, T]; by default T = 4 pi / (min gamma spacing).
+
+    A derived T that is not finite (a repeated gamma, so a zero spacing)
+    is a NumericError: no finite grid resolves it, so pass ``t_max``.
+    """
     if t_max is None:
         if spec.n < 2:
-            t_max = 2 * np.pi / float(spec.gammas[0])
+            scale, spacing, name = 2 * np.pi, np.float64(spec.gammas[0]), "gamma"
         else:
-            gap = float(np.min(np.diff(spec.gammas)))
-            t_max = 4 * np.pi / max(gap, np.finfo(float).tiny)
+            scale, spacing, name = 4 * np.pi, np.min(np.diff(spec.gammas)), "minimum gamma spacing"
+        with np.errstate(divide="ignore", over="ignore"):
+            t_max = scale / spacing
+        if not np.isfinite(t_max):
+            raise NumericError(f"default time horizon is not finite: {name} {float(spacing):.3g}; set t_max")
     return np.linspace(0.0, float(t_max), int(points))
 
 

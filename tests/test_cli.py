@@ -56,6 +56,23 @@ def test_zero_many_body_occupation_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_infinite_default_horizon_exits_2(tmp_path, capsys):
+    # a repeated eigenvalue makes the default horizon 4 pi / 0; before, every commutator_sup was nan
+    doc = {
+        "experiment": "lr-bound",
+        "box": {"lengths": [6, 6]},
+        "disorder": {"kind": "inverse_cdf", "table_u": [0.0, 1.0], "table_k": [0.5, 0.5]},
+        "time_grid": {"points": 5, "t_max": None},
+        "shells": [2, 3],
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "table.csv"
+    assert cli.main(["run", str(path), "--out", str(out)]) == 2
+    _one_line_error(capsys, "NumericError")
+    assert not out.exists()
+
+
 def test_unwritable_out_exits_2(config_path, tmp_path, capsys):
     assert cli.main(["run", str(config_path), "--out", str(tmp_path / "absent" / "t.csv")]) == 2
     _one_line_error(capsys, "OSError")

@@ -6,13 +6,14 @@ from hypothesis import strategies as st
 from osclab import ensembles
 from osclab.anderson import DisorderConfig, assemble, diagonalize, localized_modes, sample_disorder
 from osclab.config import EXPERIMENT_KINDS, config_from_dict
-from osclab.errors import ConfigError
+from osclab.errors import ConfigError, NumericError
+from osclab.fock_oracle import diagonal_elements
 from osclab.freeboson import delta_field
 from osclab.lattice import BoxGeometry
 from osclab.results import render_csv
 from osclab.anderson import eigencorrelator
 from osclab.weyl import (
-    diagonal_elements,
+    OccupationFamily,
     diagonal_products,
     dynamic_correlation,
     lr_envelope,
@@ -132,6 +133,69 @@ class TestDiagonalProducts:
             diagonal_products(-np.ones((1, 3), int), np.zeros(3))
 
 
+def _spy_paths(monkeypatch):
+    """Record the ``positive`` flag of every OccupationFamily._finish call."""
+    paths = []
+    finish = OccupationFamily._finish
+
+    def spy(self, table, x_sum, positive):
+        paths.append(positive)
+        return finish(self, table, x_sum, positive)
+
+    monkeypatch.setattr(OccupationFamily, "_finish", spy)
+    return paths
+
+
+class TestOccupationFamily:
+    @pytest.mark.parametrize("lead", [(), (7,), (3, 5)])
+    def test_early_out_bitwise_equal_to_general_path(self, lead):
+        # every factor positive: L_1, L_2, L_3 have no root below 0.29
+        rng = np.random.default_rng(8)
+        m = 11
+        alphas = np.vstack([np.full(m, k) for k in range(4)] + [rng.integers(0, 4, size=(3, m))])
+        x = rng.uniform(0.0, 0.25, size=lead + (m,))
+        family = OccupationFamily(alphas)
+        fast = family(x)
+        general = family._finish(family._fill(x), x.sum(axis=-1), positive=False)
+        assert fast.shape == (alphas.shape[0],) + lead
+        assert np.array_equal(fast, general)
+        assert np.array_equal(fast, diagonal_products(alphas, x))
+
+    @pytest.mark.parametrize("value, sign", [(1.0, 0.0), (2.0, -1.0)])
+    def test_zero_or_negative_factor_forces_general_path(self, monkeypatch, value, sign):
+        # L_1(1) = 0 and L_1(2) = -1 at one mode of one time
+        paths = _spy_paths(monkeypatch)
+        x = np.full((4, 6), 0.1)
+        x[2, 3] = value
+        alphas = np.array([[0] * 6, [1] * 6, [0, 0, 0, 1, 0, 0]])
+        got = OccupationFamily(alphas)(x)
+        assert paths == [False]
+        assert np.sign(got[1, 2]) == sign and np.sign(got[2, 2]) == sign
+        assert np.all(got[:, [0, 1, 3]] > 0.0)
+        assert np.max(np.abs(got - _rowwise_products(alphas, np.sqrt(2.0 * x)))) < 1e-14
+        paths.clear()
+        x[2, 3] = 0.1
+        OccupationFamily(alphas)(x)
+        assert paths == [True]
+
+    def test_reuses_tables_per_shape(self):
+        rng = np.random.default_rng(9)
+        alphas = rng.integers(0, 4, size=(3, 5))
+        family = OccupationFamily(alphas)
+        xs = [rng.uniform(0.0, 6.0, size=(4, 5)) for _ in range(3)] + [rng.uniform(0.0, 6.0, size=5)]
+        for x in xs:
+            got = family(x, x.sum(axis=-1))
+            assert np.array_equal(got, diagonal_products(alphas, x))
+            ref = _rowwise_products(alphas, np.sqrt(2.0 * x)).reshape(got.shape)
+            assert np.allclose(got, ref, rtol=1e-12, atol=1e-14)
+        assert sorted(family._buffers) == [(4, 5), (5,)]
+
+    def test_vacuum_family_has_no_tables(self):
+        x = np.array([[0.5, 3.0], [2.0, 0.0]])
+        got = OccupationFamily(np.zeros((2, 2), int))(x)
+        assert np.array_equal(got, np.exp(-0.5 * x.sum(axis=-1))[None, :].repeat(2, axis=0))
+
+
 def _config(kind, lambda0, **extra):
     doc = {
         "experiment": kind,
@@ -165,8 +229,20 @@ class TestKernelsAgainstScalarForms:
 
     def test_correlations(self, chain12, lambda0):
         box, spec = chain12
-        center = 2
-        config = _config("correlations", lambda0, center=[center], shells=[1, 3, 5, 9], amplitude=0.9)
+        config = _config("correlations", lambda0, center=[2], shells=[1, 3, 5, 9], amplitude=0.9)
+        self._check_correlations(box, spec, config)
+
+    def test_correlations_amplitude_3(self, chain12, lambda0, monkeypatch):
+        # a and a^2 differ, and some factors L_k(x) are negative
+        box, spec = chain12
+        paths = _spy_paths(monkeypatch)
+        config = _config("correlations", lambda0, center=[2], shells=[1, 3, 5, 9], amplitude=3.0)
+        self._check_correlations(box, spec, config)
+        assert False in paths
+
+    @staticmethod
+    def _check_correlations(box, spec, config):
+        center = config.center_index()
         rows, flags, _ = ensembles.KERNELS["correlations"](config, box, spec, 0)
         table = dict(rows)
         lam = config.lambda0_value()
@@ -231,6 +307,11 @@ class TestKernelsAgainstScalarForms:
     def test_quasi_locality(self, chain12, lambda0):
         box, spec = chain12
         self._check_quasi_locality(box, spec, _config("quasi-locality", lambda0, n_values=[3, 1, 2]))
+
+    def test_quasi_locality_amplitude_3(self, chain12, lambda0):
+        box, spec = chain12
+        config = _config("quasi-locality", lambda0, n_values=[3, 1, 2], amplitude=3.0)
+        self._check_quasi_locality(box, spec, config)
 
     def test_quasi_locality_square(self, lambda0):
         box = BoxGeometry.of_lengths([4, 4])
@@ -302,15 +383,16 @@ def test_planted_correlation_violation_is_counted(monkeypatch):
 
     joint_calls = []
 
-    def planted(alphas, x):
-        out = diagonal_products(alphas, x)
-        if x.shape == (config.time_points, config.box().n_sites):
-            if not joint_calls:
-                out[0, 0] = 50.0  # the joint element of the first site, first alpha, t = 0
-            joint_calls.append(x)
-        return out
+    class Planted(OccupationFamily):
+        def __call__(self, x, x_sum=None):
+            out = super().__call__(x, x_sum)
+            if np.shape(x) == (config.time_points, config.box().n_sites):
+                if not joint_calls:
+                    out[0, 0] = 50.0  # the joint element of the first site, first alpha, t = 0
+                joint_calls.append(x)
+            return out
 
-    monkeypatch.setattr(ensembles, "diagonal_products", planted)
+    monkeypatch.setattr(ensembles, "OccupationFamily", Planted)
     tampered = ensembles.run_sample(config, 1)
     assert len(joint_calls) > 1
     assert tampered.flags["correlation_bound_violations"] == 1
@@ -386,14 +468,15 @@ def test_planted_quasi_locality_violation_is_counted(monkeypatch):
 
     calls = []
 
-    def planted(alphas, x):
-        out = diagonal_products(alphas, x)
-        if not calls:
-            out[0, 0] = -1e6  # the vacuum at t = 0 for the largest radius
-        calls.append(x)
-        return out
+    class Planted(OccupationFamily):
+        def __call__(self, x, x_sum=None):
+            out = super().__call__(x, x_sum)
+            if not calls:
+                out[0, 0] = -1e6  # the vacuum at t = 0 for the largest radius
+            calls.append(x)
+            return out
 
-    monkeypatch.setattr(ensembles, "diagonal_products", planted)
+    monkeypatch.setattr(ensembles, "OccupationFamily", Planted)
     tampered = ensembles.run_sample(config, 1)
     assert len(calls) == 2
     assert tampered.flags["bound_violations"] == 1

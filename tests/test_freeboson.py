@@ -14,6 +14,7 @@ from osclab.freeboson import (
     v_map,
 )
 from osclab.anderson import eigencorrelator, localized_modes, propagator_sums
+from osclab.errors import NumericError
 from osclab.lattice import BoxGeometry, box_boundary
 
 from conftest import make_chain_spec, random_field
@@ -237,3 +238,14 @@ def test_default_time_grid(chain12):
     grid = default_time_grid(spec, points=100)
     assert grid.size == 100 and grid[0] == 0.0 and grid[-1] > 0
     assert default_time_grid(spec, points=10, t_max=2.0)[-1] == 2.0
+
+
+def test_default_time_grid_rejects_zero_spacing():
+    # constant k on a square box: the Laplacian's symmetry repeats eigenvalues exactly
+    box = BoxGeometry.of_lengths([6, 6])
+    cfg = DisorderConfig(k_max=1.0, master_seed=1, kind="inverse_cdf", table_u=(0.0, 1.0), table_k=(0.5, 0.5))
+    spec = diagonalize(assemble(box, sample_disorder(cfg, box, 0)))
+    assert np.min(np.diff(spec.gammas)) == 0.0
+    with pytest.raises(NumericError, match="spacing 0"):
+        default_time_grid(spec, points=5)
+    assert default_time_grid(spec, points=5, t_max=2.0)[-1] == 2.0

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from osclab.anderson import eigencorrelator, localized_modes
-from osclab.fock_oracle import correlation_series
+from osclab.fock_oracle import correlation_series, diagonal_elements
 from osclab.freeboson import delta_field, evolve, project_localized, v_inverse, v_map
 from osclab.lattice import BoxGeometry
 from osclab.weyl import (
-    diagonal_elements,
     dynamic_correlation,
     laguerre,
     lr_envelope,
