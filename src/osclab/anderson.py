@@ -1,15 +1,19 @@
 """Disorder sampling and spectra of the effective Hamiltonian h = h_0 + k.
 
 The random potential k is i.i.d. per site with a bounded density on
-(0, k_max]; the default is uniform.  Spectra come from dense symmetric
-eigensolvers in two forms.  ``spectrum`` (``eigvalsh``) returns a
-``Spectrum``: the ascending eigenvalues and the frequencies gamma_j, their
-positive square roots, checked against the O(n^2) invariants tr h and
-||h||_F^2.  It serves the eigenvalue-only statistics (counting function,
-energy density, gaps).  ``diagonalize`` (``eigh``) returns ``SpectralData``,
-a ``Spectrum`` that also carries the orthogonal mode matrix, checked by
-reconstructing h.  ``eigencorrelator`` evaluates the per-realization
-localization kernel
+(0, k_max]; the default is uniform.  Spectra come in two forms.
+``spectrum`` returns a ``Spectrum``: the ascending eigenvalues and the
+frequencies gamma_j, their positive square roots, checked against the
+O(n^2) invariants tr h and ||h||_F^2.  It serves the eigenvalue-only
+statistics (counting function, energy density, gaps).  ``diagonalize``
+returns ``SpectralData``, a ``Spectrum`` that also carries the orthogonal
+mode matrix, checked by reconstructing h.  The solver is chosen from h:
+when every nonzero lies on the three central diagonals (every 1D box, as
+h is a Jacobi matrix there) LAPACK's tridiagonal drivers ``dsterf`` and
+``dstevd`` run on the band, from the library numpy links, and return the
+same bits as ``eigvalsh``/``eigh`` without their O(n^3) reduction; any
+other h goes to the dense ``eigvalsh``/``eigh``.  ``eigencorrelator``
+evaluates the per-realization localization kernel
 
     Q_s(x, y) = sum_{j in S} gamma_j^s |phi_j(x)| |phi_j(y)|,
 
@@ -25,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _lapack
 from .errors import ConfigError, NumericError
 from .lattice import BoxGeometry, dirichlet_laplacian, neumann_laplacian
 
@@ -172,6 +177,30 @@ def _max_asymmetry(h: np.ndarray) -> float:
     return float(err)
 
 
+def _tridiagonal_band(h: np.ndarray):
+    """The diagonal and subdiagonal (d, e) of h when no nonzero lies off the three
+    central diagonals and the tridiagonal drivers are bound; else None.
+
+    e is the lower band, the triangle that ``eigh``'s default UPLO='L' reads.
+    """
+    d, e = np.diagonal(h), np.diagonal(h, -1)
+    if np.count_nonzero(h) != np.count_nonzero(d) + np.count_nonzero(e) + np.count_nonzero(np.diagonal(h, 1)):
+        return None
+    if _lapack.binding() is None:
+        return None
+    return d, e
+
+
+def _eigvalsh(h: np.ndarray):
+    band = _tridiagonal_band(h)
+    return (np.linalg.eigvalsh(h) if band is None else _lapack.dsterf(*band)), None
+
+
+def _eigh(h: np.ndarray):
+    band = _tridiagonal_band(h)
+    return np.linalg.eigh(h) if band is None else _lapack.dstevd(*band)
+
+
 def _solve_checked(h, solve):
     """Run ``solve(h) -> (eigenvalues, extra)`` on a validated symmetric matrix.
 
@@ -209,7 +238,7 @@ def spectrum(h: np.ndarray, bc: str = "neumann") -> Spectrum:
     with scale = max|h_ij|; a violation raises NumericError.  Validation and
     the clamping of round-off negatives are those of ``_solve_checked``.
     """
-    h, scale, evals, _ = _solve_checked(h, lambda m: (np.linalg.eigvalsh(m), None))
+    h, scale, evals, _ = _solve_checked(h, _eigvalsh)
     n = h.shape[0]
     trace_err = abs(float(np.sum(evals)) - float(np.trace(h)))
     frob_err = abs(float(np.dot(evals, evals)) - float(np.vdot(h, h)))
@@ -229,7 +258,7 @@ def diagonalize(h: np.ndarray, bc: str = "neumann") -> SpectralData:
     RECONSTRUCTION_RTOL * max|h_ij|.  Validation and the clamping of
     round-off negatives are those of ``_solve_checked``.
     """
-    h, scale, evals, vecs = _solve_checked(h, np.linalg.eigh)
+    h, scale, evals, vecs = _solve_checked(h, _eigh)
     gammas = np.sqrt(evals)
     # (O G)(O G)^T is a symmetric rank-n update (BLAS syrk), half the flops
     # of a general product; the residual is formed in place

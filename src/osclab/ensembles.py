@@ -327,7 +327,13 @@ def _energy_density_sample(config, index):
         bracketing += int(np.sum((diff < 0) | (diff > limit)))
         rho_n = excitation_energy_density(spec_n, lam, config.kappa)
         rho_d = excitation_energy_density(spec_d, lam, config.kappa)
-        ordering += int(rho_n < rho_d - DOMINATION_SLACK)
+        # h_D - h_N >= 0 has rank r = |boundary|, so Weyl interlacing gives
+        # rho_N <= rho_D with every mode kept, and |rho_N - rho_D| <= 2 kappa r sqrt(lambda0) / n;
+        # from lambda0 = ||h_D|| on every mode is kept, so lambda0 is capped there
+        if np.isinf(lam):
+            ordering += int(rho_n > rho_d + DOMINATION_SLACK)
+        bound = 2.0 * config.kappa * limit * np.sqrt(min(lam, spec_d.norm)) / box.n_sites
+        ordering += int(abs(rho_n - rho_d) > bound + DOMINATION_SLACK)
         rows.append(((int(length), "neumann_density"), rho_n))
         rows.append(((int(length), "dirichlet_density"), rho_d))
         rows.append(((int(length), "density_gap"), rho_n - rho_d))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from osclab import _lapack
 from osclab.anderson import (
     RECONSTRUCTION_RTOL,
     SYMMETRY_TILE,
@@ -106,6 +107,27 @@ class TestAssemble:
             assemble(box, sample)
 
 
+def _box_hamiltonian(lengths, bc, seed=6):
+    box = BoxGeometry.of_lengths(lengths)
+    sample = sample_disorder(DisorderConfig(k_max=1.5, master_seed=seed), box, 0)
+    return assemble(box, sample, bc)
+
+
+BOXES = [pytest.param([30], id="chain30"), pytest.param([6, 5], id="box6x5")]
+BCS = ["neumann", "dirichlet"]
+
+
+#: The four eigensolvers, (owner, name), that spectrum and diagonalize may call.
+SOLVERS = [(np.linalg, "eigvalsh"), (np.linalg, "eigh"), (_lapack, "dsterf"), (_lapack, "dstevd")]
+
+
+def _solver(lengths, dense_name):
+    """(owner, name) of the eigensolver a box's h runs on: a chain's h is tridiagonal."""
+    if len(lengths) == 1 and _lapack.binding() is not None:
+        return _lapack, {"eigvalsh": "dsterf", "eigh": "dstevd"}[dense_name]
+    return np.linalg, dense_name
+
+
 class TestDiagonalize:
     def test_diagonal_input(self):
         spec = diagonalize(np.diag([1.0, 4.0, 9.0]))
@@ -134,14 +156,16 @@ class TestDiagonalize:
         box, spec = make_chain_spec(30, seed=4, k_max=0.8)
         assert spec.norm <= 4 * 1 + 0.8 + 1e-12
 
+    @pytest.mark.parametrize("lengths", BOXES)
     @pytest.mark.parametrize("broken", ["eigenvalue", "eigenvector", "nan"])
-    def test_reconstruction_check(self, monkeypatch, broken):
-        h = _box_hamiltonian([6, 5], "neumann")
+    def test_reconstruction_check(self, monkeypatch, broken, lengths):
+        h = _box_hamiltonian(lengths, "neumann")
         scale = np.max(np.abs(h))
-        solve = np.linalg.eigh
+        owner, name = _solver(lengths, "eigh")
+        solve = getattr(owner, name)
 
-        def wrong(m):
-            evals, vecs = solve(m)
+        def wrong(*band_or_h):
+            evals, vecs = solve(*band_or_h)
             evals, vecs = evals.copy(), vecs.copy()
             if broken == "eigenvalue":
                 evals[-1] += 1e3 * RECONSTRUCTION_RTOL * scale
@@ -151,19 +175,9 @@ class TestDiagonalize:
                 vecs[3, 7] = np.nan
             return evals, vecs
 
-        monkeypatch.setattr(np.linalg, "eigh", wrong)
+        monkeypatch.setattr(owner, name, wrong)
         with pytest.raises(NumericError, match="reconstruction"):
             diagonalize(h)
-
-
-def _box_hamiltonian(lengths, bc, seed=6):
-    box = BoxGeometry.of_lengths(lengths)
-    sample = sample_disorder(DisorderConfig(k_max=1.5, master_seed=seed), box, 0)
-    return assemble(box, sample, bc)
-
-
-BOXES = [pytest.param([30], id="chain30"), pytest.param([6, 5], id="box6x5")]
-BCS = ["neumann", "dirichlet"]
 
 
 class TestSpectrum:
@@ -210,12 +224,25 @@ class TestSpectrum:
         assert spec.eigenvalues[0] == 0.0 and spec.gammas[0] == 0.0
 
     def test_solver_failure(self, monkeypatch):
-        def fail(h):
-            raise np.linalg.LinAlgError("did not converge")
+        """A LinAlgError from any of the four solvers is a NumericError."""
+        failed = []
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-        with pytest.raises(NumericError):
-            spectrum(np.eye(3))
+        def failing(name):
+            def fail(*band_or_h):
+                failed.append(name)
+                raise np.linalg.LinAlgError("did not converge")
+
+            return fail
+
+        for owner, name in SOLVERS:
+            monkeypatch.setattr(owner, name, failing(name))
+        dense = _box_hamiltonian([3, 2], "neumann")
+        for h in (np.eye(3), dense):
+            for solve in (spectrum, diagonalize):
+                with pytest.raises(NumericError, match="did not converge"):
+                    solve(h)
+        # np.eye(3) is tridiagonal
+        assert failed == [_solver([3], "eigvalsh")[1], _solver([3], "eigh")[1], "eigvalsh", "eigh"]
 
     @pytest.mark.parametrize("bc", BCS)
     @pytest.mark.parametrize("lengths", BOXES)
@@ -223,10 +250,11 @@ class TestSpectrum:
     def test_invariant_check(self, monkeypatch, lengths, bc, broken):
         h = _box_hamiltonian(lengths, bc)
         scale = np.max(np.abs(h))
-        solve = np.linalg.eigvalsh
+        owner, name = _solver(lengths, "eigvalsh")
+        solve = getattr(owner, name)
 
-        def wrong(m):
-            evals = solve(m).copy()
+        def wrong(*band_or_h):
+            evals = solve(*band_or_h).copy()
             if broken == "shifted":
                 return evals + 1e3 * RECONSTRUCTION_RTOL * scale
             if broken == "nan":
@@ -237,9 +265,93 @@ class TestSpectrum:
             evals[-1] += 1e-3 * scale
             return evals
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", wrong)
+        monkeypatch.setattr(owner, name, wrong)
         with pytest.raises(NumericError):
             spectrum(h, bc)
+
+
+def _spy_solvers(monkeypatch):
+    """Record, in call order, which of the four eigensolvers run."""
+    calls = []
+
+    def spy(name, solve):
+        def wrapper(*band_or_h):
+            calls.append(name)
+            return solve(*band_or_h)
+
+        return wrapper
+
+    for owner, name in SOLVERS:
+        monkeypatch.setattr(owner, name, spy(name, getattr(owner, name)))
+    return calls
+
+
+def _solve_both(h, bc="neumann"):
+    return spectrum(h, bc), diagonalize(h, bc)
+
+
+def _assert_same_bits(spec, dense, h):
+    """spectrum/diagonalize results (spec, dense) equal the clamped eigvalsh/eigh output exactly."""
+    evals, modes = np.linalg.eigh(h)
+    assert np.array_equal(spec.eigenvalues, np.clip(np.linalg.eigvalsh(h), 0.0, None))
+    assert np.array_equal(dense.eigenvalues, np.clip(evals, 0.0, None))
+    assert np.array_equal(dense.modes, modes)
+    assert dense.modes.flags.c_contiguous
+
+
+@pytest.mark.skipif(_lapack.binding() is None, reason="numpy's LAPACK exports no tridiagonal driver")
+class TestTridiagonalPath:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(length=st.integers(1, 90), bc=st.sampled_from(BCS), seed=st.integers(0, 2**16), k_max=st.floats(0.05, 8.0))
+    def test_bit_identical_to_dense(self, length, bc, seed, k_max):
+        box = BoxGeometry.of_lengths([length])
+        h = assemble(box, sample_disorder(DisorderConfig(k_max=k_max, master_seed=seed), box, 0), bc)
+        before = h.copy()
+        spec, dense = _solve_both(h, bc)
+        assert np.array_equal(h, before)  # LAPACK overwrites its band, which must be a copy
+        _assert_same_bits(spec, dense, h)
+
+    @pytest.mark.parametrize("bc", BCS)
+    def test_routing(self, monkeypatch, bc):
+        chain = _box_hamiltonian([30], bc)
+        far = chain.copy()
+        far[2, 17] = far[17, 2] = -0.5
+        split = chain.copy()
+        split[9, 10] = split[10, 9] = 0.0
+        calls = _spy_solvers(monkeypatch)
+        routes = []
+        for h in (chain, split, _box_hamiltonian([6, 5], bc), far):
+            calls.clear()
+            spec, dense = _solve_both(h, bc)
+            routes.append(calls.copy())
+            _assert_same_bits(spec, dense, h)
+        assert routes == [["dsterf", "dstevd"]] * 2 + [["eigvalsh", "eigh"]] * 2
+
+    def test_unbound_falls_back_to_dense(self, monkeypatch):
+        h = _box_hamiltonian([30], "dirichlet")
+        spec, dense = _solve_both(h, "dirichlet")
+        monkeypatch.setattr(_lapack, "binding", lambda: None)
+        calls = _spy_solvers(monkeypatch)
+        spec_dense, dense_dense = _solve_both(h, "dirichlet")
+        assert calls == ["eigvalsh", "eigh"]
+        assert np.array_equal(spec.eigenvalues, spec_dense.eigenvalues)
+        assert np.array_equal(dense.eigenvalues, dense_dense.eigenvalues)
+        assert np.array_equal(dense.modes, dense_dense.modes)
+
+    def test_rejects_malformed_band(self):
+        for d, e in (([], []), ([1.0, 2.0], [1.0, 2.0]), ([[1.0]], [])):
+            with pytest.raises(ValueError):
+                _lapack.dsterf(d, e)
+            with pytest.raises(ValueError):
+                _lapack.dstevd(d, e)
+
+
+def test_binding_found_in_scipy_openblas():
+    """numpy built against scipy-openblas exports the drivers under a name in ``_lapack.SYMBOLS``."""
+    lapack = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("lapack", {})
+    if lapack.get("name") != "scipy-openblas":
+        pytest.skip(f"numpy's LAPACK is {lapack.get('name', 'not reported')}")
+    assert _lapack.binding() is not None
 
 
 # n is not a multiple of the tile, so the last tile is ragged

@@ -489,6 +489,34 @@ def test_planted_quasi_locality_violation_is_counted(monkeypatch):
     assert twice.metadata["bound_violations"] == 2
 
 
+@pytest.mark.parametrize("lambda0", ["full", 2.0, 0.5])
+def test_ordering_flag_quiet_on_ladder_boxes(lambda0):
+    """rho_N <= rho_D at full and the interlacing bound hold on the default ladder (L = 50, 100, 200)."""
+    config = config_from_dict({"experiment": "energy-density", "lambda0": lambda0, "kappa": 1, "samples": 4, "seed": 3})
+    assert ensembles.run_ensemble(config).metadata["ordering_violations"] == 0
+
+
+@pytest.mark.parametrize(
+    "lambda0, gap, counted",
+    [
+        pytest.param("full", 1e-6, 1, id="full-neumann-above"),
+        pytest.param("full", -1e-6, 0, id="full-neumann-below"),
+        pytest.param(2.0, 1e-6, 0, id="2-neumann-above"),
+        pytest.param(2.0, -1.0, 1, id="2-beyond-bound"),
+        pytest.param("full", 1.0, 2, id="full-both"),
+    ],
+)
+def test_planted_ordering_violation_is_counted(monkeypatch, lambda0, gap, counted):
+    """rho_N = rho_D + gap on one L = 20 box; the bound 2 kappa r sqrt(lambda0) / n is below 0.5 there."""
+    config = config_from_dict(
+        {"experiment": "energy-density", "lambda0": lambda0, "kappa": 1, "samples": 1, "seed": 3, "lengths_ladder": [20]}
+    )
+    monkeypatch.setattr(
+        ensembles, "excitation_energy_density", lambda spec, lam, kappa: 1.0 + (gap if spec.bc == "neumann" else 0.0)
+    )
+    assert ensembles.run_sample(config, 0).flags["ordering_violations"] == counted
+
+
 class TestRunEnsemble:
     @pytest.mark.parametrize("kind", ["correlations", "quasi-locality"])
     def test_csv_independent_of_workers(self, kind):
