@@ -1,15 +1,19 @@
-"""LAPACK's symmetric tridiagonal eigensolvers, bound with ctypes.
+"""LAPACK's symmetric eigensolvers, bound with ctypes.
 
 ``dsterf`` (eigenvalues only, Pal-Walker-Kahan QR) and ``dstevd`` (divide
-and conquer, with eigenvectors) are taken from the LAPACK that numpy's own
-``eigvalsh``/``eigh`` call: dlsym on numpy's ``_umath_linalg`` extension
-also searches the libraries it links.  On a tridiagonal matrix those
-reduce h with identity reflectors and then solve the band with the same
-routines these drivers call (``dsterf``, ``dstedc``), so the results agree
-bit for bit.  Only the 64-bit-integer (ILP64) builds that
-numpy's wheels ship are bound; elsewhere ``binding`` returns None and
-callers keep the dense solvers.  This is the only module that touches
-foreign functions.
+and conquer, with eigenvectors) solve a tridiagonal matrix from its band;
+``dsyevd`` (divide and conquer, with eigenvectors) solves a dense one.  They
+are taken from the LAPACK that numpy's own ``eigvalsh``/``eigh`` call: dlsym
+on numpy's ``_umath_linalg`` extension also searches the libraries it links.
+``eigh`` runs ``dsyevd`` itself, but allocates its output array before the
+driver's workspace of about 2 n^2 doubles; ``dsyevd`` here frees that
+workspace before it allocates the modes, one n x n buffer less at the
+peak.  On a tridiagonal matrix ``eigvalsh``/``eigh`` reduce h with identity
+reflectors and then solve the band with the same routines these drivers
+call (``dsterf``, ``dstedc``), so every result here agrees with numpy's
+bit for bit.  Only the 64-bit-integer (ILP64) builds that numpy's wheels ship are
+bound; elsewhere ``binding`` returns None and callers keep ``np.linalg``.
+This is the only module that touches foreign functions.
 """
 
 from __future__ import annotations
@@ -20,25 +24,29 @@ from types import SimpleNamespace
 
 import numpy as np
 
-#: (dsterf, dstevd) symbol names: numpy >= 2 wheels (scipy-openblas64), numpy 1.x wheels (openblas64_).
-SYMBOLS = (("scipy_dsterf_64_", "scipy_dstevd_64_"), ("dsterf_64_", "dstevd_64_"))
+#: (dsterf, dstevd, dsyevd) symbol names: numpy >= 2 wheels (scipy-openblas64), numpy 1.x wheels (openblas64_).
+SYMBOLS = (
+    ("scipy_dsterf_64_", "scipy_dstevd_64_", "scipy_dsyevd_64_"),
+    ("dsterf_64_", "dstevd_64_", "dsyevd_64_"),
+)
 
 
 @functools.cache
 def binding() -> SimpleNamespace | None:
-    """The drivers ``dsterf`` and ``dstevd`` of numpy's LAPACK, bound on first use;
-    None if it exports neither name pair."""
+    """The drivers ``dsterf``, ``dstevd`` and ``dsyevd`` of numpy's LAPACK, bound on
+    first use; None if it exports no complete triple of names."""
     try:
         lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     except (AttributeError, OSError):
         return None
-    for sterf_name, stevd_name in SYMBOLS:
+    for names in SYMBOLS:
         try:
-            sterf, stevd = getattr(lib, sterf_name), getattr(lib, stevd_name)
+            sterf, stevd, syevd = (getattr(lib, name) for name in names)
         except AttributeError:
             continue
         # ndpointer rejects an array of another dtype or layout before the call
         doubles = np.ctypeslib.ndpointer(dtype=np.float64, flags=("C_CONTIGUOUS", "WRITEABLE"))
+        matrix = np.ctypeslib.ndpointer(dtype=np.float64, ndim=2, flags=("F_CONTIGUOUS", "WRITEABLE"))
         ints = np.ctypeslib.ndpointer(dtype=np.int64, flags=("C_CONTIGUOUS", "WRITEABLE"))
         n = ctypes.POINTER(ctypes.c_int64)
         # DSTERF(N, D, E, INFO)
@@ -48,7 +56,12 @@ def binding() -> SimpleNamespace | None:
         # hidden length of the JOBZ string that Fortran compilers append
         stevd.argtypes = [ctypes.c_char_p, n, doubles, doubles, doubles, n, doubles, n, ints, n, n, ctypes.c_size_t]
         stevd.restype = None
-        return SimpleNamespace(dsterf=sterf, dstevd=stevd)
+        # DSYEVD(JOBZ, UPLO, N, A, LDA, W, WORK, LWORK, IWORK, LIWORK, INFO), then the
+        # hidden lengths of JOBZ and UPLO
+        chars, length = ctypes.c_char_p, ctypes.c_size_t
+        syevd.argtypes = [chars, chars, n, matrix, n, doubles, doubles, n, ints, n, n, length, length]
+        syevd.restype = None
+        return SimpleNamespace(dsterf=sterf, dstevd=stevd, dsyevd=syevd)
     return None
 
 
@@ -96,3 +109,35 @@ def dstevd(d, e) -> tuple[np.ndarray, np.ndarray]:
     _check(info, "dstevd")
     # eigh returns C-ordered modes; F-ordered ones send later products down other BLAS paths
     return d, np.ascontiguousarray(z_t.T)
+
+
+def dsyevd(h) -> tuple[np.ndarray, np.ndarray]:
+    """(ascending eigenvalues, modes) of a square matrix h read from its lower triangle, as ``eigh`` does.
+
+    ``modes`` is C-contiguous, eigenvectors in its columns; h is not written.
+    """
+    # eigh hands LAPACK a column-major copy of h; a C-ordered copy would be h
+    # transposed, whose lower triangle is h's upper one
+    a = np.array(h, dtype=np.float64, order="F")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise ValueError("need a nonempty square matrix h")
+    n = a.shape[0]
+    w = np.empty(n)
+    info = ctypes.c_int64(0)
+
+    def run(work, lwork, iwork, liwork):
+        binding().dsyevd(
+            b"V", b"L", _int(n), a, _int(n), w, work, _int(lwork), iwork, _int(liwork), ctypes.byref(info), 1, 1
+        )
+        _check(info, "dsyevd")
+
+    # a query (LWORK = LIWORK = -1) returns the optimal sizes, which eigh allocates too
+    work, iwork = np.empty(1), np.empty(1, dtype=np.int64)
+    run(work, -1, iwork, -1)
+    lwork, liwork = int(work[0]), int(iwork[0])
+    work, iwork = np.empty(lwork), np.empty(liwork, dtype=np.int64)
+    run(work, lwork, iwork, liwork)
+    # the workspace (about 2 n^2 doubles) goes before the modes are allocated
+    del work, iwork
+    # a now holds the eigenvectors in its columns; eigh returns them C-ordered
+    return w, np.ascontiguousarray(a)

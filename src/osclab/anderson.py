@@ -7,13 +7,16 @@ frequencies gamma_j, their positive square roots, checked against the
 O(n^2) invariants tr h and ||h||_F^2.  It serves the eigenvalue-only
 statistics (counting function, energy density, gaps).  ``diagonalize``
 returns ``SpectralData``, a ``Spectrum`` that also carries the orthogonal
-mode matrix, checked by reconstructing h.  The solver is chosen from h:
-when every nonzero lies on the three central diagonals (every 1D box, as
-h is a Jacobi matrix there) LAPACK's tridiagonal drivers ``dsterf`` and
-``dstevd`` run on the band, from the library numpy links, and return the
-same bits as ``eigvalsh``/``eigh`` without their O(n^3) reduction; any
-other h goes to the dense ``eigvalsh``/``eigh``.  ``eigencorrelator``
-evaluates the per-realization localization kernel
+mode matrix, checked by reconstructing h.  The solvers are LAPACK drivers
+from the library numpy links (``_lapack``), chosen from h: when every
+nonzero lies on the three central diagonals (every 1D box, as h is a
+Jacobi matrix there) ``dsterf`` and ``dstevd`` run on the band, without
+the O(n^3) reduction of ``eigvalsh``/``eigh``; any other h goes to
+``eigvalsh`` and, for eigenpairs, to ``dsyevd``, the driver ``eigh`` calls,
+with one n x n buffer less at its peak than ``eigh``.  Every path returns
+the same bits as ``eigvalsh``/``eigh``, which serve alone where the
+drivers are not bound.  ``eigencorrelator`` evaluates the per-realization
+localization kernel
 
     Q_s(x, y) = sum_{j in S} gamma_j^s |phi_j(x)| |phi_j(y)|,
 
@@ -39,8 +42,9 @@ RECONSTRUCTION_RTOL = 1e-10
 #: Relative gap below which a spectrum is flagged as degenerate.
 DEGENERACY_RTOL = 1e-12
 
-#: Rows and columns per tile of the symmetry test, which thereby allocates
-#: no n x n temporary (128 measured fastest at n = 400 and 1600 on a 2-vCPU host).
+#: Rows and columns per tile of the symmetry test and of the reconstruction
+#: check, which thereby allocate no n x n temporary (128 measured fastest
+#: for the symmetry test at n = 400 and 1600 on a 2-vCPU host).
 SYMMETRY_TILE = 128
 
 
@@ -179,26 +183,45 @@ def _max_asymmetry(h: np.ndarray) -> float:
 
 def _tridiagonal_band(h: np.ndarray):
     """The diagonal and subdiagonal (d, e) of h when no nonzero lies off the three
-    central diagonals and the tridiagonal drivers are bound; else None.
+    central diagonals; else None.
 
     e is the lower band, the triangle that ``eigh``'s default UPLO='L' reads.
     """
     d, e = np.diagonal(h), np.diagonal(h, -1)
     if np.count_nonzero(h) != np.count_nonzero(d) + np.count_nonzero(e) + np.count_nonzero(np.diagonal(h, 1)):
         return None
-    if _lapack.binding() is None:
-        return None
     return d, e
 
 
 def _eigvalsh(h: np.ndarray):
-    band = _tridiagonal_band(h)
+    band = None if _lapack.binding() is None else _tridiagonal_band(h)
     return (np.linalg.eigvalsh(h) if band is None else _lapack.dsterf(*band)), None
 
 
 def _eigh(h: np.ndarray):
+    if _lapack.binding() is None:
+        return np.linalg.eigh(h)
     band = _tridiagonal_band(h)
-    return np.linalg.eigh(h) if band is None else _lapack.dstevd(*band)
+    return _lapack.dsyevd(h) if band is None else _lapack.dstevd(*band)
+
+
+def _reconstruction_error(h: np.ndarray, evals: np.ndarray, modes: np.ndarray) -> float:
+    """max|O diag(evals) O^T - h| over all n^2 entries, one row tile of the lower triangle at a time.
+
+    Tile I is (O_I diag(evals)) O_{<=I}^T.  The product is symmetric, so each
+    tile stands for its mirror too and is compared with both h_{I,<=I} and
+    h_{<=I,I}^T; no n x n temporary is formed.  A NaN anywhere gives NaN.
+    """
+    n = h.shape[0]
+    errs = []
+    for i in range(0, n, SYMMETRY_TILE):
+        rows, end = slice(i, i + SYMMETRY_TILE), min(i + SYMMETRY_TILE, n)
+        tile = (modes[rows] * evals) @ modes[:end].T
+        diff = np.empty_like(tile)
+        for block in (h[rows, :end], h[:end, rows].T):
+            np.subtract(tile, block, out=diff)
+            errs += [diff.max(), -diff.min()]
+    return float(np.max(errs))
 
 
 def _solve_checked(h, solve):
@@ -255,21 +278,16 @@ def diagonalize(h: np.ndarray, bc: str = "neumann") -> SpectralData:
     """Full eigendecomposition of a symmetric matrix, checked for accuracy.
 
     Raises NumericError if the reconstruction ||O G^2 O^T - h||_max exceeds
-    RECONSTRUCTION_RTOL * max|h_ij|.  Validation and the clamping of
+    RECONSTRUCTION_RTOL * max|h_ij|.  The check runs over row tiles of
+    SYMMETRY_TILE rows of the lower triangle (``_reconstruction_error``), so
+    it allocates no n x n temporary.  Validation and the clamping of
     round-off negatives are those of ``_solve_checked``.
     """
     h, scale, evals, vecs = _solve_checked(h, _eigh)
-    gammas = np.sqrt(evals)
-    # (O G)(O G)^T is a symmetric rank-n update (BLAS syrk), half the flops
-    # of a general product; the residual is formed in place
-    og = vecs * gammas
-    residual = og @ og.T
-    del og
-    residual -= h
-    err = max(residual.max(), -residual.min())
+    err = _reconstruction_error(h, evals, vecs)
     if not err <= RECONSTRUCTION_RTOL * scale:  # a NaN error fails too
         raise NumericError(f"reconstruction error {err:.3e} exceeds {RECONSTRUCTION_RTOL:.0e} * max|h_ij|")
-    return SpectralData(eigenvalues=evals, gammas=gammas, modes=vecs, bc=bc)
+    return SpectralData(eigenvalues=evals, gammas=np.sqrt(evals), modes=vecs, bc=bc)
 
 
 def localized_modes(spec: Spectrum, lambda0: float) -> np.ndarray:

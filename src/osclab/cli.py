@@ -1,8 +1,12 @@
-"""Command-line entry point: ``osclab run CONFIG --out PATH``.
+"""Command-line entry point.
 
-Runs the experiment a JSON config describes and writes its result table.
-A malformed config or a failed accuracy check exits with code 2 and a
-one-line message on standard error.
+``osclab run CONFIG --out PATH`` runs the experiment a JSON config
+describes and writes its result table.  ``osclab fit RESULT --range A B``
+fits C e^{-mu d} to the means of a JSON result table whose first key d lies
+in [A, B] and prints mu_hat, C_hat, R^2 and the number of points.  A
+malformed config or result file, a fit range that selects too few positive
+means, or a failed accuracy check exits with code 2 and a one-line message
+on standard error.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import sys
 from .config import load_config
 from .ensembles import run_ensemble
 from .errors import ConfigError, NumericError
-from .results import emit
+from .results import emit, fit_exponential, load
 
 
 def _positive_int(text: str) -> int:
@@ -21,6 +25,16 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _run(args):
+    emit(run_ensemble(load_config(args.config), workers=args.workers), args.format, args.out)
+
+
+def _fit(args):
+    fit = fit_exponential(load(args.result), args.range, args.quantity)
+    for name in ("mu_hat", "c_hat", "r_squared", "n_points"):
+        print(f"{name} {getattr(fit, name):.17g}")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -31,15 +45,20 @@ def _parser() -> argparse.ArgumentParser:
     run.add_argument("--out", required=True, help="path of the result table")
     run.add_argument("--format", choices=("csv", "json"), default="csv", help="table format (default: csv)")
     run.add_argument("--workers", type=_positive_int, help="worker processes (default: the config's)")
+    run.set_defaults(action=_run, errors=(ConfigError, NumericError, OSError))
+    fit = commands.add_parser("fit", help="fit an exponential decay to a JSON result table")
+    fit.add_argument("result", help="path of a result table written with --format json")
+    fit.add_argument("--range", nargs=2, type=float, required=True, metavar=("A", "B"), help="fit the keys in [A, B]")
+    fit.add_argument("--quantity", help="fit only the rows of this quantity (default: every row)")
+    fit.set_defaults(action=_fit, errors=(OSError, ValueError))
     return parser
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        result = run_ensemble(load_config(args.config), workers=args.workers)
-        emit(result, args.format, args.out)
-    except (ConfigError, NumericError, OSError) as exc:
+        args.action(args)
+    except args.errors as exc:
         print(f"osclab: {type(exc).__name__}: {exc}".splitlines()[0], file=sys.stderr)
         return 2
     return 0

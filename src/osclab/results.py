@@ -134,8 +134,17 @@ def emit(result: EnsembleResult, fmt: str, path) -> None:
 
 
 def load(path) -> EnsembleResult:
+    """Read a table written by ``emit(result, "json", path)``.
+
+    Raises OSError when the file cannot be read and ValueError when it is
+    not such a table.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        return result_from_json(json.load(fh))
+        doc = json.load(fh)  # a JSONDecodeError is a ValueError
+    try:
+        return result_from_json(doc)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path} is not a result table: {type(exc).__name__} {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -150,10 +159,14 @@ class DecayFit:
 def fit_exponential(result: EnsembleResult, fit_range, quantity: str | None = None) -> DecayFit:
     """Least-squares line on (key, log mean): mu_hat = -slope, C_hat = e^intercept.
 
-    Uses rows whose first key component lies in ``fit_range`` (inclusive) and,
-    when given, whose quantity matches.  All selected means must be positive.
+    Uses rows whose first key component lies in ``fit_range`` = (A, B),
+    inclusive, and, when given, whose quantity matches.  Raises ValueError
+    unless A <= B, at least 4 rows are selected and all their means are
+    positive.
     """
     lo, hi = float(fit_range[0]), float(fit_range[1])
+    if not lo <= hi:
+        raise ValueError(f"fit range needs A <= B, got [{lo}, {hi}]")
     rows = result.select(quantity) if quantity is not None else result.sorted_rows()
     pts = [(float(r.key[0]), r.mean) for r in rows if lo <= float(r.key[0]) <= hi]
     if any(m <= 0.0 for _, m in pts):

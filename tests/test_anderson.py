@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from osclab import _lapack
+from osclab import _lapack, anderson
 from osclab.anderson import (
     RECONSTRUCTION_RTOL,
     SYMMETRY_TILE,
@@ -117,15 +117,24 @@ BOXES = [pytest.param([30], id="chain30"), pytest.param([6, 5], id="box6x5")]
 BCS = ["neumann", "dirichlet"]
 
 
-#: The four eigensolvers, (owner, name), that spectrum and diagonalize may call.
-SOLVERS = [(np.linalg, "eigvalsh"), (np.linalg, "eigh"), (_lapack, "dsterf"), (_lapack, "dstevd")]
+#: The five eigensolvers, (owner, name), that spectrum and diagonalize may call.
+SOLVERS = [
+    (np.linalg, "eigvalsh"),
+    (np.linalg, "eigh"),
+    (_lapack, "dsterf"),
+    (_lapack, "dstevd"),
+    (_lapack, "dsyevd"),
+]
 
 
-def _solver(lengths, dense_name):
-    """(owner, name) of the eigensolver a box's h runs on: a chain's h is tridiagonal."""
-    if len(lengths) == 1 and _lapack.binding() is not None:
-        return _lapack, {"eigvalsh": "dsterf", "eigh": "dstevd"}[dense_name]
-    return np.linalg, dense_name
+def _solver(lengths, numpy_name):
+    """(owner, name) of the eigensolver a box's h runs on in place of numpy's ``numpy_name``:
+    a chain's h is tridiagonal, and a dense h's eigenpairs come from ``dsyevd``."""
+    if _lapack.binding() is None:
+        return np.linalg, numpy_name
+    if len(lengths) == 1:
+        return _lapack, {"eigvalsh": "dsterf", "eigh": "dstevd"}[numpy_name]
+    return {"eigvalsh": (np.linalg, "eigvalsh"), "eigh": (_lapack, "dsyevd")}[numpy_name]
 
 
 class TestDiagonalize:
@@ -224,7 +233,7 @@ class TestSpectrum:
         assert spec.eigenvalues[0] == 0.0 and spec.gammas[0] == 0.0
 
     def test_solver_failure(self, monkeypatch):
-        """A LinAlgError from any of the four solvers is a NumericError."""
+        """A LinAlgError from any of the five solvers is a NumericError."""
         failed = []
 
         def failing(name):
@@ -242,7 +251,7 @@ class TestSpectrum:
                 with pytest.raises(NumericError, match="did not converge"):
                     solve(h)
         # np.eye(3) is tridiagonal
-        assert failed == [_solver([3], "eigvalsh")[1], _solver([3], "eigh")[1], "eigvalsh", "eigh"]
+        assert failed == [_solver(lengths, name)[1] for lengths in ([3], [3, 2]) for name in ("eigvalsh", "eigh")]
 
     @pytest.mark.parametrize("bc", BCS)
     @pytest.mark.parametrize("lengths", BOXES)
@@ -271,7 +280,7 @@ class TestSpectrum:
 
 
 def _spy_solvers(monkeypatch):
-    """Record, in call order, which of the four eigensolvers run."""
+    """Record, in call order, which of the five eigensolvers run."""
     calls = []
 
     def spy(name, solve):
@@ -325,18 +334,21 @@ class TestTridiagonalPath:
             spec, dense = _solve_both(h, bc)
             routes.append(calls.copy())
             _assert_same_bits(spec, dense, h)
-        assert routes == [["dsterf", "dstevd"]] * 2 + [["eigvalsh", "eigh"]] * 2
+        assert routes == [["dsterf", "dstevd"]] * 2 + [["eigvalsh", "dsyevd"]] * 2
 
     def test_unbound_falls_back_to_dense(self, monkeypatch):
-        h = _box_hamiltonian([30], "dirichlet")
-        spec, dense = _solve_both(h, "dirichlet")
+        """Without the binding, a chain and a 2D box both run numpy's solvers, with the same bits."""
+        hs = [_box_hamiltonian([30], "dirichlet"), _box_hamiltonian([6, 5], "dirichlet")]
+        bound = [_solve_both(h, "dirichlet") for h in hs]
         monkeypatch.setattr(_lapack, "binding", lambda: None)
         calls = _spy_solvers(monkeypatch)
-        spec_dense, dense_dense = _solve_both(h, "dirichlet")
-        assert calls == ["eigvalsh", "eigh"]
-        assert np.array_equal(spec.eigenvalues, spec_dense.eigenvalues)
-        assert np.array_equal(dense.eigenvalues, dense_dense.eigenvalues)
-        assert np.array_equal(dense.modes, dense_dense.modes)
+        for h, (spec, dense) in zip(hs, bound):
+            calls.clear()
+            spec_dense, dense_dense = _solve_both(h, "dirichlet")
+            assert calls == ["eigvalsh", "eigh"]
+            assert np.array_equal(spec.eigenvalues, spec_dense.eigenvalues)
+            assert np.array_equal(dense.eigenvalues, dense_dense.eigenvalues)
+            assert np.array_equal(dense.modes, dense_dense.modes)
 
     def test_rejects_malformed_band(self):
         for d, e in (([], []), ([1.0, 2.0], [1.0, 2.0]), ([[1.0]], [])):
@@ -385,6 +397,87 @@ class TestSymmetryCheck:
                 solve(h)
         else:
             assert solve(h).n == _ASYMMETRY_N
+
+
+class TestReconstructionTiles:
+    """The tiled reconstruction check reads every block of O diag(evals) O^T - h, against both triangles of h.
+
+    h = diag(evals) and O = identity plus one entry O_pq, so the only wrong
+    entries of the product are (p, q) and its mirror, each of value O_pq
+    evals_q = -(tol - a / 4): inside the tolerance tol.  Planting a, which
+    the symmetry test accepts, in one triangle of h moves that triangle's
+    error to tol + 3a / 4, which only the comparison with that triangle sees.
+    """
+
+    @pytest.mark.parametrize(
+        "p, q",
+        [
+            # n is not a multiple of the tile, so the last tile is partial
+            pytest.param(_ASYMMETRY_N - 1, _ASYMMETRY_N - 30, id="last-partial-tile"),
+            pytest.param(SYMMETRY_TILE + 9, 5, id="off-diagonal-block"),
+        ],
+    )
+    @pytest.mark.parametrize("asymmetry, rejected", [(None, False), ("lower", True), ("upper", True)])
+    def test_planted_error(self, monkeypatch, p, q, asymmetry, rejected):
+        evals = np.linspace(1.0, 2.0, _ASYMMETRY_N)
+        h = np.diag(evals)
+        tol = RECONSTRUCTION_RTOL * np.max(h)
+        a = 0.5e-12 * np.max(h)
+        if asymmetry == "lower":
+            h[p, q] = a
+        elif asymmetry == "upper":
+            h[q, p] = a
+        modes = np.eye(_ASYMMETRY_N)
+        modes[p, q] = -(tol - a / 4) / evals[q]
+        monkeypatch.setattr(anderson, "_eigh", lambda h: (evals, modes))
+        if rejected:
+            with pytest.raises(NumericError, match="reconstruction"):
+                diagonalize(h)
+        else:
+            assert diagonalize(h).modes is modes
+
+    @pytest.mark.parametrize("row", [0, SYMMETRY_TILE + 9, _ASYMMETRY_N - 1])
+    def test_nan_in_any_tile(self, monkeypatch, row):
+        evals = np.linspace(1.0, 2.0, _ASYMMETRY_N)
+        modes = np.eye(_ASYMMETRY_N)
+        modes[row, 5] = np.nan  # NaN spreads over row and column ``row`` of the product
+        monkeypatch.setattr(anderson, "_eigh", lambda h: (evals, modes))
+        with pytest.raises(NumericError, match="reconstruction"):
+            diagonalize(np.diag(evals))
+
+
+_DENSE_LENGTHS = st.lists(st.integers(2, 12), min_size=2, max_size=2) | st.lists(st.integers(2, 6), min_size=3, max_size=3)
+
+
+@pytest.mark.skipif(_lapack.binding() is None, reason="numpy's LAPACK exports no dsyevd")
+class TestDenseDriver:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        lengths=_DENSE_LENGTHS,
+        bc=st.sampled_from(BCS),
+        seed=st.integers(0, 2**16),
+        k_max=st.floats(0.05, 8.0),
+        asymmetry=st.sampled_from([None, "lower", "upper"]),
+    )
+    def test_bit_identical_to_eigh(self, lengths, bc, seed, k_max, asymmetry):
+        box = BoxGeometry.of_lengths(lengths)
+        h = assemble(box, sample_disorder(DisorderConfig(k_max=k_max, master_seed=seed), box, 0), bc)
+        # an asymmetry the symmetry test accepts; eigh reads only the lower triangle
+        i, j = sorted(np.random.default_rng(seed).choice(box.n_sites, 2, replace=False), reverse=True)
+        if asymmetry is not None:
+            h[(i, j) if asymmetry == "lower" else (j, i)] += 0.5e-12 * np.max(np.abs(h))
+        before = h.copy()
+        evals, modes = _lapack.dsyevd(h)
+        expected = np.linalg.eigh(h)
+        assert np.array_equal(h, before)  # LAPACK overwrites its matrix, which must be a copy
+        assert np.array_equal(evals, expected[0])
+        assert np.array_equal(modes, expected[1])
+        assert modes.flags.c_contiguous
+
+    def test_rejects_malformed_matrix(self):
+        for h in (np.ones((2, 3)), np.ones(3), np.empty((0, 0))):
+            with pytest.raises(ValueError):
+                _lapack.dsyevd(h)
 
 
 class TestLocalizedModes:

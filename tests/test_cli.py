@@ -1,11 +1,12 @@
 import json
+import math
 
 import pytest
 
 from osclab import cli, ensembles
 from osclab.config import config_from_dict
 from osclab.errors import NumericError
-from osclab.results import render_csv, to_json_document
+from osclab.results import EnsembleResult, ResultRow, emit, fit_exponential, load, render_csv, to_json_document
 
 DOC = {"experiment": "lr-bound", "box": {"lengths": [12]}, "samples": 2, "time_grid": {"points": 5, "t_max": 2.0}}
 
@@ -94,6 +95,9 @@ def test_numeric_error_exits_2(monkeypatch, config_path, tmp_path, capsys):
         pytest.param(["run", "cfg.json"], id="no-out"),
         pytest.param(["run", "cfg.json", "--out", "t.csv", "--format", "xml"], id="bad-format"),
         pytest.param(["run", "cfg.json", "--out", "t.csv", "--workers", "0"], id="no-workers"),
+        pytest.param(["fit", "t.json"], id="fit-no-range"),
+        pytest.param(["fit", "t.json", "--range", "1"], id="fit-one-bound"),
+        pytest.param(["fit", "t.json", "--range", "1", "x"], id="fit-bound-not-a-number"),
     ],
 )
 def test_usage_errors_exit_2(argv):
@@ -107,3 +111,59 @@ def test_help_exits_0(capsys):
         cli.main(["--help"])
     assert exc.value.code == 0
     assert "run" in capsys.readouterr().out
+
+
+@pytest.fixture
+def decay_table(tmp_path):
+    """A JSON table with an exact decay 2.5 e^{-0.35 d} and a flat quantity, d = 1..10."""
+    rows = [ResultRow(key=(d, "decay"), mean=2.5 * math.exp(-0.35 * d), stderr=0.0, count=4) for d in range(1, 11)]
+    rows += [ResultRow(key=(d, "flat"), mean=0.5, stderr=0.0, count=4) for d in range(1, 11)]
+    path = tmp_path / "table.json"
+    emit(EnsembleResult(kind="lr-bound", key_fields=("distance", "quantity"), rows=rows), "json", path)
+    return path
+
+
+def _printed_fit(capsys):
+    out = capsys.readouterr().out
+    return {name: float(value) for name, value in (line.split() for line in out.splitlines())}
+
+
+def test_fit_prints_the_library_fit(decay_table, capsys):
+    assert cli.main(["fit", str(decay_table), "--range", "2", "9", "--quantity", "decay"]) == 0
+    fit = fit_exponential(load(decay_table), (2, 9), "decay")
+    assert _printed_fit(capsys) == {"mu_hat": fit.mu_hat, "c_hat": fit.c_hat, "r_squared": fit.r_squared, "n_points": 8}
+    assert fit.mu_hat == pytest.approx(0.35, rel=1e-12) and fit.c_hat == pytest.approx(2.5, rel=1e-12)
+
+
+def test_fit_of_a_run_table(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"experiment": "eigencorrelator", "box": {"lengths": [30]}, "samples": 2}))
+    table = tmp_path / "table.json"
+    assert cli.main(["run", str(config), "--out", str(table), "--format", "json"]) == 0
+    capsys.readouterr()
+    assert cli.main(["fit", str(table), "--range", "5", "12", "--quantity", "q_zero"]) == 0
+    fit = fit_exponential(load(table), (5, 12), "q_zero")
+    assert _printed_fit(capsys)["mu_hat"] == fit.mu_hat and fit.n_points == 8
+
+
+@pytest.mark.parametrize(
+    "content, fit_args, name",
+    [
+        pytest.param(None, ["--range", "1", "10"], "FileNotFoundError", id="missing-file"),
+        pytest.param("distance,quantity\n", ["--range", "1", "10"], "JSONDecodeError", id="not-json"),
+        pytest.param('{"rows": []}', ["--range", "1", "10"], "ValueError", id="not-a-table"),
+        pytest.param("[1, 2]", ["--range", "1", "10"], "ValueError", id="not-an-object"),
+        pytest.param("table", ["--range", "9", "2", "--quantity", "decay"], "ValueError", id="reversed-range"),
+        pytest.param("table", ["--range", "nan", "9", "--quantity", "decay"], "ValueError", id="nan-range"),
+        pytest.param("table", ["--range", "1", "3", "--quantity", "decay"], "ValueError", id="three-keys"),
+        pytest.param("table", ["--range", "1", "10", "--quantity", "absent"], "ValueError", id="unknown-quantity"),
+    ],
+)
+def test_fit_errors_exit_2(decay_table, content, fit_args, name, capsys):
+    path = decay_table
+    if content is None:
+        path = decay_table.with_name("absent.json")
+    elif content != "table":
+        path.write_text(content, encoding="utf-8")
+    assert cli.main(["fit", str(path), *fit_args]) == 2
+    _one_line_error(capsys, name)

@@ -51,6 +51,13 @@ class TestJson:
         assert loaded == result
         assert render_csv(loaded) == render_csv(result)
 
+    @pytest.mark.parametrize("doc", ['{"rows": []}', "[1, 2]", '{"results": [{"key": [1]}]}'])
+    def test_load_rejects_other_documents(self, tmp_path, doc):
+        path = tmp_path / "table.json"
+        path.write_text(doc, encoding="utf-8")
+        with pytest.raises(ValueError, match="not a result table"):
+            load(path)
+
 
 class TestFitExponential:
     @pytest.mark.parametrize("mu", [0.05, 0.35, 1.2])
@@ -73,6 +80,11 @@ class TestFitExponential:
         fit = fit_exponential(result, (1, 30), quantity="decay")
         assert fit.mu_hat == pytest.approx(0.4, abs=0.01)
         assert fit.r_squared > 0.99
+
+    @pytest.mark.parametrize("fit_range", [(9, 2), (float("nan"), 9)])
+    def test_malformed_range(self, fit_range):
+        with pytest.raises(ValueError, match="A <= B"):
+            fit_exponential(_decay_result(), fit_range, quantity="decay")
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):
