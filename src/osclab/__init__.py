@@ -15,6 +15,7 @@ from .anderson import (
     DisorderSample,
     SpectralData,
     Spectrum,
+    Tridiagonal,
     assemble,
     diagonalize,
     eigencorrelator,

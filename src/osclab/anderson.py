@@ -4,17 +4,19 @@ The random potential k is i.i.d. per site with a bounded density on
 (0, k_max]; the default is uniform.  Spectra come in two forms.
 ``spectrum`` returns a ``Spectrum``: the ascending eigenvalues and the
 frequencies gamma_j, their positive square roots, checked against the
-O(n^2) invariants tr h and ||h||_F^2.  It serves the eigenvalue-only
-statistics (counting function, energy density, gaps).  ``diagonalize``
-returns ``SpectralData``, a ``Spectrum`` that also carries the orthogonal
-mode matrix, checked by reconstructing h.  The solvers are LAPACK drivers
-from the library numpy links (``_lapack``), chosen from h: when every
-nonzero lies on the three central diagonals (every 1D box, as h is a
-Jacobi matrix there) ``dsterf`` and ``dstevd`` run on the band, without
-the O(n^3) reduction of ``eigvalsh``/``eigh``; any other h goes to
-``eigvalsh`` and, for eigenpairs, to ``dsyevd``, the driver ``eigh`` calls,
-with one n x n buffer less at its peak than ``eigh``.  Every path returns
-the same bits as ``eigvalsh``/``eigh``, which serve alone where the
+invariants tr h and ||h||_F^2.  It serves the eigenvalue-only statistics
+(counting function, energy density, gaps).  ``diagonalize`` returns
+``SpectralData``, a ``Spectrum`` that also carries the orthogonal mode
+matrix, checked by reconstructing h.  ``assemble`` returns h as a
+``Tridiagonal`` band for every box with nu = 1, where h is a Jacobi
+matrix, and as a dense array otherwise.  The solver follows the type of h
+and nothing else; no count of nonzeros guesses its structure.  A band goes
+to LAPACK's ``dsterf`` and ``dstevd`` (``_lapack``, the library numpy
+links), without the O(n^3) reduction of ``eigvalsh``/``eigh`` and with
+O(n) validation and invariants.  A dense array goes to ``eigvalsh`` and,
+for eigenpairs, to ``dsyevd``, the driver ``eigh`` calls, with one n x n
+buffer less at its peak than ``eigh``.  Every path returns the same bits
+as ``eigvalsh``/``eigh`` on the dense h, and those serve alone where the
 drivers are not bound.  ``eigencorrelator`` evaluates the per-realization
 localization kernel
 
@@ -34,7 +36,7 @@ import numpy as np
 
 from . import _lapack
 from .errors import ConfigError, NumericError
-from .lattice import BoxGeometry, dirichlet_laplacian, neumann_laplacian
+from .lattice import BoxGeometry, graph_laplacian, laplacian_diagonal
 
 #: Accuracy tolerance of the eigensolvers, relative to max|h_ij|.
 RECONSTRUCTION_RTOL = 1e-10
@@ -111,19 +113,58 @@ def sample_disorder(config: DisorderConfig, box: BoxGeometry, index: int) -> Dis
     return DisorderSample(k=k, sample_index=int(index))
 
 
-def assemble(box: BoxGeometry, sample: DisorderSample, bc: str = "neumann") -> np.ndarray:
-    """Effective Hamiltonian h = Laplacian(bc) + diag(k)."""
+@dataclass(frozen=True)
+class Tridiagonal:
+    """A symmetric tridiagonal h, kept as its band: diagonal d and off-diagonal e.
+
+    Both are read-only float copies, len(e) = len(d) - 1 >= 0.
+    ``np.asarray(h)`` gives the dense matrix.
+    """
+
+    d: np.ndarray
+    e: np.ndarray
+
+    def __post_init__(self):
+        d, e = (np.array(v, dtype=float) for v in (self.d, self.e))
+        if d.ndim != 1 or d.size == 0 or e.shape != (d.size - 1,):
+            raise ValueError(f"need a nonempty diagonal and an off-diagonal one shorter, got {d.shape} and {e.shape}")
+        for name, arr in (("d", d), ("e", e)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.d.size, self.d.size)
+
+    def lower_rows(self, start: int, stop: int) -> np.ndarray:
+        """Dense rows start..stop-1 of h, columns 0..stop-1."""
+        block = np.zeros((stop - start, stop))
+        square = block[:, start:]
+        idx = np.arange(stop - start)
+        square[idx, idx] = self.d[start:stop]
+        square[idx[1:], idx[:-1]] = self.e[start : stop - 1]
+        square[idx[:-1], idx[1:]] = self.e[start : stop - 1]
+        if start > 0:
+            block[0, start - 1] = self.e[start - 1]
+        return block
+
+    def __array__(self, dtype=None, copy=None):
+        h = self.lower_rows(0, self.d.size)
+        return h if dtype is None else h.astype(dtype, copy=False)
+
+
+def assemble(box: BoxGeometry, sample: DisorderSample, bc: str = "neumann"):
+    """Effective Hamiltonian h = Laplacian(bc) + diag(k).
+
+    A ``Tridiagonal`` when nu = 1, built in O(n); a dense array otherwise.
+    """
     k = np.asarray(sample.k, dtype=float)
     if k.shape != (box.n_sites,):
         raise ValueError(f"sample has {k.shape} entries for a box of {box.n_sites} sites")
-    if bc == "neumann":
-        h = neumann_laplacian(box)
-    elif bc == "dirichlet":
-        h = dirichlet_laplacian(box)
-    else:
-        raise ValueError(f"unknown boundary condition {bc!r}")
-    h[np.arange(box.n_sites), np.arange(box.n_sites)] += k
-    return h
+    diagonal = laplacian_diagonal(box, bc) + k
+    if box.nu == 1:
+        return Tridiagonal(diagonal, np.full(box.n_sites - 1, -1.0))
+    return graph_laplacian(box, diagonal)
 
 
 @dataclass(frozen=True)
@@ -181,67 +222,64 @@ def _max_asymmetry(h: np.ndarray) -> float:
     return float(err)
 
 
-def _tridiagonal_band(h: np.ndarray):
-    """The diagonal and subdiagonal (d, e) of h when no nonzero lies off the three
-    central diagonals; else None.
-
-    e is the lower band, the triangle that ``eigh``'s default UPLO='L' reads.
-    """
-    d, e = np.diagonal(h), np.diagonal(h, -1)
-    if np.count_nonzero(h) != np.count_nonzero(d) + np.count_nonzero(e) + np.count_nonzero(np.diagonal(h, 1)):
-        return None
-    return d, e
+def _eigvalsh(h):
+    if isinstance(h, Tridiagonal) and _lapack.binding() is not None:
+        return _lapack.dsterf(h.d, h.e), None
+    return np.linalg.eigvalsh(np.asarray(h)), None
 
 
-def _eigvalsh(h: np.ndarray):
-    band = None if _lapack.binding() is None else _tridiagonal_band(h)
-    return (np.linalg.eigvalsh(h) if band is None else _lapack.dsterf(*band)), None
-
-
-def _eigh(h: np.ndarray):
+def _eigh(h):
     if _lapack.binding() is None:
-        return np.linalg.eigh(h)
-    band = _tridiagonal_band(h)
-    return _lapack.dsyevd(h) if band is None else _lapack.dstevd(*band)
+        return np.linalg.eigh(np.asarray(h))
+    return _lapack.dstevd(h.d, h.e) if isinstance(h, Tridiagonal) else _lapack.dsyevd(h)
 
 
-def _reconstruction_error(h: np.ndarray, evals: np.ndarray, modes: np.ndarray) -> float:
+def _reconstruction_error(h, evals: np.ndarray, modes: np.ndarray) -> float:
     """max|O diag(evals) O^T - h| over all n^2 entries, one row tile of the lower triangle at a time.
 
     Tile I is (O_I diag(evals)) O_{<=I}^T.  The product is symmetric, so each
     tile stands for its mirror too and is compared with both h_{I,<=I} and
-    h_{<=I,I}^T; no n x n temporary is formed.  A NaN anywhere gives NaN.
+    h_{<=I,I}^T; for a ``Tridiagonal`` the two are the same entries, and the
+    tile is compared with the band once.  No n x n temporary is formed.  A
+    NaN anywhere gives NaN.
     """
-    n = h.shape[0]
+    n = evals.size
     errs = []
     for i in range(0, n, SYMMETRY_TILE):
         rows, end = slice(i, i + SYMMETRY_TILE), min(i + SYMMETRY_TILE, n)
         tile = (modes[rows] * evals) @ modes[:end].T
+        blocks = (h.lower_rows(i, end),) if isinstance(h, Tridiagonal) else (h[rows, :end], h[:end, rows].T)
         diff = np.empty_like(tile)
-        for block in (h[rows, :end], h[:end, rows].T):
+        for block in blocks:
             np.subtract(tile, block, out=diff)
             errs += [diff.max(), -diff.min()]
     return float(np.max(errs))
 
 
 def _solve_checked(h, solve):
-    """Run ``solve(h) -> (eigenvalues, extra)`` on a validated symmetric matrix.
+    """Run ``solve(h) -> (eigenvalues, extra)`` on a validated symmetric h.
 
-    Raises ValueError unless h is square, finite and symmetric, and
-    NumericError when the solver fails or finds an eigenvalue below the
-    round-off band -1e-9 * max|h_ij|; eigenvalues inside the band are clamped
-    to zero (the model itself is positive).  Returns (h, scale, eigenvalues,
-    extra) with scale = max|h_ij|.
+    A ``Tridiagonal`` is symmetric by construction and is checked in O(n);
+    any other h is taken as a float array.  Raises ValueError unless h is
+    square, finite and symmetric, and NumericError when the solver fails or
+    finds an eigenvalue below the round-off band -1e-9 * max|h_ij|;
+    eigenvalues inside the band are clamped to zero (the model itself is
+    positive).  Returns (h, scale, eigenvalues, extra) with scale = max|h_ij|.
     """
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("h must be a square matrix")
-    # max and min propagate NaN, so a non-finite entry makes scale non-finite
-    scale = float(max(h.max(), -h.min()))
+    band = isinstance(h, Tridiagonal)
+    if band:
+        scale = np.max([np.abs(h.d).max(), np.abs(h.e).max(initial=0.0)])
+    else:
+        h = np.asarray(h, dtype=float)
+        if h.ndim != 2 or h.shape[0] != h.shape[1]:
+            raise ValueError("h must be a square matrix")
+        scale = max(h.max(), -h.min())
+    # every maximum here propagates NaN, so a non-finite entry makes scale non-finite
+    scale = float(scale)
     if not np.isfinite(scale):
         raise ValueError("h must have finite entries")
     scale = scale or 1.0
-    if _max_asymmetry(h) > 1e-12 * scale:
+    if not band and _max_asymmetry(h) > 1e-12 * scale:
         raise ValueError("h must be symmetric")
     try:
         evals, extra = solve(h)
@@ -252,19 +290,24 @@ def _solve_checked(h, solve):
     return h, scale, np.clip(evals, 0.0, None), extra
 
 
-def spectrum(h: np.ndarray, bc: str = "neumann") -> Spectrum:
-    """Eigenvalues of a symmetric matrix, without eigenvectors, checked for accuracy.
+def spectrum(h, bc: str = "neumann") -> Spectrum:
+    """Eigenvalues of a symmetric h (a ``Tridiagonal`` or a matrix), without eigenvectors, checked for accuracy.
 
-    The accuracy contract is the pair of O(n^2) invariants
+    The accuracy contract is the pair of invariants
     |sum_j lambda_j - tr h| <= RECONSTRUCTION_RTOL * n * scale and
     |sum_j lambda_j^2 - ||h||_F^2| <= RECONSTRUCTION_RTOL * n * scale^2,
-    with scale = max|h_ij|; a violation raises NumericError.  Validation and
-    the clamping of round-off negatives are those of ``_solve_checked``.
+    with scale = max|h_ij|; a violation raises NumericError.  For a band,
+    tr h = sum d and ||h||_F^2 = sum d^2 + 2 sum e^2.  Validation and the
+    clamping of round-off negatives are those of ``_solve_checked``.
     """
     h, scale, evals, _ = _solve_checked(h, _eigvalsh)
-    n = h.shape[0]
-    trace_err = abs(float(np.sum(evals)) - float(np.trace(h)))
-    frob_err = abs(float(np.dot(evals, evals)) - float(np.vdot(h, h)))
+    n = evals.size
+    if isinstance(h, Tridiagonal):
+        trace, frob = float(np.sum(h.d)), float(np.dot(h.d, h.d) + 2.0 * np.dot(h.e, h.e))
+    else:
+        trace, frob = float(np.trace(h)), float(np.vdot(h, h))
+    trace_err = abs(float(np.sum(evals)) - trace)
+    frob_err = abs(float(np.dot(evals, evals)) - frob)
     # written so that a NaN error fails the test
     if not (trace_err <= RECONSTRUCTION_RTOL * n * scale and frob_err <= RECONSTRUCTION_RTOL * n * scale**2):
         raise NumericError(
@@ -274,8 +317,8 @@ def spectrum(h: np.ndarray, bc: str = "neumann") -> Spectrum:
     return Spectrum(eigenvalues=evals, gammas=np.sqrt(evals), bc=bc)
 
 
-def diagonalize(h: np.ndarray, bc: str = "neumann") -> SpectralData:
-    """Full eigendecomposition of a symmetric matrix, checked for accuracy.
+def diagonalize(h, bc: str = "neumann") -> SpectralData:
+    """Full eigendecomposition of a symmetric h (a ``Tridiagonal`` or a matrix), checked for accuracy.
 
     Raises NumericError if the reconstruction ||O G^2 O^T - h||_max exceeds
     RECONSTRUCTION_RTOL * max|h_ij|.  The check runs over row tiles of

@@ -59,18 +59,27 @@ class ExperimentConfig:
     def lambda0_value(self) -> float:
         return float("inf") if self.lambda0 == "full" else float(self.lambda0)
 
+    def center_coord(self) -> tuple[int, ...]:
+        """``center``, or by default the midpoint of the box, rounded down."""
+        if self.center is not None:
+            return self.center
+        return tuple((a + b) // 2 for a, b in self.box().intervals)
+
     def center_index(self) -> int:
-        box = self.box()
-        coord = self.center
-        if coord is None:
-            coord = tuple((a + b) // 2 for a, b in box.intervals)
-        return box.index_of(coord)
+        return self.box().index_of(self.center_coord())
+
+    def reach(self) -> int:
+        """Largest l1 distance from the center site to a site of the box: per axis, to the farther end."""
+        return sum(max(c - a, b - c) for c, (a, b) in zip(self.center_coord(), self.box().intervals))
 
     def shell_values(self) -> tuple[int, ...]:
+        """``shells``, or by default the distances 5..max(min(40, diameter // 2), 6)
+        clipped to the reach from the center, and 1..reach when that leaves none."""
         if self.shells:
             return self.shells
-        top = min(40, self.box().diameter() // 2)
-        return tuple(range(5, max(top, 6) + 1))
+        reach = self.reach()
+        top = min(max(min(40, self.box().diameter() // 2), 6), reach)
+        return tuple(range(5, top + 1)) if top >= 5 else tuple(range(1, reach + 1))
 
     def n_range(self) -> tuple[int, ...]:
         if self.n_values:
@@ -121,17 +130,18 @@ class ExperimentConfig:
             if len(set(values)) != len(values):
                 raise ConfigError(f"{name} has repeated entries: {list(values)}")
         if self.experiment in SHELL_KINDS or self.experiment == "quasi-locality":
-            box = self.box()
             try:
-                center = self.center_index()
+                self.center_index()
             except ValueError as exc:
                 raise ConfigError(f"center site outside box: {exc}") from exc
-            from .lattice import l1_distances_from
-
-            reach = int(l1_distances_from(box, center).max())
-            if self.experiment in SHELL_KINDS and max(self.shell_values()) > reach:
-                raise ConfigError("shell distances exceed the box from the center site")
-            if self.experiment == "quasi-locality" and max(self.n_range()) > box.diameter():
+            reach = self.reach()
+            if self.experiment in SHELL_KINDS:
+                shells = self.shell_values()
+                if not shells:
+                    raise ConfigError("a one-site box has no shell around its center")
+                if max(shells) > reach:
+                    raise ConfigError("shell distances exceed the box from the center site")
+            if self.experiment == "quasi-locality" and max(self.n_range()) > self.box().diameter():
                 raise ConfigError("neighborhood radii exceed the box diameter")
         if self.experiment == "energy-density":
             if not self.lengths_ladder or any(l < 2 for l in self.lengths_ladder):

@@ -161,8 +161,24 @@ def box_boundary(box: BoxGeometry) -> np.ndarray:
     return np.flatnonzero(degrees(box) < 2 * box.nu)
 
 
-def _graph_laplacian(box: BoxGeometry, diagonal: np.ndarray) -> np.ndarray:
-    """-1 on every nearest-neighbor pair and ``diagonal`` on the diagonal."""
+def laplacian_diagonal(box: BoxGeometry, bc: str = "neumann") -> np.ndarray:
+    """Diagonal of the Neumann or Dirichlet Laplacian of the box, as floats.
+
+    Neumann: the degree of each site.  Dirichlet: the degree plus the
+    correction 2*(2*nu - degree), which vanishes in the interior, where the
+    degree is 2*nu, so the two operators differ by a nonnegative diagonal
+    supported on the boundary of the box.
+    """
+    deg = _graph(box)[2]
+    if bc == "neumann":
+        return deg.astype(float)
+    if bc == "dirichlet":
+        return deg + 2.0 * (2 * box.nu - deg)
+    raise ValueError(f"unknown boundary condition {bc!r}")
+
+
+def graph_laplacian(box: BoxGeometry, diagonal: np.ndarray) -> np.ndarray:
+    """Dense n x n matrix with -1 on every nearest-neighbor pair and ``diagonal`` on the diagonal."""
     n = box.n_sites
     i, j, _ = _graph(box)
     h = np.zeros((n, n))
@@ -174,15 +190,9 @@ def _graph_laplacian(box: BoxGeometry, diagonal: np.ndarray) -> np.ndarray:
 
 def neumann_laplacian(box: BoxGeometry) -> np.ndarray:
     """Graph Laplacian of the box: (h f)(x) = sum_{|x-y|=1} (f(x) - f(y))."""
-    return _graph_laplacian(box, _graph(box)[2])
+    return graph_laplacian(box, laplacian_diagonal(box, "neumann"))
 
 
 def dirichlet_laplacian(box: BoxGeometry) -> np.ndarray:
-    """Neumann Laplacian plus the diagonal correction 2*(2*nu - degree).
-
-    The correction vanishes in the interior, where the degree is 2*nu, so
-    the two operators differ by a nonnegative diagonal supported on the
-    boundary of the box.
-    """
-    deg = _graph(box)[2]
-    return _graph_laplacian(box, deg + 2.0 * (2 * box.nu - deg))
+    """Neumann Laplacian plus the diagonal correction 2*(2*nu - degree) (see ``laplacian_diagonal``)."""
+    return graph_laplacian(box, laplacian_diagonal(box, "dirichlet"))

@@ -10,6 +10,7 @@ from osclab.anderson import (
     DisorderConfig,
     SpectralData,
     Spectrum,
+    Tridiagonal,
     assemble,
     diagonalize,
     eigencorrelator,
@@ -22,7 +23,7 @@ from osclab.anderson import (
 )
 from osclab.ensembles import DOMINATION_SLACK
 from osclab.errors import ConfigError, NumericError
-from osclab.lattice import BoxGeometry
+from osclab.lattice import BoxGeometry, dirichlet_laplacian, neumann_laplacian
 
 from conftest import make_chain_spec
 
@@ -97,7 +98,7 @@ class TestAssemble:
     def test_dirichlet_dominates_neumann(self):
         box = BoxGeometry.of_lengths([6])
         sample = sample_disorder(DisorderConfig(k_max=1.0, master_seed=3), box, 0)
-        diff = assemble(box, sample, "dirichlet") - assemble(box, sample, "neumann")
+        diff = np.asarray(assemble(box, sample, "dirichlet")) - np.asarray(assemble(box, sample, "neumann"))
         assert np.all(np.linalg.eigvalsh(diff) >= -1e-14)
 
     def test_dimension_mismatch(self):
@@ -128,8 +129,8 @@ SOLVERS = [
 
 
 def _solver(lengths, numpy_name):
-    """(owner, name) of the eigensolver a box's h runs on in place of numpy's ``numpy_name``:
-    a chain's h is tridiagonal, and a dense h's eigenpairs come from ``dsyevd``."""
+    """(owner, name) of the eigensolver a box's assembled h runs on in place of numpy's ``numpy_name``:
+    a chain's h is a ``Tridiagonal``, and a dense h's eigenpairs come from ``dsyevd``."""
     if _lapack.binding() is None:
         return np.linalg, numpy_name
     if len(lengths) == 1:
@@ -169,7 +170,7 @@ class TestDiagonalize:
     @pytest.mark.parametrize("broken", ["eigenvalue", "eigenvector", "nan"])
     def test_reconstruction_check(self, monkeypatch, broken, lengths):
         h = _box_hamiltonian(lengths, "neumann")
-        scale = np.max(np.abs(h))
+        scale = np.max(np.abs(np.asarray(h)))
         owner, name = _solver(lengths, "eigh")
         solve = getattr(owner, name)
 
@@ -246,11 +247,11 @@ class TestSpectrum:
         for owner, name in SOLVERS:
             monkeypatch.setattr(owner, name, failing(name))
         dense = _box_hamiltonian([3, 2], "neumann")
-        for h in (np.eye(3), dense):
+        for h in (Tridiagonal(np.ones(3), np.zeros(2)), dense):
             for solve in (spectrum, diagonalize):
                 with pytest.raises(NumericError, match="did not converge"):
                     solve(h)
-        # np.eye(3) is tridiagonal
+        # the band of the identity runs where a chain's h does
         assert failed == [_solver(lengths, name)[1] for lengths in ([3], [3, 2]) for name in ("eigvalsh", "eigh")]
 
     @pytest.mark.parametrize("bc", BCS)
@@ -258,7 +259,7 @@ class TestSpectrum:
     @pytest.mark.parametrize("broken", ["shifted", "trace_kept", "nan"])
     def test_invariant_check(self, monkeypatch, lengths, bc, broken):
         h = _box_hamiltonian(lengths, bc)
-        scale = np.max(np.abs(h))
+        scale = np.max(np.abs(np.asarray(h)))
         owner, name = _solver(lengths, "eigvalsh")
         solve = getattr(owner, name)
 
@@ -313,28 +314,41 @@ class TestTridiagonalPath:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(length=st.integers(1, 90), bc=st.sampled_from(BCS), seed=st.integers(0, 2**16), k_max=st.floats(0.05, 8.0))
     def test_bit_identical_to_dense(self, length, bc, seed, k_max):
+        """A chain's band and its dense matrix give the same bits, on the band drivers and on numpy's."""
         box = BoxGeometry.of_lengths([length])
         h = assemble(box, sample_disorder(DisorderConfig(k_max=k_max, master_seed=seed), box, 0), bc)
-        before = h.copy()
+        assert isinstance(h, Tridiagonal)
+        before = h.d.copy(), h.e.copy()
         spec, dense = _solve_both(h, bc)
-        assert np.array_equal(h, before)  # LAPACK overwrites its band, which must be a copy
-        _assert_same_bits(spec, dense, h)
+        # LAPACK overwrites its band, which must be a copy
+        assert np.array_equal(h.d, before[0]) and np.array_equal(h.e, before[1])
+        matrix = np.asarray(h)
+        spec_matrix, dense_matrix = _solve_both(matrix, bc)
+        assert np.array_equal(spec.eigenvalues, spec_matrix.eigenvalues)
+        assert np.array_equal(spec.gammas, spec_matrix.gammas)
+        assert np.array_equal(dense.eigenvalues, dense_matrix.eigenvalues)
+        assert np.array_equal(dense.modes, dense_matrix.modes)
+        assert dense_matrix.modes.flags.c_contiguous
+        _assert_same_bits(spec, dense, matrix)
 
     @pytest.mark.parametrize("bc", BCS)
     def test_routing(self, monkeypatch, bc):
+        """The type of h picks the solver: a band runs the band drivers, every array the dense ones,
+        a chain's dense matrix too."""
         chain = _box_hamiltonian([30], bc)
-        far = chain.copy()
+        e = chain.e.copy()
+        e[9] = 0.0
+        split = Tridiagonal(chain.d, e)
+        far = np.asarray(chain).copy()
         far[2, 17] = far[17, 2] = -0.5
-        split = chain.copy()
-        split[9, 10] = split[10, 9] = 0.0
         calls = _spy_solvers(monkeypatch)
         routes = []
-        for h in (chain, split, _box_hamiltonian([6, 5], bc), far):
+        for h in (chain, split, np.asarray(chain), _box_hamiltonian([6, 5], bc), far):
             calls.clear()
             spec, dense = _solve_both(h, bc)
             routes.append(calls.copy())
-            _assert_same_bits(spec, dense, h)
-        assert routes == [["dsterf", "dstevd"]] * 2 + [["eigvalsh", "dsyevd"]] * 2
+            _assert_same_bits(spec, dense, np.asarray(h))
+        assert routes == [["dsterf", "dstevd"]] * 2 + [["eigvalsh", "dsyevd"]] * 3
 
     def test_unbound_falls_back_to_dense(self, monkeypatch):
         """Without the binding, a chain and a 2D box both run numpy's solvers, with the same bits."""
@@ -356,6 +370,74 @@ class TestTridiagonalPath:
                 _lapack.dsterf(d, e)
             with pytest.raises(ValueError):
                 _lapack.dstevd(d, e)
+
+
+class TestTridiagonal:
+    @pytest.mark.parametrize("bc", BCS)
+    @pytest.mark.parametrize("lengths", [[1], [2], [30], [6, 5], [3, 2, 2]])
+    def test_assemble_bits(self, lengths, bc):
+        """A box with nu = 1 assembles to a band, any other to an array; both densify to
+        Laplacian(bc) + diag(k) bit for bit."""
+        box = BoxGeometry.of_lengths(lengths)
+        sample = sample_disorder(DisorderConfig(k_max=1.5, master_seed=6), box, 0)
+        expected = {"neumann": neumann_laplacian, "dirichlet": dirichlet_laplacian}[bc](box)
+        expected[np.arange(box.n_sites), np.arange(box.n_sites)] += sample.k
+        h = assemble(box, sample, bc)
+        assert isinstance(h, Tridiagonal) == (len(lengths) == 1)
+        assert type(np.asarray(h)) is np.ndarray
+        assert np.asarray(h).tobytes() == expected.tobytes()
+        assert np.asarray(h, dtype=np.float32).dtype == np.float32
+
+    def test_frozen_copy(self):
+        d, e = np.array([2.0, 3.0, 4.0]), np.array([-1.0, -1.0])
+        h = Tridiagonal(d, e)
+        d[0] = e[0] = 7.0
+        assert h.d[0] == 2.0 and h.e[0] == -1.0 and h.shape == (3, 3)
+        with pytest.raises(ValueError):
+            h.d[1] = 0.0
+
+    @pytest.mark.parametrize(
+        "d, e",
+        [
+            pytest.param([], [], id="empty"),
+            pytest.param([1.0, 2.0], [1.0, 2.0], id="long-e"),
+            pytest.param([1.0, 2.0, 3.0], [1.0], id="short-e"),
+            pytest.param([1.0], [0.0], id="one-site-with-e"),
+            pytest.param([[1.0]], [], id="matrix-d"),
+        ],
+    )
+    def test_rejects_malformed_shape(self, d, e):
+        with pytest.raises(ValueError):
+            Tridiagonal(d, e)
+
+    @pytest.mark.parametrize("solve", [spectrum, diagonalize])
+    @pytest.mark.parametrize("where", ["d", "e"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, solve, where, bad):
+        d, e = np.full(4, 3.0), np.full(3, -1.0)
+        {"d": d, "e": e}[where][-1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            solve(Tridiagonal(d, e))
+
+    @pytest.mark.parametrize("start, stop", [(0, 1), (0, 5), (3, 4), (3, 9), (8, 9)])
+    def test_lower_rows_are_dense_rows(self, start, stop):
+        h = Tridiagonal(np.arange(1.0, 10.0), -np.arange(1.0, 9.0))
+        assert np.array_equal(h.lower_rows(start, stop), np.asarray(h)[start:stop, :stop])
+
+    def test_chain_allocates_no_matrix(self):
+        """A 5000-site chain's spectrum never forms the 200 MB dense h."""
+        import tracemalloc
+
+        box = BoxGeometry.of_lengths([5000])
+        sample = sample_disorder(DisorderConfig(k_max=1.0, master_seed=2), box, 0)
+        tracemalloc.start()
+        try:
+            spec = spectrum(assemble(box, sample))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert spec.n == 5000
+        assert peak < 2 * 2**20
 
 
 def test_binding_found_in_scipy_openblas():
@@ -388,7 +470,7 @@ class TestSymmetryCheck:
     )
     @pytest.mark.parametrize("size, rejected", [(2e-12, True), (0.5e-12, False)])
     def test_planted_asymmetry(self, solve, where, size, rejected):
-        h = _box_hamiltonian([_ASYMMETRY_N], "neumann")
+        h = np.asarray(_box_hamiltonian([_ASYMMETRY_N], "neumann"))
         scale = np.max(np.abs(h))
         assert h[where] == 0.0
         h[where] = size * scale
@@ -444,6 +526,44 @@ class TestReconstructionTiles:
         monkeypatch.setattr(anderson, "_eigh", lambda h: (evals, modes))
         with pytest.raises(NumericError, match="reconstruction"):
             diagonalize(np.diag(evals))
+
+
+class TestBandReconstruction:
+    """The reconstruction check of a band reads every diagonal and off-diagonal entry,
+    across tile boundaries and in the last partial tile.
+
+    O = identity, so O diag(evals) O^T = diag(evals); the band is diag(evals)
+    plus one planted entry, and the error is that entry alone.
+    """
+
+    @pytest.mark.parametrize(
+        "where",
+        [
+            pytest.param(("d", 0), id="first-diagonal"),
+            pytest.param(("d", _ASYMMETRY_N - 1), id="last-diagonal"),
+            pytest.param(("e", 0), id="first-off-diagonal"),
+            pytest.param(("e", SYMMETRY_TILE - 1), id="off-diagonal-across-tiles"),
+            pytest.param(("e", SYMMETRY_TILE), id="off-diagonal-in-tile"),
+            pytest.param(("e", _ASYMMETRY_N - 2), id="last-off-diagonal"),
+        ],
+    )
+    @pytest.mark.parametrize("factor, rejected", [(2.0, True), (0.5, False)])
+    def test_planted_error(self, monkeypatch, where, factor, rejected):
+        evals = np.linspace(1.0, 2.0, _ASYMMETRY_N)
+        d, e = evals.copy(), np.zeros(_ASYMMETRY_N - 1)
+        name, pos = where
+        {"d": d, "e": e}[name][pos] += factor * RECONSTRUCTION_RTOL * 2.0
+        h = Tridiagonal(d, e)
+        modes = np.eye(_ASYMMETRY_N)
+        assert anderson._reconstruction_error(h, evals, modes) == anderson._reconstruction_error(
+            np.asarray(h), evals, modes
+        )
+        monkeypatch.setattr(anderson, "_eigh", lambda h: (evals, modes))
+        if rejected:
+            with pytest.raises(NumericError, match="reconstruction"):
+                diagonalize(h)
+        else:
+            assert diagonalize(h).modes is modes
 
 
 _DENSE_LENGTHS = st.lists(st.integers(2, 12), min_size=2, max_size=2) | st.lists(st.integers(2, 6), min_size=3, max_size=3)

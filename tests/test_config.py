@@ -4,6 +4,7 @@ import pytest
 
 from osclab.config import ExperimentConfig, config_from_dict, load_config
 from osclab.errors import ConfigError
+from osclab.lattice import l1_distances_from
 
 BASE = {"experiment": "lr-bound", "box": {"lengths": [20]}, "samples": 2}
 INF, NAN = float("inf"), float("nan")
@@ -71,6 +72,29 @@ class TestValidation:
     def test_repeated_entries_rejected(self, doc):
         with pytest.raises(ConfigError, match="repeated"):
             config_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [[1], [2], [3], [5], [10], [11], [12], [13], [20], [100], [400], [4, 3], [2, 2], [6, 6], [40, 40], [3, 3, 3]],
+    )
+    @pytest.mark.parametrize("kind", ["eigencorrelator", "lr-bound", "pq-bound", "correlations"])
+    def test_default_shells_fit_the_box(self, kind, lengths):
+        """The default shells lie within the reach of the center; a box the old default 5..max(top, 6) fit keeps it."""
+        doc = {"experiment": kind, "box": {"lengths": lengths}}
+        if lengths == [1]:
+            with pytest.raises(ConfigError, match="one-site"):
+                config_from_dict(doc)
+            return
+        config = config_from_dict(doc)
+        reach = config.reach()
+        assert reach == l1_distances_from(config.box(), config.center_index()).max()
+        old = tuple(range(5, max(min(40, config.box().diameter() // 2), 6) + 1))
+        shells = config.shell_values()
+        if max(old) <= reach:
+            assert shells == old
+        else:
+            assert shells == tuple(range(5 if reach >= 5 else 1, reach + 1))
+        assert shells and max(shells) <= reach
 
     def test_ranges_expand(self):
         config = config_from_dict(

@@ -517,6 +517,38 @@ def test_planted_ordering_violation_is_counted(monkeypatch, lambda0, gap, counte
     assert ensembles.run_sample(config, 0).flags["ordering_violations"] == counted
 
 
+#: The flags that count violations of a kernel's dominations.
+DOMINATION_FLAGS = ("domination_violations", "bound_violations", "correlation_bound_violations")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    lengths=st.one_of(st.tuples(st.integers(3, 12)), st.tuples(st.integers(2, 4), st.integers(2, 3))),
+    seed=st.integers(0, 2**16),
+    k_max=st.floats(0.05, 8.0),
+    lambda0=st.one_of(st.just("full"), st.floats(0.0, 12.0)),
+    kappa=st.sampled_from([0, 1, 2]),
+    t_max=st.floats(0.1, 1e3),
+)
+def test_kernels_report_no_domination_violation(lengths, seed, k_max, lambda0, kappa, t_max):
+    """Every kernel's dominations hold on random small boxes, with h a band (1D) or an array (2D)."""
+    for kind in ensembles.KERNELS:
+        config = config_from_dict(
+            {
+                "experiment": kind,
+                "box": {"lengths": list(lengths)},
+                "disorder": {"k_max": k_max},
+                "lambda0": lambda0,
+                "kappa": kappa,
+                "samples": 1,
+                "seed": seed,
+                "time_grid": {"points": 9, "t_max": t_max},
+            }
+        )
+        flags = ensembles.run_sample(config, 0).flags
+        assert {name: flags.get(name, 0) for name in DOMINATION_FLAGS} == dict.fromkeys(DOMINATION_FLAGS, 0), kind
+
+
 class TestRunEnsemble:
     @pytest.mark.parametrize("kind", ["correlations", "quasi-locality"])
     def test_csv_independent_of_workers(self, kind):
