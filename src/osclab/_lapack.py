@@ -1,19 +1,24 @@
-"""LAPACK's symmetric eigensolvers, bound with ctypes.
+"""LAPACK's symmetric eigensolver pieces, bound with ctypes.
 
 ``dsterf`` (eigenvalues only, Pal-Walker-Kahan QR) and ``dstevd`` (divide
-and conquer, with eigenvectors) solve a tridiagonal matrix from its band;
-``dsyevd`` (divide and conquer, with eigenvectors) solves a dense one.  They
-are taken from the LAPACK that numpy's own ``eigvalsh``/``eigh`` call: dlsym
-on numpy's ``_umath_linalg`` extension also searches the libraries it links.
-``eigh`` runs ``dsyevd`` itself, but allocates its output array before the
-driver's workspace of about 2 n^2 doubles; ``dsyevd`` here frees that
-workspace before it allocates the modes, one n x n buffer less at the
-peak.  On a tridiagonal matrix ``eigvalsh``/``eigh`` reduce h with identity
-reflectors and then solve the band with the same routines these drivers
-call (``dsterf``, ``dstedc``), so every result here agrees with numpy's
-bit for bit.  Only the 64-bit-integer (ILP64) builds that numpy's wheels ship are
-bound; elsewhere ``binding`` returns None and callers keep ``np.linalg``.
-This is the only module that touches foreign functions.
+and conquer, with eigenvectors) solve a tridiagonal matrix from its band.
+A dense h is first reduced to such a band by ``dsytrd``, h = Q T Q^T, and
+``dormtr`` applies Q or Q^T to any set of columns.  Those are the three
+routines ``dsyevd`` runs, so ``dsytrd``, ``dstevd`` and ``dormtr`` on all n
+columns return the bits of numpy's ``eigh``; on fewer columns they skip the
+back-transformation of the rest.  They are taken from the LAPACK that
+numpy's own ``eigvalsh``/``eigh`` call: dlsym on numpy's ``_umath_linalg``
+extension also searches the libraries it links.  On a tridiagonal matrix
+``eigvalsh``/``eigh`` reduce h with identity reflectors and then solve the
+band with the routines ``dsterf``/``dstevd`` call, so every band result
+here agrees with numpy's bit for bit.  Only the 64-bit-integer (ILP64)
+builds that numpy's wheels ship are bound; elsewhere ``binding`` returns
+None and callers keep ``np.linalg``.
+
+Every array goes to LAPACK as a plain address, after its dtype, layout and
+writeability are checked here; numpy's ``ndpointer`` arguments would leave
+a reference cycle per array.  This is the only module that touches foreign
+functions.
 """
 
 from __future__ import annotations
@@ -24,49 +29,60 @@ from types import SimpleNamespace
 
 import numpy as np
 
-#: (dsterf, dstevd, dsyevd) symbol names: numpy >= 2 wheels (scipy-openblas64), numpy 1.x wheels (openblas64_).
+#: (dsterf, dstevd, dsytrd, dormtr) symbol names: numpy >= 2 wheels (scipy-openblas64), numpy 1.x wheels (openblas64_).
 SYMBOLS = (
-    ("scipy_dsterf_64_", "scipy_dstevd_64_", "scipy_dsyevd_64_"),
-    ("dsterf_64_", "dstevd_64_", "dsyevd_64_"),
+    ("scipy_dsterf_64_", "scipy_dstevd_64_", "scipy_dsytrd_64_", "scipy_dormtr_64_"),
+    ("dsterf_64_", "dstevd_64_", "dsytrd_64_", "dormtr_64_"),
 )
+
+#: The block-reflector table (65 x 64) that DORMQR/DORMQL need on top of the
+#: workspace DORMTR's query reports before they run blocked.
+_ORMQR_TABLE = 65 * 64
 
 
 @functools.cache
 def binding() -> SimpleNamespace | None:
-    """The drivers ``dsterf``, ``dstevd`` and ``dsyevd`` of numpy's LAPACK, bound on
-    first use; None if it exports no complete triple of names."""
+    """``dsterf``, ``dstevd``, ``dsytrd`` and ``dormtr`` of numpy's LAPACK, bound on
+    first use; None if it exports no complete set of names."""
     try:
         lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     except (AttributeError, OSError):
         return None
+    # every argument is an address, a character or a hidden string length
+    # that Fortran compilers append, one per character argument
+    p, c, length = ctypes.c_void_p, ctypes.c_char_p, ctypes.c_size_t
+    argtypes = {
+        # DSTERF(N, D, E, INFO)
+        "dsterf": [p] * 4,
+        # DSTEVD(JOBZ, N, D, E, Z, LDZ, WORK, LWORK, IWORK, LIWORK, INFO)
+        "dstevd": [c] + [p] * 10 + [length],
+        # DSYTRD(UPLO, N, A, LDA, D, E, TAU, WORK, LWORK, INFO)
+        "dsytrd": [c] + [p] * 9 + [length],
+        # DORMTR(SIDE, UPLO, TRANS, M, N, A, LDA, TAU, C, LDC, WORK, LWORK, INFO)
+        "dormtr": [c] * 3 + [p] * 10 + [length] * 3,
+    }
     for names in SYMBOLS:
         try:
-            sterf, stevd, syevd = (getattr(lib, name) for name in names)
+            functions = [getattr(lib, name) for name in names]
         except AttributeError:
             continue
-        # ndpointer rejects an array of another dtype or layout before the call
-        doubles = np.ctypeslib.ndpointer(dtype=np.float64, flags=("C_CONTIGUOUS", "WRITEABLE"))
-        matrix = np.ctypeslib.ndpointer(dtype=np.float64, ndim=2, flags=("F_CONTIGUOUS", "WRITEABLE"))
-        ints = np.ctypeslib.ndpointer(dtype=np.int64, flags=("C_CONTIGUOUS", "WRITEABLE"))
-        n = ctypes.POINTER(ctypes.c_int64)
-        # DSTERF(N, D, E, INFO)
-        sterf.argtypes = [n, doubles, doubles, n]
-        sterf.restype = None
-        # DSTEVD(JOBZ, N, D, E, Z, LDZ, WORK, LWORK, IWORK, LIWORK, INFO), then the
-        # hidden length of the JOBZ string that Fortran compilers append
-        stevd.argtypes = [ctypes.c_char_p, n, doubles, doubles, doubles, n, doubles, n, ints, n, n, ctypes.c_size_t]
-        stevd.restype = None
-        # DSYEVD(JOBZ, UPLO, N, A, LDA, W, WORK, LWORK, IWORK, LIWORK, INFO), then the
-        # hidden lengths of JOBZ and UPLO
-        chars, length = ctypes.c_char_p, ctypes.c_size_t
-        syevd.argtypes = [chars, chars, n, matrix, n, doubles, doubles, n, ints, n, n, length, length]
-        syevd.restype = None
-        return SimpleNamespace(dsterf=sterf, dstevd=stevd, dsyevd=syevd)
+        for function, types in zip(functions, argtypes.values()):
+            function.argtypes = types
+            function.restype = None
+        return SimpleNamespace(**dict(zip(argtypes, functions)))
     return None
 
 
 def _int(value: int):
     return ctypes.byref(ctypes.c_int64(value))
+
+
+def _ptr(arr: np.ndarray, order: str = "C", dtype=np.float64):
+    """The address of a writeable array of ``dtype``, contiguous in ``order``."""
+    contiguous = arr.flags.c_contiguous if order == "C" else arr.flags.f_contiguous
+    if arr.dtype != dtype or not contiguous or not arr.flags.writeable:
+        raise ValueError(f"LAPACK needs a writeable {order}-contiguous {np.dtype(dtype).name} array")
+    return ctypes.c_void_p(arr.ctypes.data)
 
 
 def _band(d, e):
@@ -88,33 +104,37 @@ def dsterf(d, e) -> np.ndarray:
     """Ascending eigenvalues of the symmetric tridiagonal matrix with diagonal d and off-diagonal e."""
     d, e = _band(d, e)
     info = ctypes.c_int64(0)
-    binding().dsterf(_int(d.size), d, e, ctypes.byref(info))
+    binding().dsterf(_int(d.size), _ptr(d), _ptr(e), ctypes.byref(info))
     _check(info, "dsterf")
     return d
 
 
 def dstevd(d, e) -> tuple[np.ndarray, np.ndarray]:
-    """(eigenvalues, modes) of that matrix; ``modes`` is C-contiguous, eigenvectors in its columns."""
+    """(eigenvalues, Z) of that matrix; Z is F-contiguous, eigenvectors in its columns.
+
+    Its workspace of about n^2 doubles is freed before this returns.
+    """
     d, e = _band(d, e)
     n = d.size
-    # Fortran stores Z(i, j) at i + n j, so this C-ordered buffer receives Z transposed
-    z_t = np.empty((n, n))
+    z = np.empty((n, n), order="F")
     lwork, liwork = (1 + 4 * n + n * n, 3 + 5 * n) if n > 1 else (1, 1)
     work = np.empty(lwork)
     iwork = np.empty(liwork, dtype=np.int64)
     info = ctypes.c_int64(0)
     binding().dstevd(
-        b"V", _int(n), d, e, z_t, _int(n), work, _int(lwork), iwork, _int(liwork), ctypes.byref(info), 1
+        b"V", _int(n), _ptr(d), _ptr(e), _ptr(z, "F"), _int(n),
+        _ptr(work), _int(lwork), _ptr(iwork, dtype=np.int64), _int(liwork), ctypes.byref(info), 1,
     )
     _check(info, "dstevd")
-    # eigh returns C-ordered modes; F-ordered ones send later products down other BLAS paths
-    return d, np.ascontiguousarray(z_t.T)
+    return d, z
 
 
-def dsyevd(h) -> tuple[np.ndarray, np.ndarray]:
-    """(ascending eigenvalues, modes) of a square matrix h read from its lower triangle, as ``eigh`` does.
+def dsytrd(h) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Reduce a square h, read from its lower triangle as ``eigh`` does, to T = Q^T h Q.
 
-    ``modes`` is C-contiguous, eigenvectors in its columns; h is not written.
+    Returns (a, d, e, tau): T's diagonal d and off-diagonal e, and Q as
+    the reflectors that ``a``, an F-ordered copy of h, holds below its
+    subdiagonal with their factors tau.  h is not written.
     """
     # eigh hands LAPACK a column-major copy of h; a C-ordered copy would be h
     # transposed, whose lower triangle is h's upper one
@@ -122,22 +142,48 @@ def dsyevd(h) -> tuple[np.ndarray, np.ndarray]:
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise ValueError("need a nonempty square matrix h")
     n = a.shape[0]
-    w = np.empty(n)
+    d, e, tau = np.empty(n), np.empty(n), np.empty(n)
     info = ctypes.c_int64(0)
 
-    def run(work, lwork, iwork, liwork):
-        binding().dsyevd(
-            b"V", b"L", _int(n), a, _int(n), w, work, _int(lwork), iwork, _int(liwork), ctypes.byref(info), 1, 1
+    def run(work, lwork):
+        binding().dsytrd(
+            b"L", _int(n), _ptr(a, "F"), _int(n), _ptr(d), _ptr(e), _ptr(tau),
+            _ptr(work), _int(lwork), ctypes.byref(info), 1,
         )
-        _check(info, "dsyevd")
+        _check(info, "dsytrd")
 
-    # a query (LWORK = LIWORK = -1) returns the optimal sizes, which eigh allocates too
-    work, iwork = np.empty(1), np.empty(1, dtype=np.int64)
-    run(work, -1, iwork, -1)
-    lwork, liwork = int(work[0]), int(iwork[0])
-    work, iwork = np.empty(lwork), np.empty(liwork, dtype=np.int64)
-    run(work, lwork, iwork, liwork)
-    # the workspace (about 2 n^2 doubles) goes before the modes are allocated
-    del work, iwork
-    # a now holds the eigenvectors in its columns; eigh returns them C-ordered
-    return w, np.ascontiguousarray(a)
+    # a query (LWORK = -1) returns the size of the blocked code, which DSYEVD's call gets too
+    work = np.empty(1)
+    run(work, -1)
+    lwork = int(work[0])
+    run(np.empty(lwork), lwork)
+    return a, d, e[: n - 1], tau[: n - 1]
+
+
+def dormtr(a, tau, c, transpose: bool = False) -> None:
+    """c <- Q c, or Q^T c, in place, for the Q of ``dsytrd``'s (a, tau).
+
+    c is an F-contiguous float64 array with as many rows as a.
+    """
+    n = a.shape[0]
+    if c.ndim != 2 or c.shape[0] != n or tau.shape != (max(n - 1, 0),):
+        raise ValueError(f"need reflectors of an {n}x{n} matrix and a matrix of {n} rows")
+    cols = c.shape[1]
+    if cols == 0:
+        return
+    info = ctypes.c_int64(0)
+
+    def run(work, lwork):
+        binding().dormtr(
+            b"L", b"L", b"T" if transpose else b"N", _int(n), _int(cols), _ptr(a, "F"), _int(n), _ptr(tau),
+            _ptr(c, "F"), _int(n), _ptr(work), _int(lwork), ctypes.byref(info), 1, 1, 1,
+        )
+        _check(info, "dormtr")
+
+    # DORMQR/DORMQL choose blocked or unblocked code from the workspace they
+    # get.  DSYEVD hands DORMTR 1 + 4n + n^2 doubles, so the smaller of that
+    # and what the blocked code needs makes DSYEVD's choice, and its bits.
+    work = np.empty(1)
+    run(work, -1)
+    lwork = min(int(work[0]) + _ORMQR_TABLE, 1 + 4 * n + n * n)
+    run(np.empty(lwork), lwork)

@@ -6,19 +6,41 @@ The random potential k is i.i.d. per site with a bounded density on
 frequencies gamma_j, their positive square roots, checked against the
 invariants tr h and ||h||_F^2.  It serves the eigenvalue-only statistics
 (counting function, energy density, gaps).  ``diagonalize`` returns
-``SpectralData``, a ``Spectrum`` that also carries the orthogonal mode
-matrix, checked by reconstructing h.  ``assemble`` returns h as a
-``Tridiagonal`` band for every box with nu = 1, where h is a Jacobi
-matrix, and as a dense array otherwise.  The solver follows the type of h
-and nothing else; no count of nonzeros guesses its structure.  A band goes
-to LAPACK's ``dsterf`` and ``dstevd`` (``_lapack``, the library numpy
-links), without the O(n^3) reduction of ``eigvalsh``/``eigh`` and with
-O(n) validation and invariants.  A dense array goes to ``eigvalsh`` and,
-for eigenpairs, to ``dsyevd``, the driver ``eigh`` calls, with one n x n
-buffer less at its peak than ``eigh``.  Every path returns the same bits
-as ``eigvalsh``/``eigh`` on the dense h, and those serve alone where the
-drivers are not bound.  ``eigencorrelator`` evaluates the per-realization
-localization kernel
+``SpectralData``, a ``Spectrum`` that also carries the eigenvectors a
+regime needs.  ``assemble`` returns h as a ``Tridiagonal`` band for every
+box with nu = 1, where h is a Jacobi matrix, and as a dense array
+otherwise.  The solver follows the type of h and nothing else; no count of
+nonzeros guesses its structure.  A band goes to LAPACK's ``dsterf`` and
+``dstevd`` (``_lapack``, the library numpy links), without the O(n^3)
+reduction of ``eigvalsh``/``eigh`` and with O(n) validation and
+invariants.  A dense array goes to ``eigvalsh`` and, for eigenpairs, is
+reduced once to a band T = Q^T h Q (``dsytrd``), whose eigenpairs
+``dstevd`` finds; ``dormtr`` applies Q to just the eigenvectors wanted.
+Those are the three steps of ``dsyevd``, the routine ``eigh`` calls, so
+every full solve returns the bits of ``eigvalsh``/``eigh`` on the dense h,
+and those serve alone where the routines are not bound.
+
+The paper's bounds read the localized modes S = {j : lambda_j <= lambda0}
+and, through C_f, the tails tau(x) = sum_{j not in S} phi_j(x)^2 / gamma_j
+at a few sites.  ``diagonalize(h, lambda0=..., sites=...)`` keeps the
+columns of S and the tails at ``sites``.  Its accuracy contract, with
+scale = max|h_ij| and tol = RECONSTRUCTION_RTOL:
+
+* Full decomposition (a band; numpy's ``eigh``; a dense h with |S| = n,
+  or with tails asked at so many sites that their rows would cost more
+  than back-transforming the rest, 2 |sites| >= n - |S|): every mode is
+  formed and max|O G^2 O^T - h| <= tol * scale over all n^2 entries.
+* Window (any other dense h), whose checks read only the band, the
+  columns of S and the site rows R[x, j] = phi_j(x), j = 0..n-1:
+  the invariants of ``spectrum`` hold on all n eigenvalues;
+  max|T Z - Z Lambda| <= tol * scale over all n eigenvectors Z of the
+  band, which covers the columns outside S at O(n^2);
+  max|h Phi_S - Phi_S Lambda_S| <= tol * scale and
+  max|Phi_S^T Phi_S - I| <= tol; max|R R^T - I| <= tol; and
+  max|R[:, S] - Phi_S[sites]| <= tol.
+
+A failure, a NaN included, raises NumericError.  ``eigencorrelator``
+evaluates the per-realization localization kernel
 
     Q_s(x, y) = sum_{j in S} gamma_j^s |phi_j(x)| |phi_j(y)|,
 
@@ -31,6 +53,7 @@ the exact value of the supremum over Borel functions |u| <= 1 of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -200,13 +223,35 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class SpectralData(Spectrum):
-    """Eigenpairs of the effective Hamiltonian.
+    """Eigenpairs of the effective Hamiltonian, as many as a regime reads.
 
     The columns of ``modes`` are the orthonormal real eigenvectors of the
-    ``eigenvalues``, so that modes.T @ h @ modes = diag(eigenvalues).
+    first m ``eigenvalues``, so that modes.T @ h @ modes = diag(eigenvalues[:m]);
+    m = n unless ``diagonalize`` was given a finite lambda0.  ``tails`` holds
+    tau(x) = sum_{j >= m} phi_j(x)^2 / gamma_j for every site x: zero when
+    m = n, else known at the sites ``diagonalize`` was given and NaN elsewhere.
     """
 
     modes: np.ndarray = field(kw_only=True)
+    tails: np.ndarray = field(kw_only=True)
+
+    def tail(self, sites, count: int) -> np.ndarray:
+        """tau(x) = sum_{j >= count} phi_j(x)^2 / gamma_j at each of ``sites``, for count <= m."""
+        sites = np.asarray(sites, dtype=int)
+        kept = self.modes.shape[1]
+        if count > kept:
+            raise ValueError(f"only {kept} modes were kept, not {count}")
+        stored = self.tails[sites]
+        if np.isnan(stored).any():
+            raise ValueError(f"tails were not kept at sites {sites[np.isnan(stored)].tolist()}")
+        if count == kept:
+            return stored
+        return _tail_sums(self.modes[sites, count:], self.gammas[count:kept]) + stored
+
+
+def _tail_sums(rows: np.ndarray, gammas: np.ndarray) -> np.ndarray:
+    """sum_j rows[:, j]^2 / gammas[j] for rows phi_j(x), x a site and j a mode; squares ``rows`` in place."""
+    return np.square(rows, out=rows) @ (1.0 / gammas)
 
 
 def _max_asymmetry(h: np.ndarray) -> float:
@@ -228,10 +273,28 @@ def _eigvalsh(h):
     return np.linalg.eigvalsh(np.asarray(h)), None
 
 
+class _Reduction(NamedTuple):
+    """A dense h reduced to its band T = Q^T h Q (``_lapack.dsytrd``), with T's eigenvectors Z in F order."""
+
+    a: np.ndarray
+    tau: np.ndarray
+    d: np.ndarray
+    e: np.ndarray
+    z: np.ndarray
+
+
 def _eigh(h):
+    """(eigenvalues, C-ordered modes) of a band, or of any h when nothing is bound;
+    (eigenvalues, ``_Reduction``) of a dense h, whose modes ``diagonalize`` forms as needed."""
     if _lapack.binding() is None:
         return np.linalg.eigh(np.asarray(h))
-    return _lapack.dstevd(h.d, h.e) if isinstance(h, Tridiagonal) else _lapack.dsyevd(h)
+    if isinstance(h, Tridiagonal):
+        evals, z = _lapack.dstevd(h.d, h.e)
+        # eigh returns C-ordered modes; F-ordered ones send later products down other BLAS paths
+        return evals, np.ascontiguousarray(z)
+    a, d, e, tau = _lapack.dsytrd(h)
+    evals, z = _lapack.dstevd(d, e)
+    return evals, _Reduction(a, tau, d, e, z)
 
 
 def _reconstruction_error(h, evals: np.ndarray, modes: np.ndarray) -> float:
@@ -290,17 +353,8 @@ def _solve_checked(h, solve):
     return h, scale, np.clip(evals, 0.0, None), extra
 
 
-def spectrum(h, bc: str = "neumann") -> Spectrum:
-    """Eigenvalues of a symmetric h (a ``Tridiagonal`` or a matrix), without eigenvectors, checked for accuracy.
-
-    The accuracy contract is the pair of invariants
-    |sum_j lambda_j - tr h| <= RECONSTRUCTION_RTOL * n * scale and
-    |sum_j lambda_j^2 - ||h||_F^2| <= RECONSTRUCTION_RTOL * n * scale^2,
-    with scale = max|h_ij|; a violation raises NumericError.  For a band,
-    tr h = sum d and ||h||_F^2 = sum d^2 + 2 sum e^2.  Validation and the
-    clamping of round-off negatives are those of ``_solve_checked``.
-    """
-    h, scale, evals, _ = _solve_checked(h, _eigvalsh)
+def _check_invariants(h, evals: np.ndarray, scale: float):
+    """Raise NumericError unless sum_j lambda_j and sum_j lambda_j^2 match tr h and ||h||_F^2."""
     n = evals.size
     if isinstance(h, Tridiagonal):
         trace, frob = float(np.sum(h.d)), float(np.dot(h.d, h.d) + 2.0 * np.dot(h.e, h.e))
@@ -314,23 +368,119 @@ def spectrum(h, bc: str = "neumann") -> Spectrum:
             f"eigenvalues miss the invariants of h: trace error {trace_err:.3e}, "
             f"Frobenius error {frob_err:.3e} (tolerances {RECONSTRUCTION_RTOL:.0e} * n * scale, * n * scale^2)"
         )
+
+
+def spectrum(h, bc: str = "neumann") -> Spectrum:
+    """Eigenvalues of a symmetric h (a ``Tridiagonal`` or a matrix), without eigenvectors, checked for accuracy.
+
+    The accuracy contract is the pair of invariants
+    |sum_j lambda_j - tr h| <= RECONSTRUCTION_RTOL * n * scale and
+    |sum_j lambda_j^2 - ||h||_F^2| <= RECONSTRUCTION_RTOL * n * scale^2,
+    with scale = max|h_ij|; a violation raises NumericError.  For a band,
+    tr h = sum d and ||h||_F^2 = sum d^2 + 2 sum e^2.  Validation and the
+    clamping of round-off negatives are those of ``_solve_checked``.
+    """
+    h, scale, evals, _ = _solve_checked(h, _eigvalsh)
+    _check_invariants(h, evals, scale)
     return Spectrum(eigenvalues=evals, gammas=np.sqrt(evals), bc=bc)
 
 
-def diagonalize(h, bc: str = "neumann") -> SpectralData:
-    """Full eigendecomposition of a symmetric h (a ``Tridiagonal`` or a matrix), checked for accuracy.
+def _band_residual(d: np.ndarray, e: np.ndarray, z: np.ndarray, evals: np.ndarray) -> float:
+    """max|T Z - Z diag(evals)| for the band T with diagonal d and off-diagonal e, SYMMETRY_TILE columns at a time."""
+    errs = [0.0]
+    for j in range(0, evals.size, SYMMETRY_TILE):
+        cols = slice(j, j + SYMMETRY_TILE)
+        block = z[:, cols]
+        res = block * (d[:, None] - evals[cols])
+        res[1:] += e[:, None] * block[:-1]
+        res[:-1] += e[:, None] * block[1:]
+        errs += [res.max(), -res.min()]
+    return float(np.max(errs))
 
-    Raises NumericError if the reconstruction ||O G^2 O^T - h||_max exceeds
-    RECONSTRUCTION_RTOL * max|h_ij|.  The check runs over row tiles of
-    SYMMETRY_TILE rows of the lower triangle (``_reconstruction_error``), so
-    it allocates no n x n temporary.  Validation and the clamping of
+
+def _require(err: float, tol: float, what: str):
+    if not err <= tol:  # a NaN error fails too
+        raise NumericError(f"{what} {err:.3e} exceeds {tol:.3e}")
+
+
+def _max_abs(x: np.ndarray) -> float:
+    return float(np.max(np.abs(x), initial=0.0))
+
+
+def _window(h, scale, evals, gammas, reduction: _Reduction, count: int, sites: np.ndarray):
+    """(modes of S, tails at ``sites``) of a dense h from its reduction, checked by the window contract.
+
+    The site rows are R = (Q^T E)^T Z for the unit vectors E of ``sites``,
+    formed before ``dormtr`` turns the first ``count`` columns of Z into
+    Phi_S in place; no other column of Z is back-transformed.
+    """
+    a, tau, d, e, z = reduction
+    tol = RECONSTRUCTION_RTOL * scale
+    _check_invariants(h, evals, scale)
+    _require(_band_residual(d, e, z, evals), tol, "band residual max|T Z - Z Lambda|")
+    unit = np.zeros((evals.size, sites.size), order="F")
+    unit[sites, np.arange(sites.size)] = 1.0
+    _lapack.dormtr(a, tau, unit, transpose=True)
+    rows = unit.T @ z
+    del unit
+    _lapack.dormtr(a, tau, z[:, :count])
+    modes = np.ascontiguousarray(z[:, :count])
+    residual = h @ modes
+    residual -= modes * evals[:count]
+    _require(_max_abs(residual), tol, "residual max|h Phi_S - Phi_S Lambda_S|")
+    _require(_max_abs(modes.T @ modes - np.eye(count)), RECONSTRUCTION_RTOL, "orthonormality max|Phi_S^T Phi_S - I|")
+    _require(_max_abs(rows @ rows.T - np.eye(sites.size)), RECONSTRUCTION_RTOL, "site-row orthonormality max|R R^T - I|")
+    _require(_max_abs(rows[:, :count] - modes[sites]), RECONSTRUCTION_RTOL, "site-row mismatch max|R_S - Phi_S[sites]|")
+    return modes, _tail_sums(rows[:, count:], gammas[count:])
+
+
+def diagonalize(h, bc: str = "neumann", lambda0: float = np.inf, sites=()) -> SpectralData:
+    """Eigendecomposition of a symmetric h (a ``Tridiagonal`` or a matrix) for the regime lambda0, checked for accuracy.
+
+    Keeps the eigenvectors of the eigenvalues <= lambda0 (every one by
+    default) and the tails tau(x) = sum_{j not kept} phi_j(x)^2 / gamma_j
+    at ``sites``.  A dense h with modes left out and few enough ``sites``
+    runs the window: only the kept columns and the rows at ``sites`` are
+    back-transformed and checked, by the window contract of the module
+    docstring.  Every other h runs the full decomposition, and
+    NumericError is raised if the reconstruction ||O G^2 O^T - h||_max
+    exceeds RECONSTRUCTION_RTOL * max|h_ij|; that check runs over row tiles
+    of SYMMETRY_TILE rows of the lower triangle (``_reconstruction_error``),
+    so it allocates no n x n temporary.  Validation and the clamping of
     round-off negatives are those of ``_solve_checked``.
     """
+    if not lambda0 >= 0:
+        raise ValueError(f"lambda0 must be nonnegative, got {lambda0!r}")
     h, scale, evals, vecs = _solve_checked(h, _eigh)
+    n = evals.size
+    sites = np.asarray(sites, dtype=int).reshape(-1)
+    if np.any((sites < 0) | (sites >= n)) or np.unique(sites).size != sites.size:
+        raise ValueError(f"sites must be distinct indices in 0..{n - 1}")
+    count = int(np.searchsorted(evals, lambda0, side="right"))
+    gammas = np.sqrt(evals)
+    tails = np.zeros(n) if count == n else np.full(n, np.nan)
+    dense = isinstance(vecs, _Reduction)
+    if dense:
+        # rows at the sites cost about twice a back-transformed column each
+        if 2 * sites.size < n - count:
+            modes, tails[sites] = _window(h, scale, evals, gammas, vecs, count, sites)
+            return SpectralData(eigenvalues=evals, gammas=gammas, modes=modes, tails=tails, bc=bc)
+        a, tau, _, _, vecs = vecs
+        # all n columns: dsyevd's own back-transformation
+        _lapack.dormtr(a, tau, vecs)
+        del a, tau
+        if count == n:
+            vecs = np.ascontiguousarray(vecs)
     err = _reconstruction_error(h, evals, vecs)
     if not err <= RECONSTRUCTION_RTOL * scale:  # a NaN error fails too
         raise NumericError(f"reconstruction error {err:.3e} exceeds {RECONSTRUCTION_RTOL:.0e} * max|h_ij|")
-    return SpectralData(eigenvalues=evals, gammas=np.sqrt(evals), modes=vecs, bc=bc)
+    if count < n:
+        tails[sites] = _tail_sums(vecs[sites, count:], gammas[count:])
+    # a band's modes are sliced, not copied; a dense h keeps no n x n copy beside its kept columns
+    modes = vecs if count == n else vecs[:, :count]
+    if dense:
+        modes = np.ascontiguousarray(modes)
+    return SpectralData(eigenvalues=evals, gammas=gammas, modes=modes, tails=tails, bc=bc)
 
 
 def localized_modes(spec: Spectrum, lambda0: float) -> np.ndarray:
@@ -338,6 +488,8 @@ def localized_modes(spec: Spectrum, lambda0: float) -> np.ndarray:
     if lambda0 < 0:
         raise ValueError("lambda0 must be nonnegative")
     count = int(np.searchsorted(spec.eigenvalues, lambda0, side="right"))
+    if isinstance(spec, SpectralData) and count > spec.modes.shape[1]:
+        raise ValueError(f"lambda0 = {lambda0} reaches {count} modes, but only {spec.modes.shape[1]} were kept")
     return np.arange(count)
 
 

@@ -141,8 +141,12 @@ class ExperimentConfig:
                     raise ConfigError("a one-site box has no shell around its center")
                 if max(shells) > reach:
                     raise ConfigError("shell distances exceed the box from the center site")
-            if self.experiment == "quasi-locality" and max(self.n_range()) > self.box().diameter():
-                raise ConfigError("neighborhood radii exceed the box diameter")
+            if self.experiment == "quasi-locality":
+                diameter = self.box().diameter()
+                if not self.n_range():
+                    raise ConfigError(f"no neighborhood radius n >= 2 fits a box of diameter {diameter}")
+                if max(self.n_range()) > diameter:
+                    raise ConfigError("neighborhood radii exceed the box diameter")
         if self.experiment == "energy-density":
             if not self.lengths_ladder or any(l < 2 for l in self.lengths_ladder):
                 raise ConfigError("energy-density needs a ladder of box lengths >= 2")

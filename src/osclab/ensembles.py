@@ -125,9 +125,24 @@ def _shell_rows(shells, quantities) -> list:
 
 
 def _delta_restriction(spec, cnt: int, amplitude: float, sites) -> np.ndarray:
-    """C_f = exp(-a^2/4 sum_{j not in S} phi_j(x)^2 / gamma_j) for f = a delta_x at each site x."""
-    tails = np.square(spec.modes[sites, cnt:]) @ (1.0 / spec.gammas[cnt:])
-    return np.exp(-0.25 * amplitude**2 * tails)
+    """C_f = exp(-a^2/4 sum_{j not in S} phi_j(x)^2 / gamma_j) for f = a delta_x at each site x.
+
+    The only reader of modes outside S: it takes their tails from ``spec``.
+    """
+    return np.exp(-0.25 * amplitude**2 * spec.tail(sites, cnt))
+
+
+def _tail_sites(config: ExperimentConfig, box: BoxGeometry) -> np.ndarray:
+    """The sites at which the kernel of ``config`` reads C_f, and so ``diagonalize`` keeps tails:
+    the center, then the shell sites shell by shell, for lr-bound and correlations; the center for
+    quasi-locality; none for the others."""
+    center = config.center_index()
+    if config.experiment in ("lr-bound", "correlations"):
+        shells = _shell_sites(box, center, config.shell_values())
+        return np.concatenate([[center], *shells.values()])
+    if config.experiment == "quasi-locality":
+        return np.array([center])
+    return np.zeros(0, dtype=int)
 
 
 def _kernel_eigencorrelator(config, box, spec, index):
@@ -153,7 +168,7 @@ def _kernel_lr(config, box, spec, index):
     times = _time_grid(config, spec)
     # (V a delta_x)_j = a phi_j(x) / sqrt(gamma_j), so Im<X f_t, X g> = -a^2 times the s = -1 sum
     (sums,) = propagator_sums(spec, lam, center, ys, times, (-1,))
-    c = _delta_restriction(spec, cnt, config.amplitude, np.concatenate([[center], ys]))
+    c = _delta_restriction(spec, cnt, config.amplitude, _tail_sites(config, box))
     cc = c[0] * c[1:]
     values = 2.0 * np.abs(np.sin(-a2 * sums / 2.0)) * cc[None, :]
     envelopes = cc * np.minimum(2.0, a2 * eigencorrelator_profile(spec, lam, -1, center)[ys])
@@ -196,7 +211,7 @@ def _kernel_correlations(config, box, spec, index):
     ys = np.concatenate(list(shells.values()))
     a = config.amplitude
     times = _time_grid(config, spec)
-    c = _delta_restriction(spec, cnt, a, np.concatenate([[center], ys]))
+    c = _delta_restriction(spec, cnt, a, _tail_sites(config, box))
     cc = c[0] * c[1:]
     family = OccupationFamily(_alpha_family(config, spec, S, index))
 
@@ -246,7 +261,7 @@ def _kernel_quasi_locality(config, box, spec, index):
     center = config.center_index()
     a = config.amplitude
     times = _time_grid(config, spec)
-    c_f = _delta_restriction(spec, cnt, a, [center])[0]
+    (c_f,) = _delta_restriction(spec, cnt, a, _tail_sites(config, box))
     gam = spec.gammas[:cnt]
     sq = np.sqrt(gam)
     family = OccupationFamily(_alpha_family(config, spec, S, index))
@@ -399,7 +414,7 @@ def run_sample(config: ExperimentConfig, index: int) -> SampleOutcome:
         return _gap_stats_sample(config, index)
     box = config.box()
     sample = sample_disorder(_disorder_config(config), box, index)
-    spec = diagonalize(assemble(box, sample))
+    spec = diagonalize(assemble(box, sample), lambda0=config.lambda0_value(), sites=_tail_sites(config, box))
     rows, flags, extrema = KERNELS[kind](config, box, spec, index)
     flags["degenerate_samples"] = flags.get("degenerate_samples", 0) + int(spec.flag_degenerate())
     return SampleOutcome(index=index, rows=rows, flags=flags, extrema=extrema)

@@ -32,11 +32,17 @@ def support(f: np.ndarray) -> np.ndarray:
     return np.flatnonzero(f)
 
 
+def _every_mode(spec: SpectralData):
+    if spec.modes.shape[1] != spec.n:
+        raise ValueError(f"V needs all {spec.n} modes, but only {spec.modes.shape[1]} were kept")
+
+
 def v_map(spec: SpectralData, f: np.ndarray) -> np.ndarray:
     """Mode vector V f.  Real-linear, not complex-linear."""
     f = np.asarray(f, dtype=complex)
     if f.shape != (spec.n,):
         raise ValueError(f"field has shape {f.shape}, expected ({spec.n},)")
+    _every_mode(spec)
     re = spec.modes.T @ f.real
     im = spec.modes.T @ f.imag
     return re / np.sqrt(spec.gammas) + 1j * np.sqrt(spec.gammas) * im
@@ -47,6 +53,7 @@ def v_inverse(spec: SpectralData, g: np.ndarray) -> np.ndarray:
     g = np.asarray(g, dtype=complex)
     if g.shape != (spec.n,):
         raise ValueError(f"mode vector has shape {g.shape}, expected ({spec.n},)")
+    _every_mode(spec)
     re = spec.modes @ (np.sqrt(spec.gammas) * g.real)
     im = spec.modes @ (g.imag / np.sqrt(spec.gammas))
     return re + 1j * im

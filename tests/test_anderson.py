@@ -118,24 +118,25 @@ BOXES = [pytest.param([30], id="chain30"), pytest.param([6, 5], id="box6x5")]
 BCS = ["neumann", "dirichlet"]
 
 
-#: The five eigensolvers, (owner, name), that spectrum and diagonalize may call.
+#: The six eigensolvers, (owner, name), that spectrum and diagonalize may call.
 SOLVERS = [
     (np.linalg, "eigvalsh"),
     (np.linalg, "eigh"),
     (_lapack, "dsterf"),
     (_lapack, "dstevd"),
-    (_lapack, "dsyevd"),
+    (_lapack, "dsytrd"),
+    (_lapack, "dormtr"),
 ]
 
 
 def _solver(lengths, numpy_name):
-    """(owner, name) of the eigensolver a box's assembled h runs on in place of numpy's ``numpy_name``:
-    a chain's h is a ``Tridiagonal``, and a dense h's eigenpairs come from ``dsyevd``."""
+    """(owner, name) of the eigensolver that finds a box's eigenvalues in place of numpy's ``numpy_name``:
+    a chain's h is a ``Tridiagonal``, and a dense h's eigenpairs come from ``dstevd`` on its reduced band."""
     if _lapack.binding() is None:
         return np.linalg, numpy_name
     if len(lengths) == 1:
         return _lapack, {"eigvalsh": "dsterf", "eigh": "dstevd"}[numpy_name]
-    return {"eigvalsh": (np.linalg, "eigvalsh"), "eigh": (_lapack, "dsyevd")}[numpy_name]
+    return {"eigvalsh": (np.linalg, "eigvalsh"), "eigh": (_lapack, "dstevd")}[numpy_name]
 
 
 class TestDiagonalize:
@@ -176,7 +177,8 @@ class TestDiagonalize:
 
         def wrong(*band_or_h):
             evals, vecs = solve(*band_or_h)
-            evals, vecs = evals.copy(), vecs.copy()
+            # order="K" keeps dstevd's F order, in which dormtr back-transforms a dense h's modes
+            evals, vecs = evals.copy(), vecs.copy(order="K")
             if broken == "eigenvalue":
                 evals[-1] += 1e3 * RECONSTRUCTION_RTOL * scale
             elif broken == "eigenvector":
@@ -251,8 +253,11 @@ class TestSpectrum:
             for solve in (spectrum, diagonalize):
                 with pytest.raises(NumericError, match="did not converge"):
                     solve(h)
-        # the band of the identity runs where a chain's h does
-        assert failed == [_solver(lengths, name)[1] for lengths in ([3], [3, 2]) for name in ("eigvalsh", "eigh")]
+        if _lapack.binding() is None:
+            assert failed == ["eigvalsh", "eigh"] * 2
+        else:
+            # the band of the identity runs where a chain's h does; a dense h is reduced before its band is solved
+            assert failed == ["dsterf", "dstevd", "eigvalsh", "dsytrd"]
 
     @pytest.mark.parametrize("bc", BCS)
     @pytest.mark.parametrize("lengths", BOXES)
@@ -348,7 +353,7 @@ class TestTridiagonalPath:
             spec, dense = _solve_both(h, bc)
             routes.append(calls.copy())
             _assert_same_bits(spec, dense, np.asarray(h))
-        assert routes == [["dsterf", "dstevd"]] * 2 + [["eigvalsh", "dsyevd"]] * 3
+        assert routes == [["dsterf", "dstevd"]] * 2 + [["eigvalsh", "dsytrd", "dstevd", "dormtr"]] * 3
 
     def test_unbound_falls_back_to_dense(self, monkeypatch):
         """Without the binding, a chain and a 2D box both run numpy's solvers, with the same bits."""
@@ -446,6 +451,38 @@ def test_binding_found_in_scipy_openblas():
     if lapack.get("name") != "scipy-openblas":
         pytest.skip(f"numpy's LAPACK is {lapack.get('name', 'not reported')}")
     assert _lapack.binding() is not None
+
+
+@pytest.mark.skipif(_lapack.binding() is None, reason="numpy's LAPACK exports none of the routines")
+def test_solvers_leave_no_cyclic_garbage():
+    """No solver call leaves garbage that only the cyclic collector frees."""
+    import gc
+
+    chain = _box_hamiltonian([30], "neumann")
+    box = np.asarray(_box_hamiltonian([6, 5], "neumann"))
+    calls = [
+        lambda: _lapack.dsterf(chain.d, chain.e),
+        lambda: _lapack.dstevd(chain.d, chain.e),
+        lambda: _lapack.dormtr(*_lapack.dsytrd(box)[::3], np.eye(30, order="F"), transpose=True),
+        lambda: spectrum(chain),
+        lambda: diagonalize(chain, lambda0=2.0, sites=[0, 5]),
+        lambda: spectrum(box),
+        lambda: diagonalize(box),
+        lambda: diagonalize(box, lambda0=2.0, sites=[0, 5]),
+        lambda: diagonalize(box, lambda0=2.0, sites=range(30)),
+    ]
+    for call in calls:
+        call()  # binds the routines
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for number, call in enumerate(calls):
+            call()
+            assert gc.collect() == 0, number
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # n is not a multiple of the tile, so the last tile is ragged
@@ -569,8 +606,10 @@ class TestBandReconstruction:
 _DENSE_LENGTHS = st.lists(st.integers(2, 12), min_size=2, max_size=2) | st.lists(st.integers(2, 6), min_size=3, max_size=3)
 
 
-@pytest.mark.skipif(_lapack.binding() is None, reason="numpy's LAPACK exports no dsyevd")
+@pytest.mark.skipif(_lapack.binding() is None, reason="numpy's LAPACK exports no dsytrd")
 class TestDenseDriver:
+    """dsytrd, dstevd and dormtr on all n columns are dsyevd's three steps, so they give eigh's bits."""
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         lengths=_DENSE_LENGTHS,
@@ -587,17 +626,224 @@ class TestDenseDriver:
         if asymmetry is not None:
             h[(i, j) if asymmetry == "lower" else (j, i)] += 0.5e-12 * np.max(np.abs(h))
         before = h.copy()
-        evals, modes = _lapack.dsyevd(h)
+        a, d, e, tau = _lapack.dsytrd(h)
+        evals, modes = _lapack.dstevd(d, e)
+        _lapack.dormtr(a, tau, modes)
         expected = np.linalg.eigh(h)
         assert np.array_equal(h, before)  # LAPACK overwrites its matrix, which must be a copy
         assert np.array_equal(evals, expected[0])
         assert np.array_equal(modes, expected[1])
-        assert modes.flags.c_contiguous
+        # diagonalize keeps every mode by default, in eigh's bits and layout
+        spec = diagonalize(h, bc)
+        assert np.array_equal(spec.eigenvalues, np.clip(expected[0], 0.0, None))
+        assert np.array_equal(spec.modes, expected[1])
+        assert spec.modes.flags.c_contiguous
+        assert np.array_equal(spec.tails, np.zeros(box.n_sites))
 
     def test_rejects_malformed_matrix(self):
         for h in (np.ones((2, 3)), np.ones(3), np.empty((0, 0))):
             with pytest.raises(ValueError):
-                _lapack.dsyevd(h)
+                _lapack.dsytrd(h)
+        a, _, _, tau = _lapack.dsytrd(np.asarray(_box_hamiltonian([3, 2], "neumann")))
+        good = np.eye(6, order="F")
+        read_only = good.copy(order="F")
+        read_only.setflags(write=False)
+        for c in (np.eye(6), np.eye(5, order="F"), np.eye(6, dtype=np.float32, order="F"), read_only, np.ones(6)):
+            with pytest.raises(ValueError):
+                _lapack.dormtr(a, tau, c)
+        with pytest.raises(ValueError):
+            _lapack.dormtr(a, tau[:-1], good)
+
+
+def _window_case():
+    """A 6x5 box, a lambda0 that keeps its lowest third and three sites: the window runs."""
+    h = np.asarray(_box_hamiltonian([6, 5], "neumann"))
+    evals = np.linalg.eigvalsh(h)
+    return h, float(evals[9] + evals[10]) / 2, np.array([0, 17, 29])
+
+
+def _spy_dormtr(monkeypatch):
+    """Record (columns, transposed) of every dormtr call."""
+    calls = []
+    ormtr = _lapack.dormtr
+
+    def spy(a, tau, c, transpose=False):
+        calls.append((c.shape[1], transpose))
+        ormtr(a, tau, c, transpose)
+
+    monkeypatch.setattr(_lapack, "dormtr", spy)
+    return calls
+
+
+@pytest.mark.skipif(_lapack.binding() is None, reason="numpy's LAPACK exports no dsytrd")
+class TestWindow:
+    def test_back_transforms_only_the_window(self, monkeypatch):
+        h, lambda0, sites = _window_case()
+        calls = _spy_dormtr(monkeypatch)
+        spec = diagonalize(h, lambda0=lambda0, sites=sites)
+        assert calls == [(3, True), (10, False)]
+        evals, modes = np.linalg.eigh(h)
+        assert np.array_equal(spec.eigenvalues, np.clip(evals, 0.0, None))
+        assert spec.modes.shape == (30, 10) and spec.modes.flags.c_contiguous
+        signs = np.sign(np.sum(spec.modes * modes[:, :10], axis=0))
+        assert np.max(np.abs(spec.modes - modes[:, :10] * signs)) < 1e-12
+        want = np.square(modes[sites, 10:]) @ (1.0 / np.sqrt(evals[10:]))
+        assert np.allclose(spec.tails[sites], want, rtol=1e-12, atol=0.0)
+        assert np.isnan(np.delete(spec.tails, sites)).all()
+
+    def test_many_sites_take_the_full_decomposition(self, monkeypatch):
+        """Rows at 10 sites would cost more than the 20 columns left out: every column is formed and checked."""
+        h, lambda0, _ = _window_case()
+        sites = np.arange(10)
+        calls = _spy_dormtr(monkeypatch)
+        spec = diagonalize(h, lambda0=lambda0, sites=sites)
+        assert calls == [(30, False)]
+        evals, modes = np.linalg.eigh(h)
+        # dsyevd's three steps, so eigh's bits
+        assert np.array_equal(spec.modes, modes[:, :10]) and spec.modes.flags.c_contiguous
+        assert np.array_equal(spec.tails[sites], np.square(modes[sites, 10:]) @ (1.0 / np.sqrt(evals[10:])))
+
+    @pytest.mark.parametrize(
+        "fault, match",
+        [
+            pytest.param(None, None, id="none"),
+            pytest.param("eigenvalue", "invariants", id="eigenvalue-outside-S"),
+            pytest.param("eigenvalue-nan", "invariants", id="eigenvalue-nan"),
+            pytest.param("band", "^band residual", id="band-column-outside-S"),
+            pytest.param("band-nan", "^band residual", id="band-nan"),
+            pytest.param("mode-mixed", "^residual", id="mode-mixed"),
+            pytest.param("mode-nan", "^residual", id="mode-nan"),
+            pytest.param("mode-scaled", "^orthonormality", id="mode-scaled"),
+            pytest.param("row-scaled", "^site-row orthonormality", id="row-scaled"),
+            pytest.param("row-nan", "^site-row orthonormality", id="row-nan"),
+            pytest.param("row-flipped", "^site-row mismatch", id="row-flipped"),
+        ],
+    )
+    def test_planted_fault(self, monkeypatch, fault, match):
+        """Each check of the window contract rejects a fault that passes every check before it."""
+        h, lambda0, sites = _window_case()
+        scale = np.max(np.abs(h))
+        stevd, ormtr = _lapack.dstevd, _lapack.dormtr
+
+        def wrong_stevd(d, e):
+            evals, z = stevd(d, e)
+            if fault == "eigenvalue":
+                evals[-1] += 1e-6 * scale
+            elif fault == "eigenvalue-nan":
+                evals[-1] = np.nan
+            elif fault == "band":
+                z[:, -1] += 1e-6 * z[:, 0]
+            elif fault == "band-nan":
+                z[4, -1] = np.nan
+            return evals, z
+
+        def wrong_ormtr(a, tau, c, transpose=False):
+            ormtr(a, tau, c, transpose)
+            if not transpose and fault == "mode-mixed":
+                c[:, 0] += 1e-6 * c[:, 1]
+            elif not transpose and fault == "mode-nan":
+                c[4, 0] = np.nan
+            elif not transpose and fault == "mode-scaled":
+                c[:, 0] *= 1.0 + 1e-6  # still an eigenvector, no longer a unit one
+            elif transpose and fault == "row-scaled":
+                c[:, 0] *= 1.0 + 1e-6
+            elif transpose and fault == "row-nan":
+                c[4, 0] = np.nan
+            elif transpose and fault == "row-flipped":
+                c[:, 0] *= -1.0  # the rows stay orthonormal but no longer match Phi_S
+
+        monkeypatch.setattr(_lapack, "dstevd", wrong_stevd)
+        monkeypatch.setattr(_lapack, "dormtr", wrong_ormtr)
+        if fault is None:
+            assert diagonalize(h, lambda0=lambda0, sites=sites).modes.shape == (30, 10)
+        else:
+            with pytest.raises(NumericError, match=match):
+                diagonalize(h, lambda0=lambda0, sites=sites)
+
+    def test_kept_modes_and_tails_are_enforced(self):
+        h, lambda0, sites = _window_case()
+        spec = diagonalize(h, lambda0=lambda0, sites=sites)
+        assert localized_modes(spec, lambda0).size == 10
+        with pytest.raises(ValueError, match="only 10 were kept"):
+            localized_modes(spec, 2 * lambda0)
+        with pytest.raises(ValueError, match="not kept"):
+            spec.tail([0, 1], 10)
+        with pytest.raises(ValueError, match="only 10 modes were kept"):
+            spec.tail(sites, 11)
+        assert np.array_equal(spec.tail(sites, 10), spec.tails[sites])
+        # fewer modes than kept: the rest of the tail comes from the kept columns
+        want = np.square(spec.modes[sites, 4:]) @ (1.0 / spec.gammas[4:10]) + spec.tails[sites]
+        assert np.array_equal(spec.tail(sites, 4), want)
+
+    @pytest.mark.parametrize("lambda0, sites", [(-1.0, ()), (np.nan, ()), (1.0, [30]), (1.0, [-1]), (1.0, [3, 3])])
+    def test_rejects_bad_regime(self, lambda0, sites):
+        h, _, _ = _window_case()
+        with pytest.raises(ValueError):
+            diagonalize(h, lambda0=lambda0, sites=sites)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            pytest.param({}, id="full"),
+            pytest.param({"lambda0": 2.0}, id="window"),
+            pytest.param({"lambda0": 2.0, "sites": np.arange(300)}, id="full-for-many-sites"),
+        ],
+    )
+    def test_peak_memory(self, kwargs):
+        """Beside h, a dense solve holds at most three n x n buffers at once: h's reduction, Z and
+        dstevd's workspace, which is freed before Z is used; no C-ordered copy of a partial Z."""
+        import tracemalloc
+
+        h = np.asarray(_box_hamiltonian([20, 20], "neumann"))
+        diagonalize(h, **kwargs)
+        tracemalloc.start()
+        try:
+            diagonalize(h, **kwargs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.2 * h.nbytes
+
+
+_WINDOW_BOXES = (
+    st.lists(st.integers(2, 10), min_size=2, max_size=2).filter(lambda l: l[0] * l[1] <= 60)
+    | st.lists(st.integers(2, 4), min_size=3, max_size=3).filter(lambda l: l[0] * l[1] * l[2] <= 60)
+)
+
+
+def _regime_level(evals, level, fraction):
+    """A lambda0 below the spectrum, at the eigenvalue of a fraction of it, or above it."""
+    return {"empty": 0.5 * evals[0], "partial": evals[int(fraction * (evals.size - 1))], "all": 2.0 * evals[-1]}[level]
+
+
+@pytest.mark.skipif(_lapack.binding() is None, reason="numpy's LAPACK exports no dsytrd")
+class TestWindowAgreement:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        lengths=_WINDOW_BOXES,
+        bc=st.sampled_from(BCS),
+        seed=st.integers(0, 2**16),
+        k_max=st.floats(0.05, 8.0),
+        level=st.sampled_from(["empty", "partial", "all"]),
+        fraction=st.floats(0.0, 1.0),
+        data=st.data(),
+    )
+    def test_matches_eigh(self, lengths, bc, seed, k_max, level, fraction, data):
+        """Eigenvalues are eigh's bits, the kept columns eigh's up to sign, the tails today's full-mode sums."""
+        box = BoxGeometry.of_lengths(lengths)
+        h = assemble(box, sample_disorder(DisorderConfig(k_max=k_max, master_seed=seed), box, 0), bc)
+        evals, modes = np.linalg.eigh(h)
+        evals = np.clip(evals, 0.0, None)
+        lambda0 = _regime_level(evals, level, fraction)
+        sites = np.array(data.draw(st.lists(st.integers(0, box.n_sites - 1), unique=True, max_size=box.n_sites)), int)
+        spec = diagonalize(h, bc, lambda0=lambda0, sites=sites)
+        count = int(np.searchsorted(evals, lambda0, side="right"))
+        assert np.array_equal(spec.eigenvalues, evals)
+        assert spec.modes.shape == (box.n_sites, count)
+        signs = np.where(np.sum(spec.modes * modes[:, :count], axis=0) < 0, -1.0, 1.0)
+        assert np.max(np.abs(spec.modes - modes[:, :count] * signs), initial=0.0) <= 1e-12
+        want = np.square(modes[sites, count:]) @ (1.0 / np.sqrt(evals[count:]))
+        assert np.allclose(spec.tail(sites, count), want, rtol=1e-12, atol=0.0)
 
 
 class TestLocalizedModes:

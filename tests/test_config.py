@@ -96,6 +96,15 @@ class TestValidation:
             assert shells == tuple(range(5 if reach >= 5 else 1, reach + 1))
         assert shells and max(shells) <= reach
 
+    @pytest.mark.parametrize("lengths, diameter", [([1], 0), ([2], 1), ([1, 1], 0), ([1, 2], 1)])
+    def test_no_default_radius_fits(self, lengths, diameter):
+        """The default radii start at 2, so a box of diameter below 2 has none, which the error says."""
+        doc = {"experiment": "quasi-locality", "box": {"lengths": lengths}}
+        with pytest.raises(ConfigError, match=f"no neighborhood radius n >= 2 fits a box of diameter {diameter}$"):
+            config_from_dict(doc)
+        if diameter:
+            assert config_from_dict({**doc, "n_values": [1]}).n_range() == (1,)
+
     def test_ranges_expand(self):
         config = config_from_dict(
             _doc(experiment="quasi-locality", shells={"min": 2, "max": 4}, n_values={"min": 1, "max": 3})

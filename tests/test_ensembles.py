@@ -549,6 +549,46 @@ def test_kernels_report_no_domination_violation(lengths, seed, k_max, lambda0, k
         assert {name: flags.get(name, 0) for name in DOMINATION_FLAGS} == dict.fromkeys(DOMINATION_FLAGS, 0), kind
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    lengths=st.one_of(st.tuples(st.integers(2, 7), st.integers(2, 7)), st.tuples(st.integers(2, 3), st.integers(2, 3), st.integers(2, 4))),
+    seed=st.integers(0, 2**16),
+    k_max=st.floats(0.05, 8.0),
+    fraction=st.floats(-0.5, 1.5),
+)
+def test_kernels_agree_with_full_decomposition(lengths, seed, k_max, fraction):
+    """Every kernel on the regime's modes and tails matches a run forced onto every mode, with the same flags.
+
+    lambda0 lies below the spectrum, inside it or above it, so S is empty, partial or everything;
+    the kinds that read tails ask for them at a few sites (the window) or at most sites (every mode).
+    """
+    box = BoxGeometry.of_lengths(list(lengths))
+    h = assemble(box, sample_disorder(DisorderConfig(k_max=k_max, master_seed=seed), box, 0))
+    evals = np.linalg.eigvalsh(h)
+    lambda0 = max(0.0, float(evals[0] + fraction * (evals[-1] - evals[0])))
+    for kind in ensembles.KERNELS:
+        config = config_from_dict(
+            {
+                "experiment": kind,
+                "box": {"lengths": list(lengths)},
+                "disorder": {"k_max": k_max},
+                "lambda0": lambda0,
+                "kappa": 1,
+                "samples": 1,
+                "seed": seed,
+                "time_grid": {"points": 7, "t_max": 5.0},
+            }
+        )
+        regime = ensembles.run_sample(config, 0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ensembles, "diagonalize", lambda h, **regime_args: diagonalize(h))
+            full = ensembles.run_sample(config, 0)
+        assert regime.flags == full.flags, kind
+        assert [key for key, _ in regime.rows] == [key for key, _ in full.rows], kind
+        for (key, got), (_, want) in zip(regime.rows, full.rows):
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-14), (kind, key)
+
+
 class TestRunEnsemble:
     @pytest.mark.parametrize("kind", ["correlations", "quasi-locality"])
     def test_csv_independent_of_workers(self, kind):

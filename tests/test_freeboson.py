@@ -29,6 +29,15 @@ class TestVMap:
         _, spec = chain12
         assert np.all(v_map(spec, np.zeros(12, complex)) == 0.0)
 
+    def test_needs_every_mode(self):
+        box = BoxGeometry.of_lengths([6, 5])
+        h = assemble(box, sample_disorder(DisorderConfig(k_max=1.0, master_seed=5), box, 0))
+        spec = diagonalize(h, lambda0=2.0, sites=[0])
+        assert spec.modes.shape[1] < spec.n
+        for transform in (v_map, v_inverse):
+            with pytest.raises(ValueError, match="V needs all 30 modes"):
+                transform(spec, np.ones(30, complex))
+
     def test_single_site(self):
         spec = single_site_spec(4.0)  # gamma = 2
         g = v_map(spec, np.array([1.0 + 0.0j]))
