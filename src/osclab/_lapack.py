@@ -3,7 +3,7 @@
 ``dsterf`` (eigenvalues only, Pal-Walker-Kahan QR) and ``dstevd`` (divide
 and conquer, with eigenvectors) solve a tridiagonal matrix from its band.
 A dense h is first reduced to such a band by ``dsytrd``, h = Q T Q^T, and
-``dormtr`` applies Q or Q^T to any set of columns.  Those are the three
+``dormtr`` applies Q to any set of columns.  Those are the three
 routines ``dsyevd`` runs, so ``dsytrd``, ``dstevd`` and ``dormtr`` on all n
 columns return the bits of numpy's ``eigh``; on fewer columns they skip the
 back-transformation of the rest.  They are taken from the LAPACK that
@@ -160,8 +160,8 @@ def dsytrd(h) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return a, d, e[: n - 1], tau[: n - 1]
 
 
-def dormtr(a, tau, c, transpose: bool = False) -> None:
-    """c <- Q c, or Q^T c, in place, for the Q of ``dsytrd``'s (a, tau).
+def dormtr(a, tau, c) -> None:
+    """c <- Q c in place, for the Q of ``dsytrd``'s (a, tau).
 
     c is an F-contiguous float64 array with as many rows as a.
     """
@@ -175,7 +175,7 @@ def dormtr(a, tau, c, transpose: bool = False) -> None:
 
     def run(work, lwork):
         binding().dormtr(
-            b"L", b"L", b"T" if transpose else b"N", _int(n), _int(cols), _ptr(a, "F"), _int(n), _ptr(tau),
+            b"L", b"L", b"N", _int(n), _int(cols), _ptr(a, "F"), _int(n), _ptr(tau),
             _ptr(c, "F"), _int(n), _ptr(work), _int(lwork), ctypes.byref(info), 1, 1, 1,
         )
         _check(info, "dormtr")

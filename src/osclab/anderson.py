@@ -20,24 +20,19 @@ Those are the three steps of ``dsyevd``, the routine ``eigh`` calls, so
 every full solve returns the bits of ``eigvalsh``/``eigh`` on the dense h,
 and those serve alone where the routines are not bound.
 
-The paper's bounds read the localized modes S = {j : lambda_j <= lambda0}
-and, through C_f, the tails tau(x) = sum_{j not in S} phi_j(x)^2 / gamma_j
-at a few sites.  ``diagonalize(h, lambda0=..., sites=...)`` keeps the
-columns of S and the tails at ``sites``.  Its accuracy contract, with
-scale = max|h_ij| and tol = RECONSTRUCTION_RTOL:
+The paper's bounds read the localized modes S = {j : lambda_j <= lambda0}.
+``diagonalize(h, lambda0=...)`` keeps the columns of S.  Its accuracy
+contract, with scale = max|h_ij| and tol = RECONSTRUCTION_RTOL:
 
-* Full decomposition (a band; numpy's ``eigh``; a dense h with |S| = n,
-  or with tails asked at so many sites that their rows would cost more
-  than back-transforming the rest, 2 |sites| >= n - |S|): every mode is
-  formed and max|O G^2 O^T - h| <= tol * scale over all n^2 entries.
-* Window (any other dense h), whose checks read only the band, the
-  columns of S and the site rows R[x, j] = phi_j(x), j = 0..n-1:
-  the invariants of ``spectrum`` hold on all n eigenvalues;
+* Full decomposition (a band; numpy's ``eigh``; a dense h with |S| = n):
+  every mode is formed and max|O G^2 O^T - h| <= tol * scale over all n^2
+  entries.
+* Window (a dense h with |S| < n), whose checks read only the band and the
+  columns of S: the invariants of ``spectrum`` hold on all n eigenvalues;
   max|T Z - Z Lambda| <= tol * scale over all n eigenvectors Z of the
   band, which covers the columns outside S at O(n^2);
-  max|h Phi_S - Phi_S Lambda_S| <= tol * scale and
-  max|Phi_S^T Phi_S - I| <= tol; max|R R^T - I| <= tol; and
-  max|R[:, S] - Phi_S[sites]| <= tol.
+  max|h Phi_S - Phi_S Lambda_S| <= tol * scale; and
+  max|Phi_S^T Phi_S - I| <= tol.
 
 A failure, a NaN included, raises NumericError.  ``eigencorrelator``
 evaluates the per-realization localization kernel
@@ -227,31 +222,10 @@ class SpectralData(Spectrum):
 
     The columns of ``modes`` are the orthonormal real eigenvectors of the
     first m ``eigenvalues``, so that modes.T @ h @ modes = diag(eigenvalues[:m]);
-    m = n unless ``diagonalize`` was given a finite lambda0.  ``tails`` holds
-    tau(x) = sum_{j >= m} phi_j(x)^2 / gamma_j for every site x: zero when
-    m = n, else known at the sites ``diagonalize`` was given and NaN elsewhere.
+    m = n unless ``diagonalize`` was given a finite lambda0.
     """
 
     modes: np.ndarray = field(kw_only=True)
-    tails: np.ndarray = field(kw_only=True)
-
-    def tail(self, sites, count: int) -> np.ndarray:
-        """tau(x) = sum_{j >= count} phi_j(x)^2 / gamma_j at each of ``sites``, for count <= m."""
-        sites = np.asarray(sites, dtype=int)
-        kept = self.modes.shape[1]
-        if count > kept:
-            raise ValueError(f"only {kept} modes were kept, not {count}")
-        stored = self.tails[sites]
-        if np.isnan(stored).any():
-            raise ValueError(f"tails were not kept at sites {sites[np.isnan(stored)].tolist()}")
-        if count == kept:
-            return stored
-        return _tail_sums(self.modes[sites, count:], self.gammas[count:kept]) + stored
-
-
-def _tail_sums(rows: np.ndarray, gammas: np.ndarray) -> np.ndarray:
-    """sum_j rows[:, j]^2 / gammas[j] for rows phi_j(x), x a site and j a mode; squares ``rows`` in place."""
-    return np.square(rows, out=rows) @ (1.0 / gammas)
 
 
 def _max_asymmetry(h: np.ndarray) -> float:
@@ -407,42 +381,32 @@ def _max_abs(x: np.ndarray) -> float:
     return float(np.max(np.abs(x), initial=0.0))
 
 
-def _window(h, scale, evals, gammas, reduction: _Reduction, count: int, sites: np.ndarray):
-    """(modes of S, tails at ``sites``) of a dense h from its reduction, checked by the window contract.
+def _window(h, scale, evals, reduction: _Reduction, count: int) -> np.ndarray:
+    """The modes of S of a dense h from its reduction, checked by the window contract.
 
-    The site rows are R = (Q^T E)^T Z for the unit vectors E of ``sites``,
-    formed before ``dormtr`` turns the first ``count`` columns of Z into
-    Phi_S in place; no other column of Z is back-transformed.
+    ``dormtr`` turns the first ``count`` columns of Z into Phi_S in place;
+    no other column of Z is back-transformed.
     """
     a, tau, d, e, z = reduction
     tol = RECONSTRUCTION_RTOL * scale
     _check_invariants(h, evals, scale)
     _require(_band_residual(d, e, z, evals), tol, "band residual max|T Z - Z Lambda|")
-    unit = np.zeros((evals.size, sites.size), order="F")
-    unit[sites, np.arange(sites.size)] = 1.0
-    _lapack.dormtr(a, tau, unit, transpose=True)
-    rows = unit.T @ z
-    del unit
     _lapack.dormtr(a, tau, z[:, :count])
     modes = np.ascontiguousarray(z[:, :count])
     residual = h @ modes
     residual -= modes * evals[:count]
     _require(_max_abs(residual), tol, "residual max|h Phi_S - Phi_S Lambda_S|")
     _require(_max_abs(modes.T @ modes - np.eye(count)), RECONSTRUCTION_RTOL, "orthonormality max|Phi_S^T Phi_S - I|")
-    _require(_max_abs(rows @ rows.T - np.eye(sites.size)), RECONSTRUCTION_RTOL, "site-row orthonormality max|R R^T - I|")
-    _require(_max_abs(rows[:, :count] - modes[sites]), RECONSTRUCTION_RTOL, "site-row mismatch max|R_S - Phi_S[sites]|")
-    return modes, _tail_sums(rows[:, count:], gammas[count:])
+    return modes
 
 
-def diagonalize(h, bc: str = "neumann", lambda0: float = np.inf, sites=()) -> SpectralData:
+def diagonalize(h, bc: str = "neumann", lambda0: float = np.inf) -> SpectralData:
     """Eigendecomposition of a symmetric h (a ``Tridiagonal`` or a matrix) for the regime lambda0, checked for accuracy.
 
-    Keeps the eigenvectors of the eigenvalues <= lambda0 (every one by
-    default) and the tails tau(x) = sum_{j not kept} phi_j(x)^2 / gamma_j
-    at ``sites``.  A dense h with modes left out and few enough ``sites``
-    runs the window: only the kept columns and the rows at ``sites`` are
-    back-transformed and checked, by the window contract of the module
-    docstring.  Every other h runs the full decomposition, and
+    Keeps the eigenvectors of the eigenvalues <= lambda0, every one by
+    default.  A dense h with modes left out runs the window: only the kept
+    columns are back-transformed and checked, by the window contract of the
+    module docstring.  Every other h runs the full decomposition, and
     NumericError is raised if the reconstruction ||O G^2 O^T - h||_max
     exceeds RECONSTRUCTION_RTOL * max|h_ij|; that check runs over row tiles
     of SYMMETRY_TILE rows of the lower triangle (``_reconstruction_error``),
@@ -453,34 +417,22 @@ def diagonalize(h, bc: str = "neumann", lambda0: float = np.inf, sites=()) -> Sp
         raise ValueError(f"lambda0 must be nonnegative, got {lambda0!r}")
     h, scale, evals, vecs = _solve_checked(h, _eigh)
     n = evals.size
-    sites = np.asarray(sites, dtype=int).reshape(-1)
-    if np.any((sites < 0) | (sites >= n)) or np.unique(sites).size != sites.size:
-        raise ValueError(f"sites must be distinct indices in 0..{n - 1}")
     count = int(np.searchsorted(evals, lambda0, side="right"))
     gammas = np.sqrt(evals)
-    tails = np.zeros(n) if count == n else np.full(n, np.nan)
-    dense = isinstance(vecs, _Reduction)
-    if dense:
-        # rows at the sites cost about twice a back-transformed column each
-        if 2 * sites.size < n - count:
-            modes, tails[sites] = _window(h, scale, evals, gammas, vecs, count, sites)
-            return SpectralData(eigenvalues=evals, gammas=gammas, modes=modes, tails=tails, bc=bc)
+    if isinstance(vecs, _Reduction):
+        if count < n:
+            return SpectralData(eigenvalues=evals, gammas=gammas, modes=_window(h, scale, evals, vecs, count), bc=bc)
         a, tau, _, _, vecs = vecs
         # all n columns: dsyevd's own back-transformation
         _lapack.dormtr(a, tau, vecs)
         del a, tau
-        if count == n:
-            vecs = np.ascontiguousarray(vecs)
+        vecs = np.ascontiguousarray(vecs)
     err = _reconstruction_error(h, evals, vecs)
     if not err <= RECONSTRUCTION_RTOL * scale:  # a NaN error fails too
         raise NumericError(f"reconstruction error {err:.3e} exceeds {RECONSTRUCTION_RTOL:.0e} * max|h_ij|")
-    if count < n:
-        tails[sites] = _tail_sums(vecs[sites, count:], gammas[count:])
-    # a band's modes are sliced, not copied; a dense h keeps no n x n copy beside its kept columns
+    # a band's modes are sliced, not copied
     modes = vecs if count == n else vecs[:, :count]
-    if dense:
-        modes = np.ascontiguousarray(modes)
-    return SpectralData(eigenvalues=evals, gammas=gammas, modes=modes, tails=tails, bc=bc)
+    return SpectralData(eigenvalues=evals, gammas=gammas, modes=modes, bc=bc)
 
 
 def localized_modes(spec: Spectrum, lambda0: float) -> np.ndarray:

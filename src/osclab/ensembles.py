@@ -125,24 +125,9 @@ def _shell_rows(shells, quantities) -> list:
 
 
 def _delta_restriction(spec, cnt: int, amplitude: float, sites) -> np.ndarray:
-    """C_f = exp(-a^2/4 sum_{j not in S} phi_j(x)^2 / gamma_j) for f = a delta_x at each site x.
-
-    The only reader of modes outside S: it takes their tails from ``spec``.
-    """
-    return np.exp(-0.25 * amplitude**2 * spec.tail(sites, cnt))
-
-
-def _tail_sites(config: ExperimentConfig, box: BoxGeometry) -> np.ndarray:
-    """The sites at which the kernel of ``config`` reads C_f, and so ``diagonalize`` keeps tails:
-    the center, then the shell sites shell by shell, for lr-bound and correlations; the center for
-    quasi-locality; none for the others."""
-    center = config.center_index()
-    if config.experiment in ("lr-bound", "correlations"):
-        shells = _shell_sites(box, center, config.shell_values())
-        return np.concatenate([[center], *shells.values()])
-    if config.experiment == "quasi-locality":
-        return np.array([center])
-    return np.zeros(0, dtype=int)
+    """C_f = exp(-a^2/4 sum_{j not in S} phi_j(x)^2 / gamma_j) for f = a delta_x at each site x."""
+    tails = np.square(spec.modes[sites, cnt:]) @ (1.0 / spec.gammas[cnt:])
+    return np.exp(-0.25 * amplitude**2 * tails)
 
 
 def _kernel_eigencorrelator(config, box, spec, index):
@@ -168,7 +153,7 @@ def _kernel_lr(config, box, spec, index):
     times = _time_grid(config, spec)
     # (V a delta_x)_j = a phi_j(x) / sqrt(gamma_j), so Im<X f_t, X g> = -a^2 times the s = -1 sum
     (sums,) = propagator_sums(spec, lam, center, ys, times, (-1,))
-    c = _delta_restriction(spec, cnt, config.amplitude, _tail_sites(config, box))
+    c = _delta_restriction(spec, cnt, config.amplitude, np.concatenate([[center], ys]))
     cc = c[0] * c[1:]
     values = 2.0 * np.abs(np.sin(-a2 * sums / 2.0)) * cc[None, :]
     envelopes = cc * np.minimum(2.0, a2 * eigencorrelator_profile(spec, lam, -1, center)[ys])
@@ -211,7 +196,7 @@ def _kernel_correlations(config, box, spec, index):
     ys = np.concatenate(list(shells.values()))
     a = config.amplitude
     times = _time_grid(config, spec)
-    c = _delta_restriction(spec, cnt, a, _tail_sites(config, box))
+    c = _delta_restriction(spec, cnt, a, np.concatenate([[center], ys]))
     cc = c[0] * c[1:]
     family = OccupationFamily(_alpha_family(config, spec, S, index))
 
@@ -261,7 +246,7 @@ def _kernel_quasi_locality(config, box, spec, index):
     center = config.center_index()
     a = config.amplitude
     times = _time_grid(config, spec)
-    (c_f,) = _delta_restriction(spec, cnt, a, _tail_sites(config, box))
+    c_f = _delta_restriction(spec, cnt, a, [center])[0]
     gam = spec.gammas[:cnt]
     sq = np.sqrt(gam)
     family = OccupationFamily(_alpha_family(config, spec, S, index))
@@ -386,6 +371,9 @@ def _gap_stats_sample(config, index):
     return SampleOutcome(index=index, rows=rows, flags=flags, extrema=extrema)
 
 
+#: Kernels that read C_f, and with it every mode outside S (``_delta_restriction``)
+_READS_C_F = frozenset({"lr-bound", "correlations", "quasi-locality"})
+
 KERNELS = {
     "eigencorrelator": _kernel_eigencorrelator,
     "lr-bound": _kernel_lr,
@@ -414,7 +402,9 @@ def run_sample(config: ExperimentConfig, index: int) -> SampleOutcome:
         return _gap_stats_sample(config, index)
     box = config.box()
     sample = sample_disorder(_disorder_config(config), box, index)
-    spec = diagonalize(assemble(box, sample), lambda0=config.lambda0_value(), sites=_tail_sites(config, box))
+    # only the kernels without C_f let diagonalize leave out the modes outside S
+    lambda0 = np.inf if kind in _READS_C_F else config.lambda0_value()
+    spec = diagonalize(assemble(box, sample), lambda0=lambda0)
     rows, flags, extrema = KERNELS[kind](config, box, spec, index)
     flags["degenerate_samples"] = flags.get("degenerate_samples", 0) + int(spec.flag_degenerate())
     return SampleOutcome(index=index, rows=rows, flags=flags, extrema=extrema)

@@ -463,13 +463,12 @@ def test_solvers_leave_no_cyclic_garbage():
     calls = [
         lambda: _lapack.dsterf(chain.d, chain.e),
         lambda: _lapack.dstevd(chain.d, chain.e),
-        lambda: _lapack.dormtr(*_lapack.dsytrd(box)[::3], np.eye(30, order="F"), transpose=True),
+        lambda: _lapack.dormtr(*_lapack.dsytrd(box)[::3], np.eye(30, order="F")),
         lambda: spectrum(chain),
-        lambda: diagonalize(chain, lambda0=2.0, sites=[0, 5]),
+        lambda: diagonalize(chain, lambda0=2.0),
         lambda: spectrum(box),
         lambda: diagonalize(box),
-        lambda: diagonalize(box, lambda0=2.0, sites=[0, 5]),
-        lambda: diagonalize(box, lambda0=2.0, sites=range(30)),
+        lambda: diagonalize(box, lambda0=2.0),
     ]
     for call in calls:
         call()  # binds the routines
@@ -638,7 +637,6 @@ class TestDenseDriver:
         assert np.array_equal(spec.eigenvalues, np.clip(expected[0], 0.0, None))
         assert np.array_equal(spec.modes, expected[1])
         assert spec.modes.flags.c_contiguous
-        assert np.array_equal(spec.tails, np.zeros(box.n_sites))
 
     def test_rejects_malformed_matrix(self):
         for h in (np.ones((2, 3)), np.ones(3), np.empty((0, 0))):
@@ -656,52 +654,31 @@ class TestDenseDriver:
 
 
 def _window_case():
-    """A 6x5 box, a lambda0 that keeps its lowest third and three sites: the window runs."""
+    """A 6x5 box and a lambda0 that keeps its lowest third: the window runs."""
     h = np.asarray(_box_hamiltonian([6, 5], "neumann"))
     evals = np.linalg.eigvalsh(h)
-    return h, float(evals[9] + evals[10]) / 2, np.array([0, 17, 29])
-
-
-def _spy_dormtr(monkeypatch):
-    """Record (columns, transposed) of every dormtr call."""
-    calls = []
-    ormtr = _lapack.dormtr
-
-    def spy(a, tau, c, transpose=False):
-        calls.append((c.shape[1], transpose))
-        ormtr(a, tau, c, transpose)
-
-    monkeypatch.setattr(_lapack, "dormtr", spy)
-    return calls
+    return h, float(evals[9] + evals[10]) / 2
 
 
 @pytest.mark.skipif(_lapack.binding() is None, reason="numpy's LAPACK exports no dsytrd")
 class TestWindow:
     def test_back_transforms_only_the_window(self, monkeypatch):
-        h, lambda0, sites = _window_case()
-        calls = _spy_dormtr(monkeypatch)
-        spec = diagonalize(h, lambda0=lambda0, sites=sites)
-        assert calls == [(3, True), (10, False)]
+        h, lambda0 = _window_case()
+        columns = []
+        ormtr = _lapack.dormtr
+
+        def spy(a, tau, c):
+            columns.append(c.shape[1])
+            ormtr(a, tau, c)
+
+        monkeypatch.setattr(_lapack, "dormtr", spy)
+        spec = diagonalize(h, lambda0=lambda0)
+        assert columns == [10]
         evals, modes = np.linalg.eigh(h)
         assert np.array_equal(spec.eigenvalues, np.clip(evals, 0.0, None))
         assert spec.modes.shape == (30, 10) and spec.modes.flags.c_contiguous
         signs = np.sign(np.sum(spec.modes * modes[:, :10], axis=0))
         assert np.max(np.abs(spec.modes - modes[:, :10] * signs)) < 1e-12
-        want = np.square(modes[sites, 10:]) @ (1.0 / np.sqrt(evals[10:]))
-        assert np.allclose(spec.tails[sites], want, rtol=1e-12, atol=0.0)
-        assert np.isnan(np.delete(spec.tails, sites)).all()
-
-    def test_many_sites_take_the_full_decomposition(self, monkeypatch):
-        """Rows at 10 sites would cost more than the 20 columns left out: every column is formed and checked."""
-        h, lambda0, _ = _window_case()
-        sites = np.arange(10)
-        calls = _spy_dormtr(monkeypatch)
-        spec = diagonalize(h, lambda0=lambda0, sites=sites)
-        assert calls == [(30, False)]
-        evals, modes = np.linalg.eigh(h)
-        # dsyevd's three steps, so eigh's bits
-        assert np.array_equal(spec.modes, modes[:, :10]) and spec.modes.flags.c_contiguous
-        assert np.array_equal(spec.tails[sites], np.square(modes[sites, 10:]) @ (1.0 / np.sqrt(evals[10:])))
 
     @pytest.mark.parametrize(
         "fault, match",
@@ -714,14 +691,11 @@ class TestWindow:
             pytest.param("mode-mixed", "^residual", id="mode-mixed"),
             pytest.param("mode-nan", "^residual", id="mode-nan"),
             pytest.param("mode-scaled", "^orthonormality", id="mode-scaled"),
-            pytest.param("row-scaled", "^site-row orthonormality", id="row-scaled"),
-            pytest.param("row-nan", "^site-row orthonormality", id="row-nan"),
-            pytest.param("row-flipped", "^site-row mismatch", id="row-flipped"),
         ],
     )
     def test_planted_fault(self, monkeypatch, fault, match):
         """Each check of the window contract rejects a fault that passes every check before it."""
-        h, lambda0, sites = _window_case()
+        h, lambda0 = _window_case()
         scale = np.max(np.abs(h))
         stevd, ormtr = _lapack.dstevd, _lapack.dormtr
 
@@ -737,58 +711,37 @@ class TestWindow:
                 z[4, -1] = np.nan
             return evals, z
 
-        def wrong_ormtr(a, tau, c, transpose=False):
-            ormtr(a, tau, c, transpose)
-            if not transpose and fault == "mode-mixed":
+        def wrong_ormtr(a, tau, c):
+            ormtr(a, tau, c)
+            if fault == "mode-mixed":
                 c[:, 0] += 1e-6 * c[:, 1]
-            elif not transpose and fault == "mode-nan":
+            elif fault == "mode-nan":
                 c[4, 0] = np.nan
-            elif not transpose and fault == "mode-scaled":
+            elif fault == "mode-scaled":
                 c[:, 0] *= 1.0 + 1e-6  # still an eigenvector, no longer a unit one
-            elif transpose and fault == "row-scaled":
-                c[:, 0] *= 1.0 + 1e-6
-            elif transpose and fault == "row-nan":
-                c[4, 0] = np.nan
-            elif transpose and fault == "row-flipped":
-                c[:, 0] *= -1.0  # the rows stay orthonormal but no longer match Phi_S
 
         monkeypatch.setattr(_lapack, "dstevd", wrong_stevd)
         monkeypatch.setattr(_lapack, "dormtr", wrong_ormtr)
         if fault is None:
-            assert diagonalize(h, lambda0=lambda0, sites=sites).modes.shape == (30, 10)
+            assert diagonalize(h, lambda0=lambda0).modes.shape == (30, 10)
         else:
             with pytest.raises(NumericError, match=match):
-                diagonalize(h, lambda0=lambda0, sites=sites)
+                diagonalize(h, lambda0=lambda0)
 
-    def test_kept_modes_and_tails_are_enforced(self):
-        h, lambda0, sites = _window_case()
-        spec = diagonalize(h, lambda0=lambda0, sites=sites)
+    def test_kept_modes_are_enforced(self):
+        h, lambda0 = _window_case()
+        spec = diagonalize(h, lambda0=lambda0)
         assert localized_modes(spec, lambda0).size == 10
         with pytest.raises(ValueError, match="only 10 were kept"):
             localized_modes(spec, 2 * lambda0)
-        with pytest.raises(ValueError, match="not kept"):
-            spec.tail([0, 1], 10)
-        with pytest.raises(ValueError, match="only 10 modes were kept"):
-            spec.tail(sites, 11)
-        assert np.array_equal(spec.tail(sites, 10), spec.tails[sites])
-        # fewer modes than kept: the rest of the tail comes from the kept columns
-        want = np.square(spec.modes[sites, 4:]) @ (1.0 / spec.gammas[4:10]) + spec.tails[sites]
-        assert np.array_equal(spec.tail(sites, 4), want)
 
-    @pytest.mark.parametrize("lambda0, sites", [(-1.0, ()), (np.nan, ()), (1.0, [30]), (1.0, [-1]), (1.0, [3, 3])])
-    def test_rejects_bad_regime(self, lambda0, sites):
-        h, _, _ = _window_case()
+    @pytest.mark.parametrize("lambda0", [-1.0, np.nan])
+    def test_rejects_bad_regime(self, lambda0):
+        h, _ = _window_case()
         with pytest.raises(ValueError):
-            diagonalize(h, lambda0=lambda0, sites=sites)
+            diagonalize(h, lambda0=lambda0)
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            pytest.param({}, id="full"),
-            pytest.param({"lambda0": 2.0}, id="window"),
-            pytest.param({"lambda0": 2.0, "sites": np.arange(300)}, id="full-for-many-sites"),
-        ],
-    )
+    @pytest.mark.parametrize("kwargs", [pytest.param({}, id="full"), pytest.param({"lambda0": 2.0}, id="window")])
     def test_peak_memory(self, kwargs):
         """Beside h, a dense solve holds at most three n x n buffers at once: h's reduction, Z and
         dstevd's workspace, which is freed before Z is used; no C-ordered copy of a partial Z."""
@@ -826,24 +779,20 @@ class TestWindowAgreement:
         k_max=st.floats(0.05, 8.0),
         level=st.sampled_from(["empty", "partial", "all"]),
         fraction=st.floats(0.0, 1.0),
-        data=st.data(),
     )
-    def test_matches_eigh(self, lengths, bc, seed, k_max, level, fraction, data):
-        """Eigenvalues are eigh's bits, the kept columns eigh's up to sign, the tails today's full-mode sums."""
+    def test_matches_eigh(self, lengths, bc, seed, k_max, level, fraction):
+        """Eigenvalues are eigh's bits and the kept columns eigh's up to sign."""
         box = BoxGeometry.of_lengths(lengths)
         h = assemble(box, sample_disorder(DisorderConfig(k_max=k_max, master_seed=seed), box, 0), bc)
         evals, modes = np.linalg.eigh(h)
         evals = np.clip(evals, 0.0, None)
         lambda0 = _regime_level(evals, level, fraction)
-        sites = np.array(data.draw(st.lists(st.integers(0, box.n_sites - 1), unique=True, max_size=box.n_sites)), int)
-        spec = diagonalize(h, bc, lambda0=lambda0, sites=sites)
+        spec = diagonalize(h, bc, lambda0=lambda0)
         count = int(np.searchsorted(evals, lambda0, side="right"))
         assert np.array_equal(spec.eigenvalues, evals)
         assert spec.modes.shape == (box.n_sites, count)
         signs = np.where(np.sum(spec.modes * modes[:, :count], axis=0) < 0, -1.0, 1.0)
         assert np.max(np.abs(spec.modes - modes[:, :count] * signs), initial=0.0) <= 1e-12
-        want = np.square(modes[sites, count:]) @ (1.0 / np.sqrt(evals[count:]))
-        assert np.allclose(spec.tail(sites, count), want, rtol=1e-12, atol=0.0)
 
 
 class TestLocalizedModes:

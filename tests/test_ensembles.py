@@ -557,10 +557,9 @@ def test_kernels_report_no_domination_violation(lengths, seed, k_max, lambda0, k
     fraction=st.floats(-0.5, 1.5),
 )
 def test_kernels_agree_with_full_decomposition(lengths, seed, k_max, fraction):
-    """Every kernel on the regime's modes and tails matches a run forced onto every mode, with the same flags.
+    """Every kernel on the modes run_sample keeps matches a run forced onto every mode, with the same flags.
 
-    lambda0 lies below the spectrum, inside it or above it, so S is empty, partial or everything;
-    the kinds that read tails ask for them at a few sites (the window) or at most sites (every mode).
+    lambda0 lies below the spectrum, inside it or above it, so S is empty, partial or everything.
     """
     box = BoxGeometry.of_lengths(list(lengths))
     h = assemble(box, sample_disorder(DisorderConfig(k_max=k_max, master_seed=seed), box, 0))
@@ -587,6 +586,24 @@ def test_kernels_agree_with_full_decomposition(lengths, seed, k_max, fraction):
         assert [key for key, _ in regime.rows] == [key for key, _ in full.rows], kind
         for (key, got), (_, want) in zip(regime.rows, full.rows):
             assert got == pytest.approx(want, rel=1e-12, abs=1e-14), (kind, key)
+
+
+@pytest.mark.parametrize("kind", sorted(ensembles.KERNELS))
+def test_only_kernels_without_c_f_leave_out_modes(monkeypatch, kind):
+    """C_f reads every mode outside S, so its kernels get them all; the others get the window's columns of S."""
+    kept = []
+
+    def spy(h, **regime_args):
+        spec = diagonalize(h, **regime_args)
+        kept.append(spec.modes.shape[1])
+        return spec
+
+    monkeypatch.setattr(ensembles, "diagonalize", spy)
+    config = config_from_dict(
+        {"experiment": kind, "box": {"lengths": [6, 5]}, "lambda0": 2.0, "samples": 1, "time_grid": {"points": 5, "t_max": 2.0}}
+    )
+    ensembles.run_sample(config, 0)
+    assert (kept[0] == 30) == (kind in ("lr-bound", "correlations", "quasi-locality")), kept
 
 
 class TestRunEnsemble:

@@ -32,7 +32,7 @@ class TestVMap:
     def test_needs_every_mode(self):
         box = BoxGeometry.of_lengths([6, 5])
         h = assemble(box, sample_disorder(DisorderConfig(k_max=1.0, master_seed=5), box, 0))
-        spec = diagonalize(h, lambda0=2.0, sites=[0])
+        spec = diagonalize(h, lambda0=2.0)
         assert spec.modes.shape[1] < spec.n
         for transform in (v_map, v_inverse):
             with pytest.raises(ValueError, match="V needs all 30 modes"):
