@@ -5,10 +5,8 @@ __version__ = "0.1.0"
 from .lattice import (
     BoxGeometry,
     boundary,
-    dirichlet_laplacian,
     l1_distance,
     neighborhood,
-    neumann_laplacian,
 )
 from .anderson import (
     DisorderConfig,
@@ -35,13 +33,6 @@ from .freeboson import (
     v_map,
 )
 from .weyl import (
-    dynamic_correlation,
     laguerre,
-    lr_weyl_commutator_norm,
-    matrix_element,
     matrix_element_1d,
-    pq_commutator_matrix,
-    quasi_locality_bound,
-    quasi_locality_error,
-    restriction_constant,
 )

@@ -129,6 +129,10 @@ class ExperimentConfig:
             values = getattr(self, name)
             if len(set(values)) != len(values):
                 raise ConfigError(f"{name} has repeated entries: {list(values)}")
+        # a negative distance or radius selects no site: a NaN row, or a row for no neighborhood
+        for name in ("shells", "n_values"):
+            if any(v < 0 for v in getattr(self, name)):
+                raise ConfigError(f"{name} must be nonnegative, got {list(getattr(self, name))}")
         if self.experiment in SHELL_KINDS or self.experiment == "quasi-locality":
             try:
                 self.center_index()

@@ -14,11 +14,14 @@ over intermediate occupation states instead of in closed form.
 
 The regime projection keeps modes outside the localized set at occupation
 zero.  An optional per-mode occupation cutoff confines operators to a low
-band where the ambient truncation is irrelevant; note that compressing a
-Weyl operator to such a band distorts commutator *norms* near the band
-edge at the same order as the commutator itself, so norm-level agreement
-with the closed forms holds only for small displacements (expectation
-values and low-band matrix elements are far more forgiving).
+band where the ambient truncation is irrelevant.  Truncating a Weyl
+operator, or compressing it to such a band, distorts commutator *norms* at
+the band edge at the same order as the commutator itself, whatever the
+size of the displacements: the operator norm of a truncated commutator
+reads the edge, not the exact value.  Compare the action on low-occupation
+states instead, such as ||[A, B] psi_alpha||, expectation values or
+low-band matrix elements; those agree with the exact forms up to the
+truncation error of the states involved.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 from .anderson import SpectralData, localized_modes
 from .errors import BudgetError
 from .freeboson import v_map
-from .weyl import _check_alpha, _half_modulus_sq, _laguerre_orders, _split_vmap, matrix_element_1d
+from .weyl import _half_modulus_sq, _laguerre_orders, matrix_element_1d
 
 DEFAULT_BUDGET = 20736
 
@@ -190,20 +193,30 @@ class OracleBundle:
         return self.p_diag * low
 
 
-def build_restricted_operators(
-    spec: SpectralData, lambda0: float, trunc: TruncationSpec
-) -> OracleBundle:
-    return OracleBundle(spec, lambda0, trunc)
-
-
-def oracle_commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
-    """Spectral norm of [a, b]."""
-    return float(np.linalg.norm(a @ b - b @ a, 2))
-
-
 def oracle_expectation(state: np.ndarray, op: np.ndarray) -> complex:
     """<state| op |state>."""
     return complex(np.vdot(state, op @ state))
+
+
+def _split_vmap(spec: SpectralData, lambda0: float, f):
+    """V f together with the localized-mode mask and the constant C_f."""
+    w = v_map(spec, np.asarray(f, dtype=complex))
+    S = localized_modes(spec, lambda0)
+    mask = np.zeros(spec.n, dtype=bool)
+    mask[S] = True
+    tail = np.sum(np.abs(w[~mask]) ** 2)
+    return w, S, mask, float(np.exp(-0.25 * tail))
+
+
+def _check_alpha(alpha, n: int, S_mask: np.ndarray) -> np.ndarray:
+    alpha = np.asarray(alpha, dtype=int)
+    if alpha.shape != (n,):
+        raise ValueError("occupation vector must have one entry per mode")
+    if np.any(alpha < 0):
+        raise ValueError("occupations must be nonnegative")
+    if np.any(alpha[~S_mask] != 0):
+        raise ValueError("occupation vector must be supported on the localized modes")
+    return alpha
 
 
 def correlation_series(
@@ -213,8 +226,8 @@ def correlation_series(
 
     Sums over occupation vectors beta != alpha with beta_j <= beta_cutoff,
     restricted to modes actually displaced (elsewhere the summand forces
-    beta_j = alpha_j).  Converges to ``dynamic_correlation`` as the cutoff
-    grows.
+    beta_j = alpha_j).  Converges, as the cutoff grows, to the closed form
+    that the correlations kernel evaluates.
     """
     wf, S, mask, cf = _split_vmap(spec, lambda0, f)
     wg, _, _, cg = _split_vmap(spec, lambda0, g)

@@ -27,11 +27,6 @@ def delta_field(n_sites: int, x: int, amplitude: complex = 1.0) -> np.ndarray:
     return f
 
 
-def support(f: np.ndarray) -> np.ndarray:
-    """Indices where the field is nonzero."""
-    return np.flatnonzero(f)
-
-
 def _every_mode(spec: SpectralData):
     if spec.modes.shape[1] != spec.n:
         raise ValueError(f"V needs all {spec.n} modes, but only {spec.modes.shape[1]} were kept")

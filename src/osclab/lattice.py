@@ -1,9 +1,10 @@
 """Finite rectangular boxes in Z^nu: site enumeration, l1 geometry, Laplacians.
 
 Sites are enumerated row-major over coordinates (first axis slowest), and
-every matrix in the package uses this ordering.  Two graph Laplacians are
-provided: the plain (Neumann-type) one and its Dirichlet-type variant with
-the boundary correction 2*(2*nu - degree) on the diagonal.
+every matrix in the package uses this ordering.  ``graph_laplacian`` with
+``laplacian_diagonal`` gives the plain (Neumann-type) Laplacian and its
+Dirichlet-type variant with the boundary correction 2*(2*nu - degree) on
+the diagonal.
 """
 
 from __future__ import annotations
@@ -186,13 +187,3 @@ def graph_laplacian(box: BoxGeometry, diagonal: np.ndarray) -> np.ndarray:
     h[j, i] = -1.0
     h[np.arange(n), np.arange(n)] = diagonal
     return h
-
-
-def neumann_laplacian(box: BoxGeometry) -> np.ndarray:
-    """Graph Laplacian of the box: (h f)(x) = sum_{|x-y|=1} (f(x) - f(y))."""
-    return graph_laplacian(box, laplacian_diagonal(box, "neumann"))
-
-
-def dirichlet_laplacian(box: BoxGeometry) -> np.ndarray:
-    """Neumann Laplacian plus the diagonal correction 2*(2*nu - degree) (see ``laplacian_diagonal``)."""
-    return graph_laplacian(box, laplacian_diagonal(box, "dirichlet"))

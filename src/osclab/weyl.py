@@ -1,8 +1,8 @@
 """Closed-form Weyl-operator algebra on the regime of localized excitations.
 
 Everything here works with displacement data, never with operator matrices:
-a Weyl operator W(f) is determined by its mode displacement vector V f, and
-products follow the Weyl relation
+a Weyl operator W(f) is determined by its mode displacement vector V f
+(``freeboson.v_map``), and products follow the Weyl relation
 
     W(f) W(g) = exp(-(i/2) Im<f, g>) W(f + g),
 
@@ -22,12 +22,16 @@ and |z| up to 30, the range the tests cover.
 
 Restriction to the localized regime enters through the scalar
 C_f = exp(-||1_{S^c} V f||^2 / 4): the restricted operator equals
-C_f W(X f) P and has norm C_f.  The exact restricted quantities below
-(commutator norms, dynamic correlations, quasi-locality errors) all reduce
-to phases, C-factors and diagonal matrix elements.  For delta fields the
-experiment kernels evaluate the same quantities in batched form from
+C_f W(X f) P and has norm C_f.  The exact restricted quantities
+(commutator norms, dynamic correlations, quasi-locality errors) therefore
+reduce to phases, C-factors and diagonal products
+prod_j <a_j|W_{z_j}|a_j>.  The experiment kernels of ``ensembles``
+evaluate them for delta fields in batched form, from
 ``anderson.propagator_sums``, ``anderson.eigencorrelator_profile`` and
-``OccupationFamily``, and are tested against the forms here.
+``OccupationFamily``.  The kernels are checked directly against the
+truncated-Fock oracle (``fock_oracle.OracleBundle``) on boxes of at most
+three modes, and against ``fock_oracle.correlation_series`` and the field
+maps of ``freeboson`` on larger boxes.
 """
 
 from __future__ import annotations
@@ -35,10 +39,6 @@ from __future__ import annotations
 from math import lgamma
 
 import numpy as np
-
-from .anderson import SpectralData, localized_modes, propagator_sums
-from .freeboson import support, v_map
-from .lattice import BoxGeometry, neighborhood
 
 
 # ---------------------------------------------------------------------------
@@ -216,210 +216,3 @@ class OccupationFamily:
         if not positive:
             out *= 1.0 - 2.0 * np.fmod(signs @ self._hits, 2.0)
         return np.moveaxis(out, -1, 0)
-
-
-def diagonal_products(alphas, x) -> np.ndarray:
-    """One-shot ``OccupationFamily(alphas)(x)``: the diagonal elements of a family at x."""
-    return OccupationFamily(alphas)(x)
-
-
-def matrix_element(spec: SpectralData, alpha, beta, f) -> complex:
-    """<psi_alpha, W(f) psi_beta> as the product of one-mode elements."""
-    alpha = np.asarray(alpha, dtype=int)
-    beta = np.asarray(beta, dtype=int)
-    if alpha.shape != (spec.n,) or beta.shape != (spec.n,):
-        raise ValueError("occupation vectors must have one entry per mode")
-    z = v_map(spec, np.asarray(f, dtype=complex))
-    out = 1.0 + 0.0j
-    for a, b, zj in zip(alpha, beta, z):
-        out *= matrix_element_1d(int(a), int(b), zj)
-        if out == 0.0:
-            break
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Restriction to the localized regime
-# ---------------------------------------------------------------------------
-
-def _split_vmap(spec: SpectralData, lambda0: float, f):
-    """V f together with the localized-mode mask and the constant C_f."""
-    w = v_map(spec, np.asarray(f, dtype=complex))
-    S = localized_modes(spec, lambda0)
-    mask = np.zeros(spec.n, dtype=bool)
-    mask[S] = True
-    tail = np.sum(np.abs(w[~mask]) ** 2)
-    return w, S, mask, float(np.exp(-0.25 * tail))
-
-
-def restriction_constant(spec: SpectralData, lambda0: float, f) -> float:
-    """C_f = exp(-||1_{S^c} V f||^2 / 4); equals 1 iff V f lives on S."""
-    return _split_vmap(spec, lambda0, f)[3]
-
-
-# ---------------------------------------------------------------------------
-# Lieb-Robinson commutators
-# ---------------------------------------------------------------------------
-
-def symplectic_phase_on_grid(spec: SpectralData, lambda0: float, f, g, times) -> np.ndarray:
-    """Im<X f_t, X g> for each t in ``times``.
-
-    Per localized mode the integrand is exp(-2 i t gamma_j) conj(Vf)_j (Vg)_j,
-    so the result is a cosine/sine sum evaluated directly on the grid.
-    """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    wf, S, _, _ = _split_vmap(spec, lambda0, f)
-    wg = v_map(spec, np.asarray(g, dtype=complex))
-    if S.size == 0:
-        return np.zeros(times.shape)
-    c = np.conj(wf[S]) * wg[S]
-    ang = 2.0 * times[:, None] * spec.gammas[S][None, :]
-    return np.cos(ang) @ c.imag - np.sin(ang) @ c.real
-
-
-def mode_product_sum(spec: SpectralData, lambda0: float, f, g) -> float:
-    """sum_j |(V X f_t)(j) (V X g)(j)|, independent of t.
-
-    Dominates |Im<X f_t, X g>| for every time; this is the per-realization
-    envelope behind the commutator and correlation bounds.
-    """
-    wf, S, _, _ = _split_vmap(spec, lambda0, f)
-    wg = v_map(spec, np.asarray(g, dtype=complex))
-    return float(np.sum(np.abs(wf[S]) * np.abs(wg[S])))
-
-
-def lr_weyl_commutator_norm(spec: SpectralData, lambda0: float, f, g, t: float) -> float:
-    """Exact norm of [tau_t(W(f)_I), W(g)_I].
-
-    Equals C_f C_g |exp(-i Im<X f_t, X g>) - 1| by the restriction lemma and
-    the Weyl relations; bounded by C_f C_g |Im<X f_t, X g>|.
-    """
-    _, _, _, cf = _split_vmap(spec, lambda0, f)
-    _, _, _, cg = _split_vmap(spec, lambda0, g)
-    theta = float(symplectic_phase_on_grid(spec, lambda0, f, g, t)[0])
-    return cf * cg * float(np.abs(np.exp(-1j * theta) - 1.0))
-
-
-def lr_envelope(spec: SpectralData, lambda0: float, f, g) -> float:
-    """Time-uniform envelope C_f C_g min(2, sum_j |(Vf)_j (Vg)_j| over S)."""
-    _, _, _, cf = _split_vmap(spec, lambda0, f)
-    _, _, _, cg = _split_vmap(spec, lambda0, g)
-    return cf * cg * min(2.0, mode_product_sum(spec, lambda0, f, g))
-
-
-def pq_commutator_matrix(spec: SpectralData, lambda0: float, x: int, y: int, t: float) -> np.ndarray:
-    """Scalar coefficients of the four restricted position/momentum commutators.
-
-    Returns the 2x2 real array
-        [[-<dx, h^{-1/2} sin(2t sqrt(h)) X dy>,  <dx, cos(2t sqrt(h)) X dy>],
-         [-<dx, cos(2t sqrt(h)) X dy>,          -<dx, h^{1/2} sin(2t sqrt(h)) X dy>]];
-    each commutator equals i times its coefficient times the regime projection.
-    The entries are ``anderson.propagator_sums`` at one site y and one time t.
-    """
-    sin_minus, cos_sum, sin_plus = (
-        float(v[0, 0]) for v in propagator_sums(spec, lambda0, x, [y], [t], (-1, 0, 1))
-    )
-    return np.array([[-sin_minus, cos_sum], [-cos_sum, -sin_plus]])
-
-
-# ---------------------------------------------------------------------------
-# Dynamic correlations
-# ---------------------------------------------------------------------------
-
-def _check_alpha(alpha, n: int, S_mask: np.ndarray) -> np.ndarray:
-    alpha = np.asarray(alpha, dtype=int)
-    if alpha.shape != (n,):
-        raise ValueError("occupation vector must have one entry per mode")
-    if np.any(alpha < 0):
-        raise ValueError("occupations must be nonnegative")
-    if np.any(alpha[~S_mask] != 0):
-        raise ValueError("occupation vector must be supported on the localized modes")
-    return alpha
-
-
-def dynamic_correlation(spec: SpectralData, lambda0: float, alpha, f, g, t: float) -> complex:
-    """Restricted dynamic correlation of W(f), W(g) in the eigenstate psi_alpha.
-
-    Closed form: with eta = V X f_t and xi = V X g,
-
-        C_f C_g ( e^{-i Im<eta, xi> / 2} prod_j <a_j|W_{eta_j + xi_j}|a_j>
-                  - prod_j <a_j|W_{eta_j}|a_j> prod_j <a_j|W_{xi_j}|a_j> ).
-    """
-    wf, S, mask, cf = _split_vmap(spec, lambda0, f)
-    wg, _, _, cg = _split_vmap(spec, lambda0, g)
-    alpha = _check_alpha(alpha, spec.n, mask)
-    eta = np.where(mask, np.exp(2j * t * spec.gammas) * wf, 0.0)
-    xi = np.where(mask, wg, 0.0)
-    theta = float(np.sum(np.imag(np.conj(eta) * xi)))
-    x = np.stack([_half_modulus_sq(eta + xi), _half_modulus_sq(eta), _half_modulus_sq(xi)])
-    joint, d_eta, d_xi = diagonal_products(alpha[None, :], x)[0]
-    return cf * cg * (np.exp(-0.5j * theta) * joint - d_eta * d_xi)
-
-
-# ---------------------------------------------------------------------------
-# Quasi-locality
-# ---------------------------------------------------------------------------
-
-def _tail_displacements(
-    spec: SpectralData, box: BoxGeometry, lambda0: float, f, region, n: int, t: float
-):
-    """V f_{n,t} with f_{n,t} = X 1_{outside X(n)} X f_t, plus C_f.
-
-    ``region`` is the support set X of f; the neighborhood X(n) is taken in
-    the box geometry.
-    """
-    f = np.asarray(f, dtype=complex)
-    region_idx = np.unique(np.asarray(list(region), dtype=int))
-    if not set(support(f)).issubset(set(region_idx.tolist())):
-        raise ValueError("f must be supported inside the given region")
-    wf, S, mask, cf = _split_vmap(spec, lambda0, f)
-    grown = neighborhood(box, region_idx, int(n))
-    outside = np.ones(box.n_sites, dtype=bool)
-    outside[grown] = False
-    # X f_t in position space, chopped to the complement of X(n)
-    projected = np.where(mask, np.exp(2j * t * spec.gammas) * wf, 0.0)
-    re = spec.modes @ (np.sqrt(spec.gammas) * projected.real)
-    im = spec.modes @ (projected.imag / np.sqrt(spec.gammas))
-    chopped = (re + 1j * im) * outside
-    w = v_map(spec, chopped)
-    return np.where(mask, w, 0.0), cf
-
-
-def quasi_locality_error(
-    spec: SpectralData,
-    box: BoxGeometry,
-    lambda0: float,
-    alpha,
-    f,
-    region,
-    n: int,
-    t: float,
-) -> float:
-    """Exact distance ||(tau_t(W(f)) - W_hat)_I psi_alpha||.
-
-    W_hat is the strictly local approximation supported on the
-    n-neighborhood of the region; the difference reduces to
-    C_f sqrt(2 - 2 Re prod_j <a_j|W_{(V f_{n,t})_j}|a_j>).
-    """
-    _, S, mask, _ = _split_vmap(spec, lambda0, f)
-    alpha = _check_alpha(alpha, spec.n, mask)
-    w, cf = _tail_displacements(spec, box, lambda0, f, region, n, t)
-    diag = float(diagonal_products(alpha[None, :], _half_modulus_sq(w))[0])
-    return cf * float(np.sqrt(max(0.0, 2.0 - 2.0 * diag)))
-
-
-def quasi_locality_bound(
-    spec: SpectralData,
-    box: BoxGeometry,
-    lambda0: float,
-    f,
-    region,
-    n: int,
-    t: float,
-    kappa: int,
-) -> float:
-    """Dominating bound sqrt(2 (kappa + 1)) ||V f_{n,t}||_2."""
-    if kappa < 0:
-        raise ValueError("kappa must be nonnegative")
-    w, _ = _tail_displacements(spec, box, lambda0, f, region, n, t)
-    return float(np.sqrt(2.0 * (kappa + 1)) * np.linalg.norm(w))

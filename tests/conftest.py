@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from osclab.anderson import DisorderConfig, assemble, diagonalize, sample_disorder
+from osclab import ensembles
+from osclab.anderson import DisorderConfig, assemble, diagonalize, localized_modes, sample_disorder
 from osclab.lattice import BoxGeometry
 
 
@@ -34,3 +35,12 @@ def laguerre_direct(n, k, x):
 
 def random_field(rng, n, scale=1.0):
     return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+def kernel_family(config, spec):
+    """The occupation vectors a kernel takes its suprema over, padded to one entry per mode."""
+    S = localized_modes(spec, config.lambda0_value())
+    short = ensembles._alpha_family(config, spec, S, 0)
+    family = np.zeros((short.shape[0], spec.n), dtype=int)
+    family[:, : S.size] = short
+    return family

@@ -23,7 +23,7 @@ from osclab.anderson import (
 )
 from osclab.ensembles import DOMINATION_SLACK
 from osclab.errors import ConfigError, NumericError
-from osclab.lattice import BoxGeometry, dirichlet_laplacian, neumann_laplacian
+from osclab.lattice import BoxGeometry, graph_laplacian, laplacian_diagonal
 
 from conftest import make_chain_spec
 
@@ -385,7 +385,7 @@ class TestTridiagonal:
         Laplacian(bc) + diag(k) bit for bit."""
         box = BoxGeometry.of_lengths(lengths)
         sample = sample_disorder(DisorderConfig(k_max=1.5, master_seed=6), box, 0)
-        expected = {"neumann": neumann_laplacian, "dirichlet": dirichlet_laplacian}[bc](box)
+        expected = graph_laplacian(box, laplacian_diagonal(box, bc))
         expected[np.arange(box.n_sites), np.arange(box.n_sites)] += sample.k
         h = assemble(box, sample, bc)
         assert isinstance(h, Tridiagonal) == (len(lengths) == 1)

@@ -74,6 +74,20 @@ class TestValidation:
             config_from_dict(doc)
 
     @pytest.mark.parametrize(
+        "doc, name",
+        [
+            pytest.param(_doc(shells=[-1, 2]), "shells", id="shells"),
+            pytest.param(_doc(shells={"min": -1, "max": 2}), "shells", id="shell-range"),
+            pytest.param(_doc(experiment="quasi-locality", n_values=[-2, 1]), "n_values", id="n_values"),
+            pytest.param(_doc(experiment="quasi-locality", n_values={"min": -1, "max": 1}), "n_values", id="n-range"),
+        ],
+    )
+    def test_negative_distances_rejected(self, doc, name):
+        """A negative shell selects no site (a NaN row) and a negative radius no neighborhood."""
+        with pytest.raises(ConfigError, match=f"{name} must be nonnegative"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize(
         "lengths",
         [[1], [2], [3], [5], [10], [11], [12], [13], [20], [100], [400], [4, 3], [2, 2], [6, 6], [40, 40], [3, 3, 3]],
     )

@@ -4,27 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osclab import ensembles
-from osclab.anderson import DisorderConfig, assemble, diagonalize, localized_modes, sample_disorder
+from osclab.anderson import DisorderConfig, assemble, diagonalize, sample_disorder
 from osclab.config import EXPERIMENT_KINDS, config_from_dict
 from osclab.errors import ConfigError, NumericError
-from osclab.fock_oracle import diagonal_elements
-from osclab.freeboson import delta_field
-from osclab.lattice import BoxGeometry
+from osclab.fock_oracle import correlation_series, diagonal_elements
+from osclab.freeboson import delta_field, evolve, project_localized, v_map
+from osclab.lattice import BoxGeometry, neighborhood
 from osclab.results import render_csv
 from osclab.anderson import eigencorrelator
-from osclab.weyl import (
-    OccupationFamily,
-    diagonal_products,
-    dynamic_correlation,
-    lr_envelope,
-    lr_weyl_commutator_norm,
-    mode_product_sum,
-    pq_commutator_matrix,
-    quasi_locality_bound,
-    quasi_locality_error,
-)
+from osclab.weyl import OccupationFamily
 
-from conftest import make_chain_spec
+from conftest import kernel_family, make_chain_spec
 
 
 def _rowwise_products(alphas, z):
@@ -44,7 +34,7 @@ class TestDiagonalProducts:
         mixed = rng.integers(0, 4, size=(5, m))
         alphas = np.vstack([constant, mixed])
         z = 1.5 * (rng.standard_normal((6, m)) + 1j * rng.standard_normal((6, m)))
-        got = diagonal_products(alphas, _half_sq(z))
+        got = OccupationFamily(alphas)(_half_sq(z))
         ref = _rowwise_products(alphas, z)
         assert got.shape == (alphas.shape[0], 6)
         assert np.max(np.abs(got - ref)) < 1e-13
@@ -53,7 +43,7 @@ class TestDiagonalProducts:
         rng = np.random.default_rng(5)
         alphas = rng.integers(0, 4, size=(3, 7))
         z = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-        got = diagonal_products(alphas, _half_sq(z))
+        got = OccupationFamily(alphas)(_half_sq(z))
         ref = [np.prod(diagonal_elements(al, z)) for al in alphas]
         assert got.shape == (3,)
         assert np.max(np.abs(got - ref)) < 1e-13
@@ -64,7 +54,7 @@ class TestDiagonalProducts:
         radii = np.linspace(0.0, 40.0, m)
         z = radii * np.exp(2j * np.pi * rng.uniform(size=(3, m)))
         alphas = np.vstack([np.full(m, k) for k in range(4)] + [rng.integers(0, 4, size=m)])
-        got = diagonal_products(alphas, _half_sq(z))
+        got = OccupationFamily(alphas)(_half_sq(z))
         assert np.all(np.isfinite(got))
         assert np.all(np.abs(got) <= 1.0)
 
@@ -73,7 +63,7 @@ class TestDiagonalProducts:
         m = 5
         x = np.array([[1.0, 0.3, 2.0, 0.7, 4.0], [0.2, 1.0, 1.0, 3.0, 0.0]])
         alphas = np.array([[1, 0, 2, 0, 3], [0, 1, 0, 3, 0], [0] * m, [2, 2, 2, 2, 2], [1, 1, 1, 1, 1]])
-        got = diagonal_products(alphas, x)
+        got = OccupationFamily(alphas)(x)
         assert not np.any(np.isnan(got))
         assert got[0, 0] == 0.0 and got[1, 1] == 0.0 and got[4, 0] == 0.0 and got[4, 1] == 0.0
         ref = _rowwise_products(alphas, np.sqrt(2.0 * x))
@@ -86,7 +76,7 @@ class TestDiagonalProducts:
         x = np.array([2.0, 1.0, 2.0, 0.5])
         alpha = np.array([[1, 2, 1, 0]])
         alpha[0, negatives:3] = 0
-        got = diagonal_products(alpha, x)[0]
+        got = OccupationFamily(alpha)(x)[0]
         ref = float(np.prod(diagonal_elements(alpha[0], np.sqrt(2.0 * x))))
         assert np.sign(got) == (-1.0) ** negatives
         assert got == pytest.approx(ref, rel=1e-14)
@@ -97,7 +87,7 @@ class TestDiagonalProducts:
         m = 400
         x = rng.uniform(0.0, 1e-6, size=(4, m))
         alphas = np.vstack([np.full(m, k) for k in range(4)] + [rng.integers(0, 4, size=m)])
-        got = diagonal_products(alphas, x)
+        got = OccupationFamily(alphas)(x)
         assert np.all(np.isfinite(got))
         assert np.all(np.abs(got) <= 1.0 + 1e-12)
         assert np.max(np.abs(got - _rowwise_products(alphas, np.sqrt(2.0 * x)))) < 1e-12
@@ -118,7 +108,7 @@ class TestDiagonalProducts:
         rows, radii, angles = data
         alphas = np.array(rows)
         z = np.array(radii) * np.exp(1j * np.array(angles))
-        got = diagonal_products(alphas, _half_sq(z))
+        got = OccupationFamily(alphas)(_half_sq(z))
         ref = _rowwise_products(alphas, z)
         assert got.shape == ref.shape
         assert np.all(np.abs(got) <= 1.0 + 1e-12)
@@ -126,11 +116,11 @@ class TestDiagonalProducts:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            diagonal_products(np.zeros((2, 3), int), np.zeros((4, 5)))
+            OccupationFamily(np.zeros((2, 3), int))(np.zeros((4, 5)))
         with pytest.raises(ValueError):
-            diagonal_products(np.zeros(3, int), np.zeros(3))
+            OccupationFamily(np.zeros(3, int))(np.zeros(3))
         with pytest.raises(ValueError):
-            diagonal_products(-np.ones((1, 3), int), np.zeros(3))
+            OccupationFamily(-np.ones((1, 3), int))(np.zeros(3))
 
 
 def _spy_paths(monkeypatch):
@@ -159,7 +149,7 @@ class TestOccupationFamily:
         general = family._finish(family._fill(x), x.sum(axis=-1), positive=False)
         assert fast.shape == (alphas.shape[0],) + lead
         assert np.array_equal(fast, general)
-        assert np.array_equal(fast, diagonal_products(alphas, x))
+        assert np.array_equal(fast, OccupationFamily(alphas)(x))
 
     @pytest.mark.parametrize("value, sign", [(1.0, 0.0), (2.0, -1.0)])
     def test_zero_or_negative_factor_forces_general_path(self, monkeypatch, value, sign):
@@ -185,7 +175,7 @@ class TestOccupationFamily:
         xs = [rng.uniform(0.0, 6.0, size=(4, 5)) for _ in range(3)] + [rng.uniform(0.0, 6.0, size=5)]
         for x in xs:
             got = family(x, x.sum(axis=-1))
-            assert np.array_equal(got, diagonal_products(alphas, x))
+            assert np.array_equal(got, OccupationFamily(alphas)(x))
             ref = _rowwise_products(alphas, np.sqrt(2.0 * x)).reshape(got.shape)
             assert np.allclose(got, ref, rtol=1e-12, atol=1e-14)
         assert sorted(family._buffers) == [(4, 5), (5,)]
@@ -209,23 +199,26 @@ def _config(kind, lambda0, **extra):
     return config_from_dict(doc)
 
 
-def _family(config, spec):
-    """Occupation vectors the kernels use, padded to one entry per mode."""
-    S = localized_modes(spec, config.lambda0_value())
-    short = ensembles._alpha_family(config, spec, S, 0)
-    full = np.zeros((short.shape[0], spec.n), dtype=int)
-    full[:, : S.size] = short
-    return full
-
-
 def _shell(center, d, n_sites=12):
     """Sites of a chain at distance d from the center, in the kernels' order."""
     return [y for y in (center - d, center + d) if 0 <= y < n_sites]
 
 
+def _restriction(spec, lam, f):
+    """C_f = exp(-||V (f - X f)||^2 / 4), from the part of f outside the regime."""
+    return np.exp(-np.linalg.norm(v_map(spec, f - project_localized(spec, lam, f))) ** 2 / 4)
+
+
 @pytest.mark.parametrize("lambda0", ["full", 2.0])
 class TestKernelsAgainstScalarForms:
-    """The batched kernels reproduce the scalar closed forms of weyl.py."""
+    """The batched kernels against one-site, one-time routes on boxes beyond the Fock oracle.
+
+    ``fock_oracle.correlation_series`` sums a correlation over intermediate
+    states.  The phases theta = Im<X f_t, X g>, the pq coefficients and the
+    quasi-locality tails come from the field maps ``evolve``,
+    ``project_localized`` and ``v_map``.  The kernels' rows on boxes of two
+    and three modes are checked against the oracle itself in test_fock_oracle.
+    """
 
     def test_correlations(self, chain12, lambda0):
         box, spec = chain12
@@ -247,7 +240,7 @@ class TestKernelsAgainstScalarForms:
         table = dict(rows)
         lam = config.lambda0_value()
         times = ensembles._time_grid(config, spec)
-        alphas = _family(config, spec)
+        alphas = kernel_family(config, spec)
         assert alphas.shape[0] >= 2
         f = delta_field(12, center, config.amplitude)
         for d in config.shells:
@@ -255,9 +248,9 @@ class TestKernelsAgainstScalarForms:
             for y in _shell(center, d):
                 g = delta_field(12, y, config.amplitude)
                 sups.append(
-                    max(abs(dynamic_correlation(spec, lam, al, f, g, t)) for al in alphas for t in times)
+                    max(abs(correlation_series(spec, lam, al, f, g, t, beta_cutoff=20)) for al in alphas for t in times)
                 )
-                overlaps.append(mode_product_sum(spec, lam, f, g))
+                overlaps.append(config.amplitude**2 * eigencorrelator(spec, lam, -1, center, y))
             assert table[(d, "correlation_sup")] == pytest.approx(np.mean(sups), rel=1e-12, abs=1e-14)
             assert table[(d, "overlap_sum")] == pytest.approx(np.mean(overlaps), rel=1e-12, abs=1e-14)
         assert flags == {"correlation_bound_violations": 0}
@@ -270,13 +263,17 @@ class TestKernelsAgainstScalarForms:
         table = dict(rows)
         lam = config.lambda0_value()
         times = ensembles._time_grid(config, spec)
-        f = delta_field(12, center, config.amplitude)
+        a = config.amplitude
+        f = delta_field(12, center, a)
+        xfs = [project_localized(spec, lam, evolve(spec, f, t)) for t in times]
         for d in config.shells:
             sups, envelopes = [], []
             for y in _shell(center, d):
-                g = delta_field(12, y, config.amplitude)
-                sups.append(max(lr_weyl_commutator_norm(spec, lam, f, g, t) for t in times))
-                envelopes.append(lr_envelope(spec, lam, f, g))
+                g = delta_field(12, y, a)
+                cc = _restriction(spec, lam, f) * _restriction(spec, lam, g)
+                # |e^{-i theta} - 1| with theta = Im<X f_t, X g> = Im<X f_t, g>
+                sups.append(max(cc * abs(np.exp(-1j * np.imag(np.vdot(xf, g))) - 1.0) for xf in xfs))
+                envelopes.append(cc * min(2.0, a * a * eigencorrelator(spec, lam, -1, center, y)))
             assert table[(d, "commutator_sup")] == pytest.approx(np.mean(sups), rel=1e-12, abs=1e-14)
             assert table[(d, "commutator_envelope")] == pytest.approx(np.mean(envelopes), rel=1e-12, abs=1e-14)
         assert flags == {"domination_violations": 0}
@@ -289,16 +286,21 @@ class TestKernelsAgainstScalarForms:
         table = dict(rows)
         lam = config.lambda0_value()
         times = ensembles._time_grid(config, spec)
-        # |coefficient| of the (position, position), (position, momentum),
-        # (momentum, position) and (momentum, momentum) commutator
-        entries = {"qq_sup": (0, 0), "qp_sup": (0, 1), "pq_sup": (1, 0), "pp_sup": (1, 1)}
         powers = {"envelope_minus": -1, "envelope_zero": 0, "envelope_plus": 1}
         for d in config.shells:
             sites = _shell(center, d)
-            mats = np.array([[pq_commutator_matrix(spec, lam, center, y, t) for t in times] for y in sites])
-            for name, (i, j) in entries.items():
-                want = np.mean(np.abs(mats[:, :, i, j]).max(axis=1))
-                assert table[(d, name)] == pytest.approx(want, rel=1e-12, abs=1e-14)
+            coefficients = {name: [] for name in ("qq_sup", "qp_sup", "pq_sup", "pp_sup")}
+            for y in sites:
+                # Re and Im of X (delta_y)_t at x are <dx, cos(2t sqrt(h)) X dy> and
+                # <dx, h^{-1/2} sin(2t sqrt(h)) X dy>; -Re of X (i delta_y)_t is the h^{1/2} sin term
+                real = [project_localized(spec, lam, evolve(spec, delta_field(12, y), t))[center] for t in times]
+                imag = [project_localized(spec, lam, evolve(spec, delta_field(12, y, 1j), t))[center] for t in times]
+                coefficients["qq_sup"].append(max(abs(v.imag) for v in real))
+                coefficients["qp_sup"].append(max(abs(v.real) for v in real))
+                coefficients["pq_sup"].append(max(abs(v.real) for v in real))
+                coefficients["pp_sup"].append(max(abs(v.real) for v in imag))
+            for name, values in coefficients.items():
+                assert table[(d, name)] == pytest.approx(np.mean(values), rel=1e-12, abs=1e-14)
             for name, s in powers.items():
                 want = np.mean([eigencorrelator(spec, lam, s, center, y) for y in sites])
                 assert table[(d, name)] == pytest.approx(want, rel=1e-12, abs=1e-14)
@@ -306,38 +308,44 @@ class TestKernelsAgainstScalarForms:
 
     def test_quasi_locality(self, chain12, lambda0):
         box, spec = chain12
-        self._check_quasi_locality(box, spec, _config("quasi-locality", lambda0, n_values=[3, 1, 2]))
+        self._check_quasi_locality(box, spec, _config("quasi-locality", lambda0, kappa=0, n_values=[3, 1, 2, 11]))
 
     def test_quasi_locality_amplitude_3(self, chain12, lambda0):
         box, spec = chain12
-        config = _config("quasi-locality", lambda0, n_values=[3, 1, 2], amplitude=3.0)
+        config = _config("quasi-locality", lambda0, kappa=0, n_values=[3, 1, 2, 11], amplitude=3.0)
         self._check_quasi_locality(box, spec, config)
 
     def test_quasi_locality_square(self, lambda0):
         box = BoxGeometry.of_lengths([4, 4])
         sample = sample_disorder(DisorderConfig(k_max=1.0, master_seed=8), box, 0)
         spec = diagonalize(assemble(box, sample))
-        config = _config("quasi-locality", lambda0, box={"lengths": [4, 4]}, n_values=[0, 2, 1, 4])
+        config = _config("quasi-locality", lambda0, box={"lengths": [4, 4]}, kappa=0, n_values=[0, 2, 1, 4, 6])
         self._check_quasi_locality(box, spec, config)
 
     @staticmethod
     def _check_quasi_locality(box, spec, config):
+        """kappa = 0, so the family is the vacuum and the error is C_f sqrt(2 - 2 exp(-||V f_{n,t}||^2 / 4))."""
+        assert config.kappa == 0
         rows, flags, _ = ensembles.KERNELS["quasi-locality"](config, box, spec, 0)
         lam = config.lambda0_value()
         times = ensembles._time_grid(config, spec)
-        alphas = _family(config, spec)
         center = config.center_index()
         f = delta_field(box.n_sites, center, config.amplitude)
+        c_f = _restriction(spec, lam, f)
+        xfs = [project_localized(spec, lam, evolve(spec, f, t)) for t in times]
         expected = []
         for n in config.n_values:
-            err = max(
-                quasi_locality_error(spec, box, lam, al, f, [center], n, t) for al in alphas for t in times
-            )
-            bound = max(quasi_locality_bound(spec, box, lam, f, [center], n, t, config.kappa) for t in times)
-            expected += [((n, "error_sup"), err), ((n, "bound_sup"), bound)]
+            outside = np.ones(box.n_sites, dtype=bool)
+            outside[neighborhood(box, [center], n)] = False
+            # V f_{n,t} with f_{n,t} = X 1_{outside X(n)} X f_t
+            norms = [np.linalg.norm(v_map(spec, project_localized(spec, lam, xf * outside))) for xf in xfs]
+            err = max(c_f * np.sqrt(max(0.0, 2 - 2 * np.exp(-w**2 / 4))) for w in norms)
+            expected += [((n, "error_sup"), err), ((n, "bound_sup"), np.sqrt(2.0) * max(norms))]
         assert [key for key, _ in rows] == [key for key, _ in expected]
-        for (_, got), (_, want) in zip(rows, expected):
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
+        for (key, got), (_, want) in zip(rows, expected):
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-14), key
+            if key[0] == box.diameter():
+                assert got == 0.0  # X(n) is the whole box
         assert flags == {"bound_violations": 0}
 
 

@@ -1,35 +1,28 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
-from osclab.anderson import localized_modes
+from osclab import ensembles
+from osclab.anderson import DisorderConfig, assemble, diagonalize, localized_modes, sample_disorder
+from osclab.config import config_from_dict
 from osclab.errors import BudgetError
 from osclab.fock_oracle import (
     OracleBundle,
     TruncationSpec,
-    build_restricted_operators,
     ladder_matrices,
-    oracle_commutator_norm,
-    oracle_expectation,
     weyl_matrix_1d_oracle,
 )
 from osclab.freeboson import delta_field, evolve, project_localized, v_map
-from osclab.weyl import (
-    dynamic_correlation,
-    lr_weyl_commutator_norm,
-    matrix_element,
-    matrix_element_1d,
-    pq_commutator_matrix,
-    quasi_locality_error,
-    restriction_constant,
-    symplectic_phase_on_grid,
-)
+from osclab.lattice import BoxGeometry, l1_distances_from
+from osclab.weyl import matrix_element_1d
 
-from conftest import make_chain_spec, random_field
+from conftest import kernel_family, make_chain_spec, random_field
 
 
 def make_bundle(spec, lambda0, dim=14, cutoff=None):
     trunc = TruncationSpec(per_mode_dim=dim, mode_count=spec.n, occupation_cutoff=cutoff)
-    return build_restricted_operators(spec, lambda0, trunc)
+    return OracleBundle(spec, lambda0, trunc)
 
 
 class TestLadder:
@@ -154,7 +147,7 @@ class TestLemma31Structure:
         rng = np.random.default_rng(2)
         for _ in range(5):
             f = random_field(rng, 2, scale=0.7)
-            cf = restriction_constant(spec, lam, f)
+            cf = np.exp(-np.linalg.norm(v_map(spec, f)[~bundle.mode_mask]) ** 2 / 4)
             assert cf < 1.0  # generic field leaks outside the regime
             norm = np.linalg.norm(bundle.restricted(bundle.weyl(f)), 2)
             assert abs(norm - cf) < 1e-8
@@ -185,21 +178,114 @@ class TestDynamicsOracle:
             alpha = rng.integers(0, 4, size=2)
             beta = rng.integers(0, 4, size=2)
             got = w[bundle.state_index(alpha), bundle.state_index(beta)]
-            assert abs(got - matrix_element(spec, alpha, beta, f)) < 1e-7
+            want = np.prod([matrix_element_1d(int(a), int(b), z) for a, b, z in zip(alpha, beta, v_map(spec, f))])
+            assert abs(got - want) < 1e-7
+
+
+
+
+#: Disorder seed of the kernel boxes; on two sites it is the sample of ``pair_spec``.
+KERNEL_SEED = 5
+
+#: (lengths, center, shells) of the kernel boxes.  [3, 1] is the chain [3]
+#: as a box with nu = 2, so its h is dense: it runs the dense solver, and the
+#: window for pq-bound at a finite lambda0.
+KERNEL_BOXES = (([2], [0], [1]), ([3], [0], [1, 2]), ([3, 1], [1, 0], [1]))
+
+#: Per-mode dimension of the Weyl oracle by mode count, and the amplitudes it
+#: holds.  Three modes must stay at 12^3 states; there amplitude 3 leaves
+#: truncation errors of 1e-2 to 0.5 in the commutator norms, so only two modes
+#: (40^2 states, errors below 1e-14) run at amplitude 3.
+WEYL_DIM = {2: 40, 3: 12}
+AMPLITUDES = {2: (0.9, 3.0), 3: (0.9,)}
+
+#: About ten times the largest deviation from the oracle over every kernel
+#: case, measured with numpy 2.4 on x86-64: commutator norms 1.3e-11,
+#: correlations 1.5e-12, quasi-locality errors 9.9e-14, all at three modes;
+#: pq coefficients, envelopes and bounds, which no truncation touches, 2.5e-15.
+WEYL_TOL = {"lr-bound": 1e-10, "correlations": 1e-11, "quasi-locality": 1e-12}
+EXACT_TOL = 1e-13
+
+_TIME_GRID = ensembles._time_grid
+
+
+def _kernel_cases(kind, **extra):
+    """(config, spec) for each kernel box, each lambda0 that puts 1..n modes in S, each amplitude.
+
+    ``spec`` holds every mode, whatever the kernel's own solve keeps.
+    """
+    for lengths, center, shells in KERNEL_BOXES:
+        box = BoxGeometry.of_lengths(lengths)
+        spec = diagonalize(assemble(box, sample_disorder(DisorderConfig(k_max=1.0, master_seed=KERNEL_SEED), box, 0)))
+        evals = spec.eigenvalues
+        for m in range(1, spec.n + 1):
+            lam = "full" if m == spec.n else float(evals[m - 1] + evals[m]) / 2
+            for amplitude in (1.0,) if kind == "pq-bound" else AMPLITUDES[spec.n]:
+                doc = {
+                    "experiment": kind,
+                    "box": {"lengths": lengths},
+                    "center": center,
+                    "lambda0": lam,
+                    "amplitude": amplitude,
+                    "samples": 1,
+                    "seed": KERNEL_SEED,
+                    "time_grid": {"points": 4, "t_max": 3.0},
+                    **extra,
+                }
+                if kind == "quasi-locality":
+                    doc["n_values"] = list(range(box.diameter() + 1))
+                else:
+                    doc["shells"] = shells
+                config = config_from_dict(doc)
+                assert localized_modes(spec, config.lambda0_value()).size == m
+                yield config, spec
+
+
+def _rows_at(monkeypatch, config, t):
+    """The rows of run_sample, which runs the kernel on the sample's own solve, on the one-time grid [t]."""
+    monkeypatch.setattr(ensembles, "_time_grid", lambda config, spec: np.array([t]))
+    return dict(ensembles.run_sample(config, 0).rows)
+
+
+def _shell(config, d):
+    return np.flatnonzero(l1_distances_from(config.box(), config.center_index()) == d)
+
+
+def _act(bundle, op, v, t=0.0):
+    """tau_t(op_I) v, with the bundle's diagonal P and e^{itH} applied to the vector."""
+    phases = np.exp(1j * t * bundle.energies)
+    return phases * (bundle.p_diag * (op @ (bundle.p_diag * (np.conj(phases) * v))))
+
+
+def _weyl_state(bundle, f, alpha):
+    """W(f) psi_alpha: the Kronecker product of one column of the oracle's one-mode W per mode."""
+    d = bundle.trunc.per_mode_dim
+    return reduce(np.kron, [weyl_matrix_1d_oracle(z, d)[:, k] for z, k in zip(v_map(bundle.spec, f), alpha)])
+
+
+def _one_particle_sum(bundle, op_x, op_y):
+    """2 sum_{j in S} |<1_j|op_x|0> <1_j|op_y|0>|, which is Q_s(x, y) for two oracle operators.
+
+    <1_j|q_x|0> = phi_j(x) / sqrt(2 gamma_j) and |<1_j|p_x|0>| = |phi_j(x)| sqrt(gamma_j / 2),
+    so (q_x, q_y), (q_x, p_y) and (p_x, p_y) give s = -1, 0 and +1.
+    """
+    n = bundle.spec.n
+    vac = bundle.state_index(np.zeros(n, dtype=int))
+    ones = [bundle.state_index(e) for e in np.eye(n, dtype=int)[bundle.mode_mask]]
+    return 2.0 * float(np.sum(np.abs(op_x[ones, vac] * op_y[ones, vac])))
 
 
 @pytest.mark.filterwarnings("ignore:truncation leakage")
+@pytest.mark.filterwarnings("ignore:displacement")
 class TestRestrictedQuantitiesOracle:
-    """Dual-route checks of the exact closed forms on a two-site system."""
-
-    def lam_regime(self, spec):
-        return float(spec.eigenvalues[0]) + 1e-9  # S = {0}
+    """Each experiment kernel's rows against the oracle, at every grid time, on boxes of two and three modes."""
 
     def test_lr_action_identity_low_block(self, pair_spec):
         # [W(f)_I(t), W(g)_I] = C_f C_g (e^{-i theta} - 1) W(Xg) W(Xf_t) P on low bands
         _, spec = pair_spec
-        lam = self.lam_regime(spec)
+        lam = float(spec.eigenvalues[0]) + 1e-9  # S = {0}
         bundle = make_bundle(spec, lam, cutoff=None)
+        vac = bundle.psi([0, 0])
         rng = np.random.default_rng(5)
         low = bundle.band_projector(4)
         for _ in range(5):
@@ -208,11 +294,11 @@ class TestRestrictedQuantitiesOracle:
             t = rng.uniform(-2, 2)
             a = bundle.heisenberg(bundle.restricted(bundle.weyl(f)), t)
             b = bundle.restricted(bundle.weyl(g))
-            cf = restriction_constant(spec, lam, f)
-            cg = restriction_constant(spec, lam, g)
-            theta = float(symplectic_phase_on_grid(spec, lam, f, g, t)[0])
+            # ||W(f)_I psi_0|| = C_f, and theta = Im<X f_t, X g>, through the field maps
+            cf, cg = np.linalg.norm(bundle.restricted(bundle.weyl(f)) @ vac), np.linalg.norm(b @ vac)
             xft = project_localized(spec, lam, evolve(spec, f, t))
             xg = project_localized(spec, lam, g)
+            theta = np.imag(np.vdot(xft, xg))
             rhs = (
                 cf
                 * cg
@@ -222,80 +308,129 @@ class TestRestrictedQuantitiesOracle:
             diff = (low[:, None] * (a @ b - b @ a - rhs)) * low[None, :]
             assert np.max(np.abs(diff)) < 1e-6
 
-    def test_lr_norm_small_displacements(self, pair_spec):
-        # norm-level agreement needs small displacements: band-edge compression
-        # distorts commutator norms at the same order as the commutator itself
-        _, spec = pair_spec
-        lam = self.lam_regime(spec)
-        bundle = make_bundle(spec, lam, cutoff=4)
-        rng = np.random.default_rng(6)
-        for _ in range(5):
-            f = random_field(rng, 2, scale=2e-4)
-            g = random_field(rng, 2, scale=2e-4)
-            t = rng.uniform(-2, 2)
-            a = bundle.heisenberg(bundle.restricted(bundle.weyl(f)), t)
-            b = bundle.restricted(bundle.weyl(g))
-            got = oracle_commutator_norm(a, b)
-            want = lr_weyl_commutator_norm(spec, lam, f, g, t)
-            assert abs(got - want) < 1e-6
+    def test_lr_commutator(self, monkeypatch):
+        """lr-bound: ||[tau_t(W(f)_I), W(g)_I] psi_alpha|| and C_f C_g min(2, a^2 Q_-1(x, y)).
 
-    def test_pq_commutators(self, pair_spec):
-        _, spec = pair_spec
-        lam = self.lam_regime(spec)
-        bundle = make_bundle(spec, lam, cutoff=4)
-        low = bundle.band_projector(3)
-        p_mat = np.diag(bundle.p_diag)
-        rng = np.random.default_rng(7)
-        for _ in range(4):
-            x, y = rng.integers(0, 2, size=2)
-            t = rng.uniform(-3, 3)
-            coeffs = pq_commutator_matrix(spec, lam, int(x), int(y), t)
-            ops_f = [bundle.position(int(x)), bundle.momentum(int(x))]
-            ops_g = [bundle.position(int(y)), bundle.momentum(int(y))]
-            for i in range(2):
-                for j in range(2):
-                    a = bundle.heisenberg(bundle.restricted(ops_f[i]), t)
-                    b = bundle.restricted(ops_g[j])
-                    comm = a @ b - b @ a
-                    diff = (low[:, None] * (comm - 1j * coeffs[i, j] * p_mat)) * low[None, :]
-                    assert np.max(np.abs(diff)) < 1e-6
+        The exact commutator is a scalar times a unitary on the regime, so its
+        action on any psi_alpha there has its operator norm; the norm of the
+        truncated commutator matrix would read the band edge instead.
+        """
+        for config, spec in _kernel_cases("lr-bound"):
+            lam, x, a = config.lambda0_value(), config.center_index(), config.amplitude
+            fock = make_bundle(spec, lam, dim=WEYL_DIM[spec.n])
+            low = make_bundle(spec, lam, dim=2)
+            weyl = {y: fock.weyl(delta_field(spec.n, y, a)) for y in range(spec.n)}
+            vac = fock.psi(np.zeros(spec.n, dtype=int))
+            states = (vac, fock.psi(np.eye(spec.n, dtype=int)[0]))
+            c = {y: np.linalg.norm(_act(fock, w, vac)) for y, w in weyl.items()}
+            # W(g)_I psi does not depend on t
+            fixed = {(k, y): _act(fock, weyl[y], psi) for k, psi in enumerate(states) for y in range(spec.n)}
+            for t in _TIME_GRID(config, spec):
+                rows = _rows_at(monkeypatch, config, t)
+                moved = [_act(fock, weyl[x], psi, t) for psi in states]
+                for d in config.shells:
+                    sites = _shell(config, d)
+                    for k in range(len(states)):
+                        values = [
+                            np.linalg.norm(_act(fock, weyl[x], fixed[k, y], t) - _act(fock, weyl[y], moved[k]))
+                            for y in sites
+                        ]
+                        assert rows[(d, "commutator_sup")] == pytest.approx(np.mean(values), abs=WEYL_TOL["lr-bound"])
+                    envelopes = [
+                        c[x] * c[y] * min(2.0, a * a * _one_particle_sum(low, low.position(x), low.position(y)))
+                        for y in sites
+                    ]
+                    assert rows[(d, "commutator_envelope")] == pytest.approx(np.mean(envelopes), abs=WEYL_TOL["lr-bound"])
 
-    def test_dynamic_correlation(self, pair_spec):
-        _, spec = pair_spec
-        lam = self.lam_regime(spec)
-        bundle = make_bundle(spec, lam, cutoff=None)
-        rng = np.random.default_rng(8)
-        for _ in range(6):
-            f = random_field(rng, 2, scale=0.5)
-            g = random_field(rng, 2, scale=0.5)
-            t = rng.uniform(-3, 3)
-            alpha = np.array([int(rng.integers(0, 3)), 0])
-            psi = bundle.psi(alpha)
-            a = bundle.heisenberg(bundle.restricted(bundle.weyl(f)), t)
-            b = bundle.restricted(bundle.weyl(g))
-            got = oracle_expectation(psi, a @ b) - oracle_expectation(psi, a) * oracle_expectation(psi, b)
-            want = dynamic_correlation(spec, lam, alpha, f, g, t)
-            assert abs(got - want) < 1e-6
+    def test_pq_commutators(self, monkeypatch):
+        """pq-bound: the coefficient c of [tau_t(u_x)_I, (v_y)_I] = i c P, for u, v in {q, p}, and Q_s."""
+        pairs = {"qq": ("q", "q"), "qp": ("q", "p"), "pq": ("p", "q"), "pp": ("p", "p")}
+        envelopes = {"envelope_minus": "qq", "envelope_zero": "qp", "envelope_plus": "pp"}
+        for config, spec in _kernel_cases("pq-bound"):
+            lam, x = config.lambda0_value(), config.center_index()
+            # occupations <= 1 go up by at most 2 in a commutator, so 4 levels are exact
+            fock = make_bundle(spec, lam, dim=4)
+            band = fock.band_projector(1)
+            vac = fock.state_index(np.zeros(spec.n, dtype=int))
+            ops = {"q": fock.position, "p": fock.momentum}
+            for t in _TIME_GRID(config, spec):
+                rows = _rows_at(monkeypatch, config, t)
+                for d in config.shells:
+                    sites = _shell(config, d)
+                    coefficients = {name: [] for name in pairs}
+                    for y in sites:
+                        for name, (u, v) in pairs.items():
+                            a = fock.heisenberg(fock.restricted(ops[u](x)), t)
+                            b = fock.restricted(ops[v](y))
+                            comm = a @ b - b @ a
+                            coef = (comm[vac, vac] / 1j).real
+                            # a scalar times P on the band, not just at the vacuum
+                            off = comm - 1j * coef * np.diag(fock.p_diag)
+                            assert np.max(np.abs(band[:, None] * off * band[None, :])) < EXACT_TOL
+                            coefficients[name].append(abs(coef))
+                    for name in pairs:
+                        assert rows[(d, f"{name}_sup")] == pytest.approx(np.mean(coefficients[name]), abs=EXACT_TOL)
+                    for row, name in envelopes.items():
+                        u, v = pairs[name]
+                        want = np.mean([_one_particle_sum(fock, ops[u](x), ops[v](y)) for y in sites])
+                        assert rows[(d, row)] == pytest.approx(want, abs=EXACT_TOL)
 
-    def test_quasi_locality_error(self, pair_spec):
-        box, spec = pair_spec
-        lam = self.lam_regime(spec)
-        bundle = make_bundle(spec, lam, cutoff=None)
-        rng = np.random.default_rng(9)
-        for _ in range(6):
-            f = delta_field(2, 0, complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)))
-            t = rng.uniform(-3, 3)
-            alpha = np.array([int(rng.integers(0, 3)), 0])
-            n = 0
-            # strictly local approximation W_hat = C_hat W(1_{X(n)} X f_t)
-            xft = project_localized(spec, lam, evolve(spec, f, t))
-            chopped = xft.copy()
-            chopped[1:] = 0.0  # X(0) = {0}
-            cf = restriction_constant(spec, lam, f)
-            c_loc = restriction_constant(spec, lam, chopped)
-            w_hat = (cf / c_loc) * bundle.weyl(chopped)
-            a = bundle.heisenberg(bundle.weyl(f), t)
-            diff_restricted = bundle.restricted(a - w_hat)
-            got = np.linalg.norm(diff_restricted @ bundle.psi(alpha))
-            want = quasi_locality_error(spec, box, lam, alpha, f, [0], n, t)
-            assert abs(got - want) < 1e-6
+    def test_dynamic_correlation(self, monkeypatch):
+        """correlations: sup over the kernel's family of |<AB> - <A><B>| in psi_alpha, and a^2 Q_-1(x, y)."""
+        for config, spec in _kernel_cases("correlations", kappa=2):
+            lam, x, a = config.lambda0_value(), config.center_index(), config.amplitude
+            fock = make_bundle(spec, lam, dim=WEYL_DIM[spec.n])
+            low = make_bundle(spec, lam, dim=2)
+            weyl = {y: fock.weyl(delta_field(spec.n, y, a)) for y in range(spec.n)}
+            states = [fock.psi(alpha) for alpha in kernel_family(config, spec)]
+            assert len(states) >= 2
+            # <psi, A B psi> = <A* psi, B psi>, with A* = tau_t(W(f)_I)* = tau_t(W(-f)_I)
+            adjoint = weyl[x].conj().T
+            fixed = {(k, y): _act(fock, weyl[y], psi) for k, psi in enumerate(states) for y in range(spec.n)}
+            for t in _TIME_GRID(config, spec):
+                rows = _rows_at(monkeypatch, config, t)
+                moved = [(_act(fock, weyl[x], psi, t), _act(fock, adjoint, psi, t)) for psi in states]
+                for d in config.shells:
+                    sites = _shell(config, d)
+                    sups = []
+                    for y in sites:
+                        mags = [
+                            abs(np.vdot(a_star_psi, fixed[k, y]) - np.vdot(psi, a_psi) * np.vdot(psi, fixed[k, y]))
+                            for k, (psi, (a_psi, a_star_psi)) in enumerate(zip(states, moved))
+                        ]
+                        sups.append(max(mags))
+                    assert rows[(d, "correlation_sup")] == pytest.approx(np.mean(sups), abs=WEYL_TOL["correlations"])
+                    overlaps = [a * a * _one_particle_sum(low, low.position(x), low.position(y)) for y in sites]
+                    assert rows[(d, "overlap_sum")] == pytest.approx(np.mean(overlaps), abs=EXACT_TOL)
+
+    def test_quasi_locality_error(self, monkeypatch):
+        """quasi-locality: sup over the family of ||(tau_t(W(f)) - W_hat)_I psi_alpha|| and its bound.
+
+        W_hat = (C_f / C_hat) W(1_{X(n)} X f_t) is the strictly local approximation
+        on the n-neighborhood X(n) of the center; the bound is
+        sqrt(2 (kappa + 1)) ||V f_{n,t}||, f_{n,t} = X 1_{outside X(n)} X f_t.
+        """
+        for config, spec in _kernel_cases("quasi-locality", kappa=2):
+            lam, x, a = config.lambda0_value(), config.center_index(), config.amplitude
+            f = delta_field(spec.n, x, a)
+            fock = make_bundle(spec, lam, dim=WEYL_DIM[spec.n])
+            weyl_f = fock.weyl(f)
+            vacuum = np.zeros(spec.n, dtype=int)
+            c_f = np.linalg.norm(_act(fock, weyl_f, fock.psi(vacuum)))
+            family = kernel_family(config, spec)
+            dist = l1_distances_from(config.box(), x)
+            for t in _TIME_GRID(config, spec):
+                rows = _rows_at(monkeypatch, config, t)
+                xft = project_localized(spec, lam, evolve(spec, f, t))
+                moved = [_act(fock, weyl_f, fock.psi(alpha), t) for alpha in family]
+                for n in config.n_values:
+                    chopped = np.where(dist <= n, xft, 0.0)
+                    ratio = c_f / np.linalg.norm(fock.p_diag * _weyl_state(fock, chopped, vacuum))
+                    errors = [
+                        np.linalg.norm(a_psi - ratio * fock.p_diag * _weyl_state(fock, chopped, alpha))
+                        for a_psi, alpha in zip(moved, family)
+                    ]
+                    assert rows[(n, "error_sup")] == pytest.approx(max(errors), abs=WEYL_TOL["quasi-locality"])
+                    tail = project_localized(spec, lam, np.where(dist <= n, 0.0, xft))
+                    bound = np.sqrt(2.0 * (config.kappa + 1)) * np.linalg.norm(v_map(spec, tail))
+                    assert rows[(n, "bound_sup")] == pytest.approx(bound, abs=EXACT_TOL)

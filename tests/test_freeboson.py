@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from osclab.anderson import DisorderConfig, assemble, diagonalize, sample_disorder
 from osclab.freeboson import (
@@ -61,14 +63,22 @@ class TestVMap:
         rhs = a * v_map(spec, f) + b * v_map(spec, f.conj())
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
-    def test_preserves_symplectic_form(self, chain12):
-        # Im<Vf, Vg> = Im<f, g>: the Weyl-relation phase is the same in sites and modes
-        _, spec = chain12
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            f = random_field(rng, 12)
-            g = random_field(rng, 12)
-            assert abs(np.imag(np.vdot(v_map(spec, f), v_map(spec, g))) - np.imag(np.vdot(f, g))) < 1e-12
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        lengths=st.one_of(st.tuples(st.integers(1, 12)), st.tuples(st.integers(1, 4), st.integers(1, 3))),
+        seed=st.integers(0, 2**16),
+        k_max=st.floats(0.05, 8.0),
+        field_seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(0.01, 10.0),
+    )
+    def test_preserves_symplectic_form(self, lengths, seed, k_max, field_seed, scale):
+        """Im<Vf, Vg> = Im<f, g> on random boxes: the Weyl-relation phase is the same in sites and modes."""
+        box = BoxGeometry.of_lengths(list(lengths))
+        spec = diagonalize(assemble(box, sample_disorder(DisorderConfig(k_max=k_max, master_seed=seed), box, 0)))
+        rng = np.random.default_rng(field_seed)
+        f, g = random_field(rng, box.n_sites, scale), random_field(rng, box.n_sites, scale)
+        got = np.imag(np.vdot(v_map(spec, f), v_map(spec, g)))
+        assert abs(got - np.imag(np.vdot(f, g))) <= 1e-14 * np.linalg.norm(f) * np.linalg.norm(g)
 
     def test_real_field_real_modes(self, chain12):
         _, spec = chain12

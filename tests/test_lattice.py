@@ -6,11 +6,11 @@ from osclab.lattice import (
     boundary,
     box_boundary,
     degrees,
-    dirichlet_laplacian,
+    graph_laplacian,
     l1_distance,
     l1_distances_from,
+    laplacian_diagonal,
     neighborhood,
-    neumann_laplacian,
 )
 
 
@@ -117,11 +117,11 @@ class TestLaplacians:
     def test_neumann_three_site_matrix(self):
         box = BoxGeometry(((0, 2),))
         expected = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
-        assert np.array_equal(neumann_laplacian(box), expected)
+        assert np.array_equal(graph_laplacian(box, laplacian_diagonal(box, "neumann")), expected)
 
     def test_constant_in_kernel_and_psd(self):
         box = BoxGeometry(((0, 4), (0, 3)))
-        h = neumann_laplacian(box)
+        h = graph_laplacian(box, laplacian_diagonal(box, "neumann"))
         assert np.allclose(h @ np.ones(box.n_sites), 0.0)
         evals = np.linalg.eigvalsh(h)
         assert evals[0] > -1e-12
@@ -130,12 +130,13 @@ class TestLaplacians:
     def test_three_site_spectrum(self):
         # characteristic polynomial by hand: (1-l)*l*(l-3) -> roots {0, 1, 3}
         box = BoxGeometry(((0, 2),))
-        evals = np.sort(np.linalg.eigvalsh(neumann_laplacian(box)))
+        evals = np.sort(np.linalg.eigvalsh(graph_laplacian(box, laplacian_diagonal(box, "neumann"))))
         assert np.allclose(evals, [0.0, 1.0, 3.0], atol=1e-12)
 
     def test_dirichlet_correction(self):
         box = BoxGeometry(((0, 9),))
-        diff = dirichlet_laplacian(box) - neumann_laplacian(box)
+        neumann, dirichlet = (graph_laplacian(box, laplacian_diagonal(box, bc)) for bc in ("neumann", "dirichlet"))
+        diff = dirichlet - neumann
         assert np.allclose(diff, np.diag(np.diag(diff)))
         d = np.diag(diff)
         assert d[0] == 2.0 and d[-1] == 2.0  # endpoints, degree 1
@@ -143,7 +144,8 @@ class TestLaplacians:
 
     def test_dirichlet_rank_bounded_by_boundary(self):
         box = BoxGeometry(((0, 5), (0, 4)))
-        diff = dirichlet_laplacian(box) - neumann_laplacian(box)
+        neumann, dirichlet = (graph_laplacian(box, laplacian_diagonal(box, bc)) for bc in ("neumann", "dirichlet"))
+        diff = dirichlet - neumann
         rank = np.linalg.matrix_rank(diff)
         assert rank <= box_boundary(box).size
         assert np.all(np.diag(diff) >= 0.0)
@@ -159,9 +161,10 @@ class TestLaplacians:
         deg = adjacent.sum(axis=1)
         expected = np.diag(deg) - adjacent
         for _ in range(2):
-            h = neumann_laplacian(box)
+            h = graph_laplacian(box, laplacian_diagonal(box, "neumann"))
             assert np.array_equal(h, expected)
-            assert np.array_equal(dirichlet_laplacian(box), expected + np.diag(2.0 * (6 - deg)))
+            dirichlet = graph_laplacian(box, laplacian_diagonal(box, "dirichlet"))
+            assert np.array_equal(dirichlet, expected + np.diag(2.0 * (6 - deg)))
             assert np.array_equal(degrees(box), deg)
             h[:] = 0.0
             degrees(box)[:] = 0
