@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from math import sqrt
 
 import numpy as np
@@ -129,12 +130,13 @@ class OracleBundle:
             in_regime &= np.max(self.occupations, axis=1) <= trunc.occupation_cutoff
         self.p_diag = in_regime.astype(float)
 
+    @cached_property
+    def _a(self) -> list:
+        """Annihilation operator of each mode, built on first use: only q and p need them."""
+        d, m = self.trunc.per_mode_dim, self.trunc.mode_count
         eye = np.eye(d)
-        a, adag = ladder_matrices(d)
-        self._a = [
-            _kron_chain([a if j == i else eye for j in range(m)]) for i in range(m)
-        ]
-        self._adag = [op.T.copy() for op in self._a]
+        a, _ = ladder_matrices(d)
+        return [_kron_chain([a if j == i else eye for j in range(m)]) for i in range(m)]
 
     # -- states ------------------------------------------------------------
 
@@ -157,7 +159,7 @@ class OracleBundle:
         coef = self.spec.modes[int(x)] / np.sqrt(self.spec.gammas) / sqrt(2.0)
         out = np.zeros((self.trunc.dim, self.trunc.dim), dtype=complex)
         for j in range(self.spec.n):
-            out += coef[j] * (self._a[j] + self._adag[j])
+            out += coef[j] * (self._a[j] + self._a[j].T)
         return out
 
     def momentum(self, x: int) -> np.ndarray:
@@ -165,7 +167,7 @@ class OracleBundle:
         coef = self.spec.modes[int(x)] * np.sqrt(self.spec.gammas) / sqrt(2.0)
         out = np.zeros((self.trunc.dim, self.trunc.dim), dtype=complex)
         for j in range(self.spec.n):
-            out += -1j * coef[j] * (self._a[j] - self._adag[j])
+            out += -1j * coef[j] * (self._a[j] - self._a[j].T)
         return out
 
     def weyl_from_modes(self, z) -> np.ndarray:

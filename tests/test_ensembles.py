@@ -4,14 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osclab import ensembles
-from osclab.anderson import DisorderConfig, assemble, diagonalize, sample_disorder
+from osclab.anderson import DisorderConfig, assemble, diagonalize, localized_modes, sample_disorder
 from osclab.config import EXPERIMENT_KINDS, config_from_dict
 from osclab.errors import ConfigError, NumericError
 from osclab.fock_oracle import correlation_series, diagonal_elements
 from osclab.freeboson import delta_field, evolve, project_localized, v_map
 from osclab.lattice import BoxGeometry, neighborhood
 from osclab.results import render_csv
-from osclab.anderson import eigencorrelator
 from osclab.weyl import OccupationFamily
 
 from conftest import kernel_family, make_chain_spec
@@ -214,7 +213,8 @@ class TestKernelsAgainstScalarForms:
     """The batched kernels against one-site, one-time routes on boxes beyond the Fock oracle.
 
     ``fock_oracle.correlation_series`` sums a correlation over intermediate
-    states.  The phases theta = Im<X f_t, X g>, the pq coefficients and the
+    states.  The phases theta = Im<X f_t, X g>, the envelopes Q_s(x, y) as
+    sums over S of |(V u_x)_j (V v_y)_j|, the pq coefficients and the
     quasi-locality tails come from the field maps ``evolve``,
     ``project_localized`` and ``v_map``.  The kernels' rows on boxes of two
     and three modes are checked against the oracle itself in test_fock_oracle.
@@ -243,6 +243,8 @@ class TestKernelsAgainstScalarForms:
         alphas = kernel_family(config, spec)
         assert alphas.shape[0] >= 2
         f = delta_field(12, center, config.amplitude)
+        S = localized_modes(spec, lam)
+        vf = v_map(spec, f)[S]
         for d in config.shells:
             sups, overlaps = [], []
             for y in _shell(center, d):
@@ -250,7 +252,8 @@ class TestKernelsAgainstScalarForms:
                 sups.append(
                     max(abs(correlation_series(spec, lam, al, f, g, t, beta_cutoff=20)) for al in alphas for t in times)
                 )
-                overlaps.append(config.amplitude**2 * eigencorrelator(spec, lam, -1, center, y))
+                # a^2 Q_-1(x, y) = sum_{j in S} |(Vf)_j (Vg)_j|
+                overlaps.append(np.sum(np.abs(vf * v_map(spec, g)[S])))
             assert table[(d, "correlation_sup")] == pytest.approx(np.mean(sups), rel=1e-12, abs=1e-14)
             assert table[(d, "overlap_sum")] == pytest.approx(np.mean(overlaps), rel=1e-12, abs=1e-14)
         assert flags == {"correlation_bound_violations": 0}
@@ -266,6 +269,8 @@ class TestKernelsAgainstScalarForms:
         a = config.amplitude
         f = delta_field(12, center, a)
         xfs = [project_localized(spec, lam, evolve(spec, f, t)) for t in times]
+        S = localized_modes(spec, lam)
+        vf = v_map(spec, f)[S]
         for d in config.shells:
             sups, envelopes = [], []
             for y in _shell(center, d):
@@ -273,7 +278,7 @@ class TestKernelsAgainstScalarForms:
                 cc = _restriction(spec, lam, f) * _restriction(spec, lam, g)
                 # |e^{-i theta} - 1| with theta = Im<X f_t, X g> = Im<X f_t, g>
                 sups.append(max(cc * abs(np.exp(-1j * np.imag(np.vdot(xf, g))) - 1.0) for xf in xfs))
-                envelopes.append(cc * min(2.0, a * a * eigencorrelator(spec, lam, -1, center, y)))
+                envelopes.append(cc * min(2.0, np.sum(np.abs(vf * v_map(spec, g)[S]))))
             assert table[(d, "commutator_sup")] == pytest.approx(np.mean(sups), rel=1e-12, abs=1e-14)
             assert table[(d, "commutator_envelope")] == pytest.approx(np.mean(envelopes), rel=1e-12, abs=1e-14)
         assert flags == {"domination_violations": 0}
@@ -286,7 +291,10 @@ class TestKernelsAgainstScalarForms:
         table = dict(rows)
         lam = config.lambda0_value()
         times = ensembles._time_grid(config, spec)
-        powers = {"envelope_minus": -1, "envelope_zero": 0, "envelope_plus": 1}
+        # Q_s(x, y) = sum_{j in S} |(V u_x)_j (V v_y)_j|: (Vdelta_x)_j = phi_j(x) gamma_j^{-1/2} and
+        # (V i delta_x)_j = i phi_j(x) gamma_j^{1/2}, so (u, v) = (1, 1), (1, i), (i, i) give s = -1, 0, +1
+        envelopes = {"envelope_minus": (1, 1), "envelope_zero": (1, 1j), "envelope_plus": (1j, 1j)}
+        S = localized_modes(spec, lam)
         for d in config.shells:
             sites = _shell(center, d)
             coefficients = {name: [] for name in ("qq_sup", "qp_sup", "pq_sup", "pp_sup")}
@@ -301,8 +309,9 @@ class TestKernelsAgainstScalarForms:
                 coefficients["pp_sup"].append(max(abs(v.real) for v in imag))
             for name, values in coefficients.items():
                 assert table[(d, name)] == pytest.approx(np.mean(values), rel=1e-12, abs=1e-14)
-            for name, s in powers.items():
-                want = np.mean([eigencorrelator(spec, lam, s, center, y) for y in sites])
+            for name, (u, v) in envelopes.items():
+                vx = v_map(spec, delta_field(12, center, u))[S]
+                want = np.mean([np.sum(np.abs(vx * v_map(spec, delta_field(12, y, v))[S])) for y in sites])
                 assert table[(d, name)] == pytest.approx(want, rel=1e-12, abs=1e-14)
         assert flags == {"domination_violations": 0}
 

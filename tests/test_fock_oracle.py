@@ -1,5 +1,3 @@
-from functools import reduce
-
 import numpy as np
 import pytest
 
@@ -251,16 +249,25 @@ def _shell(config, d):
     return np.flatnonzero(l1_distances_from(config.box(), config.center_index()) == d)
 
 
-def _act(bundle, op, v, t=0.0):
-    """tau_t(op_I) v, with the bundle's diagonal P and e^{itH} applied to the vector."""
-    phases = np.exp(1j * t * bundle.energies)
-    return phases * (bundle.p_diag * (op @ (bundle.p_diag * (np.conj(phases) * v))))
-
-
-def _weyl_state(bundle, f, alpha):
-    """W(f) psi_alpha: the Kronecker product of one column of the oracle's one-mode W per mode."""
+def _weyl_factors(bundle, f):
+    """The one-mode oracle matrices whose Kronecker product is ``bundle.weyl(f)``."""
     d = bundle.trunc.per_mode_dim
-    return reduce(np.kron, [weyl_matrix_1d_oracle(z, d)[:, k] for z, k in zip(v_map(bundle.spec, f), alpha)])
+    return [weyl_matrix_1d_oracle(z, d) for z in v_map(bundle.spec, f)]
+
+
+def _apply(factors, v):
+    """(W_0 x ... x W_{m-1}) v, one mode axis at a time, without forming the Kronecker product."""
+    d = factors[0].shape[0]
+    out = v.reshape((d,) * len(factors))
+    for j, w in enumerate(factors):
+        out = np.moveaxis(np.tensordot(w, out, axes=(1, j)), 0, j)
+    return out.reshape(-1)
+
+
+def _act(bundle, factors, v, t=0.0):
+    """tau_t(W_I) v for W the Kronecker product of ``factors``, with P and e^{itH} applied to the vector."""
+    phases = np.exp(1j * t * bundle.energies)
+    return phases * (bundle.p_diag * _apply(factors, bundle.p_diag * (np.conj(phases) * v)))
 
 
 def _one_particle_sum(bundle, op_x, op_y):
@@ -279,6 +286,16 @@ def _one_particle_sum(bundle, op_x, op_y):
 @pytest.mark.filterwarnings("ignore:displacement")
 class TestRestrictedQuantitiesOracle:
     """Each experiment kernel's rows against the oracle, at every grid time, on boxes of two and three modes."""
+
+    def test_factored_weyl_is_bundle_weyl(self):
+        # the kernel checks apply W(f) = W_0 x ... x W_{m-1} one mode axis at a time
+        rng = np.random.default_rng(7)
+        for n in (2, 3):
+            _, spec = make_chain_spec(n, seed=3)
+            bundle = make_bundle(spec, spec.norm, dim=5)
+            f = random_field(rng, n, scale=0.5)
+            v = rng.standard_normal(bundle.trunc.dim) + 1j * rng.standard_normal(bundle.trunc.dim)
+            assert np.max(np.abs(_apply(_weyl_factors(bundle, f), v) - bundle.weyl(f) @ v)) < 1e-13
 
     def test_lr_action_identity_low_block(self, pair_spec):
         # [W(f)_I(t), W(g)_I] = C_f C_g (e^{-i theta} - 1) W(Xg) W(Xf_t) P on low bands
@@ -319,7 +336,7 @@ class TestRestrictedQuantitiesOracle:
             lam, x, a = config.lambda0_value(), config.center_index(), config.amplitude
             fock = make_bundle(spec, lam, dim=WEYL_DIM[spec.n])
             low = make_bundle(spec, lam, dim=2)
-            weyl = {y: fock.weyl(delta_field(spec.n, y, a)) for y in range(spec.n)}
+            weyl = {y: _weyl_factors(fock, delta_field(spec.n, y, a)) for y in range(spec.n)}
             vac = fock.psi(np.zeros(spec.n, dtype=int))
             states = (vac, fock.psi(np.eye(spec.n, dtype=int)[0]))
             c = {y: np.linalg.norm(_act(fock, w, vac)) for y, w in weyl.items()}
@@ -381,11 +398,11 @@ class TestRestrictedQuantitiesOracle:
             lam, x, a = config.lambda0_value(), config.center_index(), config.amplitude
             fock = make_bundle(spec, lam, dim=WEYL_DIM[spec.n])
             low = make_bundle(spec, lam, dim=2)
-            weyl = {y: fock.weyl(delta_field(spec.n, y, a)) for y in range(spec.n)}
+            weyl = {y: _weyl_factors(fock, delta_field(spec.n, y, a)) for y in range(spec.n)}
             states = [fock.psi(alpha) for alpha in kernel_family(config, spec)]
             assert len(states) >= 2
             # <psi, A B psi> = <A* psi, B psi>, with A* = tau_t(W(f)_I)* = tau_t(W(-f)_I)
-            adjoint = weyl[x].conj().T
+            adjoint = [w.conj().T for w in weyl[x]]
             fixed = {(k, y): _act(fock, weyl[y], psi) for k, psi in enumerate(states) for y in range(spec.n)}
             for t in _TIME_GRID(config, spec):
                 rows = _rows_at(monkeypatch, config, t)
@@ -414,7 +431,7 @@ class TestRestrictedQuantitiesOracle:
             lam, x, a = config.lambda0_value(), config.center_index(), config.amplitude
             f = delta_field(spec.n, x, a)
             fock = make_bundle(spec, lam, dim=WEYL_DIM[spec.n])
-            weyl_f = fock.weyl(f)
+            weyl_f = _weyl_factors(fock, f)
             vacuum = np.zeros(spec.n, dtype=int)
             c_f = np.linalg.norm(_act(fock, weyl_f, fock.psi(vacuum)))
             family = kernel_family(config, spec)
@@ -424,10 +441,10 @@ class TestRestrictedQuantitiesOracle:
                 xft = project_localized(spec, lam, evolve(spec, f, t))
                 moved = [_act(fock, weyl_f, fock.psi(alpha), t) for alpha in family]
                 for n in config.n_values:
-                    chopped = np.where(dist <= n, xft, 0.0)
-                    ratio = c_f / np.linalg.norm(fock.p_diag * _weyl_state(fock, chopped, vacuum))
+                    local = _weyl_factors(fock, np.where(dist <= n, xft, 0.0))
+                    ratio = c_f / np.linalg.norm(fock.p_diag * _apply(local, fock.psi(vacuum)))
                     errors = [
-                        np.linalg.norm(a_psi - ratio * fock.p_diag * _weyl_state(fock, chopped, alpha))
+                        np.linalg.norm(a_psi - ratio * fock.p_diag * _apply(local, fock.psi(alpha)))
                         for a_psi, alpha in zip(moved, family)
                     ]
                     assert rows[(n, "error_sup")] == pytest.approx(max(errors), abs=WEYL_TOL["quasi-locality"])
