@@ -16,8 +16,7 @@ from .anderson import (
     Tridiagonal,
     assemble,
     diagonalize,
-    eigencorrelator,
-    localized_modes,
+    eigencorrelator_profile,
     propagator_sums,
     sample_disorder,
     spectrum,

@@ -20,21 +20,25 @@ Those are the three steps of ``dsyevd``, the routine ``eigh`` calls, so
 every full solve returns the bits of ``eigvalsh``/``eigh`` on the dense h,
 and those serve alone where the routines are not bound.
 
-The paper's bounds read the localized modes S = {j : lambda_j <= lambda0}.
-``diagonalize(h, lambda0=...)`` keeps the columns of S.  Its accuracy
-contract, with scale = max|h_ij| and tol = RECONSTRUCTION_RTOL:
+The paper's bounds read the localized modes S = {j : lambda_j <= lambda0}
+(``Spectrum.localized_count``, the one definition of S) and, through
+C_f = exp(-||1_{S^c} V f||^2 / 4), the tails
+tau(x) = sum_{j not in S} phi_j(x)^2 / gamma_j.  ``diagonalize(h,
+lambda0=..., tails=...)`` fixes the regime once: its ``SpectralData`` holds
+Phi_S and, when asked, tau at every site.  Its accuracy contract, with
+scale = max|h_ij| and tol = RECONSTRUCTION_RTOL:
 
-* Full decomposition (a band; numpy's ``eigh``; a dense h with |S| = n):
-  every mode is formed and max|O G^2 O^T - h| <= tol * scale over all n^2
-  entries.
-* Window (a dense h with |S| < n), whose checks read only the band and the
-  columns of S: the invariants of ``spectrum`` hold on all n eigenvalues;
-  max|T Z - Z Lambda| <= tol * scale over all n eigenvectors Z of the
-  band, which covers the columns outside S at O(n^2);
+* Full decomposition (a band; numpy's ``eigh``; a dense h with |S| = n or
+  with ``tails=True``): every mode is formed and
+  max|O G^2 O^T - h| <= tol * scale over all n^2 entries.
+* Window (a dense h with |S| < n and no tails), whose checks read only the
+  band and the columns of S: the invariants of ``spectrum`` hold on all n
+  eigenvalues; max|T Z - Z Lambda| <= tol * scale over all n eigenvectors Z
+  of the band, which covers the columns outside S at O(n^2);
   max|h Phi_S - Phi_S Lambda_S| <= tol * scale; and
   max|Phi_S^T Phi_S - I| <= tol.
 
-A failure, a NaN included, raises NumericError.  ``eigencorrelator``
+A failure, a NaN included, raises NumericError.  ``eigencorrelator_profile``
 evaluates the per-realization localization kernel
 
     Q_s(x, y) = sum_{j in S} gamma_j^s |phi_j(x)| |phi_j(y)|,
@@ -43,6 +47,7 @@ the exact value of the supremum over Borel functions |u| <= 1 of
 |<delta_x, h^{s/2} u(h) X delta_y>| when the spectrum is simple.
 ``propagator_sums`` evaluates those bilinear forms for u = cos or sin of
 2t sqrt(h) on a time grid; the commutator kernels are built from them.
+Both read S from the ``SpectralData`` they are given.
 """
 
 from __future__ import annotations
@@ -215,17 +220,38 @@ class Spectrum:
         """True when two eigenvalues coincide within rtol * ||h||."""
         return self.min_gap() <= rtol * max(self.norm, np.finfo(float).tiny)
 
+    def localized_count(self, lambda0: float) -> int:
+        """|S| for S = {j : lambda_j <= lambda0}, a prefix of the ascending spectrum."""
+        if not lambda0 >= 0:
+            raise ValueError(f"lambda0 must be nonnegative, got {lambda0!r}")
+        return int(np.searchsorted(self.eigenvalues, lambda0, side="right"))
+
 
 @dataclass(frozen=True)
 class SpectralData(Spectrum):
-    """Eigenpairs of the effective Hamiltonian, as many as a regime reads.
+    """The regime of localized excitations of the effective Hamiltonian.
 
-    The columns of ``modes`` are the orthonormal real eigenvectors of the
-    first m ``eigenvalues``, so that modes.T @ h @ modes = diag(eigenvalues[:m]);
-    m = n unless ``diagonalize`` was given a finite lambda0.
+    ``modes`` is Phi_S (n x |S|): its columns are the orthonormal real
+    eigenvectors of the |S| lowest ``eigenvalues``, so that
+    modes.T @ h @ modes = diag(eigenvalues[:|S|]), and |S| = n unless
+    ``diagonalize`` was given a finite lambda0.  ``tails`` holds
+    tau(x) = sum_{j not in S} phi_j(x)^2 / gamma_j at every site x, or None
+    when ``diagonalize`` was not asked for it.
     """
 
     modes: np.ndarray = field(kw_only=True)
+    tails: np.ndarray | None = field(default=None, kw_only=True)
+
+    @property
+    def localized_gammas(self) -> np.ndarray:
+        """gamma_S, the frequencies of the columns of ``modes``."""
+        return self.gammas[: self.modes.shape[1]]
+
+    def localized_count(self, lambda0: float) -> int:
+        count = super().localized_count(lambda0)
+        if count > self.modes.shape[1]:
+            raise ValueError(f"lambda0 = {lambda0} reaches {count} modes, but only {self.modes.shape[1]} were kept")
+        return count
 
 
 def _max_asymmetry(h: np.ndarray) -> float:
@@ -400,27 +426,26 @@ def _window(h, scale, evals, reduction: _Reduction, count: int) -> np.ndarray:
     return modes
 
 
-def diagonalize(h, bc: str = "neumann", lambda0: float = np.inf) -> SpectralData:
-    """Eigendecomposition of a symmetric h (a ``Tridiagonal`` or a matrix) for the regime lambda0, checked for accuracy.
+def diagonalize(h, bc: str = "neumann", lambda0: float = np.inf, tails: bool = False) -> SpectralData:
+    """The regime lambda0 of a symmetric h (a ``Tridiagonal`` or a matrix), checked for accuracy.
 
-    Keeps the eigenvectors of the eigenvalues <= lambda0, every one by
-    default.  A dense h with modes left out runs the window: only the kept
-    columns are back-transformed and checked, by the window contract of the
-    module docstring.  Every other h runs the full decomposition, and
-    NumericError is raised if the reconstruction ||O G^2 O^T - h||_max
-    exceeds RECONSTRUCTION_RTOL * max|h_ij|; that check runs over row tiles
-    of SYMMETRY_TILE rows of the lower triangle (``_reconstruction_error``),
-    so it allocates no n x n temporary.  Validation and the clamping of
+    Keeps Phi_S, the eigenvectors of the eigenvalues <= lambda0 (every one
+    by default), and with ``tails`` also tau at every site.  A dense h with
+    modes left out and no tails runs the window: only the columns of S are
+    back-transformed and checked, by the window contract of the module
+    docstring.  Every other h runs the full decomposition, and NumericError
+    is raised if the reconstruction ||O G^2 O^T - h||_max exceeds
+    RECONSTRUCTION_RTOL * max|h_ij|; that check runs over row tiles of
+    SYMMETRY_TILE rows of the lower triangle (``_reconstruction_error``), so
+    it allocates no n x n temporary.  Validation and the clamping of
     round-off negatives are those of ``_solve_checked``.
     """
-    if not lambda0 >= 0:
-        raise ValueError(f"lambda0 must be nonnegative, got {lambda0!r}")
     h, scale, evals, vecs = _solve_checked(h, _eigh)
     n = evals.size
-    count = int(np.searchsorted(evals, lambda0, side="right"))
     gammas = np.sqrt(evals)
+    count = Spectrum(eigenvalues=evals, gammas=gammas).localized_count(lambda0)
     if isinstance(vecs, _Reduction):
-        if count < n:
+        if count < n and not tails:
             return SpectralData(eigenvalues=evals, gammas=gammas, modes=_window(h, scale, evals, vecs, count), bc=bc)
         a, tau, _, _, vecs = vecs
         # all n columns: dsyevd's own back-transformation
@@ -430,42 +455,28 @@ def diagonalize(h, bc: str = "neumann", lambda0: float = np.inf) -> SpectralData
     err = _reconstruction_error(h, evals, vecs)
     if not err <= RECONSTRUCTION_RTOL * scale:  # a NaN error fails too
         raise NumericError(f"reconstruction error {err:.3e} exceeds {RECONSTRUCTION_RTOL:.0e} * max|h_ij|")
-    # a band's modes are sliced, not copied
+    site_tails = np.square(vecs[:, count:]) @ (1.0 / gammas[count:]) if tails else None
+    # Phi_S is a view of the full decomposition, not a copy
     modes = vecs if count == n else vecs[:, :count]
-    return SpectralData(eigenvalues=evals, gammas=gammas, modes=modes, bc=bc)
+    return SpectralData(eigenvalues=evals, gammas=gammas, modes=modes, tails=site_tails, bc=bc)
 
 
-def localized_modes(spec: Spectrum, lambda0: float) -> np.ndarray:
-    """Indices j with gamma_j^2 <= lambda0 (a prefix, gammas are ascending)."""
-    if lambda0 < 0:
-        raise ValueError("lambda0 must be nonnegative")
-    count = int(np.searchsorted(spec.eigenvalues, lambda0, side="right"))
-    if isinstance(spec, SpectralData) and count > spec.modes.shape[1]:
-        raise ValueError(f"lambda0 = {lambda0} reaches {count} modes, but only {spec.modes.shape[1]} were kept")
-    return np.arange(count)
-
-
-def eigencorrelator(spec: SpectralData, lambda0: float, s: int, x: int, y: int) -> float:
-    """Q_s(x, y) for s in {-1, 0, +1}; zero when no mode is below lambda0."""
-    return float(eigencorrelator_profile(spec, lambda0, s, x)[int(y)])
-
-
-def eigencorrelator_profile(spec: SpectralData, lambda0: float, s: int, x: int) -> np.ndarray:
-    """Vector of Q_s(x, y) over all sites y, for s in {-1, 0, +1}."""
+def eigencorrelator_profile(spec: SpectralData, s: int, x: int) -> np.ndarray:
+    """Vector of Q_s(x, y) over all sites y, for s in {-1, 0, +1}; zero when S is empty."""
     if s not in (-1, 0, 1):
         raise ValueError("power s must be -1, 0 or +1")
-    S = localized_modes(spec, lambda0)
     n = spec.n
     if not 0 <= int(x) < n:
         raise ValueError(f"site index {x} outside 0..{n - 1}")
-    if S.size == 0:
+    gam = spec.localized_gammas
+    if gam.size == 0:
         return np.zeros(n)
-    phi = np.abs(spec.modes[:, : S.size])  # S is a prefix of the modes
-    weights = spec.gammas[: S.size] ** s if s != 0 else np.ones(S.size)
+    phi = np.abs(spec.modes)
+    weights = gam**s if s != 0 else np.ones(gam.size)
     return phi @ (weights * phi[int(x)])
 
 
-def propagator_sums(spec: SpectralData, lambda0: float, x: int, sites, times, powers) -> tuple:
+def propagator_sums(spec: SpectralData, x: int, sites, times, powers) -> tuple:
     """The sums sum_{j in S} gamma_j^s phi_j(x) phi_j(y) u(2 t gamma_j) for each s in ``powers``.
 
     u is cos for s = 0 and sin for s = -1, +1, so each sum is the coefficient
@@ -479,9 +490,8 @@ def propagator_sums(spec: SpectralData, lambda0: float, x: int, sites, times, po
     sites = np.asarray(sites, dtype=int)
     if not 0 <= int(x) < n or np.any((sites < 0) | (sites >= n)):
         raise ValueError(f"site index outside 0..{n - 1}")
-    cnt = localized_modes(spec, lambda0).size
-    gam = spec.gammas[:cnt]
-    prod = spec.modes[int(x), :cnt][:, None] * spec.modes[sites, :cnt].T  # (modes, sites)
+    gam = spec.localized_gammas
+    prod = spec.modes[int(x)][:, None] * spec.modes[sites].T  # (modes, sites)
     ang = 2.0 * np.asarray(times)[:, None] * gam[None, :]
     cos = np.cos(ang) if 0 in powers else None
     sin = np.sin(ang) if any(s != 0 for s in powers) else None

@@ -1,9 +1,12 @@
 """Monte Carlo disorder-averaging engine and the experiment kernels.
 
 Each disorder realization is a pure function of (seed, sample index): the
-worker assembles the effective Hamiltonian, diagonalizes it (eigenvalues
-only for the eigenvalue-only kinds ``energy-density`` and ``gap-stats``),
-evaluates the experiment's kernel on it, and returns per-key scalar rows.
+worker assembles the effective Hamiltonian, diagonalizes it for the
+config's lambda0 (eigenvalues only for the eigenvalue-only kinds
+``energy-density`` and ``gap-stats``), evaluates the experiment's kernel on
+the resulting ``SpectralData``, and returns per-key scalar rows.  The
+kernels read S only from it: Phi_S, gamma_S and, for those that read C_f,
+the tails.
 Reduction happens after all samples are collected, in sample-index order,
 so the output is bit-identical regardless of the worker count.
 
@@ -27,14 +30,13 @@ from .anderson import (
     assemble,
     diagonalize,
     eigencorrelator_profile,
-    localized_modes,
     propagator_sums,
     sample_disorder,
     spectrum,
 )
 from .config import ExperimentConfig
 from .errors import NumericError
-from .freeboson import default_time_grid, excitation_energy_density, counting_function
+from .freeboson import counting_function, default_time_grid, excitation_energy_density, many_body_energy
 from .lattice import BoxGeometry, box_boundary, l1_distances_from
 from .results import EnsembleResult, ResultRow
 from .weyl import OccupationFamily
@@ -70,42 +72,22 @@ def _shell_sites(box: BoxGeometry, center: int, shells) -> dict[int, np.ndarray]
     return {int(d): np.flatnonzero(dists == int(d)) for d in shells}
 
 
-def sup_alpha_strategy(kappa: int, n_modes: int, regime_modes, rng=None, random_count: int = 2):
-    """Finite occupation-vector family over which eigenstate suprema are taken.
+def sup_alpha_strategy(config: ExperimentConfig, count: int, index: int) -> np.ndarray:
+    """The (A, count) occupation family over which eigenstate suprema are taken, a column per regime mode.
 
-    Always contains the vacuum; for kappa > 0 also the vector with kappa
-    excitations in every regime mode, plus ``random_count`` random vectors
-    supported there.  A documented lower bound on the supremum over the
-    full regime: enlarging the family can only increase the reported value.
+    Always contains the vacuum; for kappa > 0 and a nonempty regime also the
+    vector with kappa excitations in every mode, plus ``alpha_random``
+    random vectors drawn from the stream of (seed, sample index).  Repeats
+    are dropped, first occurrence kept.  A documented lower bound on the
+    supremum over the full regime: enlarging the family can only increase
+    the reported value.
     """
-    regime = np.asarray(regime_modes, dtype=int)
-    seen = set()
-    out = []
-
-    def push(alpha):
-        key = tuple(alpha.tolist())
-        if key not in seen:
-            seen.add(key)
-            out.append(alpha)
-
-    push(np.zeros(n_modes, dtype=int))
-    if kappa > 0 and regime.size:
-        full = np.zeros(n_modes, dtype=int)
-        full[regime] = kappa
-        push(full)
-        if rng is not None:
-            for _ in range(random_count):
-                alpha = np.zeros(n_modes, dtype=int)
-                alpha[regime] = rng.integers(0, kappa + 1, size=regime.size)
-                push(alpha)
-    return out
-
-
-def _alpha_family(config: ExperimentConfig, spec, S, index: int) -> np.ndarray:
-    """The sup_alpha_strategy family as an (A, |S|) array over the regime modes."""
-    rng = np.random.default_rng([int(config.seed), int(index), 0xA1FA])
-    family = sup_alpha_strategy(config.kappa, spec.n, S, rng=rng, random_count=config.alpha_random)
-    return np.stack(family)[:, : S.size]
+    family = [np.zeros(count, dtype=int)]
+    if config.kappa > 0 and count:
+        rng = np.random.default_rng([int(config.seed), int(index), 0xA1FA])
+        family.append(np.full(count, config.kappa))
+        family += [rng.integers(0, config.kappa + 1, size=count) for _ in range(config.alpha_random)]
+    return np.array(list(dict.fromkeys(map(tuple, family))), dtype=int)
 
 
 # ---------------------------------------------------------------------------
@@ -124,52 +106,47 @@ def _shell_rows(shells, quantities) -> list:
     return rows
 
 
-def _delta_restriction(spec, cnt: int, amplitude: float, sites) -> np.ndarray:
-    """C_f = exp(-a^2/4 sum_{j not in S} phi_j(x)^2 / gamma_j) for f = a delta_x at each site x."""
-    tails = np.square(spec.modes[sites, cnt:]) @ (1.0 / spec.gammas[cnt:])
-    return np.exp(-0.25 * amplitude**2 * tails)
+def _delta_restriction(spec, amplitude: float, sites) -> np.ndarray:
+    """C_f = exp(-a^2/4 tau(x)) for f = a delta_x at each site x."""
+    return np.exp(-0.25 * amplitude**2 * spec.tails[sites])
 
 
 def _kernel_eigencorrelator(config, box, spec, index):
-    lam = config.lambda0_value()
     center = config.center_index()
     shells = _shell_sites(box, center, config.shell_values())
     names = {-1: "q_minus", 0: "q_zero", 1: "q_plus"}
     rows = []
     for s in config.powers:
-        profile = eigencorrelator_profile(spec, lam, s, center)
+        profile = eigencorrelator_profile(spec, s, center)
         for d, sites in shells.items():
             rows.append(((d, names[s]), float(profile[sites].mean())))
     return rows, {}, {}
 
 
 def _kernel_lr(config, box, spec, index):
-    lam = config.lambda0_value()
-    cnt = localized_modes(spec, lam).size
     center = config.center_index()
     shells = _shell_sites(box, center, config.shell_values())
     ys = np.concatenate(list(shells.values()))
     a2 = config.amplitude**2
     times = _time_grid(config, spec)
     # (V a delta_x)_j = a phi_j(x) / sqrt(gamma_j), so Im<X f_t, X g> = -a^2 times the s = -1 sum
-    (sums,) = propagator_sums(spec, lam, center, ys, times, (-1,))
-    c = _delta_restriction(spec, cnt, config.amplitude, np.concatenate([[center], ys]))
+    (sums,) = propagator_sums(spec, center, ys, times, (-1,))
+    c = _delta_restriction(spec, config.amplitude, np.concatenate([[center], ys]))
     cc = c[0] * c[1:]
     values = 2.0 * np.abs(np.sin(-a2 * sums / 2.0)) * cc[None, :]
-    envelopes = cc * np.minimum(2.0, a2 * eigencorrelator_profile(spec, lam, -1, center)[ys])
+    envelopes = cc * np.minimum(2.0, a2 * eigencorrelator_profile(spec, -1, center)[ys])
     violations = int(np.sum(values > envelopes[None, :] + DOMINATION_SLACK))
     rows = _shell_rows(shells, (("commutator_sup", values.max(axis=0)), ("commutator_envelope", envelopes)))
     return rows, {"domination_violations": violations}, {}
 
 
 def _kernel_pq(config, box, spec, index):
-    lam = config.lambda0_value()
     center = config.center_index()
     shells = _shell_sites(box, center, config.shell_values())
     ys = np.concatenate(list(shells.values()))
     times = _time_grid(config, spec)
-    qq, qp, pp = (np.abs(v) for v in propagator_sums(spec, lam, center, ys, times, (-1, 0, 1)))
-    env_minus, env_zero, env_plus = (eigencorrelator_profile(spec, lam, s, center)[ys] for s in (-1, 0, 1))
+    qq, qp, pp = (np.abs(v) for v in propagator_sums(spec, center, ys, times, (-1, 0, 1)))
+    env_minus, env_zero, env_plus = (eigencorrelator_profile(spec, s, center)[ys] for s in (-1, 0, 1))
     violations = int(
         np.sum(qq > env_minus[None, :] + DOMINATION_SLACK)
         + np.sum(qp > env_zero[None, :] + DOMINATION_SLACK)
@@ -188,21 +165,18 @@ def _kernel_pq(config, box, spec, index):
 
 
 def _kernel_correlations(config, box, spec, index):
-    lam = config.lambda0_value()
-    S = localized_modes(spec, lam)
-    cnt = S.size
     center = config.center_index()
     shells = _shell_sites(box, center, config.shell_values())
     ys = np.concatenate(list(shells.values()))
     a = config.amplitude
     times = _time_grid(config, spec)
-    c = _delta_restriction(spec, cnt, a, np.concatenate([[center], ys]))
+    c = _delta_restriction(spec, a, np.concatenate([[center], ys]))
     cc = c[0] * c[1:]
-    family = OccupationFamily(_alpha_family(config, spec, S, index))
+    gam = spec.localized_gammas
+    family = OccupationFamily(sup_alpha_strategy(config, gam.size, index))
 
-    gam = spec.gammas[:cnt]
     sq = np.sqrt(gam)
-    w_center = spec.modes[center, :cnt] / sq
+    w_center = spec.modes[center] / sq
     # eta = a e^{2 i t gamma} w_center, real and imaginary part as (T, modes) tables
     ang = 2.0 * times[:, None] * gam[None, :]
     eta_re = np.cos(ang)
@@ -215,10 +189,10 @@ def _kernel_correlations(config, box, spec, index):
     x_eta = (a * np.abs(w_center)) ** 2 / 2.0
     d_eta = family(x_eta)[:, None]
 
-    xis = a * (spec.modes[ys, :cnt] / sq[None, :])  # (sites, modes)
+    xis = a * (spec.modes[ys] / sq[None, :])  # (sites, modes)
     x_xis = xis * xis / 2.0
     d_xis = family(x_xis)  # (A, sites)
-    overlap = a * a * eigencorrelator_profile(spec, lam, -1, center)[ys]
+    overlap = a * a * eigencorrelator_profile(spec, -1, center)[ys]
 
     # xi is real: Im<eta, xi> = -Im(eta) . xi, and |eta + xi|^2/2 is, per mode,
     # Re(eta) xi + |eta|^2/2 + xi^2/2; the phases and the mode sums of the
@@ -240,16 +214,13 @@ def _kernel_correlations(config, box, spec, index):
 
 
 def _kernel_quasi_locality(config, box, spec, index):
-    lam = config.lambda0_value()
-    S = localized_modes(spec, lam)
-    cnt = S.size
     center = config.center_index()
     a = config.amplitude
     times = _time_grid(config, spec)
-    c_f = _delta_restriction(spec, cnt, a, [center])[0]
-    gam = spec.gammas[:cnt]
+    c_f = _delta_restriction(spec, a, [center])[0]
+    gam = spec.localized_gammas
     sq = np.sqrt(gam)
-    family = OccupationFamily(_alpha_family(config, spec, S, index))
+    family = OccupationFamily(sup_alpha_strategy(config, gam.size, index))
     per_state = np.sqrt(2.0 * (family.alphas.max(axis=1, initial=0) + 1))[:, None]
 
     # X f_t in position space for the whole grid at once: the sites x times
@@ -259,8 +230,8 @@ def _kernel_quasi_locality(config, box, spec, index):
     dist = l1_distances_from(box, center)
     order = np.argsort(dist, kind="stable")
     dist = dist[order]
-    phi = spec.modes[order, :cnt]
-    w_center = (spec.modes[center, :cnt] / sq)[:, None]
+    phi = spec.modes[order]
+    w_center = (spec.modes[center] / sq)[:, None]
     ang = 2.0 * gam[:, None] * times[None, :]
     eta_re = np.cos(ang)
     eta_re *= a
@@ -281,8 +252,8 @@ def _kernel_quasi_locality(config, box, spec, index):
     # outside the largest X(n), then each smaller radius adds back its ring.
     # Nothing is subtracted, so small tails keep their relative accuracy.
     steps = times.size
-    u, v = np.zeros((steps, cnt)), np.zeros((steps, cnt))
-    x, scratch = np.empty((steps, cnt)), np.empty((steps, cnt))
+    u, v = np.zeros((steps, gam.size)), np.zeros((steps, gam.size))
+    x, scratch = np.empty((steps, gam.size)), np.empty((steps, gam.size))
     reached = dist.size
     per_n = {}
     for n in sorted(config.n_range(), reverse=True):
@@ -356,7 +327,7 @@ def _gap_stats_sample(config, index):
     occ = config.mb_occupation
     grids = np.meshgrid(*[np.arange(occ + 1)] * mb_box.n_sites, indexing="ij")
     alphas = np.stack([g.ravel() for g in grids], axis=1)
-    energies = np.sort((2 * alphas + 1) @ mb_spec.gammas)
+    energies = np.sort(many_body_energy(mb_spec, alphas))
     mb_gap = float(np.min(np.diff(energies)))
     rows = [
         (("one_body_min_gap",), float(gap)),
@@ -371,7 +342,7 @@ def _gap_stats_sample(config, index):
     return SampleOutcome(index=index, rows=rows, flags=flags, extrema=extrema)
 
 
-#: Kernels that read C_f, and with it every mode outside S (``_delta_restriction``)
+#: Kernels that read C_f, and with it the tails (``_delta_restriction``)
 _READS_C_F = frozenset({"lr-bound", "correlations", "quasi-locality"})
 
 KERNELS = {
@@ -402,9 +373,7 @@ def run_sample(config: ExperimentConfig, index: int) -> SampleOutcome:
         return _gap_stats_sample(config, index)
     box = config.box()
     sample = sample_disorder(_disorder_config(config), box, index)
-    # only the kernels without C_f let diagonalize leave out the modes outside S
-    lambda0 = np.inf if kind in _READS_C_F else config.lambda0_value()
-    spec = diagonalize(assemble(box, sample), lambda0=lambda0)
+    spec = diagonalize(assemble(box, sample), lambda0=config.lambda0_value(), tails=kind in _READS_C_F)
     rows, flags, extrema = KERNELS[kind](config, box, spec, index)
     flags["degenerate_samples"] = flags.get("degenerate_samples", 0) + int(spec.flag_degenerate())
     return SampleOutcome(index=index, rows=rows, flags=flags, extrema=extrema)

@@ -33,9 +33,9 @@ from math import sqrt
 
 import numpy as np
 
-from .anderson import SpectralData, localized_modes
+from .anderson import SpectralData
 from .errors import BudgetError
-from .freeboson import v_map
+from .freeboson import many_body_energy, v_map
 from .weyl import _half_modulus_sq, _laguerre_orders, matrix_element_1d
 
 DEFAULT_BUDGET = 20736
@@ -120,11 +120,8 @@ class OracleBundle:
         self.occupations = np.stack(
             np.unravel_index(np.arange(d**m), (d,) * m), axis=1
         ).astype(int)
-        self.energies = (self.occupations * 2 + 1) @ spec.gammas
-
-        S = localized_modes(spec, lambda0)
-        self.mode_mask = np.zeros(m, dtype=bool)
-        self.mode_mask[S] = True
+        self.energies = many_body_energy(spec, self.occupations)
+        self.mode_mask = np.arange(m) < spec.localized_count(lambda0)
         in_regime = np.all(self.occupations[:, ~self.mode_mask] == 0, axis=1)
         if trunc.occupation_cutoff is not None:
             in_regime &= np.max(self.occupations, axis=1) <= trunc.occupation_cutoff
@@ -203,11 +200,9 @@ def oracle_expectation(state: np.ndarray, op: np.ndarray) -> complex:
 def _split_vmap(spec: SpectralData, lambda0: float, f):
     """V f together with the localized-mode mask and the constant C_f."""
     w = v_map(spec, np.asarray(f, dtype=complex))
-    S = localized_modes(spec, lambda0)
-    mask = np.zeros(spec.n, dtype=bool)
-    mask[S] = True
+    mask = np.arange(spec.n) < spec.localized_count(lambda0)
     tail = np.sum(np.abs(w[~mask]) ** 2)
-    return w, S, mask, float(np.exp(-0.25 * tail))
+    return w, mask, float(np.exp(-0.25 * tail))
 
 
 def _check_alpha(alpha, n: int, S_mask: np.ndarray) -> np.ndarray:
@@ -231,8 +226,8 @@ def correlation_series(
     beta_j = alpha_j).  Converges, as the cutoff grows, to the closed form
     that the correlations kernel evaluates.
     """
-    wf, S, mask, cf = _split_vmap(spec, lambda0, f)
-    wg, _, _, cg = _split_vmap(spec, lambda0, g)
+    wf, mask, cf = _split_vmap(spec, lambda0, f)
+    wg, _, cg = _split_vmap(spec, lambda0, g)
     alpha = _check_alpha(alpha, spec.n, mask)
     if beta_cutoff < int(alpha.max(initial=0)):
         raise ValueError("beta_cutoff must be at least max(alpha)")

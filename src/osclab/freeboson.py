@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .anderson import SpectralData, Spectrum, localized_modes
+from .anderson import SpectralData, Spectrum
 from .errors import NumericError
 
 
@@ -64,10 +64,7 @@ def project_localized(spec: SpectralData, lambda0: float, f: np.ndarray) -> np.n
     f = np.asarray(f, dtype=complex)
     if f.shape != (spec.n,):
         raise ValueError(f"field has shape {f.shape}, expected ({spec.n},)")
-    S = localized_modes(spec, lambda0)
-    if S.size == 0:
-        return np.zeros_like(f)
-    phi = spec.modes[:, S]
+    phi = spec.modes[:, : spec.localized_count(lambda0)]
     return phi @ (phi.T @ f)
 
 
@@ -89,14 +86,14 @@ def default_time_grid(spec: SpectralData, points: int = 2000, t_max: float | Non
     return np.linspace(0.0, float(t_max), int(points))
 
 
-def many_body_energy(spec: SpectralData, alpha) -> float:
-    """E_alpha = sum_j gamma_j (2 alpha_j + 1)."""
-    alpha = np.asarray(alpha, dtype=int)
-    if alpha.shape != (spec.n,):
-        raise ValueError(f"occupation vector has shape {alpha.shape}, expected ({spec.n},)")
-    if np.any(alpha < 0):
+def many_body_energy(spec: Spectrum, alphas) -> np.ndarray:
+    """E_alpha = sum_j gamma_j (2 alpha_j + 1) for each row alpha of an (A, n) family."""
+    alphas = np.asarray(alphas, dtype=int)
+    if alphas.ndim != 2 or alphas.shape[1] != spec.n:
+        raise ValueError(f"occupation family has shape {alphas.shape}, expected (A, {spec.n})")
+    if np.any(alphas < 0):
         raise ValueError("occupations must be nonnegative")
-    return float(np.sum(spec.gammas * (2 * alpha + 1)))
+    return (2 * alphas + 1) @ spec.gammas
 
 
 def excitation_energy_density(spec: Spectrum, lambda0: float, kappa: int) -> float:
@@ -107,8 +104,7 @@ def excitation_energy_density(spec: Spectrum, lambda0: float, kappa: int) -> flo
     """
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
-    S = localized_modes(spec, lambda0)
-    return 2.0 * kappa * float(np.sum(spec.gammas[S])) / spec.n
+    return 2.0 * kappa * float(np.sum(spec.gammas[: spec.localized_count(lambda0)])) / spec.n
 
 
 def counting_function(spec: Spectrum, lambda_grid) -> np.ndarray:

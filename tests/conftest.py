@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 
 from osclab import ensembles
-from osclab.anderson import DisorderConfig, assemble, diagonalize, localized_modes, sample_disorder
+from osclab.anderson import DisorderConfig, assemble, diagonalize, sample_disorder
 from osclab.lattice import BoxGeometry
 
 
-def make_chain_spec(n_sites, seed=11, k_max=1.0, bc="neumann"):
-    """SpectralData for a 1D chain with a reproducible disorder sample."""
+def make_chain_spec(n_sites, seed=11, k_max=1.0, bc="neumann", **regime):
+    """SpectralData for a 1D chain with a reproducible disorder sample; ``regime`` goes to ``diagonalize``."""
     box = BoxGeometry.of_lengths([n_sites])
     cfg = DisorderConfig(k_max=k_max, master_seed=seed)
     sample = sample_disorder(cfg, box, 0)
-    return box, diagonalize(assemble(box, sample, bc), bc)
+    return box, diagonalize(assemble(box, sample, bc), bc, **regime)
 
 
 @pytest.fixture
@@ -39,8 +39,7 @@ def random_field(rng, n, scale=1.0):
 
 def kernel_family(config, spec):
     """The occupation vectors a kernel takes its suprema over, padded to one entry per mode."""
-    S = localized_modes(spec, config.lambda0_value())
-    short = ensembles._alpha_family(config, spec, S, 0)
+    short = ensembles.sup_alpha_strategy(config, spec.localized_count(config.lambda0_value()), 0)
     family = np.zeros((short.shape[0], spec.n), dtype=int)
-    family[:, : S.size] = short
+    family[:, : short.shape[1]] = short
     return family

@@ -13,9 +13,7 @@ from osclab.anderson import (
     Tridiagonal,
     assemble,
     diagonalize,
-    eigencorrelator,
     eigencorrelator_profile,
-    localized_modes,
     propagator_sums,
     sample_disorder,
     spectrum,
@@ -203,7 +201,7 @@ class TestSpectrum:
         assert np.max(np.abs(spec.eigenvalues - dense.eigenvalues)) <= 1e-12 * dense.norm
         assert np.array_equal(spec.gammas, np.sqrt(spec.eigenvalues))
         assert spec.flag_degenerate() == dense.flag_degenerate()
-        assert localized_modes(spec, 2.0).size == localized_modes(dense, 2.0).size
+        assert spec.localized_count(2.0) == dense.localized_count(2.0)
 
     def test_has_no_modes(self):
         spec = spectrum(_box_hamiltonian([8], "neumann"))
@@ -469,6 +467,7 @@ def test_solvers_leave_no_cyclic_garbage():
         lambda: spectrum(box),
         lambda: diagonalize(box),
         lambda: diagonalize(box, lambda0=2.0),
+        lambda: diagonalize(box, lambda0=2.0, tails=True),
     ]
     for call in calls:
         call()  # binds the routines
@@ -731,9 +730,9 @@ class TestWindow:
     def test_kept_modes_are_enforced(self):
         h, lambda0 = _window_case()
         spec = diagonalize(h, lambda0=lambda0)
-        assert localized_modes(spec, lambda0).size == 10
+        assert spec.localized_count(lambda0) == 10
         with pytest.raises(ValueError, match="only 10 were kept"):
-            localized_modes(spec, 2 * lambda0)
+            spec.localized_count(2 * lambda0)
 
     @pytest.mark.parametrize("lambda0", [-1.0, np.nan])
     def test_rejects_bad_regime(self, lambda0):
@@ -795,94 +794,137 @@ class TestWindowAgreement:
         assert np.max(np.abs(spec.modes - modes[:, :count] * signs), initial=0.0) <= 1e-12
 
 
+class TestTails:
+    """tau(x) = sum_{j not in S} phi_j(x)^2 / gamma_j, the C_f input ``diagonalize(..., tails=True)`` forms."""
+
+    @pytest.mark.parametrize("fallback", [False, True], ids=["lapack", "numpy"])
+    @pytest.mark.parametrize("lengths", BOXES)
+    def test_matches_full_decomposition(self, monkeypatch, lengths, fallback):
+        """On a band and on a dense h (the full solve, not the window), bound or through numpy."""
+        if fallback:
+            monkeypatch.setattr(_lapack, "binding", lambda: None)
+        h = _box_hamiltonian(lengths, "neumann")
+        full = diagonalize(h)
+        lambda0 = float(np.median(full.eigenvalues))
+        count = full.localized_count(lambda0)
+        spec = diagonalize(h, lambda0=lambda0, tails=True)
+        want = sum(full.modes[:, j] ** 2 / full.gammas[j] for j in range(count, full.n))
+        assert 0 < count < spec.n and spec.modes.shape == (spec.n, count)
+        assert np.array_equal(spec.modes, full.modes[:, :count])
+        assert spec.tails.shape == (spec.n,)
+        assert np.allclose(spec.tails, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("lengths", BOXES)
+    def test_zero_when_every_mode_is_kept(self, lengths):
+        spec = diagonalize(_box_hamiltonian(lengths, "neumann"), tails=True)
+        assert spec.modes.shape == (spec.n, spec.n)
+        assert np.array_equal(spec.tails, np.zeros(spec.n))
+
+    @pytest.mark.parametrize("lengths", BOXES)
+    def test_none_unless_asked(self, lengths):
+        """A dense h at |S| < n runs the window, which forms no tails; a band forms them only on request."""
+        h = _box_hamiltonian(lengths, "neumann")
+        lambda0 = float(np.median(spectrum(h).eigenvalues))
+        spec = diagonalize(h, lambda0=lambda0)
+        assert spec.tails is None
+        assert spec.modes.shape[1] == spec.localized_count(lambda0) < spec.n
+
+
 class TestLocalizedModes:
     def test_full_and_empty(self, chain12):
         _, spec = chain12
-        assert localized_modes(spec, spec.norm).size == spec.n
-        assert localized_modes(spec, spec.eigenvalues[0] * 0.5).size == 0
+        assert spec.localized_count(spec.norm) == spec.n
+        assert spec.localized_count(spec.eigenvalues[0] * 0.5) == 0
 
     def test_three_site_constant(self):
         box = BoxGeometry.of_lengths([3])
         sample = sample_disorder(DisorderConfig(k_max=1.0, master_seed=0), box, 0)
         sample = type(sample)(k=np.full(3, 0.5), sample_index=0)
         spec = diagonalize(assemble(box, sample))
-        S = localized_modes(spec, 1.0)  # spectrum {0.5, 1.5, 3.5}
-        assert S.tolist() == [0]
+        assert spec.localized_count(1.0) == 1  # spectrum {0.5, 1.5, 3.5}
 
     def test_prefix_property(self, chain12):
         _, spec = chain12
-        S = localized_modes(spec, float(np.median(spec.eigenvalues)))
-        assert S.tolist() == list(range(S.size))
+        lam = float(np.median(spec.eigenvalues))
+        count = spec.localized_count(lam)
+        assert np.all(spec.eigenvalues[:count] <= lam) and np.all(spec.eigenvalues[count:] > lam)
+
+
+def _chain12_at(lambda0):
+    """The chain12 fixture's h solved for the regime lambda0."""
+    return make_chain_spec(12, lambda0=lambda0)[1]
 
 
 class TestEigencorrelator:
     def test_hand_two_by_two(self):
-        spec = diagonalize(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+        spec = diagonalize(np.array([[2.0, -1.0], [-1.0, 2.0]]), lambda0=4.0)
         # eigenvectors (1, +-1)/sqrt(2): Q0(0,1) = 1/2 + 1/2
-        assert abs(eigencorrelator(spec, 4.0, 0, 0, 1) - 1.0) < 1e-12
+        assert abs(eigencorrelator_profile(spec, 0, 0)[1] - 1.0) < 1e-12
 
     def test_parseval_lower_bound(self, chain12):
         _, spec = chain12
-        q = eigencorrelator(spec, spec.norm, 0, 3, 3)
+        q = eigencorrelator_profile(spec, 0, 3)[3]
         assert q >= 1.0 - 1e-12
 
-    def test_empty_regime(self, chain12):
-        _, spec = chain12
-        assert eigencorrelator(spec, 1e-6, 0, 0, 1) == 0.0
+    def test_empty_regime(self):
+        assert np.array_equal(eigencorrelator_profile(_chain12_at(1e-6), 0, 0), np.zeros(12))
 
     def test_symmetry_and_monotone(self, chain12):
         _, spec = chain12
-        lam_lo = float(np.percentile(spec.eigenvalues, 30))
-        lam_hi = float(np.percentile(spec.eigenvalues, 80))
+        lo = _chain12_at(float(np.percentile(spec.eigenvalues, 30)))
+        hi = _chain12_at(float(np.percentile(spec.eigenvalues, 80)))
         for s in (-1, 0, 1):
-            a = eigencorrelator(spec, lam_lo, s, 2, 9)
-            b = eigencorrelator(spec, lam_lo, s, 9, 2)
+            a = eigencorrelator_profile(lo, s, 2)[9]
+            b = eigencorrelator_profile(lo, s, 9)[2]
             assert abs(a - b) < 1e-14
-            assert eigencorrelator(spec, lam_hi, s, 2, 9) >= a - 1e-14
+            assert eigencorrelator_profile(hi, s, 2)[9] >= a - 1e-14
 
     def test_dominates_dynamic_kernels(self, chain12):
         # |<dx, h^{s/2} u(h) X dy>| <= Q_s for u = cos(2t sqrt(h)), sin(2t sqrt(h))
         _, spec = chain12
-        lam = float(np.percentile(spec.eigenvalues, 70))
-        S = localized_modes(spec, lam)
+        regime = _chain12_at(float(np.percentile(spec.eigenvalues, 70)))
+        gam = regime.localized_gammas
         x, y = 1, 7
-        prod = spec.modes[x, S] * spec.modes[y, S]
+        prod = regime.modes[x] * regime.modes[y]
         for t in np.linspace(0.0, 9.0, 25):
-            for s, w in ((-1, 1 / spec.gammas[S]), (0, np.ones(S.size)), (1, spec.gammas[S])):
-                q = eigencorrelator(spec, lam, s, x, y)
-                assert abs(np.sum(np.cos(2 * t * spec.gammas[S]) * w * prod)) <= q + 1e-12
-                assert abs(np.sum(np.sin(2 * t * spec.gammas[S]) * w * prod)) <= q + 1e-12
+            for s, w in ((-1, 1 / gam), (0, np.ones(gam.size)), (1, gam)):
+                q = eigencorrelator_profile(regime, s, x)[y]
+                assert abs(np.sum(np.cos(2 * t * gam) * w * prod)) <= q + 1e-12
+                assert abs(np.sum(np.sin(2 * t * gam) * w * prod)) <= q + 1e-12
 
     def test_profile_matches_scalar(self, chain12):
+        """Each entry of the profile is the scalar mode sum over S of the full decomposition."""
         _, spec = chain12
         lam = float(np.median(spec.eigenvalues))
-        row = eigencorrelator_profile(spec, lam, -1, 5)
+        count = spec.localized_count(lam)
+        row = eigencorrelator_profile(_chain12_at(lam), -1, 5)
         for y in range(spec.n):
-            assert abs(row[y] - eigencorrelator(spec, lam, -1, 5, y)) < 1e-14
+            want = sum(abs(spec.modes[5, j] * spec.modes[y, j]) / spec.gammas[j] for j in range(count))
+            assert abs(row[y] - want) < 1e-14
 
 
 class TestPropagatorSums:
     def test_matches_mode_sums(self, chain12):
         _, spec = chain12
         lam = float(np.percentile(spec.eigenvalues, 70))
-        S = localized_modes(spec, lam)
-        gam = spec.gammas[S]
+        count = spec.localized_count(lam)
+        gam = spec.gammas[:count]
         x, sites = 4, np.array([0, 4, 9])
         times = np.array([0.0, 0.4, 3.7, 250.0])
-        sums = propagator_sums(spec, lam, x, sites, times, (1, -1, 0))
+        sums = propagator_sums(_chain12_at(lam), x, sites, times, (1, -1, 0))
         for s, got in zip((1, -1, 0), sums):
             assert got.shape == (times.size, sites.size)
             u = np.cos if s == 0 else np.sin
             for i, t in enumerate(times):
                 for k, y in enumerate(sites):
-                    want = np.sum(u(2 * t * gam) * gam**s * spec.modes[x, S] * spec.modes[y, S])
+                    want = np.sum(u(2 * t * gam) * gam**s * spec.modes[x, :count] * spec.modes[y, :count])
                     assert abs(got[i, k] - want) < 1e-13
 
     def test_sites_outside_box_rejected(self, chain12):
         _, spec = chain12
         for x, sites in ((-1, [0]), (12, [0]), (0, [12]), (0, [-1])):
             with pytest.raises(ValueError):
-                propagator_sums(spec, spec.norm, x, sites, [0.0], (0,))
+                propagator_sums(spec, x, sites, [0.0], (0,))
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(
@@ -896,13 +938,12 @@ class TestPropagatorSums:
     def test_dominated_by_eigencorrelator(self, lengths, seed, k_max, level, times, data):
         """|sum| <= Q_s(x, y) for every s, off any grid: the domination the pq-bound flag tests."""
         box = BoxGeometry.of_lengths(list(lengths))
-        sample = sample_disorder(DisorderConfig(k_max=k_max, master_seed=seed), box, 0)
-        spec = diagonalize(assemble(box, sample))
-        lam = np.inf if level is None else level * spec.norm
+        h = assemble(box, sample_disorder(DisorderConfig(k_max=k_max, master_seed=seed), box, 0))
+        spec = diagonalize(h, lambda0=np.inf if level is None else level * spectrum(h).norm)
         x = data.draw(st.integers(0, box.n_sites - 1))
-        sums = propagator_sums(spec, lam, x, np.arange(box.n_sites), np.array(times), (-1, 0, 1))
+        sums = propagator_sums(spec, x, np.arange(box.n_sites), np.array(times), (-1, 0, 1))
         for s, got in zip((-1, 0, 1), sums):
-            envelope = eigencorrelator_profile(spec, lam, s, x)
+            envelope = eigencorrelator_profile(spec, s, x)
             assert np.all(np.abs(got) <= envelope[None, :] + DOMINATION_SLACK)
 
 

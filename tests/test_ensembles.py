@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osclab import ensembles
-from osclab.anderson import DisorderConfig, assemble, diagonalize, localized_modes, sample_disorder
+from osclab.anderson import DisorderConfig, assemble, diagonalize, sample_disorder
 from osclab.config import EXPERIMENT_KINDS, config_from_dict
 from osclab.errors import ConfigError, NumericError
 from osclab.fock_oracle import correlation_series, diagonal_elements
@@ -135,6 +135,27 @@ def _spy_paths(monkeypatch):
     return paths
 
 
+class TestSupAlphaStrategy:
+    def test_vacuum_full_and_random_rows(self):
+        config = _config("correlations", "full", kappa=3, seed=5, alpha_random=4)
+        family = ensembles.sup_alpha_strategy(config, 6, 2)
+        rng = np.random.default_rng([5, 2, 0xA1FA])
+        rows = [np.zeros(6, int), np.full(6, 3)] + [rng.integers(0, 4, size=6) for _ in range(4)]
+        assert family.shape == (6, 6) and family.dtype == int
+        assert np.array_equal(family, np.stack(rows))
+
+    @pytest.mark.parametrize("kappa, count", [(0, 6), (2, 0)])
+    def test_vacuum_alone(self, kappa, count):
+        """No excitations allowed, or no regime mode to hold them."""
+        family = ensembles.sup_alpha_strategy(_config("correlations", "full", kappa=kappa), count, 0)
+        assert np.array_equal(family, np.zeros((1, count), int))
+
+    def test_repeats_dropped_in_order(self):
+        # one mode and kappa = 1: every random row repeats the vacuum or the full vector
+        family = ensembles.sup_alpha_strategy(_config("correlations", "full", kappa=1, alpha_random=5), 1, 0)
+        assert family.tolist() == [[0], [1]]
+
+
 class TestOccupationFamily:
     @pytest.mark.parametrize("lead", [(), (7,), (3, 5)])
     def test_early_out_bitwise_equal_to_general_path(self, lead):
@@ -203,6 +224,15 @@ def _shell(center, d, n_sites=12):
     return [y for y in (center - d, center + d) if 0 <= y < n_sites]
 
 
+def _run_kernel(config, box, seed=11):
+    """The config's kernel on the box's sample of ``seed`` (k_max 1, as in ``make_chain_spec``),
+    solved for the config's regime as ``run_sample`` solves it."""
+    h = assemble(box, sample_disorder(DisorderConfig(k_max=1.0, master_seed=seed), box, 0))
+    kind = config.experiment
+    spec = diagonalize(h, lambda0=config.lambda0_value(), tails=kind in ensembles._READS_C_F)
+    return ensembles.KERNELS[kind](config, box, spec, 0)
+
+
 def _restriction(spec, lam, f):
     """C_f = exp(-||V (f - X f)||^2 / 4), from the part of f outside the regime."""
     return np.exp(-np.linalg.norm(v_map(spec, f - project_localized(spec, lam, f))) ** 2 / 4)
@@ -236,14 +266,14 @@ class TestKernelsAgainstScalarForms:
     @staticmethod
     def _check_correlations(box, spec, config):
         center = config.center_index()
-        rows, flags, _ = ensembles.KERNELS["correlations"](config, box, spec, 0)
+        rows, flags, _ = _run_kernel(config, box)
         table = dict(rows)
         lam = config.lambda0_value()
         times = ensembles._time_grid(config, spec)
         alphas = kernel_family(config, spec)
         assert alphas.shape[0] >= 2
         f = delta_field(12, center, config.amplitude)
-        S = localized_modes(spec, lam)
+        S = slice(spec.localized_count(lam))
         vf = v_map(spec, f)[S]
         for d in config.shells:
             sups, overlaps = [], []
@@ -262,14 +292,14 @@ class TestKernelsAgainstScalarForms:
         box, spec = chain12
         center = 2
         config = _config("lr-bound", lambda0, center=[center], shells=[1, 3, 5, 9], amplitude=0.9)
-        rows, flags, _ = ensembles.KERNELS["lr-bound"](config, box, spec, 0)
+        rows, flags, _ = _run_kernel(config, box)
         table = dict(rows)
         lam = config.lambda0_value()
         times = ensembles._time_grid(config, spec)
         a = config.amplitude
         f = delta_field(12, center, a)
         xfs = [project_localized(spec, lam, evolve(spec, f, t)) for t in times]
-        S = localized_modes(spec, lam)
+        S = slice(spec.localized_count(lam))
         vf = v_map(spec, f)[S]
         for d in config.shells:
             sups, envelopes = [], []
@@ -287,14 +317,14 @@ class TestKernelsAgainstScalarForms:
         box, spec = chain12
         center = 2
         config = _config("pq-bound", lambda0, center=[center], shells=[1, 3, 5, 9])
-        rows, flags, _ = ensembles.KERNELS["pq-bound"](config, box, spec, 0)
+        rows, flags, _ = _run_kernel(config, box)
         table = dict(rows)
         lam = config.lambda0_value()
         times = ensembles._time_grid(config, spec)
         # Q_s(x, y) = sum_{j in S} |(V u_x)_j (V v_y)_j|: (Vdelta_x)_j = phi_j(x) gamma_j^{-1/2} and
         # (V i delta_x)_j = i phi_j(x) gamma_j^{1/2}, so (u, v) = (1, 1), (1, i), (i, i) give s = -1, 0, +1
         envelopes = {"envelope_minus": (1, 1), "envelope_zero": (1, 1j), "envelope_plus": (1j, 1j)}
-        S = localized_modes(spec, lam)
+        S = slice(spec.localized_count(lam))
         for d in config.shells:
             sites = _shell(center, d)
             coefficients = {name: [] for name in ("qq_sup", "qp_sup", "pq_sup", "pp_sup")}
@@ -329,13 +359,13 @@ class TestKernelsAgainstScalarForms:
         sample = sample_disorder(DisorderConfig(k_max=1.0, master_seed=8), box, 0)
         spec = diagonalize(assemble(box, sample))
         config = _config("quasi-locality", lambda0, box={"lengths": [4, 4]}, kappa=0, n_values=[0, 2, 1, 4, 6])
-        self._check_quasi_locality(box, spec, config)
+        self._check_quasi_locality(box, spec, config, seed=8)
 
     @staticmethod
-    def _check_quasi_locality(box, spec, config):
+    def _check_quasi_locality(box, spec, config, seed=11):
         """kappa = 0, so the family is the vacuum and the error is C_f sqrt(2 - 2 exp(-||V f_{n,t}||^2 / 4))."""
         assert config.kappa == 0
-        rows, flags, _ = ensembles.KERNELS["quasi-locality"](config, box, spec, 0)
+        rows, flags, _ = _run_kernel(config, box, seed)
         lam = config.lambda0_value()
         times = ensembles._time_grid(config, spec)
         center = config.center_index()
@@ -574,7 +604,7 @@ def test_kernels_report_no_domination_violation(lengths, seed, k_max, lambda0, k
     fraction=st.floats(-0.5, 1.5),
 )
 def test_kernels_agree_with_full_decomposition(lengths, seed, k_max, fraction):
-    """Every kernel on the modes run_sample keeps matches a run forced onto every mode, with the same flags.
+    """Every kernel on the regime run_sample solves matches a run forced onto the full decomposition, with the same flags.
 
     lambda0 lies below the spectrum, inside it or above it, so S is empty, partial or everything.
     """
@@ -597,7 +627,8 @@ def test_kernels_agree_with_full_decomposition(lengths, seed, k_max, fraction):
         )
         regime = ensembles.run_sample(config, 0)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ensembles, "diagonalize", lambda h, **regime_args: diagonalize(h))
+            # tails=True makes a dense h run the full decomposition
+            patch.setattr(ensembles, "diagonalize", lambda h, lambda0, tails: diagonalize(h, lambda0=lambda0, tails=True))
             full = ensembles.run_sample(config, 0)
         assert regime.flags == full.flags, kind
         assert [key for key, _ in regime.rows] == [key for key, _ in full.rows], kind
@@ -607,12 +638,12 @@ def test_kernels_agree_with_full_decomposition(lengths, seed, k_max, fraction):
 
 @pytest.mark.parametrize("kind", sorted(ensembles.KERNELS))
 def test_only_kernels_without_c_f_leave_out_modes(monkeypatch, kind):
-    """C_f reads every mode outside S, so its kernels get them all; the others get the window's columns of S."""
+    """Every kernel gets Phi_S; those that read C_f also get the tails, so only the others let a dense h run the window."""
     kept = []
 
     def spy(h, **regime_args):
         spec = diagonalize(h, **regime_args)
-        kept.append(spec.modes.shape[1])
+        kept.append((spec.modes.shape[1] == spec.localized_count(2.0) < 30, spec.tails is not None))
         return spec
 
     monkeypatch.setattr(ensembles, "diagonalize", spy)
@@ -620,7 +651,7 @@ def test_only_kernels_without_c_f_leave_out_modes(monkeypatch, kind):
         {"experiment": kind, "box": {"lengths": [6, 5]}, "lambda0": 2.0, "samples": 1, "time_grid": {"points": 5, "t_max": 2.0}}
     )
     ensembles.run_sample(config, 0)
-    assert (kept[0] == 30) == (kind in ("lr-bound", "correlations", "quasi-locality")), kept
+    assert kept == [(True, kind in ("lr-bound", "correlations", "quasi-locality"))]
 
 
 class TestRunEnsemble:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from osclab import ensembles
-from osclab.anderson import DisorderConfig, assemble, diagonalize, localized_modes, sample_disorder
+from osclab.anderson import DisorderConfig, assemble, diagonalize, sample_disorder
 from osclab.config import config_from_dict
 from osclab.errors import BudgetError
 from osclab.fock_oracle import (
@@ -235,7 +235,7 @@ def _kernel_cases(kind, **extra):
                 else:
                     doc["shells"] = shells
                 config = config_from_dict(doc)
-                assert localized_modes(spec, config.lambda0_value()).size == m
+                assert spec.localized_count(config.lambda0_value()) == m
                 yield config, spec
 
 

@@ -15,7 +15,7 @@ from osclab.freeboson import (
     v_inverse,
     v_map,
 )
-from osclab.anderson import eigencorrelator, localized_modes, propagator_sums
+from osclab.anderson import eigencorrelator_profile, propagator_sums
 from osclab.errors import NumericError
 from osclab.lattice import BoxGeometry, box_boundary
 
@@ -143,14 +143,15 @@ class TestProjection:
             assert np.max(np.abs(a - b)) < 1e-10
 
 
-def dynamics_blocks(spec, lam, t):
-    """The four real blocks mapping (Re g, Im g) to (Re[X g_t], Im[X g_t]).
+def dynamics_blocks(lam, t):
+    """The four real blocks of the chain12 fixture's h mapping (Re g, Im g) to (Re[X g_t], Im[X g_t]).
 
     (cos(2t sqrt(h)) X, -sin(2t sqrt(h)) sqrt(h) X, sin(2t sqrt(h)) h^{-1/2} X,
-    cos(2t sqrt(h)) X), one row x at a time from the propagator sums.
+    cos(2t sqrt(h)) X), one row x at a time from the propagator sums of the regime lam.
     """
-    sites = np.arange(spec.n)
-    rows = [propagator_sums(spec, lam, x, sites, [t], (-1, 0, 1)) for x in sites]
+    _, regime = make_chain_spec(12, lambda0=lam)
+    sites = np.arange(regime.n)
+    rows = [propagator_sums(regime, x, sites, [t], (-1, 0, 1)) for x in sites]
     minus, zero, plus = (np.array([row[k][0] for row in rows]) for k in range(3))
     return zero, -plus, minus, zero
 
@@ -161,9 +162,9 @@ class TestBlockMatrix:
     def test_time_zero(self, chain12):
         _, spec = chain12
         lam = float(np.median(spec.eigenvalues))
-        ul, ur, ll, lr = dynamics_blocks(spec, lam, 0.0)
-        S = localized_modes(spec, lam)
-        X = spec.modes[:, S] @ spec.modes[:, S].T
+        ul, ur, ll, lr = dynamics_blocks(lam, 0.0)
+        phi = spec.modes[:, : spec.localized_count(lam)]
+        X = phi @ phi.T
         assert np.max(np.abs(ul - X)) < 1e-13
         assert np.max(np.abs(lr - X)) < 1e-13
         assert np.max(np.abs(ur)) == 0.0 and np.max(np.abs(ll)) == 0.0
@@ -174,7 +175,7 @@ class TestBlockMatrix:
         rng = np.random.default_rng(6)
         for t in (0.3, 1.7):
             g = random_field(rng, 12)
-            ul, ur, ll, lr = dynamics_blocks(spec, lam, t)
+            ul, ur, ll, lr = dynamics_blocks(lam, t)
             re = ul @ g.real + ur @ g.imag
             im = ll @ g.real + lr @ g.imag
             direct = project_localized(spec, lam, evolve(spec, g, t))
@@ -184,30 +185,37 @@ class TestBlockMatrix:
     def test_cos_block_within_envelope(self, chain12):
         _, spec = chain12
         lam = float(np.percentile(spec.eigenvalues, 70))
+        _, regime = make_chain_spec(12, lambda0=lam)
         for t in (0.0, 0.9, 4.1):
-            ul = dynamics_blocks(spec, lam, t)[0]
+            ul = dynamics_blocks(lam, t)[0]
             for x in (0, 5):
                 for y in (3, 11):
-                    assert abs(ul[x, y]) <= eigencorrelator(spec, lam, 0, x, y) + 1e-12
+                    assert abs(ul[x, y]) <= eigencorrelator_profile(regime, 0, x)[y] + 1e-12
 
 
 class TestEnergies:
     def test_ground_energy(self, chain12):
         _, spec = chain12
-        assert abs(many_body_energy(spec, np.zeros(12, int)) - spec.gammas.sum()) < 1e-12
+        assert abs(many_body_energy(spec, np.zeros((1, 12), int))[0] - spec.gammas.sum()) < 1e-12
 
     def test_single_site(self):
         spec = single_site_spec(4.0)
-        assert abs(many_body_energy(spec, np.array([3])) - 14.0) < 1e-14
+        assert abs(many_body_energy(spec, np.array([[3]]))[0] - 14.0) < 1e-14
 
     def test_excitation_identity(self, chain12):
         _, spec = chain12
         rng = np.random.default_rng(9)
-        e0 = many_body_energy(spec, np.zeros(12, int))
-        for _ in range(10):
-            alpha = rng.integers(0, 4, size=12)
-            gap = many_body_energy(spec, alpha) - e0
+        e0 = many_body_energy(spec, np.zeros((1, 12), int))[0]
+        alphas = rng.integers(0, 4, size=(10, 12))
+        gaps = many_body_energy(spec, alphas) - e0
+        for alpha, gap in zip(alphas, gaps):
             assert abs(gap - 2 * np.sum(spec.gammas * alpha)) < 1e-12
+
+    def test_rejects_bad_family(self, chain12):
+        _, spec = chain12
+        for alphas in (np.zeros(12, int), np.zeros((2, 11), int), -np.ones((1, 12), int)):
+            with pytest.raises(ValueError):
+                many_body_energy(spec, alphas)
 
     def test_density_cases(self, chain12):
         _, spec = chain12

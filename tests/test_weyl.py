@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from osclab.anderson import DisorderConfig, assemble, diagonalize, localized_modes, sample_disorder
+from osclab.anderson import DisorderConfig, assemble, diagonalize, sample_disorder
 from osclab.fock_oracle import OracleBundle, TruncationSpec, correlation_series, diagonal_elements, oracle_expectation
 from osclab.freeboson import delta_field, v_inverse, v_map
 from osclab.lattice import BoxGeometry
@@ -153,12 +153,12 @@ class TestDynamicCorrelation:
         # Vf supported outside S makes both restricted operators scalar on the regime
         _, spec = chain12
         lam = float(np.percentile(spec.eigenvalues, 40))
-        S = localized_modes(spec, lam)
+        count = spec.localized_count(lam)
         g = np.zeros(12, dtype=complex)
-        g[S.size:] = 0.3 + 0.2j
+        g[count:] = 0.3 + 0.2j
         f = v_inverse(spec, g)
         alpha = np.zeros(12, int)
-        alpha[: S.size] = 1
+        alpha[:count] = 1
         assert abs(correlation_series(spec, lam, alpha, f, f, 0.7, beta_cutoff=5)) < 1e-13
 
     def test_alpha_outside_regime_rejected(self, chain12):
@@ -173,13 +173,13 @@ class TestDynamicCorrelation:
         # each truncated mode sum is at most 1 by Cauchy-Schwarz, so any cutoff keeps the bound
         _, spec = chain12
         lam = float(np.percentile(spec.eigenvalues, 80))
-        S = localized_modes(spec, lam)
+        count = spec.localized_count(lam)
         rng = np.random.default_rng(15)
         for _ in range(100):
             f = random_field(rng, 12, scale=rng.uniform(0.1, 3.0))
             g = random_field(rng, 12, scale=rng.uniform(0.1, 3.0))
             alpha = np.zeros(12, int)
-            alpha[: S.size] = rng.integers(0, 3, size=S.size)
+            alpha[:count] = rng.integers(0, 3, size=count)
             c = correlation_series(spec, lam, alpha, f, g, rng.uniform(-4, 4), beta_cutoff=8)
             assert abs(c) <= 2.0 + 1e-12
 
@@ -192,13 +192,13 @@ class TestCorrelationSeries:
         rng = np.random.default_rng(16)
         for lam in (float(spec.eigenvalues[0]) + 1e-9, spec.norm):
             bundle = OracleBundle(spec, lam, TruncationSpec(per_mode_dim=14, mode_count=2))
-            S = localized_modes(spec, lam)
+            count = spec.localized_count(lam)
             for _ in range(5):
                 f = random_field(rng, 2, scale=0.5)
                 g = random_field(rng, 2, scale=0.5)
                 t = rng.uniform(-3, 3)
                 alpha = np.zeros(2, int)
-                alpha[S] = rng.integers(0, 3, size=S.size)
+                alpha[:count] = rng.integers(0, 3, size=count)
                 a = bundle.heisenberg(bundle.restricted(bundle.weyl(f)), t)
                 b = bundle.restricted(bundle.weyl(g))
                 psi = bundle.psi(alpha)
