@@ -13,6 +13,7 @@ from .anderson import (
     DisorderSample,
     SpectralData,
     Spectrum,
+    Stencil,
     Tridiagonal,
     assemble,
     diagonalize,

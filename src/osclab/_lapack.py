@@ -1,12 +1,15 @@
 """LAPACK's symmetric eigensolver pieces, bound with ctypes.
 
 ``dsterf`` (eigenvalues only, Pal-Walker-Kahan QR) and ``dstevd`` (divide
-and conquer, with eigenvectors) solve a tridiagonal matrix from its band.
-A dense h is first reduced to such a band by ``dsytrd``, h = Q T Q^T, and
-``dormtr`` applies Q to any set of columns.  Those are the three
-routines ``dsyevd`` runs, so ``dsytrd``, ``dstevd`` and ``dormtr`` on all n
-columns return the bits of numpy's ``eigh``; on fewer columns they skip the
-back-transformation of the rest.  They are taken from the LAPACK that
+and conquer, with eigenvectors) solve a tridiagonal matrix from its band,
+and ``dstein`` (inverse iteration, the routine behind ``dsyevx``) finds the
+eigenvectors of chosen eigenvalues only.  A dense h is first reduced in
+place to such a band by ``dsytrd``, h = Q T Q^T, and ``dormtr`` applies Q
+to any set of columns.  ``dsytrd`` and ``dsterf`` are the two routines
+``dsyevd`` runs without eigenvectors, and ``dsytrd``, ``dstevd`` and
+``dormtr`` on all n columns the three it runs with them, so they return the
+bits of numpy's ``eigvalsh`` and ``eigh``.  ``dstein``'s vectors are not
+``eigh``'s; callers check them.  The routines are taken from the LAPACK that
 numpy's own ``eigvalsh``/``eigh`` call: dlsym on numpy's ``_umath_linalg``
 extension also searches the libraries it links.  On a tridiagonal matrix
 ``eigvalsh``/``eigh`` reduce h with identity reflectors and then solve the
@@ -29,10 +32,11 @@ from types import SimpleNamespace
 
 import numpy as np
 
-#: (dsterf, dstevd, dsytrd, dormtr) symbol names: numpy >= 2 wheels (scipy-openblas64), numpy 1.x wheels (openblas64_).
+#: (dsterf, dstevd, dstein, dsytrd, dormtr) symbol names: numpy >= 2 wheels (scipy-openblas64),
+#: numpy 1.x wheels (openblas64_).
 SYMBOLS = (
-    ("scipy_dsterf_64_", "scipy_dstevd_64_", "scipy_dsytrd_64_", "scipy_dormtr_64_"),
-    ("dsterf_64_", "dstevd_64_", "dsytrd_64_", "dormtr_64_"),
+    ("scipy_dsterf_64_", "scipy_dstevd_64_", "scipy_dstein_64_", "scipy_dsytrd_64_", "scipy_dormtr_64_"),
+    ("dsterf_64_", "dstevd_64_", "dstein_64_", "dsytrd_64_", "dormtr_64_"),
 )
 
 #: The block-reflector table (65 x 64) that DORMQR/DORMQL need on top of the
@@ -42,8 +46,8 @@ _ORMQR_TABLE = 65 * 64
 
 @functools.cache
 def binding() -> SimpleNamespace | None:
-    """``dsterf``, ``dstevd``, ``dsytrd`` and ``dormtr`` of numpy's LAPACK, bound on
-    first use; None if it exports no complete set of names."""
+    """``dsterf``, ``dstevd``, ``dstein``, ``dsytrd`` and ``dormtr`` of numpy's LAPACK,
+    bound on first use; None if it exports no complete set of names."""
     try:
         lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     except (AttributeError, OSError):
@@ -56,6 +60,8 @@ def binding() -> SimpleNamespace | None:
         "dsterf": [p] * 4,
         # DSTEVD(JOBZ, N, D, E, Z, LDZ, WORK, LWORK, IWORK, LIWORK, INFO)
         "dstevd": [c] + [p] * 10 + [length],
+        # DSTEIN(N, D, E, M, W, IBLOCK, ISPLIT, Z, LDZ, WORK, IWORK, IFAIL, INFO)
+        "dstein": [p] * 13,
         # DSYTRD(UPLO, N, A, LDA, D, E, TAU, WORK, LWORK, INFO)
         "dsytrd": [c] + [p] * 9 + [length],
         # DORMTR(SIDE, UPLO, TRANS, M, N, A, LDA, TAU, C, LDC, WORK, LWORK, INFO)
@@ -129,16 +135,50 @@ def dstevd(d, e) -> tuple[np.ndarray, np.ndarray]:
     return d, z
 
 
-def dsytrd(h) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Reduce a square h, read from its lower triangle as ``eigh`` does, to T = Q^T h Q.
+def dstein(d, e, w, iblock, isplit) -> np.ndarray:
+    """Z (F-contiguous, one column per entry of w): the eigenvectors of the band (d, e) for eigenvalues w.
 
-    Returns (a, d, e, tau): T's diagonal d and off-diagonal e, and Q as
-    the reflectors that ``a``, an F-ordered copy of h, holds below its
-    subdiagonal with their factors tau.  h is not written.
+    The band splits into blocks ending at the 1-based rows ``isplit``; w
+    lists each block's eigenvalues in ascending order, block after block,
+    and ``iblock`` the 1-based block of each.  Raises LinAlgError, naming
+    how many, when some vectors fail to converge.
     """
-    # eigh hands LAPACK a column-major copy of h; a C-ordered copy would be h
-    # transposed, whose lower triangle is h's upper one
-    a = np.array(h, dtype=np.float64, order="F")
+    d, e = _band(d, e)
+    n = d.size
+    w = np.array(w, dtype=np.float64)
+    iblock, isplit = (np.array(v, dtype=np.int64) for v in (iblock, isplit))
+    m = w.size
+    if (
+        w.ndim != 1 or m > n or iblock.shape != (m,) or isplit.ndim != 1 or not 0 < isplit.size <= n
+        or isplit[0] < 1 or np.any(np.diff(isplit) <= 0) or isplit[-1] != n
+        or np.any((iblock < 1) | (iblock > isplit.size))
+    ):
+        raise ValueError("need at most n eigenvalues, their blocks, and ascending block ends that close at the last row")
+    z = np.zeros((n, m), order="F")
+    if m == 0:
+        return z
+    # both are declared of length N
+    iblock, isplit = (np.concatenate((v, np.zeros(n - v.size, dtype=np.int64))) for v in (iblock, isplit))
+    work, iwork, ifail = np.empty(5 * n), np.empty(n, dtype=np.int64), np.empty(m, dtype=np.int64)
+    info = ctypes.c_int64(0)
+    binding().dstein(
+        _int(n), _ptr(d), _ptr(e), _int(m), _ptr(w), _ptr(iblock, dtype=np.int64), _ptr(isplit, dtype=np.int64),
+        _ptr(z, "F"), _int(n), _ptr(work), _ptr(iwork, dtype=np.int64), _ptr(ifail, dtype=np.int64), ctypes.byref(info),
+    )
+    if info.value > 0:
+        raise np.linalg.LinAlgError(f"dstein: {info.value} of {m} eigenvectors failed to converge")
+    _check(info, "dstein")
+    return z
+
+
+def dsytrd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reduce a square h, read from the lower triangle of ``a`` as ``eigh`` does, to T = Q^T h Q.
+
+    ``a`` is a writeable F-contiguous float64 copy of h (eigh hands LAPACK
+    the same); it is reduced in place and then holds Q as reflectors below
+    its subdiagonal.  Returns (d, e, tau): T's diagonal and off-diagonal,
+    and the reflectors' factors.
+    """
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise ValueError("need a nonempty square matrix h")
     n = a.shape[0]
@@ -157,7 +197,7 @@ def dsytrd(h) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     run(work, -1)
     lwork = int(work[0])
     run(np.empty(lwork), lwork)
-    return a, d, e[: n - 1], tau[: n - 1]
+    return d, e[: n - 1], tau[: n - 1]
 
 
 def dormtr(a, tau, c) -> None:

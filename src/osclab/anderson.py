@@ -7,36 +7,44 @@ frequencies gamma_j, their positive square roots, checked against the
 invariants tr h and ||h||_F^2.  It serves the eigenvalue-only statistics
 (counting function, energy density, gaps).  ``diagonalize`` returns
 ``SpectralData``, a ``Spectrum`` that also carries the eigenvectors a
-regime needs.  ``assemble`` returns h as a ``Tridiagonal`` band for every
-box with nu = 1, where h is a Jacobi matrix, and as a dense array
-otherwise.  The solver follows the type of h and nothing else; no count of
-nonzeros guesses its structure.  A band goes to LAPACK's ``dsterf`` and
-``dstevd`` (``_lapack``, the library numpy links), without the O(n^3)
-reduction of ``eigvalsh``/``eigh`` and with O(n) validation and
-invariants.  A dense array goes to ``eigvalsh`` and, for eigenpairs, is
-reduced once to a band T = Q^T h Q (``dsytrd``), whose eigenpairs
-``dstevd`` finds; ``dormtr`` applies Q to just the eigenvectors wanted.
-Those are the three steps of ``dsyevd``, the routine ``eigh`` calls, so
-every full solve returns the bits of ``eigvalsh``/``eigh`` on the dense h,
-and those serve alone where the routines are not bound.
+regime needs.  ``assemble`` returns h in O(n) memory: as a ``Tridiagonal``
+band for every box with nu = 1, where h is a Jacobi matrix, and as a
+``Stencil`` (the diagonal on the box's nearest-neighbour graph) otherwise;
+both are symmetric by construction, so their validation, scale and
+invariants cost O(n), and ``h @ x`` costs O(n) per column.  Any other
+array is taken as a dense h.  The solver follows the type of h and nothing
+else; no count of nonzeros guesses its structure.  Eigenvalues alone:
+a band goes to LAPACK's ``dsterf`` (``_lapack``, the library numpy links),
+anything else to ``eigvalsh``.  Eigenpairs: a band is solved as it is; a
+stencil or an array is reduced to a band T = Q^T h Q by ``dsytrd``, in place
+in the one n x n buffer of the solve (a stencil's dense form, or a copy of
+the array), and ``dormtr`` applies Q to just the eigenvectors formed.  Where
+the routines are not bound, numpy's ``eigvalsh``/``eigh`` serve alone.
 
 The paper's bounds read the localized modes S = {j : lambda_j <= lambda0}
 (``Spectrum.localized_count``, the one definition of S) and, through
 C_f = exp(-||1_{S^c} V f||^2 / 4), the tails
 tau(x) = sum_{j not in S} phi_j(x)^2 / gamma_j.  ``diagonalize(h,
 lambda0=..., tails=...)`` fixes the regime once: its ``SpectralData`` holds
-Phi_S and, when asked, tau at every site.  Its accuracy contract, with
-scale = max|h_ij| and tol = RECONSTRUCTION_RTOL:
+Phi_S and, when asked, tau at every site.  It runs one of two solves; with
+scale = max|h_ij| and tol = RECONSTRUCTION_RTOL, their accuracy contracts:
 
-* Full decomposition (a band; numpy's ``eigh``; a dense h with |S| = n or
-  with ``tails=True``): every mode is formed and
-  max|O G^2 O^T - h| <= tol * scale over all n^2 entries.
-* Window (a dense h with |S| < n and no tails), whose checks read only the
-  band and the columns of S: the invariants of ``spectrum`` hold on all n
-  eigenvalues; max|T Z - Z Lambda| <= tol * scale over all n eigenvectors Z
-  of the band, which covers the columns outside S at O(n^2);
-  max|h Phi_S - Phi_S Lambda_S| <= tol * scale; and
-  max|Phi_S^T Phi_S - I| <= tol.
+* Full decomposition (|S| = n, or ``tails=True``): eigh's own route,
+  ``dstevd`` on the band and ``dormtr`` on all n columns, so eigenvalues
+  and modes are the bits of ``eigh`` (of ``np.asarray(h)``).  Every mode is
+  formed and max|O G^2 O^T - h| <= tol * scale over all n^2 entries.
+  A dense solve holds three n x n arrays at its peak: the reduced h, Z and
+  the workspace of ``dstevd``.
+* Window (|S| < n and no tails): ``dsterf`` finds all n eigenvalues, the
+  bits of ``eigvalsh``, and inverse iteration (``dstein``) the eigenvectors
+  of S alone; only those are mapped back.  Inverse iteration can return
+  poor vectors without saying so, so they are checked: the invariants of
+  ``spectrum`` hold on all n eigenvalues, max|h Phi_S - Phi_S Lambda_S| <=
+  tol * scale, and max|Phi_S^T Phi_S - I| <= tol.  Because Q is orthogonal,
+  the residual of Phi_S is that of the band's vectors.  A dense window holds
+  one n x n array, the reduced h, beside the n x |S| columns.  It pays when
+  S is a small part of the spectrum: on a 40 x 40 box ``dsterf`` and
+  ``dstein`` together take as long as ``dstevd`` at |S| of about 0.4 n.
 
 A failure, a NaN included, raises NumericError.  ``eigencorrelator_profile``
 evaluates the per-realization localization kernel
@@ -52,14 +60,14 @@ Both read S from the ``SpectralData`` they are given.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from . import _lapack
 from .errors import ConfigError, NumericError
-from .lattice import BoxGeometry, graph_laplacian, laplacian_diagonal
+from .lattice import BoxGeometry, _graph, laplacian_diagonal
 
 #: Accuracy tolerance of the eigensolvers, relative to max|h_ij|.
 RECONSTRUCTION_RTOL = 1e-10
@@ -136,12 +144,27 @@ def sample_disorder(config: DisorderConfig, box: BoxGeometry, index: int) -> Dis
     return DisorderSample(k=k, sample_index=int(index))
 
 
+class _Structured:
+    """An h kept as its diagonal ``d`` and its off-diagonal entries ``e``, symmetric by construction.
+
+    ``lower_rows`` gives dense rows of h, ``np.asarray(h)`` all of them, and
+    ``h @ x`` applies h to the columns of x in O(n) per column.
+    """
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.d.size, self.d.size)
+
+    def __array__(self, dtype=None, copy=None):
+        h = self.lower_rows(0, self.d.size)
+        return h if dtype is None else h.astype(dtype, copy=False)
+
+
 @dataclass(frozen=True)
-class Tridiagonal:
+class Tridiagonal(_Structured):
     """A symmetric tridiagonal h, kept as its band: diagonal d and off-diagonal e.
 
     Both are read-only float copies, len(e) = len(d) - 1 >= 0.
-    ``np.asarray(h)`` gives the dense matrix.
     """
 
     d: np.ndarray
@@ -155,10 +178,6 @@ class Tridiagonal:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.d.size, self.d.size)
-
     def lower_rows(self, start: int, stop: int) -> np.ndarray:
         """Dense rows start..stop-1 of h, columns 0..stop-1."""
         block = np.zeros((stop - start, stop))
@@ -171,15 +190,65 @@ class Tridiagonal:
             block[0, start - 1] = self.e[start - 1]
         return block
 
-    def __array__(self, dtype=None, copy=None):
-        h = self.lower_rows(0, self.d.size)
-        return h if dtype is None else h.astype(dtype, copy=False)
+    def __matmul__(self, x) -> np.ndarray:
+        x = np.asarray(x)
+        col = (slice(None),) + (None,) * (x.ndim - 1)
+        out = self.d[col] * x
+        out[:-1] += self.e[col] * x[1:]
+        out[1:] += self.e[col] * x[:-1]
+        return out
+
+
+@dataclass(frozen=True)
+class Stencil(_Structured):
+    """h = diag(d) - A for the nearest-neighbour adjacency A of a box, kept as the box and d.
+
+    d is a read-only float copy with one entry per site; the -1 entries of h
+    sit on the edges of ``lattice._graph``, and ``e`` lists them, one per edge.
+    """
+
+    box: BoxGeometry
+    d: np.ndarray
+
+    def __post_init__(self):
+        d = np.array(self.d, dtype=float)
+        if d.shape != (self.box.n_sites,):
+            raise ValueError(f"need one diagonal entry per site of the box, got {d.shape} for {self.box.n_sites} sites")
+        d.setflags(write=False)
+        object.__setattr__(self, "d", d)
+
+    @property
+    def e(self) -> np.ndarray:
+        return np.full(_graph(self.box)[0].size, -1.0)
+
+    def lower_rows(self, start: int, stop: int) -> np.ndarray:
+        """Dense rows start..stop-1 of h, columns 0..stop-1."""
+        i, j, _ = _graph(self.box)
+        block = np.zeros((stop - start, stop))
+        rows = np.arange(start, stop)
+        block[rows - start, rows] = self.d[start:stop]
+        for r, c in ((i, j), (j, i)):
+            keep = (r >= start) & (r < stop) & (c < stop)
+            block[r[keep] - start, c[keep]] = -1.0
+        return block
+
+    def __matmul__(self, x) -> np.ndarray:
+        # on the grid of the box a site's neighbours along an axis are the shifts by one
+        x = np.asarray(x)
+        grid = x.reshape(self.box.shape + x.shape[1:])
+        out = self.d.reshape(self.box.shape + (1,) * (x.ndim - 1)) * grid
+        for axis in range(self.box.nu):
+            lo = (slice(None),) * axis + (slice(None, -1),)
+            hi = (slice(None),) * axis + (slice(1, None),)
+            out[lo] -= grid[hi]
+            out[hi] -= grid[lo]
+        return out.reshape(x.shape)
 
 
 def assemble(box: BoxGeometry, sample: DisorderSample, bc: str = "neumann"):
-    """Effective Hamiltonian h = Laplacian(bc) + diag(k).
+    """Effective Hamiltonian h = Laplacian(bc) + diag(k), built in O(n).
 
-    A ``Tridiagonal`` when nu = 1, built in O(n); a dense array otherwise.
+    A ``Tridiagonal`` when nu = 1, a ``Stencil`` otherwise.
     """
     k = np.asarray(sample.k, dtype=float)
     if k.shape != (box.n_sites,):
@@ -187,7 +256,13 @@ def assemble(box: BoxGeometry, sample: DisorderSample, bc: str = "neumann"):
     diagonal = laplacian_diagonal(box, bc) + k
     if box.nu == 1:
         return Tridiagonal(diagonal, np.full(box.n_sites - 1, -1.0))
-    return graph_laplacian(box, diagonal)
+    return Stencil(box, diagonal)
+
+
+def _prefix_count(evals: np.ndarray, lambda0: float) -> int:
+    if not lambda0 >= 0:
+        raise ValueError(f"lambda0 must be nonnegative, got {lambda0!r}")
+    return int(np.searchsorted(evals, lambda0, side="right"))
 
 
 @dataclass(frozen=True)
@@ -222,9 +297,7 @@ class Spectrum:
 
     def localized_count(self, lambda0: float) -> int:
         """|S| for S = {j : lambda_j <= lambda0}, a prefix of the ascending spectrum."""
-        if not lambda0 >= 0:
-            raise ValueError(f"lambda0 must be nonnegative, got {lambda0!r}")
-        return int(np.searchsorted(self.eigenvalues, lambda0, side="right"))
+        return _prefix_count(self.eigenvalues, lambda0)
 
 
 @dataclass(frozen=True)
@@ -273,28 +346,65 @@ def _eigvalsh(h):
     return np.linalg.eigvalsh(np.asarray(h)), None
 
 
-class _Reduction(NamedTuple):
-    """A dense h reduced to its band T = Q^T h Q (``_lapack.dsytrd``), with T's eigenvectors Z in F order."""
-
-    a: np.ndarray
-    tau: np.ndarray
-    d: np.ndarray
-    e: np.ndarray
-    z: np.ndarray
+def _reduction_buffer(h) -> np.ndarray:
+    """A writeable F-ordered copy of h, for ``dsytrd`` to reduce in place."""
+    if isinstance(h, Stencil):
+        # a fresh dense stencil is exactly symmetric, so its transpose is that copy
+        return np.asarray(h).T
+    return np.array(h, dtype=np.float64, order="F")
 
 
-def _eigh(h):
-    """(eigenvalues, C-ordered modes) of a band, or of any h when nothing is bound;
-    (eigenvalues, ``_Reduction``) of a dense h, whose modes ``diagonalize`` forms as needed."""
+def _band_window(d: np.ndarray, e: np.ndarray, lambda0: float):
+    """(eigenvalues, Z_S) of the band T = (d, e): every eigenvalue by ``dsterf`` and the
+    eigenvectors of S by ``dstein``, F-ordered; Z_S is None when S is every mode.
+
+    T is cut where ``dsterf`` itself takes an off-diagonal entry for zero and
+    each block is solved apart, which gives dsterf's bits on all of T and the
+    block of every eigenvalue, which ``dstein`` needs.
+    """
+    eps = np.finfo(float).eps / 2  # LAPACK's DLAMCH('E')
+    cut = np.abs(e) <= np.sqrt(np.abs(d[:-1])) * np.sqrt(np.abs(d[1:])) * eps
+    ends = np.append(np.flatnonzero(cut) + 1, d.size)
+    starts = np.append(0, ends[:-1])
+    vals = np.concatenate([_lapack.dsterf(d[lo:hi], e[lo : hi - 1]) for lo, hi in zip(starts, ends)])
+    order = np.argsort(vals, kind="stable")
+    evals = vals[order]
+    count = _prefix_count(evals, lambda0)
+    if count == d.size:
+        return evals, None
+    # dstein takes the eigenvalues block after block, ascending within each
+    chosen = np.sort(order[:count])
+    z = _lapack.dstein(d, e, vals[chosen], np.searchsorted(ends, chosen, side="right") + 1, ends)
+    columns = np.searchsorted(chosen, order[:count])
+    if np.array_equal(columns, np.arange(count)):
+        return evals, z
+    return evals, np.asfortranarray(z[:, columns])
+
+
+def _eigh(h, lambda0: float = np.inf, tails: bool = False):
+    """(eigenvalues, eigenvectors) of a validated h; the eigenvectors in F order when LAPACK is bound.
+
+    Any h but a band is first reduced to one (``_reduction_buffer``,
+    ``dsytrd``).  With a finite lambda0 and no tails the window runs
+    (``_band_window``) and returns the eigenvectors of S alone, unless S is
+    every mode; otherwise ``dstevd`` returns all of them.  ``dormtr`` maps
+    back just the columns returned.  Without the binding, numpy's ``eigh``.
+    """
     if _lapack.binding() is None:
         return np.linalg.eigh(np.asarray(h))
     if isinstance(h, Tridiagonal):
-        evals, z = _lapack.dstevd(h.d, h.e)
-        # eigh returns C-ordered modes; F-ordered ones send later products down other BLAS paths
-        return evals, np.ascontiguousarray(z)
-    a, d, e, tau = _lapack.dsytrd(h)
-    evals, z = _lapack.dstevd(d, e)
-    return evals, _Reduction(a, tau, d, e, z)
+        a, d, e = None, h.d, h.e
+    else:
+        a = _reduction_buffer(h)
+        d, e, tau = _lapack.dsytrd(a)
+    z = None
+    if lambda0 < np.inf and not tails:
+        evals, z = _band_window(d, e, lambda0)
+    if z is None:
+        evals, z = _lapack.dstevd(d, e)
+    if a is not None:
+        _lapack.dormtr(a, tau, z)
+    return evals, z
 
 
 def _reconstruction_error(h, evals: np.ndarray, modes: np.ndarray) -> float:
@@ -302,16 +412,16 @@ def _reconstruction_error(h, evals: np.ndarray, modes: np.ndarray) -> float:
 
     Tile I is (O_I diag(evals)) O_{<=I}^T.  The product is symmetric, so each
     tile stands for its mirror too and is compared with both h_{I,<=I} and
-    h_{<=I,I}^T; for a ``Tridiagonal`` the two are the same entries, and the
-    tile is compared with the band once.  No n x n temporary is formed.  A
-    NaN anywhere gives NaN.
+    h_{<=I,I}^T; for a ``Tridiagonal`` or a ``Stencil`` the two are the same
+    entries, and the tile is compared with its dense rows once.  No n x n
+    temporary is formed.  A NaN anywhere gives NaN.
     """
     n = evals.size
     errs = []
     for i in range(0, n, SYMMETRY_TILE):
         rows, end = slice(i, i + SYMMETRY_TILE), min(i + SYMMETRY_TILE, n)
         tile = (modes[rows] * evals) @ modes[:end].T
-        blocks = (h.lower_rows(i, end),) if isinstance(h, Tridiagonal) else (h[rows, :end], h[:end, rows].T)
+        blocks = (h.lower_rows(i, end),) if isinstance(h, _Structured) else (h[rows, :end], h[:end, rows].T)
         diff = np.empty_like(tile)
         for block in blocks:
             np.subtract(tile, block, out=diff)
@@ -322,15 +432,16 @@ def _reconstruction_error(h, evals: np.ndarray, modes: np.ndarray) -> float:
 def _solve_checked(h, solve):
     """Run ``solve(h) -> (eigenvalues, extra)`` on a validated symmetric h.
 
-    A ``Tridiagonal`` is symmetric by construction and is checked in O(n);
-    any other h is taken as a float array.  Raises ValueError unless h is
-    square, finite and symmetric, and NumericError when the solver fails or
-    finds an eigenvalue below the round-off band -1e-9 * max|h_ij|;
-    eigenvalues inside the band are clamped to zero (the model itself is
-    positive).  Returns (h, scale, eigenvalues, extra) with scale = max|h_ij|.
+    A ``Tridiagonal`` or a ``Stencil`` is symmetric by construction and is
+    checked in O(n); any other h is taken as a float array.  Raises
+    ValueError unless h is square, finite and symmetric, and NumericError
+    when the solver fails or finds an eigenvalue below the round-off band
+    -1e-9 * max|h_ij|; eigenvalues inside the band are clamped to zero (the
+    model itself is positive).  Returns (h, scale, eigenvalues, extra) with
+    scale = max|h_ij|.
     """
-    band = isinstance(h, Tridiagonal)
-    if band:
+    structured = isinstance(h, _Structured)
+    if structured:
         scale = np.max([np.abs(h.d).max(), np.abs(h.e).max(initial=0.0)])
     else:
         h = np.asarray(h, dtype=float)
@@ -342,7 +453,7 @@ def _solve_checked(h, solve):
     if not np.isfinite(scale):
         raise ValueError("h must have finite entries")
     scale = scale or 1.0
-    if not band and _max_asymmetry(h) > 1e-12 * scale:
+    if not structured and _max_asymmetry(h) > 1e-12 * scale:
         raise ValueError("h must be symmetric")
     try:
         evals, extra = solve(h)
@@ -356,7 +467,7 @@ def _solve_checked(h, solve):
 def _check_invariants(h, evals: np.ndarray, scale: float):
     """Raise NumericError unless sum_j lambda_j and sum_j lambda_j^2 match tr h and ||h||_F^2."""
     n = evals.size
-    if isinstance(h, Tridiagonal):
+    if isinstance(h, _Structured):
         trace, frob = float(np.sum(h.d)), float(np.dot(h.d, h.d) + 2.0 * np.dot(h.e, h.e))
     else:
         trace, frob = float(np.trace(h)), float(np.vdot(h, h))
@@ -371,31 +482,19 @@ def _check_invariants(h, evals: np.ndarray, scale: float):
 
 
 def spectrum(h, bc: str = "neumann") -> Spectrum:
-    """Eigenvalues of a symmetric h (a ``Tridiagonal`` or a matrix), without eigenvectors, checked for accuracy.
+    """Eigenvalues of a symmetric h (a ``Tridiagonal``, a ``Stencil`` or a matrix), without eigenvectors,
+    checked for accuracy.
 
     The accuracy contract is the pair of invariants
     |sum_j lambda_j - tr h| <= RECONSTRUCTION_RTOL * n * scale and
     |sum_j lambda_j^2 - ||h||_F^2| <= RECONSTRUCTION_RTOL * n * scale^2,
-    with scale = max|h_ij|; a violation raises NumericError.  For a band,
-    tr h = sum d and ||h||_F^2 = sum d^2 + 2 sum e^2.  Validation and the
-    clamping of round-off negatives are those of ``_solve_checked``.
+    with scale = max|h_ij|; a violation raises NumericError.  For a band or
+    a stencil, tr h = sum d and ||h||_F^2 = sum d^2 + 2 sum e^2.  Validation
+    and the clamping of round-off negatives are those of ``_solve_checked``.
     """
     h, scale, evals, _ = _solve_checked(h, _eigvalsh)
     _check_invariants(h, evals, scale)
     return Spectrum(eigenvalues=evals, gammas=np.sqrt(evals), bc=bc)
-
-
-def _band_residual(d: np.ndarray, e: np.ndarray, z: np.ndarray, evals: np.ndarray) -> float:
-    """max|T Z - Z diag(evals)| for the band T with diagonal d and off-diagonal e, SYMMETRY_TILE columns at a time."""
-    errs = [0.0]
-    for j in range(0, evals.size, SYMMETRY_TILE):
-        cols = slice(j, j + SYMMETRY_TILE)
-        block = z[:, cols]
-        res = block * (d[:, None] - evals[cols])
-        res[1:] += e[:, None] * block[:-1]
-        res[:-1] += e[:, None] * block[1:]
-        errs += [res.max(), -res.min()]
-    return float(np.max(errs))
 
 
 def _require(err: float, tol: float, what: str):
@@ -407,18 +506,13 @@ def _max_abs(x: np.ndarray) -> float:
     return float(np.max(np.abs(x), initial=0.0))
 
 
-def _window(h, scale, evals, reduction: _Reduction, count: int) -> np.ndarray:
-    """The modes of S of a dense h from its reduction, checked by the window contract.
-
-    ``dormtr`` turns the first ``count`` columns of Z into Phi_S in place;
-    no other column of Z is back-transformed.
-    """
-    a, tau, d, e, z = reduction
+def _window_modes(h, scale: float, evals: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Phi_S, C-ordered, from the F-ordered eigenvectors of S that ``_eigh`` returns, checked by the
+    window contract: the invariants on all n eigenvalues, then the residual and orthonormality of Phi_S."""
+    count = z.shape[1]
     tol = RECONSTRUCTION_RTOL * scale
     _check_invariants(h, evals, scale)
-    _require(_band_residual(d, e, z, evals), tol, "band residual max|T Z - Z Lambda|")
-    _lapack.dormtr(a, tau, z[:, :count])
-    modes = np.ascontiguousarray(z[:, :count])
+    modes = np.ascontiguousarray(z)
     residual = h @ modes
     residual -= modes * evals[:count]
     _require(_max_abs(residual), tol, "residual max|h Phi_S - Phi_S Lambda_S|")
@@ -427,37 +521,32 @@ def _window(h, scale, evals, reduction: _Reduction, count: int) -> np.ndarray:
 
 
 def diagonalize(h, bc: str = "neumann", lambda0: float = np.inf, tails: bool = False) -> SpectralData:
-    """The regime lambda0 of a symmetric h (a ``Tridiagonal`` or a matrix), checked for accuracy.
+    """The regime lambda0 of a symmetric h (a ``Tridiagonal``, a ``Stencil`` or a matrix), checked for accuracy.
 
     Keeps Phi_S, the eigenvectors of the eigenvalues <= lambda0 (every one
-    by default), and with ``tails`` also tau at every site.  A dense h with
-    modes left out and no tails runs the window: only the columns of S are
-    back-transformed and checked, by the window contract of the module
-    docstring.  Every other h runs the full decomposition, and NumericError
-    is raised if the reconstruction ||O G^2 O^T - h||_max exceeds
-    RECONSTRUCTION_RTOL * max|h_ij|; that check runs over row tiles of
-    SYMMETRY_TILE rows of the lower triangle (``_reconstruction_error``), so
-    it allocates no n x n temporary.  Validation and the clamping of
-    round-off negatives are those of ``_solve_checked``.
+    by default), and with ``tails`` also tau at every site.  With modes left
+    out and no tails the window runs: only the eigenvectors of S are formed,
+    and they are checked by the window contract of the module docstring.
+    Otherwise the full decomposition runs, and NumericError is raised if the
+    reconstruction ||O G^2 O^T - h||_max exceeds RECONSTRUCTION_RTOL *
+    max|h_ij|; that check runs over row tiles of SYMMETRY_TILE rows of the
+    lower triangle (``_reconstruction_error``), so it allocates no n x n
+    temporary.  Validation and the clamping of round-off negatives are those
+    of ``_solve_checked``.
     """
-    h, scale, evals, vecs = _solve_checked(h, _eigh)
+    h, scale, evals, vecs = _solve_checked(h, functools.partial(_eigh, lambda0=lambda0, tails=tails))
     n = evals.size
     gammas = np.sqrt(evals)
     count = Spectrum(eigenvalues=evals, gammas=gammas).localized_count(lambda0)
-    if isinstance(vecs, _Reduction):
-        if count < n and not tails:
-            return SpectralData(eigenvalues=evals, gammas=gammas, modes=_window(h, scale, evals, vecs, count), bc=bc)
-        a, tau, _, _, vecs = vecs
-        # all n columns: dsyevd's own back-transformation
-        _lapack.dormtr(a, tau, vecs)
-        del a, tau
-        vecs = np.ascontiguousarray(vecs)
+    if vecs.shape[1] < n:
+        return SpectralData(eigenvalues=evals, gammas=gammas, modes=_window_modes(h, scale, evals, vecs), bc=bc)
+    vecs = np.ascontiguousarray(vecs)
     err = _reconstruction_error(h, evals, vecs)
     if not err <= RECONSTRUCTION_RTOL * scale:  # a NaN error fails too
         raise NumericError(f"reconstruction error {err:.3e} exceeds {RECONSTRUCTION_RTOL:.0e} * max|h_ij|")
     site_tails = np.square(vecs[:, count:]) @ (1.0 / gammas[count:]) if tails else None
-    # Phi_S is a view of the full decomposition, not a copy
-    modes = vecs if count == n else vecs[:, :count]
+    # a copy of Phi_S, so that the other n - |S| columns are freed
+    modes = vecs if count == n else vecs[:, :count].copy()
     return SpectralData(eigenvalues=evals, gammas=gammas, modes=modes, tails=site_tails, bc=bc)
 
 

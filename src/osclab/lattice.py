@@ -1,10 +1,11 @@
 """Finite rectangular boxes in Z^nu: site enumeration, l1 geometry, Laplacians.
 
 Sites are enumerated row-major over coordinates (first axis slowest), and
-every matrix in the package uses this ordering.  ``graph_laplacian`` with
-``laplacian_diagonal`` gives the plain (Neumann-type) Laplacian and its
-Dirichlet-type variant with the boundary correction 2*(2*nu - degree) on
-the diagonal.
+every matrix in the package uses this ordering.  A Laplacian is -1 on every
+nearest-neighbour pair of ``_graph`` and ``laplacian_diagonal`` on the
+diagonal: the plain (Neumann-type) one, or its Dirichlet-type variant with
+the boundary correction 2*(2*nu - degree).  ``anderson.Stencil`` keeps one
+as the box and its diagonal.
 """
 
 from __future__ import annotations
@@ -176,14 +177,3 @@ def laplacian_diagonal(box: BoxGeometry, bc: str = "neumann") -> np.ndarray:
     if bc == "dirichlet":
         return deg + 2.0 * (2 * box.nu - deg)
     raise ValueError(f"unknown boundary condition {bc!r}")
-
-
-def graph_laplacian(box: BoxGeometry, diagonal: np.ndarray) -> np.ndarray:
-    """Dense n x n matrix with -1 on every nearest-neighbor pair and ``diagonal`` on the diagonal."""
-    n = box.n_sites
-    i, j, _ = _graph(box)
-    h = np.zeros((n, n))
-    h[i, j] = -1.0
-    h[j, i] = -1.0
-    h[np.arange(n), np.arange(n)] = diagonal
-    return h

@@ -10,6 +10,7 @@ from osclab.anderson import (
     DisorderConfig,
     SpectralData,
     Spectrum,
+    Stencil,
     Tridiagonal,
     assemble,
     diagonalize,
@@ -21,7 +22,7 @@ from osclab.anderson import (
 )
 from osclab.ensembles import DOMINATION_SLACK
 from osclab.errors import ConfigError, NumericError
-from osclab.lattice import BoxGeometry, graph_laplacian, laplacian_diagonal
+from osclab.lattice import BoxGeometry, laplacian_diagonal
 
 from conftest import make_chain_spec
 
@@ -116,12 +117,13 @@ BOXES = [pytest.param([30], id="chain30"), pytest.param([6, 5], id="box6x5")]
 BCS = ["neumann", "dirichlet"]
 
 
-#: The six eigensolvers, (owner, name), that spectrum and diagonalize may call.
+#: The seven eigensolvers, (owner, name), that spectrum and diagonalize may call.
 SOLVERS = [
     (np.linalg, "eigvalsh"),
     (np.linalg, "eigh"),
     (_lapack, "dsterf"),
     (_lapack, "dstevd"),
+    (_lapack, "dstein"),
     (_lapack, "dsytrd"),
     (_lapack, "dormtr"),
 ]
@@ -234,7 +236,7 @@ class TestSpectrum:
         assert spec.eigenvalues[0] == 0.0 and spec.gammas[0] == 0.0
 
     def test_solver_failure(self, monkeypatch):
-        """A LinAlgError from any of the five solvers is a NumericError."""
+        """A LinAlgError from any of the solvers in SOLVERS is a NumericError."""
         failed = []
 
         def failing(name):
@@ -284,7 +286,7 @@ class TestSpectrum:
 
 
 def _spy_solvers(monkeypatch):
-    """Record, in call order, which of the five eigensolvers run."""
+    """Record, in call order, which of the eigensolvers in SOLVERS run."""
     calls = []
 
     def spy(name, solve):
@@ -379,14 +381,15 @@ class TestTridiagonal:
     @pytest.mark.parametrize("bc", BCS)
     @pytest.mark.parametrize("lengths", [[1], [2], [30], [6, 5], [3, 2, 2]])
     def test_assemble_bits(self, lengths, bc):
-        """A box with nu = 1 assembles to a band, any other to an array; both densify to
-        Laplacian(bc) + diag(k) bit for bit."""
+        """A box with nu = 1 assembles to a band, any other to a stencil; both densify to
+        Laplacian(bc) + diag(k) bit for bit, the Laplacian taken from l1 distances."""
         box = BoxGeometry.of_lengths(lengths)
         sample = sample_disorder(DisorderConfig(k_max=1.5, master_seed=6), box, 0)
-        expected = graph_laplacian(box, laplacian_diagonal(box, bc))
-        expected[np.arange(box.n_sites), np.arange(box.n_sites)] += sample.k
+        c = box.coords()
+        adjacent = (np.abs(c[:, None, :] - c[None, :, :]).sum(axis=2) == 1).astype(float)
+        expected = np.diag(laplacian_diagonal(box, bc) + sample.k) - adjacent
         h = assemble(box, sample, bc)
-        assert isinstance(h, Tridiagonal) == (len(lengths) == 1)
+        assert type(h) is (Tridiagonal if len(lengths) == 1 else Stencil)
         assert type(np.asarray(h)) is np.ndarray
         assert np.asarray(h).tobytes() == expected.tobytes()
         assert np.asarray(h, dtype=np.float32).dtype == np.float32
@@ -427,6 +430,36 @@ class TestTridiagonal:
         h = Tridiagonal(np.arange(1.0, 10.0), -np.arange(1.0, 9.0))
         assert np.array_equal(h.lower_rows(start, stop), np.asarray(h)[start:stop, :stop])
 
+    @pytest.mark.parametrize("lengths", [[1, 1], [6, 5], [3, 2, 4]])
+    def test_stencil_is_its_dense_matrix(self, lengths):
+        """Rows, products with vectors and matrices, shape, entries: all those of np.asarray(h)."""
+        h = _box_hamiltonian(lengths, "dirichlet")
+        dense = np.asarray(h)
+        n = dense.shape[0]
+        assert h.shape == dense.shape
+        for start, stop in ((0, n), (0, 1), (n // 2, n), (n - 1, n)):
+            assert np.array_equal(h.lower_rows(start, stop), dense[start:stop, :stop])
+        x = np.random.default_rng(3).standard_normal((n, 4))
+        assert np.allclose(h @ x, dense @ x, rtol=0.0, atol=1e-14)
+        assert np.allclose(h @ x[:, 0], dense @ x[:, 0], rtol=0.0, atol=1e-14)
+        assert np.array_equal(h.e, np.full(np.count_nonzero(dense - np.diag(np.diag(dense))) // 2, -1.0))
+
+    def test_band_product(self):
+        h = Tridiagonal(np.arange(1.0, 10.0), -np.arange(1.0, 9.0))
+        x = np.random.default_rng(4).standard_normal((9, 3))
+        assert np.allclose(h @ x, np.asarray(h) @ x, rtol=0.0, atol=1e-13)
+
+    def test_stencil_frozen_copy(self):
+        box = BoxGeometry.of_lengths([2, 2])
+        d = np.full(4, 2.0)
+        h = Stencil(box, d)
+        d[0] = 7.0
+        assert h.d[0] == 2.0
+        with pytest.raises(ValueError):
+            h.d[1] = 0.0
+        with pytest.raises(ValueError):
+            Stencil(box, np.ones(5))
+
     def test_chain_allocates_no_matrix(self):
         """A 5000-site chain's spectrum never forms the 200 MB dense h."""
         import tracemalloc
@@ -458,10 +491,16 @@ def test_solvers_leave_no_cyclic_garbage():
 
     chain = _box_hamiltonian([30], "neumann")
     box = np.asarray(_box_hamiltonian([6, 5], "neumann"))
+
+    def reduce_and_map_back():
+        a = np.array(box, order="F")
+        _lapack.dormtr(a, _lapack.dsytrd(a)[2], np.eye(30, order="F"))
+
     calls = [
         lambda: _lapack.dsterf(chain.d, chain.e),
         lambda: _lapack.dstevd(chain.d, chain.e),
-        lambda: _lapack.dormtr(*_lapack.dsytrd(box)[::3], np.eye(30, order="F")),
+        lambda: _lapack.dstein(chain.d, chain.e, _lapack.dsterf(chain.d, chain.e)[:5], np.ones(5), [30]),
+        reduce_and_map_back,
         lambda: spectrum(chain),
         lambda: diagonalize(chain, lambda0=2.0),
         lambda: spectrum(box),
@@ -546,7 +585,7 @@ class TestReconstructionTiles:
             h[q, p] = a
         modes = np.eye(_ASYMMETRY_N)
         modes[p, q] = -(tol - a / 4) / evals[q]
-        monkeypatch.setattr(anderson, "_eigh", lambda h: (evals, modes))
+        monkeypatch.setattr(anderson, "_eigh", lambda h, **regime: (evals, modes))
         if rejected:
             with pytest.raises(NumericError, match="reconstruction"):
                 diagonalize(h)
@@ -558,7 +597,7 @@ class TestReconstructionTiles:
         evals = np.linspace(1.0, 2.0, _ASYMMETRY_N)
         modes = np.eye(_ASYMMETRY_N)
         modes[row, 5] = np.nan  # NaN spreads over row and column ``row`` of the product
-        monkeypatch.setattr(anderson, "_eigh", lambda h: (evals, modes))
+        monkeypatch.setattr(anderson, "_eigh", lambda h, **regime: (evals, modes))
         with pytest.raises(NumericError, match="reconstruction"):
             diagonalize(np.diag(evals))
 
@@ -593,7 +632,7 @@ class TestBandReconstruction:
         assert anderson._reconstruction_error(h, evals, modes) == anderson._reconstruction_error(
             np.asarray(h), evals, modes
         )
-        monkeypatch.setattr(anderson, "_eigh", lambda h: (evals, modes))
+        monkeypatch.setattr(anderson, "_eigh", lambda h, **regime: (evals, modes))
         if rejected:
             with pytest.raises(NumericError, match="reconstruction"):
                 diagonalize(h)
@@ -618,17 +657,18 @@ class TestDenseDriver:
     )
     def test_bit_identical_to_eigh(self, lengths, bc, seed, k_max, asymmetry):
         box = BoxGeometry.of_lengths(lengths)
-        h = assemble(box, sample_disorder(DisorderConfig(k_max=k_max, master_seed=seed), box, 0), bc)
+        h = np.asarray(assemble(box, sample_disorder(DisorderConfig(k_max=k_max, master_seed=seed), box, 0), bc))
         # an asymmetry the symmetry test accepts; eigh reads only the lower triangle
         i, j = sorted(np.random.default_rng(seed).choice(box.n_sites, 2, replace=False), reverse=True)
         if asymmetry is not None:
             h[(i, j) if asymmetry == "lower" else (j, i)] += 0.5e-12 * np.max(np.abs(h))
         before = h.copy()
-        a, d, e, tau = _lapack.dsytrd(h)
+        a = np.array(h, order="F")
+        d, e, tau = _lapack.dsytrd(a)
         evals, modes = _lapack.dstevd(d, e)
         _lapack.dormtr(a, tau, modes)
         expected = np.linalg.eigh(h)
-        assert np.array_equal(h, before)  # LAPACK overwrites its matrix, which must be a copy
+        assert np.array_equal(h, before)  # diagonalize reduces a copy of a plain array
         assert np.array_equal(evals, expected[0])
         assert np.array_equal(modes, expected[1])
         # diagonalize keeps every mode by default, in eigh's bits and layout
@@ -638,10 +678,14 @@ class TestDenseDriver:
         assert spec.modes.flags.c_contiguous
 
     def test_rejects_malformed_matrix(self):
-        for h in (np.ones((2, 3)), np.ones(3), np.empty((0, 0))):
+        h = np.asarray(_box_hamiltonian([3, 2], "neumann"))
+        read_only = np.array(h, order="F")
+        read_only.setflags(write=False)
+        for bad in (np.ones((2, 3), order="F"), np.ones(3), np.empty((0, 0), order="F"), h + np.eye(6), read_only):
             with pytest.raises(ValueError):
-                _lapack.dsytrd(h)
-        a, _, _, tau = _lapack.dsytrd(np.asarray(_box_hamiltonian([3, 2], "neumann")))
+                _lapack.dsytrd(bad)
+        a = np.array(h, order="F")
+        _, _, tau = _lapack.dsytrd(a)
         good = np.eye(6, order="F")
         read_only = good.copy(order="F")
         read_only.setflags(write=False)
@@ -653,16 +697,27 @@ class TestDenseDriver:
 
 
 def _window_case():
-    """A 6x5 box and a lambda0 that keeps its lowest third: the window runs."""
-    h = np.asarray(_box_hamiltonian([6, 5], "neumann"))
+    """A 6x5 box's stencil and a lambda0 that keeps its lowest third: the window runs."""
+    h = _box_hamiltonian([6, 5], "neumann")
     evals = np.linalg.eigvalsh(h)
     return h, float(evals[9] + evals[10]) / 2
+
+
+def _assert_window(spec, h, count):
+    """spec is the window of h with |S| = count: eigvalsh's eigenvalues, and eigh's columns up to sign."""
+    evals, modes = np.linalg.eigh(np.asarray(h))
+    assert np.array_equal(spec.eigenvalues, np.clip(np.linalg.eigvalsh(np.asarray(h)), 0.0, None))
+    assert spec.modes.shape == (evals.size, count) and spec.modes.flags.c_contiguous
+    signs = np.where(np.sum(spec.modes * modes[:, :count], axis=0) < 0, -1.0, 1.0)
+    assert np.max(np.abs(spec.modes - modes[:, :count] * signs), initial=0.0) <= 1e-12
 
 
 @pytest.mark.skipif(_lapack.binding() is None, reason="numpy's LAPACK exports no dsytrd")
 class TestWindow:
     def test_back_transforms_only_the_window(self, monkeypatch):
-        h, lambda0 = _window_case()
+        """A stencil and its dense matrix both run the window, which maps back only the columns of S."""
+        stencil, lambda0 = _window_case()
+        calls = _spy_solvers(monkeypatch)
         columns = []
         ormtr = _lapack.dormtr
 
@@ -671,13 +726,12 @@ class TestWindow:
             ormtr(a, tau, c)
 
         monkeypatch.setattr(_lapack, "dormtr", spy)
-        spec = diagonalize(h, lambda0=lambda0)
-        assert columns == [10]
-        evals, modes = np.linalg.eigh(h)
-        assert np.array_equal(spec.eigenvalues, np.clip(evals, 0.0, None))
-        assert spec.modes.shape == (30, 10) and spec.modes.flags.c_contiguous
-        signs = np.sign(np.sum(spec.modes * modes[:, :10], axis=0))
-        assert np.max(np.abs(spec.modes - modes[:, :10] * signs)) < 1e-12
+        for h in (stencil, np.asarray(stencil)):
+            calls.clear()
+            columns.clear()
+            spec = diagonalize(h, lambda0=lambda0)
+            assert calls == ["dsytrd", "dsterf", "dstein", "dormtr"] and columns == [10]
+            _assert_window(spec, h, 10)
 
     @pytest.mark.parametrize(
         "fault, match",
@@ -685,8 +739,6 @@ class TestWindow:
             pytest.param(None, None, id="none"),
             pytest.param("eigenvalue", "invariants", id="eigenvalue-outside-S"),
             pytest.param("eigenvalue-nan", "invariants", id="eigenvalue-nan"),
-            pytest.param("band", "^band residual", id="band-column-outside-S"),
-            pytest.param("band-nan", "^band residual", id="band-nan"),
             pytest.param("mode-mixed", "^residual", id="mode-mixed"),
             pytest.param("mode-nan", "^residual", id="mode-nan"),
             pytest.param("mode-scaled", "^orthonormality", id="mode-scaled"),
@@ -695,32 +747,29 @@ class TestWindow:
     def test_planted_fault(self, monkeypatch, fault, match):
         """Each check of the window contract rejects a fault that passes every check before it."""
         h, lambda0 = _window_case()
-        scale = np.max(np.abs(h))
-        stevd, ormtr = _lapack.dstevd, _lapack.dormtr
+        scale = np.max(np.abs(np.asarray(h)))
+        sterf, stein = _lapack.dsterf, _lapack.dstein
 
-        def wrong_stevd(d, e):
-            evals, z = stevd(d, e)
+        def wrong_sterf(d, e):
+            evals = sterf(d, e)
             if fault == "eigenvalue":
                 evals[-1] += 1e-6 * scale
             elif fault == "eigenvalue-nan":
                 evals[-1] = np.nan
-            elif fault == "band":
-                z[:, -1] += 1e-6 * z[:, 0]
-            elif fault == "band-nan":
-                z[4, -1] = np.nan
-            return evals, z
+            return evals
 
-        def wrong_ormtr(a, tau, c):
-            ormtr(a, tau, c)
+        def wrong_stein(*band_and_eigenvalues):
+            z = stein(*band_and_eigenvalues)
             if fault == "mode-mixed":
-                c[:, 0] += 1e-6 * c[:, 1]
+                z[:, 0] += 1e-6 * z[:, 1]
             elif fault == "mode-nan":
-                c[4, 0] = np.nan
+                z[4, 0] = np.nan
             elif fault == "mode-scaled":
-                c[:, 0] *= 1.0 + 1e-6  # still an eigenvector, no longer a unit one
+                z[:, 0] *= 1.0 + 1e-6  # still an eigenvector, no longer a unit one
+            return z
 
-        monkeypatch.setattr(_lapack, "dstevd", wrong_stevd)
-        monkeypatch.setattr(_lapack, "dormtr", wrong_ormtr)
+        monkeypatch.setattr(_lapack, "dsterf", wrong_sterf)
+        monkeypatch.setattr(_lapack, "dstein", wrong_stein)
         if fault is None:
             assert diagonalize(h, lambda0=lambda0).modes.shape == (30, 10)
         else:
@@ -740,21 +789,113 @@ class TestWindow:
         with pytest.raises(ValueError):
             diagonalize(h, lambda0=lambda0)
 
-    @pytest.mark.parametrize("kwargs", [pytest.param({}, id="full"), pytest.param({"lambda0": 2.0}, id="window")])
-    def test_peak_memory(self, kwargs):
-        """Beside h, a dense solve holds at most three n x n buffers at once: h's reduction, Z and
-        dstevd's workspace, which is freed before Z is used; no C-ordered copy of a partial Z."""
+    @pytest.mark.parametrize(
+        "kwargs, budget", [pytest.param({}, 3.2, id="full"), pytest.param({"lambda0": 2.0}, 1.5, id="window")]
+    )
+    def test_peak_memory(self, kwargs, budget):
+        """From assembly on, a 20x20 box's full solve holds at most three n x n buffers at once: the
+        reduced h, Z and dstevd's workspace; its window holds one, the reduced h, beside n x |S| columns."""
         import tracemalloc
 
-        h = np.asarray(_box_hamiltonian([20, 20], "neumann"))
-        diagonalize(h, **kwargs)
+        box = BoxGeometry.of_lengths([20, 20])
+        sample = sample_disorder(DisorderConfig(k_max=1.5, master_seed=6), box, 0)
+        diagonalize(assemble(box, sample), **kwargs)  # binds the routines
         tracemalloc.start()
         try:
-            diagonalize(h, **kwargs)
+            diagonalize(assemble(box, sample), **kwargs)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3.2 * h.nbytes
+        assert peak < budget * box.n_sites**2 * 8
+
+    @pytest.mark.parametrize(
+        "lengths, lambda0",
+        [([40, 40], 2.0), ([6, 5], 2.0), ([5, 4, 3], 2.0), ([400], 0.5)],
+        ids=["40x40", "6x5", "5x4x3", "chain400"],
+    )
+    def test_eigenvalues_are_eigvalsh_bits(self, lengths, lambda0):
+        h = _box_hamiltonian(lengths, "neumann")
+        spec = diagonalize(h, lambda0=lambda0)
+        assert 0 < spec.modes.shape[1] < spec.n
+        assert np.array_equal(spec.eigenvalues, spectrum(h).eigenvalues)
+        assert np.array_equal(spec.eigenvalues, np.clip(np.linalg.eigvalsh(np.asarray(h)), 0.0, None))
+
+
+@pytest.mark.skipif(_lapack.binding() is None, reason="numpy's LAPACK exports no dstein")
+class TestInverseIteration:
+    """dstein's edge cases: T splits into blocks, S holds 0, 1 or n - 1 modes, vectors fail to converge."""
+
+    @staticmethod
+    def _spy_blocks(monkeypatch):
+        blocks = []
+        stein = _lapack.dstein
+
+        def spy(d, e, w, iblock, isplit):
+            blocks.append(list(isplit))
+            return stein(d, e, w, iblock, isplit)
+
+        monkeypatch.setattr(_lapack, "dstein", spy)
+        return blocks
+
+    def test_band_with_a_zero(self, monkeypatch):
+        chain = _box_hamiltonian([30], "neumann")
+        e = chain.e.copy()
+        e[9] = 0.0
+        h = Tridiagonal(chain.d, e)
+        blocks = self._spy_blocks(monkeypatch)
+        lambda0 = float(np.median(np.linalg.eigvalsh(np.asarray(h))))
+        spec = diagonalize(h, lambda0=lambda0)
+        assert blocks == [[10, 30]]
+        _assert_window(spec, h, 15)
+
+    def test_block_diagonal_matrix(self, monkeypatch):
+        """dsytrd keeps the two blocks of h apart, so T has an exact zero between them."""
+        first, second = (np.asarray(_box_hamiltonian(lengths, "neumann", seed)) for lengths, seed in (([6, 5], 6), ([4, 4], 7)))
+        h = np.zeros((46, 46))
+        h[:30, :30], h[30:, 30:] = first, second
+        blocks = self._spy_blocks(monkeypatch)
+        spec = diagonalize(h, lambda0=2.0)
+        assert blocks == [[30, 46]]
+        count = spec.modes.shape[1]
+        assert 0 < count < 46
+        _assert_window(spec, h, count)
+
+    @pytest.mark.parametrize("lengths", [[30], [6, 5]], ids=["band", "stencil"])
+    @pytest.mark.parametrize("count", [0, 1, 29])
+    def test_regime_sizes(self, lengths, count):
+        h = _box_hamiltonian(lengths, "neumann")
+        evals = np.linalg.eigvalsh(np.asarray(h))
+        lambda0 = 0.5 * evals[0] if count == 0 else float(evals[count - 1] + evals[count]) / 2
+        _assert_window(diagonalize(h, lambda0=lambda0), h, count)
+
+    @pytest.mark.parametrize(
+        "w, iblock, isplit",
+        [
+            pytest.param([1.0], [1], [3], id="short-blocks"),
+            pytest.param([1.0], [1, 1], [4], id="blocks-of-other-values"),
+            pytest.param(np.ones(5), np.ones(5), [4], id="more-values-than-rows"),
+            pytest.param([1.0], [1], [], id="no-blocks"),
+            pytest.param([1.0], [3], [2, 4], id="block-out-of-range"),
+            pytest.param([1.0], [1], [3, 2, 4], id="ends-not-ascending"),
+        ],
+    )
+    def test_rejects_malformed_input(self, w, iblock, isplit):
+        with pytest.raises(ValueError):
+            _lapack.dstein(np.full(4, 2.0), np.full(3, -1.0), w, iblock, isplit)
+
+    def test_unconverged_vectors(self, monkeypatch):
+        from types import SimpleNamespace
+
+        h, lambda0 = _window_case()
+        bound = _lapack.binding()
+
+        def unconverged(*args):
+            bound.dstein(*args)
+            args[-1]._obj.value = 2  # INFO: two vectors failed
+
+        monkeypatch.setattr(_lapack, "binding", lambda: SimpleNamespace(**{**vars(bound), "dstein": unconverged}))
+        with pytest.raises(NumericError, match="2 of 10 eigenvectors failed to converge"):
+            diagonalize(h, lambda0=lambda0)
 
 
 _WINDOW_BOXES = (
@@ -780,18 +921,18 @@ class TestWindowAgreement:
         fraction=st.floats(0.0, 1.0),
     )
     def test_matches_eigh(self, lengths, bc, seed, k_max, level, fraction):
-        """Eigenvalues are eigh's bits and the kept columns eigh's up to sign."""
+        """A window's eigenvalues are eigvalsh's bits and its columns eigh's up to sign; a full solve is eigh's bits."""
         box = BoxGeometry.of_lengths(lengths)
         h = assemble(box, sample_disorder(DisorderConfig(k_max=k_max, master_seed=seed), box, 0), bc)
         evals, modes = np.linalg.eigh(h)
-        evals = np.clip(evals, 0.0, None)
-        lambda0 = _regime_level(evals, level, fraction)
+        lambda0 = _regime_level(np.clip(np.linalg.eigvalsh(h), 0.0, None), level, fraction)
         spec = diagonalize(h, bc, lambda0=lambda0)
-        count = int(np.searchsorted(evals, lambda0, side="right"))
-        assert np.array_equal(spec.eigenvalues, evals)
-        assert spec.modes.shape == (box.n_sites, count)
-        signs = np.where(np.sum(spec.modes * modes[:, :count], axis=0) < 0, -1.0, 1.0)
-        assert np.max(np.abs(spec.modes - modes[:, :count] * signs), initial=0.0) <= 1e-12
+        count = spec.localized_count(lambda0)
+        if count < box.n_sites:
+            _assert_window(spec, h, count)
+        else:
+            assert np.array_equal(spec.eigenvalues, np.clip(evals, 0.0, None))
+            assert np.array_equal(spec.modes, modes)
 
 
 class TestTails:

@@ -612,6 +612,14 @@ def test_kernels_agree_with_full_decomposition(lengths, seed, k_max, fraction):
     h = assemble(box, sample_disorder(DisorderConfig(k_max=k_max, master_seed=seed), box, 0))
     evals = np.linalg.eigvalsh(h)
     lambda0 = max(0.0, float(evals[0] + fraction * (evals[-1] - evals[0])))
+    # The window reports eigvalsh's eigenvalues and the full solve eigh's.  Where lambda0 is one of them,
+    # the two may round to either side of it; the full solve is then asked for the window's modes.
+    # This changes no config, and no kernel reads lambda0.
+    count = diagonalize(h, lambda0=lambda0).localized_count(lambda0)
+    full_evals = np.linalg.eigh(h)[0]
+    full_lambda0 = lambda0 if count in (0, box.n_sites) else float(full_evals[count - 1])
+    if np.searchsorted(full_evals, lambda0, side="right") != count:
+        assert abs(full_evals[count - 1] - lambda0) <= 1e-14 * full_evals[-1]
     for kind in ensembles.KERNELS:
         config = config_from_dict(
             {
@@ -627,8 +635,12 @@ def test_kernels_agree_with_full_decomposition(lengths, seed, k_max, fraction):
         )
         regime = ensembles.run_sample(config, 0)
         with pytest.MonkeyPatch.context() as patch:
-            # tails=True makes a dense h run the full decomposition
-            patch.setattr(ensembles, "diagonalize", lambda h, lambda0, tails: diagonalize(h, lambda0=lambda0, tails=True))
+            # tails=True makes a dense h run the full decomposition, which a kernel that reads tails ran already
+            patch.setattr(
+                ensembles,
+                "diagonalize",
+                lambda h, lambda0, tails: diagonalize(h, lambda0=lambda0 if tails else full_lambda0, tails=True),
+            )
             full = ensembles.run_sample(config, 0)
         assert regime.flags == full.flags, kind
         assert [key for key, _ in regime.rows] == [key for key, _ in full.rows], kind

@@ -1,17 +1,22 @@
 import numpy as np
 import pytest
 
+from osclab.anderson import Stencil
 from osclab.lattice import (
     BoxGeometry,
     boundary,
     box_boundary,
     degrees,
-    graph_laplacian,
     l1_distance,
     l1_distances_from,
     laplacian_diagonal,
     neighborhood,
 )
+
+
+def laplacian(box, bc):
+    """The dense Laplacian of the box with the boundary condition bc."""
+    return np.asarray(Stencil(box, laplacian_diagonal(box, bc)))
 
 
 def brute_force_boundary(box, X):
@@ -117,11 +122,11 @@ class TestLaplacians:
     def test_neumann_three_site_matrix(self):
         box = BoxGeometry(((0, 2),))
         expected = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
-        assert np.array_equal(graph_laplacian(box, laplacian_diagonal(box, "neumann")), expected)
+        assert np.array_equal(laplacian(box, "neumann"), expected)
 
     def test_constant_in_kernel_and_psd(self):
         box = BoxGeometry(((0, 4), (0, 3)))
-        h = graph_laplacian(box, laplacian_diagonal(box, "neumann"))
+        h = laplacian(box, "neumann")
         assert np.allclose(h @ np.ones(box.n_sites), 0.0)
         evals = np.linalg.eigvalsh(h)
         assert evals[0] > -1e-12
@@ -130,12 +135,12 @@ class TestLaplacians:
     def test_three_site_spectrum(self):
         # characteristic polynomial by hand: (1-l)*l*(l-3) -> roots {0, 1, 3}
         box = BoxGeometry(((0, 2),))
-        evals = np.sort(np.linalg.eigvalsh(graph_laplacian(box, laplacian_diagonal(box, "neumann"))))
+        evals = np.sort(np.linalg.eigvalsh(laplacian(box, "neumann")))
         assert np.allclose(evals, [0.0, 1.0, 3.0], atol=1e-12)
 
     def test_dirichlet_correction(self):
         box = BoxGeometry(((0, 9),))
-        neumann, dirichlet = (graph_laplacian(box, laplacian_diagonal(box, bc)) for bc in ("neumann", "dirichlet"))
+        neumann, dirichlet = (laplacian(box, bc) for bc in ("neumann", "dirichlet"))
         diff = dirichlet - neumann
         assert np.allclose(diff, np.diag(np.diag(diff)))
         d = np.diag(diff)
@@ -144,7 +149,7 @@ class TestLaplacians:
 
     def test_dirichlet_rank_bounded_by_boundary(self):
         box = BoxGeometry(((0, 5), (0, 4)))
-        neumann, dirichlet = (graph_laplacian(box, laplacian_diagonal(box, bc)) for bc in ("neumann", "dirichlet"))
+        neumann, dirichlet = (laplacian(box, bc) for bc in ("neumann", "dirichlet"))
         diff = dirichlet - neumann
         rank = np.linalg.matrix_rank(diff)
         assert rank <= box_boundary(box).size
@@ -161,9 +166,9 @@ class TestLaplacians:
         deg = adjacent.sum(axis=1)
         expected = np.diag(deg) - adjacent
         for _ in range(2):
-            h = graph_laplacian(box, laplacian_diagonal(box, "neumann"))
+            h = laplacian(box, "neumann")
             assert np.array_equal(h, expected)
-            dirichlet = graph_laplacian(box, laplacian_diagonal(box, "dirichlet"))
+            dirichlet = laplacian(box, "dirichlet")
             assert np.array_equal(dirichlet, expected + np.diag(2.0 * (6 - deg)))
             assert np.array_equal(degrees(box), deg)
             h[:] = 0.0
