@@ -4,8 +4,6 @@ __version__ = "0.1.0"
 
 from .lattice import (
     BoxGeometry,
-    boundary,
-    l1_distance,
     neighborhood,
 )
 from .anderson import (
@@ -14,7 +12,6 @@ from .anderson import (
     SpectralData,
     Spectrum,
     Stencil,
-    Tridiagonal,
     assemble,
     diagonalize,
     eigencorrelator_profile,

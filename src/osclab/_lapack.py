@@ -3,9 +3,9 @@
 ``dsterf`` (eigenvalues only, Pal-Walker-Kahan QR) and ``dstevd`` (divide
 and conquer, with eigenvectors) solve a tridiagonal matrix from its band,
 and ``dstein`` (inverse iteration, the routine behind ``dsyevx``) finds the
-eigenvectors of chosen eigenvalues only.  A dense h is first reduced in
-place to such a band by ``dsytrd``, h = Q T Q^T, and ``dormtr`` applies Q
-to any set of columns.  ``dsytrd`` and ``dsterf`` are the two routines
+eigenvectors of chosen eigenvalues only.  The h of a box with nu >= 2 is
+first reduced, in place in its dense form, to such a band by ``dsytrd``,
+h = Q T Q^T, and ``dormtr`` applies Q to any set of columns.  ``dsytrd`` and ``dsterf`` are the two routines
 ``dsyevd`` runs without eigenvectors, and ``dsytrd``, ``dstevd`` and
 ``dormtr`` on all n columns the three it runs with them, so they return the
 bits of numpy's ``eigvalsh`` and ``eigh``.  ``dstein``'s vectors are not

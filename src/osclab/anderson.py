@@ -7,19 +7,18 @@ frequencies gamma_j, their positive square roots, checked against the
 invariants tr h and ||h||_F^2.  It serves the eigenvalue-only statistics
 (counting function, energy density, gaps).  ``diagonalize`` returns
 ``SpectralData``, a ``Spectrum`` that also carries the eigenvectors a
-regime needs.  ``assemble`` returns h in O(n) memory: as a ``Tridiagonal``
-band for every box with nu = 1, where h is a Jacobi matrix, and as a
-``Stencil`` (the diagonal on the box's nearest-neighbour graph) otherwise;
-both are symmetric by construction, so their validation, scale and
-invariants cost O(n), and ``h @ x`` costs O(n) per column.  Any other
-array is taken as a dense h.  The solver follows the type of h and nothing
-else; no count of nonzeros guesses its structure.  Eigenvalues alone:
-a band goes to LAPACK's ``dsterf`` (``_lapack``, the library numpy links),
-anything else to ``eigvalsh``.  Eigenpairs: a band is solved as it is; a
-stencil or an array is reduced to a band T = Q^T h Q by ``dsytrd``, in place
-in the one n x n buffer of the solve (a stencil's dense form, or a copy of
-the array), and ``dormtr`` applies Q to just the eigenvectors formed.  Where
-the routines are not bound, numpy's ``eigvalsh``/``eigh`` serve alone.
+regime needs.  Both take h only as the ``Stencil`` that ``assemble``
+builds: the box and the diagonal d, O(n) memory, symmetric by
+construction, so its validation, scale and invariants cost O(n), and
+``h @ x`` costs O(n) per column.  The solver follows the dimension of the
+box and nothing else.  With nu = 1 the edges of the box run (0, 1), (1, 2),
+..., so (d, e) is the chain's band, and LAPACK's band drivers (``_lapack``,
+the library numpy links) run on it as it is.  With nu >= 2 ``dsytrd`` first
+reduces h to a band T = Q^T h Q, in place in the one n x n buffer of the
+solve (h's dense form), and the band drivers run on T; ``dormtr`` applies
+Q to just the eigenvectors formed.  Eigenvalues alone come from ``dsterf``,
+the bits of ``eigvalsh``.  Where the routines are not bound, numpy's
+``eigvalsh``/``eigh`` serve alone, on h's dense form.
 
 The paper's bounds read the localized modes S = {j : lambda_j <= lambda0}
 (``Spectrum.localized_count``, the one definition of S) and, through
@@ -33,18 +32,19 @@ scale = max|h_ij| and tol = RECONSTRUCTION_RTOL, their accuracy contracts:
   ``dstevd`` on the band and ``dormtr`` on all n columns, so eigenvalues
   and modes are the bits of ``eigh`` (of ``np.asarray(h)``).  Every mode is
   formed and max|O G^2 O^T - h| <= tol * scale over all n^2 entries.
-  A dense solve holds three n x n arrays at its peak: the reduced h, Z and
-  the workspace of ``dstevd``.
+  With nu >= 2 the solve holds three n x n arrays at its peak: the reduced
+  h, Z and the workspace of ``dstevd``.
 * Window (|S| < n and no tails): ``dsterf`` finds all n eigenvalues, the
   bits of ``eigvalsh``, and inverse iteration (``dstein``) the eigenvectors
   of S alone; only those are mapped back.  Inverse iteration can return
   poor vectors without saying so, so they are checked: the invariants of
   ``spectrum`` hold on all n eigenvalues, max|h Phi_S - Phi_S Lambda_S| <=
   tol * scale, and max|Phi_S^T Phi_S - I| <= tol.  Because Q is orthogonal,
-  the residual of Phi_S is that of the band's vectors.  A dense window holds
-  one n x n array, the reduced h, beside the n x |S| columns.  It pays when
-  S is a small part of the spectrum: on a 40 x 40 box ``dsterf`` and
-  ``dstein`` together take as long as ``dstevd`` at |S| of about 0.4 n.
+  the residual of Phi_S is that of the band's vectors.  With nu >= 2 the
+  window holds one n x n array, the reduced h, beside the n x |S|
+  columns.  It pays when S is a small part of the spectrum: on a 40 x 40
+  box ``dsterf`` and ``dstein`` together take as long as ``dstevd`` at |S|
+  of about 0.4 n.
 
 A failure, a NaN included, raises NumericError.  ``eigencorrelator_profile``
 evaluates the per-realization localization kernel
@@ -75,9 +75,8 @@ RECONSTRUCTION_RTOL = 1e-10
 #: Relative gap below which a spectrum is flagged as degenerate.
 DEGENERACY_RTOL = 1e-12
 
-#: Rows and columns per tile of the symmetry test and of the reconstruction
-#: check, which thereby allocate no n x n temporary (128 measured fastest
-#: for the symmetry test at n = 400 and 1600 on a 2-vCPU host).
+#: Rows per tile of the reconstruction check, which thereby allocates no
+#: n x n temporary.
 SYMMETRY_TILE = 128
 
 
@@ -144,67 +143,16 @@ def sample_disorder(config: DisorderConfig, box: BoxGeometry, index: int) -> Dis
     return DisorderSample(k=k, sample_index=int(index))
 
 
-class _Structured:
-    """An h kept as its diagonal ``d`` and its off-diagonal entries ``e``, symmetric by construction.
-
-    ``lower_rows`` gives dense rows of h, ``np.asarray(h)`` all of them, and
-    ``h @ x`` applies h to the columns of x in O(n) per column.
-    """
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.d.size, self.d.size)
-
-    def __array__(self, dtype=None, copy=None):
-        h = self.lower_rows(0, self.d.size)
-        return h if dtype is None else h.astype(dtype, copy=False)
-
-
 @dataclass(frozen=True)
-class Tridiagonal(_Structured):
-    """A symmetric tridiagonal h, kept as its band: diagonal d and off-diagonal e.
-
-    Both are read-only float copies, len(e) = len(d) - 1 >= 0.
-    """
-
-    d: np.ndarray
-    e: np.ndarray
-
-    def __post_init__(self):
-        d, e = (np.array(v, dtype=float) for v in (self.d, self.e))
-        if d.ndim != 1 or d.size == 0 or e.shape != (d.size - 1,):
-            raise ValueError(f"need a nonempty diagonal and an off-diagonal one shorter, got {d.shape} and {e.shape}")
-        for name, arr in (("d", d), ("e", e)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    def lower_rows(self, start: int, stop: int) -> np.ndarray:
-        """Dense rows start..stop-1 of h, columns 0..stop-1."""
-        block = np.zeros((stop - start, stop))
-        square = block[:, start:]
-        idx = np.arange(stop - start)
-        square[idx, idx] = self.d[start:stop]
-        square[idx[1:], idx[:-1]] = self.e[start : stop - 1]
-        square[idx[:-1], idx[1:]] = self.e[start : stop - 1]
-        if start > 0:
-            block[0, start - 1] = self.e[start - 1]
-        return block
-
-    def __matmul__(self, x) -> np.ndarray:
-        x = np.asarray(x)
-        col = (slice(None),) + (None,) * (x.ndim - 1)
-        out = self.d[col] * x
-        out[:-1] += self.e[col] * x[1:]
-        out[1:] += self.e[col] * x[:-1]
-        return out
-
-
-@dataclass(frozen=True)
-class Stencil(_Structured):
+class Stencil:
     """h = diag(d) - A for the nearest-neighbour adjacency A of a box, kept as the box and d.
 
     d is a read-only float copy with one entry per site; the -1 entries of h
-    sit on the edges of ``lattice._graph``, and ``e`` lists them, one per edge.
+    sit on the edges of ``lattice._graph``, and ``e`` lists them, one per
+    edge.  With nu = 1 the edges run (0, 1), (1, 2), ..., so (d, e) is the
+    chain's band.  ``lower_rows`` gives dense rows of h, ``np.asarray(h)``
+    all of them, and ``h @ x`` applies h to the columns of x in O(n) per
+    column.
     """
 
     box: BoxGeometry
@@ -218,8 +166,16 @@ class Stencil(_Structured):
         object.__setattr__(self, "d", d)
 
     @property
+    def shape(self) -> tuple[int, int]:
+        return (self.d.size, self.d.size)
+
+    @property
     def e(self) -> np.ndarray:
         return np.full(_graph(self.box)[0].size, -1.0)
+
+    def __array__(self, dtype=None, copy=None):
+        h = self.lower_rows(0, self.d.size)
+        return h if dtype is None else h.astype(dtype, copy=False)
 
     def lower_rows(self, start: int, stop: int) -> np.ndarray:
         """Dense rows start..stop-1 of h, columns 0..stop-1."""
@@ -245,18 +201,16 @@ class Stencil(_Structured):
         return out.reshape(x.shape)
 
 
-def assemble(box: BoxGeometry, sample: DisorderSample, bc: str = "neumann"):
-    """Effective Hamiltonian h = Laplacian(bc) + diag(k), built in O(n).
+def assemble(box: BoxGeometry, sample: DisorderSample, bc: str = "neumann") -> Stencil:
+    """Effective Hamiltonian h = Laplacian(bc) + diag(k) of the box, as the ``Stencil`` of its diagonal.
 
-    A ``Tridiagonal`` when nu = 1, a ``Stencil`` otherwise.
+    Built in O(n) for every nu; this is the one form of h that ``spectrum``
+    and ``diagonalize`` take.
     """
     k = np.asarray(sample.k, dtype=float)
     if k.shape != (box.n_sites,):
         raise ValueError(f"sample has {k.shape} entries for a box of {box.n_sites} sites")
-    diagonal = laplacian_diagonal(box, bc) + k
-    if box.nu == 1:
-        return Tridiagonal(diagonal, np.full(box.n_sites - 1, -1.0))
-    return Stencil(box, diagonal)
+    return Stencil(box, laplacian_diagonal(box, bc) + k)
 
 
 def _prefix_count(evals: np.ndarray, lambda0: float) -> int:
@@ -274,7 +228,6 @@ class Spectrum:
 
     eigenvalues: np.ndarray
     gammas: np.ndarray
-    bc: str = "neumann"
 
     @property
     def n(self) -> int:
@@ -327,31 +280,25 @@ class SpectralData(Spectrum):
         return count
 
 
-def _max_asymmetry(h: np.ndarray) -> float:
-    """max|h_ij - h_ji| over a finite square matrix, one tile of the upper triangle at a time."""
-    n = h.shape[0]
-    err = 0.0
-    for i in range(0, n, SYMMETRY_TILE):
-        rows = slice(i, i + SYMMETRY_TILE)
-        for j in range(i, n, SYMMETRY_TILE):
-            cols = slice(j, j + SYMMETRY_TILE)
-            diff = h[rows, cols] - h[cols, rows].T
-            err = max(err, diff.max(), -diff.min())
-    return float(err)
+def _band(h: Stencil):
+    """(d, e, a, tau): the band T of h and the reflectors (a, tau) of h = Q T Q^T.
+
+    With nu = 1 h is its own band and a and tau are None.  Otherwise
+    ``dsytrd`` reduces h's dense form in place; a fresh dense stencil is
+    exactly symmetric, so its transpose is the F-ordered copy it needs.
+    """
+    if h.box.nu == 1:
+        return h.d, h.e, None, None
+    a = np.asarray(h).T
+    d, e, tau = _lapack.dsytrd(a)
+    return d, e, a, tau
 
 
-def _eigvalsh(h):
-    if isinstance(h, Tridiagonal) and _lapack.binding() is not None:
-        return _lapack.dsterf(h.d, h.e), None
-    return np.linalg.eigvalsh(np.asarray(h)), None
-
-
-def _reduction_buffer(h) -> np.ndarray:
-    """A writeable F-ordered copy of h, for ``dsytrd`` to reduce in place."""
-    if isinstance(h, Stencil):
-        # a fresh dense stencil is exactly symmetric, so its transpose is that copy
-        return np.asarray(h).T
-    return np.array(h, dtype=np.float64, order="F")
+def _eigvalsh(h: Stencil):
+    if _lapack.binding() is None:
+        return np.linalg.eigvalsh(np.asarray(h)), None
+    d, e, _, _ = _band(h)
+    return _lapack.dsterf(d, e), None
 
 
 def _band_window(d: np.ndarray, e: np.ndarray, lambda0: float):
@@ -381,22 +328,18 @@ def _band_window(d: np.ndarray, e: np.ndarray, lambda0: float):
     return evals, np.asfortranarray(z[:, columns])
 
 
-def _eigh(h, lambda0: float = np.inf, tails: bool = False):
+def _eigh(h: Stencil, lambda0: float = np.inf, tails: bool = False):
     """(eigenvalues, eigenvectors) of a validated h; the eigenvectors in F order when LAPACK is bound.
 
-    Any h but a band is first reduced to one (``_reduction_buffer``,
-    ``dsytrd``).  With a finite lambda0 and no tails the window runs
-    (``_band_window``) and returns the eigenvectors of S alone, unless S is
-    every mode; otherwise ``dstevd`` returns all of them.  ``dormtr`` maps
-    back just the columns returned.  Without the binding, numpy's ``eigh``.
+    The band drivers run on h's band (``_band``).  With a finite lambda0 and
+    no tails the window runs (``_band_window``) and returns the eigenvectors
+    of S alone, unless S is every mode; otherwise ``dstevd`` returns all of
+    them.  With nu >= 2 ``dormtr`` maps back just the columns returned.
+    Without the binding, numpy's ``eigh``.
     """
     if _lapack.binding() is None:
         return np.linalg.eigh(np.asarray(h))
-    if isinstance(h, Tridiagonal):
-        a, d, e = None, h.d, h.e
-    else:
-        a = _reduction_buffer(h)
-        d, e, tau = _lapack.dsytrd(a)
+    d, e, a, tau = _band(h)
     z = None
     if lambda0 < np.inf and not tails:
         evals, z = _band_window(d, e, lambda0)
@@ -407,70 +350,54 @@ def _eigh(h, lambda0: float = np.inf, tails: bool = False):
     return evals, z
 
 
-def _reconstruction_error(h, evals: np.ndarray, modes: np.ndarray) -> float:
+def _reconstruction_error(h: Stencil, evals: np.ndarray, modes: np.ndarray) -> float:
     """max|O diag(evals) O^T - h| over all n^2 entries, one row tile of the lower triangle at a time.
 
-    Tile I is (O_I diag(evals)) O_{<=I}^T.  The product is symmetric, so each
-    tile stands for its mirror too and is compared with both h_{I,<=I} and
-    h_{<=I,I}^T; for a ``Tridiagonal`` or a ``Stencil`` the two are the same
-    entries, and the tile is compared with its dense rows once.  No n x n
-    temporary is formed.  A NaN anywhere gives NaN.
+    Tile I is (O_I diag(evals)) O_{<=I}^T, compared with h's dense rows
+    ``h.lower_rows``.  Both the product and h are symmetric, so each tile
+    stands for its mirror too.  No n x n temporary is formed.  A NaN
+    anywhere gives NaN.
     """
     n = evals.size
     errs = []
     for i in range(0, n, SYMMETRY_TILE):
-        rows, end = slice(i, i + SYMMETRY_TILE), min(i + SYMMETRY_TILE, n)
-        tile = (modes[rows] * evals) @ modes[:end].T
-        blocks = (h.lower_rows(i, end),) if isinstance(h, _Structured) else (h[rows, :end], h[:end, rows].T)
-        diff = np.empty_like(tile)
-        for block in blocks:
-            np.subtract(tile, block, out=diff)
-            errs += [diff.max(), -diff.min()]
+        end = min(i + SYMMETRY_TILE, n)
+        tile = (modes[i:end] * evals) @ modes[:end].T
+        tile -= h.lower_rows(i, end)
+        errs += [tile.max(), -tile.min()]
     return float(np.max(errs))
 
 
-def _solve_checked(h, solve):
-    """Run ``solve(h) -> (eigenvalues, extra)`` on a validated symmetric h.
+def _solve_checked(h: Stencil, solve):
+    """Run ``solve(h) -> (eigenvalues, extra)`` on a validated h.
 
-    A ``Tridiagonal`` or a ``Stencil`` is symmetric by construction and is
-    checked in O(n); any other h is taken as a float array.  Raises
-    ValueError unless h is square, finite and symmetric, and NumericError
-    when the solver fails or finds an eigenvalue below the round-off band
-    -1e-9 * max|h_ij|; eigenvalues inside the band are clamped to zero (the
-    model itself is positive).  Returns (h, scale, eigenvalues, extra) with
-    scale = max|h_ij|.
+    Raises TypeError unless h is a ``Stencil``, which is symmetric by
+    construction, ValueError unless its entries are finite, and
+    NumericError when the solver fails or finds an eigenvalue below the
+    round-off band -1e-9 * max|h_ij|; eigenvalues inside the band are
+    clamped to zero (the model itself is positive).  Returns (scale,
+    eigenvalues, extra) with scale = max|h_ij|.
     """
-    structured = isinstance(h, _Structured)
-    if structured:
-        scale = np.max([np.abs(h.d).max(), np.abs(h.e).max(initial=0.0)])
-    else:
-        h = np.asarray(h, dtype=float)
-        if h.ndim != 2 or h.shape[0] != h.shape[1]:
-            raise ValueError("h must be a square matrix")
-        scale = max(h.max(), -h.min())
-    # every maximum here propagates NaN, so a non-finite entry makes scale non-finite
-    scale = float(scale)
+    if not isinstance(h, Stencil):
+        raise TypeError(f"h must be a Stencil, as assemble builds it, not a {type(h).__name__}")
+    # the maximum propagates NaN, so a non-finite entry makes scale non-finite
+    scale = float(np.max([np.abs(h.d).max(), np.abs(h.e).max(initial=0.0)]))
     if not np.isfinite(scale):
         raise ValueError("h must have finite entries")
     scale = scale or 1.0
-    if not structured and _max_asymmetry(h) > 1e-12 * scale:
-        raise ValueError("h must be symmetric")
     try:
         evals, extra = solve(h)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver failed on a {h.shape[0]}x{h.shape[0]} matrix: {exc}") from exc
     if evals[0] < -1e-9 * scale:
         raise NumericError(f"matrix has a negative eigenvalue {evals[0]:.3e}; not a valid h")
-    return h, scale, np.clip(evals, 0.0, None), extra
+    return scale, np.clip(evals, 0.0, None), extra
 
 
-def _check_invariants(h, evals: np.ndarray, scale: float):
+def _check_invariants(h: Stencil, evals: np.ndarray, scale: float):
     """Raise NumericError unless sum_j lambda_j and sum_j lambda_j^2 match tr h and ||h||_F^2."""
     n = evals.size
-    if isinstance(h, _Structured):
-        trace, frob = float(np.sum(h.d)), float(np.dot(h.d, h.d) + 2.0 * np.dot(h.e, h.e))
-    else:
-        trace, frob = float(np.trace(h)), float(np.vdot(h, h))
+    trace, frob = float(np.sum(h.d)), float(np.dot(h.d, h.d) + 2.0 * np.dot(h.e, h.e))
     trace_err = abs(float(np.sum(evals)) - trace)
     frob_err = abs(float(np.dot(evals, evals)) - frob)
     # written so that a NaN error fails the test
@@ -481,20 +408,19 @@ def _check_invariants(h, evals: np.ndarray, scale: float):
         )
 
 
-def spectrum(h, bc: str = "neumann") -> Spectrum:
-    """Eigenvalues of a symmetric h (a ``Tridiagonal``, a ``Stencil`` or a matrix), without eigenvectors,
-    checked for accuracy.
+def spectrum(h: Stencil) -> Spectrum:
+    """Eigenvalues of h without eigenvectors, checked for accuracy.
 
     The accuracy contract is the pair of invariants
     |sum_j lambda_j - tr h| <= RECONSTRUCTION_RTOL * n * scale and
     |sum_j lambda_j^2 - ||h||_F^2| <= RECONSTRUCTION_RTOL * n * scale^2,
-    with scale = max|h_ij|; a violation raises NumericError.  For a band or
-    a stencil, tr h = sum d and ||h||_F^2 = sum d^2 + 2 sum e^2.  Validation
-    and the clamping of round-off negatives are those of ``_solve_checked``.
+    with scale = max|h_ij|, tr h = sum d and ||h||_F^2 = sum d^2 + 2 sum e^2;
+    a violation raises NumericError.  Validation and the clamping of
+    round-off negatives are those of ``_solve_checked``.
     """
-    h, scale, evals, _ = _solve_checked(h, _eigvalsh)
+    scale, evals, _ = _solve_checked(h, _eigvalsh)
     _check_invariants(h, evals, scale)
-    return Spectrum(eigenvalues=evals, gammas=np.sqrt(evals), bc=bc)
+    return Spectrum(eigenvalues=evals, gammas=np.sqrt(evals))
 
 
 def _require(err: float, tol: float, what: str):
@@ -506,7 +432,7 @@ def _max_abs(x: np.ndarray) -> float:
     return float(np.max(np.abs(x), initial=0.0))
 
 
-def _window_modes(h, scale: float, evals: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _window_modes(h: Stencil, scale: float, evals: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Phi_S, C-ordered, from the F-ordered eigenvectors of S that ``_eigh`` returns, checked by the
     window contract: the invariants on all n eigenvalues, then the residual and orthonormality of Phi_S."""
     count = z.shape[1]
@@ -520,8 +446,8 @@ def _window_modes(h, scale: float, evals: np.ndarray, z: np.ndarray) -> np.ndarr
     return modes
 
 
-def diagonalize(h, bc: str = "neumann", lambda0: float = np.inf, tails: bool = False) -> SpectralData:
-    """The regime lambda0 of a symmetric h (a ``Tridiagonal``, a ``Stencil`` or a matrix), checked for accuracy.
+def diagonalize(h: Stencil, lambda0: float = np.inf, tails: bool = False) -> SpectralData:
+    """The regime lambda0 of h, checked for accuracy.
 
     Keeps Phi_S, the eigenvectors of the eigenvalues <= lambda0 (every one
     by default), and with ``tails`` also tau at every site.  With modes left
@@ -534,12 +460,12 @@ def diagonalize(h, bc: str = "neumann", lambda0: float = np.inf, tails: bool = F
     temporary.  Validation and the clamping of round-off negatives are those
     of ``_solve_checked``.
     """
-    h, scale, evals, vecs = _solve_checked(h, functools.partial(_eigh, lambda0=lambda0, tails=tails))
+    scale, evals, vecs = _solve_checked(h, functools.partial(_eigh, lambda0=lambda0, tails=tails))
     n = evals.size
     gammas = np.sqrt(evals)
     count = Spectrum(eigenvalues=evals, gammas=gammas).localized_count(lambda0)
     if vecs.shape[1] < n:
-        return SpectralData(eigenvalues=evals, gammas=gammas, modes=_window_modes(h, scale, evals, vecs), bc=bc)
+        return SpectralData(eigenvalues=evals, gammas=gammas, modes=_window_modes(h, scale, evals, vecs))
     vecs = np.ascontiguousarray(vecs)
     err = _reconstruction_error(h, evals, vecs)
     if not err <= RECONSTRUCTION_RTOL * scale:  # a NaN error fails too
@@ -547,7 +473,7 @@ def diagonalize(h, bc: str = "neumann", lambda0: float = np.inf, tails: bool = F
     site_tails = np.square(vecs[:, count:]) @ (1.0 / gammas[count:]) if tails else None
     # a copy of Phi_S, so that the other n - |S| columns are freed
     modes = vecs if count == n else vecs[:, :count].copy()
-    return SpectralData(eigenvalues=evals, gammas=gammas, modes=modes, tails=site_tails, bc=bc)
+    return SpectralData(eigenvalues=evals, gammas=gammas, modes=modes, tails=site_tails)
 
 
 def eigencorrelator_profile(spec: SpectralData, s: int, x: int) -> np.ndarray:

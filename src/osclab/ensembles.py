@@ -289,8 +289,8 @@ def _energy_density_sample(config, index):
     for length in config.lengths_ladder:
         box = BoxGeometry.of_lengths([int(length)])
         sample = sample_disorder(disorder, box, index)
-        spec_n = spectrum(assemble(box, sample, "neumann"), "neumann")
-        spec_d = spectrum(assemble(box, sample, "dirichlet"), "dirichlet")
+        spec_n = spectrum(assemble(box, sample, "neumann"))
+        spec_d = spectrum(assemble(box, sample, "dirichlet"))
         degenerate += int(spec_n.flag_degenerate() or spec_d.flag_degenerate())
         grid = np.linspace(0.0, grid_max, config.lambda_grid_points)
         diff = counting_function(spec_n, grid) - counting_function(spec_d, grid)

@@ -65,63 +65,30 @@ class BoxGeometry:
                 raise ValueError(f"coordinate {tuple(c)} outside box")
         return int(np.ravel_multi_index(offsets, self.shape))
 
-    def coord_of(self, index: int) -> tuple[int, ...]:
-        self._check_index(index)
-        offs = np.unravel_index(int(index), self.shape)
-        return tuple(int(o) + a for o, (a, _) in zip(offs, self.intervals))
-
-    def _check_index(self, index) -> None:
-        if not 0 <= int(index) < self.n_sites:
-            raise ValueError(f"site index {index} outside 0..{self.n_sites - 1}")
-
     def diameter(self) -> int:
         return sum(b - a for a, b in self.intervals)
 
 
-def _normalize_sites(box: BoxGeometry, sites) -> np.ndarray:
-    idx = np.unique(np.asarray(list(sites), dtype=int))
-    if idx.size and (idx[0] < 0 or idx[-1] >= box.n_sites):
-        raise ValueError("site index outside box")
-    return idx
-
-
-def l1_distance(box: BoxGeometry, x: int, y: int) -> int:
-    """l1 distance between two sites given by index."""
-    box._check_index(x)
-    box._check_index(y)
-    c = box.coords()
-    return int(np.abs(c[int(x)] - c[int(y)]).sum())
-
-
 def l1_distances_from(box: BoxGeometry, x: int) -> np.ndarray:
     """Vector of l1 distances from site x to every site, in index order."""
-    box._check_index(x)
+    if not 0 <= int(x) < box.n_sites:
+        raise ValueError(f"site index {x} outside 0..{box.n_sites - 1}")
     c = box.coords()
     return np.abs(c - c[int(x)]).sum(axis=1)
 
 
 def neighborhood(box: BoxGeometry, sites, n: int) -> np.ndarray:
     """All sites within l1 distance n of the given nonempty set."""
-    X = _normalize_sites(box, sites)
+    X = np.unique(np.asarray(list(sites), dtype=int))
     if X.size == 0:
         raise ValueError("neighborhood of an empty set is undefined")
+    if X[0] < 0 or X[-1] >= box.n_sites:
+        raise ValueError("site index outside box")
     if n < 0:
         raise ValueError("n must be nonnegative")
     c = box.coords()
     dist = np.abs(c[:, None, :] - c[X][None, :, :]).sum(axis=2).min(axis=1)
     return np.flatnonzero(dist <= n)
-
-
-def boundary(box: BoxGeometry, sites) -> np.ndarray:
-    """Sites of X adjacent (l1 distance 1) to some site of the box outside X."""
-    X = _normalize_sites(box, sites)
-    inside = np.zeros(box.n_sites, dtype=bool)
-    inside[X] = True
-    on_boundary = np.zeros(box.n_sites, dtype=bool)
-    for i, j, _ in _edges(box):
-        on_boundary[i] |= inside[i] & ~inside[j]
-        on_boundary[j] |= inside[j] & ~inside[i]
-    return np.flatnonzero(on_boundary)
 
 
 def _edges(box: BoxGeometry):

@@ -42,9 +42,6 @@ class EnsembleResult:
 
         return sorted(self.rows, key=canon)
 
-    def row_map(self) -> dict:
-        return {r.key: r for r in self.rows}
-
     def select(self, quantity: str) -> list[ResultRow]:
         """Rows whose last key component equals ``quantity``, sorted."""
         return [r for r in self.sorted_rows() if r.key[-1] == quantity]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from osclab import ensembles
-from osclab.anderson import DisorderConfig, assemble, diagonalize, sample_disorder
+from osclab.anderson import DisorderConfig, Stencil, assemble, diagonalize, sample_disorder
 from osclab.lattice import BoxGeometry
 
 
@@ -11,7 +11,12 @@ def make_chain_spec(n_sites, seed=11, k_max=1.0, bc="neumann", **regime):
     box = BoxGeometry.of_lengths([n_sites])
     cfg = DisorderConfig(k_max=k_max, master_seed=seed)
     sample = sample_disorder(cfg, box, 0)
-    return box, diagonalize(assemble(box, sample, bc), bc, **regime)
+    return box, diagonalize(assemble(box, sample, bc), **regime)
+
+
+def chain_stencil(d):
+    """h on a chain of len(d) sites: diagonal d and -1 between neighbours."""
+    return Stencil(BoxGeometry.of_lengths([len(d)]), d)
 
 
 @pytest.fixture

@@ -11,20 +11,18 @@ from osclab.anderson import (
     SpectralData,
     Spectrum,
     Stencil,
-    Tridiagonal,
     assemble,
     diagonalize,
     eigencorrelator_profile,
     propagator_sums,
     sample_disorder,
     spectrum,
-    _max_asymmetry,
 )
 from osclab.ensembles import DOMINATION_SLACK
 from osclab.errors import ConfigError, NumericError
 from osclab.lattice import BoxGeometry, laplacian_diagonal
 
-from conftest import make_chain_spec
+from conftest import chain_stencil, make_chain_spec
 
 
 class TestSampling:
@@ -129,39 +127,33 @@ SOLVERS = [
 ]
 
 
-def _solver(lengths, numpy_name):
+def _solver(numpy_name):
     """(owner, name) of the eigensolver that finds a box's eigenvalues in place of numpy's ``numpy_name``:
-    a chain's h is a ``Tridiagonal``, and a dense h's eigenpairs come from ``dstevd`` on its reduced band."""
+    the band drivers, on a chain's band or on the band ``dsytrd`` reduces a larger box's h to."""
     if _lapack.binding() is None:
         return np.linalg, numpy_name
-    if len(lengths) == 1:
-        return _lapack, {"eigvalsh": "dsterf", "eigh": "dstevd"}[numpy_name]
-    return {"eigvalsh": (np.linalg, "eigvalsh"), "eigh": (_lapack, "dstevd")}[numpy_name]
+    return _lapack, {"eigvalsh": "dsterf", "eigh": "dstevd"}[numpy_name]
 
 
 class TestDiagonalize:
     def test_diagonal_input(self):
-        spec = diagonalize(np.diag([1.0, 4.0, 9.0]))
-        assert np.allclose(spec.gammas, [1.0, 2.0, 3.0])
-        assert np.allclose(np.abs(spec.modes), np.eye(3))
+        """A one-site h is its own diagonal: gamma = sqrt(h), and the mode is +-1."""
+        for k, gamma in ((1.0, 1.0), (4.0, 2.0), (9.0, 3.0)):
+            spec = diagonalize(chain_stencil([k]))
+            assert np.allclose(spec.gammas, [gamma])
+            assert np.array_equal(np.abs(spec.modes), [[1.0]])
 
     def test_free_three_site_chain(self):
-        h = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
-        spec = diagonalize(h)
+        spec = diagonalize(chain_stencil([1.0, 2.0, 1.0]))
         assert np.allclose(spec.eigenvalues, [0.0, 1.0, 3.0], atol=1e-12)
 
     def test_reconstruction_contract(self):
-        rng = np.random.default_rng(2)
-        m = rng.standard_normal((50, 50))
-        h = m @ m.T  # PSD
+        box = BoxGeometry.of_lengths([10, 5])
+        h = Stencil(box, laplacian_diagonal(box) + np.random.default_rng(2).uniform(0.0, 20.0, 50))
         spec = diagonalize(h)
         recon = (spec.modes * spec.eigenvalues) @ spec.modes.T
-        assert np.max(np.abs(recon - h)) <= 1e-10 * np.max(np.abs(h))
+        assert np.max(np.abs(recon - np.asarray(h))) <= 1e-10 * np.max(np.abs(h.d))
         assert np.max(np.abs(spec.modes.T @ spec.modes - np.eye(50))) < 1e-12
-
-    def test_rejects_nonsymmetric(self):
-        with pytest.raises(ValueError):
-            diagonalize(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
     def test_norm_bound(self):
         box, spec = make_chain_spec(30, seed=4, k_max=0.8)
@@ -172,12 +164,12 @@ class TestDiagonalize:
     def test_reconstruction_check(self, monkeypatch, broken, lengths):
         h = _box_hamiltonian(lengths, "neumann")
         scale = np.max(np.abs(np.asarray(h)))
-        owner, name = _solver(lengths, "eigh")
+        owner, name = _solver("eigh")
         solve = getattr(owner, name)
 
         def wrong(*band_or_h):
             evals, vecs = solve(*band_or_h)
-            # order="K" keeps dstevd's F order, in which dormtr back-transforms a dense h's modes
+            # order="K" keeps dstevd's F order, in which dormtr back-transforms the modes of a box with nu >= 2
             evals, vecs = evals.copy(), vecs.copy(order="K")
             if broken == "eigenvalue":
                 evals[-1] += 1e3 * RECONSTRUCTION_RTOL * scale
@@ -197,9 +189,9 @@ class TestSpectrum:
     @pytest.mark.parametrize("lengths", BOXES)
     def test_matches_diagonalize(self, lengths, bc):
         h = _box_hamiltonian(lengths, bc)
-        spec = spectrum(h, bc)
-        dense = diagonalize(h, bc)
-        assert type(spec) is Spectrum and spec.bc == bc
+        spec = spectrum(h)
+        dense = diagonalize(h)
+        assert type(spec) is Spectrum
         assert np.max(np.abs(spec.eigenvalues - dense.eigenvalues)) <= 1e-12 * dense.norm
         assert np.array_equal(spec.gammas, np.sqrt(spec.eigenvalues))
         assert spec.flag_degenerate() == dense.flag_degenerate()
@@ -222,17 +214,19 @@ class TestSpectrum:
         ],
     )
     def test_rejects_malformed(self, solve, h):
-        with pytest.raises(ValueError):
+        """An array is no h, whatever its shape or entries: the error names the ``Stencil`` that assemble builds."""
+        with pytest.raises(TypeError, match="Stencil"):
             solve(h)
 
     @pytest.mark.parametrize("solve", [spectrum, diagonalize])
     def test_negative_eigenvalue(self, solve):
         with pytest.raises(NumericError):
-            solve(np.diag([-1.0, 2.0]))
+            solve(chain_stencil([-1.0]))
 
     @pytest.mark.parametrize("solve", [spectrum, diagonalize])
     def test_round_off_negatives_clamped(self, solve):
-        spec = solve(np.diag([-1e-12, 1.0, 2.0]))
+        # eigenvalues d - 1 = -1e-12 and d + 1
+        spec = solve(chain_stencil(np.full(2, 1.0 - 1e-12)))
         assert spec.eigenvalues[0] == 0.0 and spec.gammas[0] == 0.0
 
     def test_solver_failure(self, monkeypatch):
@@ -248,16 +242,15 @@ class TestSpectrum:
 
         for owner, name in SOLVERS:
             monkeypatch.setattr(owner, name, failing(name))
-        dense = _box_hamiltonian([3, 2], "neumann")
-        for h in (Tridiagonal(np.ones(3), np.zeros(2)), dense):
+        for lengths in ([3], [3, 2]):
             for solve in (spectrum, diagonalize):
                 with pytest.raises(NumericError, match="did not converge"):
-                    solve(h)
+                    solve(_box_hamiltonian(lengths, "neumann"))
         if _lapack.binding() is None:
             assert failed == ["eigvalsh", "eigh"] * 2
         else:
-            # the band of the identity runs where a chain's h does; a dense h is reduced before its band is solved
-            assert failed == ["dsterf", "dstevd", "eigvalsh", "dsytrd"]
+            # a chain's band is solved as it is; a 2D box's h is reduced before its band is solved
+            assert failed == ["dsterf", "dstevd", "dsytrd", "dsytrd"]
 
     @pytest.mark.parametrize("bc", BCS)
     @pytest.mark.parametrize("lengths", BOXES)
@@ -265,7 +258,7 @@ class TestSpectrum:
     def test_invariant_check(self, monkeypatch, lengths, bc, broken):
         h = _box_hamiltonian(lengths, bc)
         scale = np.max(np.abs(np.asarray(h)))
-        owner, name = _solver(lengths, "eigvalsh")
+        owner, name = _solver("eigvalsh")
         solve = getattr(owner, name)
 
         def wrong(*band_or_h):
@@ -282,7 +275,7 @@ class TestSpectrum:
 
         monkeypatch.setattr(owner, name, wrong)
         with pytest.raises(NumericError):
-            spectrum(h, bc)
+            spectrum(h)
 
 
 def _spy_solvers(monkeypatch):
@@ -301,8 +294,8 @@ def _spy_solvers(monkeypatch):
     return calls
 
 
-def _solve_both(h, bc="neumann"):
-    return spectrum(h, bc), diagonalize(h, bc)
+def _solve_both(h):
+    return spectrum(h), diagonalize(h)
 
 
 def _assert_same_bits(spec, dense, h):
@@ -319,51 +312,38 @@ class TestTridiagonalPath:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(length=st.integers(1, 90), bc=st.sampled_from(BCS), seed=st.integers(0, 2**16), k_max=st.floats(0.05, 8.0))
     def test_bit_identical_to_dense(self, length, bc, seed, k_max):
-        """A chain's band and its dense matrix give the same bits, on the band drivers and on numpy's."""
+        """A chain's band on the band drivers gives the bits of numpy's solvers on its dense matrix."""
         box = BoxGeometry.of_lengths([length])
         h = assemble(box, sample_disorder(DisorderConfig(k_max=k_max, master_seed=seed), box, 0), bc)
-        assert isinstance(h, Tridiagonal)
-        before = h.d.copy(), h.e.copy()
-        spec, dense = _solve_both(h, bc)
+        before = h.d.copy()
+        spec, dense = _solve_both(h)
         # LAPACK overwrites its band, which must be a copy
-        assert np.array_equal(h.d, before[0]) and np.array_equal(h.e, before[1])
-        matrix = np.asarray(h)
-        spec_matrix, dense_matrix = _solve_both(matrix, bc)
-        assert np.array_equal(spec.eigenvalues, spec_matrix.eigenvalues)
-        assert np.array_equal(spec.gammas, spec_matrix.gammas)
-        assert np.array_equal(dense.eigenvalues, dense_matrix.eigenvalues)
-        assert np.array_equal(dense.modes, dense_matrix.modes)
-        assert dense_matrix.modes.flags.c_contiguous
-        _assert_same_bits(spec, dense, matrix)
+        assert np.array_equal(h.d, before)
+        _assert_same_bits(spec, dense, np.asarray(h))
 
     @pytest.mark.parametrize("bc", BCS)
     def test_routing(self, monkeypatch, bc):
-        """The type of h picks the solver: a band runs the band drivers, every array the dense ones,
-        a chain's dense matrix too."""
-        chain = _box_hamiltonian([30], bc)
-        e = chain.e.copy()
-        e[9] = 0.0
-        split = Tridiagonal(chain.d, e)
-        far = np.asarray(chain).copy()
-        far[2, 17] = far[17, 2] = -0.5
+        """The dimension of the box picks the route: a chain's band runs the band drivers as it is, and
+        any other box's h is reduced by dsytrd first, for its eigenvalues too."""
         calls = _spy_solvers(monkeypatch)
         routes = []
-        for h in (chain, split, np.asarray(chain), _box_hamiltonian([6, 5], bc), far):
+        for lengths in ([30], [6, 5], [3, 2, 2]):
+            h = _box_hamiltonian(lengths, bc)
             calls.clear()
-            spec, dense = _solve_both(h, bc)
+            spec, dense = _solve_both(h)
             routes.append(calls.copy())
             _assert_same_bits(spec, dense, np.asarray(h))
-        assert routes == [["dsterf", "dstevd"]] * 2 + [["eigvalsh", "dsytrd", "dstevd", "dormtr"]] * 3
+        assert routes == [["dsterf", "dstevd"]] + [["dsytrd", "dsterf", "dsytrd", "dstevd", "dormtr"]] * 2
 
     def test_unbound_falls_back_to_dense(self, monkeypatch):
         """Without the binding, a chain and a 2D box both run numpy's solvers, with the same bits."""
         hs = [_box_hamiltonian([30], "dirichlet"), _box_hamiltonian([6, 5], "dirichlet")]
-        bound = [_solve_both(h, "dirichlet") for h in hs]
+        bound = [_solve_both(h) for h in hs]
         monkeypatch.setattr(_lapack, "binding", lambda: None)
         calls = _spy_solvers(monkeypatch)
         for h, (spec, dense) in zip(hs, bound):
             calls.clear()
-            spec_dense, dense_dense = _solve_both(h, "dirichlet")
+            spec_dense, dense_dense = _solve_both(h)
             assert calls == ["eigvalsh", "eigh"]
             assert np.array_equal(spec.eigenvalues, spec_dense.eigenvalues)
             assert np.array_equal(dense.eigenvalues, dense_dense.eigenvalues)
@@ -381,53 +361,53 @@ class TestTridiagonal:
     @pytest.mark.parametrize("bc", BCS)
     @pytest.mark.parametrize("lengths", [[1], [2], [30], [6, 5], [3, 2, 2]])
     def test_assemble_bits(self, lengths, bc):
-        """A box with nu = 1 assembles to a band, any other to a stencil; both densify to
-        Laplacian(bc) + diag(k) bit for bit, the Laplacian taken from l1 distances."""
+        """Every box assembles to a stencil, which densifies to Laplacian(bc) + diag(k) bit for bit,
+        the Laplacian taken from l1 distances."""
         box = BoxGeometry.of_lengths(lengths)
         sample = sample_disorder(DisorderConfig(k_max=1.5, master_seed=6), box, 0)
         c = box.coords()
         adjacent = (np.abs(c[:, None, :] - c[None, :, :]).sum(axis=2) == 1).astype(float)
         expected = np.diag(laplacian_diagonal(box, bc) + sample.k) - adjacent
         h = assemble(box, sample, bc)
-        assert type(h) is (Tridiagonal if len(lengths) == 1 else Stencil)
+        assert type(h) is Stencil
         assert type(np.asarray(h)) is np.ndarray
         assert np.asarray(h).tobytes() == expected.tobytes()
         assert np.asarray(h, dtype=np.float32).dtype == np.float32
 
     def test_frozen_copy(self):
-        d, e = np.array([2.0, 3.0, 4.0]), np.array([-1.0, -1.0])
-        h = Tridiagonal(d, e)
-        d[0] = e[0] = 7.0
-        assert h.d[0] == 2.0 and h.e[0] == -1.0 and h.shape == (3, 3)
+        """A chain's stencil is its band: d a frozen copy, and e the -1 between neighbours."""
+        d = np.array([2.0, 3.0, 4.0])
+        h = chain_stencil(d)
+        d[0] = 7.0
+        assert h.d[0] == 2.0 and h.shape == (3, 3) and np.array_equal(h.e, [-1.0, -1.0])
         with pytest.raises(ValueError):
             h.d[1] = 0.0
 
     @pytest.mark.parametrize(
-        "d, e",
+        "lengths, d",
         [
-            pytest.param([], [], id="empty"),
-            pytest.param([1.0, 2.0], [1.0, 2.0], id="long-e"),
-            pytest.param([1.0, 2.0, 3.0], [1.0], id="short-e"),
-            pytest.param([1.0], [0.0], id="one-site-with-e"),
-            pytest.param([[1.0]], [], id="matrix-d"),
+            pytest.param([1], [], id="empty"),
+            pytest.param([2], [1.0, 2.0, 3.0], id="long-d"),
+            pytest.param([3], [1.0, 2.0], id="short-d"),
+            pytest.param([1], [[1.0]], id="matrix-d"),
         ],
     )
-    def test_rejects_malformed_shape(self, d, e):
+    def test_rejects_malformed_shape(self, lengths, d):
         with pytest.raises(ValueError):
-            Tridiagonal(d, e)
+            Stencil(BoxGeometry.of_lengths(lengths), d)
 
     @pytest.mark.parametrize("solve", [spectrum, diagonalize])
-    @pytest.mark.parametrize("where", ["d", "e"])
+    @pytest.mark.parametrize("where", ["d"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, solve, where, bad):
-        d, e = np.full(4, 3.0), np.full(3, -1.0)
-        {"d": d, "e": e}[where][-1] = bad
+        d = np.full(4, 3.0)
+        {"d": d}[where][-1] = bad
         with pytest.raises(ValueError, match="finite"):
-            solve(Tridiagonal(d, e))
+            solve(chain_stencil(d))
 
     @pytest.mark.parametrize("start, stop", [(0, 1), (0, 5), (3, 4), (3, 9), (8, 9)])
     def test_lower_rows_are_dense_rows(self, start, stop):
-        h = Tridiagonal(np.arange(1.0, 10.0), -np.arange(1.0, 9.0))
+        h = chain_stencil(np.arange(1.0, 10.0))
         assert np.array_equal(h.lower_rows(start, stop), np.asarray(h)[start:stop, :stop])
 
     @pytest.mark.parametrize("lengths", [[1, 1], [6, 5], [3, 2, 4]])
@@ -445,7 +425,7 @@ class TestTridiagonal:
         assert np.array_equal(h.e, np.full(np.count_nonzero(dense - np.diag(np.diag(dense))) // 2, -1.0))
 
     def test_band_product(self):
-        h = Tridiagonal(np.arange(1.0, 10.0), -np.arange(1.0, 9.0))
+        h = chain_stencil(np.arange(1.0, 10.0))
         x = np.random.default_rng(4).standard_normal((9, 3))
         assert np.allclose(h @ x, np.asarray(h) @ x, rtol=0.0, atol=1e-13)
 
@@ -490,10 +470,10 @@ def test_solvers_leave_no_cyclic_garbage():
     import gc
 
     chain = _box_hamiltonian([30], "neumann")
-    box = np.asarray(_box_hamiltonian([6, 5], "neumann"))
+    box = _box_hamiltonian([6, 5], "neumann")
 
     def reduce_and_map_back():
-        a = np.array(box, order="F")
+        a = np.array(np.asarray(box), order="F")
         _lapack.dormtr(a, _lapack.dsytrd(a)[2], np.eye(30, order="F"))
 
     calls = [
@@ -523,115 +503,64 @@ def test_solvers_leave_no_cyclic_garbage():
 
 
 # n is not a multiple of the tile, so the last tile is ragged
-_ASYMMETRY_N = 2 * SYMMETRY_TILE + 37
+_RAGGED_N = 2 * SYMMETRY_TILE + 37
 
 
 class TestSymmetryCheck:
-    @pytest.mark.parametrize("n", [1, 5, SYMMETRY_TILE, SYMMETRY_TILE + 1, _ASYMMETRY_N])
-    def test_tiles_match_dense_form(self, n):
-        h = np.random.default_rng(n).standard_normal((n, n))
-        assert _max_asymmetry(h) == np.max(np.abs(h - h.T))
-        assert _max_asymmetry(h + h.T) == 0.0
+    """No symmetry test runs: a stencil is symmetric by construction.  Its dense form is, and the tiles of
+    rows the reconstruction check reads are that form's, the last ragged tile included."""
 
-    @pytest.mark.parametrize("solve", [spectrum, diagonalize])
-    @pytest.mark.parametrize(
-        "where",
-        [
-            pytest.param((70, 3), id="diagonal-tile"),
-            pytest.param((5, SYMMETRY_TILE + 9), id="off-diagonal-tile"),
-            pytest.param((_ASYMMETRY_N - 30, _ASYMMETRY_N - 1), id="ragged-tile"),
-        ],
-    )
-    @pytest.mark.parametrize("size, rejected", [(2e-12, True), (0.5e-12, False)])
-    def test_planted_asymmetry(self, solve, where, size, rejected):
-        h = np.asarray(_box_hamiltonian([_ASYMMETRY_N], "neumann"))
-        scale = np.max(np.abs(h))
-        assert h[where] == 0.0
-        h[where] = size * scale
-        if rejected:
-            with pytest.raises(ValueError, match="symmetric"):
-                solve(h)
-        else:
-            assert solve(h).n == _ASYMMETRY_N
+    @pytest.mark.parametrize("n", [1, 5, SYMMETRY_TILE, SYMMETRY_TILE + 1, _RAGGED_N])
+    def test_tiles_match_dense_form(self, n):
+        h = _box_hamiltonian([n], "neumann", seed=n)
+        dense = np.asarray(h)
+        assert np.array_equal(dense, dense.T)
+        for i in range(0, n, SYMMETRY_TILE):
+            end = min(i + SYMMETRY_TILE, n)
+            assert np.array_equal(h.lower_rows(i, end), dense[i:end, :end])
 
 
 class TestReconstructionTiles:
-    """The tiled reconstruction check reads every block of O diag(evals) O^T - h, against both triangles of h.
-
-    h = diag(evals) and O = identity plus one entry O_pq, so the only wrong
-    entries of the product are (p, q) and its mirror, each of value O_pq
-    evals_q = -(tol - a / 4): inside the tolerance tol.  Planting a, which
-    the symmetry test accepts, in one triangle of h moves that triangle's
-    error to tol + 3a / 4, which only the comparison with that triangle sees.
-    """
-
-    @pytest.mark.parametrize(
-        "p, q",
-        [
-            # n is not a multiple of the tile, so the last tile is partial
-            pytest.param(_ASYMMETRY_N - 1, _ASYMMETRY_N - 30, id="last-partial-tile"),
-            pytest.param(SYMMETRY_TILE + 9, 5, id="off-diagonal-block"),
-        ],
-    )
-    @pytest.mark.parametrize("asymmetry, rejected", [(None, False), ("lower", True), ("upper", True)])
-    def test_planted_error(self, monkeypatch, p, q, asymmetry, rejected):
-        evals = np.linspace(1.0, 2.0, _ASYMMETRY_N)
-        h = np.diag(evals)
-        tol = RECONSTRUCTION_RTOL * np.max(h)
-        a = 0.5e-12 * np.max(h)
-        if asymmetry == "lower":
-            h[p, q] = a
-        elif asymmetry == "upper":
-            h[q, p] = a
-        modes = np.eye(_ASYMMETRY_N)
-        modes[p, q] = -(tol - a / 4) / evals[q]
-        monkeypatch.setattr(anderson, "_eigh", lambda h, **regime: (evals, modes))
-        if rejected:
-            with pytest.raises(NumericError, match="reconstruction"):
-                diagonalize(h)
-        else:
-            assert diagonalize(h).modes is modes
-
-    @pytest.mark.parametrize("row", [0, SYMMETRY_TILE + 9, _ASYMMETRY_N - 1])
+    @pytest.mark.parametrize("row", [0, SYMMETRY_TILE + 9, _RAGGED_N - 1])
     def test_nan_in_any_tile(self, monkeypatch, row):
-        evals = np.linspace(1.0, 2.0, _ASYMMETRY_N)
-        modes = np.eye(_ASYMMETRY_N)
+        """A NaN in any tile of O diag(evals) O^T fails the tiled reconstruction check."""
+        evals = np.linspace(1.0, 2.0, _RAGGED_N)
+        modes = np.eye(_RAGGED_N)
         modes[row, 5] = np.nan  # NaN spreads over row and column ``row`` of the product
         monkeypatch.setattr(anderson, "_eigh", lambda h, **regime: (evals, modes))
         with pytest.raises(NumericError, match="reconstruction"):
-            diagonalize(np.diag(evals))
+            diagonalize(_box_hamiltonian([_RAGGED_N], "neumann"))
 
 
 class TestBandReconstruction:
-    """The reconstruction check of a band reads every diagonal and off-diagonal entry,
+    """The reconstruction check of a chain reads every diagonal and off-diagonal entry,
     across tile boundaries and in the last partial tile.
 
-    O = identity, so O diag(evals) O^T = diag(evals); the band is diag(evals)
-    plus one planted entry, and the error is that entry alone.
+    The solve returns numpy's eigenpairs of h plus one planted symmetric
+    entry, so the error is that entry alone, up to round-off far below it.
     """
 
     @pytest.mark.parametrize(
         "where",
         [
             pytest.param(("d", 0), id="first-diagonal"),
-            pytest.param(("d", _ASYMMETRY_N - 1), id="last-diagonal"),
+            pytest.param(("d", _RAGGED_N - 1), id="last-diagonal"),
             pytest.param(("e", 0), id="first-off-diagonal"),
             pytest.param(("e", SYMMETRY_TILE - 1), id="off-diagonal-across-tiles"),
             pytest.param(("e", SYMMETRY_TILE), id="off-diagonal-in-tile"),
-            pytest.param(("e", _ASYMMETRY_N - 2), id="last-off-diagonal"),
+            pytest.param(("e", _RAGGED_N - 2), id="last-off-diagonal"),
         ],
     )
     @pytest.mark.parametrize("factor, rejected", [(2.0, True), (0.5, False)])
     def test_planted_error(self, monkeypatch, where, factor, rejected):
-        evals = np.linspace(1.0, 2.0, _ASYMMETRY_N)
-        d, e = evals.copy(), np.zeros(_ASYMMETRY_N - 1)
+        h = _box_hamiltonian([_RAGGED_N], "neumann")
         name, pos = where
-        {"d": d, "e": e}[name][pos] += factor * RECONSTRUCTION_RTOL * 2.0
-        h = Tridiagonal(d, e)
-        modes = np.eye(_ASYMMETRY_N)
-        assert anderson._reconstruction_error(h, evals, modes) == anderson._reconstruction_error(
-            np.asarray(h), evals, modes
-        )
+        row, col = (pos, pos) if name == "d" else (pos + 1, pos)
+        planted = np.asarray(h)
+        planted[row, col] += factor * RECONSTRUCTION_RTOL * np.max(np.abs(h.d))
+        planted[col, row] = planted[row, col]
+        evals, modes = np.linalg.eigh(planted)
+        modes = np.ascontiguousarray(modes)
         monkeypatch.setattr(anderson, "_eigh", lambda h, **regime: (evals, modes))
         if rejected:
             with pytest.raises(NumericError, match="reconstruction"):
@@ -648,31 +577,19 @@ class TestDenseDriver:
     """dsytrd, dstevd and dormtr on all n columns are dsyevd's three steps, so they give eigh's bits."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(
-        lengths=_DENSE_LENGTHS,
-        bc=st.sampled_from(BCS),
-        seed=st.integers(0, 2**16),
-        k_max=st.floats(0.05, 8.0),
-        asymmetry=st.sampled_from([None, "lower", "upper"]),
-    )
-    def test_bit_identical_to_eigh(self, lengths, bc, seed, k_max, asymmetry):
+    @given(lengths=_DENSE_LENGTHS, bc=st.sampled_from(BCS), seed=st.integers(0, 2**16), k_max=st.floats(0.05, 8.0))
+    def test_bit_identical_to_eigh(self, lengths, bc, seed, k_max):
         box = BoxGeometry.of_lengths(lengths)
-        h = np.asarray(assemble(box, sample_disorder(DisorderConfig(k_max=k_max, master_seed=seed), box, 0), bc))
-        # an asymmetry the symmetry test accepts; eigh reads only the lower triangle
-        i, j = sorted(np.random.default_rng(seed).choice(box.n_sites, 2, replace=False), reverse=True)
-        if asymmetry is not None:
-            h[(i, j) if asymmetry == "lower" else (j, i)] += 0.5e-12 * np.max(np.abs(h))
-        before = h.copy()
-        a = np.array(h, order="F")
+        h = assemble(box, sample_disorder(DisorderConfig(k_max=k_max, master_seed=seed), box, 0), bc)
+        a = np.array(np.asarray(h), order="F")
         d, e, tau = _lapack.dsytrd(a)
         evals, modes = _lapack.dstevd(d, e)
         _lapack.dormtr(a, tau, modes)
-        expected = np.linalg.eigh(h)
-        assert np.array_equal(h, before)  # diagonalize reduces a copy of a plain array
+        expected = np.linalg.eigh(np.asarray(h))
         assert np.array_equal(evals, expected[0])
         assert np.array_equal(modes, expected[1])
         # diagonalize keeps every mode by default, in eigh's bits and layout
-        spec = diagonalize(h, bc)
+        spec = diagonalize(h)
         assert np.array_equal(spec.eigenvalues, np.clip(expected[0], 0.0, None))
         assert np.array_equal(spec.modes, expected[1])
         assert spec.modes.flags.c_contiguous
@@ -715,8 +632,8 @@ def _assert_window(spec, h, count):
 @pytest.mark.skipif(_lapack.binding() is None, reason="numpy's LAPACK exports no dsytrd")
 class TestWindow:
     def test_back_transforms_only_the_window(self, monkeypatch):
-        """A stencil and its dense matrix both run the window, which maps back only the columns of S."""
-        stencil, lambda0 = _window_case()
+        """A 2D box runs the window, which maps back only the columns of S."""
+        h, lambda0 = _window_case()
         calls = _spy_solvers(monkeypatch)
         columns = []
         ormtr = _lapack.dormtr
@@ -726,12 +643,9 @@ class TestWindow:
             ormtr(a, tau, c)
 
         monkeypatch.setattr(_lapack, "dormtr", spy)
-        for h in (stencil, np.asarray(stencil)):
-            calls.clear()
-            columns.clear()
-            spec = diagonalize(h, lambda0=lambda0)
-            assert calls == ["dsytrd", "dsterf", "dstein", "dormtr"] and columns == [10]
-            _assert_window(spec, h, 10)
+        spec = diagonalize(h, lambda0=lambda0)
+        assert calls == ["dsytrd", "dsterf", "dstein", "dormtr"] and columns == [10]
+        _assert_window(spec, h, 10)
 
     @pytest.mark.parametrize(
         "fault, match",
@@ -838,27 +752,20 @@ class TestInverseIteration:
         return blocks
 
     def test_band_with_a_zero(self, monkeypatch):
+        """A band with an exact zero is solved as two blocks: dsterf's bits on all of it, and inverse
+        iteration on each block, its vectors eigh's up to sign in the order of the eigenvalues."""
         chain = _box_hamiltonian([30], "neumann")
-        e = chain.e.copy()
+        d, e = chain.d, chain.e
         e[9] = 0.0
-        h = Tridiagonal(chain.d, e)
+        band = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        evals, modes = np.linalg.eigh(band)
         blocks = self._spy_blocks(monkeypatch)
-        lambda0 = float(np.median(np.linalg.eigvalsh(np.asarray(h))))
-        spec = diagonalize(h, lambda0=lambda0)
+        got, z = anderson._band_window(d, e, float(evals[14] + evals[15]) / 2)
         assert blocks == [[10, 30]]
-        _assert_window(spec, h, 15)
-
-    def test_block_diagonal_matrix(self, monkeypatch):
-        """dsytrd keeps the two blocks of h apart, so T has an exact zero between them."""
-        first, second = (np.asarray(_box_hamiltonian(lengths, "neumann", seed)) for lengths, seed in (([6, 5], 6), ([4, 4], 7)))
-        h = np.zeros((46, 46))
-        h[:30, :30], h[30:, 30:] = first, second
-        blocks = self._spy_blocks(monkeypatch)
-        spec = diagonalize(h, lambda0=2.0)
-        assert blocks == [[30, 46]]
-        count = spec.modes.shape[1]
-        assert 0 < count < 46
-        _assert_window(spec, h, count)
+        assert np.array_equal(got, _lapack.dsterf(d, e))
+        assert z.shape == (30, 15) and z.flags.f_contiguous
+        signs = np.where(np.sum(z * modes[:, :15], axis=0) < 0, -1.0, 1.0)
+        assert np.max(np.abs(z - modes[:, :15] * signs)) <= 1e-12
 
     @pytest.mark.parametrize("lengths", [[30], [6, 5]], ids=["band", "stencil"])
     @pytest.mark.parametrize("count", [0, 1, 29])
@@ -926,7 +833,7 @@ class TestWindowAgreement:
         h = assemble(box, sample_disorder(DisorderConfig(k_max=k_max, master_seed=seed), box, 0), bc)
         evals, modes = np.linalg.eigh(h)
         lambda0 = _regime_level(np.clip(np.linalg.eigvalsh(h), 0.0, None), level, fraction)
-        spec = diagonalize(h, bc, lambda0=lambda0)
+        spec = diagonalize(h, lambda0=lambda0)
         count = spec.localized_count(lambda0)
         if count < box.n_sites:
             _assert_window(spec, h, count)
@@ -941,7 +848,7 @@ class TestTails:
     @pytest.mark.parametrize("fallback", [False, True], ids=["lapack", "numpy"])
     @pytest.mark.parametrize("lengths", BOXES)
     def test_matches_full_decomposition(self, monkeypatch, lengths, fallback):
-        """On a band and on a dense h (the full solve, not the window), bound or through numpy."""
+        """On a chain and on a 2D box (the full solve, not the window), bound or through numpy."""
         if fallback:
             monkeypatch.setattr(_lapack, "binding", lambda: None)
         h = _box_hamiltonian(lengths, "neumann")
@@ -963,7 +870,7 @@ class TestTails:
 
     @pytest.mark.parametrize("lengths", BOXES)
     def test_none_unless_asked(self, lengths):
-        """A dense h at |S| < n runs the window, which forms no tails; a band forms them only on request."""
+        """At |S| < n the window runs, which forms no tails; tails are formed only on request."""
         h = _box_hamiltonian(lengths, "neumann")
         lambda0 = float(np.median(spectrum(h).eigenvalues))
         spec = diagonalize(h, lambda0=lambda0)
@@ -998,7 +905,7 @@ def _chain12_at(lambda0):
 
 class TestEigencorrelator:
     def test_hand_two_by_two(self):
-        spec = diagonalize(np.array([[2.0, -1.0], [-1.0, 2.0]]), lambda0=4.0)
+        spec = diagonalize(chain_stencil([2.0, 2.0]), lambda0=4.0)
         # eigenvectors (1, +-1)/sqrt(2): Q0(0,1) = 1/2 + 1/2
         assert abs(eigencorrelator_profile(spec, 0, 0)[1] - 1.0) < 1e-12
 
@@ -1090,12 +997,14 @@ class TestPropagatorSums:
 
 class TestMinGap:
     def test_simple(self):
-        assert diagonalize(np.diag([1.0, 2.0, 3.0])).min_gap() == 1.0
+        # eigenvalues 1 and 3
+        assert diagonalize(chain_stencil([2.0, 2.0])).min_gap() == pytest.approx(2.0, abs=1e-14)
 
     def test_degenerate(self):
-        spec = diagonalize(np.diag([2.0, 2.0, 5.0]))
-        assert spec.min_gap() == 0.0
+        # the 2 x 2 box is a 4-cycle: eigenvalues 0, 2, 2, 4
+        spec = diagonalize(Stencil(BoxGeometry.of_lengths([2, 2]), np.full(4, 2.0)))
+        assert spec.min_gap() <= 1e-14
         assert spec.flag_degenerate()
 
     def test_single_mode(self):
-        assert diagonalize(np.array([[2.0]])).min_gap() == np.inf
+        assert diagonalize(chain_stencil([2.0])).min_gap() == np.inf

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -558,8 +560,10 @@ def test_planted_ordering_violation_is_counted(monkeypatch, lambda0, gap, counte
     config = config_from_dict(
         {"experiment": "energy-density", "lambda0": lambda0, "kappa": 1, "samples": 1, "seed": 3, "lengths_ladder": [20]}
     )
+    # rho_N is taken first, then rho_D
+    calls = itertools.count()
     monkeypatch.setattr(
-        ensembles, "excitation_energy_density", lambda spec, lam, kappa: 1.0 + (gap if spec.bc == "neumann" else 0.0)
+        ensembles, "excitation_energy_density", lambda spec, lam, kappa: 1.0 + (gap if next(calls) % 2 == 0 else 0.0)
     )
     assert ensembles.run_sample(config, 0).flags["ordering_violations"] == counted
 
@@ -635,7 +639,7 @@ def test_kernels_agree_with_full_decomposition(lengths, seed, k_max, fraction):
         )
         regime = ensembles.run_sample(config, 0)
         with pytest.MonkeyPatch.context() as patch:
-            # tails=True makes a dense h run the full decomposition, which a kernel that reads tails ran already
+            # tails=True makes h run the full decomposition, which a kernel that reads tails ran already
             patch.setattr(
                 ensembles,
                 "diagonalize",
@@ -650,7 +654,7 @@ def test_kernels_agree_with_full_decomposition(lengths, seed, k_max, fraction):
 
 @pytest.mark.parametrize("kind", sorted(ensembles.KERNELS))
 def test_only_kernels_without_c_f_leave_out_modes(monkeypatch, kind):
-    """Every kernel gets Phi_S; those that read C_f also get the tails, so only the others let a dense h run the window."""
+    """Every kernel gets Phi_S; those that read C_f also get the tails, so only the others let h run the window."""
     kept = []
 
     def spy(h, **regime_args):

@@ -19,11 +19,11 @@ from osclab.anderson import eigencorrelator_profile, propagator_sums
 from osclab.errors import NumericError
 from osclab.lattice import BoxGeometry, box_boundary
 
-from conftest import make_chain_spec, random_field
+from conftest import chain_stencil, make_chain_spec, random_field
 
 
 def single_site_spec(k=4.0):
-    return diagonalize(np.array([[k]]))
+    return diagonalize(chain_stencil([k]))
 
 
 class TestVMap:

@@ -4,10 +4,8 @@ import pytest
 from osclab.anderson import Stencil
 from osclab.lattice import (
     BoxGeometry,
-    boundary,
     box_boundary,
     degrees,
-    l1_distance,
     l1_distances_from,
     laplacian_diagonal,
     neighborhood,
@@ -17,19 +15,6 @@ from osclab.lattice import (
 def laplacian(box, bc):
     """The dense Laplacian of the box with the boundary condition bc."""
     return np.asarray(Stencil(box, laplacian_diagonal(box, bc)))
-
-
-def brute_force_boundary(box, X):
-    """Adjacency enumeration oracle for the boundary operation."""
-    coords = box.coords()
-    inside = set(int(i) for i in X)
-    out = []
-    for i in inside:
-        for j in range(box.n_sites):
-            if j not in inside and np.abs(coords[i] - coords[j]).sum() == 1:
-                out.append(i)
-                break
-    return sorted(out)
 
 
 class TestGeometry:
@@ -44,30 +29,31 @@ class TestGeometry:
 
     def test_index_coord_roundtrip(self):
         box = BoxGeometry(((-2, 1), (0, 2), (5, 6)))
-        for i in range(box.n_sites):
-            assert box.index_of(box.coord_of(i)) == i
+        for i, coord in enumerate(box.coords()):
+            assert box.index_of(coord) == i
 
     def test_row_major_order(self):
         box = BoxGeometry(((0, 1), (0, 2)))
-        assert [box.coord_of(i) for i in range(3)] == [(0, 0), (0, 1), (0, 2)]
+        assert box.coords()[:3].tolist() == [[0, 0], [0, 1], [0, 2]]
 
     def test_distance_identity_and_definition(self):
         box = BoxGeometry(((0, 3), (0, 3)))
         x = box.index_of((0, 0))
-        assert l1_distance(box, x, x) == 0
-        assert l1_distance(box, x, box.index_of((1, 2))) == 3
+        assert l1_distances_from(box, x)[x] == 0
+        assert l1_distances_from(box, x)[box.index_of((1, 2))] == 3
 
     def test_distance_symmetry(self):
         box = BoxGeometry(((0, 5), (0, 4)))
         rng = np.random.default_rng(0)
         for _ in range(100):
             x, y = rng.integers(0, box.n_sites, size=2)
-            assert l1_distance(box, x, y) == l1_distance(box, y, x)
+            assert l1_distances_from(box, x)[y] == l1_distances_from(box, y)[x]
 
     def test_invalid_site(self):
         box = BoxGeometry(((0, 3),))
-        with pytest.raises(ValueError):
-            l1_distance(box, 0, 4)
+        for x in (-1, 4):
+            with pytest.raises(ValueError):
+                l1_distances_from(box, x)
 
 
 class TestNeighborhood:
@@ -98,24 +84,6 @@ class TestNeighborhood:
         box = BoxGeometry(((0, 3),))
         with pytest.raises(ValueError):
             neighborhood(box, [], 1)
-
-
-class TestBoundary:
-    def test_full_box_has_no_boundary(self):
-        box = BoxGeometry(((0, 9),))
-        assert boundary(box, range(10)).size == 0
-
-    def test_chain_prefix(self):
-        box = BoxGeometry(((0, 9),))
-        assert boundary(box, range(5)).tolist() == [4]
-
-    def test_2d_block_perimeter(self):
-        box = BoxGeometry(((0, 4), (0, 4)))
-        X = [box.index_of((i, j)) for i in (1, 2, 3) for j in (1, 2, 3)]
-        got = boundary(box, X).tolist()
-        assert got == brute_force_boundary(box, X)
-        assert len(got) == 8
-        assert box.index_of((2, 2)) not in got
 
 
 class TestLaplacians:
@@ -185,5 +153,6 @@ def test_distances_from_matches_scalar():
     box = BoxGeometry(((0, 4), (0, 3)))
     x = box.index_of((2, 1))
     vec = l1_distances_from(box, x)
+    c = box.coords()
     for y in range(box.n_sites):
-        assert vec[y] == l1_distance(box, x, y)
+        assert vec[y] == abs(c[x] - c[y]).sum()

@@ -9,7 +9,7 @@ from osclab.freeboson import delta_field, v_inverse, v_map
 from osclab.lattice import BoxGeometry
 from osclab.weyl import laguerre, matrix_element_1d
 
-from conftest import laguerre_direct, random_field
+from conftest import chain_stencil, laguerre_direct, random_field
 
 
 class TestLaguerre:
@@ -207,9 +207,7 @@ class TestCorrelationSeries:
                 assert abs(series - want) < 5e-12
 
     def test_single_mode_vacuum_identity(self):
-        from osclab.anderson import diagonalize
-
-        spec = diagonalize(np.array([[2.25]]))  # gamma = 1.5
+        spec = diagonalize(chain_stencil([2.25]))  # gamma = 1.5
         rng = np.random.default_rng(17)
         f = random_field(rng, 1, scale=0.7)
         g = random_field(rng, 1, scale=0.7)
