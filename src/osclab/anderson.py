@@ -28,23 +28,46 @@ lambda0=..., tails=...)`` fixes the regime once: its ``SpectralData`` holds
 Phi_S and, when asked, tau at every site.  It runs one of two solves; with
 scale = max|h_ij| and tol = RECONSTRUCTION_RTOL, their accuracy contracts:
 
-* Full decomposition (|S| = n, or ``tails=True``): eigh's own route,
-  ``dstevd`` on the band and ``dormtr`` on all n columns, so eigenvalues
-  and modes are the bits of ``eigh`` (of ``np.asarray(h)``).  Every mode is
-  formed and max|O G^2 O^T - h| <= tol * scale over all n^2 entries.
-  With nu >= 2 the solve holds three n x n arrays at its peak: the reduced
-  h, Z and the workspace of ``dstevd``.
-* Window (|S| < n and no tails): ``dsterf`` finds all n eigenvalues, the
-  bits of ``eigvalsh``, and inverse iteration (``dstein``) the eigenvectors
-  of S alone; only those are mapped back.  Inverse iteration can return
-  poor vectors without saying so, so they are checked: the invariants of
-  ``spectrum`` hold on all n eigenvalues, max|h Phi_S - Phi_S Lambda_S| <=
-  tol * scale, and max|Phi_S^T Phi_S - I| <= tol.  Because Q is orthogonal,
-  the residual of Phi_S is that of the band's vectors.  With nu >= 2 the
-  window holds one n x n array, the reduced h, beside the n x |S|
-  columns.  It pays when S is a small part of the spectrum: on a 40 x 40
+* Full decomposition (lambda0 = inf, so |S| = n and the tails are zero):
+  eigh's own route, ``dstevd`` on the band and ``dormtr`` on all n
+  columns, so eigenvalues and modes are the bits of ``eigh`` (of
+  ``np.asarray(h)``).  Every mode is formed and max|O G^2 O^T - h| <=
+  tol * scale over all n^2 entries.  With nu >= 2 the solve holds three
+  n x n arrays at its peak: the reduced h, Z and the workspace of
+  ``dstevd``.
+* Window (every finite lambda0, even where S is every mode): ``dsterf``
+  finds all n eigenvalues, the bits of ``eigvalsh``, and inverse iteration
+  (``dstein``) the eigenvectors of S alone; only those are mapped back.
+  Inverse iteration can return poor vectors without saying so, so they are
+  checked: the invariants of ``spectrum`` hold on all n eigenvalues,
+  max|h Phi_S - Phi_S Lambda_S| <= tol * scale, and
+  max|Phi_S^T Phi_S - I| <= tol.  Because Q is orthogonal, the residual of
+  Phi_S is that of the band's vectors.  With nu >= 2 the window holds one
+  n x n array, the reduced h, beside the n x |S| columns.  On a 40 x 40
   box ``dsterf`` and ``dstein`` together take as long as ``dstevd`` at |S|
   of about 0.4 n.
+
+The window forms no mode outside S, so its tails come from those it has:
+tau(x) = <v_x, h^{-1/2} v_x> with v_x = delta_x - Phi_S Phi_S^T delta_x,
+whose spectral measure lies on [a, b], a = lambda_{|S|+1} and b = lambda_n
++ tol * scale.  On [a, b], lambda^{-1/2} = sum_k c_k T_k(X) with
+X = (2 lambda - a - b) / (b - a); the c_k are known in closed form
+(``_inverse_sqrt_chebyshev``).  So tau(x) = sum_k c_k mu_k(x) with the
+moments mu_k(x) = <v_x, T_k(X) v_x>, which ``h @`` (``Stencil._apply``)
+forms on blocks of TAILS_BLOCK sites by the three-term recurrence; from
+T_k v_x for k <= K come the moments up to 2K, by <v, T_2k v> =
+2|T_k v|^2 - |v|^2 and <v, T_2k-1 v> = 2<T_k v, T_k-1 v> - <v, T_1 v>.
+The accuracy contract, with r = sqrt(b / a) and q = (r - 1) / (r + 1):
+
+* A priori: |c_k| <= 4 q^k / ((sqrt(b) + sqrt(a)) sqrt(1 - q^2)) and
+  tau(x) >= |v_x|^2 / sqrt(b), so the sum cut after degree m is within
+  sqrt(r) (r + 1) q^(m+1) tau(x) of tau(x) at every site.  The degree is
+  the least m for which that is at most TAILS_RTOL (``_tails_degree``);
+  it grows like r, about 31 at lambda0 = 2 and 70 at lambda0 = 0.5 on a
+  40 x 40 box with k_max = 1, and the cost with it.
+* A posteriori: the reported tails are the sums to degree m + 8
+  (TAILS_CHECK_DEGREES), and at every site they differ from the sums to
+  degree m by at most TAILS_RTOL of themselves.
 
 A failure, a NaN included, raises NumericError.  ``eigencorrelator_profile``
 evaluates the per-realization localization kernel
@@ -78,6 +101,15 @@ DEGENERACY_RTOL = 1e-12
 #: Rows per tile of the reconstruction check, which thereby allocates no
 #: n x n temporary.
 SYMMETRY_TILE = 128
+
+#: Relative accuracy of the tails, which the degree of their expansion is chosen for.
+TAILS_RTOL = 1e-14
+
+#: Degrees past the chosen one over which the tails expansion checks its own truncation.
+TAILS_CHECK_DEGREES = 8
+
+#: Sites per block of the tails expansion, which holds three n x TAILS_BLOCK arrays.
+TAILS_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -189,16 +221,21 @@ class Stencil:
         return block
 
     def __matmul__(self, x) -> np.ndarray:
-        # on the grid of the box a site's neighbours along an axis are the shifts by one
         x = np.asarray(x)
+        return self._apply(x, np.empty(x.shape, np.result_type(self.d, x)))
+
+    def _apply(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out <- h x for the columns of x; ``out`` is C-contiguous, of x's shape, and shares no memory with it."""
+        # on the grid of the box a site's neighbours along an axis are the shifts by one
         grid = x.reshape(self.box.shape + x.shape[1:])
-        out = self.d.reshape(self.box.shape + (1,) * (x.ndim - 1)) * grid
+        acc = out.reshape(grid.shape)
+        np.multiply(self.d.reshape(self.box.shape + (1,) * (x.ndim - 1)), grid, out=acc)
         for axis in range(self.box.nu):
             lo = (slice(None),) * axis + (slice(None, -1),)
             hi = (slice(None),) * axis + (slice(1, None),)
-            out[lo] -= grid[hi]
-            out[hi] -= grid[lo]
-        return out.reshape(x.shape)
+            acc[lo] -= grid[hi]
+            acc[hi] -= grid[lo]
+        return out
 
 
 def assemble(box: BoxGeometry, sample: DisorderSample, bc: str = "neumann") -> Stencil:
@@ -303,7 +340,7 @@ def _eigvalsh(h: Stencil):
 
 def _band_window(d: np.ndarray, e: np.ndarray, lambda0: float):
     """(eigenvalues, Z_S) of the band T = (d, e): every eigenvalue by ``dsterf`` and the
-    eigenvectors of S by ``dstein``, F-ordered; Z_S is None when S is every mode.
+    eigenvectors of S by ``dstein``, F-ordered.
 
     T is cut where ``dsterf`` itself takes an off-diagonal entry for zero and
     each block is solved apart, which gives dsterf's bits on all of T and the
@@ -317,8 +354,6 @@ def _band_window(d: np.ndarray, e: np.ndarray, lambda0: float):
     order = np.argsort(vals, kind="stable")
     evals = vals[order]
     count = _prefix_count(evals, lambda0)
-    if count == d.size:
-        return evals, None
     # dstein takes the eigenvalues block after block, ascending within each
     chosen = np.sort(order[:count])
     z = _lapack.dstein(d, e, vals[chosen], np.searchsorted(ends, chosen, side="right") + 1, ends)
@@ -328,23 +363,19 @@ def _band_window(d: np.ndarray, e: np.ndarray, lambda0: float):
     return evals, np.asfortranarray(z[:, columns])
 
 
-def _eigh(h: Stencil, lambda0: float = np.inf, tails: bool = False):
+def _eigh(h: Stencil, lambda0: float = np.inf):
     """(eigenvalues, eigenvectors) of a validated h; the eigenvectors in F order when LAPACK is bound.
 
-    The band drivers run on h's band (``_band``).  With a finite lambda0 and
-    no tails the window runs (``_band_window``) and returns the eigenvectors
-    of S alone, unless S is every mode; otherwise ``dstevd`` returns all of
-    them.  With nu >= 2 ``dormtr`` maps back just the columns returned.
-    Without the binding, numpy's ``eigh``.
+    The band drivers run on h's band (``_band``).  With lambda0 = inf
+    ``dstevd`` returns every eigenvector; at any other lambda0 the window
+    (``_band_window``) returns those of S alone.  With nu >= 2 ``dormtr``
+    maps back just the columns returned.  Without the binding, numpy's
+    ``eigh``.
     """
     if _lapack.binding() is None:
         return np.linalg.eigh(np.asarray(h))
     d, e, a, tau = _band(h)
-    z = None
-    if lambda0 < np.inf and not tails:
-        evals, z = _band_window(d, e, lambda0)
-    if z is None:
-        evals, z = _lapack.dstevd(d, e)
+    evals, z = _lapack.dstevd(d, e) if lambda0 == np.inf else _band_window(d, e, lambda0)
     if a is not None:
         _lapack.dormtr(a, tau, z)
     return evals, z
@@ -446,33 +477,107 @@ def _window_modes(h: Stencil, scale: float, evals: np.ndarray, z: np.ndarray) ->
     return modes
 
 
+def _inverse_sqrt_chebyshev(a: float, b: float, degree: int) -> np.ndarray:
+    """c_0..c_degree of lambda^{-1/2} = sum_k c_k T_k((2 lambda - a - b) / (b - a)) on [a, b], 0 < a < b.
+
+    With q = (sqrt(b) - sqrt(a)) / (sqrt(b) + sqrt(a)) and x = cos(theta),
+    lambda = (sqrt(b) + sqrt(a))^2 |1 + q e^{i theta}|^2 / 4, so the binomial
+    series of (1 + w)^{-1/2}, whose coefficients g_n = binom(2n, n) / 4^n
+    fall from 1, gives c_k = (2 - [k = 0]) 2 (-q)^k s_k / (sqrt(b) + sqrt(a))
+    with s_k = sum_l g_l g_{l+k} q^{2l}.  Its terms are positive, so each c_k
+    comes to round-off relative to itself.
+    """
+    q = (np.sqrt(b) - np.sqrt(a)) / (np.sqrt(b) + np.sqrt(a))
+    # the terms left out add at most q^(2 terms) / (1 - q^2) of s_k, below round-off
+    terms = int(np.ceil(np.log(np.finfo(float).eps * (1.0 - q * q)) / (2.0 * np.log(q)))) + 1
+    g = np.cumprod(np.append(1.0, 1.0 - 0.5 / np.arange(1, degree + terms)))
+    s = np.zeros(degree + 1)
+    for l in range(terms):
+        s += g[l] * q ** (2 * l) * g[l : l + degree + 1]
+    coef = 2.0 / (np.sqrt(b) + np.sqrt(a)) * (-q) ** np.arange(degree + 1) * s
+    coef[1:] *= 2.0
+    return coef
+
+
+def _tails_degree(a: float, b: float) -> int:
+    """The least m whose truncation bound sqrt(r) (r + 1) q^(m+1) (module docstring) is at most TAILS_RTOL."""
+    r = np.sqrt(b / a)
+    q = (r - 1.0) / (r + 1.0)
+    return max(0, int(np.ceil(np.log(np.sqrt(r) * (r + 1.0) / TAILS_RTOL) / -np.log(q))) - 1)
+
+
+def _tails(h: Stencil, scale: float, evals: np.ndarray, modes: np.ndarray) -> np.ndarray:
+    """tau at every site by the expansion of the module docstring, TAILS_BLOCK sites at a time;
+    NumericError unless its a posteriori check holds at every site."""
+    n, count = modes.shape
+    if count == n:
+        return np.zeros(n)
+    a, b = float(evals[count]), float(evals[-1]) + RECONSTRUCTION_RTOL * scale
+    degree = _tails_degree(a, b)
+    top = degree + TAILS_CHECK_DEGREES
+    coef = _inverse_sqrt_chebyshev(a, b, top)
+    # X = (h - (a + b) / 2) * factor: the shift sits in the diagonal of a stencil
+    shifted, factor = Stencil(h.box, h.d - (a + b) / 2), 2.0 / (b - a)
+    dots = functools.partial(np.einsum, "ij,ij->j")
+    site_tails, change = np.empty(n), np.empty(n)
+    for start in range(0, n, TAILS_BLOCK):
+        sites = np.arange(start, min(start + TAILS_BLOCK, n))
+        prev = modes @ modes[sites].T
+        np.negative(prev, out=prev)
+        prev[sites, np.arange(sites.size)] += 1.0
+        cur = shifted._apply(prev, np.empty_like(prev))
+        cur *= factor
+        spare = np.empty_like(prev)
+        moments = np.empty((top + 2, sites.size))
+        moments[0], moments[1] = dots(prev, prev), dots(cur, prev)
+        moments[2] = 2.0 * dots(cur, cur) - moments[0]
+        for k in range(2, (top + 3) // 2):
+            # T_k v = 2 X T_k-1 v - T_k-2 v, over the buffer of T_k-3 v
+            shifted._apply(cur, spare)
+            spare *= 2.0 * factor
+            spare -= prev
+            prev, cur, spare = cur, spare, prev
+            moments[2 * k - 1] = 2.0 * dots(cur, prev) - moments[1]
+            moments[2 * k] = 2.0 * dots(cur, cur) - moments[0]
+        site_tails[sites] = coef @ moments[: top + 1]
+        change[sites] = coef[degree + 1 :] @ moments[degree + 1 : top + 1]
+    bad = ~(np.abs(change) <= TAILS_RTOL * site_tails)  # a NaN fails too
+    if bad.any():
+        x = int(np.argmax(bad))
+        raise NumericError(
+            f"tails expansion: degree {top} changes tau({x}) = {site_tails[x]:.3e} by {change[x]:.3e} "
+            f"over degree {degree}, beyond TAILS_RTOL = {TAILS_RTOL:.0e} of it"
+        )
+    return site_tails
+
+
 def diagonalize(h: Stencil, lambda0: float = np.inf, tails: bool = False) -> SpectralData:
     """The regime lambda0 of h, checked for accuracy.
 
     Keeps Phi_S, the eigenvectors of the eigenvalues <= lambda0 (every one
-    by default), and with ``tails`` also tau at every site.  With modes left
-    out and no tails the window runs: only the eigenvectors of S are formed,
-    and they are checked by the window contract of the module docstring.
-    Otherwise the full decomposition runs, and NumericError is raised if the
+    by default), and with ``tails`` also tau at every site.  At lambda0 =
+    inf the full decomposition runs, and NumericError is raised if the
     reconstruction ||O G^2 O^T - h||_max exceeds RECONSTRUCTION_RTOL *
     max|h_ij|; that check runs over row tiles of SYMMETRY_TILE rows of the
     lower triangle (``_reconstruction_error``), so it allocates no n x n
-    temporary.  Validation and the clamping of round-off negatives are those
-    of ``_solve_checked``.
+    temporary, and the tails are zero.  At any finite lambda0 the window
+    runs, even where S is every mode: only the eigenvectors of S are formed,
+    checked by the window contract of the module docstring, and the tails
+    come from the Chebyshev expansion there, checked by its contract; their
+    cost grows like sqrt(lambda_n / lambda_{|S|+1}).  Validation and the
+    clamping of round-off negatives are those of ``_solve_checked``.
     """
-    scale, evals, vecs = _solve_checked(h, functools.partial(_eigh, lambda0=lambda0, tails=tails))
-    n = evals.size
+    scale, evals, vecs = _solve_checked(h, functools.partial(_eigh, lambda0=lambda0))
     gammas = np.sqrt(evals)
-    count = Spectrum(eigenvalues=evals, gammas=gammas).localized_count(lambda0)
-    if vecs.shape[1] < n:
-        return SpectralData(eigenvalues=evals, gammas=gammas, modes=_window_modes(h, scale, evals, vecs))
-    vecs = np.ascontiguousarray(vecs)
-    err = _reconstruction_error(h, evals, vecs)
-    if not err <= RECONSTRUCTION_RTOL * scale:  # a NaN error fails too
-        raise NumericError(f"reconstruction error {err:.3e} exceeds {RECONSTRUCTION_RTOL:.0e} * max|h_ij|")
-    site_tails = np.square(vecs[:, count:]) @ (1.0 / gammas[count:]) if tails else None
-    # a copy of Phi_S, so that the other n - |S| columns are freed
-    modes = vecs if count == n else vecs[:, :count].copy()
+    if lambda0 == np.inf:
+        modes = np.ascontiguousarray(vecs)
+        err = _reconstruction_error(h, evals, modes)
+        if not err <= RECONSTRUCTION_RTOL * scale:  # a NaN error fails too
+            raise NumericError(f"reconstruction error {err:.3e} exceeds {RECONSTRUCTION_RTOL:.0e} * max|h_ij|")
+        site_tails = np.zeros(evals.size) if tails else None
+    else:
+        modes = _window_modes(h, scale, evals, vecs[:, : _prefix_count(evals, lambda0)])
+        site_tails = _tails(h, scale, evals, modes) if tails else None
     return SpectralData(eigenvalues=evals, gammas=gammas, modes=modes, tails=site_tails)
 
 

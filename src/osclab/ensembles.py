@@ -145,7 +145,9 @@ def _kernel_pq(config, box, spec, index):
     shells = _shell_sites(box, center, config.shell_values())
     ys = np.concatenate(list(shells.values()))
     times = _time_grid(config, spec)
-    qq, qp, pp = (np.abs(v) for v in propagator_sums(spec, center, ys, times, (-1, 0, 1)))
+    sums = list(propagator_sums(spec, center, ys, times, (-1, 0, 1)))
+    # each times x sites table is freed as soon as its modulus is formed
+    qq, qp, pp = (np.abs(sums.pop(0)) for _ in range(3))
     env_minus, env_zero, env_plus = (eigencorrelator_profile(spec, s, center)[ys] for s in (-1, 0, 1))
     violations = int(
         np.sum(qq > env_minus[None, :] + DOMINATION_SLACK)

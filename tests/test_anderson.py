@@ -690,6 +690,17 @@ class TestWindow:
             with pytest.raises(NumericError, match=match):
                 diagonalize(h, lambda0=lambda0)
 
+    @pytest.mark.parametrize("lengths", [[30], [6, 5], [5, 4, 3]], ids=["chain", "2D", "3D"])
+    def test_no_finite_regime_runs_dstevd(self, monkeypatch, lengths):
+        """Every finite lambda0, from an empty S to every mode and with or without tails, runs the window."""
+        h = _box_hamiltonian(lengths, "neumann")
+        evals = spectrum(h).eigenvalues
+        calls = _spy_solvers(monkeypatch)
+        for lambda0 in (0.5 * evals[0], float(np.median(evals)), 2.0 * evals[-1]):
+            for tails in (False, True):
+                diagonalize(h, lambda0=lambda0, tails=tails)
+        assert "dstevd" not in calls and calls.count("dstein") == 6
+
     def test_kept_modes_are_enforced(self):
         h, lambda0 = _window_case()
         spec = diagonalize(h, lambda0=lambda0)
@@ -704,11 +715,17 @@ class TestWindow:
             diagonalize(h, lambda0=lambda0)
 
     @pytest.mark.parametrize(
-        "kwargs, budget", [pytest.param({}, 3.2, id="full"), pytest.param({"lambda0": 2.0}, 1.5, id="window")]
+        "kwargs, budget",
+        [
+            pytest.param({}, 3.2, id="full"),
+            pytest.param({"lambda0": 2.0}, 1.5, id="window"),
+            pytest.param({"lambda0": 2.0, "tails": True}, 1.5, id="window-tails"),
+        ],
     )
     def test_peak_memory(self, kwargs, budget):
         """From assembly on, a 20x20 box's full solve holds at most three n x n buffers at once: the
-        reduced h, Z and dstevd's workspace; its window holds one, the reduced h, beside n x |S| columns."""
+        reduced h, Z and dstevd's workspace.  Its window, tails included, holds one, the reduced h,
+        beside n x |S| columns; the tails add three blocks of n x TAILS_BLOCK."""
         import tracemalloc
 
         box = BoxGeometry.of_lengths([20, 20])
@@ -828,27 +845,29 @@ class TestWindowAgreement:
         fraction=st.floats(0.0, 1.0),
     )
     def test_matches_eigh(self, lengths, bc, seed, k_max, level, fraction):
-        """A window's eigenvalues are eigvalsh's bits and its columns eigh's up to sign; a full solve is eigh's bits."""
+        """At every finite lambda0, S every mode included, the window's eigenvalues are eigvalsh's bits
+        and its columns eigh's up to sign."""
         box = BoxGeometry.of_lengths(lengths)
         h = assemble(box, sample_disorder(DisorderConfig(k_max=k_max, master_seed=seed), box, 0), bc)
-        evals, modes = np.linalg.eigh(h)
         lambda0 = _regime_level(np.clip(np.linalg.eigvalsh(h), 0.0, None), level, fraction)
         spec = diagonalize(h, lambda0=lambda0)
-        count = spec.localized_count(lambda0)
-        if count < box.n_sites:
-            _assert_window(spec, h, count)
-        else:
-            assert np.array_equal(spec.eigenvalues, np.clip(evals, 0.0, None))
-            assert np.array_equal(spec.modes, modes)
+        _assert_window(spec, h, spec.localized_count(lambda0))
+
+
+def _eigh_tails(h, count):
+    """tau(x) = sum_{j not in S} phi_j(x)^2 / gamma_j from numpy's eigh, for the |S| = count lowest modes."""
+    evals, modes = np.linalg.eigh(np.asarray(h))
+    return np.square(modes[:, count:]) @ (1.0 / np.sqrt(evals[count:]))
 
 
 class TestTails:
-    """tau(x) = sum_{j not in S} phi_j(x)^2 / gamma_j, the C_f input ``diagonalize(..., tails=True)`` forms."""
+    """tau(x) = sum_{j not in S} phi_j(x)^2 / gamma_j, the C_f input ``diagonalize(..., tails=True)`` forms
+    by the Chebyshev expansion on the window."""
 
     @pytest.mark.parametrize("fallback", [False, True], ids=["lapack", "numpy"])
     @pytest.mark.parametrize("lengths", BOXES)
     def test_matches_full_decomposition(self, monkeypatch, lengths, fallback):
-        """On a chain and on a 2D box (the full solve, not the window), bound or through numpy."""
+        """On a chain and on a 2D box, bound or through numpy: the window's modes and the tails match eigh."""
         if fallback:
             monkeypatch.setattr(_lapack, "binding", lambda: None)
         h = _box_hamiltonian(lengths, "neumann")
@@ -858,15 +877,38 @@ class TestTails:
         spec = diagonalize(h, lambda0=lambda0, tails=True)
         want = sum(full.modes[:, j] ** 2 / full.gammas[j] for j in range(count, full.n))
         assert 0 < count < spec.n and spec.modes.shape == (spec.n, count)
-        assert np.array_equal(spec.modes, full.modes[:, :count])
+        signs = np.where(np.sum(spec.modes * full.modes[:, :count], axis=0) < 0, -1.0, 1.0)
+        assert np.max(np.abs(spec.modes - full.modes[:, :count] * signs)) <= 1e-12
         assert spec.tails.shape == (spec.n,)
         assert np.allclose(spec.tails, want, rtol=1e-13, atol=0.0)
 
+    @pytest.mark.parametrize(
+        "lengths, lambda0",
+        [([400], 0.5), ([6, 5], 2.0), ([40, 40], 2.0), ([5, 4, 3], 2.0)],
+        ids=["chain400", "6x5", "40x40", "5x4x3"],
+    )
+    def test_expansion_matches_eigh(self, lengths, lambda0):
+        h = _box_hamiltonian(lengths, "neumann")
+        spec = diagonalize(h, lambda0=lambda0, tails=True)
+        count = spec.modes.shape[1]
+        assert 0 < count < spec.n
+        assert np.allclose(spec.tails, _eigh_tails(h, count), rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("lengths", BOXES)
+    def test_empty_regime_expands_over_the_whole_spectrum(self, lengths):
+        h = _box_hamiltonian(lengths, "neumann")
+        spec = diagonalize(h, lambda0=0.5 * spectrum(h).eigenvalues[0], tails=True)
+        assert spec.modes.shape == (spec.n, 0)
+        assert np.allclose(spec.tails, _eigh_tails(h, 0), rtol=1e-13, atol=0.0)
+
     @pytest.mark.parametrize("lengths", BOXES)
     def test_zero_when_every_mode_is_kept(self, lengths):
-        spec = diagonalize(_box_hamiltonian(lengths, "neumann"), tails=True)
-        assert spec.modes.shape == (spec.n, spec.n)
-        assert np.array_equal(spec.tails, np.zeros(spec.n))
+        """At lambda0 = inf (the full decomposition) and at a finite lambda0 above the spectrum (the window)."""
+        h = _box_hamiltonian(lengths, "neumann")
+        for lambda0 in (np.inf, 2.0 * spectrum(h).norm):
+            spec = diagonalize(h, lambda0=lambda0, tails=True)
+            assert spec.modes.shape == (spec.n, spec.n)
+            assert np.array_equal(spec.tails, np.zeros(spec.n))
 
     @pytest.mark.parametrize("lengths", BOXES)
     def test_none_unless_asked(self, lengths):
@@ -876,6 +918,45 @@ class TestTails:
         spec = diagonalize(h, lambda0=lambda0)
         assert spec.tails is None
         assert spec.modes.shape[1] == spec.localized_count(lambda0) < spec.n
+
+    @pytest.mark.parametrize("lengths", BOXES)
+    @pytest.mark.parametrize("fault", ["low-degree", "nan"])
+    def test_truncation_check(self, monkeypatch, lengths, fault):
+        """The a posteriori check rejects an expansion cut too early, and a NaN in it."""
+        h = _box_hamiltonian(lengths, "neumann")
+        lambda0 = float(np.median(spectrum(h).eigenvalues))
+        if fault == "low-degree":
+            monkeypatch.setattr(anderson, "_tails_degree", lambda a, b: 3)
+        else:
+            expansion = anderson._inverse_sqrt_chebyshev
+
+            def with_nan(a, b, degree):
+                coef = expansion(a, b, degree)
+                coef[-1] = np.nan
+                return coef
+
+            monkeypatch.setattr(anderson, "_inverse_sqrt_chebyshev", with_nan)
+        with pytest.raises(NumericError, match="tails expansion"):
+            diagonalize(h, lambda0=lambda0, tails=True)
+
+    def test_degree_bound(self):
+        """The a priori degree meets its bound, the least that does, and grows like sqrt(b / a)."""
+        for a, b in [(2.0, 8.6), (0.5, 8.6), (1e-2, 8.6), (8.0, 8.6 + 1e-9)]:
+            m = anderson._tails_degree(a, b)
+            r = np.sqrt(b / a)
+            q = (r - 1.0) / (r + 1.0)
+            assert np.sqrt(r) * (r + 1.0) * q ** (m + 1) <= anderson.TAILS_RTOL
+            assert m == 0 or np.sqrt(r) * (r + 1.0) * q**m > anderson.TAILS_RTOL
+        assert anderson._tails_degree(0.5, 8.6) > 2 * anderson._tails_degree(2.0, 8.6)
+
+    def test_coefficients(self):
+        """The closed-form coefficients are those of the cosine transform of lambda^{-1/2} at Chebyshev nodes."""
+        a, b, degree = 0.5, 8.6, 60
+        nodes = np.pi * (np.arange(400) + 0.5) / 400
+        values = ((b - a) / 2 * np.cos(nodes) + (a + b) / 2) ** -0.5
+        want = 2 / nodes.size * np.cos(np.outer(np.arange(degree + 1), nodes)) @ values
+        want[0] /= 2
+        assert np.max(np.abs(anderson._inverse_sqrt_chebyshev(a, b, degree) - want)) <= 1e-14
 
 
 class TestLocalizedModes:

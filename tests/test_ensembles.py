@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osclab import ensembles
-from osclab.anderson import DisorderConfig, assemble, diagonalize, sample_disorder
+from osclab.anderson import DisorderConfig, SpectralData, assemble, diagonalize, sample_disorder
 from osclab.config import EXPERIMENT_KINDS, config_from_dict
 from osclab.errors import ConfigError, NumericError
 from osclab.fock_oracle import correlation_series, diagonal_elements
@@ -608,22 +608,26 @@ def test_kernels_report_no_domination_violation(lengths, seed, k_max, lambda0, k
     fraction=st.floats(-0.5, 1.5),
 )
 def test_kernels_agree_with_full_decomposition(lengths, seed, k_max, fraction):
-    """Every kernel on the regime run_sample solves matches a run forced onto the full decomposition, with the same flags.
+    """Every kernel on the regime run_sample solves matches a run on numpy's eigh, with the same flags.
 
-    lambda0 lies below the spectrum, inside it or above it, so S is empty, partial or everything.
+    lambda0 lies below the spectrum, inside it or above it, so S is empty, partial or everything.  The
+    reference keeps eigh's |S| lowest modes and forms the tails from all of its others; |S| is the
+    window's, so both runs read one regime.
     """
     box = BoxGeometry.of_lengths(list(lengths))
     h = assemble(box, sample_disorder(DisorderConfig(k_max=k_max, master_seed=seed), box, 0))
     evals = np.linalg.eigvalsh(h)
     lambda0 = max(0.0, float(evals[0] + fraction * (evals[-1] - evals[0])))
-    # The window reports eigvalsh's eigenvalues and the full solve eigh's.  Where lambda0 is one of them,
-    # the two may round to either side of it; the full solve is then asked for the window's modes.
-    # This changes no config, and no kernel reads lambda0.
-    count = diagonalize(h, lambda0=lambda0).localized_count(lambda0)
-    full_evals = np.linalg.eigh(h)[0]
-    full_lambda0 = lambda0 if count in (0, box.n_sites) else float(full_evals[count - 1])
-    if np.searchsorted(full_evals, lambda0, side="right") != count:
-        assert abs(full_evals[count - 1] - lambda0) <= 1e-14 * full_evals[-1]
+    count = diagonalize(h, lambda0=lambda0).modes.shape[1]
+    full_evals, full_modes = np.linalg.eigh(h)
+    full_evals = np.clip(full_evals, 0.0, None)
+    gammas = np.sqrt(full_evals)
+
+    def full_decomposition(h, lambda0, tails):
+        site_tails = np.square(full_modes[:, count:]) @ (1.0 / gammas[count:]) if tails else None
+        modes = np.ascontiguousarray(full_modes[:, :count])
+        return SpectralData(eigenvalues=full_evals, gammas=gammas, modes=modes, tails=site_tails)
+
     for kind in ensembles.KERNELS:
         config = config_from_dict(
             {
@@ -639,12 +643,7 @@ def test_kernels_agree_with_full_decomposition(lengths, seed, k_max, fraction):
         )
         regime = ensembles.run_sample(config, 0)
         with pytest.MonkeyPatch.context() as patch:
-            # tails=True makes h run the full decomposition, which a kernel that reads tails ran already
-            patch.setattr(
-                ensembles,
-                "diagonalize",
-                lambda h, lambda0, tails: diagonalize(h, lambda0=lambda0 if tails else full_lambda0, tails=True),
-            )
+            patch.setattr(ensembles, "diagonalize", full_decomposition)
             full = ensembles.run_sample(config, 0)
         assert regime.flags == full.flags, kind
         assert [key for key, _ in regime.rows] == [key for key, _ in full.rows], kind
@@ -654,7 +653,7 @@ def test_kernels_agree_with_full_decomposition(lengths, seed, k_max, fraction):
 
 @pytest.mark.parametrize("kind", sorted(ensembles.KERNELS))
 def test_only_kernels_without_c_f_leave_out_modes(monkeypatch, kind):
-    """Every kernel gets Phi_S; those that read C_f also get the tails, so only the others let h run the window."""
+    """Every kernel gets Phi_S alone, from the window; those that read C_f also get the tails."""
     kept = []
 
     def spy(h, **regime_args):
