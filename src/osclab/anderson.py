@@ -63,8 +63,8 @@ The accuracy contract, with r = sqrt(b / a) and q = (r - 1) / (r + 1):
   tau(x) >= |v_x|^2 / sqrt(b), so the sum cut after degree m is within
   sqrt(r) (r + 1) q^(m+1) tau(x) of tau(x) at every site.  The degree is
   the least m for which that is at most TAILS_RTOL (``_tails_degree``);
-  it grows like r, about 31 at lambda0 = 2 and 70 at lambda0 = 0.5 on a
-  40 x 40 box with k_max = 1, and the cost with it.
+  it grows like r, and the cost with it: on a 40 x 40 box with k_max = 1
+  it is 32 at lambda0 = 2 and 70 at lambda0 = 0.5.
 * A posteriori: the reported tails are the sums to degree m + 8
   (TAILS_CHECK_DEGREES), and at every site they differ from the sums to
   degree m by at most TAILS_RTOL of themselves.
@@ -108,7 +108,9 @@ TAILS_RTOL = 1e-14
 #: Degrees past the chosen one over which the tails expansion checks its own truncation.
 TAILS_CHECK_DEGREES = 8
 
-#: Sites per block of the tails expansion, which holds three n x TAILS_BLOCK arrays.
+#: Sites per block of the tails expansion, which holds three n x TAILS_BLOCK arrays.  Of
+#: 16, 32, 48, 64, 96, 128 and 256, 64 was fastest on a 40 x 40 box at lambda0 = 2 on a
+#: 2-vCPU x86-64 machine: 0.34 s for the tails, against 0.41 to 0.57 s.
 TAILS_BLOCK = 64
 
 
