@@ -505,7 +505,8 @@ def _tails_degree(a: float, b: float) -> int:
     """The least m whose truncation bound sqrt(r) (r + 1) q^(m+1) (module docstring) is at most TAILS_RTOL."""
     r = np.sqrt(b / a)
     q = (r - 1.0) / (r + 1.0)
-    return max(0, int(np.ceil(np.log(np.sqrt(r) * (r + 1.0) / TAILS_RTOL) / -np.log(q))) - 1)
+    # sqrt(r) (r + 1) >= 2 > TAILS_RTOL, so the ceiling is at least 1 and m >= 0
+    return int(np.ceil(np.log(np.sqrt(r) * (r + 1.0) / TAILS_RTOL) / -np.log(q))) - 1
 
 
 def _tails(h: Stencil, scale: float, evals: np.ndarray, modes: np.ndarray) -> np.ndarray:
