@@ -87,7 +87,10 @@ class ExperimentConfig:
         return tuple(range(2, min(21, self.box().diameter() + 1)))
 
     def digest(self) -> str:
-        payload = json.dumps(asdict(self), sort_keys=True, default=list)
+        """Hash of every field but ``workers``, which no number of the result depends on."""
+        fields = asdict(self)
+        del fields["workers"]
+        payload = json.dumps(fields, sort_keys=True, default=list)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
     def to_dict(self) -> dict:
@@ -168,70 +171,71 @@ def _tupled(value, kind=int):
     return tuple(kind(v) for v in value)
 
 
+def _section(raw: dict, name: str, keys) -> dict:
+    """The object ``raw[name]``, or {} when absent; any key outside ``keys`` is a ConfigError."""
+    section = raw.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name!r} must be a JSON object, got {section!r}")
+    unknown = set(section) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown {name} fields: {sorted(unknown)}")
+    return section
+
+
+def _distances(raw: dict, name: str):
+    """A list of distances, or the inclusive range {"min": a, "max": b}; None when absent."""
+    value = raw.get(name)
+    if not isinstance(value, dict):
+        return _tupled(value)
+    bounds = _section(raw, name, ("min", "max"))
+    if len(bounds) != 2:
+        raise ConfigError(f"{name} range needs both 'min' and 'max', got {sorted(bounds)}")
+    return tuple(range(int(bounds["min"]), int(bounds["max"]) + 1))
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build a validated config from a parsed JSON document."""
     if not isinstance(raw, dict):
         raise ConfigError("config document must be a JSON object")
-    known = {}
-    try:
-        known["experiment"] = raw["experiment"]
-    except KeyError:
-        raise ConfigError("config is missing the 'experiment' field") from None
-
-    box = raw.get("box", {})
-    if "lengths" in box:
-        known["lengths"] = _tupled(box["lengths"])
-    elif "intervals" in box:
-        known["lengths"] = tuple(int(b) - int(a) + 1 for a, b in box["intervals"])
-        if any(int(a) != 0 for a, _ in box["intervals"]):
-            raise ConfigError("boxes are anchored at the origin; use 'lengths'")
-
-    disorder = raw.get("disorder", {})
-    if "k_max" in disorder:
-        known["k_max"] = float(disorder["k_max"])
-    known["disorder_kind"] = disorder.get("kind", "uniform")
-    known["table_u"] = _tupled(disorder.get("table_u"), float)
-    known["table_k"] = _tupled(disorder.get("table_k"), float)
-
-    grid = raw.get("time_grid", {})
-    if "points" in grid:
-        known["time_points"] = int(grid["points"])
-    if "t_max" in grid:
-        known["t_max"] = None if grid["t_max"] is None else float(grid["t_max"])
-
-    shells = raw.get("shells")
-    if isinstance(shells, dict):
-        known["shells"] = tuple(range(int(shells["min"]), int(shells["max"]) + 1))
-    elif shells is not None:
-        known["shells"] = _tupled(shells)
-
-    n_values = raw.get("n_values")
-    if isinstance(n_values, dict):
-        known["n_values"] = tuple(range(int(n_values["min"]), int(n_values["max"]) + 1))
-    elif n_values is not None:
-        known["n_values"] = _tupled(n_values)
-
+    if "experiment" not in raw:
+        raise ConfigError("config is missing the 'experiment' field")
     direct = (
         "seed", "lambda0", "kappa", "samples", "workers", "amplitude",
         "powers", "alpha_random", "lengths_ladder", "lambda_grid_points",
         "lambda_grid_max", "mb_length", "mb_occupation", "center",
     )
-    for name in direct:
-        if name in raw and raw[name] is not None:
-            value = raw[name]
-            if name in ("powers", "lengths_ladder"):
-                value = _tupled(value)
-            elif name == "center":
-                value = _tupled(value)
-            known[name] = value
-
     unknown = set(raw) - set(direct) - {"experiment", "box", "disorder", "time_grid", "shells", "n_values"}
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+    box = _section(raw, "box", ("lengths",))
+    disorder = _section(raw, "disorder", ("k_max", "kind", "table_u", "table_k"))
+    grid = _section(raw, "time_grid", ("points", "t_max"))
 
+    # int() and float() raise TypeError, ValueError or (on infinity) OverflowError
+    # for an ill-typed value, and the validation in ExperimentConfig may raise the first two
     try:
+        known = {"experiment": raw["experiment"]}
+        if "lengths" in box:
+            known["lengths"] = _tupled(box["lengths"])
+        if "k_max" in disorder:
+            known["k_max"] = float(disorder["k_max"])
+        known["disorder_kind"] = disorder.get("kind", "uniform")
+        known["table_u"] = _tupled(disorder.get("table_u"), float)
+        known["table_k"] = _tupled(disorder.get("table_k"), float)
+        if "points" in grid:
+            known["time_points"] = int(grid["points"])
+        if "t_max" in grid:
+            known["t_max"] = None if grid["t_max"] is None else float(grid["t_max"])
+        for name in ("shells", "n_values"):
+            values = _distances(raw, name)
+            if values is not None:
+                known[name] = values
+        for name in direct:
+            if raw.get(name) is not None:
+                value = raw[name]
+                known[name] = _tupled(value) if name in ("powers", "lengths_ladder", "center") else value
         return ExperimentConfig(**known)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
 
 

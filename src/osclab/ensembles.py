@@ -6,7 +6,8 @@ config's lambda0 (eigenvalues only for the eigenvalue-only kinds
 ``energy-density`` and ``gap-stats``), evaluates the experiment's kernel on
 the resulting ``SpectralData``, and returns per-key scalar rows.  The
 kernels read S only from it: Phi_S, gamma_S and, for those that read C_f,
-the tails.
+the tails.  Every time-dependent sum over S that a kernel reads comes from
+``anderson.propagator_sums``, and every kernel returns ``(rows, flags)``.
 Reduction happens after all samples are collected, in sample-index order,
 so the output is bit-identical regardless of the worker count.
 
@@ -25,7 +26,6 @@ from functools import partial
 import numpy as np
 
 from .anderson import (
-    DEGENERACY_RTOL,
     DisorderConfig,
     assemble,
     diagonalize,
@@ -67,9 +67,12 @@ def _time_grid(config: ExperimentConfig, spec) -> np.ndarray:
     return default_time_grid(spec, points=config.time_points, t_max=config.t_max)
 
 
-def _shell_sites(box: BoxGeometry, center: int, shells) -> dict[int, np.ndarray]:
+def _shells(config: ExperimentConfig, box: BoxGeometry) -> tuple[int, dict[int, np.ndarray], np.ndarray]:
+    """(center, {d: sites at l1 distance d from it}, those sites shell after shell)."""
+    center = config.center_index()
     dists = l1_distances_from(box, center)
-    return {int(d): np.flatnonzero(dists == int(d)) for d in shells}
+    shells = {int(d): np.flatnonzero(dists == int(d)) for d in config.shell_values()}
+    return center, shells, np.concatenate(list(shells.values()))
 
 
 def sup_alpha_strategy(config: ExperimentConfig, count: int, index: int) -> np.ndarray:
@@ -112,38 +115,28 @@ def _delta_restriction(spec, amplitude: float, sites) -> np.ndarray:
 
 
 def _kernel_eigencorrelator(config, box, spec, index):
-    center = config.center_index()
-    shells = _shell_sites(box, center, config.shell_values())
+    center, shells, ys = _shells(config, box)
     names = {-1: "q_minus", 0: "q_zero", 1: "q_plus"}
-    rows = []
-    for s in config.powers:
-        profile = eigencorrelator_profile(spec, s, center)
-        for d, sites in shells.items():
-            rows.append(((d, names[s]), float(profile[sites].mean())))
-    return rows, {}, {}
+    quantities = [(names[s], eigencorrelator_profile(spec, s, center)[ys]) for s in config.powers]
+    return _shell_rows(shells, quantities), {}
 
 
 def _kernel_lr(config, box, spec, index):
-    center = config.center_index()
-    shells = _shell_sites(box, center, config.shell_values())
-    ys = np.concatenate(list(shells.values()))
+    center, shells, ys = _shells(config, box)
     a2 = config.amplitude**2
     times = _time_grid(config, spec)
     # (V a delta_x)_j = a phi_j(x) / sqrt(gamma_j), so Im<X f_t, X g> = -a^2 times the s = -1 sum
     (sums,) = propagator_sums(spec, center, ys, times, (-1,))
-    c = _delta_restriction(spec, config.amplitude, np.concatenate([[center], ys]))
-    cc = c[0] * c[1:]
+    cc = _delta_restriction(spec, config.amplitude, center) * _delta_restriction(spec, config.amplitude, ys)
     values = 2.0 * np.abs(np.sin(-a2 * sums / 2.0)) * cc[None, :]
     envelopes = cc * np.minimum(2.0, a2 * eigencorrelator_profile(spec, -1, center)[ys])
     violations = int(np.sum(values > envelopes[None, :] + DOMINATION_SLACK))
     rows = _shell_rows(shells, (("commutator_sup", values.max(axis=0)), ("commutator_envelope", envelopes)))
-    return rows, {"domination_violations": violations}, {}
+    return rows, {"domination_violations": violations}
 
 
 def _kernel_pq(config, box, spec, index):
-    center = config.center_index()
-    shells = _shell_sites(box, center, config.shell_values())
-    ys = np.concatenate(list(shells.values()))
+    center, shells, ys = _shells(config, box)
     times = _time_grid(config, spec)
     sums = list(propagator_sums(spec, center, ys, times, (-1, 0, 1)))
     # each times x sites table is freed as soon as its modulus is formed
@@ -163,30 +156,23 @@ def _kernel_pq(config, box, spec, index):
         ("envelope_zero", env_zero),
         ("envelope_plus", env_plus),
     )
-    return _shell_rows(shells, quantities), {"domination_violations": violations}, {}
+    return _shell_rows(shells, quantities), {"domination_violations": violations}
 
 
 def _kernel_correlations(config, box, spec, index):
-    center = config.center_index()
-    shells = _shell_sites(box, center, config.shell_values())
-    ys = np.concatenate(list(shells.values()))
+    center, shells, ys = _shells(config, box)
     a = config.amplitude
     times = _time_grid(config, spec)
-    c = _delta_restriction(spec, a, np.concatenate([[center], ys]))
-    cc = c[0] * c[1:]
+    cc = _delta_restriction(spec, a, center) * _delta_restriction(spec, a, ys)
     gam = spec.localized_gammas
     family = OccupationFamily(sup_alpha_strategy(config, gam.size, index))
 
     sq = np.sqrt(gam)
     w_center = spec.modes[center] / sq
-    # eta = a e^{2 i t gamma} w_center, real and imaginary part as (T, modes) tables
-    ang = 2.0 * times[:, None] * gam[None, :]
-    eta_re = np.cos(ang)
+    # Re(eta) for eta = a e^{2 i t gamma} w_center, a (T, modes) table
+    eta_re = np.cos(2.0 * times[:, None] * gam[None, :])
     eta_re *= a
     eta_re *= w_center
-    eta_im = np.sin(ang, out=ang)
-    eta_im *= a
-    eta_im *= w_center
     # |eta_j(t)| does not depend on t, so |eta|^2/2 and d_eta are per sample
     x_eta = (a * np.abs(w_center)) ** 2 / 2.0
     d_eta = family(x_eta)[:, None]
@@ -196,10 +182,11 @@ def _kernel_correlations(config, box, spec, index):
     d_xis = family(x_xis)  # (A, sites)
     overlap = a * a * eigencorrelator_profile(spec, -1, center)[ys]
 
-    # xi is real: Im<eta, xi> = -Im(eta) . xi, and |eta + xi|^2/2 is, per mode,
-    # Re(eta) xi + |eta|^2/2 + xi^2/2; the phases and the mode sums of the
-    # joint arguments for every site and time come from two products
-    theta = -(eta_im @ xis.T)  # (T, sites)
+    # xi is real, so the phase theta = Im<eta, xi> is -a^2 times the s = -1 sum, as in
+    # lr-bound; |eta + xi|^2/2 is, per mode, Re(eta) xi + |eta|^2/2 + xi^2/2, and
+    # the mode sums of the joint arguments for every site and time are one product
+    (theta,) = propagator_sums(spec, center, ys, times, (-1,))  # (T, sites)
+    theta *= -a * a
     x_sums = eta_re @ xis.T + (x_eta.sum() + x_xis.sum(axis=1))
     x_joint = np.empty_like(eta_re)
     sups = np.empty(ys.size)
@@ -212,38 +199,29 @@ def _kernel_correlations(config, box, spec, index):
         violations += int(np.sum(mags > 2.0 + DOMINATION_SLACK))
         sups[pos] = mags.max()
     rows = _shell_rows(shells, (("correlation_sup", sups), ("overlap_sum", overlap)))
-    return rows, {"correlation_bound_violations": violations}, {}
+    return rows, {"correlation_bound_violations": violations}
 
 
 def _kernel_quasi_locality(config, box, spec, index):
     center = config.center_index()
     a = config.amplitude
     times = _time_grid(config, spec)
-    c_f = _delta_restriction(spec, a, [center])[0]
+    c_f = _delta_restriction(spec, a, center)
     gam = spec.localized_gammas
     sq = np.sqrt(gam)
     family = OccupationFamily(sup_alpha_strategy(config, gam.size, index))
     per_state = np.sqrt(2.0 * (family.alphas.max(axis=1, initial=0) + 1))[:, None]
 
-    # X f_t in position space for the whole grid at once: the sites x times
-    # tables O sqrt(gamma) Re(eta) and O Im(eta) / sqrt(gamma), where
-    # eta = a e^{2 i t gamma} phi(center) / sqrt(gamma) on the regime modes.
+    # X f_t in position space for the whole grid at once: its real and imaginary
+    # parts are a times the s = 0 and s = -1 sums, as times x sites tables.
     # Sites are sorted by distance from the center, so every ring below is a slice.
     dist = l1_distances_from(box, center)
     order = np.argsort(dist, kind="stable")
     dist = dist[order]
     phi = spec.modes[order]
-    w_center = (spec.modes[center] / sq)[:, None]
-    ang = 2.0 * gam[:, None] * times[None, :]
-    eta_re = np.cos(ang)
-    eta_re *= a
-    eta_re *= w_center
-    eta_re *= sq[:, None]
-    eta_im = np.sin(ang, out=ang)
-    eta_im *= a
-    eta_im *= w_center
-    eta_im /= sq[:, None]
-    pos_re, pos_im = phi @ eta_re, phi @ eta_im
+    pos_re, pos_im = propagator_sums(spec, center, order, times, (0, -1))
+    pos_re *= a
+    pos_im *= a
     # V f_{n,t} = sqrt(2) (u + i v) with u = O^T pos_re / sqrt(2 gamma) and
     # v = sqrt(gamma / 2) O^T pos_im over the sites outside X(n), so that the
     # Laguerre argument |V f_{n,t}|^2 / 2 is u^2 + v^2 per mode
@@ -260,8 +238,8 @@ def _kernel_quasi_locality(config, box, spec, index):
     per_n = {}
     for n in sorted(config.n_range(), reverse=True):
         ring = slice(int(np.searchsorted(dist, n, side="right")), reached)
-        u += np.matmul(pos_re[ring].T, phi_re[ring], out=scratch)
-        v += np.matmul(pos_im[ring].T, phi_im[ring], out=scratch)
+        u += np.matmul(pos_re[:, ring], phi_re[ring], out=scratch)
+        v += np.matmul(pos_im[:, ring], phi_im[ring], out=scratch)
         reached = ring.start
         np.square(u, out=x)
         x += np.square(v, out=scratch)
@@ -275,7 +253,7 @@ def _kernel_quasi_locality(config, box, spec, index):
         )
     rows = [row for n in config.n_range() for row in per_n[n][0]]
     violations = sum(per_n[n][1] for n in config.n_range())
-    return rows, {"bound_violations": violations}, {}
+    return rows, {"bound_violations": violations}
 
 
 def _energy_density_sample(config, index):
@@ -337,7 +315,7 @@ def _gap_stats_sample(config, index):
         (("many_body_min_gap",), mb_gap),
     ]
     flags = {
-        "one_body_gap_violations": int(rel <= DEGENERACY_RTOL),
+        "one_body_gap_violations": int(spec.flag_degenerate()),
         "many_body_gap_violations": int(mb_gap <= 1e-10),
     }
     extrema = {"one_body_rel_gap_min": float(rel), "many_body_gap_min": mb_gap}
@@ -376,9 +354,9 @@ def run_sample(config: ExperimentConfig, index: int) -> SampleOutcome:
     box = config.box()
     sample = sample_disorder(_disorder_config(config), box, index)
     spec = diagonalize(assemble(box, sample), lambda0=config.lambda0_value(), tails=kind in _READS_C_F)
-    rows, flags, extrema = KERNELS[kind](config, box, spec, index)
-    flags["degenerate_samples"] = flags.get("degenerate_samples", 0) + int(spec.flag_degenerate())
-    return SampleOutcome(index=index, rows=rows, flags=flags, extrema=extrema)
+    rows, flags = KERNELS[kind](config, box, spec, index)
+    flags["degenerate_samples"] = int(spec.flag_degenerate())
+    return SampleOutcome(index=index, rows=rows, flags=flags)
 
 
 def _reduce(config: ExperimentConfig, outcomes: list[SampleOutcome]) -> EnsembleResult:

@@ -54,6 +54,18 @@ class TestValidation:
             pytest.param(_doc(sample_count=3), id="unknown-field"),
             pytest.param({"box": {"lengths": [20]}}, id="no-experiment"),
             pytest.param([BASE], id="not-an-object"),
+            pytest.param(_doc(box={"lenghts": [40, 40]}), id="misspelled-box-key"),
+            pytest.param(_doc(disorder={"kmax": 4}), id="misspelled-disorder-key"),
+            pytest.param(_doc(time_grid={"point": 5}), id="misspelled-time-grid-key"),
+            pytest.param(_doc(shells={"min": 2, "max": 4, "step": 2}), id="misspelled-range-key"),
+            pytest.param(_doc(box={"intervals": [[0, 19]]}), id="anchored-intervals"),
+            pytest.param(_doc(box=[40, 40]), id="box-not-an-object"),
+            pytest.param(_doc(box=40), id="box-a-number"),
+            pytest.param(_doc(disorder=4.0), id="disorder-a-number"),
+            pytest.param(_doc(shells={"min": 2}), id="range-without-max"),
+            pytest.param(_doc(disorder={"k_max": "x"}), id="k_max-not-a-number"),
+            pytest.param(_doc(time_grid={"points": "many"}), id="points-not-a-number"),
+            pytest.param(_doc(time_grid={"points": INF}), id="infinite-points"),
         ],
     )
     def test_rejected(self, doc):
@@ -144,6 +156,10 @@ class TestDigest:
         rebuilt = ExperimentConfig(**first.to_dict())
         assert first == again == reordered == rebuilt
         assert len({c.digest() for c in (first, again, reordered, rebuilt)}) == 1
+
+    def test_unchanged_by_workers(self):
+        """The worker count changes no number of the result, so it stays out of the digest."""
+        assert config_from_dict({**self.DOC, "workers": 2}).digest() == config_from_dict(self.DOC).digest()
 
     def test_changes_with_any_field(self):
         digest = config_from_dict(self.DOC).digest()

@@ -268,7 +268,7 @@ class TestKernelsAgainstScalarForms:
     @staticmethod
     def _check_correlations(box, spec, config):
         center = config.center_index()
-        rows, flags, _ = _run_kernel(config, box)
+        rows, flags = _run_kernel(config, box)
         table = dict(rows)
         lam = config.lambda0_value()
         times = ensembles._time_grid(config, spec)
@@ -294,7 +294,7 @@ class TestKernelsAgainstScalarForms:
         box, spec = chain12
         center = 2
         config = _config("lr-bound", lambda0, center=[center], shells=[1, 3, 5, 9], amplitude=0.9)
-        rows, flags, _ = _run_kernel(config, box)
+        rows, flags = _run_kernel(config, box)
         table = dict(rows)
         lam = config.lambda0_value()
         times = ensembles._time_grid(config, spec)
@@ -319,7 +319,7 @@ class TestKernelsAgainstScalarForms:
         box, spec = chain12
         center = 2
         config = _config("pq-bound", lambda0, center=[center], shells=[1, 3, 5, 9])
-        rows, flags, _ = _run_kernel(config, box)
+        rows, flags = _run_kernel(config, box)
         table = dict(rows)
         lam = config.lambda0_value()
         times = ensembles._time_grid(config, spec)
@@ -367,7 +367,7 @@ class TestKernelsAgainstScalarForms:
     def _check_quasi_locality(box, spec, config, seed=11):
         """kappa = 0, so the family is the vacuum and the error is C_f sqrt(2 - 2 exp(-||V f_{n,t}||^2 / 4))."""
         assert config.kappa == 0
-        rows, flags, _ = _run_kernel(config, box, seed)
+        rows, flags = _run_kernel(config, box, seed)
         lam = config.lambda0_value()
         times = ensembles._time_grid(config, spec)
         center = config.center_index()
@@ -683,6 +683,13 @@ class TestRunEnsemble:
         }
         serial = render_csv(ensembles.run_ensemble(config_from_dict(doc), workers=1))
         pooled = render_csv(ensembles.run_ensemble(config_from_dict(doc), workers=2))
+        assert serial == pooled
+
+    def test_result_independent_of_configured_workers(self):
+        """Tables and metadata, the config digest included, agree whether the config asks for 1 or 2 workers."""
+        doc = {"experiment": "lr-bound", "box": {"lengths": [12]}, "samples": 3, "time_grid": {"points": 5}}
+        serial = ensembles.run_ensemble(config_from_dict({**doc, "workers": 1}))
+        pooled = ensembles.run_ensemble(config_from_dict({**doc, "workers": 2}))
         assert serial == pooled
 
     def test_every_kind_has_key_fields(self):
