@@ -18,6 +18,7 @@ from .anderson import (
     propagator_sums,
     sample_disorder,
     spectrum,
+    tails,
 )
 from .freeboson import (
     counting_function,

@@ -24,9 +24,9 @@ The paper's bounds read the localized modes S = {j : lambda_j <= lambda0}
 (``Spectrum.localized_count``, the one definition of S) and, through
 C_f = exp(-||1_{S^c} V f||^2 / 4), the tails
 tau(x) = sum_{j not in S} phi_j(x)^2 / gamma_j.  ``diagonalize(h,
-lambda0=..., tails=...)`` fixes the regime once: its ``SpectralData`` holds
-Phi_S and, when asked, tau at every site.  It runs one of two solves; with
-scale = max|h_ij| and tol = RECONSTRUCTION_RTOL, their accuracy contracts:
+lambda0)`` fixes the regime once in a ``SpectralData`` of Phi_S and h, and
+``tails(spec, sites)`` forms tau at just those sites.  With scale =
+max|h_ij| and tol = RECONSTRUCTION_RTOL, the two solves' accuracy contracts:
 
 * Full decomposition (lambda0 = inf, so |S| = n and the tails are zero):
   eigh's own route, ``dstevd`` on the band and ``dormtr`` on all n
@@ -38,16 +38,18 @@ scale = max|h_ij| and tol = RECONSTRUCTION_RTOL, their accuracy contracts:
 * Window (every finite lambda0, even where S is every mode): ``dsterf``
   finds all n eigenvalues, the bits of ``eigvalsh``, and inverse iteration
   (``dstein``) the eigenvectors of S alone; only those are mapped back.
-  Inverse iteration can return poor vectors without saying so, so they are
-  checked: the invariants of ``spectrum`` hold on all n eigenvalues,
+  Where S is every mode, ``dstevd`` forms them instead, and the
+  eigenvalues stay dsterf's.  Inverse iteration can return poor vectors
+  without saying so, so the vectors are checked on either route: the
+  invariants of ``spectrum`` hold on all n eigenvalues,
   max|h Phi_S - Phi_S Lambda_S| <= tol * scale, and
   max|Phi_S^T Phi_S - I| <= tol.  Because Q is orthogonal, the residual of
-  Phi_S is that of the band's vectors.  With nu >= 2 the window holds one
-  n x n array, the reduced h, beside the n x |S| columns.  On a 40 x 40
-  box ``dsterf`` and ``dstein`` together take as long as ``dstevd`` at |S|
-  of about 0.4 n.
+  Phi_S is that of the band's vectors.  With nu >= 2 and |S| < n the
+  window holds one n x n array, the reduced h, beside the n x |S| columns.
+  On a 40 x 40 box ``dsterf`` and ``dstein`` together take as long as
+  ``dstevd`` at |S| of about 0.4 n.
 
-The window forms no mode outside S, so its tails come from those it has:
+The window forms no mode outside S, so ``tails`` works from those it has:
 tau(x) = <v_x, h^{-1/2} v_x> with v_x = delta_x - Phi_S Phi_S^T delta_x,
 whose spectral measure lies on [a, b], a = lambda_{|S|+1} and b = lambda_n
 + tol * scale.  On [a, b], lambda^{-1/2} = sum_k c_k T_k(X) with
@@ -299,13 +301,11 @@ class SpectralData(Spectrum):
     ``modes`` is Phi_S (n x |S|): its columns are the orthonormal real
     eigenvectors of the |S| lowest ``eigenvalues``, so that
     modes.T @ h @ modes = diag(eigenvalues[:|S|]), and |S| = n unless
-    ``diagonalize`` was given a finite lambda0.  ``tails`` holds
-    tau(x) = sum_{j not in S} phi_j(x)^2 / gamma_j at every site x, or None
-    when ``diagonalize`` was not asked for it.
+    ``diagonalize`` was given a finite lambda0; ``h`` is the h solved.
     """
 
     modes: np.ndarray = field(kw_only=True)
-    tails: np.ndarray | None = field(default=None, kw_only=True)
+    h: Stencil = field(kw_only=True)
 
     @property
     def localized_gammas(self) -> np.ndarray:
@@ -342,7 +342,7 @@ def _eigvalsh(h: Stencil):
 
 def _band_window(d: np.ndarray, e: np.ndarray, lambda0: float):
     """(eigenvalues, Z_S) of the band T = (d, e): every eigenvalue by ``dsterf`` and the
-    eigenvectors of S by ``dstein``, F-ordered.
+    eigenvectors of S by ``dstein``, or by ``dstevd`` where S is every mode, F-ordered.
 
     T is cut where ``dsterf`` itself takes an off-diagonal entry for zero and
     each block is solved apart, which gives dsterf's bits on all of T and the
@@ -356,6 +356,8 @@ def _band_window(d: np.ndarray, e: np.ndarray, lambda0: float):
     order = np.argsort(vals, kind="stable")
     evals = vals[order]
     count = _prefix_count(evals, lambda0)
+    if count == d.size:
+        return evals, _lapack.dstevd(d, e)[1]
     # dstein takes the eigenvalues block after block, ascending within each
     chosen = np.sort(order[:count])
     z = _lapack.dstein(d, e, vals[chosen], np.searchsorted(ends, chosen, side="right") + 1, ends)
@@ -370,7 +372,7 @@ def _eigh(h: Stencil, lambda0: float = np.inf):
 
     The band drivers run on h's band (``_band``).  With lambda0 = inf
     ``dstevd`` returns every eigenvector; at any other lambda0 the window
-    (``_band_window``) returns those of S alone.  With nu >= 2 ``dormtr``
+    (``_band_window``) returns those of S.  With nu >= 2 ``dormtr``
     maps back just the columns returned.  Without the binding, numpy's
     ``eigh``.
     """
@@ -401,6 +403,11 @@ def _reconstruction_error(h: Stencil, evals: np.ndarray, modes: np.ndarray) -> f
     return float(np.max(errs))
 
 
+def _scale(h: Stencil) -> float:
+    """max|h_ij|, or 1 for h = 0; NaN when an entry is not finite."""
+    return float(np.max([np.abs(h.d).max(), np.abs(h.e).max(initial=0.0)])) or 1.0
+
+
 def _solve_checked(h: Stencil, solve):
     """Run ``solve(h) -> (eigenvalues, extra)`` on a validated h.
 
@@ -414,10 +421,9 @@ def _solve_checked(h: Stencil, solve):
     if not isinstance(h, Stencil):
         raise TypeError(f"h must be a Stencil, as assemble builds it, not a {type(h).__name__}")
     # the maximum propagates NaN, so a non-finite entry makes scale non-finite
-    scale = float(np.max([np.abs(h.d).max(), np.abs(h.e).max(initial=0.0)]))
+    scale = _scale(h)
     if not np.isfinite(scale):
         raise ValueError("h must have finite entries")
-    scale = scale or 1.0
     try:
         evals, extra = solve(h)
     except np.linalg.LinAlgError as exc:
@@ -509,29 +515,56 @@ def _tails_degree(a: float, b: float) -> int:
     return int(np.ceil(np.log(np.sqrt(r) * (r + 1.0) / TAILS_RTOL) / -np.log(q))) - 1
 
 
-def _tails(h: Stencil, scale: float, evals: np.ndarray, modes: np.ndarray) -> np.ndarray:
-    """tau at every site by the expansion of the module docstring, TAILS_BLOCK sites at a time;
-    NumericError unless its a posteriori check holds at every site."""
-    n, count = modes.shape
+def diagonalize(h: Stencil, lambda0: float = np.inf) -> SpectralData:
+    """The regime lambda0 of h, checked for accuracy.
+
+    Keeps Phi_S, the eigenvectors of the eigenvalues <= lambda0 (every one
+    by default), and h.  At lambda0 = inf the full decomposition runs, and
+    NumericError is raised if the reconstruction ||O G^2 O^T - h||_max
+    exceeds RECONSTRUCTION_RTOL * max|h_ij|; that check runs over row tiles
+    of SYMMETRY_TILE rows of the lower triangle (``_reconstruction_error``),
+    so it allocates no n x n temporary.  At any finite lambda0 the window
+    runs, even where S is every mode: only the eigenvectors of S are formed,
+    checked by the window contract of the module docstring.  Validation and
+    the clamping of round-off negatives are those of ``_solve_checked``.
+    """
+    scale, evals, vecs = _solve_checked(h, functools.partial(_eigh, lambda0=lambda0))
+    if lambda0 == np.inf:
+        modes = np.ascontiguousarray(vecs)
+        err = _reconstruction_error(h, evals, modes)
+        if not err <= RECONSTRUCTION_RTOL * scale:  # a NaN error fails too
+            raise NumericError(f"reconstruction error {err:.3e} exceeds {RECONSTRUCTION_RTOL:.0e} * max|h_ij|")
+    else:
+        modes = _window_modes(h, scale, evals, vecs[:, : _prefix_count(evals, lambda0)])
+    return SpectralData(eigenvalues=evals, gammas=np.sqrt(evals), modes=modes, h=h)
+
+
+def tails(spec: SpectralData, sites) -> np.ndarray:
+    """tau(x) = sum_{j not in S} phi_j(x)^2 / gamma_j at each of ``sites``, in order: zero where S is every mode,
+    else by the expansion of the module docstring; NumericError unless its a posteriori check holds at every site."""
+    n, count = spec.modes.shape
+    sites = np.asarray(sites, dtype=int).ravel()
+    if np.any((sites < 0) | (sites >= n)):
+        raise ValueError(f"site index outside 0..{n - 1}")
     if count == n:
-        return np.zeros(n)
-    a, b = float(evals[count]), float(evals[-1]) + RECONSTRUCTION_RTOL * scale
+        return np.zeros(sites.size)
+    a, b = float(spec.eigenvalues[count]), float(spec.eigenvalues[-1]) + RECONSTRUCTION_RTOL * _scale(spec.h)
     degree = _tails_degree(a, b)
     top = degree + TAILS_CHECK_DEGREES
     coef = _inverse_sqrt_chebyshev(a, b, top)
     # X = (h - (a + b) / 2) * factor: the shift sits in the diagonal of a stencil
-    shifted, factor = Stencil(h.box, h.d - (a + b) / 2), 2.0 / (b - a)
+    shifted, factor = Stencil(spec.h.box, spec.h.d - (a + b) / 2), 2.0 / (b - a)
     dots = functools.partial(np.einsum, "ij,ij->j")
-    site_tails, change = np.empty(n), np.empty(n)
-    for start in range(0, n, TAILS_BLOCK):
-        sites = np.arange(start, min(start + TAILS_BLOCK, n))
-        prev = modes @ modes[sites].T
+    site_tails, change = np.empty(sites.size), np.empty(sites.size)
+    for start in range(0, sites.size, TAILS_BLOCK):
+        block = slice(start, start + TAILS_BLOCK)
+        prev = spec.modes @ spec.modes[sites[block]].T
         np.negative(prev, out=prev)
-        prev[sites, np.arange(sites.size)] += 1.0
+        prev[sites[block], np.arange(prev.shape[1])] += 1.0
         cur = shifted._apply(prev, np.empty_like(prev))
         cur *= factor
         spare = np.empty_like(prev)
-        moments = np.empty((top + 2, sites.size))
+        moments = np.empty((top + 2, prev.shape[1]))
         moments[0], moments[1] = dots(prev, prev), dots(cur, prev)
         moments[2] = 2.0 * dots(cur, cur) - moments[0]
         for k in range(2, (top + 3) // 2):
@@ -542,46 +575,16 @@ def _tails(h: Stencil, scale: float, evals: np.ndarray, modes: np.ndarray) -> np
             prev, cur, spare = cur, spare, prev
             moments[2 * k - 1] = 2.0 * dots(cur, prev) - moments[1]
             moments[2 * k] = 2.0 * dots(cur, cur) - moments[0]
-        site_tails[sites] = coef @ moments[: top + 1]
-        change[sites] = coef[degree + 1 :] @ moments[degree + 1 : top + 1]
+        site_tails[block] = coef @ moments[: top + 1]
+        change[block] = coef[degree + 1 :] @ moments[degree + 1 : top + 1]
     bad = ~(np.abs(change) <= TAILS_RTOL * site_tails)  # a NaN fails too
     if bad.any():
-        x = int(np.argmax(bad))
+        i = int(np.argmax(bad))
         raise NumericError(
-            f"tails expansion: degree {top} changes tau({x}) = {site_tails[x]:.3e} by {change[x]:.3e} "
+            f"tails expansion: degree {top} changes tau({sites[i]}) = {site_tails[i]:.3e} by {change[i]:.3e} "
             f"over degree {degree}, beyond TAILS_RTOL = {TAILS_RTOL:.0e} of it"
         )
     return site_tails
-
-
-def diagonalize(h: Stencil, lambda0: float = np.inf, tails: bool = False) -> SpectralData:
-    """The regime lambda0 of h, checked for accuracy.
-
-    Keeps Phi_S, the eigenvectors of the eigenvalues <= lambda0 (every one
-    by default), and with ``tails`` also tau at every site.  At lambda0 =
-    inf the full decomposition runs, and NumericError is raised if the
-    reconstruction ||O G^2 O^T - h||_max exceeds RECONSTRUCTION_RTOL *
-    max|h_ij|; that check runs over row tiles of SYMMETRY_TILE rows of the
-    lower triangle (``_reconstruction_error``), so it allocates no n x n
-    temporary, and the tails are zero.  At any finite lambda0 the window
-    runs, even where S is every mode: only the eigenvectors of S are formed,
-    checked by the window contract of the module docstring, and the tails
-    come from the Chebyshev expansion there, checked by its contract; their
-    cost grows like sqrt(lambda_n / lambda_{|S|+1}).  Validation and the
-    clamping of round-off negatives are those of ``_solve_checked``.
-    """
-    scale, evals, vecs = _solve_checked(h, functools.partial(_eigh, lambda0=lambda0))
-    gammas = np.sqrt(evals)
-    if lambda0 == np.inf:
-        modes = np.ascontiguousarray(vecs)
-        err = _reconstruction_error(h, evals, modes)
-        if not err <= RECONSTRUCTION_RTOL * scale:  # a NaN error fails too
-            raise NumericError(f"reconstruction error {err:.3e} exceeds {RECONSTRUCTION_RTOL:.0e} * max|h_ij|")
-        site_tails = np.zeros(evals.size) if tails else None
-    else:
-        modes = _window_modes(h, scale, evals, vecs[:, : _prefix_count(evals, lambda0)])
-        site_tails = _tails(h, scale, evals, modes) if tails else None
-    return SpectralData(eigenvalues=evals, gammas=gammas, modes=modes, tails=site_tails)
 
 
 def eigencorrelator_profile(spec: SpectralData, s: int, x: int) -> np.ndarray:

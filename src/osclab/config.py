@@ -7,6 +7,7 @@ import json
 import math
 from dataclasses import dataclass, field, asdict
 
+from .anderson import DisorderConfig
 from .errors import ConfigError
 from .lattice import BoxGeometry
 
@@ -22,6 +23,18 @@ EXPERIMENT_KINDS = (
 
 #: Kinds that aggregate observables over l1 shells around a center site.
 SHELL_KINDS = ("eigencorrelator", "lr-bound", "pq-bound", "correlations")
+
+#: Fields that hold an integer, and fields that hold a tuple of integers (or None).
+_INTEGER_FIELDS = (
+    "seed", "kappa", "samples", "workers", "time_points", "alpha_random",
+    "lambda_grid_points", "mb_length", "mb_occupation",
+)
+_INTEGER_TUPLES = ("lengths", "center", "shells", "n_values", "powers", "lengths_ladder")
+
+
+def _is_integer(value) -> bool:
+    """True for an int: a bool is an int to Python, and int() would truncate a fraction."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -55,6 +68,11 @@ class ExperimentConfig:
 
     def box(self) -> BoxGeometry:
         return BoxGeometry.of_lengths(self.lengths)
+
+    def disorder(self) -> DisorderConfig:
+        return DisorderConfig(
+            k_max=self.k_max, master_seed=self.seed, kind=self.disorder_kind, table_u=self.table_u, table_k=self.table_k
+        )
 
     def lambda0_value(self) -> float:
         return float("inf") if self.lambda0 == "full" else float(self.lambda0)
@@ -101,6 +119,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENT_KINDS:
             raise ConfigError(f"unknown experiment kind {self.experiment!r}")
+        for name in _INTEGER_FIELDS:
+            if not _is_integer(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in _INTEGER_TUPLES:
+            values = getattr(self, name)
+            if values is not None and not all(map(_is_integer, values)):
+                raise ConfigError(f"{name} must be a list of integers, got {list(values)!r}")
         if self.samples < 1:
             raise ConfigError("sample_count must be at least 1")
         if self.workers < 1:
@@ -110,14 +135,14 @@ class ExperimentConfig:
         if not self.lengths or any(l < 1 for l in self.lengths):
             raise ConfigError("box lengths must be positive")
         # json.load accepts Infinity and NaN, and NaN passes every sign test below
-        for name in ("k_max", "amplitude", "lambda0", "t_max", "lambda_grid_max"):
+        for name in ("amplitude", "lambda0", "t_max", "lambda_grid_max"):
             value = getattr(self, name)
             if value is not None and value != "full" and not math.isfinite(float(value)):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.lambda0 != "full" and float(self.lambda0) < 0:
             raise ConfigError("lambda0 must be nonnegative or 'full'")
-        if self.k_max <= 0:
-            raise ConfigError("k_max must be positive")
+        # k_max, the disorder kind and an inverse-CDF table are checked here, not at the first sample
+        self.disorder()
         if self.time_points < 1:
             raise ConfigError("time grid needs at least one point")
         if self.t_max is not None and self.t_max <= 0:
@@ -165,10 +190,8 @@ class ExperimentConfig:
             raise ConfigError(f"mb_occupation must be at least 1, got {self.mb_occupation!r}")
 
 
-def _tupled(value, kind=int):
-    if value is None:
-        return None
-    return tuple(kind(v) for v in value)
+def _floats(value):
+    return None if value is None else tuple(float(v) for v in value)
 
 
 def _section(raw: dict, name: str, keys) -> dict:
@@ -186,11 +209,13 @@ def _distances(raw: dict, name: str):
     """A list of distances, or the inclusive range {"min": a, "max": b}; None when absent."""
     value = raw.get(name)
     if not isinstance(value, dict):
-        return _tupled(value)
+        return None if value is None else tuple(value)
     bounds = _section(raw, name, ("min", "max"))
     if len(bounds) != 2:
         raise ConfigError(f"{name} range needs both 'min' and 'max', got {sorted(bounds)}")
-    return tuple(range(int(bounds["min"]), int(bounds["max"]) + 1))
+    if not all(map(_is_integer, bounds.values())):
+        raise ConfigError(f"{name} range bounds must be integers, got {bounds!r}")
+    return tuple(range(bounds["min"], bounds["max"] + 1))
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -211,19 +236,19 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     disorder = _section(raw, "disorder", ("k_max", "kind", "table_u", "table_k"))
     grid = _section(raw, "time_grid", ("points", "t_max"))
 
-    # int() and float() raise TypeError, ValueError or (on infinity) OverflowError
+    # float() and tuple() raise TypeError, ValueError or (on a huge integer) OverflowError
     # for an ill-typed value, and the validation in ExperimentConfig may raise the first two
     try:
         known = {"experiment": raw["experiment"]}
         if "lengths" in box:
-            known["lengths"] = _tupled(box["lengths"])
+            known["lengths"] = tuple(box["lengths"])
         if "k_max" in disorder:
             known["k_max"] = float(disorder["k_max"])
         known["disorder_kind"] = disorder.get("kind", "uniform")
-        known["table_u"] = _tupled(disorder.get("table_u"), float)
-        known["table_k"] = _tupled(disorder.get("table_k"), float)
+        known["table_u"] = _floats(disorder.get("table_u"))
+        known["table_k"] = _floats(disorder.get("table_k"))
         if "points" in grid:
-            known["time_points"] = int(grid["points"])
+            known["time_points"] = grid["points"]
         if "t_max" in grid:
             known["t_max"] = None if grid["t_max"] is None else float(grid["t_max"])
         for name in ("shells", "n_values"):
@@ -233,7 +258,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         for name in direct:
             if raw.get(name) is not None:
                 value = raw[name]
-                known[name] = _tupled(value) if name in ("powers", "lengths_ladder", "center") else value
+                known[name] = tuple(value) if name in ("powers", "lengths_ladder", "center") else value
         return ExperimentConfig(**known)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc

@@ -5,8 +5,9 @@ worker assembles the effective Hamiltonian, diagonalizes it for the
 config's lambda0 (eigenvalues only for the eigenvalue-only kinds
 ``energy-density`` and ``gap-stats``), evaluates the experiment's kernel on
 the resulting ``SpectralData``, and returns per-key scalar rows.  The
-kernels read S only from it: Phi_S, gamma_S and, for those that read C_f,
-the tails.  Every time-dependent sum over S that a kernel reads comes from
+kernels read S only from it: Phi_S, gamma_S and, where they read C_f, the
+tails (``anderson.tails``), formed before any time x sites table.  Every
+time-dependent sum over S that a kernel reads comes from
 ``anderson.propagator_sums``, and every kernel returns ``(rows, flags)``.
 Reduction happens after all samples are collected, in sample-index order,
 so the output is bit-identical regardless of the worker count.
@@ -26,13 +27,13 @@ from functools import partial
 import numpy as np
 
 from .anderson import (
-    DisorderConfig,
     assemble,
     diagonalize,
     eigencorrelator_profile,
     propagator_sums,
     sample_disorder,
     spectrum,
+    tails,
 )
 from .config import ExperimentConfig
 from .errors import NumericError
@@ -51,16 +52,6 @@ class SampleOutcome:
     rows: list
     flags: dict = field(default_factory=dict)
     extrema: dict = field(default_factory=dict)
-
-
-def _disorder_config(config: ExperimentConfig) -> DisorderConfig:
-    return DisorderConfig(
-        k_max=config.k_max,
-        master_seed=config.seed,
-        kind=config.disorder_kind,
-        table_u=config.table_u,
-        table_k=config.table_k,
-    )
 
 
 def _time_grid(config: ExperimentConfig, spec) -> np.ndarray:
@@ -109,9 +100,10 @@ def _shell_rows(shells, quantities) -> list:
     return rows
 
 
-def _delta_restriction(spec, amplitude: float, sites) -> np.ndarray:
-    """C_f = exp(-a^2/4 tau(x)) for f = a delta_x at each site x."""
-    return np.exp(-0.25 * amplitude**2 * spec.tails[sites])
+def _delta_restriction(spec, amplitude: float, center: int, ys=()):
+    """C_f = exp(-a^2/4 tau(x)) of f = a delta_x at the center, times that at each of ``ys`` if given."""
+    c_f = np.exp(-0.25 * amplitude**2 * tails(spec, np.append(center, ys).astype(int)))
+    return c_f[0] * c_f[1:] if len(ys) else c_f[0]
 
 
 def _kernel_eigencorrelator(config, box, spec, index):
@@ -124,10 +116,10 @@ def _kernel_eigencorrelator(config, box, spec, index):
 def _kernel_lr(config, box, spec, index):
     center, shells, ys = _shells(config, box)
     a2 = config.amplitude**2
+    cc = _delta_restriction(spec, config.amplitude, center, ys)
     times = _time_grid(config, spec)
     # (V a delta_x)_j = a phi_j(x) / sqrt(gamma_j), so Im<X f_t, X g> = -a^2 times the s = -1 sum
     (sums,) = propagator_sums(spec, center, ys, times, (-1,))
-    cc = _delta_restriction(spec, config.amplitude, center) * _delta_restriction(spec, config.amplitude, ys)
     values = 2.0 * np.abs(np.sin(-a2 * sums / 2.0)) * cc[None, :]
     envelopes = cc * np.minimum(2.0, a2 * eigencorrelator_profile(spec, -1, center)[ys])
     violations = int(np.sum(values > envelopes[None, :] + DOMINATION_SLACK))
@@ -162,8 +154,8 @@ def _kernel_pq(config, box, spec, index):
 def _kernel_correlations(config, box, spec, index):
     center, shells, ys = _shells(config, box)
     a = config.amplitude
+    cc = _delta_restriction(spec, a, center, ys)
     times = _time_grid(config, spec)
-    cc = _delta_restriction(spec, a, center) * _delta_restriction(spec, a, ys)
     gam = spec.localized_gammas
     family = OccupationFamily(sup_alpha_strategy(config, gam.size, index))
 
@@ -257,7 +249,7 @@ def _kernel_quasi_locality(config, box, spec, index):
 
 
 def _energy_density_sample(config, index):
-    disorder = _disorder_config(config)
+    disorder = config.disorder()
     lam = config.lambda0_value()
     grid_max = config.lambda_grid_max
     if grid_max is None:
@@ -297,7 +289,7 @@ def _energy_density_sample(config, index):
 
 
 def _gap_stats_sample(config, index):
-    disorder = _disorder_config(config)
+    disorder = config.disorder()
     box = config.box()
     spec = spectrum(assemble(box, sample_disorder(disorder, box, index)))
     gap = spec.min_gap()
@@ -321,9 +313,6 @@ def _gap_stats_sample(config, index):
     extrema = {"one_body_rel_gap_min": float(rel), "many_body_gap_min": mb_gap}
     return SampleOutcome(index=index, rows=rows, flags=flags, extrema=extrema)
 
-
-#: Kernels that read C_f, and with it the tails (``_delta_restriction``)
-_READS_C_F = frozenset({"lr-bound", "correlations", "quasi-locality"})
 
 KERNELS = {
     "eigencorrelator": _kernel_eigencorrelator,
@@ -352,8 +341,8 @@ def run_sample(config: ExperimentConfig, index: int) -> SampleOutcome:
     if kind == "gap-stats":
         return _gap_stats_sample(config, index)
     box = config.box()
-    sample = sample_disorder(_disorder_config(config), box, index)
-    spec = diagonalize(assemble(box, sample), lambda0=config.lambda0_value(), tails=kind in _READS_C_F)
+    sample = sample_disorder(config.disorder(), box, index)
+    spec = diagonalize(assemble(box, sample), lambda0=config.lambda0_value())
     rows, flags = KERNELS[kind](config, box, spec, index)
     flags["degenerate_samples"] = int(spec.flag_degenerate())
     return SampleOutcome(index=index, rows=rows, flags=flags)

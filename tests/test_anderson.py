@@ -486,7 +486,8 @@ def test_solvers_leave_no_cyclic_garbage():
         lambda: spectrum(box),
         lambda: diagonalize(box),
         lambda: diagonalize(box, lambda0=2.0),
-        lambda: diagonalize(box, lambda0=2.0, tails=True),
+        lambda: diagonalize(box, lambda0=100.0),
+        lambda: anderson.tails(diagonalize(box, lambda0=2.0), np.arange(30)),
     ]
     for call in calls:
         call()  # binds the routines
@@ -691,15 +692,33 @@ class TestWindow:
                 diagonalize(h, lambda0=lambda0)
 
     @pytest.mark.parametrize("lengths", [[30], [6, 5], [5, 4, 3]], ids=["chain", "2D", "3D"])
-    def test_no_finite_regime_runs_dstevd(self, monkeypatch, lengths):
-        """Every finite lambda0, from an empty S to every mode and with or without tails, runs the window."""
+    def test_finite_regime_routes(self, monkeypatch, lengths):
+        """Every finite lambda0 runs the window: dsterf, then dstein on S, or dstevd where S is every mode,
+        from lambda0 = lambda_n on.  The eigenvalues are eigvalsh's bits either way."""
         h = _box_hamiltonian(lengths, "neumann")
         evals = spectrum(h).eigenvalues
         calls = _spy_solvers(monkeypatch)
-        for lambda0 in (0.5 * evals[0], float(np.median(evals)), 2.0 * evals[-1]):
-            for tails in (False, True):
-                diagonalize(h, lambda0=lambda0, tails=tails)
-        assert "dstevd" not in calls and calls.count("dstein") == 6
+        routes = []
+        for lambda0 in (0.5 * evals[0], float(np.median(evals)), float(evals[-1]), 2.0 * evals[-1]):
+            calls.clear()
+            spec = diagonalize(h, lambda0=lambda0)
+            routes.append([name for name in calls if name not in ("dsytrd", "dormtr")])
+            _assert_window(spec, h, spec.localized_count(lambda0))
+        assert routes == [["dsterf", "dstein"]] * 2 + [["dsterf", "dstevd"]] * 2
+
+    def test_every_mode_route_is_checked(self, monkeypatch):
+        """Where S is every mode the window takes dstevd's vectors, and its residual check rejects a mixed one."""
+        h, _ = _window_case()
+        stevd = _lapack.dstevd
+
+        def mixed(d, e):
+            evals, z = stevd(d, e)
+            z[:, 0] += 1e-6 * z[:, 1]
+            return evals, z
+
+        monkeypatch.setattr(_lapack, "dstevd", mixed)
+        with pytest.raises(NumericError, match="^residual"):
+            diagonalize(h, lambda0=2.0 * spectrum(h).norm)
 
     def test_kept_modes_are_enforced(self):
         h, lambda0 = _window_case()
@@ -715,25 +734,31 @@ class TestWindow:
             diagonalize(h, lambda0=lambda0)
 
     @pytest.mark.parametrize(
-        "kwargs, budget",
+        "lambda0, every_tail, budget",
         [
-            pytest.param({}, 3.2, id="full"),
-            pytest.param({"lambda0": 2.0}, 1.5, id="window"),
-            pytest.param({"lambda0": 2.0, "tails": True}, 1.5, id="window-tails"),
+            pytest.param(np.inf, False, 3.2, id="full"),
+            pytest.param(2.0, False, 1.5, id="window"),
+            pytest.param(2.0, True, 1.5, id="window-tails"),
         ],
     )
-    def test_peak_memory(self, kwargs, budget):
+    def test_peak_memory(self, lambda0, every_tail, budget):
         """From assembly on, a 20x20 box's full solve holds at most three n x n buffers at once: the
-        reduced h, Z and dstevd's workspace.  Its window, tails included, holds one, the reduced h,
-        beside n x |S| columns; the tails add three blocks of n x TAILS_BLOCK."""
+        reduced h, Z and dstevd's workspace.  Its window holds one, the reduced h, beside n x |S|
+        columns; the tails at every site, formed after it, add three blocks of n x TAILS_BLOCK."""
         import tracemalloc
 
         box = BoxGeometry.of_lengths([20, 20])
         sample = sample_disorder(DisorderConfig(k_max=1.5, master_seed=6), box, 0)
-        diagonalize(assemble(box, sample), **kwargs)  # binds the routines
+
+        def solve():
+            spec = diagonalize(assemble(box, sample), lambda0=lambda0)
+            if every_tail:
+                anderson.tails(spec, np.arange(box.n_sites))
+
+        solve()  # binds the routines
         tracemalloc.start()
         try:
-            diagonalize(assemble(box, sample), **kwargs)
+            solve()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -861,8 +886,8 @@ def _eigh_tails(h, count):
 
 
 class TestTails:
-    """tau(x) = sum_{j not in S} phi_j(x)^2 / gamma_j, the C_f input ``diagonalize(..., tails=True)`` forms
-    by the Chebyshev expansion on the window."""
+    """tau(x) = sum_{j not in S} phi_j(x)^2 / gamma_j, the C_f input ``anderson.tails`` forms at the
+    sites asked for, by the Chebyshev expansion on the window."""
 
     @pytest.mark.parametrize("fallback", [False, True], ids=["lapack", "numpy"])
     @pytest.mark.parametrize("lengths", BOXES)
@@ -874,13 +899,12 @@ class TestTails:
         full = diagonalize(h)
         lambda0 = float(np.median(full.eigenvalues))
         count = full.localized_count(lambda0)
-        spec = diagonalize(h, lambda0=lambda0, tails=True)
+        spec = diagonalize(h, lambda0=lambda0)
         want = sum(full.modes[:, j] ** 2 / full.gammas[j] for j in range(count, full.n))
         assert 0 < count < spec.n and spec.modes.shape == (spec.n, count)
         signs = np.where(np.sum(spec.modes * full.modes[:, :count], axis=0) < 0, -1.0, 1.0)
         assert np.max(np.abs(spec.modes - full.modes[:, :count] * signs)) <= 1e-12
-        assert spec.tails.shape == (spec.n,)
-        assert np.allclose(spec.tails, want, rtol=1e-13, atol=0.0)
+        assert np.allclose(anderson.tails(spec, np.arange(spec.n)), want, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize(
         "lengths, lambda0",
@@ -889,42 +913,59 @@ class TestTails:
     )
     def test_expansion_matches_eigh(self, lengths, lambda0):
         h = _box_hamiltonian(lengths, "neumann")
-        spec = diagonalize(h, lambda0=lambda0, tails=True)
+        spec = diagonalize(h, lambda0=lambda0)
         count = spec.modes.shape[1]
         assert 0 < count < spec.n
-        assert np.allclose(spec.tails, _eigh_tails(h, count), rtol=1e-13, atol=0.0)
+        assert np.allclose(anderson.tails(spec, np.arange(spec.n)), _eigh_tails(h, count), rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "sites",
+        [
+            pytest.param(37, id="one-site"),
+            pytest.param([90, 3, 57, 3, 11], id="unsorted"),
+            pytest.param(np.arange(20, 85)[::-1], id="across-a-block-edge"),
+            pytest.param(np.arange(120), id="every-site"),
+        ],
+    )
+    @pytest.mark.parametrize("lengths", [[120], [12, 10]], ids=["chain120", "box12x10"])
+    def test_at_the_sites_asked_for(self, lengths, sites):
+        """tau at a site, at unsorted and repeated sites, at 65 sites (one TAILS_BLOCK and one more) and at
+        every site is eigh's, one entry per site in their order."""
+        h = _box_hamiltonian(lengths, "neumann")
+        spec = diagonalize(h, lambda0=2.0)
+        assert 0 < spec.modes.shape[1] < spec.n
+        got = anderson.tails(spec, sites)
+        assert got.shape == (np.size(sites),)
+        assert np.allclose(got, _eigh_tails(h, spec.modes.shape[1])[np.ravel(sites)], rtol=1e-13, atol=0.0)
+
+    def test_rejects_sites_outside_the_box(self):
+        spec = diagonalize(_box_hamiltonian([6, 5], "neumann"), lambda0=2.0)
+        for sites in ([3, 30], [-1]):
+            with pytest.raises(ValueError, match="outside"):
+                anderson.tails(spec, sites)
 
     @pytest.mark.parametrize("lengths", BOXES)
     def test_empty_regime_expands_over_the_whole_spectrum(self, lengths):
         h = _box_hamiltonian(lengths, "neumann")
-        spec = diagonalize(h, lambda0=0.5 * spectrum(h).eigenvalues[0], tails=True)
+        spec = diagonalize(h, lambda0=0.5 * spectrum(h).eigenvalues[0])
         assert spec.modes.shape == (spec.n, 0)
-        assert np.allclose(spec.tails, _eigh_tails(h, 0), rtol=1e-13, atol=0.0)
+        assert np.allclose(anderson.tails(spec, np.arange(spec.n)), _eigh_tails(h, 0), rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("lengths", BOXES)
     def test_zero_when_every_mode_is_kept(self, lengths):
         """At lambda0 = inf (the full decomposition) and at a finite lambda0 above the spectrum (the window)."""
         h = _box_hamiltonian(lengths, "neumann")
         for lambda0 in (np.inf, 2.0 * spectrum(h).norm):
-            spec = diagonalize(h, lambda0=lambda0, tails=True)
+            spec = diagonalize(h, lambda0=lambda0)
             assert spec.modes.shape == (spec.n, spec.n)
-            assert np.array_equal(spec.tails, np.zeros(spec.n))
-
-    @pytest.mark.parametrize("lengths", BOXES)
-    def test_none_unless_asked(self, lengths):
-        """At |S| < n the window runs, which forms no tails; tails are formed only on request."""
-        h = _box_hamiltonian(lengths, "neumann")
-        lambda0 = float(np.median(spectrum(h).eigenvalues))
-        spec = diagonalize(h, lambda0=lambda0)
-        assert spec.tails is None
-        assert spec.modes.shape[1] == spec.localized_count(lambda0) < spec.n
+            assert np.array_equal(anderson.tails(spec, np.arange(spec.n)), np.zeros(spec.n))
 
     @pytest.mark.parametrize("lengths", BOXES)
     @pytest.mark.parametrize("fault", ["low-degree", "nan"])
     def test_truncation_check(self, monkeypatch, lengths, fault):
-        """The a posteriori check rejects an expansion cut too early, and a NaN in it."""
+        """The a posteriori check rejects an expansion cut too early, and a NaN in it, and names the site."""
         h = _box_hamiltonian(lengths, "neumann")
-        lambda0 = float(np.median(spectrum(h).eigenvalues))
+        spec = diagonalize(h, lambda0=float(np.median(spectrum(h).eigenvalues)))
         if fault == "low-degree":
             monkeypatch.setattr(anderson, "_tails_degree", lambda a, b: 3)
         else:
@@ -936,8 +977,8 @@ class TestTails:
                 return coef
 
             monkeypatch.setattr(anderson, "_inverse_sqrt_chebyshev", with_nan)
-        with pytest.raises(NumericError, match="tails expansion"):
-            diagonalize(h, lambda0=lambda0, tails=True)
+        with pytest.raises(NumericError, match=r"^tails expansion: .* tau\(17\)"):
+            anderson.tails(spec, [17, 4])
 
     def test_degree_bound(self):
         """The a priori degree meets its bound, the least that does, and grows like sqrt(b / a)."""

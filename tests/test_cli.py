@@ -47,6 +47,26 @@ def test_config_error_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"samples": 2.5},
+        {"seed": "x"},
+        {"workers": 2, "disorder": {"kind": "inverse_cdf", "table_u": [0, 0.5, 1], "table_k": [0, 0.8, 0.3]}},
+    ],
+    ids=["fractional-samples", "string-seed", "non-monotone-table-with-workers"],
+)
+def test_config_checked_before_any_sample(tmp_path, capsys, change):
+    """An ill-typed integer or a bad disorder table is a ConfigError at load, not a traceback or a
+    worker failure once samples run."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**DOC, **change}), encoding="utf-8")
+    out = tmp_path / "table.csv"
+    assert cli.main(["run", str(path), "--out", str(out)]) == 2
+    _one_line_error(capsys, "ConfigError")
+    assert not out.exists()
+
+
 def test_zero_many_body_occupation_exits_2(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     doc = {"experiment": "gap-stats", "box": {"lengths": [12]}, "samples": 1, "mb_occupation": 0}

@@ -66,6 +66,33 @@ class TestValidation:
             pytest.param(_doc(disorder={"k_max": "x"}), id="k_max-not-a-number"),
             pytest.param(_doc(time_grid={"points": "many"}), id="points-not-a-number"),
             pytest.param(_doc(time_grid={"points": INF}), id="infinite-points"),
+            # an integer field takes a JSON integer only: no fraction, no bool, no string
+            pytest.param(_doc(samples=2.5), id="fractional-samples"),
+            pytest.param(_doc(samples=True), id="bool-samples"),
+            pytest.param(_doc(seed="x"), id="string-seed"),
+            pytest.param(_doc(kappa=1.5), id="fractional-kappa"),
+            pytest.param(_doc(workers=2.0), id="float-workers"),
+            pytest.param(_doc(box={"lengths": [12.7]}), id="fractional-length"),
+            pytest.param(_doc(box={"lengths": "12"}), id="string-lengths"),
+            pytest.param(_doc(shells=[1.5, 3]), id="fractional-shell"),
+            pytest.param(_doc(shells={"min": 1.0, "max": 3}), id="float-range-bound"),
+            pytest.param(_doc(shells={"min": False, "max": 3}), id="bool-range-bound"),
+            pytest.param(_doc(center=[True]), id="bool-center"),
+            pytest.param(_doc(time_grid={"points": 5.9}), id="fractional-points"),
+            pytest.param(_doc(experiment="eigencorrelator", powers=[0.0]), id="float-power"),
+            pytest.param(_doc(experiment="quasi-locality", n_values=[2, 3.5]), id="fractional-radius"),
+            pytest.param(_doc(experiment="energy-density", lengths_ladder=[10, 20.5]), id="fractional-ladder"),
+            pytest.param(_doc(experiment="gap-stats", mb_occupation=2.5), id="fractional-many-body-occupation"),
+            # the disorder is checked at load, not at the first sample
+            pytest.param(_doc(disorder={"kind": "gaussian"}), id="unknown-disorder-kind"),
+            pytest.param(
+                _doc(disorder={"kind": "inverse_cdf", "table_u": [0, 0.5, 1], "table_k": [0, 0.8, 0.3]}),
+                id="non-monotone-inverse-cdf",
+            ),
+            pytest.param(_doc(disorder={"kind": "inverse_cdf", "table_u": [0, 1]}), id="inverse-cdf-without-k"),
+            pytest.param(
+                _doc(disorder={"kind": "inverse_cdf", "table_u": [0, 1], "table_k": [0, 2]}), id="table-beyond-k_max"
+            ),
         ],
     )
     def test_rejected(self, doc):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osclab import ensembles
-from osclab.anderson import DisorderConfig, SpectralData, assemble, diagonalize, sample_disorder
+from osclab.anderson import DisorderConfig, SpectralData, assemble, diagonalize, sample_disorder, tails
 from osclab.config import EXPERIMENT_KINDS, config_from_dict
 from osclab.errors import ConfigError, NumericError
 from osclab.fock_oracle import correlation_series, diagonal_elements
@@ -230,9 +230,8 @@ def _run_kernel(config, box, seed=11):
     """The config's kernel on the box's sample of ``seed`` (k_max 1, as in ``make_chain_spec``),
     solved for the config's regime as ``run_sample`` solves it."""
     h = assemble(box, sample_disorder(DisorderConfig(k_max=1.0, master_seed=seed), box, 0))
-    kind = config.experiment
-    spec = diagonalize(h, lambda0=config.lambda0_value(), tails=kind in ensembles._READS_C_F)
-    return ensembles.KERNELS[kind](config, box, spec, 0)
+    spec = diagonalize(h, lambda0=config.lambda0_value())
+    return ensembles.KERNELS[config.experiment](config, box, spec, 0)
 
 
 def _restriction(spec, lam, f):
@@ -611,8 +610,8 @@ def test_kernels_agree_with_full_decomposition(lengths, seed, k_max, fraction):
     """Every kernel on the regime run_sample solves matches a run on numpy's eigh, with the same flags.
 
     lambda0 lies below the spectrum, inside it or above it, so S is empty, partial or everything.  The
-    reference keeps eigh's |S| lowest modes and forms the tails from all of its others; |S| is the
-    window's, so both runs read one regime.
+    reference keeps eigh's |S| lowest modes and forms the tails from all of its others, in place of
+    ``anderson.tails``; |S| is the window's, so both runs read one regime.
     """
     box = BoxGeometry.of_lengths(list(lengths))
     h = assemble(box, sample_disorder(DisorderConfig(k_max=k_max, master_seed=seed), box, 0))
@@ -623,10 +622,12 @@ def test_kernels_agree_with_full_decomposition(lengths, seed, k_max, fraction):
     full_evals = np.clip(full_evals, 0.0, None)
     gammas = np.sqrt(full_evals)
 
-    def full_decomposition(h, lambda0, tails):
-        site_tails = np.square(full_modes[:, count:]) @ (1.0 / gammas[count:]) if tails else None
+    def full_decomposition(h, lambda0):
         modes = np.ascontiguousarray(full_modes[:, :count])
-        return SpectralData(eigenvalues=full_evals, gammas=gammas, modes=modes, tails=site_tails)
+        return SpectralData(eigenvalues=full_evals, gammas=gammas, modes=modes, h=h)
+
+    def full_tails(spec, sites):
+        return (np.square(full_modes[:, count:]) @ (1.0 / gammas[count:]))[sites]
 
     for kind in ensembles.KERNELS:
         config = config_from_dict(
@@ -644,6 +645,7 @@ def test_kernels_agree_with_full_decomposition(lengths, seed, k_max, fraction):
         regime = ensembles.run_sample(config, 0)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ensembles, "diagonalize", full_decomposition)
+            patch.setattr(ensembles, "tails", full_tails)
             full = ensembles.run_sample(config, 0)
         assert regime.flags == full.flags, kind
         assert [key for key, _ in regime.rows] == [key for key, _ in full.rows], kind
@@ -651,22 +653,42 @@ def test_kernels_agree_with_full_decomposition(lengths, seed, k_max, fraction):
             assert got == pytest.approx(want, rel=1e-12, abs=1e-14), (kind, key)
 
 
+def _kernel_config(kind):
+    grid = {"points": 5, "t_max": 2.0}
+    return config_from_dict({"experiment": kind, "box": {"lengths": [6, 5]}, "lambda0": 2.0, "samples": 1, "time_grid": grid})
+
+
 @pytest.mark.parametrize("kind", sorted(ensembles.KERNELS))
 def test_only_kernels_without_c_f_leave_out_modes(monkeypatch, kind):
-    """Every kernel gets Phi_S alone, from the window; those that read C_f also get the tails."""
+    """Every kernel, whether it reads C_f or not, gets Phi_S alone, from the window."""
     kept = []
 
     def spy(h, **regime_args):
         spec = diagonalize(h, **regime_args)
-        kept.append((spec.modes.shape[1] == spec.localized_count(2.0) < 30, spec.tails is not None))
+        kept.append(spec.modes.shape[1] == spec.localized_count(2.0) < 30)
         return spec
 
     monkeypatch.setattr(ensembles, "diagonalize", spy)
-    config = config_from_dict(
-        {"experiment": kind, "box": {"lengths": [6, 5]}, "lambda0": 2.0, "samples": 1, "time_grid": {"points": 5, "t_max": 2.0}}
-    )
+    ensembles.run_sample(_kernel_config(kind), 0)
+    assert kept == [True]
+
+
+@pytest.mark.parametrize("kind", sorted(ensembles.KERNELS))
+def test_tails_formed_only_where_c_f_is_read(monkeypatch, kind):
+    """lr-bound and correlations form tau at the center and the shells, quasi-locality at the center
+    alone, and the eigencorrelator and pq-bound nowhere."""
+    read = []
+
+    def spy(spec, sites):
+        read.append(np.atleast_1d(sites).tolist())
+        return tails(spec, sites)
+
+    monkeypatch.setattr(ensembles, "tails", spy)
+    config = _kernel_config(kind)
     ensembles.run_sample(config, 0)
-    assert kept == [(True, kind in ("lr-bound", "correlations", "quasi-locality"))]
+    center, _, ys = ensembles._shells(config, config.box())
+    pair = [[center, *ys.tolist()]]
+    assert read == {"lr-bound": pair, "correlations": pair, "quasi-locality": [[center]]}.get(kind, [])
 
 
 class TestRunEnsemble:
