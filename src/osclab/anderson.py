@@ -26,28 +26,26 @@ C_f = exp(-||1_{S^c} V f||^2 / 4), the tails
 tau(x) = sum_{j not in S} phi_j(x)^2 / gamma_j.  ``diagonalize(h,
 lambda0)`` fixes the regime once in a ``SpectralData`` of Phi_S and h, and
 ``tails(spec, sites)`` forms tau at just those sites.  With scale =
-max|h_ij| and tol = RECONSTRUCTION_RTOL, the two solves' accuracy contracts:
-
-* Full decomposition (lambda0 = inf, so |S| = n and the tails are zero):
-  eigh's own route, ``dstevd`` on the band and ``dormtr`` on all n
-  columns, so eigenvalues and modes are the bits of ``eigh`` (of
-  ``np.asarray(h)``).  Every mode is formed and max|O G^2 O^T - h| <=
-  tol * scale over all n^2 entries.  With nu >= 2 the solve holds three
-  n x n arrays at its peak: the reduced h, Z and the workspace of
-  ``dstevd``.
-* Window (every finite lambda0, even where S is every mode): ``dsterf``
-  finds all n eigenvalues, the bits of ``eigvalsh``, and inverse iteration
-  (``dstein``) the eigenvectors of S alone; only those are mapped back.
-  Where S is every mode, ``dstevd`` forms them instead, and the
-  eigenvalues stay dsterf's.  Inverse iteration can return poor vectors
-  without saying so, so the vectors are checked on either route: the
-  invariants of ``spectrum`` hold on all n eigenvalues,
-  max|h Phi_S - Phi_S Lambda_S| <= tol * scale, and
-  max|Phi_S^T Phi_S - I| <= tol.  Because Q is orthogonal, the residual of
-  Phi_S is that of the band's vectors.  With nu >= 2 and |S| < n the
-  window holds one n x n array, the reduced h, beside the n x |S| columns.
-  On a 40 x 40 box ``dsterf`` and ``dstein`` together take as long as
-  ``dstevd`` at |S| of about 0.4 n.
+max|h_ij| and tol = RECONSTRUCTION_RTOL, every lambda0 runs one solve, the
+window, under one accuracy contract.  ``dsterf`` finds all n eigenvalues,
+the bits of ``eigvalsh``, and inverse iteration (``dstein``) the
+eigenvectors of S alone; only those are mapped back.  Where S is every
+mode, ``dstevd`` forms them instead, and the eigenvalues stay dsterf's; at
+lambda0 = inf S is every mode whatever the eigenvalues, so no ``dsterf``
+runs and eigenvalues and modes are the bits of ``eigh`` (of
+``np.asarray(h)``).  Inverse iteration can return poor vectors without
+saying so, so the vectors are checked on every route: the invariants of
+``spectrum`` hold on all n eigenvalues, max|h Phi_S - Phi_S Lambda_S| <=
+tol * scale, and max|Phi_S^T Phi_S - I| <= tol.  Because Q is orthogonal,
+the residual of Phi_S is that of the band's vectors.  The residual is not
+the reconstruction error max|Phi G^2 Phi^T - h| over all n^2 entries, and
+neither bounds the other entry by entry: the eigenpairs of h plus a
+symmetric error delta at (r, c) and (c, r) have, as eigenpairs of h, the
+reconstruction error delta but the residual
+delta * max_j max(|phi_j(r)|, |phi_j(c)|).  With nu >= 2 the solve
+holds one n x n array, the reduced h, beside the n x |S| columns, and the
+workspace of ``dstevd`` where S is every mode.  On a 40 x 40 box ``dsterf``
+and ``dstein`` together take as long as ``dstevd`` at |S| of about 0.4 n.
 
 The window forms no mode outside S, so ``tails`` works from those it has:
 tau(x) = <v_x, h^{-1/2} v_x> with v_x = delta_x - Phi_S Phi_S^T delta_x,
@@ -99,10 +97,6 @@ RECONSTRUCTION_RTOL = 1e-10
 
 #: Relative gap below which a spectrum is flagged as degenerate.
 DEGENERACY_RTOL = 1e-12
-
-#: Rows per tile of the reconstruction check, which thereby allocates no
-#: n x n temporary.
-SYMMETRY_TILE = 128
 
 #: Relative accuracy of the tails, which the degree of their expansion is chosen for.
 TAILS_RTOL = 1e-14
@@ -186,9 +180,8 @@ class Stencil:
     d is a read-only float copy with one entry per site; the -1 entries of h
     sit on the edges of ``lattice._graph``, and ``e`` lists them, one per
     edge.  With nu = 1 the edges run (0, 1), (1, 2), ..., so (d, e) is the
-    chain's band.  ``lower_rows`` gives dense rows of h, ``np.asarray(h)``
-    all of them, and ``h @ x`` applies h to the columns of x in O(n) per
-    column.
+    chain's band.  ``np.asarray(h)`` gives the dense form of h, and
+    ``h @ x`` applies h to the columns of x in O(n) per column.
     """
 
     box: BoxGeometry
@@ -210,19 +203,10 @@ class Stencil:
         return np.full(_graph(self.box)[0].size, -1.0)
 
     def __array__(self, dtype=None, copy=None):
-        h = self.lower_rows(0, self.d.size)
-        return h if dtype is None else h.astype(dtype, copy=False)
-
-    def lower_rows(self, start: int, stop: int) -> np.ndarray:
-        """Dense rows start..stop-1 of h, columns 0..stop-1."""
         i, j, _ = _graph(self.box)
-        block = np.zeros((stop - start, stop))
-        rows = np.arange(start, stop)
-        block[rows - start, rows] = self.d[start:stop]
-        for r, c in ((i, j), (j, i)):
-            keep = (r >= start) & (r < stop) & (c < stop)
-            block[r[keep] - start, c[keep]] = -1.0
-        return block
+        h = np.diag(self.d)
+        h[i, j] = h[j, i] = -1.0
+        return h if dtype is None else h.astype(dtype, copy=False)
 
     def __matmul__(self, x) -> np.ndarray:
         x = np.asarray(x)
@@ -344,10 +328,14 @@ def _band_window(d: np.ndarray, e: np.ndarray, lambda0: float):
     """(eigenvalues, Z_S) of the band T = (d, e): every eigenvalue by ``dsterf`` and the
     eigenvectors of S by ``dstein``, or by ``dstevd`` where S is every mode, F-ordered.
 
-    T is cut where ``dsterf`` itself takes an off-diagonal entry for zero and
-    each block is solved apart, which gives dsterf's bits on all of T and the
-    block of every eigenvalue, which ``dstein`` needs.
+    At lambda0 = inf S is every mode whatever the eigenvalues, so ``dstevd``
+    alone runs and returns eigh's bits.  Otherwise T is cut where ``dsterf``
+    itself takes an off-diagonal entry for zero and each block is solved
+    apart, which gives dsterf's bits on all of T and the block of every
+    eigenvalue, which ``dstein`` needs.
     """
+    if lambda0 == np.inf:
+        return _lapack.dstevd(d, e)
     eps = np.finfo(float).eps / 2  # LAPACK's DLAMCH('E')
     cut = np.abs(e) <= np.sqrt(np.abs(d[:-1])) * np.sqrt(np.abs(d[1:])) * eps
     ends = np.append(np.flatnonzero(cut) + 1, d.size)
@@ -367,40 +355,23 @@ def _band_window(d: np.ndarray, e: np.ndarray, lambda0: float):
     return evals, np.asfortranarray(z[:, columns])
 
 
-def _eigh(h: Stencil, lambda0: float = np.inf):
-    """(eigenvalues, eigenvectors) of a validated h; the eigenvectors in F order when LAPACK is bound.
+def _eigh(h: Stencil, lambda0: float):
+    """(eigenvalues, Phi_S) of a validated h, Phi_S C-ordered, so that the F-ordered band vectors
+    and the reduced h die here.
 
-    The band drivers run on h's band (``_band``).  With lambda0 = inf
-    ``dstevd`` returns every eigenvector; at any other lambda0 the window
-    (``_band_window``) returns those of S.  With nu >= 2 ``dormtr``
-    maps back just the columns returned.  Without the binding, numpy's
-    ``eigh``.
+    The window (``_band_window``) runs on h's band (``_band``); with
+    nu >= 2 ``dormtr`` maps back just the columns it returns.  Without the
+    binding, numpy's ``eigh``.
     """
     if _lapack.binding() is None:
-        return np.linalg.eigh(np.asarray(h))
+        evals, vecs = np.linalg.eigh(np.asarray(h))
+        return evals, np.ascontiguousarray(vecs[:, : _prefix_count(evals, lambda0)])
     d, e, a, tau = _band(h)
-    evals, z = _lapack.dstevd(d, e) if lambda0 == np.inf else _band_window(d, e, lambda0)
+    evals, z = _band_window(d, e, lambda0)
     if a is not None:
         _lapack.dormtr(a, tau, z)
-    return evals, z
-
-
-def _reconstruction_error(h: Stencil, evals: np.ndarray, modes: np.ndarray) -> float:
-    """max|O diag(evals) O^T - h| over all n^2 entries, one row tile of the lower triangle at a time.
-
-    Tile I is (O_I diag(evals)) O_{<=I}^T, compared with h's dense rows
-    ``h.lower_rows``.  Both the product and h are symmetric, so each tile
-    stands for its mirror too.  No n x n temporary is formed.  A NaN
-    anywhere gives NaN.
-    """
-    n = evals.size
-    errs = []
-    for i in range(0, n, SYMMETRY_TILE):
-        end = min(i + SYMMETRY_TILE, n)
-        tile = (modes[i:end] * evals) @ modes[:end].T
-        tile -= h.lower_rows(i, end)
-        errs += [tile.max(), -tile.min()]
-    return float(np.max(errs))
+    del a  # the reduced h goes before Z is copied
+    return evals, np.ascontiguousarray(z)
 
 
 def _scale(h: Stencil) -> float:
@@ -468,20 +439,23 @@ def _require(err: float, tol: float, what: str):
 
 
 def _max_abs(x: np.ndarray) -> float:
-    return float(np.max(np.abs(x), initial=0.0))
+    """max|x|, taking the absolute values in place over x."""
+    return float(np.max(np.abs(x, out=x), initial=0.0))
 
 
-def _window_modes(h: Stencil, scale: float, evals: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Phi_S, C-ordered, from the F-ordered eigenvectors of S that ``_eigh`` returns, checked by the
-    window contract: the invariants on all n eigenvalues, then the residual and orthonormality of Phi_S."""
-    count = z.shape[1]
-    tol = RECONSTRUCTION_RTOL * scale
+def _window_modes(h: Stencil, scale: float, evals: np.ndarray, modes: np.ndarray) -> np.ndarray:
+    """Phi_S, the C-ordered eigenvectors of S that ``_eigh`` returns, checked by the window contract:
+    the invariants on all n eigenvalues, then the residual and orthonormality of Phi_S.  Beside
+    Phi_S it holds the residual and its one temporary, then the Gram matrix, never both."""
+    count = modes.shape[1]
     _check_invariants(h, evals, scale)
-    modes = np.ascontiguousarray(z)
     residual = h @ modes
     residual -= modes * evals[:count]
-    _require(_max_abs(residual), tol, "residual max|h Phi_S - Phi_S Lambda_S|")
-    _require(_max_abs(modes.T @ modes - np.eye(count)), RECONSTRUCTION_RTOL, "orthonormality max|Phi_S^T Phi_S - I|")
+    _require(_max_abs(residual), RECONSTRUCTION_RTOL * scale, "residual max|h Phi_S - Phi_S Lambda_S|")
+    del residual
+    gram = modes.T @ modes
+    gram[np.diag_indices(count)] -= 1.0
+    _require(_max_abs(gram), RECONSTRUCTION_RTOL, "orthonormality max|Phi_S^T Phi_S - I|")
     return modes
 
 
@@ -519,24 +493,17 @@ def diagonalize(h: Stencil, lambda0: float = np.inf) -> SpectralData:
     """The regime lambda0 of h, checked for accuracy.
 
     Keeps Phi_S, the eigenvectors of the eigenvalues <= lambda0 (every one
-    by default), and h.  At lambda0 = inf the full decomposition runs, and
-    NumericError is raised if the reconstruction ||O G^2 O^T - h||_max
-    exceeds RECONSTRUCTION_RTOL * max|h_ij|; that check runs over row tiles
-    of SYMMETRY_TILE rows of the lower triangle (``_reconstruction_error``),
-    so it allocates no n x n temporary.  At any finite lambda0 the window
-    runs, even where S is every mode: only the eigenvectors of S are formed,
-    checked by the window contract of the module docstring.  Validation and
-    the clamping of round-off negatives are those of ``_solve_checked``.
+    by default), and h.  Every lambda0, inf included, runs the window and
+    is held to its contract (module docstring): the invariants on all n
+    eigenvalues, max|h Phi_S - Phi_S Lambda_S| <= RECONSTRUCTION_RTOL *
+    max|h_ij| and max|Phi_S^T Phi_S - I| <= RECONSTRUCTION_RTOL, each
+    failure a NumericError.  The residual reads an error delta planted at
+    entry (r, c) of h as delta * max_j max(|phi_j(r)|, |phi_j(c)|), not delta.
+    Validation and the clamping of round-off negatives are those of
+    ``_solve_checked``.
     """
-    scale, evals, vecs = _solve_checked(h, functools.partial(_eigh, lambda0=lambda0))
-    if lambda0 == np.inf:
-        modes = np.ascontiguousarray(vecs)
-        err = _reconstruction_error(h, evals, modes)
-        if not err <= RECONSTRUCTION_RTOL * scale:  # a NaN error fails too
-            raise NumericError(f"reconstruction error {err:.3e} exceeds {RECONSTRUCTION_RTOL:.0e} * max|h_ij|")
-    else:
-        modes = _window_modes(h, scale, evals, vecs[:, : _prefix_count(evals, lambda0)])
-    return SpectralData(eigenvalues=evals, gammas=np.sqrt(evals), modes=modes, h=h)
+    scale, evals, modes = _solve_checked(h, functools.partial(_eigh, lambda0=lambda0))
+    return SpectralData(eigenvalues=evals, gammas=np.sqrt(evals), modes=_window_modes(h, scale, evals, modes), h=h)
 
 
 def tails(spec: SpectralData, sites) -> np.ndarray:

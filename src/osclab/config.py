@@ -37,6 +37,13 @@ def _is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _real(value, name: str) -> float:
+    """float(value) for a real-valued field; a bool, which float() reads as 0 or 1, is a ConfigError."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
@@ -137,7 +144,7 @@ class ExperimentConfig:
         # json.load accepts Infinity and NaN, and NaN passes every sign test below
         for name in ("amplitude", "lambda0", "t_max", "lambda_grid_max"):
             value = getattr(self, name)
-            if value is not None and value != "full" and not math.isfinite(float(value)):
+            if value is not None and value != "full" and not math.isfinite(_real(value, name)):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.lambda0 != "full" and float(self.lambda0) < 0:
             raise ConfigError("lambda0 must be nonnegative or 'full'")
@@ -190,8 +197,8 @@ class ExperimentConfig:
             raise ConfigError(f"mb_occupation must be at least 1, got {self.mb_occupation!r}")
 
 
-def _floats(value):
-    return None if value is None else tuple(float(v) for v in value)
+def _floats(value, name: str):
+    return None if value is None else tuple(_real(v, name) for v in value)
 
 
 def _section(raw: dict, name: str, keys) -> dict:
@@ -243,14 +250,14 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         if "lengths" in box:
             known["lengths"] = tuple(box["lengths"])
         if "k_max" in disorder:
-            known["k_max"] = float(disorder["k_max"])
+            known["k_max"] = _real(disorder["k_max"], "k_max")
         known["disorder_kind"] = disorder.get("kind", "uniform")
-        known["table_u"] = _floats(disorder.get("table_u"))
-        known["table_k"] = _floats(disorder.get("table_k"))
+        known["table_u"] = _floats(disorder.get("table_u"), "table_u")
+        known["table_k"] = _floats(disorder.get("table_k"), "table_k")
         if "points" in grid:
             known["time_points"] = grid["points"]
         if "t_max" in grid:
-            known["t_max"] = None if grid["t_max"] is None else float(grid["t_max"])
+            known["t_max"] = None if grid["t_max"] is None else _real(grid["t_max"], "t_max")
         for name in ("shells", "n_values"):
             values = _distances(raw, name)
             if values is not None:

@@ -30,7 +30,7 @@ evaluate them for delta fields in batched form, from
 ``anderson.propagator_sums``, ``anderson.eigencorrelator_profile`` and
 ``OccupationFamily``, on the regime that ``anderson.diagonalize`` fixed:
 Phi_S, gamma_S and, for f = a delta_x, C_f = exp(-a^2 tau(x) / 4) with
-the tails tau of ``SpectralData``.  The kernels are checked directly against the
+the tails tau that ``anderson.tails(spec, sites)`` forms.  The kernels are checked directly against the
 truncated-Fock oracle (``fock_oracle.OracleBundle``) on boxes of at most
 three modes, and against ``fock_oracle.correlation_series`` and the field
 maps of ``freeboson`` on larger boxes.

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from osclab import _lapack, anderson
 from osclab.anderson import (
     RECONSTRUCTION_RTOL,
-    SYMMETRY_TILE,
     DisorderConfig,
     SpectralData,
     Spectrum,
@@ -162,6 +161,8 @@ class TestDiagonalize:
     @pytest.mark.parametrize("lengths", BOXES)
     @pytest.mark.parametrize("broken", ["eigenvalue", "eigenvector", "nan"])
     def test_reconstruction_check(self, monkeypatch, broken, lengths):
+        """At lambda0 = inf the window contract rejects a wrong eigenvalue by the invariants, and a
+        wrong or NaN eigenvector by the residual."""
         h = _box_hamiltonian(lengths, "neumann")
         scale = np.max(np.abs(np.asarray(h)))
         owner, name = _solver("eigh")
@@ -180,7 +181,7 @@ class TestDiagonalize:
             return evals, vecs
 
         monkeypatch.setattr(owner, name, wrong)
-        with pytest.raises(NumericError, match="reconstruction"):
+        with pytest.raises(NumericError, match="invariants" if broken == "eigenvalue" else "^residual"):
             diagonalize(h)
 
 
@@ -324,7 +325,8 @@ class TestTridiagonalPath:
     @pytest.mark.parametrize("bc", BCS)
     def test_routing(self, monkeypatch, bc):
         """The dimension of the box picks the route: a chain's band runs the band drivers as it is, and
-        any other box's h is reduced by dsytrd first, for its eigenvalues too."""
+        any other box's h is reduced by dsytrd first, for its eigenvalues too.  At lambda0 = inf
+        diagonalize runs dstevd alone on the band, no dsterf."""
         calls = _spy_solvers(monkeypatch)
         routes = []
         for lengths in ([30], [6, 5], [3, 2, 2]):
@@ -405,20 +407,13 @@ class TestTridiagonal:
         with pytest.raises(ValueError, match="finite"):
             solve(chain_stencil(d))
 
-    @pytest.mark.parametrize("start, stop", [(0, 1), (0, 5), (3, 4), (3, 9), (8, 9)])
-    def test_lower_rows_are_dense_rows(self, start, stop):
-        h = chain_stencil(np.arange(1.0, 10.0))
-        assert np.array_equal(h.lower_rows(start, stop), np.asarray(h)[start:stop, :stop])
-
     @pytest.mark.parametrize("lengths", [[1, 1], [6, 5], [3, 2, 4]])
     def test_stencil_is_its_dense_matrix(self, lengths):
-        """Rows, products with vectors and matrices, shape, entries: all those of np.asarray(h)."""
+        """Products with vectors and matrices, shape, entries: all those of np.asarray(h)."""
         h = _box_hamiltonian(lengths, "dirichlet")
         dense = np.asarray(h)
         n = dense.shape[0]
         assert h.shape == dense.shape
-        for start, stop in ((0, n), (0, 1), (n // 2, n), (n - 1, n)):
-            assert np.array_equal(h.lower_rows(start, stop), dense[start:stop, :stop])
         x = np.random.default_rng(3).standard_normal((n, 4))
         assert np.allclose(h @ x, dense @ x, rtol=0.0, atol=1e-14)
         assert np.allclose(h @ x[:, 0], dense @ x[:, 0], rtol=0.0, atol=1e-14)
@@ -503,68 +498,46 @@ def test_solvers_leave_no_cyclic_garbage():
             gc.enable()
 
 
-# n is not a multiple of the tile, so the last tile is ragged
-_RAGGED_N = 2 * SYMMETRY_TILE + 37
-
-
-class TestSymmetryCheck:
-    """No symmetry test runs: a stencil is symmetric by construction.  Its dense form is, and the tiles of
-    rows the reconstruction check reads are that form's, the last ragged tile included."""
-
-    @pytest.mark.parametrize("n", [1, 5, SYMMETRY_TILE, SYMMETRY_TILE + 1, _RAGGED_N])
-    def test_tiles_match_dense_form(self, n):
-        h = _box_hamiltonian([n], "neumann", seed=n)
-        dense = np.asarray(h)
-        assert np.array_equal(dense, dense.T)
-        for i in range(0, n, SYMMETRY_TILE):
-            end = min(i + SYMMETRY_TILE, n)
-            assert np.array_equal(h.lower_rows(i, end), dense[i:end, :end])
-
-
-class TestReconstructionTiles:
-    @pytest.mark.parametrize("row", [0, SYMMETRY_TILE + 9, _RAGGED_N - 1])
-    def test_nan_in_any_tile(self, monkeypatch, row):
-        """A NaN in any tile of O diag(evals) O^T fails the tiled reconstruction check."""
-        evals = np.linspace(1.0, 2.0, _RAGGED_N)
-        modes = np.eye(_RAGGED_N)
-        modes[row, 5] = np.nan  # NaN spreads over row and column ``row`` of the product
-        monkeypatch.setattr(anderson, "_eigh", lambda h, **regime: (evals, modes))
-        with pytest.raises(NumericError, match="reconstruction"):
-            diagonalize(_box_hamiltonian([_RAGGED_N], "neumann"))
+#: Sites of the chain TestBandReconstruction plants its errors in.
+_BAND_N = 293
 
 
 class TestBandReconstruction:
-    """The reconstruction check of a chain reads every diagonal and off-diagonal entry,
-    across tile boundaries and in the last partial tile.
+    """The residual check at lambda0 = inf reads an error planted at any diagonal or off-diagonal
+    entry of a chain, at its exact threshold.
 
-    The solve returns numpy's eigenpairs of h plus one planted symmetric
-    entry, so the error is that entry alone, up to round-off far below it.
+    The solve returns numpy's eigenpairs of h plus delta at the symmetric
+    entries (r, c) and (c, r).  As eigenpairs of h their residual is
+    delta * max_j max(|phi_j(r)|, |phi_j(c)|), up to round-off far below it,
+    so delta is chosen from h's own eigenvectors to make that factor *
+    tol * scale.
     """
 
     @pytest.mark.parametrize(
         "where",
         [
             pytest.param(("d", 0), id="first-diagonal"),
-            pytest.param(("d", _RAGGED_N - 1), id="last-diagonal"),
+            pytest.param(("d", _BAND_N - 1), id="last-diagonal"),
             pytest.param(("e", 0), id="first-off-diagonal"),
-            pytest.param(("e", SYMMETRY_TILE - 1), id="off-diagonal-across-tiles"),
-            pytest.param(("e", SYMMETRY_TILE), id="off-diagonal-in-tile"),
-            pytest.param(("e", _RAGGED_N - 2), id="last-off-diagonal"),
+            pytest.param(("e", 127), id="off-diagonal-across-tiles"),
+            pytest.param(("e", 128), id="off-diagonal-in-tile"),
+            pytest.param(("e", _BAND_N - 2), id="last-off-diagonal"),
         ],
     )
     @pytest.mark.parametrize("factor, rejected", [(2.0, True), (0.5, False)])
     def test_planted_error(self, monkeypatch, where, factor, rejected):
-        h = _box_hamiltonian([_RAGGED_N], "neumann")
+        h = _box_hamiltonian([_BAND_N], "neumann")
         name, pos = where
         row, col = (pos, pos) if name == "d" else (pos + 1, pos)
         planted = np.asarray(h)
-        planted[row, col] += factor * RECONSTRUCTION_RTOL * np.max(np.abs(h.d))
+        peak = np.max(np.abs(np.linalg.eigh(planted)[1][[row, col]]))
+        planted[row, col] += factor * RECONSTRUCTION_RTOL * np.max(np.abs(planted)) / peak
         planted[col, row] = planted[row, col]
         evals, modes = np.linalg.eigh(planted)
         modes = np.ascontiguousarray(modes)
         monkeypatch.setattr(anderson, "_eigh", lambda h, **regime: (evals, modes))
         if rejected:
-            with pytest.raises(NumericError, match="reconstruction"):
+            with pytest.raises(NumericError, match="^residual"):
                 diagonalize(h)
         else:
             assert diagonalize(h).modes is modes
@@ -660,21 +633,20 @@ class TestWindow:
         ],
     )
     def test_planted_fault(self, monkeypatch, fault, match):
-        """Each check of the window contract rejects a fault that passes every check before it."""
+        """Each check of the window contract rejects a fault that passes every check before it, both in
+        the window (dsterf and dstein) and at lambda0 = inf (dstevd alone)."""
         h, lambda0 = _window_case()
         scale = np.max(np.abs(np.asarray(h)))
-        sterf, stein = _lapack.dsterf, _lapack.dstein
+        sterf, stein, stevd = _lapack.dsterf, _lapack.dstein, _lapack.dstevd
 
-        def wrong_sterf(d, e):
-            evals = sterf(d, e)
+        def wrong_evals(evals):
             if fault == "eigenvalue":
                 evals[-1] += 1e-6 * scale
             elif fault == "eigenvalue-nan":
                 evals[-1] = np.nan
             return evals
 
-        def wrong_stein(*band_and_eigenvalues):
-            z = stein(*band_and_eigenvalues)
+        def wrong_z(z):
             if fault == "mode-mixed":
                 z[:, 0] += 1e-6 * z[:, 1]
             elif fault == "mode-nan":
@@ -683,28 +655,36 @@ class TestWindow:
                 z[:, 0] *= 1.0 + 1e-6  # still an eigenvector, no longer a unit one
             return z
 
-        monkeypatch.setattr(_lapack, "dsterf", wrong_sterf)
-        monkeypatch.setattr(_lapack, "dstein", wrong_stein)
-        if fault is None:
-            assert diagonalize(h, lambda0=lambda0).modes.shape == (30, 10)
-        else:
-            with pytest.raises(NumericError, match=match):
-                diagonalize(h, lambda0=lambda0)
+        def wrong_stevd(d, e):
+            evals, z = stevd(d, e)
+            return wrong_evals(evals), wrong_z(z)
+
+        monkeypatch.setattr(_lapack, "dsterf", lambda d, e: wrong_evals(sterf(d, e)))
+        monkeypatch.setattr(_lapack, "dstein", lambda *band_and_eigenvalues: wrong_z(stein(*band_and_eigenvalues)))
+        monkeypatch.setattr(_lapack, "dstevd", wrong_stevd)
+        for regime, count in ((lambda0, 10), (np.inf, 30)):
+            if fault is None:
+                assert diagonalize(h, lambda0=regime).modes.shape == (30, count)
+            else:
+                with pytest.raises(NumericError, match=match):
+                    diagonalize(h, lambda0=regime)
 
     @pytest.mark.parametrize("lengths", [[30], [6, 5], [5, 4, 3]], ids=["chain", "2D", "3D"])
     def test_finite_regime_routes(self, monkeypatch, lengths):
-        """Every finite lambda0 runs the window: dsterf, then dstein on S, or dstevd where S is every mode,
-        from lambda0 = lambda_n on.  The eigenvalues are eigvalsh's bits either way."""
+        """Every lambda0 runs the window: dsterf, then dstein on S, or dstevd where S is every mode, from
+        lambda0 = lambda_n on; the eigenvalues are eigvalsh's bits either way.  At lambda0 = inf dstevd
+        runs alone."""
         h = _box_hamiltonian(lengths, "neumann")
         evals = spectrum(h).eigenvalues
         calls = _spy_solvers(monkeypatch)
         routes = []
-        for lambda0 in (0.5 * evals[0], float(np.median(evals)), float(evals[-1]), 2.0 * evals[-1]):
+        for lambda0 in (0.5 * evals[0], float(np.median(evals)), float(evals[-1]), 2.0 * evals[-1], np.inf):
             calls.clear()
             spec = diagonalize(h, lambda0=lambda0)
             routes.append([name for name in calls if name not in ("dsytrd", "dormtr")])
-            _assert_window(spec, h, spec.localized_count(lambda0))
-        assert routes == [["dsterf", "dstein"]] * 2 + [["dsterf", "dstevd"]] * 2
+            if lambda0 < np.inf:
+                _assert_window(spec, h, spec.localized_count(lambda0))
+        assert routes == [["dsterf", "dstein"]] * 2 + [["dsterf", "dstevd"]] * 2 + [["dstevd"]]
 
     def test_every_mode_route_is_checked(self, monkeypatch):
         """Where S is every mode the window takes dstevd's vectors, and its residual check rejects a mixed one."""
@@ -737,18 +717,23 @@ class TestWindow:
         "lambda0, every_tail, budget",
         [
             pytest.param(np.inf, False, 3.2, id="full"),
-            pytest.param(2.0, False, 1.5, id="window"),
-            pytest.param(2.0, True, 1.5, id="window-tails"),
+            pytest.param(2.0, False, 1.25, id="window"),
+            pytest.param(2.0, True, 1.25, id="window-tails"),
+            pytest.param(None, False, 3.2, id="every-mode"),
         ],
     )
     def test_peak_memory(self, lambda0, every_tail, budget):
-        """From assembly on, a 20x20 box's full solve holds at most three n x n buffers at once: the
-        reduced h, Z and dstevd's workspace.  Its window holds one, the reduced h, beside n x |S|
-        columns; the tails at every site, formed after it, add three blocks of n x TAILS_BLOCK."""
+        """From assembly on, a 20x20 box's solve that keeps every mode, at lambda0 = inf or at
+        lambda0 = 2 ||h||, holds at most three n x n buffers at once: the reduced h, Z and dstevd's
+        workspace, and then Phi_S, the residual and its temporary.  Its window holds one, the
+        reduced h, beside n x |S| columns; the tails at every site, formed after it, add three
+        blocks of n x TAILS_BLOCK."""
         import tracemalloc
 
         box = BoxGeometry.of_lengths([20, 20])
         sample = sample_disorder(DisorderConfig(k_max=1.5, master_seed=6), box, 0)
+        if lambda0 is None:
+            lambda0 = 2.0 * spectrum(assemble(box, sample)).norm
 
         def solve():
             spec = diagonalize(assemble(box, sample), lambda0=lambda0)
@@ -953,7 +938,7 @@ class TestTails:
 
     @pytest.mark.parametrize("lengths", BOXES)
     def test_zero_when_every_mode_is_kept(self, lengths):
-        """At lambda0 = inf (the full decomposition) and at a finite lambda0 above the spectrum (the window)."""
+        """At lambda0 = inf and at a finite lambda0 above the spectrum: the window keeps every mode."""
         h = _box_hamiltonian(lengths, "neumann")
         for lambda0 in (np.inf, 2.0 * spectrum(h).norm):
             spec = diagonalize(h, lambda0=lambda0)

@@ -101,7 +101,7 @@ def test_unwritable_out_exits_2(config_path, tmp_path, capsys):
 
 def test_numeric_error_exits_2(monkeypatch, config_path, tmp_path, capsys):
     def fail(config, workers=None):
-        raise NumericError("reconstruction error 1e-3 exceeds 1e-10 * max|h_ij|\nsecond line")
+        raise NumericError("residual max|h Phi_S - Phi_S Lambda_S| 1.000e-03 exceeds 5.000e-10\nsecond line")
 
     monkeypatch.setattr(cli, "run_ensemble", fail)
     assert cli.main(["run", str(config_path), "--out", str(tmp_path / "t.csv")]) == 2

@@ -115,6 +115,28 @@ class TestValidation:
     @pytest.mark.parametrize(
         "doc, name",
         [
+            pytest.param(_doc(lambda0=True), "lambda0", id="lambda0"),
+            pytest.param(_doc(lambda0=False), "lambda0", id="lambda0-false"),
+            pytest.param(_doc(amplitude=True), "amplitude", id="amplitude"),
+            pytest.param(_doc(experiment="energy-density", lambda_grid_max=True), "lambda_grid_max", id="lambda_grid_max"),
+            pytest.param(_doc(disorder={"k_max": True}), "k_max", id="k_max"),
+            pytest.param(_doc(time_grid={"t_max": True}), "t_max", id="t_max"),
+            pytest.param(
+                _doc(disorder={"kind": "inverse_cdf", "table_u": [0, True], "table_k": [0, 1]}), "table_u", id="table_u"
+            ),
+            pytest.param(
+                _doc(disorder={"kind": "inverse_cdf", "table_u": [0, 1], "table_k": [0, True]}), "table_k", id="table_k"
+            ),
+        ],
+    )
+    def test_bool_for_a_real_rejected(self, doc, name):
+        """float() reads a JSON true as 1 and false as 0; a real-valued field takes a number only."""
+        with pytest.raises(ConfigError, match=f"^{name} must be a number"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "doc, name",
+        [
             pytest.param(_doc(shells=[-1, 2]), "shells", id="shells"),
             pytest.param(_doc(shells={"min": -1, "max": 2}), "shells", id="shell-range"),
             pytest.param(_doc(experiment="quasi-locality", n_values=[-2, 1]), "n_values", id="n_values"),
