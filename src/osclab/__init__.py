@@ -2,10 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .lattice import (
-    BoxGeometry,
-    neighborhood,
-)
+from .lattice import BoxGeometry
 from .anderson import (
     DisorderConfig,
     DisorderSample,
@@ -22,15 +19,6 @@ from .anderson import (
 )
 from .freeboson import (
     counting_function,
-    delta_field,
-    evolve,
     excitation_energy_density,
     many_body_energy,
-    project_localized,
-    v_inverse,
-    v_map,
-)
-from .weyl import (
-    laguerre,
-    matrix_element_1d,
 )

@@ -118,9 +118,6 @@ class ExperimentConfig:
         payload = json.dumps(fields, sort_keys=True, default=list)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     # -- validation ----------------------------------------------------------
 
     def __post_init__(self):

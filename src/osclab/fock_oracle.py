@@ -1,16 +1,37 @@
-"""Independent brute-force route on truncated Fock spaces.
+"""The brute-force reference layer that the experiment kernels are checked against.
 
-Everything the closed-form layer computes with displacement algebra is
-recomputed here with dense matrices on a tensor product of truncated
-one-mode spaces, in the normal-mode basis where the Hamiltonian is
-diagonal.  One-mode Weyl operators come from exponentiating the Hermitian
-generator (conj(z) a + z a*)/sqrt(2); many-body operators are Kronecker
-products.  Intended for tiny systems (at most three modes) as an oracle
-for the exact formulas, never as a production path.  ``correlation_series``
-is a second reference of the same kind: the dynamic correlation summed
-over intermediate occupation states instead of in closed form.
-``diagonal_elements`` is the row-by-row reference for the batched
-``weyl.OccupationFamily``: one Laguerre value per mode, no log space.
+Each object the paper states its bounds through is built here directly, in
+its plainest form, for small systems.  Nothing in the pipeline imports this
+module, and it imports nothing of the package but ``SpectralData`` and the
+error types, so an error in a kernel cannot hide in its reference too.
+
+* Fields f: sites -> C are complex vectors in site order (``delta_field``).
+  The real-linear map V sends them to mode space (``v_map``, ``v_inverse``),
+
+      V f = gamma^{-1/2} O^T Re[f] + i gamma^{1/2} O^T Im[f],
+      V^{-1} g = O gamma^{1/2} Re[g] + i O gamma^{-1/2} Im[g].
+
+  The Weyl dynamics is f_t = V^{-1} e^{2 i t gamma} V f (``evolve``), and
+  the projection onto modes with gamma^2 <= lambda0 is X = V^{-1} 1_S V
+  = O 1_S O^T (``project_localized``).  ``neighborhood`` is the
+  n-neighborhood of a set of sites.
+* One-mode matrix elements (``matrix_element_1d``): for n <= k,
+
+      <n|W_z|k> = sqrt(n!/k!) (i conj(z)/sqrt(2))^{k-n}
+                  L_n^{(k-n)}(|z|^2/2) exp(-|z|^2/4),
+
+  and <n|W_z|k> = conj(<k|W_{-z}|n>) for n > k.  Factorials and powers
+  are taken in log space; against mpmath the absolute error stays below
+  1e-12 for occupations up to 300 and |z| up to 30.  ``diagonal_elements``
+  is the row-by-row reference for ``weyl.OccupationFamily``.  Both read
+  ``laguerre``, a plain recurrence kept apart from the pipeline's
+  ``weyl._laguerre_orders``.
+* Dense operators on a tensor product of truncated one-mode spaces, in the
+  normal-mode basis where the Hamiltonian is diagonal (``OracleBundle``,
+  at most three modes).  One-mode Weyl operators exponentiate the
+  Hermitian generator (conj(z) a + z a*)/sqrt(2); many-body operators are
+  Kronecker products.  ``correlation_series`` sums the dynamic correlation
+  over intermediate occupation states instead of in closed form.
 
 The regime projection keeps modes outside the localized set at occupation
 zero.  An optional per-mode occupation cutoff confines operators to a low
@@ -29,14 +50,147 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from math import sqrt
+from math import lgamma, sqrt
 
 import numpy as np
 
 from .anderson import SpectralData
 from .errors import BudgetError
-from .freeboson import many_body_energy, v_map
-from .weyl import _half_modulus_sq, _laguerre_orders, matrix_element_1d
+
+
+# ---------------------------------------------------------------------------
+# Fields, the map V and the free dynamics
+# ---------------------------------------------------------------------------
+
+def delta_field(n_sites: int, x: int, amplitude: complex = 1.0) -> np.ndarray:
+    """Field equal to ``amplitude`` at site x and zero elsewhere."""
+    f = np.zeros(n_sites, dtype=complex)
+    f[int(x)] = amplitude
+    return f
+
+
+def neighborhood(box, sites, n: int) -> np.ndarray:
+    """All sites of the ``lattice.BoxGeometry`` box within l1 distance n of the given nonempty set."""
+    X = np.unique(np.asarray(list(sites), dtype=int))
+    if X.size == 0:
+        raise ValueError("neighborhood of an empty set is undefined")
+    if X[0] < 0 or X[-1] >= box.n_sites:
+        raise ValueError("site index outside box")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    c = box.coords()
+    dist = np.abs(c[:, None, :] - c[X][None, :, :]).sum(axis=2).min(axis=1)
+    return np.flatnonzero(dist <= n)
+
+
+def _every_mode(spec: SpectralData):
+    if spec.modes.shape[1] != spec.n:
+        raise ValueError(f"V needs all {spec.n} modes, but only {spec.modes.shape[1]} were kept")
+
+
+def v_map(spec: SpectralData, f: np.ndarray) -> np.ndarray:
+    """Mode vector V f.  Real-linear, not complex-linear."""
+    f = np.asarray(f, dtype=complex)
+    if f.shape != (spec.n,):
+        raise ValueError(f"field has shape {f.shape}, expected ({spec.n},)")
+    _every_mode(spec)
+    re = spec.modes.T @ f.real
+    im = spec.modes.T @ f.imag
+    return re / np.sqrt(spec.gammas) + 1j * np.sqrt(spec.gammas) * im
+
+
+def v_inverse(spec: SpectralData, g: np.ndarray) -> np.ndarray:
+    """Field V^{-1} g."""
+    g = np.asarray(g, dtype=complex)
+    if g.shape != (spec.n,):
+        raise ValueError(f"mode vector has shape {g.shape}, expected ({spec.n},)")
+    _every_mode(spec)
+    re = spec.modes @ (np.sqrt(spec.gammas) * g.real)
+    im = spec.modes @ (g.imag / np.sqrt(spec.gammas))
+    return re + 1j * im
+
+
+def evolve(spec: SpectralData, f: np.ndarray, t: float) -> np.ndarray:
+    """Effective Weyl dynamics f_t = V^{-1} e^{2 i t gamma} V f."""
+    return v_inverse(spec, np.exp(2j * float(t) * spec.gammas) * v_map(spec, f))
+
+
+def project_localized(spec: SpectralData, lambda0: float, f: np.ndarray) -> np.ndarray:
+    """X f: spectral projection of the field onto modes with gamma^2 <= lambda0."""
+    f = np.asarray(f, dtype=complex)
+    if f.shape != (spec.n,):
+        raise ValueError(f"field has shape {f.shape}, expected ({spec.n},)")
+    phi = spec.modes[:, : spec.localized_count(lambda0)]
+    return phi @ (phi.T @ f)
+
+
+# ---------------------------------------------------------------------------
+# Laguerre polynomials and one-mode matrix elements
+# ---------------------------------------------------------------------------
+
+def laguerre(n, k: int, x):
+    """Generalized Laguerre L_n^{(k)}(x), elementwise over the orders n and the arguments x.
+
+    The three-term recurrence from L_{-1} = 0, L_0 = 1, run up to the
+    largest order asked for; each entry keeps the value at its own order.
+    """
+    n, x = np.broadcast_arrays(np.asarray(n, dtype=int), np.asarray(x, dtype=float))
+    if k < 0 or np.any(n < 0):
+        raise ValueError("laguerre needs n, k >= 0")
+    prev, cur = np.zeros(x.shape), np.ones(x.shape)
+    out = cur
+    for m in range(int(n.max(initial=0))):
+        prev, cur = cur, ((2 * m + k + 1 - x) * cur - (m + k) * prev) / (m + 1)
+        out = np.where(n == m + 1, cur, out)
+    return float(out) if out.ndim == 0 else out
+
+
+def matrix_element_1d(n: int, k: int, z: complex) -> complex:
+    """<n|W_z|k> for the one-mode Weyl (displacement) operator."""
+    if n < 0 or k < 0:
+        raise ValueError("occupation numbers must be nonnegative")
+    if n > k:
+        return np.conj(matrix_element_1d(k, n, -z))
+    z = complex(z)
+    az = abs(z)
+    if az == 0.0:
+        return 1.0 + 0.0j if n == k else 0.0 + 0.0j
+    p = k - n
+    lag = laguerre(n, p, az * az / 2.0)
+    if lag == 0.0:
+        return 0.0 + 0.0j
+    log_mag = (
+        0.5 * (lgamma(n + 1) - lgamma(k + 1))
+        + p * np.log(az / np.sqrt(2.0))
+        - az * az / 4.0
+        + np.log(abs(lag))
+    )
+    unit = 1j * np.conj(z) / az
+    return (unit**p) * np.sign(lag) * np.exp(log_mag)
+
+
+def _half_modulus_sq(zs) -> np.ndarray:
+    """|z|^2 / 2, the Laguerre argument of the displacement z."""
+    zs = np.asarray(zs, dtype=complex)
+    return (zs.real**2 + zs.imag**2) / 2.0
+
+
+def diagonal_elements(alphas, zs) -> np.ndarray:
+    """<alpha_j|W_{z_j}|alpha_j> = L_{alpha_j}(|z_j|^2/2) exp(-|z_j|^2/4), per mode.
+
+    ``zs`` may carry extra trailing axes (e.g. a time grid); ``alphas``
+    broadcasts against them.  The result is real.
+    """
+    x = _half_modulus_sq(zs)
+    alphas = np.asarray(alphas, dtype=int)
+    while alphas.ndim < x.ndim:
+        alphas = alphas[..., None]
+    return laguerre(alphas, 0, x) * np.exp(-x / 2.0)
+
+
+# ---------------------------------------------------------------------------
+# Dense operators on truncated Fock spaces
+# ---------------------------------------------------------------------------
 
 DEFAULT_BUDGET = 20736
 
@@ -120,7 +274,7 @@ class OracleBundle:
         self.occupations = np.stack(
             np.unravel_index(np.arange(d**m), (d,) * m), axis=1
         ).astype(int)
-        self.energies = many_body_energy(spec, self.occupations)
+        self.energies = (2 * self.occupations + 1) @ spec.gammas
         self.mode_mask = np.arange(m) < spec.localized_count(lambda0)
         in_regime = np.all(self.occupations[:, ~self.mode_mask] == 0, axis=1)
         if trunc.occupation_cutoff is not None:
@@ -167,15 +321,10 @@ class OracleBundle:
             out += -1j * coef[j] * (self._a[j] - self._a[j].T)
         return out
 
-    def weyl_from_modes(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        if z.shape != (self.spec.n,):
-            raise ValueError("mode displacement vector has wrong length")
-        return _kron_chain([weyl_matrix_1d_oracle(zj, self.trunc.per_mode_dim) for zj in z])
-
     def weyl(self, f) -> np.ndarray:
-        """W(f) as the tensor product over modes of one-mode Weyl matrices."""
-        return self.weyl_from_modes(v_map(self.spec, np.asarray(f, dtype=complex)))
+        """W(f) as the tensor product over modes of one-mode Weyl matrices of V f."""
+        z = v_map(self.spec, np.asarray(f, dtype=complex))
+        return _kron_chain([weyl_matrix_1d_oracle(zj, self.trunc.per_mode_dim) for zj in z])
 
     def heisenberg(self, op: np.ndarray, t: float) -> np.ndarray:
         """exp(itH) op exp(-itH); H is diagonal in this basis."""
@@ -245,28 +394,3 @@ def correlation_series(
         full *= sum(per_beta)
         diag *= per_beta[a]
     return cf * cg * (full - diag)
-
-
-def _laguerre_plain(ns: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """L_{ns}^{(0)}(xs) elementwise, for arrays of orders and arguments."""
-    ns = np.asarray(ns, dtype=int)
-    xs = np.asarray(xs, dtype=float)
-    ns, xs = np.broadcast_arrays(ns, xs)
-    out = np.ones(xs.shape, dtype=float)
-    top = int(ns.max()) if ns.size else 0
-    for m, cur in _laguerre_orders(top, xs):
-        out = np.where(ns == m, cur, out)
-    return out
-
-
-def diagonal_elements(alphas, zs) -> np.ndarray:
-    """<alpha_j|W_{z_j}|alpha_j> = L_{alpha_j}(|z_j|^2/2) exp(-|z_j|^2/4), per mode.
-
-    ``zs`` may carry extra trailing axes (e.g. a time grid); ``alphas``
-    broadcasts against them.  The result is real.
-    """
-    x = _half_modulus_sq(zs)
-    alphas = np.asarray(alphas, dtype=int)
-    while alphas.ndim < x.ndim:
-        alphas = alphas[..., None]
-    return _laguerre_plain(alphas, x) * np.exp(-x / 2.0)

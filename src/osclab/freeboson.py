@@ -1,15 +1,10 @@
-"""Free-boson reduction: the real-linear map V, effective dynamics, energies.
+"""Free-boson quantities the experiments read: time grids, energies, counting.
 
-Complex fields f: sites -> C are plain complex vectors in site order.  The
-map V sends them to mode space,
-
-    V f = gamma^{-1/2} O^T Re[f] + i gamma^{1/2} O^T Im[f],
-
-with inverse V^{-1} g = O gamma^{1/2} Re[g] + i O gamma^{-1/2} Im[g].  The
-Weyl dynamics acts as f_t = V^{-1} e^{2 i t gamma} V f and the spectral
-projection onto modes with gamma^2 <= lambda0 is X = V^{-1} 1_S V, which
-coincides with the matrix O 1_S O^T.  All functions of h are evaluated
-spectrally through ``SpectralData``; no series approximations anywhere.
+Everything is evaluated spectrally through ``Spectrum`` or
+``SpectralData``; no series approximations anywhere.  The map V, the field
+dynamics V^{-1} e^{2 i t gamma} V and the projection X live in the
+reference layer ``fock_oracle``; the kernels read their sums over sites
+and modes from ``anderson.propagator_sums``.
 """
 
 from __future__ import annotations
@@ -18,54 +13,6 @@ import numpy as np
 
 from .anderson import SpectralData, Spectrum
 from .errors import NumericError
-
-
-def delta_field(n_sites: int, x: int, amplitude: complex = 1.0) -> np.ndarray:
-    """Field equal to ``amplitude`` at site x and zero elsewhere."""
-    f = np.zeros(n_sites, dtype=complex)
-    f[int(x)] = amplitude
-    return f
-
-
-def _every_mode(spec: SpectralData):
-    if spec.modes.shape[1] != spec.n:
-        raise ValueError(f"V needs all {spec.n} modes, but only {spec.modes.shape[1]} were kept")
-
-
-def v_map(spec: SpectralData, f: np.ndarray) -> np.ndarray:
-    """Mode vector V f.  Real-linear, not complex-linear."""
-    f = np.asarray(f, dtype=complex)
-    if f.shape != (spec.n,):
-        raise ValueError(f"field has shape {f.shape}, expected ({spec.n},)")
-    _every_mode(spec)
-    re = spec.modes.T @ f.real
-    im = spec.modes.T @ f.imag
-    return re / np.sqrt(spec.gammas) + 1j * np.sqrt(spec.gammas) * im
-
-
-def v_inverse(spec: SpectralData, g: np.ndarray) -> np.ndarray:
-    """Field V^{-1} g."""
-    g = np.asarray(g, dtype=complex)
-    if g.shape != (spec.n,):
-        raise ValueError(f"mode vector has shape {g.shape}, expected ({spec.n},)")
-    _every_mode(spec)
-    re = spec.modes @ (np.sqrt(spec.gammas) * g.real)
-    im = spec.modes @ (g.imag / np.sqrt(spec.gammas))
-    return re + 1j * im
-
-
-def evolve(spec: SpectralData, f: np.ndarray, t: float) -> np.ndarray:
-    """Effective Weyl dynamics f_t = V^{-1} e^{2 i t gamma} V f."""
-    return v_inverse(spec, np.exp(2j * float(t) * spec.gammas) * v_map(spec, f))
-
-
-def project_localized(spec: SpectralData, lambda0: float, f: np.ndarray) -> np.ndarray:
-    """X f: spectral projection of the field onto modes with gamma^2 <= lambda0."""
-    f = np.asarray(f, dtype=complex)
-    if f.shape != (spec.n,):
-        raise ValueError(f"field has shape {f.shape}, expected ({spec.n},)")
-    phi = spec.modes[:, : spec.localized_count(lambda0)]
-    return phi @ (phi.T @ f)
 
 
 def default_time_grid(spec: SpectralData, points: int = 2000, t_max: float | None = None) -> np.ndarray:

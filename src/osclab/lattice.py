@@ -77,20 +77,6 @@ def l1_distances_from(box: BoxGeometry, x: int) -> np.ndarray:
     return np.abs(c - c[int(x)]).sum(axis=1)
 
 
-def neighborhood(box: BoxGeometry, sites, n: int) -> np.ndarray:
-    """All sites within l1 distance n of the given nonempty set."""
-    X = np.unique(np.asarray(list(sites), dtype=int))
-    if X.size == 0:
-        raise ValueError("neighborhood of an empty set is undefined")
-    if X[0] < 0 or X[-1] >= box.n_sites:
-        raise ValueError("site index outside box")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    c = box.coords()
-    dist = np.abs(c[:, None, :] - c[X][None, :, :]).sum(axis=2).min(axis=1)
-    return np.flatnonzero(dist <= n)
-
-
 def _edges(box: BoxGeometry):
     """Nearest-neighbor pairs (i, j, axis), j = i shifted by +1 along axis."""
     shape = box.shape

@@ -2,23 +2,15 @@
 
 Everything here works with displacement data, never with operator matrices:
 a Weyl operator W(f) is determined by its mode displacement vector V f
-(``freeboson.v_map``), and products follow the Weyl relation
+(``fock_oracle.v_map`` forms it for reference), and products follow the
+Weyl relation
 
     W(f) W(g) = exp(-(i/2) Im<f, g>) W(f + g),
 
 whose phase is preserved by V (the map preserves the symplectic form).
-Inner products are antilinear in the first argument throughout.
-
-Matrix elements in the occupation basis are Laguerre expressions: for
-n <= k,
-
-    <n|W_z|k> = sqrt(n!/k!) (i conj(z)/sqrt(2))^{k-n}
-                L_n^{(k-n)}(|z|^2/2) exp(-|z|^2/4),
-
-and the n > k case follows by conjugation, <n|W_z|k> = conj(<k|W_{-z}|n>).
-Factorial ratios and powers are assembled in log space; against an mpmath
-reference the absolute error stays below 1e-12 for occupations up to 300
-and |z| up to 30, the range the tests cover.
+Inner products are antilinear in the first argument throughout.  Matrix
+elements in the occupation basis are Laguerre expressions; the one-mode
+formula and its reference live in ``fock_oracle``.
 
 Restriction to the localized regime enters through the scalar
 C_f = exp(-||1_{S^c} V f||^2 / 4): the restricted operator equals
@@ -30,89 +22,44 @@ evaluate them for delta fields in batched form, from
 ``anderson.propagator_sums``, ``anderson.eigencorrelator_profile`` and
 ``OccupationFamily``, on the regime that ``anderson.diagonalize`` fixed:
 Phi_S, gamma_S and, for f = a delta_x, C_f = exp(-a^2 tau(x) / 4) with
-the tails tau that ``anderson.tails(spec, sites)`` forms.  The kernels are checked directly against the
-truncated-Fock oracle (``fock_oracle.OracleBundle``) on boxes of at most
-three modes, and against ``fock_oracle.correlation_series`` and the field
-maps of ``freeboson`` on larger boxes.
+the tails tau that ``anderson.tails(spec, sites)`` forms.  The kernels are
+checked against the reference layer ``fock_oracle``: its truncated-Fock
+operators (``OracleBundle``) on boxes of at most three modes, and its
+``correlation_series`` and field maps on larger boxes.
 """
 
 from __future__ import annotations
-
-from math import lgamma
 
 import numpy as np
 
 
 # ---------------------------------------------------------------------------
-# Laguerre polynomials and one-mode matrix elements
+# The Laguerre recurrence and the diagonal products
 # ---------------------------------------------------------------------------
 
-def _laguerre_orders(top: int, x: np.ndarray, k: int = 0, out=None):
-    """Yield (m, L_m^{(k)}(x)) for m = 1..top by the stable three-term recurrence.
+def _laguerre_orders(top: int, x: np.ndarray, out):
+    """Yield (m, L_m(x)) for m = 1..top by the stable three-term recurrence.
 
-    The single implementation of the recurrence; every Laguerre value in
-    this package comes from here.  L_0 = 1 is left to the caller, so no
-    table of ones is built.  ``out`` may supply top + 1 float arrays of the
-    shape of ``x``: L_m is written into out[m - 1] and out[top] is scratch,
-    so a caller that keeps them across calls allocates nothing.  Without
-    ``out`` each order gets a fresh array.
+    The pipeline's recurrence: every Laguerre value the kernels read comes
+    from here, and ``fock_oracle.laguerre`` checks it independently.
+    L_0 = 1 is left to the caller, so no table of ones is built.  ``out``
+    holds top + 1 float arrays of the shape of ``x``: L_m is written into
+    out[m - 1] and out[top] is scratch, so a caller that keeps them across
+    calls allocates nothing.
     """
     if top == 0:
         return
-    if out is None:
-        out = [np.empty(np.shape(x)) for _ in range(top + 1)]
     scratch = out[top]
-    prev, cur = 1.0, np.subtract(1.0 + k, x, out=out[0])
+    prev, cur = 1.0, np.subtract(1.0, x, out=out[0])
     yield 1, cur
     for m in range(1, top):
-        # ((2m + k + 1 - x) L_m - (m + k) L_{m-1}) / (m + 1), one operation at a time
-        nxt = np.subtract(2 * m + k + 1, x, out=out[m])
+        # ((2m + 1 - x) L_m - m L_{m-1}) / (m + 1), one operation at a time
+        nxt = np.subtract(2 * m + 1, x, out=out[m])
         nxt *= cur
-        nxt -= np.multiply(prev, m + k, out=scratch)
+        nxt -= np.multiply(prev, m, out=scratch)
         nxt /= m + 1
         prev, cur = cur, nxt
         yield m + 1, cur
-
-
-def laguerre(n: int, k: int, x) -> float | np.ndarray:
-    """Generalized Laguerre L_n^{(k)}(x) by the stable three-term recurrence."""
-    if n < 0 or k < 0:
-        raise ValueError("laguerre needs n, k >= 0")
-    x = np.asarray(x, dtype=float)
-    cur = np.ones_like(x)
-    for _, cur in _laguerre_orders(n, x, k):
-        pass
-    return float(cur) if cur.ndim == 0 else cur
-
-
-def matrix_element_1d(n: int, k: int, z: complex) -> complex:
-    """<n|W_z|k> for the one-mode Weyl (displacement) operator."""
-    if n < 0 or k < 0:
-        raise ValueError("occupation numbers must be nonnegative")
-    if n > k:
-        return np.conj(matrix_element_1d(k, n, -z))
-    z = complex(z)
-    az = abs(z)
-    if az == 0.0:
-        return 1.0 + 0.0j if n == k else 0.0 + 0.0j
-    p = k - n
-    lag = laguerre(n, p, az * az / 2.0)
-    if lag == 0.0:
-        return 0.0 + 0.0j
-    log_mag = (
-        0.5 * (lgamma(n + 1) - lgamma(k + 1))
-        + p * np.log(az / np.sqrt(2.0))
-        - az * az / 4.0
-        + np.log(abs(lag))
-    )
-    unit = 1j * np.conj(z) / az
-    return (unit**p) * np.sign(lag) * np.exp(log_mag)
-
-
-def _half_modulus_sq(zs) -> np.ndarray:
-    """|z|^2 / 2, the Laguerre argument of the displacement z."""
-    zs = np.asarray(zs, dtype=complex)
-    return (zs.real**2 + zs.imag**2) / 2.0
 
 
 #: Stand-in for log 0 in the exponent matmuls of ``OccupationFamily``:

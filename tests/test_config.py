@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -202,7 +203,7 @@ class TestDigest:
         first = config_from_dict(self.DOC)
         again = config_from_dict(json.loads(json.dumps(self.DOC)))
         reordered = config_from_dict(dict(reversed(list(self.DOC.items()))))
-        rebuilt = ExperimentConfig(**first.to_dict())
+        rebuilt = ExperimentConfig(**asdict(first))
         assert first == again == reordered == rebuilt
         assert len({c.digest() for c in (first, again, reordered, rebuilt)}) == 1
 

@@ -2,16 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from osclab import ensembles
 from osclab.anderson import DisorderConfig, SpectralData, assemble, diagonalize, sample_disorder, tails
 from osclab.config import EXPERIMENT_KINDS, config_from_dict
 from osclab.errors import ConfigError, NumericError
-from osclab.fock_oracle import correlation_series, diagonal_elements
-from osclab.freeboson import delta_field, evolve, project_localized, v_map
-from osclab.lattice import BoxGeometry, neighborhood
+from osclab.fock_oracle import correlation_series, delta_field, diagonal_elements, evolve, neighborhood, project_localized, v_map
+from osclab.lattice import BoxGeometry
 from osclab.results import render_csv
 from osclab.weyl import OccupationFamily
 
@@ -606,12 +605,19 @@ def test_kernels_report_no_domination_violation(lengths, seed, k_max, lambda0, k
     k_max=st.floats(0.05, 8.0),
     fraction=st.floats(-0.5, 1.5),
 )
+# a nearly degenerate pair at relative gap 1.2e-5: the pq-bound envelope_plus row differs by 1.03e-12
+@example(lengths=(2, 3, 2), seed=0, k_max=0.05, fraction=0.5)
 def test_kernels_agree_with_full_decomposition(lengths, seed, k_max, fraction):
     """Every kernel on the regime run_sample solves matches a run on numpy's eigh, with the same flags.
 
     lambda0 lies below the spectrum, inside it or above it, so S is empty, partial or everything.  The
     reference keeps eigh's |S| lowest modes and forms the tails from all of its others, in place of
     ``anderson.tails``; |S| is the window's, so both runs read one regime.
+
+    The rows agree to 1e-12 relative, or to eps ||h|| / gap where gap, the smallest eigenvalue gap
+    that touches a mode of S, makes that larger.  Below it the eigenvectors are fixed only to that
+    accuracy (Davis-Kahan), so the window's and eigh's are equally valid and Sum_j |phi_j(x) phi_j(y)|
+    may differ by as much.
     """
     box = BoxGeometry.of_lengths(list(lengths))
     h = assemble(box, sample_disorder(DisorderConfig(k_max=k_max, master_seed=seed), box, 0))
@@ -621,6 +627,9 @@ def test_kernels_agree_with_full_decomposition(lengths, seed, k_max, fraction):
     full_evals, full_modes = np.linalg.eigh(h)
     full_evals = np.clip(full_evals, 0.0, None)
     gammas = np.sqrt(full_evals)
+    # the gaps (j, j + 1) with j in S
+    gaps = np.diff(evals)[:count]
+    rel = max(1e-12, np.finfo(float).eps * np.abs(evals).max() / gaps.min()) if gaps.size else 1e-12
 
     def full_decomposition(h, lambda0):
         modes = np.ascontiguousarray(full_modes[:, :count])
@@ -650,7 +659,7 @@ def test_kernels_agree_with_full_decomposition(lengths, seed, k_max, fraction):
         assert regime.flags == full.flags, kind
         assert [key for key, _ in regime.rows] == [key for key, _ in full.rows], kind
         for (key, got), (_, want) in zip(regime.rows, full.rows):
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-14), (kind, key)
+            assert got == pytest.approx(want, rel=rel, abs=1e-14), (kind, key)
 
 
 def _kernel_config(kind):

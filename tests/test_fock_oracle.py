@@ -1,21 +1,55 @@
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from osclab import ensembles
+import osclab
+from osclab import ensembles, fock_oracle
 from osclab.anderson import DisorderConfig, assemble, diagonalize, sample_disorder
 from osclab.config import config_from_dict
 from osclab.errors import BudgetError
 from osclab.fock_oracle import (
     OracleBundle,
     TruncationSpec,
+    delta_field,
+    evolve,
     ladder_matrices,
+    matrix_element_1d,
+    project_localized,
+    v_map,
     weyl_matrix_1d_oracle,
 )
-from osclab.freeboson import delta_field, evolve, project_localized, v_map
 from osclab.lattice import BoxGeometry, l1_distances_from
-from osclab.weyl import matrix_element_1d
 
 from conftest import kernel_family, make_chain_spec, random_field
+
+
+class TestReferenceLayer:
+    """The reference layer stays apart from the pipeline it checks."""
+
+    def test_pipeline_never_loads_it(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(osclab.__file__).parents[1])}
+        code = "import sys, osclab.cli; print(sorted(m for m in sys.modules if m.startswith('osclab.')))"
+        loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+        assert "osclab.ensembles" in loaded and "osclab.fock_oracle" not in loaded
+
+    def test_not_exported(self):
+        moved = {"delta_field", "v_map", "v_inverse", "evolve", "project_localized", "laguerre", "matrix_element_1d", "neighborhood"}
+        assert moved.isdisjoint(vars(osclab))
+
+    def test_imports_only_spectral_data_and_errors(self):
+        package = set()
+        for node in ast.walk(ast.parse(Path(fock_oracle.__file__).read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "osclab"):
+                package |= {((node.module or "").removeprefix("osclab."), alias.name) for alias in node.names}
+            elif isinstance(node, ast.Import):
+                assert not any(alias.name.split(".")[0] == "osclab" for alias in node.names)
+        assert {module for module, _ in package} == {"anderson", "errors"}
+        assert {name for module, name in package if module == "anderson"} == {"SpectralData"}
 
 
 def make_bundle(spec, lambda0, dim=14, cutoff=None):

@@ -4,19 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osclab.anderson import DisorderConfig, assemble, diagonalize, sample_disorder
-from osclab.freeboson import (
-    counting_function,
-    default_time_grid,
-    delta_field,
-    evolve,
-    excitation_energy_density,
-    many_body_energy,
-    project_localized,
-    v_inverse,
-    v_map,
-)
+from osclab.freeboson import counting_function, default_time_grid, excitation_energy_density, many_body_energy
 from osclab.anderson import eigencorrelator_profile, propagator_sums
 from osclab.errors import NumericError
+from osclab.fock_oracle import evolve, project_localized, v_inverse, v_map
 from osclab.lattice import BoxGeometry, box_boundary
 
 from conftest import chain_stencil, make_chain_spec, random_field

@@ -2,14 +2,8 @@ import numpy as np
 import pytest
 
 from osclab.anderson import Stencil
-from osclab.lattice import (
-    BoxGeometry,
-    box_boundary,
-    degrees,
-    l1_distances_from,
-    laplacian_diagonal,
-    neighborhood,
-)
+from osclab.fock_oracle import neighborhood
+from osclab.lattice import BoxGeometry, box_boundary, degrees, l1_distances_from, laplacian_diagonal
 
 
 def laplacian(box, bc):

@@ -4,10 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osclab.anderson import DisorderConfig, assemble, diagonalize, sample_disorder
-from osclab.fock_oracle import OracleBundle, TruncationSpec, correlation_series, diagonal_elements, oracle_expectation
-from osclab.freeboson import delta_field, v_inverse, v_map
+from osclab.fock_oracle import (
+    OracleBundle,
+    TruncationSpec,
+    correlation_series,
+    delta_field,
+    diagonal_elements,
+    laguerre,
+    matrix_element_1d,
+    oracle_expectation,
+    v_inverse,
+    v_map,
+)
 from osclab.lattice import BoxGeometry
-from osclab.weyl import laguerre, matrix_element_1d
 
 from conftest import chain_stencil, laguerre_direct, random_field
 
