@@ -1,47 +1,41 @@
-"""Experiment configuration: a single JSON document, digested for provenance."""
+"""Experiment configuration: a single JSON document, digested for provenance.
+
+A document is a JSON object whose keys are the fields of ``ExperimentConfig``,
+but for the sections ``box``, ``disorder`` and ``time_grid`` (``_SECTIONS``).
+``experiment``, one of ``KINDS``, is required; an absent key takes its default.
+``null`` is allowed only where the field may be None.  An integer must be a JSON
+integer and a real any finite JSON number, stored as a float, so ``2`` and
+``2.0`` give one digest; a bool is neither.  ``shells`` and ``n_values`` also
+take the range ``{"min": a, "max": b}``, and no selection may be empty.  Any
+other value is a ConfigError whose message starts with the field's name.
+"""
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
-from dataclasses import dataclass, field, asdict
+import sys
+from dataclasses import dataclass, asdict, fields
+from functools import partial
 
 from .anderson import DisorderConfig
 from .errors import ConfigError
 from .lattice import BoxGeometry
 
-EXPERIMENT_KINDS = (
-    "eigencorrelator",
-    "lr-bound",
-    "pq-bound",
-    "quasi-locality",
-    "correlations",
-    "energy-density",
-    "gap-stats",
-)
+#: Each experiment kind and the key fields of its result rows.  The first key field also names the
+#: selection a kind reads: shells ("distance"), radii ("n") or the ladder of box lengths ("L").
+KINDS = {
+    "eigencorrelator": ("distance", "quantity"),
+    "lr-bound": ("distance", "quantity"),
+    "pq-bound": ("distance", "quantity"),
+    "correlations": ("distance", "quantity"),
+    "quasi-locality": ("n", "quantity"),
+    "energy-density": ("L", "quantity"),
+    "gap-stats": ("quantity",),
+}
 
-#: Kinds that aggregate observables over l1 shells around a center site.
-SHELL_KINDS = ("eigencorrelator", "lr-bound", "pq-bound", "correlations")
-
-#: Fields that hold an integer, and fields that hold a tuple of integers (or None).
-_INTEGER_FIELDS = (
-    "seed", "kappa", "samples", "workers", "time_points", "alpha_random",
-    "lambda_grid_points", "mb_length", "mb_occupation",
-)
-_INTEGER_TUPLES = ("lengths", "center", "shells", "n_values", "powers", "lengths_ladder")
-
-
-def _is_integer(value) -> bool:
-    """True for an int: a bool is an int to Python, and int() would truncate a fraction."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _real(value, name: str) -> float:
-    """float(value) for a real-valued field; a bool, which float() reads as 0 or 1, is a ConfigError."""
-    if isinstance(value, bool):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    return float(value)
+#: l1 distances or radii, which a document may also give as a {"min", "max"} range.
+Distances = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -61,8 +55,8 @@ class ExperimentConfig:
     t_max: float | None = 20.0
     amplitude: float = 1.0
     center: tuple[int, ...] | None = None
-    shells: tuple[int, ...] = ()
-    n_values: tuple[int, ...] = ()
+    shells: Distances = ()
+    n_values: Distances = ()
     powers: tuple[int, ...] = (0,)
     alpha_random: int = 2
     lengths_ladder: tuple[int, ...] = (50, 100, 200)
@@ -82,7 +76,7 @@ class ExperimentConfig:
         )
 
     def lambda0_value(self) -> float:
-        return float("inf") if self.lambda0 == "full" else float(self.lambda0)
+        return float("inf") if self.lambda0 == "full" else self.lambda0
 
     def center_coord(self) -> tuple[int, ...]:
         """``center``, or by default the midpoint of the box, rounded down."""
@@ -113,159 +107,152 @@ class ExperimentConfig:
 
     def digest(self) -> str:
         """Hash of every field but ``workers``, which no number of the result depends on."""
-        fields = asdict(self)
-        del fields["workers"]
-        payload = json.dumps(fields, sort_keys=True, default=list)
+        state = asdict(self)
+        del state["workers"]
+        payload = json.dumps(state, sort_keys=True, default=list)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
-    # -- validation ----------------------------------------------------------
+    # -- validation of meaning; config_from_dict has checked the types ------
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENT_KINDS:
+        if self.experiment not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.experiment!r}")
-        for name in _INTEGER_FIELDS:
-            if not _is_integer(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        for name in _INTEGER_TUPLES:
-            values = getattr(self, name)
-            if values is not None and not all(map(_is_integer, values)):
-                raise ConfigError(f"{name} must be a list of integers, got {list(values)!r}")
-        if self.samples < 1:
-            raise ConfigError("sample_count must be at least 1")
-        if self.workers < 1:
-            raise ConfigError("worker_count must be at least 1")
-        if self.kappa < 0:
-            raise ConfigError("kappa must be nonnegative")
+        # numpy seeds a stream from nonnegative integers only; a one-point lambda grid
+        # or a one-site many-body box is malformed whether or not the kind reads it
+        for name, least in (("samples", 1), ("workers", 1), ("kappa", 0), ("time_points", 1), ("mb_occupation", 1),
+                            ("mb_length", 2), ("lambda_grid_points", 2), ("seed", 0), ("alpha_random", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be at least {least}, got {getattr(self, name)!r}")
         if not self.lengths or any(l < 1 for l in self.lengths):
             raise ConfigError("box lengths must be positive")
-        # json.load accepts Infinity and NaN, and NaN passes every sign test below
-        for name in ("amplitude", "lambda0", "t_max", "lambda_grid_max"):
-            value = getattr(self, name)
-            if value is not None and value != "full" and not math.isfinite(_real(value, name)):
-                raise ConfigError(f"{name} must be finite, got {value!r}")
-        if self.lambda0 != "full" and float(self.lambda0) < 0:
+        if self.lambda0 != "full" and self.lambda0 < 0:
             raise ConfigError("lambda0 must be nonnegative or 'full'")
+        for name in ("t_max", "amplitude", "lambda_grid_max"):
+            if getattr(self, name) is not None and getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)!r}")
         # k_max, the disorder kind and an inverse-CDF table are checked here, not at the first sample
         self.disorder()
-        if self.time_points < 1:
-            raise ConfigError("time grid needs at least one point")
-        if self.t_max is not None and self.t_max <= 0:
-            raise ConfigError(f"t_max must be positive, got {self.t_max!r}")
-        if not set(self.powers) <= {-1, 0, 1}:
-            raise ConfigError(f"eigencorrelator powers must be -1, 0 or 1, got {list(self.powers)}")
-        if self.amplitude <= 0:
-            raise ConfigError("amplitude must be positive")
+        if not self.powers or not set(self.powers) <= {-1, 0, 1}:
+            raise ConfigError(f"powers must be one or more of -1, 0 and 1, got {list(self.powers)}")
         # A repeated key would be folded into one row with count samples x
         # repeats and a stderr that treats the copies as independent draws.
         for name in ("shells", "n_values", "powers", "lengths_ladder"):
             values = getattr(self, name)
             if len(set(values)) != len(values):
                 raise ConfigError(f"{name} has repeated entries: {list(values)}")
-        # a negative distance or radius selects no site: a NaN row, or a row for no neighborhood
-        for name in ("shells", "n_values"):
-            if any(v < 0 for v in getattr(self, name)):
-                raise ConfigError(f"{name} must be nonnegative, got {list(getattr(self, name))}")
-        if self.experiment in SHELL_KINDS or self.experiment == "quasi-locality":
+            # a negative distance or radius selects no site: a NaN row, or a row for no neighborhood
+            if name in ("shells", "n_values") and min(values, default=0) < 0:
+                raise ConfigError(f"{name} must be nonnegative, got {list(values)}")
+        selection = KINDS[self.experiment][0]
+        if selection in ("distance", "n"):
             try:
                 self.center_index()
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise ConfigError(f"center site outside box: {exc}") from exc
-            reach = self.reach()
-            if self.experiment in SHELL_KINDS:
-                shells = self.shell_values()
-                if not shells:
-                    raise ConfigError("a one-site box has no shell around its center")
-                if max(shells) > reach:
-                    raise ConfigError("shell distances exceed the box from the center site")
-            if self.experiment == "quasi-locality":
-                diameter = self.box().diameter()
-                if not self.n_range():
-                    raise ConfigError(f"no neighborhood radius n >= 2 fits a box of diameter {diameter}")
-                if max(self.n_range()) > diameter:
-                    raise ConfigError("neighborhood radii exceed the box diameter")
-        if self.experiment == "energy-density":
-            if not self.lengths_ladder or any(l < 2 for l in self.lengths_ladder):
-                raise ConfigError("energy-density needs a ladder of box lengths >= 2")
-            if self.lambda_grid_points < 2:
-                raise ConfigError("lambda grid needs at least two points")
-        if self.experiment == "gap-stats" and self.mb_length < 2:
-            raise ConfigError("many-body gap box needs at least two sites")
-        if self.mb_occupation < 1:
-            raise ConfigError(f"mb_occupation must be at least 1, got {self.mb_occupation!r}")
+        if selection == "distance":
+            shells = self.shell_values()
+            if not shells:
+                raise ConfigError("a one-site box has no shell around its center")
+            if max(shells) > self.reach():
+                raise ConfigError("shell distances exceed the box from the center site")
+        if selection == "n":
+            diameter = self.box().diameter()
+            if not self.n_range():
+                raise ConfigError(f"no neighborhood radius n >= 2 fits a box of diameter {diameter}")
+            if max(self.n_range()) > diameter:
+                raise ConfigError("neighborhood radii exceed the box diameter")
+        if selection == "L" and (not self.lengths_ladder or any(l < 2 for l in self.lengths_ladder)):
+            raise ConfigError("energy-density needs a ladder of box lengths >= 2")
 
 
-def _floats(value, name: str):
-    return None if value is None else tuple(_real(v, name) for v in value)
+def _typed(types, what: str, value, name: str):
+    """``value`` if it is one of ``types`` and not a bool, which Python counts as an int."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    return value
 
 
-def _section(raw: dict, name: str, keys) -> dict:
-    """The object ``raw[name]``, or {} when absent; any key outside ``keys`` is a ConfigError."""
-    section = raw.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"{name!r} must be a JSON object, got {section!r}")
-    unknown = set(section) - set(keys)
-    if unknown:
-        raise ConfigError(f"unknown {name} fields: {sorted(unknown)}")
-    return section
+_integer = partial(_typed, int, "an integer")
+_string = partial(_typed, str, "a string")
 
 
-def _distances(raw: dict, name: str):
-    """A list of distances, or the inclusive range {"min": a, "max": b}; None when absent."""
-    value = raw.get(name)
-    if not isinstance(value, dict):
-        return None if value is None else tuple(value)
-    bounds = _section(raw, name, ("min", "max"))
-    if len(bounds) != 2:
-        raise ConfigError(f"{name} range needs both 'min' and 'max', got {sorted(bounds)}")
-    if not all(map(_is_integer, bounds.values())):
-        raise ConfigError(f"{name} range bounds must be integers, got {bounds!r}")
-    return tuple(range(bounds["min"], bounds["max"] + 1))
+def _real(value, name: str) -> float:
+    # json.load accepts Infinity and NaN; the test is false for them and for an integer no float holds
+    if not abs(_typed((int, float), "a number", value, name)) <= sys.float_info.max:
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return float(value)
+
+
+def _each(read, value, name: str) -> tuple:
+    """The list ``value`` with each entry read by ``read``."""
+    return tuple(read(v, name) for v in _typed((list, tuple), "a list", value, name))
+
+
+def _distances(value, name: str) -> tuple[int, ...]:
+    """A list, or the inclusive range {"min": a, "max": b}; either must select at least one value."""
+    if isinstance(value, dict):
+        if set(value) != {"min", "max"}:
+            raise ConfigError(f"{name} range takes the keys 'min' and 'max', got {sorted(value)}")
+        values = tuple(range(_integer(value["min"], name), _integer(value["max"], name) + 1))
+    else:
+        values = _each(_integer, value, name)
+    if not values:
+        raise ConfigError(f"{name} selects nothing, got {value!r}")
+    return values
+
+
+#: The reader of each field annotation, less any " | None"; annotations are text, as this module postpones them.
+_READERS = {
+    "str": _string,
+    "int": _integer,
+    "float": _real,
+    "float | str": lambda value, name: value if value == "full" else _real(value, name),
+    "tuple[int, ...]": partial(_each, _integer),
+    "tuple[float, ...]": partial(_each, _real),
+    "Distances": _distances,
+}
+
+#: The sections of the document and the field each of their keys sets; every other field is a top-level key.
+_SECTIONS = {
+    "box": {"lengths": "lengths"},
+    "disorder": {"k_max": "k_max", "kind": "disorder_kind", "table_u": "table_u", "table_k": "table_k"},
+    "time_grid": {"points": "time_points", "t_max": "t_max"},
+}
+
+
+def _layout() -> dict:
+    """The document's keys as a tree: a section's key maps to the dict of its keys, a field's key to its Field."""
+    top = {f.name: f for f in fields(ExperimentConfig)}
+    sections = {section: {key: top.pop(name) for key, name in keys.items()} for section, keys in _SECTIONS.items()}
+    return {**top, **sections}
+
+
+_LAYOUT = _layout()
+
+
+def _read(document, layout: dict, where: str, known: dict) -> None:
+    """Put each key of ``document``, read by its field's reader, into ``known`` under the field's name."""
+    if not isinstance(document, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {document!r}")
+    if unknown := set(document) - set(layout):
+        raise ConfigError(f"unknown {where} fields: {sorted(unknown)}")
+    for key, value in document.items():
+        f = layout[key]
+        if isinstance(f, dict):
+            _read(value, f, key, known)
+        elif value is None and not f.type.endswith(" | None"):
+            raise ConfigError(f"{f.name} must not be null")
+        else:
+            known[f.name] = value if value is None else _READERS[f.type.removesuffix(" | None")](value, f.name)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build a validated config from a parsed JSON document."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config document must be a JSON object")
-    if "experiment" not in raw:
+    known = {}
+    _read(raw, _LAYOUT, "config", known)
+    if "experiment" not in known:
         raise ConfigError("config is missing the 'experiment' field")
-    direct = (
-        "seed", "lambda0", "kappa", "samples", "workers", "amplitude",
-        "powers", "alpha_random", "lengths_ladder", "lambda_grid_points",
-        "lambda_grid_max", "mb_length", "mb_occupation", "center",
-    )
-    unknown = set(raw) - set(direct) - {"experiment", "box", "disorder", "time_grid", "shells", "n_values"}
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    box = _section(raw, "box", ("lengths",))
-    disorder = _section(raw, "disorder", ("k_max", "kind", "table_u", "table_k"))
-    grid = _section(raw, "time_grid", ("points", "t_max"))
-
-    # float() and tuple() raise TypeError, ValueError or (on a huge integer) OverflowError
-    # for an ill-typed value, and the validation in ExperimentConfig may raise the first two
-    try:
-        known = {"experiment": raw["experiment"]}
-        if "lengths" in box:
-            known["lengths"] = tuple(box["lengths"])
-        if "k_max" in disorder:
-            known["k_max"] = _real(disorder["k_max"], "k_max")
-        known["disorder_kind"] = disorder.get("kind", "uniform")
-        known["table_u"] = _floats(disorder.get("table_u"), "table_u")
-        known["table_k"] = _floats(disorder.get("table_k"), "table_k")
-        if "points" in grid:
-            known["time_points"] = grid["points"]
-        if "t_max" in grid:
-            known["t_max"] = None if grid["t_max"] is None else _real(grid["t_max"], "t_max")
-        for name in ("shells", "n_values"):
-            values = _distances(raw, name)
-            if values is not None:
-                known[name] = values
-        for name in direct:
-            if raw.get(name) is not None:
-                value = raw[name]
-                known[name] = tuple(value) if name in ("powers", "lengths_ladder", "center") else value
-        return ExperimentConfig(**known)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return ExperimentConfig(**known)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -35,7 +35,7 @@ from .anderson import (
     spectrum,
     tails,
 )
-from .config import ExperimentConfig
+from .config import KINDS, ExperimentConfig
 from .errors import NumericError
 from .freeboson import counting_function, default_time_grid, excitation_energy_density, many_body_energy
 from .lattice import BoxGeometry, box_boundary, l1_distances_from
@@ -139,10 +139,11 @@ def _kernel_pq(config, box, spec, index):
         + np.sum(qp > env_zero[None, :] + DOMINATION_SLACK)
         + np.sum(pp > env_plus[None, :] + DOMINATION_SLACK)
     )
+    qp_sup = qp.max(axis=0)
     quantities = (
         ("qq_sup", qq.max(axis=0)),
-        ("qp_sup", qp.max(axis=0)),
-        ("pq_sup", qp.max(axis=0)),
+        ("qp_sup", qp_sup),
+        ("pq_sup", qp_sup),
         ("pp_sup", pp.max(axis=0)),
         ("envelope_minus", env_minus),
         ("envelope_zero", env_zero),
@@ -322,16 +323,6 @@ KERNELS = {
     "quasi-locality": _kernel_quasi_locality,
 }
 
-KEY_FIELDS = {
-    "eigencorrelator": ("distance", "quantity"),
-    "lr-bound": ("distance", "quantity"),
-    "pq-bound": ("distance", "quantity"),
-    "correlations": ("distance", "quantity"),
-    "quasi-locality": ("n", "quantity"),
-    "energy-density": ("L", "quantity"),
-    "gap-stats": ("quantity",),
-}
-
 
 def run_sample(config: ExperimentConfig, index: int) -> SampleOutcome:
     """Evaluate one disorder realization; pure in (config, index)."""
@@ -350,24 +341,20 @@ def run_sample(config: ExperimentConfig, index: int) -> SampleOutcome:
 
 def _reduce(config: ExperimentConfig, outcomes: list[SampleOutcome]) -> EnsembleResult:
     outcomes = sorted(outcomes, key=lambda o: o.index)
-    per_key: dict = {}
-    order: list = []
+    per_key: dict = {}  # in the order keys first appear
     flags: dict = {}
     extrema: dict = {}
     for outcome in outcomes:
         for key, value in outcome.rows:
-            if key not in per_key:
-                per_key[key] = []
-                order.append(key)
-            per_key[key].append(value)
+            per_key.setdefault(key, []).append(value)
         for name, count in outcome.flags.items():
             flags[name] = flags.get(name, 0) + int(count)
         for name, value in outcome.extrema.items():
             extrema[name] = min(extrema.get(name, np.inf), value)
 
     rows = []
-    for key in order:
-        vals = np.asarray(per_key[key], dtype=float)
+    for key, values in per_key.items():
+        vals = np.asarray(values, dtype=float)
         mean = float(vals.mean())
         stderr = float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
         rows.append(ResultRow(key=key, mean=mean, stderr=stderr, count=int(vals.size)))
@@ -377,14 +364,14 @@ def _reduce(config: ExperimentConfig, outcomes: list[SampleOutcome]) -> Ensemble
         "seed": config.seed,
         "kind": config.experiment,
         "samples": config.samples,
-        "lambda0": config.lambda0 if config.lambda0 == "full" else float(config.lambda0),
+        "lambda0": config.lambda0,
         "kappa": config.kappa,
         **{k: int(v) for k, v in sorted(flags.items())},
         **{k: float(v) for k, v in sorted(extrema.items())},
     }
     return EnsembleResult(
         kind=config.experiment,
-        key_fields=KEY_FIELDS[config.experiment],
+        key_fields=KINDS[config.experiment],
         rows=rows,
         metadata=metadata,
     )

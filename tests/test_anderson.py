@@ -7,7 +7,6 @@ from osclab import _lapack, anderson
 from osclab.anderson import (
     RECONSTRUCTION_RTOL,
     DisorderConfig,
-    SpectralData,
     Spectrum,
     Stencil,
     assemble,

@@ -53,8 +53,9 @@ def test_config_error_exits_2(tmp_path, capsys):
         {"samples": 2.5},
         {"seed": "x"},
         {"workers": 2, "disorder": {"kind": "inverse_cdf", "table_u": [0, 0.5, 1], "table_k": [0, 0.8, 0.3]}},
+        {"experiment": "energy-density", "lambda_grid_max": "5", "lengths_ladder": [6, 8]},
     ],
-    ids=["fractional-samples", "string-seed", "non-monotone-table-with-workers"],
+    ids=["fractional-samples", "string-seed", "non-monotone-table-with-workers", "string-lambda_grid_max"],
 )
 def test_config_checked_before_any_sample(tmp_path, capsys, change):
     """An ill-typed integer or a bad disorder table is a ConfigError at load, not a traceback or a

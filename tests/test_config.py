@@ -3,7 +3,7 @@ from dataclasses import asdict
 
 import pytest
 
-from osclab.config import ExperimentConfig, config_from_dict, load_config
+from osclab.config import _LAYOUT, ExperimentConfig, config_from_dict, load_config
 from osclab.errors import ConfigError
 from osclab.lattice import l1_distances_from
 
@@ -23,6 +23,8 @@ class TestValidation:
             pytest.param(_doc(samples=0), id="no-samples"),
             pytest.param(_doc(workers=0), id="no-workers"),
             pytest.param(_doc(kappa=-1), id="negative-kappa"),
+            pytest.param(_doc(seed=-1), id="negative-seed"),
+            pytest.param(_doc(alpha_random=-1), id="negative-alpha_random"),
             pytest.param(_doc(box={"lengths": [0]}), id="empty-box"),
             pytest.param(_doc(box={"intervals": [[1, 5]]}), id="unanchored-box"),
             pytest.param(_doc(lambda0=-0.5), id="negative-lambda0"),
@@ -39,6 +41,8 @@ class TestValidation:
             pytest.param(_doc(time_grid={"t_max": NAN}), id="nan-t_max"),
             pytest.param(_doc(experiment="energy-density", lambda_grid_max=INF), id="infinite-lambda_grid_max"),
             pytest.param(_doc(experiment="energy-density", lambda_grid_max=NAN), id="nan-lambda_grid_max"),
+            pytest.param(_doc(experiment="energy-density", lambda_grid_max=-5.0), id="negative-lambda_grid_max"),
+            pytest.param(_doc(experiment="energy-density", lambda_grid_max=0.0), id="zero-lambda_grid_max"),
             pytest.param(_doc(center=[40]), id="center-outside"),
             pytest.param(_doc(shells=[5, 11]), id="shell-beyond-box"),
             pytest.param(_doc(experiment="quasi-locality", n_values=[3, 20]), id="radius-beyond-box"),
@@ -64,6 +68,12 @@ class TestValidation:
             pytest.param(_doc(box=40), id="box-a-number"),
             pytest.param(_doc(disorder=4.0), id="disorder-a-number"),
             pytest.param(_doc(shells={"min": 2}), id="range-without-max"),
+            # an explicit selection that selects nothing does not fall back on the default
+            pytest.param(_doc(shells={"min": 9, "max": 3}), id="inverted-shell-range"),
+            pytest.param(_doc(experiment="quasi-locality", n_values={"min": 5, "max": 2}), id="inverted-radius-range"),
+            pytest.param(_doc(shells=[]), id="no-shells"),
+            pytest.param(_doc(experiment="quasi-locality", n_values=[]), id="no-radii"),
+            pytest.param(_doc(experiment="eigencorrelator", powers=[]), id="no-powers"),
             pytest.param(_doc(disorder={"k_max": "x"}), id="k_max-not-a-number"),
             pytest.param(_doc(time_grid={"points": "many"}), id="points-not-a-number"),
             pytest.param(_doc(time_grid={"points": INF}), id="infinite-points"),
@@ -189,6 +199,67 @@ class TestValidation:
         assert config.n_range() == (1, 2, 3)
 
 
+def _paths():
+    """(JSON path, field) for every key of the document that sets a field."""
+    for key, entry in _LAYOUT.items():
+        if isinstance(entry, dict):
+            yield from (((key, sub), f) for sub, f in entry.items())
+        else:
+            yield (key,), entry
+
+
+PATHS = [pytest.param(path, f, id=".".join(path)) for path, f in _paths()]
+
+#: The fields a document may set to null: those that may be None.
+NULLABLE = {"center", "table_u", "table_k", "t_max", "lambda_grid_max"}
+
+
+def _with(path, value):
+    """BASE with ``value`` at ``path``, a top-level key or a (section, key) pair."""
+    if len(path) == 1:
+        return _doc(**{path[0]: value})
+    section, key = path
+    return _doc(**{section: {key: value}})
+
+
+class TestSchema:
+    @pytest.mark.parametrize("path, f", PATHS)
+    def test_wrong_json_type_rejected(self, path, f):
+        """A bool, a string where the field is no string, a list where it is no list, a number where it is one."""
+        is_list = f.type.startswith(("tuple", "Distances"))
+        wrong = [True, False] + (["2"] if f.type != "str" else []) + ([2] if is_list else [[2]])
+        for value in wrong:
+            with pytest.raises(ConfigError, match=f"^{f.name} must be "):
+                config_from_dict(_with(path, value))
+
+    @pytest.mark.parametrize("path, f", PATHS)
+    def test_null_only_where_the_field_may_be_none(self, path, f):
+        if f.name in NULLABLE:
+            assert getattr(config_from_dict(_with(path, None)), f.name) is None
+        else:
+            with pytest.raises(ConfigError, match=f"^{f.name} must not be null$"):
+                config_from_dict(_with(path, None))
+
+    def test_reals_stored_as_floats(self):
+        config = config_from_dict(
+            _doc(
+                experiment="energy-density",
+                lambda0=2,
+                amplitude=3,
+                lambda_grid_max=6,
+                disorder={"k_max": 2, "kind": "inverse_cdf", "table_u": [0, 1], "table_k": [0, 2]},
+                time_grid={"t_max": 5},
+            )
+        )
+        reals = [config.lambda0, config.amplitude, config.lambda_grid_max, config.k_max, config.t_max]
+        assert all(type(value) is float for value in reals + list(config.table_u + config.table_k))
+
+    @pytest.mark.parametrize("literal", [10**400, -(10**400)])
+    def test_integer_beyond_the_floats_rejected(self, literal):
+        with pytest.raises(ConfigError, match="^amplitude must be finite"):
+            config_from_dict(_doc(amplitude=literal))
+
+
 class TestDigest:
     DOC = _doc(
         experiment="correlations",
@@ -210,6 +281,12 @@ class TestDigest:
     def test_unchanged_by_workers(self):
         """The worker count changes no number of the result, so it stays out of the digest."""
         assert config_from_dict({**self.DOC, "workers": 2}).digest() == config_from_dict(self.DOC).digest()
+
+    def test_integer_valued_real_one_digest(self):
+        """lambda0 written as 2 or as 2.0 is one config, so one digest."""
+        as_int = config_from_dict({**self.DOC, "lambda0": 2})
+        as_float = config_from_dict({**self.DOC, "lambda0": 2.0})
+        assert as_int.digest() == as_float.digest()
 
     def test_changes_with_any_field(self):
         digest = config_from_dict(self.DOC).digest()

@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 
 from osclab import ensembles
 from osclab.anderson import DisorderConfig, SpectralData, assemble, diagonalize, sample_disorder, tails
-from osclab.config import EXPERIMENT_KINDS, config_from_dict
-from osclab.errors import ConfigError, NumericError
+from osclab.config import KINDS, config_from_dict
+from osclab.errors import ConfigError
 from osclab.fock_oracle import correlation_series, delta_field, diagonal_elements, evolve, neighborhood, project_localized, v_map
 from osclab.lattice import BoxGeometry
 from osclab.results import render_csv
 from osclab.weyl import OccupationFamily
 
-from conftest import kernel_family, make_chain_spec
+from conftest import kernel_family
 
 
 def _rowwise_products(alphas, z):
@@ -723,9 +723,10 @@ class TestRunEnsemble:
         pooled = ensembles.run_ensemble(config_from_dict({**doc, "workers": 2}))
         assert serial == pooled
 
-    def test_every_kind_has_key_fields(self):
-        assert set(ensembles.KEY_FIELDS) == set(EXPERIMENT_KINDS)
-        assert set(ensembles.KERNELS) <= set(EXPERIMENT_KINDS)
+    def test_every_kind_has_a_sampler(self):
+        """The kernels and the two eigenvalue-only kinds, which run_sample samples itself, are the kinds."""
+        assert set(ensembles.KERNELS) | {"energy-density", "gap-stats"} == set(KINDS)
+        assert not set(ensembles.KERNELS) & {"energy-density", "gap-stats"}
 
     def test_oracle_check_rejected_at_config_time(self):
         with pytest.raises(ConfigError):
