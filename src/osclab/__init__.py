@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .lattice import BoxGeometry
 from .anderson import (
     DisorderConfig,
-    DisorderSample,
     SpectralData,
     Spectrum,
     Stencil,

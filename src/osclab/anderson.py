@@ -90,7 +90,7 @@ import numpy as np
 
 from . import _lapack
 from .errors import ConfigError, NumericError
-from .lattice import BoxGeometry, _graph, laplacian_diagonal
+from .lattice import BoxGeometry, _graph, _neighbour_slices, laplacian_diagonal
 
 #: Accuracy tolerance of the eigensolvers, relative to max|h_ij|.
 RECONSTRUCTION_RTOL = 1e-10
@@ -108,6 +108,9 @@ TAILS_CHECK_DEGREES = 8
 #: 16, 32, 48, 64, 96, 128 and 256, 64 was fastest on a 40 x 40 box at lambda0 = 2 on a
 #: 2-vCPU x86-64 machine: 0.34 s for the tails, against 0.41 to 0.57 s.
 TAILS_BLOCK = 64
+
+#: Columns per block in which the residual check subtracts Phi_S Lambda_S.
+RESIDUAL_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -141,16 +144,8 @@ class DisorderConfig:
                 raise ConfigError("table_k values must lie in [0, k_max]")
 
 
-@dataclass(frozen=True)
-class DisorderSample:
-    """One realization of the potential, reproducible from (seed, index)."""
-
-    k: np.ndarray
-    sample_index: int
-
-
-def sample_disorder(config: DisorderConfig, box: BoxGeometry, index: int) -> DisorderSample:
-    """Draw the potential for realization ``index``.
+def sample_disorder(config: DisorderConfig, box: BoxGeometry, index: int) -> np.ndarray:
+    """k, the potential of realization ``index``: one float per site of the box, in site order.
 
     The stream is seeded with (master_seed, index), so any sample can be
     regenerated independently of execution order.  Exact zero draws are
@@ -170,7 +165,7 @@ def sample_disorder(config: DisorderConfig, box: BoxGeometry, index: int) -> Dis
         if bad.size == 0:
             break
         k[bad] = draw(bad.size)
-    return DisorderSample(k=k, sample_index=int(index))
+    return k
 
 
 @dataclass(frozen=True)
@@ -181,7 +176,8 @@ class Stencil:
     sit on the edges of ``lattice._graph``, and ``e`` lists them, one per
     edge.  With nu = 1 the edges run (0, 1), (1, 2), ..., so (d, e) is the
     chain's band.  ``np.asarray(h)`` gives the dense form of h, and
-    ``h @ x`` applies h to the columns of x in O(n) per column.
+    ``h @ x`` applies h to the columns of x in O(n) per column, by the
+    neighbour slices that ``_graph``'s edges come from.
     """
 
     box: BoxGeometry
@@ -214,27 +210,25 @@ class Stencil:
 
     def _apply(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out <- h x for the columns of x; ``out`` is C-contiguous, of x's shape, and shares no memory with it."""
-        # on the grid of the box a site's neighbours along an axis are the shifts by one
         grid = x.reshape(self.box.shape + x.shape[1:])
         acc = out.reshape(grid.shape)
         np.multiply(self.d.reshape(self.box.shape + (1,) * (x.ndim - 1)), grid, out=acc)
-        for axis in range(self.box.nu):
-            lo = (slice(None),) * axis + (slice(None, -1),)
-            hi = (slice(None),) * axis + (slice(1, None),)
+        for lo, hi in _neighbour_slices(self.box):
             acc[lo] -= grid[hi]
             acc[hi] -= grid[lo]
         return out
 
 
-def assemble(box: BoxGeometry, sample: DisorderSample, bc: str = "neumann") -> Stencil:
+def assemble(box: BoxGeometry, k, bc: str = "neumann") -> Stencil:
     """Effective Hamiltonian h = Laplacian(bc) + diag(k) of the box, as the ``Stencil`` of its diagonal.
 
-    Built in O(n) for every nu; this is the one form of h that ``spectrum``
-    and ``diagonalize`` take.
+    k is the potential, one entry per site in site order, as ``sample_disorder``
+    draws it.  Built in O(n) for every nu; this is the one form of h that
+    ``spectrum`` and ``diagonalize`` take.
     """
-    k = np.asarray(sample.k, dtype=float)
+    k = np.asarray(k, dtype=float)
     if k.shape != (box.n_sites,):
-        raise ValueError(f"sample has {k.shape} entries for a box of {box.n_sites} sites")
+        raise ValueError(f"potential has {k.shape} entries for a box of {box.n_sites} sites")
     return Stencil(box, laplacian_diagonal(box, bc) + k)
 
 
@@ -269,9 +263,9 @@ class Spectrum:
             return float("inf")
         return float(np.min(np.diff(self.eigenvalues)))
 
-    def flag_degenerate(self, rtol: float = DEGENERACY_RTOL) -> bool:
-        """True when two eigenvalues coincide within rtol * ||h||."""
-        return self.min_gap() <= rtol * max(self.norm, np.finfo(float).tiny)
+    def flag_degenerate(self) -> bool:
+        """True when two eigenvalues coincide within DEGENERACY_RTOL * ||h||."""
+        return self.min_gap() <= DEGENERACY_RTOL * max(self.norm, np.finfo(float).tiny)
 
     def localized_count(self, lambda0: float) -> int:
         """|S| for S = {j : lambda_j <= lambda0}, a prefix of the ascending spectrum."""
@@ -446,11 +440,14 @@ def _max_abs(x: np.ndarray) -> float:
 def _window_modes(h: Stencil, scale: float, evals: np.ndarray, modes: np.ndarray) -> np.ndarray:
     """Phi_S, the C-ordered eigenvectors of S that ``_eigh`` returns, checked by the window contract:
     the invariants on all n eigenvalues, then the residual and orthonormality of Phi_S.  Beside
-    Phi_S it holds the residual and its one temporary, then the Gram matrix, never both."""
+    Phi_S it holds the residual, from which Phi_S Lambda_S is taken RESIDUAL_BLOCK columns at
+    a time, then the Gram matrix, never both."""
     count = modes.shape[1]
     _check_invariants(h, evals, scale)
-    residual = h @ modes
-    residual -= modes * evals[:count]
+    residual, lam = h @ modes, evals[:count]
+    for start in range(0, count, RESIDUAL_BLOCK):
+        cols = slice(start, start + RESIDUAL_BLOCK)
+        residual[:, cols] -= modes[:, cols] * lam[cols]
     _require(_max_abs(residual), RECONSTRUCTION_RTOL * scale, "residual max|h Phi_S - Phi_S Lambda_S|")
     del residual
     gram = modes.T @ modes

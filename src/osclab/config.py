@@ -68,7 +68,7 @@ class ExperimentConfig:
     # -- derived helpers -----------------------------------------------------
 
     def box(self) -> BoxGeometry:
-        return BoxGeometry.of_lengths(self.lengths)
+        return BoxGeometry(self.lengths)
 
     def disorder(self) -> DisorderConfig:
         return DisorderConfig(
@@ -82,14 +82,14 @@ class ExperimentConfig:
         """``center``, or by default the midpoint of the box, rounded down."""
         if self.center is not None:
             return self.center
-        return tuple((a + b) // 2 for a, b in self.box().intervals)
+        return tuple((l - 1) // 2 for l in self.lengths)
 
     def center_index(self) -> int:
         return self.box().index_of(self.center_coord())
 
     def reach(self) -> int:
         """Largest l1 distance from the center site to a site of the box: per axis, to the farther end."""
-        return sum(max(c - a, b - c) for c, (a, b) in zip(self.center_coord(), self.box().intervals))
+        return sum(max(c, l - 1 - c) for c, l in zip(self.center_coord(), self.lengths))
 
     def shell_values(self) -> tuple[int, ...]:
         """``shells``, or by default the distances 5..max(min(40, diameter // 2), 6)

@@ -228,7 +228,7 @@ def _kernel_quasi_locality(config, box, spec, index):
     u, v = np.zeros((steps, gam.size)), np.zeros((steps, gam.size))
     x, scratch = np.empty((steps, gam.size)), np.empty((steps, gam.size))
     reached = dist.size
-    per_n = {}
+    rows, violations = [], 0
     for n in sorted(config.n_range(), reverse=True):
         ring = slice(int(np.searchsorted(dist, n, side="right")), reached)
         u += np.matmul(pos_re[:, ring], phi_re[ring], out=scratch)
@@ -240,12 +240,8 @@ def _kernel_quasi_locality(config, box, spec, index):
         norms = np.sqrt(2.0 * x_sum)
         err = c_f * np.sqrt(np.maximum(0.0, 2.0 - 2.0 * family(x, x_sum)))
         bound = float(np.sqrt(2.0 * (config.kappa + 1)) * norms.max())
-        per_n[n] = (
-            [((int(n), "error_sup"), float(err.max())), ((int(n), "bound_sup"), bound)],
-            int(np.sum(err > per_state * norms + DOMINATION_SLACK)),
-        )
-    rows = [row for n in config.n_range() for row in per_n[n][0]]
-    violations = sum(per_n[n][1] for n in config.n_range())
+        rows += [((int(n), "error_sup"), float(err.max())), ((int(n), "bound_sup"), bound)]
+        violations += int(np.sum(err > per_state * norms + DOMINATION_SLACK))
     return rows, {"bound_violations": violations}
 
 
@@ -260,10 +256,10 @@ def _energy_density_sample(config, index):
     ordering = 0
     degenerate = 0
     for length in config.lengths_ladder:
-        box = BoxGeometry.of_lengths([int(length)])
-        sample = sample_disorder(disorder, box, index)
-        spec_n = spectrum(assemble(box, sample, "neumann"))
-        spec_d = spectrum(assemble(box, sample, "dirichlet"))
+        box = BoxGeometry((length,))
+        k = sample_disorder(disorder, box, index)
+        spec_n = spectrum(assemble(box, k, "neumann"))
+        spec_d = spectrum(assemble(box, k, "dirichlet"))
         degenerate += int(spec_n.flag_degenerate() or spec_d.flag_degenerate())
         grid = np.linspace(0.0, grid_max, config.lambda_grid_points)
         diff = counting_function(spec_n, grid) - counting_function(spec_d, grid)
@@ -295,7 +291,7 @@ def _gap_stats_sample(config, index):
     spec = spectrum(assemble(box, sample_disorder(disorder, box, index)))
     gap = spec.min_gap()
     rel = gap / spec.norm
-    mb_box = BoxGeometry.of_lengths([config.mb_length])
+    mb_box = BoxGeometry((config.mb_length,))
     mb_spec = spectrum(assemble(mb_box, sample_disorder(disorder, mb_box, index)))
     occ = config.mb_occupation
     grids = np.meshgrid(*[np.arange(occ + 1)] * mb_box.n_sites, indexing="ij")
@@ -332,8 +328,8 @@ def run_sample(config: ExperimentConfig, index: int) -> SampleOutcome:
     if kind == "gap-stats":
         return _gap_stats_sample(config, index)
     box = config.box()
-    sample = sample_disorder(config.disorder(), box, index)
-    spec = diagonalize(assemble(box, sample), lambda0=config.lambda0_value())
+    k = sample_disorder(config.disorder(), box, index)
+    spec = diagonalize(assemble(box, k), lambda0=config.lambda0_value())
     rows, flags = KERNELS[kind](config, box, spec, index)
     flags["degenerate_samples"] = int(spec.flag_degenerate())
     return SampleOutcome(index=index, rows=rows, flags=flags)

@@ -1,11 +1,14 @@
 """Finite rectangular boxes in Z^nu: site enumeration, l1 geometry, Laplacians.
 
-Sites are enumerated row-major over coordinates (first axis slowest), and
-every matrix in the package uses this ordering.  A Laplacian is -1 on every
-nearest-neighbour pair of ``_graph`` and ``laplacian_diagonal`` on the
-diagonal: the plain (Neumann-type) one, or its Dirichlet-type variant with
-the boundary correction 2*(2*nu - degree).  ``anderson.Stencil`` keeps one
-as the box and its diagonal.
+A box is its lengths, {0..l_1-1} x ... x {0..l_nu-1}: the paper's bounds are
+uniform in the volume, so where a box sits in Z^nu does not matter.  Sites are
+numbered row-major (first axis slowest), the order of every matrix in the
+package, so they form the grid ``np.arange(n).reshape(shape)``.  On it the
+neighbour at +1 along an axis is the shift by one, stated once in
+``_neighbour_slices`` for ``_graph``'s edges and ``anderson.Stencil``'s
+products.  A Laplacian is -1 on every edge of ``_graph`` and
+``laplacian_diagonal`` on the diagonal: the plain (Neumann-type) one, or its
+Dirichlet-type variant with the boundary correction 2*(2*nu - degree).
 """
 
 from __future__ import annotations
@@ -19,31 +22,19 @@ import numpy as np
 
 @dataclass(frozen=True)
 class BoxGeometry:
-    """An integer box [a_1,b_1] x ... x [a_nu,b_nu] with a fixed site order."""
+    """The box {0..l_1-1} x ... x {0..l_nu-1}, built as ``BoxGeometry(lengths)``, with a fixed site order."""
 
-    intervals: tuple[tuple[int, int], ...]
+    shape: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.intervals:
-            raise ValueError("box needs at least one dimension")
-        ivs = tuple((int(a), int(b)) for a, b in self.intervals)
-        for a, b in ivs:
-            if a > b:
-                raise ValueError(f"empty interval [{a},{b}]")
-        object.__setattr__(self, "intervals", ivs)
-
-    @classmethod
-    def of_lengths(cls, lengths) -> "BoxGeometry":
-        """Box [0,l_1-1] x ... x [0,l_nu-1]."""
-        return cls(tuple((0, int(l) - 1) for l in lengths))
+        shape = tuple(int(l) for l in self.shape)
+        if not shape or min(shape) < 1:
+            raise ValueError(f"box needs one or more lengths, each at least 1, got {shape}")
+        object.__setattr__(self, "shape", shape)
 
     @property
     def nu(self) -> int:
-        return len(self.intervals)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(b - a + 1 for a, b in self.intervals)
+        return len(self.shape)
 
     @property
     def n_sites(self) -> int:
@@ -51,22 +42,16 @@ class BoxGeometry:
 
     def coords(self) -> np.ndarray:
         """(n_sites, nu) integer array, row i = coordinate of site index i."""
-        axes = [np.arange(a, b + 1) for a, b in self.intervals]
-        grid = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in grid], axis=1)
+        return np.indices(self.shape).reshape(self.nu, -1).T
 
     def index_of(self, coord) -> int:
         c = np.asarray(coord, dtype=int)
-        if c.shape != (self.nu,):
-            raise ValueError(f"coordinate must have {self.nu} components")
-        offsets = tuple(c[i] - self.intervals[i][0] for i in range(self.nu))
-        for off, n in zip(offsets, self.shape):
-            if not 0 <= off < n:
-                raise ValueError(f"coordinate {tuple(c)} outside box")
-        return int(np.ravel_multi_index(offsets, self.shape))
+        if c.shape != (self.nu,) or np.any((c < 0) | (c >= self.shape)):
+            raise ValueError(f"coordinate {c.tolist()} is not a site of the box of lengths {self.shape}")
+        return int(np.ravel_multi_index(c, self.shape))
 
     def diameter(self) -> int:
-        return sum(b - a for a, b in self.intervals)
+        return sum(self.shape) - self.nu
 
 
 def l1_distances_from(box: BoxGeometry, x: int) -> np.ndarray:
@@ -77,43 +62,33 @@ def l1_distances_from(box: BoxGeometry, x: int) -> np.ndarray:
     return np.abs(c - c[int(x)]).sum(axis=1)
 
 
-def _edges(box: BoxGeometry):
-    """Nearest-neighbor pairs (i, j, axis), j = i shifted by +1 along axis."""
-    shape = box.shape
-    strides = np.array(
-        [int(np.prod(shape[d + 1:])) for d in range(box.nu)], dtype=int
-    )
-    coords = box.coords()
-    for d in range(box.nu):
-        has_next = coords[:, d] < box.intervals[d][1]
-        i = np.flatnonzero(has_next)
-        yield i, i + strides[d], d
+def _neighbour_slices(box: BoxGeometry):
+    """(lo, hi) per axis: on a grid of the box, with any trailing axes, grid[hi] holds the
+    neighbours at +1 along that axis of the sites in grid[lo]."""
+    for axis in range(box.nu):
+        before = (slice(None),) * axis
+        yield before + (slice(None, -1),), before + (slice(1, None),)
 
 
 @lru_cache(maxsize=32)
 def _graph(box: BoxGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All nearest-neighbor pairs (i, j) of the box and the degree of every site.
+    """All nearest-neighbor pairs (i, j) of the box, axis after axis, and the degree of every site.
 
     O(n) index data, built once per box and kept read-only, so every
-    Laplacian of the same box walks the edges and coordinates only once.
+    Laplacian of the same box walks the edges only once.
     """
-    pairs = list(_edges(box))
-    i = np.concatenate([p[0] for p in pairs])
-    j = np.concatenate([p[1] for p in pairs])
+    grid = np.arange(box.n_sites).reshape(box.shape)
+    pairs = [(grid[lo].ravel(), grid[hi].ravel()) for lo, hi in _neighbour_slices(box)]
+    i, j = (np.concatenate(side) for side in zip(*pairs))
     deg = np.bincount(np.concatenate([i, j]), minlength=box.n_sites)
     for arr in (i, j, deg):
         arr.setflags(write=False)
     return i, j, deg
 
 
-def degrees(box: BoxGeometry) -> np.ndarray:
-    """Number of nearest neighbors of each site inside the box."""
-    return _graph(box)[2].copy()
-
-
 def box_boundary(box: BoxGeometry) -> np.ndarray:
     """Sites of the box with a missing neighbor in Z^nu (degree below 2*nu)."""
-    return np.flatnonzero(degrees(box) < 2 * box.nu)
+    return np.flatnonzero(_graph(box)[2] < 2 * box.nu)
 
 
 def laplacian_diagonal(box: BoxGeometry, bc: str = "neumann") -> np.ndarray:

@@ -8,15 +8,14 @@ from osclab.lattice import BoxGeometry
 
 def make_chain_spec(n_sites, seed=11, k_max=1.0, bc="neumann", **regime):
     """SpectralData for a 1D chain with a reproducible disorder sample; ``regime`` goes to ``diagonalize``."""
-    box = BoxGeometry.of_lengths([n_sites])
+    box = BoxGeometry([n_sites])
     cfg = DisorderConfig(k_max=k_max, master_seed=seed)
-    sample = sample_disorder(cfg, box, 0)
-    return box, diagonalize(assemble(box, sample, bc), **regime)
+    return box, diagonalize(assemble(box, sample_disorder(cfg, box, 0), bc), **regime)
 
 
 def chain_stencil(d):
     """h on a chain of len(d) sites: diagonal d and -1 between neighbours."""
-    return Stencil(BoxGeometry.of_lengths([len(d)]), d)
+    return Stencil(BoxGeometry([len(d)]), d)
 
 
 @pytest.fixture

@@ -25,24 +25,24 @@ from conftest import chain_stencil, make_chain_spec
 
 class TestSampling:
     def test_deterministic(self):
-        box = BoxGeometry.of_lengths([50])
+        box = BoxGeometry([50])
         cfg = DisorderConfig(k_max=2.0, master_seed=123)
         a = sample_disorder(cfg, box, 7)
         b = sample_disorder(cfg, box, 7)
-        assert np.array_equal(a.k, b.k)
+        assert np.array_equal(a, b)
         c = sample_disorder(cfg, box, 8)
-        assert not np.array_equal(a.k, c.k)
+        assert not np.array_equal(a, c)
 
     def test_uniform_mean(self):
-        box = BoxGeometry.of_lengths([100000])
+        box = BoxGeometry([100000])
         cfg = DisorderConfig(k_max=1.0, master_seed=0)
-        k = sample_disorder(cfg, box, 0).k
+        k = sample_disorder(cfg, box, 0)
         assert abs(k.mean() - 0.5) < 0.01
 
     def test_support(self):
-        box = BoxGeometry.of_lengths([1000])
+        box = BoxGeometry([1000])
         cfg = DisorderConfig(k_max=0.3, master_seed=1)
-        k = sample_disorder(cfg, box, 4).k
+        k = sample_disorder(cfg, box, 4)
         assert np.all(k > 0.0) and np.all(k <= 0.3)
 
     def test_inverse_cdf_table(self):
@@ -54,8 +54,8 @@ class TestSampling:
             table_u=(0.0, 0.5, 1.0),
             table_k=(0.0, 0.8, 1.0),
         )
-        box = BoxGeometry.of_lengths([20000])
-        k = sample_disorder(cfg, box, 0).k
+        box = BoxGeometry([20000])
+        k = sample_disorder(cfg, box, 0)
         assert np.all((k > 0) & (k <= 1.0))
         assert k.mean() > 0.6  # skewed upward by construction
 
@@ -78,35 +78,32 @@ class TestSampling:
 
 class TestAssemble:
     def test_constant_potential_shifts_spectrum(self):
-        box = BoxGeometry.of_lengths([3])
-        sample = sample_disorder(DisorderConfig(k_max=1.0, master_seed=0), box, 0)
+        box = BoxGeometry([3])
         c = 0.7
-        sample = type(sample)(k=np.full(3, c), sample_index=0)
-        evals = np.sort(np.linalg.eigvalsh(assemble(box, sample)))
+        evals = np.sort(np.linalg.eigvalsh(assemble(box, np.full(3, c))))
         assert np.allclose(evals, [c, c + 1.0, c + 3.0], atol=1e-12)
 
     def test_positive_definite(self):
-        box = BoxGeometry.of_lengths([8])
-        sample = sample_disorder(DisorderConfig(k_max=1.0, master_seed=3), box, 1)
-        assert np.linalg.eigvalsh(assemble(box, sample))[0] > 0.0
+        box = BoxGeometry([8])
+        k = sample_disorder(DisorderConfig(k_max=1.0, master_seed=3), box, 1)
+        assert np.linalg.eigvalsh(assemble(box, k))[0] > 0.0
 
     def test_dirichlet_dominates_neumann(self):
-        box = BoxGeometry.of_lengths([6])
-        sample = sample_disorder(DisorderConfig(k_max=1.0, master_seed=3), box, 0)
-        diff = np.asarray(assemble(box, sample, "dirichlet")) - np.asarray(assemble(box, sample, "neumann"))
+        box = BoxGeometry([6])
+        k = sample_disorder(DisorderConfig(k_max=1.0, master_seed=3), box, 0)
+        diff = np.asarray(assemble(box, k, "dirichlet")) - np.asarray(assemble(box, k, "neumann"))
         assert np.all(np.linalg.eigvalsh(diff) >= -1e-14)
 
     def test_dimension_mismatch(self):
-        box = BoxGeometry.of_lengths([4])
-        sample = sample_disorder(DisorderConfig(k_max=1.0, master_seed=0), BoxGeometry.of_lengths([5]), 0)
+        box = BoxGeometry([4])
+        k = sample_disorder(DisorderConfig(k_max=1.0, master_seed=0), BoxGeometry([5]), 0)
         with pytest.raises(ValueError):
-            assemble(box, sample)
+            assemble(box, k)
 
 
 def _box_hamiltonian(lengths, bc, seed=6):
-    box = BoxGeometry.of_lengths(lengths)
-    sample = sample_disorder(DisorderConfig(k_max=1.5, master_seed=seed), box, 0)
-    return assemble(box, sample, bc)
+    box = BoxGeometry(lengths)
+    return assemble(box, sample_disorder(DisorderConfig(k_max=1.5, master_seed=seed), box, 0), bc)
 
 
 BOXES = [pytest.param([30], id="chain30"), pytest.param([6, 5], id="box6x5")]
@@ -146,7 +143,7 @@ class TestDiagonalize:
         assert np.allclose(spec.eigenvalues, [0.0, 1.0, 3.0], atol=1e-12)
 
     def test_reconstruction_contract(self):
-        box = BoxGeometry.of_lengths([10, 5])
+        box = BoxGeometry([10, 5])
         h = Stencil(box, laplacian_diagonal(box) + np.random.default_rng(2).uniform(0.0, 20.0, 50))
         spec = diagonalize(h)
         recon = (spec.modes * spec.eigenvalues) @ spec.modes.T
@@ -313,7 +310,7 @@ class TestTridiagonalPath:
     @given(length=st.integers(1, 90), bc=st.sampled_from(BCS), seed=st.integers(0, 2**16), k_max=st.floats(0.05, 8.0))
     def test_bit_identical_to_dense(self, length, bc, seed, k_max):
         """A chain's band on the band drivers gives the bits of numpy's solvers on its dense matrix."""
-        box = BoxGeometry.of_lengths([length])
+        box = BoxGeometry([length])
         h = assemble(box, sample_disorder(DisorderConfig(k_max=k_max, master_seed=seed), box, 0), bc)
         before = h.d.copy()
         spec, dense = _solve_both(h)
@@ -364,12 +361,12 @@ class TestTridiagonal:
     def test_assemble_bits(self, lengths, bc):
         """Every box assembles to a stencil, which densifies to Laplacian(bc) + diag(k) bit for bit,
         the Laplacian taken from l1 distances."""
-        box = BoxGeometry.of_lengths(lengths)
-        sample = sample_disorder(DisorderConfig(k_max=1.5, master_seed=6), box, 0)
+        box = BoxGeometry(lengths)
+        k = sample_disorder(DisorderConfig(k_max=1.5, master_seed=6), box, 0)
         c = box.coords()
         adjacent = (np.abs(c[:, None, :] - c[None, :, :]).sum(axis=2) == 1).astype(float)
-        expected = np.diag(laplacian_diagonal(box, bc) + sample.k) - adjacent
-        h = assemble(box, sample, bc)
+        expected = np.diag(laplacian_diagonal(box, bc) + k) - adjacent
+        h = assemble(box, k, bc)
         assert type(h) is Stencil
         assert type(np.asarray(h)) is np.ndarray
         assert np.asarray(h).tobytes() == expected.tobytes()
@@ -395,7 +392,7 @@ class TestTridiagonal:
     )
     def test_rejects_malformed_shape(self, lengths, d):
         with pytest.raises(ValueError):
-            Stencil(BoxGeometry.of_lengths(lengths), d)
+            Stencil(BoxGeometry(lengths), d)
 
     @pytest.mark.parametrize("solve", [spectrum, diagonalize])
     @pytest.mark.parametrize("where", ["d"])
@@ -406,9 +403,11 @@ class TestTridiagonal:
         with pytest.raises(ValueError, match="finite"):
             solve(chain_stencil(d))
 
-    @pytest.mark.parametrize("lengths", [[1, 1], [6, 5], [3, 2, 4]])
+    @pytest.mark.parametrize("lengths", [[1, 1], [6, 5], [3, 2, 4], [4, 1, 3], [1, 7]])
     def test_stencil_is_its_dense_matrix(self, lengths):
-        """Products with vectors and matrices, shape, entries: all those of np.asarray(h)."""
+        """Products with vectors and matrices, shape, entries: all those of np.asarray(h).  The dense form
+        takes its edges from ``_graph`` and the products from the neighbour slices, so a length-1 axis
+        inside the box checks the one neighbour rule both read."""
         h = _box_hamiltonian(lengths, "dirichlet")
         dense = np.asarray(h)
         n = dense.shape[0]
@@ -424,7 +423,7 @@ class TestTridiagonal:
         assert np.allclose(h @ x, np.asarray(h) @ x, rtol=0.0, atol=1e-13)
 
     def test_stencil_frozen_copy(self):
-        box = BoxGeometry.of_lengths([2, 2])
+        box = BoxGeometry([2, 2])
         d = np.full(4, 2.0)
         h = Stencil(box, d)
         d[0] = 7.0
@@ -438,11 +437,11 @@ class TestTridiagonal:
         """A 5000-site chain's spectrum never forms the 200 MB dense h."""
         import tracemalloc
 
-        box = BoxGeometry.of_lengths([5000])
-        sample = sample_disorder(DisorderConfig(k_max=1.0, master_seed=2), box, 0)
+        box = BoxGeometry([5000])
+        k = sample_disorder(DisorderConfig(k_max=1.0, master_seed=2), box, 0)
         tracemalloc.start()
         try:
-            spec = spectrum(assemble(box, sample))
+            spec = spectrum(assemble(box, k))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -552,7 +551,7 @@ class TestDenseDriver:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(lengths=_DENSE_LENGTHS, bc=st.sampled_from(BCS), seed=st.integers(0, 2**16), k_max=st.floats(0.05, 8.0))
     def test_bit_identical_to_eigh(self, lengths, bc, seed, k_max):
-        box = BoxGeometry.of_lengths(lengths)
+        box = BoxGeometry(lengths)
         h = assemble(box, sample_disorder(DisorderConfig(k_max=k_max, master_seed=seed), box, 0), bc)
         a = np.array(np.asarray(h), order="F")
         d, e, tau = _lapack.dsytrd(a)
@@ -713,29 +712,31 @@ class TestWindow:
             diagonalize(h, lambda0=lambda0)
 
     @pytest.mark.parametrize(
-        "lambda0, every_tail, budget",
+        "lengths, lambda0, every_tail, budget",
         [
-            pytest.param(np.inf, False, 3.2, id="full"),
-            pytest.param(2.0, False, 1.25, id="window"),
-            pytest.param(2.0, True, 1.25, id="window-tails"),
-            pytest.param(None, False, 3.2, id="every-mode"),
+            pytest.param([20, 20], np.inf, False, 3.2, id="full"),
+            pytest.param([20, 20], 2.0, False, 1.25, id="window"),
+            pytest.param([20, 20], 2.0, True, 1.25, id="window-tails"),
+            pytest.param([20, 20], None, False, 3.2, id="every-mode"),
+            pytest.param([400], np.inf, False, 2.5, id="chain-full"),
         ],
     )
-    def test_peak_memory(self, lambda0, every_tail, budget):
+    def test_peak_memory(self, lengths, lambda0, every_tail, budget):
         """From assembly on, a 20x20 box's solve that keeps every mode, at lambda0 = inf or at
         lambda0 = 2 ||h||, holds at most three n x n buffers at once: the reduced h, Z and dstevd's
-        workspace, and then Phi_S, the residual and its temporary.  Its window holds one, the
-        reduced h, beside n x |S| columns; the tails at every site, formed after it, add three
-        blocks of n x TAILS_BLOCK."""
+        workspace, and then Phi_S and the residual, from which Phi_S Lambda_S is taken in blocks of
+        n x RESIDUAL_BLOCK.  A chain has no reduced h, so its full solve stays under 2.5 n x n.  The
+        window holds one n x n buffer, the reduced h, beside n x |S| columns; the tails at every
+        site, formed after it, add three blocks of n x TAILS_BLOCK."""
         import tracemalloc
 
-        box = BoxGeometry.of_lengths([20, 20])
-        sample = sample_disorder(DisorderConfig(k_max=1.5, master_seed=6), box, 0)
+        box = BoxGeometry(lengths)
+        k = sample_disorder(DisorderConfig(k_max=1.5, master_seed=6), box, 0)
         if lambda0 is None:
-            lambda0 = 2.0 * spectrum(assemble(box, sample)).norm
+            lambda0 = 2.0 * spectrum(assemble(box, k)).norm
 
         def solve():
-            spec = diagonalize(assemble(box, sample), lambda0=lambda0)
+            spec = diagonalize(assemble(box, k), lambda0=lambda0)
             if every_tail:
                 anderson.tails(spec, np.arange(box.n_sites))
 
@@ -856,7 +857,7 @@ class TestWindowAgreement:
     def test_matches_eigh(self, lengths, bc, seed, k_max, level, fraction):
         """At every finite lambda0, S every mode included, the window's eigenvalues are eigvalsh's bits
         and its columns eigh's up to sign."""
-        box = BoxGeometry.of_lengths(lengths)
+        box = BoxGeometry(lengths)
         h = assemble(box, sample_disorder(DisorderConfig(k_max=k_max, master_seed=seed), box, 0), bc)
         lambda0 = _regime_level(np.clip(np.linalg.eigvalsh(h), 0.0, None), level, fraction)
         spec = diagonalize(h, lambda0=lambda0)
@@ -991,10 +992,8 @@ class TestLocalizedModes:
         assert spec.localized_count(spec.eigenvalues[0] * 0.5) == 0
 
     def test_three_site_constant(self):
-        box = BoxGeometry.of_lengths([3])
-        sample = sample_disorder(DisorderConfig(k_max=1.0, master_seed=0), box, 0)
-        sample = type(sample)(k=np.full(3, 0.5), sample_index=0)
-        spec = diagonalize(assemble(box, sample))
+        box = BoxGeometry([3])
+        spec = diagonalize(assemble(box, np.full(3, 0.5)))
         assert spec.localized_count(1.0) == 1  # spectrum {0.5, 1.5, 3.5}
 
     def test_prefix_property(self, chain12):
@@ -1091,7 +1090,7 @@ class TestPropagatorSums:
     )
     def test_dominated_by_eigencorrelator(self, lengths, seed, k_max, level, times, data):
         """|sum| <= Q_s(x, y) for every s, off any grid: the domination the pq-bound flag tests."""
-        box = BoxGeometry.of_lengths(list(lengths))
+        box = BoxGeometry(list(lengths))
         h = assemble(box, sample_disorder(DisorderConfig(k_max=k_max, master_seed=seed), box, 0))
         spec = diagonalize(h, lambda0=np.inf if level is None else level * spectrum(h).norm)
         x = data.draw(st.integers(0, box.n_sites - 1))
@@ -1108,7 +1107,7 @@ class TestMinGap:
 
     def test_degenerate(self):
         # the 2 x 2 box is a 4-cycle: eigenvalues 0, 2, 2, 4
-        spec = diagonalize(Stencil(BoxGeometry.of_lengths([2, 2]), np.full(4, 2.0)))
+        spec = diagonalize(Stencil(BoxGeometry([2, 2]), np.full(4, 2.0)))
         assert spec.min_gap() <= 1e-14
         assert spec.flag_degenerate()
 

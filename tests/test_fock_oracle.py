@@ -247,7 +247,7 @@ def _kernel_cases(kind, **extra):
     ``spec`` holds every mode, whatever the kernel's own solve keeps.
     """
     for lengths, center, shells in KERNEL_BOXES:
-        box = BoxGeometry.of_lengths(lengths)
+        box = BoxGeometry(lengths)
         spec = diagonalize(assemble(box, sample_disorder(DisorderConfig(k_max=1.0, master_seed=KERNEL_SEED), box, 0)))
         evals = spec.eigenvalues
         for m in range(1, spec.n + 1):

@@ -23,7 +23,7 @@ class TestVMap:
         assert np.all(v_map(spec, np.zeros(12, complex)) == 0.0)
 
     def test_needs_every_mode(self):
-        box = BoxGeometry.of_lengths([6, 5])
+        box = BoxGeometry([6, 5])
         h = assemble(box, sample_disorder(DisorderConfig(k_max=1.0, master_seed=5), box, 0))
         spec = diagonalize(h, lambda0=2.0)
         assert spec.modes.shape[1] < spec.n
@@ -64,7 +64,7 @@ class TestVMap:
     )
     def test_preserves_symplectic_form(self, lengths, seed, k_max, field_seed, scale):
         """Im<Vf, Vg> = Im<f, g> on random boxes: the Weyl-relation phase is the same in sites and modes."""
-        box = BoxGeometry.of_lengths(list(lengths))
+        box = BoxGeometry(list(lengths))
         spec = diagonalize(assemble(box, sample_disorder(DisorderConfig(k_max=k_max, master_seed=seed), box, 0)))
         rng = np.random.default_rng(field_seed)
         f, g = random_field(rng, box.n_sites, scale), random_field(rng, box.n_sites, scale)
@@ -224,23 +224,21 @@ class TestCountingFunction:
         assert counts[0] == 0 and counts[-1] == spec.n
 
     def test_three_site_jumps(self):
-        box = BoxGeometry.of_lengths([3])
-        sample = sample_disorder(DisorderConfig(k_max=1.0, master_seed=0), box, 0)
-        sample = type(sample)(k=np.full(3, 0.5), sample_index=0)
-        spec = diagonalize(assemble(box, sample))
+        box = BoxGeometry([3])
+        spec = diagonalize(assemble(box, np.full(3, 0.5)))
         grid = np.array([0.4, 0.6, 1.4, 1.6, 3.4, 3.6])
         assert counting_function(spec, grid).tolist() == [0, 1, 1, 2, 2, 3]
         # strictly-below convention: no jump exactly at an eigenvalue
         assert counting_function(spec, np.array([0.5, 1.5, 3.5])).tolist() == [0, 1, 2]
 
     def test_neumann_dirichlet_bracketing(self):
-        box = BoxGeometry.of_lengths([40])
+        box = BoxGeometry([40])
         cfg = DisorderConfig(k_max=1.0, master_seed=21)
         grid = np.linspace(0.0, 5.0, 50)
         for i in range(5):
-            sample = sample_disorder(cfg, box, i)
-            n_count = counting_function(diagonalize(assemble(box, sample, "neumann")), grid)
-            d_count = counting_function(diagonalize(assemble(box, sample, "dirichlet")), grid)
+            k = sample_disorder(cfg, box, i)
+            n_count = counting_function(diagonalize(assemble(box, k, "neumann")), grid)
+            d_count = counting_function(diagonalize(assemble(box, k, "dirichlet")), grid)
             diff = n_count - d_count
             assert np.all(diff >= 0)
             assert np.all(diff <= box_boundary(box).size)
@@ -260,7 +258,7 @@ def test_default_time_grid(chain12):
 
 def test_default_time_grid_rejects_zero_spacing():
     # constant k on a square box: the Laplacian's symmetry repeats eigenvalues exactly
-    box = BoxGeometry.of_lengths([6, 6])
+    box = BoxGeometry([6, 6])
     cfg = DisorderConfig(k_max=1.0, master_seed=1, kind="inverse_cdf", table_u=(0.0, 1.0), table_k=(0.5, 0.5))
     spec = diagonalize(assemble(box, sample_disorder(cfg, box, 0)))
     assert np.min(np.diff(spec.gammas)) == 0.0

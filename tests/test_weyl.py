@@ -138,7 +138,7 @@ class TestManyBodyElements:
         at most 1, so 24 levels per mode hold the block to 3e-15 (200 examples)
         however soft the box, while Im<f, g> is taken in sites.
         """
-        box = BoxGeometry.of_lengths([2])
+        box = BoxGeometry([2])
         spec = diagonalize(assemble(box, sample_disorder(DisorderConfig(k_max=k_max, master_seed=seed), box, 0)))
         f, g = v_inverse(spec, np.array(z[:2])), v_inverse(spec, np.array(z[2:]))
         bundle = OracleBundle(spec, spec.norm, TruncationSpec(per_mode_dim=24, mode_count=2))
