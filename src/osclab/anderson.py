@@ -77,8 +77,10 @@ evaluates the per-realization localization kernel
 the exact value of the supremum over Borel functions |u| <= 1 of
 |<delta_x, h^{s/2} u(h) X delta_y>| when the spectrum is simple.
 ``propagator_sums`` evaluates those bilinear forms for u = cos or sin of
-2t sqrt(h) on a time grid; the commutator kernels are built from them.
-Both read S from the ``SpectralData`` they are given.
+2t sqrt(h) on a time grid, TIME_BLOCK times at a time, so that the
+kernels built from them hold tables of TIME_BLOCK rows however long the
+grid.  Both read S from the ``SpectralData`` they are given, at just the
+sites a kernel reads.
 """
 
 from __future__ import annotations
@@ -111,6 +113,10 @@ TAILS_BLOCK = 64
 
 #: Columns per block in which the residual check subtracts Phi_S Lambda_S.
 RESIDUAL_BLOCK = 64
+
+#: Times per block of ``propagator_sums``: each block's phase tables and sums, and the tables the
+#: kernels form from them, have TIME_BLOCK rows, so a kernel's memory does not grow with the grid.
+TIME_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -551,38 +557,52 @@ def tails(spec: SpectralData, sites) -> np.ndarray:
     return site_tails
 
 
-def eigencorrelator_profile(spec: SpectralData, s: int, x: int) -> np.ndarray:
-    """Vector of Q_s(x, y) over all sites y, for s in {-1, 0, +1}; zero when S is empty."""
+def eigencorrelator_profile(spec: SpectralData, s: int, x: int, sites) -> np.ndarray:
+    """Q_s(x, y) at each y of ``sites``, in order, for s in {-1, 0, +1}; zero when S is empty."""
     if s not in (-1, 0, 1):
         raise ValueError("power s must be -1, 0 or +1")
-    n = spec.n
-    if not 0 <= int(x) < n:
-        raise ValueError(f"site index {x} outside 0..{n - 1}")
+    sites = _checked_sites(spec, x, sites)
     gam = spec.localized_gammas
     if gam.size == 0:
-        return np.zeros(n)
-    phi = np.abs(spec.modes)
+        return np.zeros(sites.size)
     weights = gam**s if s != 0 else np.ones(gam.size)
-    return phi @ (weights * phi[int(x)])
+    return np.abs(spec.modes[sites]) @ (weights * np.abs(spec.modes[int(x)]))
 
 
-def propagator_sums(spec: SpectralData, x: int, sites, times, powers) -> tuple:
+def propagator_sums(spec: SpectralData, x: int, sites, times, powers):
     """The sums sum_{j in S} gamma_j^s phi_j(x) phi_j(y) u(2 t gamma_j) for each s in ``powers``.
 
     u is cos for s = 0 and sin for s = -1, +1, so each sum is the coefficient
     <delta_x, h^{s/2} u(2t sqrt(h)) X delta_y> of a restricted
     position/momentum commutator, and |sum| <= Q_s(x, y) at every t.
-    Returns one (times, sites) array per power, in the order of ``powers``;
-    at most one sine and one cosine table are built.  ``times`` keeps its
+    Returns an iterator over the blocks of TIME_BLOCK consecutive ``times``:
+    each item is (rows, sums), rows the slice of ``times`` the block covers
+    and sums one (rows, sites) array per power, in the order of ``powers``.
+    The weights gamma_j^s phi_j(x) phi_j(y) are formed once per call, and
+    per block at most one sine and one cosine table.  ``times`` keeps its
     dtype, so a complex grid gives complex sums.
     """
+    sites = _checked_sites(spec, x, sites)
+    times = np.asarray(times)
+    gam = spec.localized_gammas
+    prod = spec.modes[int(x)][:, None] * spec.modes[sites].T  # (modes, sites)
+    weights = [prod if s == 0 else prod * gam[:, None] ** s for s in powers]
+    return _propagator_blocks(gam, times, powers, weights)
+
+
+def _propagator_blocks(gam, times, powers, weights):
+    for start in range(0, times.size, TIME_BLOCK):
+        rows = slice(start, min(start + TIME_BLOCK, times.size))
+        ang = 2.0 * times[rows, None] * gam[None, :]
+        cos = np.cos(ang) if 0 in powers else None
+        sin = np.sin(ang) if any(s != 0 for s in powers) else None
+        yield rows, tuple((cos if s == 0 else sin) @ w for s, w in zip(powers, weights))
+
+
+def _checked_sites(spec: SpectralData, x: int, sites) -> np.ndarray:
+    """``sites`` as an index array; ValueError unless it and x lie in the box."""
     n = spec.n
     sites = np.asarray(sites, dtype=int)
     if not 0 <= int(x) < n or np.any((sites < 0) | (sites >= n)):
         raise ValueError(f"site index outside 0..{n - 1}")
-    gam = spec.localized_gammas
-    prod = spec.modes[int(x)][:, None] * spec.modes[sites].T  # (modes, sites)
-    ang = 2.0 * np.asarray(times)[:, None] * gam[None, :]
-    cos = np.cos(ang) if 0 in powers else None
-    sin = np.sin(ang) if any(s != 0 for s in powers) else None
-    return tuple((cos if s == 0 else sin) @ (prod * gam[:, None] ** s) for s in powers)
+    return sites

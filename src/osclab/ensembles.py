@@ -6,9 +6,13 @@ config's lambda0 (eigenvalues only for the eigenvalue-only kinds
 ``energy-density`` and ``gap-stats``), evaluates the experiment's kernel on
 the resulting ``SpectralData``, and returns per-key scalar rows.  The
 kernels read S only from it: Phi_S, gamma_S and, where they read C_f, the
-tails (``anderson.tails``), formed before any time x sites table.  Every
-time-dependent sum over S that a kernel reads comes from
-``anderson.propagator_sums``, and every kernel returns ``(rows, flags)``.
+tails (``anderson.tails``).  Every time-dependent sum over S that a kernel
+reads comes from ``anderson.propagator_sums``, one block of
+``anderson.TIME_BLOCK`` times at a time.  A kernel forms its tables for
+the block (phases, Laguerre arguments, occupation products), folds them
+into running per-site or per-radius maxima and violation counts, and drops
+them, so its memory does not grow with the number of time points.  Every
+kernel returns ``(rows, flags)``.
 Reduction happens after all samples are collected, in sample-index order,
 so the output is bit-identical regardless of the worker count.
 
@@ -106,10 +110,16 @@ def _delta_restriction(spec, amplitude: float, center: int, ys=()):
     return c_f[0] * c_f[1:] if len(ys) else c_f[0]
 
 
+def _fold(sups, values, bound) -> int:
+    """Raise ``sups`` to the column maxima of ``values``; the count of its entries above ``bound``."""
+    np.maximum(sups, values.max(axis=0), out=sups)
+    return int(np.sum(values > bound + DOMINATION_SLACK))
+
+
 def _kernel_eigencorrelator(config, box, spec, index):
     center, shells, ys = _shells(config, box)
     names = {-1: "q_minus", 0: "q_zero", 1: "q_plus"}
-    quantities = [(names[s], eigencorrelator_profile(spec, s, center)[ys]) for s in config.powers]
+    quantities = [(names[s], eigencorrelator_profile(spec, s, center, ys)) for s in config.powers]
     return _shell_rows(shells, quantities), {}
 
 
@@ -117,37 +127,28 @@ def _kernel_lr(config, box, spec, index):
     center, shells, ys = _shells(config, box)
     a2 = config.amplitude**2
     cc = _delta_restriction(spec, config.amplitude, center, ys)
-    times = _time_grid(config, spec)
+    envelopes = cc * np.minimum(2.0, a2 * eigencorrelator_profile(spec, -1, center, ys))
+    sups, violations = np.full(ys.size, -np.inf), 0
     # (V a delta_x)_j = a phi_j(x) / sqrt(gamma_j), so Im<X f_t, X g> = -a^2 times the s = -1 sum
-    (sums,) = propagator_sums(spec, center, ys, times, (-1,))
-    values = 2.0 * np.abs(np.sin(-a2 * sums / 2.0)) * cc[None, :]
-    envelopes = cc * np.minimum(2.0, a2 * eigencorrelator_profile(spec, -1, center)[ys])
-    violations = int(np.sum(values > envelopes[None, :] + DOMINATION_SLACK))
-    rows = _shell_rows(shells, (("commutator_sup", values.max(axis=0)), ("commutator_envelope", envelopes)))
+    for _, (sums,) in propagator_sums(spec, center, ys, _time_grid(config, spec), (-1,)):
+        violations += _fold(sups, 2.0 * np.abs(np.sin(-a2 * sums / 2.0)) * cc, envelopes)
+    rows = _shell_rows(shells, (("commutator_sup", sups), ("commutator_envelope", envelopes)))
     return rows, {"domination_violations": violations}
 
 
 def _kernel_pq(config, box, spec, index):
     center, shells, ys = _shells(config, box)
-    times = _time_grid(config, spec)
-    sums = list(propagator_sums(spec, center, ys, times, (-1, 0, 1)))
-    # each times x sites table is freed as soon as its modulus is formed
-    qq, qp, pp = (np.abs(sums.pop(0)) for _ in range(3))
-    env_minus, env_zero, env_plus = (eigencorrelator_profile(spec, s, center)[ys] for s in (-1, 0, 1))
-    violations = int(
-        np.sum(qq > env_minus[None, :] + DOMINATION_SLACK)
-        + np.sum(qp > env_zero[None, :] + DOMINATION_SLACK)
-        + np.sum(pp > env_plus[None, :] + DOMINATION_SLACK)
-    )
-    qp_sup = qp.max(axis=0)
+    envelopes = [eigencorrelator_profile(spec, s, center, ys) for s in (-1, 0, 1)]
+    sups, violations = np.full((3, ys.size), -np.inf), 0
+    for _, sums in propagator_sums(spec, center, ys, _time_grid(config, spec), (-1, 0, 1)):
+        violations += sum(_fold(*args) for args in zip(sups, map(np.abs, sums), envelopes))
+    qq_sup, qp_sup, pp_sup = sups
     quantities = (
-        ("qq_sup", qq.max(axis=0)),
+        ("qq_sup", qq_sup),
         ("qp_sup", qp_sup),
         ("pq_sup", qp_sup),
-        ("pp_sup", pp.max(axis=0)),
-        ("envelope_minus", env_minus),
-        ("envelope_zero", env_zero),
-        ("envelope_plus", env_plus),
+        ("pp_sup", pp_sup),
+        *zip(("envelope_minus", "envelope_zero", "envelope_plus"), envelopes),
     )
     return _shell_rows(shells, quantities), {"domination_violations": violations}
 
@@ -162,10 +163,6 @@ def _kernel_correlations(config, box, spec, index):
 
     sq = np.sqrt(gam)
     w_center = spec.modes[center] / sq
-    # Re(eta) for eta = a e^{2 i t gamma} w_center, a (T, modes) table
-    eta_re = np.cos(2.0 * times[:, None] * gam[None, :])
-    eta_re *= a
-    eta_re *= w_center
     # |eta_j(t)| does not depend on t, so |eta|^2/2 and d_eta are per sample
     x_eta = (a * np.abs(w_center)) ** 2 / 2.0
     d_eta = family(x_eta)[:, None]
@@ -173,24 +170,30 @@ def _kernel_correlations(config, box, spec, index):
     xis = a * (spec.modes[ys] / sq[None, :])  # (sites, modes)
     x_xis = xis * xis / 2.0
     d_xis = family(x_xis)  # (A, sites)
-    overlap = a * a * eigencorrelator_profile(spec, -1, center)[ys]
+    overlap = a * a * eigencorrelator_profile(spec, -1, center, ys)
 
     # xi is real, so the phase theta = Im<eta, xi> is -a^2 times the s = -1 sum, as in
     # lr-bound; |eta + xi|^2/2 is, per mode, Re(eta) xi + |eta|^2/2 + xi^2/2, and
-    # the mode sums of the joint arguments for every site and time are one product
-    (theta,) = propagator_sums(spec, center, ys, times, (-1,))  # (T, sites)
-    theta *= -a * a
-    x_sums = eta_re @ xis.T + (x_eta.sum() + x_xis.sum(axis=1))
-    x_joint = np.empty_like(eta_re)
-    sups = np.empty(ys.size)
+    # the mode sums of the joint arguments for every site and time of a block are one product
+    d_product = d_eta[:, :, None] * d_xis[:, None, :]  # (A, 1, sites)
+    sups = np.full(ys.size, -np.inf)
     violations = 0
-    for pos, xi in enumerate(xis):
-        np.multiply(eta_re, xi, out=x_joint)
-        x_joint += x_eta + x_xis[pos]
-        d_joint = family(x_joint, x_sums[:, pos])  # (A, T)
-        mags = np.abs(cc[pos] * (np.exp(-0.5j * theta[:, pos]) * d_joint - d_eta * d_xis[:, pos, None]))
+    for block, (theta,) in propagator_sums(spec, center, ys, times, (-1,)):  # (block, sites)
+        theta *= -a * a
+        # Re(eta) for eta = a e^{2 i t gamma} w_center, a (block, modes) table
+        eta_re = np.cos(2.0 * times[block, None] * gam[None, :])
+        eta_re *= a
+        eta_re *= w_center
+        x_sums = eta_re @ xis.T + (x_eta.sum() + x_xis.sum(axis=1))
+        x_joint = np.empty_like(eta_re)
+        d_joint = np.empty((family.alphas.shape[0],) + theta.shape)  # (A, block, sites)
+        for pos, xi in enumerate(xis):
+            np.multiply(eta_re, xi, out=x_joint)
+            x_joint += x_eta + x_xis[pos]
+            d_joint[:, :, pos] = family(x_joint, x_sums[:, pos])
+        mags = np.abs(cc * (np.exp(-0.5j * theta) * d_joint - d_product))
         violations += int(np.sum(mags > 2.0 + DOMINATION_SLACK))
-        sups[pos] = mags.max()
+        np.maximum(sups, mags.max(axis=(0, 1)), out=sups)
     rows = _shell_rows(shells, (("correlation_sup", sups), ("overlap_sum", overlap)))
     return rows, {"correlation_bound_violations": violations}
 
@@ -198,50 +201,49 @@ def _kernel_correlations(config, box, spec, index):
 def _kernel_quasi_locality(config, box, spec, index):
     center = config.center_index()
     a = config.amplitude
-    times = _time_grid(config, spec)
     c_f = _delta_restriction(spec, a, center)
     gam = spec.localized_gammas
     sq = np.sqrt(gam)
     family = OccupationFamily(sup_alpha_strategy(config, gam.size, index))
     per_state = np.sqrt(2.0 * (family.alphas.max(axis=1, initial=0) + 1))[:, None]
 
-    # X f_t in position space for the whole grid at once: its real and imaginary
-    # parts are a times the s = 0 and s = -1 sums, as times x sites tables.
-    # Sites are sorted by distance from the center, so every ring below is a slice.
+    # Sites are sorted by distance from the center, in the rows of the one copy of Phi_S
+    # made here, so the sites outside X(n) that the radius n adds to those of the next
+    # larger radius are a slice: its ring.
     dist = l1_distances_from(box, center)
     order = np.argsort(dist, kind="stable")
-    dist = dist[order]
-    phi = spec.modes[order]
-    pos_re, pos_im = propagator_sums(spec, center, order, times, (0, -1))
-    pos_re *= a
-    pos_im *= a
-    # V f_{n,t} = sqrt(2) (u + i v) with u = O^T pos_re / sqrt(2 gamma) and
-    # v = sqrt(gamma / 2) O^T pos_im over the sites outside X(n), so that the
-    # Laguerre argument |V f_{n,t}|^2 / 2 is u^2 + v^2 per mode
-    phi_re = phi / (sq * np.sqrt(2.0))
-    phi_im = phi * (sq / np.sqrt(2.0))
-
-    # V f_{n,t} for the radii in decreasing order: one product over the sites
-    # outside the largest X(n), then each smaller radius adds back its ring.
-    # Nothing is subtracted, so small tails keep their relative accuracy.
-    steps = times.size
-    u, v = np.zeros((steps, gam.size)), np.zeros((steps, gam.size))
-    x, scratch = np.empty((steps, gam.size)), np.empty((steps, gam.size))
-    reached = dist.size
-    rows, violations = [], 0
-    for n in sorted(config.n_range(), reverse=True):
-        ring = slice(int(np.searchsorted(dist, n, side="right")), reached)
-        u += np.matmul(pos_re[:, ring], phi_re[ring], out=scratch)
-        v += np.matmul(pos_im[:, ring], phi_im[ring], out=scratch)
-        reached = ring.start
-        np.square(u, out=x)
-        x += np.square(v, out=scratch)
-        x_sum = x.sum(axis=1)
-        norms = np.sqrt(2.0 * x_sum)
-        err = c_f * np.sqrt(np.maximum(0.0, 2.0 - 2.0 * family(x, x_sum)))
-        bound = float(np.sqrt(2.0 * (config.kappa + 1)) * norms.max())
-        rows += [((int(n), "error_sup"), float(err.max())), ((int(n), "bound_sup"), bound)]
-        violations += int(np.sum(err > per_state * norms + DOMINATION_SLACK))
+    dist, phi = dist[order], spec.modes[order]
+    radii = sorted(config.n_range(), reverse=True)
+    ends = [dist.size] + [int(np.searchsorted(dist, n, side="right")) for n in radii]
+    rings = [slice(start, stop) for start, stop in zip(ends[1:], ends)]
+    # X f_t in position space has real and imaginary parts a times the s = 0 and
+    # s = -1 sums.  V f_{n,t} = sqrt(2) (u + i v) with u = O^T Re / sqrt(2 gamma) and
+    # v = sqrt(gamma / 2) O^T Im over the sites outside X(n), so that the Laguerre
+    # argument |V f_{n,t}|^2 / 2 is u^2 + v^2 per mode.
+    scale_re, scale_im = a / (sq * np.sqrt(2.0)), a * sq / np.sqrt(2.0)
+    err_sups, norm_sups = np.full(len(radii), -np.inf), np.full(len(radii), -np.inf)
+    violations = 0
+    for _, (pos_re, pos_im) in propagator_sums(spec, center, order, _time_grid(config, spec), (0, -1)):
+        # O^T Re and O^T Im for the radii in decreasing order: one product over the
+        # sites outside the largest X(n), then each smaller radius adds its ring.
+        # Nothing is subtracted, so small tails keep their relative accuracy.
+        shape = (pos_re.shape[0], gam.size)
+        u, v, x, scratch = np.zeros(shape), np.zeros(shape), np.empty(shape), np.empty(shape)
+        for i, ring in enumerate(rings):
+            u += np.matmul(pos_re[:, ring], phi[ring], out=scratch)
+            v += np.matmul(pos_im[:, ring], phi[ring], out=scratch)
+            np.square(np.multiply(u, scale_re, out=x), out=x)
+            x += np.square(np.multiply(v, scale_im, out=scratch), out=scratch)
+            x_sum = x.sum(axis=1)
+            norms = np.sqrt(2.0 * x_sum)
+            err = c_f * np.sqrt(np.maximum(0.0, 2.0 - 2.0 * family(x, x_sum)))
+            err_sups[i] = np.maximum(err_sups[i], err.max())
+            norm_sups[i] = np.maximum(norm_sups[i], norms.max())
+            violations += int(np.sum(err > per_state * norms + DOMINATION_SLACK))
+    bounds = np.sqrt(2.0 * (config.kappa + 1)) * norm_sups
+    rows = []
+    for n, err_sup, bound in zip(radii, err_sups, bounds):
+        rows += [((int(n), "error_sup"), float(err_sup)), ((int(n), "bound_sup"), float(bound))]
     return rows, {"bound_violations": violations}
 
 

@@ -231,22 +231,38 @@ def ladder_matrices(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return a, a.T.copy()
 
 
-def weyl_matrix_1d_oracle(z: complex, dim: int) -> np.ndarray:
-    """exp(i (conj(z) a + z a*) / sqrt(2)) via eigendecomposition of the generator."""
+#: How far the block of W a caller reads may move when the truncation doubles before it is
+#: warned that the block is not the untruncated operator's.
+LEAKAGE_TOL = 1e-10
+
+
+def _truncated_weyl(z: complex, dim: int) -> np.ndarray:
+    a, adag = ladder_matrices(dim)
+    gen = (np.conj(z) * a + z * adag) / sqrt(2.0)
+    evals, vecs = np.linalg.eigh(gen)
+    return (vecs * np.exp(1j * evals)) @ vecs.conj().T
+
+
+def weyl_matrix_1d_oracle(z: complex, dim: int, reads: int | None = None) -> np.ndarray:
+    """exp(i (conj(z) a + z a*) / sqrt(2)) on the lowest ``dim`` levels, via eigendecomposition of the generator.
+
+    The caller reads the block of the lowest ``reads`` levels (by default dim // 2; 0 for a
+    caller that reads only properties of the truncated matrix itself).  When that block moves
+    by more than LEAKAGE_TOL as the truncation doubles, a UserWarning says that it is not the
+    block of the untruncated operator.
+    """
     z = complex(z)
     if abs(z) ** 2 / 2.0 > dim / 4.0:
         warnings.warn(
             f"displacement |z|^2/2 = {abs(z)**2/2:.2f} is large for dimension {dim}",
             stacklevel=2,
         )
-    a, adag = ladder_matrices(dim)
-    gen = (np.conj(z) * a + z * adag) / sqrt(2.0)
-    evals, vecs = np.linalg.eigh(gen)
-    w = (vecs * np.exp(1j * evals)) @ vecs.conj().T
-    tail = np.max(np.abs(w[dim - 1, : max(1, dim // 2)]))
-    if tail > 1e-10:
+    w = _truncated_weyl(z, dim)
+    block = slice(min(dim // 2 if reads is None else int(reads), dim))
+    leak = np.max(np.abs(w[block, block] - _truncated_weyl(z, 2 * dim)[block, block]), initial=0.0)
+    if leak > LEAKAGE_TOL:
         warnings.warn(
-            f"truncation leakage {tail:.2e} into the last basis state", stacklevel=2
+            f"truncation leakage {leak:.2e} into the lowest {block.stop} of {dim} levels", stacklevel=2
         )
     return w
 
@@ -321,10 +337,10 @@ class OracleBundle:
             out += -1j * coef[j] * (self._a[j] - self._a[j].T)
         return out
 
-    def weyl(self, f) -> np.ndarray:
-        """W(f) as the tensor product over modes of one-mode Weyl matrices of V f."""
+    def weyl(self, f, reads: int | None = None) -> np.ndarray:
+        """W(f) as the tensor product over modes of one-mode Weyl matrices of V f; ``reads`` as there."""
         z = v_map(self.spec, np.asarray(f, dtype=complex))
-        return _kron_chain([weyl_matrix_1d_oracle(zj, self.trunc.per_mode_dim) for zj in z])
+        return _kron_chain([weyl_matrix_1d_oracle(zj, self.trunc.per_mode_dim, reads) for zj in z])
 
     def heisenberg(self, op: np.ndarray, t: float) -> np.ndarray:
         """exp(itH) op exp(-itH); H is diagonal in this basis."""

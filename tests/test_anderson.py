@@ -1012,25 +1012,25 @@ class TestEigencorrelator:
     def test_hand_two_by_two(self):
         spec = diagonalize(chain_stencil([2.0, 2.0]), lambda0=4.0)
         # eigenvectors (1, +-1)/sqrt(2): Q0(0,1) = 1/2 + 1/2
-        assert abs(eigencorrelator_profile(spec, 0, 0)[1] - 1.0) < 1e-12
+        assert abs(eigencorrelator_profile(spec, 0, 0, [1])[0] - 1.0) < 1e-12
 
     def test_parseval_lower_bound(self, chain12):
         _, spec = chain12
-        q = eigencorrelator_profile(spec, 0, 3)[3]
+        (q,) = eigencorrelator_profile(spec, 0, 3, [3])
         assert q >= 1.0 - 1e-12
 
     def test_empty_regime(self):
-        assert np.array_equal(eigencorrelator_profile(_chain12_at(1e-6), 0, 0), np.zeros(12))
+        assert np.array_equal(eigencorrelator_profile(_chain12_at(1e-6), 0, 0, np.arange(12)), np.zeros(12))
 
     def test_symmetry_and_monotone(self, chain12):
         _, spec = chain12
         lo = _chain12_at(float(np.percentile(spec.eigenvalues, 30)))
         hi = _chain12_at(float(np.percentile(spec.eigenvalues, 80)))
         for s in (-1, 0, 1):
-            a = eigencorrelator_profile(lo, s, 2)[9]
-            b = eigencorrelator_profile(lo, s, 9)[2]
+            (a,) = eigencorrelator_profile(lo, s, 2, [9])
+            (b,) = eigencorrelator_profile(lo, s, 9, [2])
             assert abs(a - b) < 1e-14
-            assert eigencorrelator_profile(hi, s, 2)[9] >= a - 1e-14
+            assert eigencorrelator_profile(hi, s, 2, [9])[0] >= a - 1e-14
 
     def test_dominates_dynamic_kernels(self, chain12):
         # |<dx, h^{s/2} u(h) X dy>| <= Q_s for u = cos(2t sqrt(h)), sin(2t sqrt(h))
@@ -1041,7 +1041,7 @@ class TestEigencorrelator:
         prod = regime.modes[x] * regime.modes[y]
         for t in np.linspace(0.0, 9.0, 25):
             for s, w in ((-1, 1 / gam), (0, np.ones(gam.size)), (1, gam)):
-                q = eigencorrelator_profile(regime, s, x)[y]
+                (q,) = eigencorrelator_profile(regime, s, x, [y])
                 assert abs(np.sum(np.cos(2 * t * gam) * w * prod)) <= q + 1e-12
                 assert abs(np.sum(np.sin(2 * t * gam) * w * prod)) <= q + 1e-12
 
@@ -1050,13 +1050,33 @@ class TestEigencorrelator:
         _, spec = chain12
         lam = float(np.median(spec.eigenvalues))
         count = spec.localized_count(lam)
-        row = eigencorrelator_profile(_chain12_at(lam), -1, 5)
+        row = eigencorrelator_profile(_chain12_at(lam), -1, 5, np.arange(spec.n))
         for y in range(spec.n):
             want = sum(abs(spec.modes[5, j] * spec.modes[y, j]) / spec.gammas[j] for j in range(count))
             assert abs(row[y] - want) < 1e-14
 
 
+def _sum_tables(spec, x, sites, times, powers):
+    """The sums of ``propagator_sums`` on the whole grid: its blocks stacked, one (times, sites) table per power."""
+    blocks = [sums for _, sums in propagator_sums(spec, x, sites, times, powers)]
+    return tuple(np.concatenate(tables) for tables in zip(*blocks))
+
+
 class TestPropagatorSums:
+    @pytest.mark.parametrize("block, bounds", [(1, [(0, 1), (1, 2), (2, 3)]), (2, [(0, 2), (2, 3)]), (64, [(0, 3)])])
+    def test_blocks_tile_the_grid(self, chain12, monkeypatch, block, bounds):
+        """Each block covers the next TIME_BLOCK times, and its sums are those of the times it covers alone."""
+        _, spec = chain12
+        monkeypatch.setattr(anderson, "TIME_BLOCK", block)
+        times, sites = np.array([0.0, 1.3, 7.9]), [2, 0, 11]
+        got = [(rows.start, rows.stop, sums) for rows, sums in propagator_sums(spec, 5, sites, times, (0, 1))]
+        assert [(start, stop) for start, stop, _ in got] == bounds
+        for start, stop, sums in got:
+            for t, (cos, sin) in zip(times[start:stop], zip(*sums)):
+                alone = [table[0] for table in _sum_tables(spec, 5, sites, [t], (0, 1))]
+                assert np.allclose(cos, alone[0], rtol=0, atol=1e-15)
+                assert np.allclose(sin, alone[1], rtol=0, atol=1e-15)
+
     def test_matches_mode_sums(self, chain12):
         _, spec = chain12
         lam = float(np.percentile(spec.eigenvalues, 70))
@@ -1064,7 +1084,7 @@ class TestPropagatorSums:
         gam = spec.gammas[:count]
         x, sites = 4, np.array([0, 4, 9])
         times = np.array([0.0, 0.4, 3.7, 250.0])
-        sums = propagator_sums(_chain12_at(lam), x, sites, times, (1, -1, 0))
+        sums = _sum_tables(_chain12_at(lam), x, sites, times, (1, -1, 0))
         for s, got in zip((1, -1, 0), sums):
             assert got.shape == (times.size, sites.size)
             u = np.cos if s == 0 else np.sin
@@ -1078,6 +1098,8 @@ class TestPropagatorSums:
         for x, sites in ((-1, [0]), (12, [0]), (0, [12]), (0, [-1])):
             with pytest.raises(ValueError):
                 propagator_sums(spec, x, sites, [0.0], (0,))
+            with pytest.raises(ValueError):
+                eigencorrelator_profile(spec, 0, x, sites)
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(
@@ -1094,9 +1116,9 @@ class TestPropagatorSums:
         h = assemble(box, sample_disorder(DisorderConfig(k_max=k_max, master_seed=seed), box, 0))
         spec = diagonalize(h, lambda0=np.inf if level is None else level * spectrum(h).norm)
         x = data.draw(st.integers(0, box.n_sites - 1))
-        sums = propagator_sums(spec, x, np.arange(box.n_sites), np.array(times), (-1, 0, 1))
+        sums = _sum_tables(spec, x, np.arange(box.n_sites), np.array(times), (-1, 0, 1))
         for s, got in zip((-1, 0, 1), sums):
-            envelope = eigencorrelator_profile(spec, s, x)
+            envelope = eigencorrelator_profile(spec, s, x, np.arange(box.n_sites))
             assert np.all(np.abs(got) <= envelope[None, :] + DOMINATION_SLACK)
 
 

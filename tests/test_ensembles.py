@@ -1,11 +1,13 @@
 import itertools
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from osclab import ensembles
+from osclab import anderson, ensembles
 from osclab.anderson import DisorderConfig, SpectralData, assemble, diagonalize, sample_disorder, tails
 from osclab.config import KINDS, config_from_dict
 from osclab.errors import ConfigError
@@ -662,6 +664,61 @@ def test_kernels_agree_with_full_decomposition(lengths, seed, k_max, fraction):
         assert [key for key, _ in regime.rows] == [key for key, _ in full.rows], kind
         for (key, got), (_, want) in zip(regime.rows, full.rows):
             assert got == pytest.approx(want, rel=rel, abs=1e-14), (kind, key)
+
+
+GRID_KINDS = ("lr-bound", "pq-bound", "correlations", "quasi-locality")
+
+
+def _grid_kernel(kind, lengths, lambda0, points, **extra):
+    """The kernel of ``kind`` on one sample of a small box, with ``points`` times on [0, 50]."""
+    doc = {"experiment": kind, "box": {"lengths": lengths}, "lambda0": lambda0, "kappa": 1, "samples": 1, "seed": 2}
+    config = config_from_dict({**doc, "time_grid": {"points": points, "t_max": 50.0}, **extra})
+    box = config.box()
+    spec = diagonalize(assemble(box, sample_disorder(config.disorder(), box, 0)), lambda0=config.lambda0_value())
+    return partial(ensembles.KERNELS[kind], config, box, spec, 0)
+
+
+@pytest.mark.parametrize("lengths, lambda0", [([12], "full"), ([5, 4], 2.0)])
+@pytest.mark.parametrize("kind", GRID_KINDS)
+def test_time_blocks_leave_rows_and_flags(monkeypatch, kind, lengths, lambda0):
+    """The running maxima and violation counts do not depend on where the blocks of times end.
+
+    One time per block, blocks of 7 (23 = 3 x 7 + 2 leaves a short last block) and one block for the
+    whole grid give rows within 1e-13 relative and the same flags.  The slack is lowered until each
+    domination counts some of its entries, so the counts compare entry by entry.
+    """
+    slack = {"lr-bound": -0.5, "pq-bound": -0.5, "correlations": -1.9, "quasi-locality": -0.1}[kind]
+    monkeypatch.setattr(ensembles, "DOMINATION_SLACK", slack)
+    kernel = _grid_kernel(kind, lengths, lambda0, 23)
+    runs = []
+    for block in (23, 1, 7):
+        monkeypatch.setattr(anderson, "TIME_BLOCK", block)
+        runs.append(kernel())
+    (rows, flags), others = runs[0], runs[1:]
+    assert all(count > 0 for count in flags.values())
+    for got_rows, got_flags in others:
+        assert got_flags == flags
+        assert [key for key, _ in got_rows] == [key for key, _ in rows]
+        for (key, got), (_, want) in zip(got_rows, rows):
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0), key
+
+
+@pytest.mark.parametrize("lengths, lambda0", [([60], "full"), ([8, 8], 2.0)])
+@pytest.mark.parametrize("kind", GRID_KINDS)
+def test_kernel_memory_does_not_grow_with_the_grid(kind, lengths, lambda0):
+    """Five times the time points raise a kernel's traced peak by less than a quarter: the tables of
+    times hold TIME_BLOCK rows, and only the grid itself grows."""
+    peaks = []
+    for points in (400, 2000):
+        kernel = _grid_kernel(kind, lengths, lambda0, points)
+        kernel()  # anything formed once per process is formed before the trace
+        tracemalloc.start()
+        try:
+            kernel()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0], peaks
 
 
 def _kernel_config(kind):

@@ -2,6 +2,7 @@ import ast
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from osclab.anderson import DisorderConfig, assemble, diagonalize, sample_disord
 from osclab.config import config_from_dict
 from osclab.errors import BudgetError
 from osclab.fock_oracle import (
+    LEAKAGE_TOL,
     OracleBundle,
     TruncationSpec,
     delta_field,
@@ -77,7 +79,6 @@ class TestLadder:
         assert np.max(np.abs(defect)) < 1e-13
 
 
-@pytest.mark.filterwarnings("ignore:truncation leakage")
 @pytest.mark.filterwarnings("ignore:displacement")
 class TestWeyl1dOracle:
     def test_identity(self):
@@ -104,17 +105,29 @@ class TestWeyl1dOracle:
     def test_dimension_doubling_converges(self):
         # entries actually consumed downstream: occupations <= 4 at D = 14,
         # occupations <= 10 at D = 40
+        moves = []
         for z in (0.4 + 0.2j, 1.2 - 0.9j, 1.5):
-            w14 = weyl_matrix_1d_oracle(z, 14)[:5, :5]
-            w28 = weyl_matrix_1d_oracle(z, 28)[:5, :5]
-            assert np.max(np.abs(w14 - w28)) < 1e-8
-        w40 = weyl_matrix_1d_oracle(1.5 + 1.5j, 40)[:11, :11]
-        w80 = weyl_matrix_1d_oracle(1.5 + 1.5j, 80)[:11, :11]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                w14 = weyl_matrix_1d_oracle(z, 14, reads=5)[:5, :5]
+            w28 = weyl_matrix_1d_oracle(z, 28, reads=5)[:5, :5]
+            moves.append(np.max(np.abs(w14 - w28)))
+            assert moves[-1] < 1e-8
+            # the oracle warns exactly when the block it is told is read moves by more than LEAKAGE_TOL
+            leaked = [w for w in caught if str(w.message).startswith("truncation leakage")]
+            assert len(leaked) == int(moves[-1] > LEAKAGE_TOL)
+        assert min(moves) < LEAKAGE_TOL < max(moves)
+        w40 = weyl_matrix_1d_oracle(1.5 + 1.5j, 40, reads=11)[:11, :11]
+        w80 = weyl_matrix_1d_oracle(1.5 + 1.5j, 80, reads=11)[:11, :11]
         assert np.max(np.abs(w40 - w80)) < 1e-12
 
     def test_truncation_warning(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning, match="truncation leakage"):
             weyl_matrix_1d_oracle(4.0, 6)
+        # a caller that reads only the truncated matrix itself is not warned
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            weyl_matrix_1d_oracle(1.5, 6, reads=0)
 
 
 class TestBundleBasics:
@@ -158,7 +171,6 @@ class TestBundleBasics:
         assert np.max(np.abs(diff)) < 1e-9
 
 
-@pytest.mark.filterwarnings("ignore:truncation leakage")
 class TestLemma31Structure:
     def test_projection_commutes_with_regime_weyl(self, pair_spec):
         _, spec = pair_spec
@@ -181,37 +193,39 @@ class TestLemma31Structure:
             f = random_field(rng, 2, scale=0.7)
             cf = np.exp(-np.linalg.norm(v_map(spec, f)[~bundle.mode_mask]) ** 2 / 4)
             assert cf < 1.0  # generic field leaks outside the regime
-            norm = np.linalg.norm(bundle.restricted(bundle.weyl(f)), 2)
+            # P W P = W_0 x <0|W_1|0> |0><0| with W_0 unitary, so the norm reads one entry of W_1
+            norm = np.linalg.norm(bundle.restricted(bundle.weyl(f, reads=1)), 2)
             assert abs(norm - cf) < 1e-8
 
 
-@pytest.mark.filterwarnings("ignore:truncation leakage")
 class TestDynamicsOracle:
     def test_heisenberg_weyl_is_evolved_weyl(self, pair_spec):
         _, spec = pair_spec
-        bundle = make_bundle(spec, spec.norm)
+        # 20 levels hold the band read to 1e-14; 14 would leave 1e-6
+        bundle = make_bundle(spec, spec.norm, dim=20)
         low = bundle.band_projector(6)
         rng = np.random.default_rng(3)
         for _ in range(5):
             f = random_field(rng, 2, scale=0.5)
             t = rng.uniform(-3, 3)
-            lhs = bundle.heisenberg(bundle.weyl(f), t)
-            rhs = bundle.weyl(evolve(spec, f, t))
+            lhs = bundle.heisenberg(bundle.weyl(f, reads=7), t)
+            rhs = bundle.weyl(evolve(spec, f, t), reads=7)
             diff = (low[:, None] * (lhs - rhs)) * low[None, :]
-            assert np.max(np.abs(diff)) < 1e-6
+            assert np.max(np.abs(diff)) < 1e-12
 
     def test_product_formula(self, pair_spec):
         _, spec = pair_spec
-        bundle = make_bundle(spec, spec.norm)
+        # 20 levels hold the occupations read to 1e-14; 14 would leave 2e-8
+        bundle = make_bundle(spec, spec.norm, dim=20)
         rng = np.random.default_rng(4)
         for _ in range(8):
             f = random_field(rng, 2, scale=0.6)
-            w = bundle.weyl(f)
+            w = bundle.weyl(f, reads=4)
             alpha = rng.integers(0, 4, size=2)
             beta = rng.integers(0, 4, size=2)
             got = w[bundle.state_index(alpha), bundle.state_index(beta)]
             want = np.prod([matrix_element_1d(int(a), int(b), z) for a, b, z in zip(alpha, beta, v_map(spec, f))])
-            assert abs(got - want) < 1e-7
+            assert abs(got - want) < 1e-12
 
 
 
@@ -283,10 +297,10 @@ def _shell(config, d):
     return np.flatnonzero(l1_distances_from(config.box(), config.center_index()) == d)
 
 
-def _weyl_factors(bundle, f):
-    """The one-mode oracle matrices whose Kronecker product is ``bundle.weyl(f)``."""
+def _weyl_factors(bundle, f, reads=None):
+    """The one-mode oracle matrices whose Kronecker product is ``bundle.weyl(f, reads)``."""
     d = bundle.trunc.per_mode_dim
-    return [weyl_matrix_1d_oracle(z, d) for z in v_map(bundle.spec, f)]
+    return [weyl_matrix_1d_oracle(z, d, reads) for z in v_map(bundle.spec, f)]
 
 
 def _apply(factors, v):
@@ -316,26 +330,27 @@ def _one_particle_sum(bundle, op_x, op_y):
     return 2.0 * float(np.sum(np.abs(op_x[ones, vac] * op_y[ones, vac])))
 
 
-@pytest.mark.filterwarnings("ignore:truncation leakage")
 @pytest.mark.filterwarnings("ignore:displacement")
 class TestRestrictedQuantitiesOracle:
     """Each experiment kernel's rows against the oracle, at every grid time, on boxes of two and three modes."""
 
     def test_factored_weyl_is_bundle_weyl(self):
-        # the kernel checks apply W(f) = W_0 x ... x W_{m-1} one mode axis at a time
+        # the kernel checks apply W(f) = W_0 x ... x W_{m-1} one mode axis at a time; both sides
+        # are the truncated matrices, so no block is read against the untruncated operator
         rng = np.random.default_rng(7)
         for n in (2, 3):
             _, spec = make_chain_spec(n, seed=3)
             bundle = make_bundle(spec, spec.norm, dim=5)
             f = random_field(rng, n, scale=0.5)
             v = rng.standard_normal(bundle.trunc.dim) + 1j * rng.standard_normal(bundle.trunc.dim)
-            assert np.max(np.abs(_apply(_weyl_factors(bundle, f), v) - bundle.weyl(f) @ v)) < 1e-13
+            assert np.max(np.abs(_apply(_weyl_factors(bundle, f, reads=0), v) - bundle.weyl(f, reads=0) @ v)) < 1e-13
 
     def test_lr_action_identity_low_block(self, pair_spec):
         # [W(f)_I(t), W(g)_I] = C_f C_g (e^{-i theta} - 1) W(Xg) W(Xf_t) P on low bands
         _, spec = pair_spec
         lam = float(spec.eigenvalues[0]) + 1e-9  # S = {0}
-        bundle = make_bundle(spec, lam, cutoff=None)
+        # products of four truncated matrices read the band through all levels: 14 would leave 2e-9
+        bundle = make_bundle(spec, lam, dim=20, cutoff=None)
         vac = bundle.psi([0, 0])
         rng = np.random.default_rng(5)
         low = bundle.band_projector(4)
@@ -357,7 +372,7 @@ class TestRestrictedQuantitiesOracle:
                 * (bundle.weyl(xg) @ bundle.weyl(xft) @ np.diag(bundle.p_diag))
             )
             diff = (low[:, None] * (a @ b - b @ a - rhs)) * low[None, :]
-            assert np.max(np.abs(diff)) < 1e-6
+            assert np.max(np.abs(diff)) < 1e-12
 
     def test_lr_commutator(self, monkeypatch):
         """lr-bound: ||[tau_t(W(f)_I), W(g)_I] psi_alpha|| and C_f C_g min(2, a^2 Q_-1(x, y)).
@@ -370,7 +385,7 @@ class TestRestrictedQuantitiesOracle:
             lam, x, a = config.lambda0_value(), config.center_index(), config.amplitude
             fock = make_bundle(spec, lam, dim=WEYL_DIM[spec.n])
             low = make_bundle(spec, lam, dim=2)
-            weyl = {y: _weyl_factors(fock, delta_field(spec.n, y, a)) for y in range(spec.n)}
+            weyl = {y: _weyl_factors(fock, delta_field(spec.n, y, a), reads=2) for y in range(spec.n)}
             vac = fock.psi(np.zeros(spec.n, dtype=int))
             states = (vac, fock.psi(np.eye(spec.n, dtype=int)[0]))
             c = {y: np.linalg.norm(_act(fock, w, vac)) for y, w in weyl.items()}
@@ -432,7 +447,7 @@ class TestRestrictedQuantitiesOracle:
             lam, x, a = config.lambda0_value(), config.center_index(), config.amplitude
             fock = make_bundle(spec, lam, dim=WEYL_DIM[spec.n])
             low = make_bundle(spec, lam, dim=2)
-            weyl = {y: _weyl_factors(fock, delta_field(spec.n, y, a)) for y in range(spec.n)}
+            weyl = {y: _weyl_factors(fock, delta_field(spec.n, y, a), reads=3) for y in range(spec.n)}
             states = [fock.psi(alpha) for alpha in kernel_family(config, spec)]
             assert len(states) >= 2
             # <psi, A B psi> = <A* psi, B psi>, with A* = tau_t(W(f)_I)* = tau_t(W(-f)_I)
@@ -465,7 +480,7 @@ class TestRestrictedQuantitiesOracle:
             lam, x, a = config.lambda0_value(), config.center_index(), config.amplitude
             f = delta_field(spec.n, x, a)
             fock = make_bundle(spec, lam, dim=WEYL_DIM[spec.n])
-            weyl_f = _weyl_factors(fock, f)
+            weyl_f = _weyl_factors(fock, f, reads=3)
             vacuum = np.zeros(spec.n, dtype=int)
             c_f = np.linalg.norm(_act(fock, weyl_f, fock.psi(vacuum)))
             family = kernel_family(config, spec)
@@ -475,7 +490,7 @@ class TestRestrictedQuantitiesOracle:
                 xft = project_localized(spec, lam, evolve(spec, f, t))
                 moved = [_act(fock, weyl_f, fock.psi(alpha), t) for alpha in family]
                 for n in config.n_values:
-                    local = _weyl_factors(fock, np.where(dist <= n, xft, 0.0))
+                    local = _weyl_factors(fock, np.where(dist <= n, xft, 0.0), reads=3)
                     ratio = c_f / np.linalg.norm(fock.p_diag * _apply(local, fock.psi(vacuum)))
                     errors = [
                         np.linalg.norm(a_psi - ratio * fock.p_diag * _apply(local, fock.psi(alpha)))

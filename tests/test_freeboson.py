@@ -142,7 +142,8 @@ def dynamics_blocks(lam, t):
     """
     _, regime = make_chain_spec(12, lambda0=lam)
     sites = np.arange(regime.n)
-    rows = [propagator_sums(regime, x, sites, [t], (-1, 0, 1)) for x in sites]
+    # one time is one block of the sums
+    rows = [next(propagator_sums(regime, x, sites, [t], (-1, 0, 1)))[1] for x in sites]
     minus, zero, plus = (np.array([row[k][0] for row in rows]) for k in range(3))
     return zero, -plus, minus, zero
 
@@ -181,7 +182,7 @@ class TestBlockMatrix:
             ul = dynamics_blocks(lam, t)[0]
             for x in (0, 5):
                 for y in (3, 11):
-                    assert abs(ul[x, y]) <= eigencorrelator_profile(regime, 0, x)[y] + 1e-12
+                    assert abs(ul[x, y]) <= eigencorrelator_profile(regime, 0, x, [y])[0] + 1e-12
 
 
 class TestEnergies:

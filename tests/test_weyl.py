@@ -123,7 +123,6 @@ class TestMatrixElement1d:
 
 
 class TestManyBodyElements:
-    @pytest.mark.filterwarnings("ignore:truncation leakage")
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
         seed=st.integers(0, 2**16),
@@ -143,8 +142,8 @@ class TestManyBodyElements:
         f, g = v_inverse(spec, np.array(z[:2])), v_inverse(spec, np.array(z[2:]))
         bundle = OracleBundle(spec, spec.norm, TruncationSpec(per_mode_dim=24, mode_count=2))
         low = np.flatnonzero(bundle.band_projector(3))
-        product = bundle.weyl(f) @ bundle.weyl(g)[:, low]
-        expected = np.exp(-0.5j * np.imag(np.vdot(f, g))) * bundle.weyl(f + g)[:, low]
+        product = bundle.weyl(f, reads=4) @ bundle.weyl(g, reads=4)[:, low]
+        expected = np.exp(-0.5j * np.imag(np.vdot(f, g))) * bundle.weyl(f + g, reads=4)[:, low]
         assert np.max(np.abs(product[low] - expected[low])) < 1e-13
 
 
@@ -194,7 +193,6 @@ class TestDynamicCorrelation:
 
 
 class TestCorrelationSeries:
-    @pytest.mark.filterwarnings("ignore:truncation leakage")
     def test_matches_fock_oracle(self, pair_spec):
         # <AB> - <A><B> in psi_alpha with A = tau_t(W(f)_I), B = W(g)_I, at S = {0} and at S = both modes
         _, spec = pair_spec
@@ -208,8 +206,8 @@ class TestCorrelationSeries:
                 t = rng.uniform(-3, 3)
                 alpha = np.zeros(2, int)
                 alpha[:count] = rng.integers(0, 3, size=count)
-                a = bundle.heisenberg(bundle.restricted(bundle.weyl(f)), t)
-                b = bundle.restricted(bundle.weyl(g))
+                a = bundle.heisenberg(bundle.restricted(bundle.weyl(f, reads=3)), t)
+                b = bundle.restricted(bundle.weyl(g, reads=3))
                 psi = bundle.psi(alpha)
                 want = oracle_expectation(psi, a @ b) - oracle_expectation(psi, a) * oracle_expectation(psi, b)
                 series = correlation_series(spec, lam, alpha, f, g, t, beta_cutoff=40)
