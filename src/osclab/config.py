@@ -125,6 +125,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be at least {least}, got {getattr(self, name)!r}")
         if not self.lengths or any(l < 1 for l in self.lengths):
             raise ConfigError("box lengths must be positive")
+        # one site has no spacing: its min gap would be inf and its relative gap nan
+        if self.experiment == "gap-stats" and self.box().n_sites < 2:
+            raise ConfigError(f"gap-stats needs a box of at least two sites, got box lengths {list(self.lengths)}")
         if self.lambda0 != "full" and self.lambda0 < 0:
             raise ConfigError("lambda0 must be nonnegative or 'full'")
         for name in ("t_max", "amplitude", "lambda_grid_max"):

@@ -9,10 +9,21 @@ kernels read S only from it: Phi_S, gamma_S and, where they read C_f, the
 tails (``anderson.tails``).  Every time-dependent sum over S that a kernel
 reads comes from ``anderson.propagator_sums``, one block of
 ``anderson.TIME_BLOCK`` times at a time.  A kernel forms its tables for
-the block (phases, Laguerre arguments, occupation products), folds them
-into running per-site or per-radius maxima and violation counts, and drops
+the block (Laguerre arguments, occupation products), folds them into
+running per-site or per-radius maxima and violation counts, and drops
 them, so its memory does not grow with the number of time points.  Every
 kernel returns ``(rows, flags)``.
+
+``correlations`` reads Re(eta) from the block's cos table, which
+``propagator_sums`` hands it, and takes Re<eta, xi> at the shell sites as
+one product of that table; it writes L_1 = 1 - x of each shell site's
+joint argument straight into the occupation family's table
+(``OccupationFamily.affine``), so no table of x is formed.
+``quasi-locality`` takes the sites outside its largest neighbourhood X(n)
+through their Gram matrix G = Phi_O^T Phi_O, formed once per sample with
+a / sqrt(2 gamma) folded into its columns and passed to
+``propagator_sums`` as its right-hand factor, so a block needs one
+|S| x |S| product per power; each smaller radius adds its ring of sites.
 Reduction happens after all samples are collected, in sample-index order,
 so the output is bit-identical regardless of the worker count.
 
@@ -48,6 +59,11 @@ from .weyl import OccupationFamily
 
 #: Slack for floating-point comparisons of mathematically strict dominations.
 DOMINATION_SLACK = 1e-12
+
+#: Shell sites per ``OccupationFamily.affine`` call in correlations, which spreads the call's fixed
+#: cost.  On the L = 400 chain (blocks of 64 x 400) 3 to 6 ran the kernel about 10% faster than 1,
+#: on a 2-vCPU x86-64 machine; each holds a table of SITES_PER_CALL blocks.
+SITES_PER_CALL = 4
 
 
 @dataclass
@@ -173,24 +189,24 @@ def _kernel_correlations(config, box, spec, index):
     overlap = a * a * eigencorrelator_profile(spec, -1, center, ys)
 
     # xi is real, so the phase theta = Im<eta, xi> is -a^2 times the s = -1 sum, as in
-    # lr-bound; |eta + xi|^2/2 is, per mode, Re(eta) xi + |eta|^2/2 + xi^2/2, and
-    # the mode sums of the joint arguments for every site and time of a block are one product
+    # lr-bound, and the joint argument |eta + xi|^2/2 is, per mode, x_eta + x_xi + Re(eta) xi.
+    # L_1 of it is shift - Re(eta) xi per site, which the family writes into its own table,
+    # and its mode sums for every site and time of a block are one product.
+    shifts = 1.0 - (x_eta + x_xis)  # (sites, modes)
+    x_consts = x_eta.sum() + x_xis.sum(axis=1)
     d_product = d_eta[:, :, None] * d_xis[:, None, :]  # (A, 1, sites)
     sups = np.full(ys.size, -np.inf)
     violations = 0
-    for block, (theta,) in propagator_sums(spec, center, ys, times, (-1,)):  # (block, sites)
+    for _, (theta,), (cos, _) in propagator_sums(spec, center, ys, times, (-1,), tables=True):  # (block, sites)
         theta *= -a * a
-        # Re(eta) for eta = a e^{2 i t gamma} w_center, a (block, modes) table
-        eta_re = np.cos(2.0 * times[block, None] * gam[None, :])
-        eta_re *= a
-        eta_re *= w_center
-        x_sums = eta_re @ xis.T + (x_eta.sum() + x_xis.sum(axis=1))
-        x_joint = np.empty_like(eta_re)
+        # -Re(eta) for eta = a e^{2 i t gamma} w_center, in place over the block's cos table
+        minus_eta = np.multiply(cos, -a * w_center, out=cos)
+        x_sums = x_consts - minus_eta @ xis.T
         d_joint = np.empty((family.alphas.shape[0],) + theta.shape)  # (A, block, sites)
-        for pos, xi in enumerate(xis):
-            np.multiply(eta_re, xi, out=x_joint)
-            x_joint += x_eta + x_xis[pos]
-            d_joint[:, :, pos] = family(x_joint, x_sums[:, pos])
+        for start in range(0, ys.size, SITES_PER_CALL):
+            batch = slice(start, start + SITES_PER_CALL)
+            joint = family.affine(minus_eta, xis[batch, None], shifts[batch, None], x_sums[:, batch].T)
+            d_joint[:, :, batch] = joint.transpose(0, 2, 1)
         mags = np.abs(cc * (np.exp(-0.5j * theta) * d_joint - d_product))
         violations += int(np.sum(mags > 2.0 + DOMINATION_SLACK))
         np.maximum(sups, mags.max(axis=(0, 1)), out=sups)
@@ -207,39 +223,54 @@ def _kernel_quasi_locality(config, box, spec, index):
     family = OccupationFamily(sup_alpha_strategy(config, gam.size, index))
     per_state = np.sqrt(2.0 * (family.alphas.max(axis=1, initial=0) + 1))[:, None]
 
-    # Sites are sorted by distance from the center, in the rows of the one copy of Phi_S
-    # made here, so the sites outside X(n) that the radius n adds to those of the next
-    # larger radius are a slice: its ring.
-    dist = l1_distances_from(box, center)
-    order = np.argsort(dist, kind="stable")
-    dist, phi = dist[order], spec.modes[order]
-    radii = sorted(config.n_range(), reverse=True)
-    ends = [dist.size] + [int(np.searchsorted(dist, n, side="right")) for n in radii]
-    rings = [slice(start, stop) for start, stop in zip(ends[1:], ends)]
     # X f_t in position space has real and imaginary parts a times the s = 0 and
     # s = -1 sums.  V f_{n,t} = sqrt(2) (u + i v) with u = O^T Re / sqrt(2 gamma) and
-    # v = sqrt(gamma / 2) O^T Im over the sites outside X(n), so that the Laguerre
-    # argument |V f_{n,t}|^2 / 2 is u^2 + v^2 per mode.
+    # v = sqrt(gamma / 2) O^T Im over the sites O outside X(n), so that the Laguerre
+    # argument |V f_{n,t}|^2 / 2 is u^2 + v^2 per mode.  For the sites outside the
+    # largest X(n) both come from G = Phi_O^T Phi_O, with a / sqrt(2 gamma) folded into
+    # its columns: u = (s = 0 sums over G) and v = gamma (s = -1 sums over G).  Each
+    # smaller radius adds its ring of sites, farthest first, through their own sums.
+    # Nothing is subtracted, so small tails keep their relative accuracy.
+    dist = l1_distances_from(box, center)
+    radii = sorted(config.n_range(), reverse=True)
+    rings = [np.flatnonzero((dist > n) & (dist <= outer)) for outer, n in zip(radii, radii[1:])]
+    ring_sites = np.concatenate([np.zeros(0, dtype=int), *rings])
+    ends = np.cumsum([0] + [ring.size for ring in rings])
+    rings = [slice(start, stop) for start, stop in zip(ends[:-1], ends[1:])]  # into ring_sites
+    count = gam.size
     scale_re, scale_im = a / (sq * np.sqrt(2.0)), a * sq / np.sqrt(2.0)
+    right = np.empty((count, count + ring_sites.size))  # [G | Phi_S at the ring sites, transposed]
+    phi_out = spec.modes[dist > radii[0]]
+    right[:, :count] = phi_out.T @ phi_out
+    del phi_out
+    right[:, :count] *= scale_re
+    right[:, count:] = spec.modes[ring_sites].T
+    ring_re, ring_im = spec.modes[ring_sites] * scale_re, spec.modes[ring_sites] * scale_im
+
     err_sups, norm_sups = np.full(len(radii), -np.inf), np.full(len(radii), -np.inf)
     violations = 0
-    for _, (pos_re, pos_im) in propagator_sums(spec, center, order, _time_grid(config, spec), (0, -1)):
-        # O^T Re and O^T Im for the radii in decreasing order: one product over the
-        # sites outside the largest X(n), then each smaller radius adds its ring.
-        # Nothing is subtracted, so small tails keep their relative accuracy.
-        shape = (pos_re.shape[0], gam.size)
-        u, v, x, scratch = np.zeros(shape), np.zeros(shape), np.empty(shape), np.empty(shape)
-        for i, ring in enumerate(rings):
-            u += np.matmul(pos_re[:, ring], phi[ring], out=scratch)
-            v += np.matmul(pos_im[:, ring], phi[ring], out=scratch)
-            np.square(np.multiply(u, scale_re, out=x), out=x)
-            x += np.square(np.multiply(v, scale_im, out=scratch), out=scratch)
-            x_sum = x.sum(axis=1)
-            norms = np.sqrt(2.0 * x_sum)
-            err = c_f * np.sqrt(np.maximum(0.0, 2.0 - 2.0 * family(x, x_sum)))
-            err_sups[i] = np.maximum(err_sups[i], err.max())
-            norm_sups[i] = np.maximum(norm_sups[i], norms.max())
-            violations += int(np.sum(err > per_state * norms + DOMINATION_SLACK))
+    for _, (pos_re, pos_im) in propagator_sums(spec, center, right, _time_grid(config, spec), (0, -1)):
+        u = np.array(pos_re[:, :count])  # contiguous: in-place sums on the strided view are slower
+        v = np.multiply(pos_im[:, :count], gam)
+        re_rings, im_rings = pos_re[:, count:], pos_im[:, count:]
+        x, scratch = np.empty(u.shape), np.empty(u.shape)
+        # per radius, the mode sums of x and the family's products at x, checked together below
+        x_sums = np.empty((len(radii), u.shape[0]))
+        products = np.empty((len(radii), family.alphas.shape[0], u.shape[0]))
+        for i in range(len(radii)):
+            if i:
+                ring = rings[i - 1]
+                u += np.matmul(re_rings[:, ring], ring_re[ring], out=scratch)
+                v += np.matmul(im_rings[:, ring], ring_im[ring], out=scratch)
+            np.square(u, out=x)
+            x += np.square(v, out=scratch)
+            np.sum(x, axis=1, out=x_sums[i])
+            products[i] = family(x, x_sums[i])
+        norms = np.sqrt(2.0 * x_sums)  # (radii, block)
+        errs = c_f * np.sqrt(np.maximum(0.0, 2.0 - 2.0 * products))  # (radii, A, block)
+        np.maximum(err_sups, errs.max(axis=(1, 2)), out=err_sups)
+        np.maximum(norm_sups, norms.max(axis=1), out=norm_sups)
+        violations += int(np.sum(errs > per_state * norms[:, None, :] + DOMINATION_SLACK))
     bounds = np.sqrt(2.0 * (config.kappa + 1)) * norm_sups
     rows = []
     for n, err_sup, bound in zip(radii, err_sups, bounds):

@@ -250,6 +250,13 @@ def weyl_matrix_1d_oracle(z: complex, dim: int, reads: int | None = None) -> np.
     caller that reads only properties of the truncated matrix itself).  When that block moves
     by more than LEAKAGE_TOL as the truncation doubles, a UserWarning says that it is not the
     block of the untruncated operator.
+
+    The check covers this one truncated matrix, not a product of them.  A product's low block
+    sums over every level of the inner index, so it reads each factor's edge: four factors
+    whose lowest-5 blocks each held to 1e-10 at 14 levels gave products off by 1.7e-9 on the
+    band of occupation <= 4.  A caller that multiplies truncated matrices sizes the truncation
+    itself, for instance by checking that its product moves by less than its tolerance when
+    ``dim`` doubles.
     """
     z = complex(z)
     if abs(z) ** 2 / 2.0 > dim / 4.0:
@@ -338,7 +345,11 @@ class OracleBundle:
         return out
 
     def weyl(self, f, reads: int | None = None) -> np.ndarray:
-        """W(f) as the tensor product over modes of one-mode Weyl matrices of V f; ``reads`` as there."""
+        """W(f) as the tensor product over modes of one-mode Weyl matrices of V f; ``reads`` as there.
+
+        Like ``weyl_matrix_1d_oracle``'s, the ``reads`` check covers this one matrix: a caller
+        that multiplies several sizes the truncation of the product itself.
+        """
         z = v_map(self.spec, np.asarray(f, dtype=complex))
         return _kron_chain([weyl_matrix_1d_oracle(zj, self.trunc.per_mode_dim, reads) for zj in z])
 

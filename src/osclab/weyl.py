@@ -37,29 +37,27 @@ import numpy as np
 # The Laguerre recurrence and the diagonal products
 # ---------------------------------------------------------------------------
 
-def _laguerre_orders(top: int, x: np.ndarray, out):
-    """Yield (m, L_m(x)) for m = 1..top by the stable three-term recurrence.
+def _laguerre_orders(top: int, out):
+    """Fill out[m - 1] with L_m(x) for m = 2..top by the stable three-term recurrence, from
+    L_1(x) = 1 - x, which out[0] holds.
 
     The pipeline's recurrence: every Laguerre value the kernels read comes
-    from here, and ``fock_oracle.laguerre`` checks it independently.
-    L_0 = 1 is left to the caller, so no table of ones is built.  ``out``
-    holds top + 1 float arrays of the shape of ``x``: L_m is written into
-    out[m - 1] and out[top] is scratch, so a caller that keeps them across
-    calls allocates nothing.
+    from here, and ``fock_oracle.laguerre`` checks it independently.  It
+    reads x only through L_1, as 2m + 1 - x = 2m + L_1(x), so a caller may
+    write L_1 straight into out[0].  L_0 = 1 is left to the caller, so no
+    table of ones is built.  ``out`` holds top + 1 float arrays of one
+    shape, out[top] scratch, so a caller that keeps them across calls
+    allocates nothing.
     """
-    if top == 0:
-        return
-    scratch = out[top]
-    prev, cur = 1.0, np.subtract(1.0, x, out=out[0])
-    yield 1, cur
+    l1 = out[0]
+    prev, cur = 1.0, l1
     for m in range(1, top):
-        # ((2m + 1 - x) L_m - m L_{m-1}) / (m + 1), one operation at a time
-        nxt = np.subtract(2 * m + 1, x, out=out[m])
+        # ((2m + L_1) L_m - m L_{m-1}) / (m + 1), one operation at a time
+        nxt = np.add(l1, 2 * m, out=out[m])
         nxt *= cur
-        nxt -= np.multiply(prev, m, out=scratch)
+        nxt -= np.multiply(prev, m, out=out[top])
         nxt /= m + 1
         prev, cur = cur, nxt
-        yield m + 1, cur
 
 
 #: Stand-in for log 0 in the exponent matmuls of ``OccupationFamily``:
@@ -101,6 +99,9 @@ class OccupationFamily:
     The family is validated, and its orders and (K m, A) indicator matrix
     built, once; the tables and recurrence buffers are kept per shape of x,
     so repeated calls on one shape allocate nothing of the size of x.
+    The recurrence reads x only through L_1(x) = 1 - x, so a caller whose
+    L_1 is base * scale + shift calls ``affine``, which writes it straight
+    into the table and forms no array of x.
     """
 
     def __init__(self, alphas):
@@ -119,31 +120,57 @@ class OccupationFamily:
     def __call__(self, x, x_sum=None) -> np.ndarray:
         """The products at x; ``x_sum`` is sum_j x_j over the last axis if the caller has it."""
         x = np.asarray(x, dtype=float)
-        if x.ndim < 1 or x.shape[-1] != self.alphas.shape[1]:
-            raise ValueError("need x with one entry per mode on the last axis")
+        self._check(x.shape)
         if x_sum is None:
             x_sum = x.sum(axis=-1)
-        table = self._fill(x)
-        # NaN fails the test and takes the general path
-        return self._finish(table, x_sum, positive=bool(table[0].min(initial=np.inf) > 0.0))
+        return self._products(self._fill(x), x_sum)
 
-    def _fill(self, x: np.ndarray) -> np.ndarray:
-        """(2, ..., K, m) table whose first half holds L_k(x) for the K orders in use."""
-        if x.shape not in self._buffers:
-            table = np.empty((2,) + x.shape[:-1] + (len(self.orders), x.shape[-1]))
+    def affine(self, base, scale, shift, x_sum) -> np.ndarray:
+        """The products at the x whose L_1(x) = 1 - x is base * scale + shift, modes on the last axis.
+
+        L_1 goes straight into the family's table, so no array of x is
+        formed; ``x_sum``, sum_j x_j over the last axis, comes from the caller.
+        """
+        shape = np.broadcast_shapes(np.shape(base), np.shape(scale), np.shape(shift))
+        self._check(shape)
+        table, slots = self._slots(shape)
+        if self.orders:
+            np.multiply(base, scale, out=slots[0])
+            slots[0] += shift
+            _laguerre_orders(len(slots) - 1, slots)
+        return self._products(table, x_sum)
+
+    def _check(self, shape):
+        if len(shape) < 1 or shape[-1] != self.alphas.shape[1]:
+            raise ValueError("need x with one entry per mode on the last axis")
+
+    def _slots(self, shape):
+        """(table, slots) for x of ``shape``: the (2, ..., K, m) table whose first half holds L_k for the
+        K orders in use, and the buffers of ``_laguerre_orders``, kept per shape."""
+        if shape not in self._buffers:
+            table = np.empty((2,) + shape[:-1] + (len(self.orders), shape[-1]))
             # L_k goes straight into its table row; orders the family skips
             # and the recurrence's scratch get buffers of their own
             top = max(self.orders, default=0)
             slots = [
-                table[0, ..., self.orders.index(k), :] if k in self.orders else np.empty(x.shape)
+                table[0, ..., self.orders.index(k), :] if k in self.orders else np.empty(shape)
                 for k in range(1, top + 1)
             ]
-            slots.append(np.empty(x.shape) if top > 1 else None)
-            self._buffers[x.shape] = table, slots
-        table, slots = self._buffers[x.shape]
-        for _ in _laguerre_orders(len(slots) - 1, x, out=slots):
-            pass
+            slots.append(np.empty(shape) if top > 1 else None)
+            self._buffers[shape] = table, slots
+        return self._buffers[shape]
+
+    def _fill(self, x: np.ndarray) -> np.ndarray:
+        """The table of ``_slots`` with L_k(x) filled in."""
+        table, slots = self._slots(x.shape)
+        if self.orders:
+            np.subtract(1.0, x, out=slots[0])
+            _laguerre_orders(len(slots) - 1, slots)
         return table
+
+    def _products(self, table: np.ndarray, x_sum) -> np.ndarray:
+        # NaN fails the test and takes the general path
+        return self._finish(table, x_sum, positive=bool(table[0].min(initial=np.inf) > 0.0))
 
     def _finish(self, table: np.ndarray, x_sum, positive: bool) -> np.ndarray:
         """Turn a filled table into the products; ``positive`` says every factor is > 0."""
@@ -164,4 +191,5 @@ class OccupationFamily:
         np.exp(out, out=out)
         if not positive:
             out *= 1.0 - 2.0 * np.fmod(signs @ self._hits, 2.0)
-        return np.moveaxis(out, -1, 0)
+        # the family's axis first; np.moveaxis costs more than the products at small sizes
+        return out.transpose(-1, *range(out.ndim - 1))

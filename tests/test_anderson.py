@@ -1093,6 +1093,20 @@ class TestPropagatorSums:
                     want = np.sum(u(2 * t * gam) * gam**s * spec.modes[x, :count] * spec.modes[y, :count])
                     assert abs(got[i, k] - want) < 1e-13
 
+    def test_right_factor_in_place_of_sites(self, chain12):
+        """A 2D array with |S| rows is R itself: Phi_S[sites]^T gives the sums at those sites."""
+        _, spec = chain12
+        regime = _chain12_at(float(np.percentile(spec.eigenvalues, 70)))
+        sites, times = [2, 0, 11], np.linspace(0.0, 9.0, 70)
+        by_sites = _sum_tables(regime, 5, sites, times, (-1, 0, 1))
+        by_right = _sum_tables(regime, 5, regime.modes[sites].T.copy(), times, (-1, 0, 1))
+        for got, want in zip(by_right, by_sites):
+            assert np.allclose(got, want, rtol=0, atol=1e-15)
+        with pytest.raises(ValueError):
+            propagator_sums(regime, 5, np.ones((12, 3)), times, (0,))
+        with pytest.raises(ValueError):
+            propagator_sums(regime, 12, regime.modes[sites].T, times, (0,))
+
     def test_sites_outside_box_rejected(self, chain12):
         _, spec = chain12
         for x, sites in ((-1, [0]), (12, [0]), (0, [12]), (0, [-1])):
@@ -1120,6 +1134,64 @@ class TestPropagatorSums:
         for s, got in zip((-1, 0, 1), sums):
             envelope = eigencorrelator_profile(spec, s, x, np.arange(box.n_sites))
             assert np.all(np.abs(got) <= envelope[None, :] + DOMINATION_SLACK)
+
+
+def _blocks(spec, times, direct=False):
+    """Every block's sums and phase tables of all three powers at all sites of ``spec``, copied; ``direct``
+    forces np.cos/np.sin on every row."""
+    with pytest.MonkeyPatch.context() as patch:
+        if direct:
+            patch.setattr(anderson, "_rotation_step", lambda times: None)
+        blocks = propagator_sums(spec, 4, np.arange(spec.n), times, (-1, 0, 1), tables=True)
+        # the next block overwrites the phase tables, so each is copied as it comes
+        return [[table.copy() for table in (*sums, *tables)] for _, sums, tables in blocks]
+
+
+class TestPhaseRotation:
+    """On an arithmetic grid ``propagator_sums`` forms each block's phases by angle addition from its first row."""
+
+    @pytest.mark.parametrize("points", [1, 2, 63, 64, 65, 400, 2000])
+    @pytest.mark.parametrize("start, t_max", [(0.0, 1.0), (0.0, 20.0), (0.0, 1e4), (5.0, 30.0)])
+    def test_matches_direct_phases(self, chain12, points, start, t_max):
+        """Every table and every sum agrees with np.cos/np.sin of 2 t gamma to 1e-13 absolute, or to
+        2 eps max|2 t gamma| where that is larger: the direct path rounds each angle 2 t gamma to about
+        eps |2 t gamma| itself, 4e-12 at t = 1e4, and the two paths round it differently."""
+        _, spec = chain12
+        times = np.linspace(start, t_max, points)
+        assert anderson._rotation_step(times) is not None
+        tol = max(1e-13, 2 * np.finfo(float).eps * 2 * t_max * spec.gammas.max())
+        rotated, direct = _blocks(spec, times), _blocks(spec, times, direct=True)
+        assert len(rotated) == len(direct) == -(-points // anderson.TIME_BLOCK)
+        for got, want in zip(rotated, direct):
+            for table, ref in zip(got, want):
+                assert table.shape == ref.shape
+                assert np.max(np.abs(table - ref)) <= tol
+
+    def test_first_block_of_a_grid_from_zero_is_direct(self, chain12):
+        """From t = 0 the offset table is the first block's own phases, so that block is bitwise the direct one."""
+        _, spec = chain12
+        times = np.linspace(0.0, 50.0, 150)
+        first = _blocks(spec, times)[0]
+        for table, ref in zip(first, _blocks(spec, times, direct=True)[0]):
+            assert np.array_equal(table, ref)
+
+    @pytest.mark.parametrize(
+        "times",
+        [
+            pytest.param(np.array([0.0, 1.3, 7.9]), id="hand-picked"),
+            pytest.param(np.geomspace(0.1, 30.0, 150), id="geometric"),
+            pytest.param(np.append(np.linspace(0.0, 20.0, 99), 20.0 + 1e-9), id="uneven-last-step"),
+            pytest.param(np.linspace(0.0, 3.0, 7).astype(complex) + np.eye(7)[3] * 3j, id="planted-complex"),
+        ],
+    )
+    def test_other_grids_take_the_direct_path(self, chain12, times):
+        """Any grid that is not np.linspace's bits gets np.cos/np.sin on every row."""
+        _, spec = chain12
+        assert anderson._rotation_step(times) is None
+        gam = spec.gammas
+        for rows, _, (cos, sin) in propagator_sums(spec, 4, np.arange(12), times, (-1, 0), tables=True):
+            angles = 2.0 * times[rows, None] * gam
+            assert np.array_equal(cos, np.cos(angles)) and np.array_equal(sin, np.sin(angles))
 
 
 class TestMinGap:

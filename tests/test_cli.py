@@ -78,6 +78,19 @@ def test_zero_many_body_occupation_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lengths", [[1], [1, 1]])
+def test_one_site_gap_box_exits_2(tmp_path, capsys, lengths):
+    """A one-site box once wrote one_body_min_gap inf and one_body_rel_gap nan and exited 0."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": "gap-stats", "box": {"lengths": lengths}, "samples": 2}), encoding="utf-8")
+    out = tmp_path / "table.csv"
+    assert cli.main(["run", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("osclab: ConfigError: ")
+    assert f"got box lengths {lengths}" in err
+    assert not out.exists()
+
+
 def test_infinite_default_horizon_exits_2(tmp_path, capsys):
     # a repeated eigenvalue makes the default horizon 4 pi / 0; before, every commutator_sup was nan
     doc = {

@@ -49,6 +49,8 @@ class TestValidation:
             pytest.param(_doc(experiment="energy-density", lengths_ladder=[1, 10]), id="short-ladder"),
             pytest.param(_doc(experiment="energy-density", lambda_grid_points=1), id="one-point-grid"),
             pytest.param(_doc(experiment="gap-stats", mb_length=1), id="one-site-many-body-box"),
+            pytest.param(_doc(experiment="gap-stats", box={"lengths": [1]}), id="one-site-gap-box"),
+            pytest.param(_doc(experiment="gap-stats", box={"lengths": [1, 1]}), id="one-site-square-gap-box"),
             pytest.param(_doc(experiment="gap-stats", mb_occupation=0), id="no-many-body-occupation"),
             pytest.param(_doc(experiment="gap-stats", mb_occupation=-1), id="negative-many-body-occupation"),
             pytest.param(_doc(time_grid={"t_max": 0.0}), id="zero-t_max"),
@@ -190,6 +192,12 @@ class TestValidation:
             config_from_dict(doc)
         if diameter:
             assert config_from_dict({**doc, "n_values": [1]}).n_range() == (1,)
+
+    @pytest.mark.parametrize("lengths", [[1], [1, 1]])
+    def test_one_site_gap_box_named(self, lengths):
+        """A one-site box has no gap: the error names the box instead of a table of inf and nan."""
+        with pytest.raises(ConfigError, match=rf"gap-stats needs a box of at least two sites, got box lengths \[{', '.join(map(str, lengths))}\]"):
+            config_from_dict(_doc(experiment="gap-stats", box={"lengths": lengths}))
 
     def test_ranges_expand(self):
         config = config_from_dict(

@@ -257,6 +257,12 @@ class TestKernelsAgainstScalarForms:
         config = _config("correlations", lambda0, center=[2], shells=[1, 3, 5, 9], amplitude=0.9)
         self._check_correlations(box, spec, config)
 
+    def test_correlations_kappa_1(self, chain12, lambda0):
+        # only L_1: the family's table holds the affine L_1 and no recurrence runs
+        box, spec = chain12
+        config = _config("correlations", lambda0, center=[2], shells=[1, 3, 5, 9], amplitude=0.9, kappa=1)
+        self._check_correlations(box, spec, config)
+
     def test_correlations_amplitude_3(self, chain12, lambda0, monkeypatch):
         # a and a^2 differ, and some factors L_k(x) are negative
         box, spec = chain12
@@ -362,6 +368,17 @@ class TestKernelsAgainstScalarForms:
         config = _config("quasi-locality", lambda0, box={"lengths": [4, 4]}, kappa=0, n_values=[0, 2, 1, 4, 6])
         self._check_quasi_locality(box, spec, config, seed=8)
 
+    @pytest.mark.parametrize("amplitude", [1.0, 3.0])
+    @pytest.mark.parametrize("center", [[2, 1], [0, 0]], ids=["mid-box", "corner"])
+    def test_quasi_locality_rectangle(self, lambda0, center, amplitude):
+        """On a 5 x 4 box the sites outside X(n) are no run of site indices, from the middle or a corner."""
+        box = BoxGeometry([5, 4])
+        spec = diagonalize(assemble(box, sample_disorder(DisorderConfig(k_max=1.0, master_seed=8), box, 0)))
+        config = _config(
+            "quasi-locality", lambda0, box={"lengths": [5, 4]}, center=center, kappa=0, n_values=[3, 0, 1, 2, 5], amplitude=amplitude
+        )
+        self._check_quasi_locality(box, spec, config, seed=8)
+
     @staticmethod
     def _check_quasi_locality(box, spec, config, seed=11):
         """kappa = 0, so the family is the vacuum and the error is C_f sqrt(2 - 2 exp(-||V f_{n,t}||^2 / 4))."""
@@ -435,17 +452,18 @@ def test_planted_correlation_violation_is_counted(monkeypatch):
     joint_calls = []
 
     class Planted(OccupationFamily):
-        def __call__(self, x, x_sum=None):
-            out = super().__call__(x, x_sum)
-            if np.shape(x) == (config.time_points, config.box().n_sites):
-                if not joint_calls:
-                    out[0, 0] = 50.0  # the joint element of the first site, first alpha, t = 0
-                joint_calls.append(x)
+        # the kernel forms the joint elements through ``affine``, a few shell sites per call and block
+        def affine(self, base, scale, shift, x_sum):
+            out = super().affine(base, scale, shift, x_sum)
+            if not joint_calls:
+                out[(0,) * out.ndim] = 50.0  # the joint element of the first alpha, first site, t = 0
+            joint_calls.append(base.shape)
             return out
 
     monkeypatch.setattr(ensembles, "OccupationFamily", Planted)
     tampered = ensembles.run_sample(config, 1)
-    assert len(joint_calls) > 1
+    # every call formed joint elements over the whole grid, one time per row, one mode per column
+    assert joint_calls and set(joint_calls) == {(config.time_points, config.box().n_sites)}
     assert tampered.flags["correlation_bound_violations"] == 1
     # the planted value reaches the table unclamped
     assert max(v for (_, name), v in tampered.rows if name == "correlation_sup") > 2.0
@@ -701,6 +719,20 @@ def test_time_blocks_leave_rows_and_flags(monkeypatch, kind, lengths, lambda0):
         assert [key for key, _ in got_rows] == [key for key, _ in rows]
         for (key, got), (_, want) in zip(got_rows, rows):
             assert got == pytest.approx(want, rel=1e-13, abs=0.0), key
+
+
+@pytest.mark.parametrize("batch", [1, 2, 5, 100])
+def test_site_batches_leave_correlation_rows(monkeypatch, batch):
+    """How many shell sites share an OccupationFamily call moves no row beyond round-off and no flag."""
+    monkeypatch.setattr(ensembles, "DOMINATION_SLACK", -1.9)
+    kernel = _grid_kernel("correlations", [8, 7], 2.0, 90, kappa=2, amplitude=2.0)
+    rows, flags = kernel()
+    monkeypatch.setattr(ensembles, "SITES_PER_CALL", batch)
+    got_rows, got_flags = kernel()
+    assert flags["correlation_bound_violations"] > 0 and got_flags == flags
+    assert [key for key, _ in got_rows] == [key for key, _ in rows]
+    for (key, got), (_, want) in zip(got_rows, rows):
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0), key
 
 
 @pytest.mark.parametrize("lengths, lambda0", [([60], "full"), ([8, 8], 2.0)])
