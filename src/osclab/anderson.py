@@ -18,7 +18,11 @@ reduces h to a band T = Q^T h Q, in place in the one n x n buffer of the
 solve (h's dense form), and the band drivers run on T; ``dormtr`` applies
 Q to just the eigenvectors formed.  Eigenvalues alone come from ``dsterf``,
 the bits of ``eigvalsh``.  Where the routines are not bound, numpy's
-``eigvalsh``/``eigh`` serve alone, on h's dense form.
+``eigvalsh``/``eigh`` serve alone, on h's dense form.  One private
+``_solve(h, lambda0=None)`` runs every solve, and a new route goes there:
+it validates h, takes its band, runs ``dsterf`` alone (lambda0 None, for
+``spectrum``) or the window below (for ``diagonalize``), or numpy's solver
+instead, clamps the eigenvalues, and checks them and the Phi_S it formed.
 
 The paper's bounds read the localized modes S = {j : lambda_j <= lambda0}
 (``Spectrum.localized_count``, the one definition of S) and, through
@@ -312,27 +316,6 @@ class SpectralData(Spectrum):
         return count
 
 
-def _band(h: Stencil):
-    """(d, e, a, tau): the band T of h and the reflectors (a, tau) of h = Q T Q^T.
-
-    With nu = 1 h is its own band and a and tau are None.  Otherwise
-    ``dsytrd`` reduces h's dense form in place; a fresh dense stencil is
-    exactly symmetric, so its transpose is the F-ordered copy it needs.
-    """
-    if h.box.nu == 1:
-        return h.d, h.e, None, None
-    a = np.asarray(h).T
-    d, e, tau = _lapack.dsytrd(a)
-    return d, e, a, tau
-
-
-def _eigvalsh(h: Stencil):
-    if _lapack.binding() is None:
-        return np.linalg.eigvalsh(np.asarray(h)), None
-    d, e, _, _ = _band(h)
-    return _lapack.dsterf(d, e), None
-
-
 def _band_window(d: np.ndarray, e: np.ndarray, lambda0: float):
     """(eigenvalues, Z_S) of the band T = (d, e): every eigenvalue by ``dsterf`` and the
     eigenvectors of S by ``dstein``, or by ``dstevd`` where S is every mode, F-ordered.
@@ -364,82 +347,9 @@ def _band_window(d: np.ndarray, e: np.ndarray, lambda0: float):
     return evals, np.asfortranarray(z[:, columns])
 
 
-def _eigh(h: Stencil, lambda0: float):
-    """(eigenvalues, Phi_S) of a validated h, Phi_S C-ordered, so that the F-ordered band vectors
-    and the reduced h die here.
-
-    The window (``_band_window``) runs on h's band (``_band``); with
-    nu >= 2 ``dormtr`` maps back just the columns it returns.  Without the
-    binding, numpy's ``eigh``.
-    """
-    if _lapack.binding() is None:
-        evals, vecs = np.linalg.eigh(np.asarray(h))
-        return evals, np.ascontiguousarray(vecs[:, : _prefix_count(evals, lambda0)])
-    d, e, a, tau = _band(h)
-    evals, z = _band_window(d, e, lambda0)
-    if a is not None:
-        _lapack.dormtr(a, tau, z)
-    del a  # the reduced h goes before Z is copied
-    return evals, np.ascontiguousarray(z)
-
-
 def _scale(h: Stencil) -> float:
     """max|h_ij|, or 1 for h = 0; NaN when an entry is not finite."""
     return float(np.max([np.abs(h.d).max(), np.abs(h.e).max(initial=0.0)])) or 1.0
-
-
-def _solve_checked(h: Stencil, solve):
-    """Run ``solve(h) -> (eigenvalues, extra)`` on a validated h.
-
-    Raises TypeError unless h is a ``Stencil``, which is symmetric by
-    construction, ValueError unless its entries are finite, and
-    NumericError when the solver fails or finds an eigenvalue below the
-    round-off band -1e-9 * max|h_ij|; eigenvalues inside the band are
-    clamped to zero (the model itself is positive).  Returns (scale,
-    eigenvalues, extra) with scale = max|h_ij|.
-    """
-    if not isinstance(h, Stencil):
-        raise TypeError(f"h must be a Stencil, as assemble builds it, not a {type(h).__name__}")
-    # the maximum propagates NaN, so a non-finite entry makes scale non-finite
-    scale = _scale(h)
-    if not np.isfinite(scale):
-        raise ValueError("h must have finite entries")
-    try:
-        evals, extra = solve(h)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigensolver failed on a {h.shape[0]}x{h.shape[0]} matrix: {exc}") from exc
-    if evals[0] < -1e-9 * scale:
-        raise NumericError(f"matrix has a negative eigenvalue {evals[0]:.3e}; not a valid h")
-    return scale, np.clip(evals, 0.0, None), extra
-
-
-def _check_invariants(h: Stencil, evals: np.ndarray, scale: float):
-    """Raise NumericError unless sum_j lambda_j and sum_j lambda_j^2 match tr h and ||h||_F^2."""
-    n = evals.size
-    trace, frob = float(np.sum(h.d)), float(np.dot(h.d, h.d) + 2.0 * np.dot(h.e, h.e))
-    trace_err = abs(float(np.sum(evals)) - trace)
-    frob_err = abs(float(np.dot(evals, evals)) - frob)
-    # written so that a NaN error fails the test
-    if not (trace_err <= RECONSTRUCTION_RTOL * n * scale and frob_err <= RECONSTRUCTION_RTOL * n * scale**2):
-        raise NumericError(
-            f"eigenvalues miss the invariants of h: trace error {trace_err:.3e}, "
-            f"Frobenius error {frob_err:.3e} (tolerances {RECONSTRUCTION_RTOL:.0e} * n * scale, * n * scale^2)"
-        )
-
-
-def spectrum(h: Stencil) -> Spectrum:
-    """Eigenvalues of h without eigenvectors, checked for accuracy.
-
-    The accuracy contract is the pair of invariants
-    |sum_j lambda_j - tr h| <= RECONSTRUCTION_RTOL * n * scale and
-    |sum_j lambda_j^2 - ||h||_F^2| <= RECONSTRUCTION_RTOL * n * scale^2,
-    with scale = max|h_ij|, tr h = sum d and ||h||_F^2 = sum d^2 + 2 sum e^2;
-    a violation raises NumericError.  Validation and the clamping of
-    round-off negatives are those of ``_solve_checked``.
-    """
-    scale, evals, _ = _solve_checked(h, _eigvalsh)
-    _check_invariants(h, evals, scale)
-    return Spectrum(eigenvalues=evals, gammas=np.sqrt(evals))
 
 
 def _require(err: float, tol: float, what: str):
@@ -452,13 +362,65 @@ def _max_abs(x: np.ndarray) -> float:
     return float(np.max(np.abs(x, out=x), initial=0.0))
 
 
-def _window_modes(h: Stencil, scale: float, evals: np.ndarray, modes: np.ndarray) -> np.ndarray:
-    """Phi_S, the C-ordered eigenvectors of S that ``_eigh`` returns, checked by the window contract:
-    the invariants on all n eigenvalues, then the residual and orthonormality of Phi_S.  Beside
-    Phi_S it holds the residual, from which Phi_S Lambda_S is taken RESIDUAL_BLOCK columns at
-    a time, then the Gram matrix, never both."""
+def _solve(h: Stencil, lambda0: float | None = None):
+    """(eigenvalues, Phi_S) of h, Phi_S C-ordered and None for lambda0 None, by the route and
+    contract of the module docstring.
+
+    Raises TypeError unless h is a ``Stencil``, which is symmetric by
+    construction, and ValueError unless its entries are finite.  A solver
+    failure, an eigenvalue below the round-off band -1e-9 * max|h_ij| and
+    each failed check are a NumericError; eigenvalues inside the band are
+    clamped to zero (the model itself is positive).  Beside Phi_S the
+    checks hold the residual, from which Phi_S Lambda_S is taken
+    RESIDUAL_BLOCK columns at a time, then the Gram matrix, never both.
+    """
+    if not isinstance(h, Stencil):
+        raise TypeError(f"h must be a Stencil, as assemble builds it, not a {type(h).__name__}")
+    # the maximum propagates NaN, so a non-finite entry makes scale non-finite
+    scale = _scale(h)
+    if not np.isfinite(scale):
+        raise ValueError("h must have finite entries")
+    z = None
+    try:
+        if _lapack.binding() is None:
+            if lambda0 is None:
+                evals = np.linalg.eigvalsh(np.asarray(h))
+            else:
+                evals, z = np.linalg.eigh(np.asarray(h))
+                z = z[:, : _prefix_count(evals, lambda0)]
+        else:
+            d, e, a = h.d, h.e, None
+            if h.box.nu != 1:
+                # a fresh dense stencil is exactly symmetric, so its transpose is the F-ordered copy dsytrd needs
+                a = np.asarray(h).T
+                d, e, tau = _lapack.dsytrd(a)
+            if lambda0 is None:
+                evals = _lapack.dsterf(d, e)
+            else:
+                evals, z = _band_window(d, e, lambda0)
+                if a is not None:
+                    _lapack.dormtr(a, tau, z)
+            del a  # the reduced h goes before Z is copied
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigensolver failed on a {h.shape[0]}x{h.shape[0]} matrix: {exc}") from exc
+    modes = None if z is None else np.ascontiguousarray(z)
+    del z  # and Z before the checks
+    if evals[0] < -1e-9 * scale:
+        raise NumericError(f"matrix has a negative eigenvalue {evals[0]:.3e}; not a valid h")
+    evals = np.clip(evals, 0.0, None)
+    n = evals.size
+    trace, frob = float(np.sum(h.d)), float(np.dot(h.d, h.d) + 2.0 * np.dot(h.e, h.e))
+    trace_err = abs(float(np.sum(evals)) - trace)
+    frob_err = abs(float(np.dot(evals, evals)) - frob)
+    # written so that a NaN error fails the test
+    if not (trace_err <= RECONSTRUCTION_RTOL * n * scale and frob_err <= RECONSTRUCTION_RTOL * n * scale**2):
+        raise NumericError(
+            f"eigenvalues miss the invariants of h: trace error {trace_err:.3e}, "
+            f"Frobenius error {frob_err:.3e} (tolerances {RECONSTRUCTION_RTOL:.0e} * n * scale, * n * scale^2)"
+        )
+    if modes is None:
+        return evals, None
     count = modes.shape[1]
-    _check_invariants(h, evals, scale)
     residual, lam = h @ modes, evals[:count]
     for start in range(0, count, RESIDUAL_BLOCK):
         cols = slice(start, start + RESIDUAL_BLOCK)
@@ -468,7 +430,21 @@ def _window_modes(h: Stencil, scale: float, evals: np.ndarray, modes: np.ndarray
     gram = modes.T @ modes
     gram[np.diag_indices(count)] -= 1.0
     _require(_max_abs(gram), RECONSTRUCTION_RTOL, "orthonormality max|Phi_S^T Phi_S - I|")
-    return modes
+    return evals, modes
+
+
+def spectrum(h: Stencil) -> Spectrum:
+    """Eigenvalues of h without eigenvectors, checked for accuracy.
+
+    The accuracy contract is the pair of invariants
+    |sum_j lambda_j - tr h| <= RECONSTRUCTION_RTOL * n * scale and
+    |sum_j lambda_j^2 - ||h||_F^2| <= RECONSTRUCTION_RTOL * n * scale^2,
+    with scale = max|h_ij|, tr h = sum d and ||h||_F^2 = sum d^2 + 2 sum e^2;
+    a violation raises NumericError.  Validation and the clamping of
+    round-off negatives are those of ``_solve``.
+    """
+    evals, _ = _solve(h)
+    return Spectrum(eigenvalues=evals, gammas=np.sqrt(evals))
 
 
 def _inverse_sqrt_chebyshev(a: float, b: float, degree: int) -> np.ndarray:
@@ -512,10 +488,10 @@ def diagonalize(h: Stencil, lambda0: float = np.inf) -> SpectralData:
     failure a NumericError.  The residual reads an error delta planted at
     entry (r, c) of h as delta * max_j max(|phi_j(r)|, |phi_j(c)|), not delta.
     Validation and the clamping of round-off negatives are those of
-    ``_solve_checked``.
+    ``_solve``.
     """
-    scale, evals, modes = _solve_checked(h, functools.partial(_eigh, lambda0=lambda0))
-    return SpectralData(eigenvalues=evals, gammas=np.sqrt(evals), modes=_window_modes(h, scale, evals, modes), h=h)
+    evals, modes = _solve(h, lambda0)
+    return SpectralData(eigenvalues=evals, gammas=np.sqrt(evals), modes=modes, h=h)
 
 
 def tails(spec: SpectralData, sites) -> np.ndarray:

@@ -34,6 +34,10 @@ KINDS = {
     "gap-stats": ("quantity",),
 }
 
+#: Most many-body occupation vectors, (mb_occupation + 1)^mb_length, that gap-stats enumerates.  The
+#: enumeration holds about four int64 arrays of vectors x mb_length entries, at most about 34 MB at this count.
+MAX_MANY_BODY_STATES = 100_000
+
 #: l1 distances or radii, which a document may also give as a {"min", "max"} range.
 Distances = tuple[int, ...]
 
@@ -123,6 +127,13 @@ class ExperimentConfig:
                             ("mb_length", 2), ("lambda_grid_points", 2), ("seed", 0), ("alpha_random", 0)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be at least {least}, got {getattr(self, name)!r}")
+        # as mb_occupation + 1 >= 2, the cap's bit length as exponent already exceeds the cap: no huge int
+        occupations = self.mb_occupation + 1
+        if occupations ** min(self.mb_length, MAX_MANY_BODY_STATES.bit_length()) > MAX_MANY_BODY_STATES:
+            raise ConfigError(
+                f"mb_occupation and mb_length give {occupations}^{self.mb_length} many-body occupation vectors, "
+                f"more than MAX_MANY_BODY_STATES = {MAX_MANY_BODY_STATES}"
+            )
         if not self.lengths or any(l < 1 for l in self.lengths):
             raise ConfigError("box lengths must be positive")
         # one site has no spacing: its min gap would be inf and its relative gap nan

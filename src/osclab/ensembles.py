@@ -8,16 +8,18 @@ the resulting ``SpectralData``, and returns per-key scalar rows.  The
 kernels read S only from it: Phi_S, gamma_S and, where they read C_f, the
 tails (``anderson.tails``).  Every time-dependent sum over S that a kernel
 reads comes from ``anderson.propagator_sums``, one block of
-``anderson.TIME_BLOCK`` times at a time.  A kernel forms its tables for
-the block (Laguerre arguments, occupation products), folds them into
-running per-site or per-radius maxima and violation counts, and drops
-them, so its memory does not grow with the number of time points.  Every
-kernel returns ``(rows, flags)``.
+``anderson.TIME_BLOCK`` times at a time, but one: Re<eta, xi> in
+``correlations``, the s = -1 sum with cos in place of sin, which
+``powers`` cannot ask for (below).  A kernel forms its tables for the
+block (Laguerre arguments, occupation products), folds them into running
+per-site or per-radius maxima and violation counts, and drops them, so
+its memory does not grow with the number of time points.  Every kernel
+returns ``(rows, flags)``.
 
 ``correlations`` reads Re(eta) from the block's cos table, which
-``propagator_sums`` hands it, and takes Re<eta, xi> at the shell sites as
-one product of that table; it writes L_1 = 1 - x of each shell site's
-joint argument straight into the occupation family's table
+``propagator_sums`` hands it, and forms Re<eta, xi> at the shell sites
+itself, as one product of that table; it writes L_1 = 1 - x of each shell
+site's joint argument straight into the occupation family's table
 (``OccupationFamily.affine``), so no table of x is formed.
 ``quasi-locality`` takes the sites outside its largest neighbourhood X(n)
 through their Gram matrix G = Phi_O^T Phi_O, formed once per sample with

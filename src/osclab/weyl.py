@@ -98,7 +98,8 @@ class OccupationFamily:
 
     The family is validated, and its orders and (K m, A) indicator matrix
     built, once; the tables and recurrence buffers are kept per shape of x,
-    so repeated calls on one shape allocate nothing of the size of x.
+    and a table of signs too once the general path needs one, so repeated
+    calls on one shape allocate nothing of the size of x.
     The recurrence reads x only through L_1(x) = 1 - x, so a caller whose
     L_1 is base * scale + shift calls ``affine``, which writes it straight
     into the table and forms no array of x.
@@ -116,6 +117,7 @@ class OccupationFamily:
         hits = np.asarray(self.orders, dtype=int)[:, None, None] == alphas.T
         self._hits = hits.reshape(-1, alphas.shape[0]).astype(float, order="C")
         self._buffers = {}
+        self._signs = {}
 
     def __call__(self, x, x_sum=None) -> np.ndarray:
         """The products at x; ``x_sum`` is sum_j x_j over the last axis if the caller has it."""
@@ -145,15 +147,15 @@ class OccupationFamily:
             raise ValueError("need x with one entry per mode on the last axis")
 
     def _slots(self, shape):
-        """(table, slots) for x of ``shape``: the (2, ..., K, m) table whose first half holds L_k for the
-        K orders in use, and the buffers of ``_laguerre_orders``, kept per shape."""
+        """(table, slots) for x of ``shape``: the (..., K, m) table of L_k for the K orders in use, and
+        the buffers of ``_laguerre_orders``, kept per shape."""
         if shape not in self._buffers:
-            table = np.empty((2,) + shape[:-1] + (len(self.orders), shape[-1]))
+            table = np.empty(shape[:-1] + (len(self.orders), shape[-1]))
             # L_k goes straight into its table row; orders the family skips
             # and the recurrence's scratch get buffers of their own
             top = max(self.orders, default=0)
             slots = [
-                table[0, ..., self.orders.index(k), :] if k in self.orders else np.empty(shape)
+                table[..., self.orders.index(k), :] if k in self.orders else np.empty(shape)
                 for k in range(1, top + 1)
             ]
             slots.append(np.empty(shape) if top > 1 else None)
@@ -170,16 +172,18 @@ class OccupationFamily:
 
     def _products(self, table: np.ndarray, x_sum) -> np.ndarray:
         # NaN fails the test and takes the general path
-        return self._finish(table, x_sum, positive=bool(table[0].min(initial=np.inf) > 0.0))
+        return self._finish(table, x_sum, positive=bool(table.min(initial=np.inf) > 0.0))
 
     def _finish(self, table: np.ndarray, x_sum, positive: bool) -> np.ndarray:
         """Turn a filled table into the products; ``positive`` says every factor is > 0."""
-        lead, size = table.shape[1:-2], table.shape[-2] * table.shape[-1]
-        logs = table[0].reshape(lead + (size,))
+        lead, size = table.shape[:-2], table.shape[-2] * table.shape[-1]
+        logs = table.reshape(lead + (size,))
         if positive:
             np.log(logs, out=logs)
         else:
-            signs = table[1].reshape(lead + (size,))
+            if logs.shape not in self._signs:
+                self._signs[logs.shape] = np.empty(logs.shape)
+            signs = self._signs[logs.shape]
             np.signbit(logs, out=signs)
             np.abs(logs, out=logs)
             with np.errstate(divide="ignore"):

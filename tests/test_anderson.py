@@ -500,11 +500,12 @@ def test_solvers_leave_no_cyclic_garbage():
 _BAND_N = 293
 
 
+@pytest.mark.skipif(_lapack.binding() is None, reason="numpy's LAPACK exports no tridiagonal driver")
 class TestBandReconstruction:
     """The residual check at lambda0 = inf reads an error planted at any diagonal or off-diagonal
     entry of a chain, at its exact threshold.
 
-    The solve returns numpy's eigenpairs of h plus delta at the symmetric
+    The chain's window returns numpy's eigenpairs of h plus delta at the symmetric
     entries (r, c) and (c, r).  As eigenpairs of h their residual is
     delta * max_j max(|phi_j(r)|, |phi_j(c)|), up to round-off far below it,
     so delta is chosen from h's own eigenvectors to make that factor *
@@ -533,12 +534,63 @@ class TestBandReconstruction:
         planted[col, row] = planted[row, col]
         evals, modes = np.linalg.eigh(planted)
         modes = np.ascontiguousarray(modes)
-        monkeypatch.setattr(anderson, "_eigh", lambda h, **regime: (evals, modes))
+        monkeypatch.setattr(anderson, "_band_window", lambda d, e, lambda0: (evals, modes))
         if rejected:
             with pytest.raises(NumericError, match="^residual"):
                 diagonalize(h)
         else:
             assert diagonalize(h).modes is modes
+
+
+class TestNumpyBranch:
+    """Without the binding ``anderson._solve`` runs numpy's ``eigvalsh``/``eigh`` under the contract of
+    the LAPACK branch: a fault planted in their output is rejected by the same check with the same
+    message.  On a chain the band drivers return numpy's bits, so the same fault gives the same
+    numbers on both branches and the messages agree in full."""
+
+    @pytest.mark.parametrize(
+        "fault, check",
+        [
+            pytest.param("shifted", "^eigenvalues miss the invariants of h: ", id="invariants"),
+            pytest.param("mixed", r"^residual max\|h Phi_S - Phi_S Lambda_S\| ", id="residual"),
+            pytest.param("scaled", r"^orthonormality max\|Phi_S\^T Phi_S - I\| ", id="orthonormality"),
+        ],
+    )
+    def test_planted_fault(self, monkeypatch, fault, check):
+        h = _box_hamiltonian([30], "neumann")
+        scale = np.max(np.abs(np.asarray(h)))
+        # eigenvalues alone for the invariants, every mode for the checks of Phi_S
+        numpy_name, solve = ("eigvalsh", spectrum) if fault == "shifted" else ("eigh", diagonalize)
+
+        def planted(owner, name):
+            right = getattr(owner, name)
+
+            def wrong(*band_or_h):
+                if fault == "shifted":
+                    return right(*band_or_h) + 1e3 * RECONSTRUCTION_RTOL * scale
+                evals, vecs = right(*band_or_h)
+                vecs = vecs.copy()
+                if fault == "mixed":
+                    vecs[:, -1] += 1e-6 * vecs[:, 0]
+                else:
+                    vecs[:, 0] *= 1.0 + 1e-6  # still an eigenvector, no longer a unit one
+                return evals, vecs
+
+            return wrong
+
+        branches = [(np.linalg, numpy_name)]
+        if _lapack.binding() is not None:
+            branches.insert(0, (_lapack, {"eigvalsh": "dsterf", "eigh": "dstevd"}[numpy_name]))
+        messages = []
+        for owner, name in branches:
+            with monkeypatch.context() as patch:
+                if owner is np.linalg:
+                    patch.setattr(_lapack, "binding", lambda: None)
+                patch.setattr(owner, name, planted(owner, name))
+                with pytest.raises(NumericError, match=check) as raised:
+                    solve(h)
+            messages.append(str(raised.value))
+        assert len(messages) == 1 + (_lapack.binding() is not None) and len(set(messages)) == 1
 
 
 _DENSE_LENGTHS = st.lists(st.integers(2, 12), min_size=2, max_size=2) | st.lists(st.integers(2, 6), min_size=3, max_size=3)

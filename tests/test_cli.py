@@ -78,6 +78,18 @@ def test_zero_many_body_occupation_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_many_body_enumeration_too_large_exits_2(tmp_path, capsys):
+    """3^30 occupation vectors are a ConfigError that names both fields, not an error or OOM inside numpy."""
+    path = tmp_path / "cfg.json"
+    doc = {"experiment": "gap-stats", "box": {"lengths": [12]}, "samples": 1, "mb_length": 30}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "table.csv"
+    assert cli.main(["run", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("osclab: ConfigError: mb_occupation and mb_length give 3^30 ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("lengths", [[1], [1, 1]])
 def test_one_site_gap_box_exits_2(tmp_path, capsys, lengths):
     """A one-site box once wrote one_body_min_gap inf and one_body_rel_gap nan and exited 0."""

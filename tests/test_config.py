@@ -3,7 +3,7 @@ from dataclasses import asdict
 
 import pytest
 
-from osclab.config import _LAYOUT, ExperimentConfig, config_from_dict, load_config
+from osclab.config import _LAYOUT, MAX_MANY_BODY_STATES, ExperimentConfig, config_from_dict, load_config
 from osclab.errors import ConfigError
 from osclab.lattice import l1_distances_from
 
@@ -53,6 +53,7 @@ class TestValidation:
             pytest.param(_doc(experiment="gap-stats", box={"lengths": [1, 1]}), id="one-site-square-gap-box"),
             pytest.param(_doc(experiment="gap-stats", mb_occupation=0), id="no-many-body-occupation"),
             pytest.param(_doc(experiment="gap-stats", mb_occupation=-1), id="negative-many-body-occupation"),
+            pytest.param(_doc(experiment="gap-stats", mb_length=30), id="many-body-enumeration-too-large"),
             pytest.param(_doc(time_grid={"t_max": 0.0}), id="zero-t_max"),
             pytest.param(_doc(time_grid={"t_max": -1.0}), id="negative-t_max"),
             pytest.param(_doc(experiment="eigencorrelator", powers=[2]), id="power-two"),
@@ -111,6 +112,21 @@ class TestValidation:
     def test_rejected(self, doc):
         with pytest.raises(ConfigError):
             config_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "occupation, length, accepted",
+        [(1, 16, True), (1, 17, False), (2, 10, True), (2, 11, False), (315, 2, True), (316, 2, False), (2, 10**18, False)],
+    )
+    def test_many_body_enumeration_capped(self, occupation, length, accepted):
+        """(mb_occupation + 1)^mb_length is held to MAX_MANY_BODY_STATES before any array exists, and a
+        huge mb_length is rejected without forming the power."""
+        doc = _doc(experiment="gap-stats", mb_occupation=occupation, mb_length=length)
+        if accepted:
+            config_from_dict(doc)
+            assert (occupation + 1) ** length <= MAX_MANY_BODY_STATES
+        else:
+            with pytest.raises(ConfigError, match=r"^mb_occupation and mb_length give .* more than MAX_MANY_BODY_STATES"):
+                config_from_dict(doc)
 
     @pytest.mark.parametrize(
         "doc",

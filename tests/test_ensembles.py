@@ -203,6 +203,22 @@ class TestOccupationFamily:
             assert np.allclose(got, ref, rtol=1e-12, atol=1e-14)
         assert sorted(family._buffers) == [(4, 5), (5,)]
 
+    def test_positive_path_keeps_one_table(self):
+        """A shape whose factors are all positive holds its L_k table alone; the table of signs is
+        allocated only when the general path first runs on that shape, and kept for it."""
+        rng = np.random.default_rng(8)
+        alphas = np.vstack([np.full(11, k) for k in range(4)])
+        x = rng.uniform(0.0, 0.25, size=(7, 11))
+        family = OccupationFamily(alphas)
+        family(x)
+        family(x)
+        table, _ = family._buffers[x.shape]
+        assert table.shape == (7, 3, 11) and family._signs == {}
+        family._finish(family._fill(x), x.sum(axis=-1), positive=False)
+        signs = family._signs[(7, 33)]
+        family._finish(family._fill(x), x.sum(axis=-1), positive=False)
+        assert list(family._signs) == [(7, 33)] and family._signs[(7, 33)] is signs
+
     def test_vacuum_family_has_no_tables(self):
         x = np.array([[0.5, 3.0], [2.0, 0.0]])
         got = OccupationFamily(np.zeros((2, 2), int))(x)
