@@ -88,12 +88,12 @@ sites a kernel reads.  Each block's phase tables cos and sin(2 t gamma_j)
 are scaled by gamma^s phi_j(x) and multiplied by one right-hand factor R:
 Phi_S at the sites read, or any matrix with a row per mode of S, such as
 the Gram matrix of the sites outside a neighbourhood that quasi-locality
-passes.  No weight array of |S| x sites per power is held.  On an
-arithmetic grid, the bits of ``np.linspace`` as every config grid is, a
-block's phases come from its first row, evaluated directly, by angle
-addition with one table of TIME_BLOCK offsets shared by all blocks; any
-other grid evaluates every row.  The kernels that need the phases mode by
-mode read the block's tables from it.
+passes.  No weight array of |S| x sites per power is held.  The grid is
+arithmetic, the bits of ``np.linspace`` as every config grid is, and any
+other grid is a ValueError: a block's phases come from its first row,
+evaluated directly, by angle addition with one table of TIME_BLOCK
+offsets shared by all blocks.  Every block hands back both phase tables,
+and the kernels that need the phases mode by mode read them from it.
 """
 
 from __future__ import annotations
@@ -550,32 +550,34 @@ def eigencorrelator_profile(spec: SpectralData, s: int, x: int, sites) -> np.nda
     gam = spec.localized_gammas
     if gam.size == 0:
         return np.zeros(sites.size)
-    weights = gam**s if s != 0 else np.ones(gam.size)
-    return np.abs(spec.modes[sites]) @ (weights * np.abs(spec.modes[int(x)]))
+    return np.abs(spec.modes[sites]) @ (gam**s * np.abs(spec.modes[int(x)]))
 
 
-def propagator_sums(spec: SpectralData, x: int, sites, times, powers, *, tables: bool = False):
+def propagator_sums(spec: SpectralData, x: int, sites, times, powers):
     """The sums sum_{j in S} gamma_j^s phi_j(x) R_jk u(2 t gamma_j) for each s in ``powers``.
 
     u is cos for s = 0 and sin for s = -1, +1.  R is Phi_S[sites]^T, so the
     sum at column k is the coefficient <delta_x, h^{s/2} u(2t sqrt(h)) X delta_y>
     of a restricted position/momentum commutator at y = sites[k], and
     |sum| <= Q_s(x, y) at every t.  ``sites`` may instead be a 2D array with
-    |S| rows, which is then R itself.  Returns an iterator over the blocks of
-    TIME_BLOCK consecutive ``times``: each item is (rows, sums), rows the
-    slice of ``times`` the block covers and sums one (rows, columns of R)
-    array per power, in the order of ``powers``.  With ``tables`` each item
-    is (rows, sums, (cos, sin)), the block's phase tables cos(2 t gamma_j)
-    and sin(2 t gamma_j) (rows, |S|), which the next block overwrites.
-    Per block each needed phase table is formed once, scaled by
-    gamma^s phi_x into one buffer per power in turn and multiplied by R.
-    ``times`` keeps its dtype, so a complex grid gives complex sums.
+    |S| rows, which is then R itself.  ``times`` is an arithmetic grid, the
+    bits of np.linspace(times[0], times[-1], times.size), as every config
+    grid is; any other grid, an empty, complex or 2D one included, is a
+    ValueError.  Returns an iterator over the blocks of TIME_BLOCK
+    consecutive ``times``: each item is (rows, sums, (cos, sin)), rows the
+    slice of ``times`` the block covers, sums one (rows, columns of R) array
+    per power, in the order of ``powers``, and cos and sin the block's phase
+    tables cos(2 t gamma_j) and sin(2 t gamma_j) (rows, |S|), which the
+    next block overwrites.  Per block both phase tables are formed once,
+    scaled by gamma^s phi_x into one buffer per power in turn and
+    multiplied by R.
     """
     times = np.asarray(times)
+    step = _rotation_step(times)
     right = _right_factor(spec, x, sites)
     gam = spec.localized_gammas
-    scales = [spec.modes[int(x)] * gam**s if s else spec.modes[int(x)] for s in powers]
-    return _propagator_blocks(gam, times, powers, scales, right, tables)
+    scales = [spec.modes[int(x)] * gam**s for s in powers]
+    return _propagator_blocks(gam, times, step, powers, scales, right)
 
 
 def _right_factor(spec: SpectralData, x: int, sites) -> np.ndarray:
@@ -589,59 +591,43 @@ def _right_factor(spec: SpectralData, x: int, sites) -> np.ndarray:
     return spec.modes[_checked_sites(spec, x, sites)].T
 
 
-def _rotation_step(times: np.ndarray):
-    """The step of ``times`` when they are the bits of np.linspace(times[0], times[-1], times.size), else None."""
-    if times.ndim != 1 or times.size == 0 or not np.array_equal(times, np.linspace(times[0], times[-1], times.size)):
-        return None
+def _rotation_step(times: np.ndarray) -> float:
+    """The step of ``times``; ValueError unless they are a real, nonempty grid and the bits of np.linspace."""
+    real_line = times.ndim == 1 and times.size > 0 and not np.iscomplexobj(times)
+    if not (real_line and np.array_equal(times, np.linspace(times[0], times[-1], times.size))):
+        raise ValueError("times must be a real, nonempty 1D grid equal to np.linspace(times[0], times[-1], times.size)")
     return (times[-1] - times[0]) / max(times.size - 1, 1)
 
 
-def _propagator_blocks(gam, times, powers, scales, right, tables):
+def _propagator_blocks(gam, times, step, powers, scales, right):
     """The blocks of ``propagator_sums``.
 
-    On an arithmetic grid (``_rotation_step``) the phases of a block come
-    from its first row, evaluated directly, by angle addition with one
-    table of cos and sin of 2 k step gamma_j, k < TIME_BLOCK, shared by all
-    blocks: a few products in place of a sine and a cosine per entry.  Any
-    other grid evaluates every row directly.
+    The phases of a block come from its first row, evaluated directly, by
+    angle addition with one table of cos and sin of 2 k step gamma_j,
+    k < TIME_BLOCK, shared by all blocks: a few products in place of a sine
+    and a cosine per entry.
     """
-    want_cos, want_sin = tables or 0 in powers, tables or any(s != 0 for s in powers)
-    step = _rotation_step(times)
     shape = (min(TIME_BLOCK, times.size), gam.size)
-    dtype = np.result_type(times, gam)
-    cos_buf, sin_buf = (np.empty(shape, dtype) if want else None for want in (want_cos, want_sin))
+    cos_buf, sin_buf = np.empty(shape), np.empty(shape)
     # the scaled tables of all powers, stacked, so that each block takes one product with R
-    stacked = np.empty((len(powers) * shape[0], gam.size), dtype)
-    if step is not None:
-        offsets = 2.0 * (np.arange(shape[0]) * step)[:, None] * gam
-        cos_off = np.cos(offsets)
-        sin_off = np.sin(offsets, out=offsets)
+    stacked = np.empty((len(powers) * shape[0], gam.size))
+    offsets = 2.0 * (np.arange(shape[0]) * step)[:, None] * gam
+    cos_off, sin_off = np.cos(offsets), np.sin(offsets, out=offsets)
     for start in range(0, times.size, TIME_BLOCK):
         rows = slice(start, min(start + TIME_BLOCK, times.size))
         n = rows.stop - start
-        cos, sin = (None if buf is None else buf[:n] for buf in (cos_buf, sin_buf))
-        scaled = stacked[: len(powers) * n]
-        if step is None:
-            angles = 2.0 * times[rows, None] * gam
-            if want_cos:
-                np.cos(angles, out=cos)
-            if want_sin:
-                np.sin(angles, out=sin)
-        else:
-            # cos(a + b) = cos a cos b - sin a sin b, sin(a + b) = sin a cos b + cos a sin b
-            first = 2.0 * times[start] * gam
-            cos_a, sin_a, spare = np.cos(first), np.sin(first), scaled[:n]
-            if want_cos:
-                np.multiply(cos_off[:n], cos_a, out=cos)
-                cos -= np.multiply(sin_off[:n], sin_a, out=spare)
-            if want_sin:
-                np.multiply(sin_off[:n], cos_a, out=sin)
-                sin += np.multiply(cos_off[:n], sin_a, out=spare)
+        cos, sin, scaled = cos_buf[:n], sin_buf[:n], stacked[: len(powers) * n]
+        # cos(a + b) = cos a cos b - sin a sin b, sin(a + b) = sin a cos b + cos a sin b
+        first = 2.0 * times[start] * gam
+        cos_a, sin_a, spare = np.cos(first), np.sin(first), scaled[:n]
+        np.multiply(cos_off[:n], cos_a, out=cos)
+        cos -= np.multiply(sin_off[:n], sin_a, out=spare)
+        np.multiply(sin_off[:n], cos_a, out=sin)
+        sin += np.multiply(cos_off[:n], sin_a, out=spare)
         for i, (s, w) in enumerate(zip(powers, scales)):
             np.multiply(cos if s == 0 else sin, w, out=scaled[i * n : (i + 1) * n])
         product = scaled @ right
-        sums = tuple(product[i * n : (i + 1) * n] for i in range(len(powers)))
-        yield (rows, sums, (cos, sin)) if tables else (rows, sums)
+        yield rows, tuple(product[i * n : (i + 1) * n] for i in range(len(powers))), (cos, sin)
 
 
 def _checked_sites(spec: SpectralData, x: int, sites) -> np.ndarray:

@@ -148,7 +148,7 @@ def _kernel_lr(config, box, spec, index):
     envelopes = cc * np.minimum(2.0, a2 * eigencorrelator_profile(spec, -1, center, ys))
     sups, violations = np.full(ys.size, -np.inf), 0
     # (V a delta_x)_j = a phi_j(x) / sqrt(gamma_j), so Im<X f_t, X g> = -a^2 times the s = -1 sum
-    for _, (sums,) in propagator_sums(spec, center, ys, _time_grid(config, spec), (-1,)):
+    for _, (sums,), _ in propagator_sums(spec, center, ys, _time_grid(config, spec), (-1,)):
         violations += _fold(sups, 2.0 * np.abs(np.sin(-a2 * sums / 2.0)) * cc, envelopes)
     rows = _shell_rows(shells, (("commutator_sup", sups), ("commutator_envelope", envelopes)))
     return rows, {"domination_violations": violations}
@@ -158,7 +158,7 @@ def _kernel_pq(config, box, spec, index):
     center, shells, ys = _shells(config, box)
     envelopes = [eigencorrelator_profile(spec, s, center, ys) for s in (-1, 0, 1)]
     sups, violations = np.full((3, ys.size), -np.inf), 0
-    for _, sums in propagator_sums(spec, center, ys, _time_grid(config, spec), (-1, 0, 1)):
+    for _, sums, _ in propagator_sums(spec, center, ys, _time_grid(config, spec), (-1, 0, 1)):
         violations += sum(_fold(*args) for args in zip(sups, map(np.abs, sums), envelopes))
     qq_sup, qp_sup, pp_sup = sups
     quantities = (
@@ -199,7 +199,7 @@ def _kernel_correlations(config, box, spec, index):
     d_product = d_eta[:, :, None] * d_xis[:, None, :]  # (A, 1, sites)
     sups = np.full(ys.size, -np.inf)
     violations = 0
-    for _, (theta,), (cos, _) in propagator_sums(spec, center, ys, times, (-1,), tables=True):  # (block, sites)
+    for _, (theta,), (cos, _) in propagator_sums(spec, center, ys, times, (-1,)):  # (block, sites)
         theta *= -a * a
         # -Re(eta) for eta = a e^{2 i t gamma} w_center, in place over the block's cos table
         minus_eta = np.multiply(cos, -a * w_center, out=cos)
@@ -251,7 +251,7 @@ def _kernel_quasi_locality(config, box, spec, index):
 
     err_sups, norm_sups = np.full(len(radii), -np.inf), np.full(len(radii), -np.inf)
     violations = 0
-    for _, (pos_re, pos_im) in propagator_sums(spec, center, right, _time_grid(config, spec), (0, -1)):
+    for _, (pos_re, pos_im), _ in propagator_sums(spec, center, right, _time_grid(config, spec), (0, -1)):
         u = np.array(pos_re[:, :count])  # contiguous: in-place sums on the strided view are slower
         v = np.multiply(pos_im[:, :count], gam)
         re_rings, im_rings = pos_re[:, count:], pos_im[:, count:]
@@ -329,8 +329,8 @@ def _gap_stats_sample(config, index):
     mb_box = BoxGeometry((config.mb_length,))
     mb_spec = spectrum(assemble(mb_box, sample_disorder(disorder, mb_box, index)))
     occ = config.mb_occupation
-    grids = np.meshgrid(*[np.arange(occ + 1)] * mb_box.n_sites, indexing="ij")
-    alphas = np.stack([g.ravel() for g in grids], axis=1)
+    # every occupation vector, in C order, as one int array
+    alphas = np.indices((occ + 1,) * mb_box.n_sites).reshape(mb_box.n_sites, -1).T
     energies = np.sort(many_body_energy(mb_spec, alphas))
     mb_gap = float(np.min(np.diff(energies)))
     rows = [

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,18 +159,22 @@ def fit_exponential(result: EnsembleResult, fit_range, quantity: str | None = No
 
     Uses rows whose first key component lies in ``fit_range`` = (A, B),
     inclusive, and, when given, whose quantity matches.  Raises ValueError
-    unless A <= B, at least 4 rows are selected and all their means are
-    positive.
+    unless A <= B, the first key of every row is a number, the rows
+    selected have at least 4 distinct keys and all their means are positive.
     """
     lo, hi = float(fit_range[0]), float(fit_range[1])
     if not lo <= hi:
         raise ValueError(f"fit range needs A <= B, got [{lo}, {hi}]")
     rows = result.select(quantity) if quantity is not None else result.sorted_rows()
+    for r in rows:
+        if not isinstance(r.key[0], numbers.Real):
+            raise ValueError(f"fit needs numeric keys, but key field {result.key_fields[0]!r} holds {r.key[0]!r}")
     pts = [(float(r.key[0]), r.mean) for r in rows if lo <= float(r.key[0]) <= hi]
     if any(m <= 0.0 for _, m in pts):
         raise ValueError("fit range contains nonpositive means")
-    if len(pts) < 4:
-        raise ValueError(f"need at least 4 keys with positive means in range, got {len(pts)}")
+    keys = len({d for d, _ in pts})
+    if keys < 4:
+        raise ValueError(f"need at least 4 distinct keys with positive means in range, got {keys} in {len(pts)} rows")
     x = np.array([p[0] for p in pts])
     y = np.log([p[1] for p in pts])
     slope, intercept = np.polyfit(x, y, 1)

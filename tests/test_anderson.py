@@ -1110,7 +1110,7 @@ class TestEigencorrelator:
 
 def _sum_tables(spec, x, sites, times, powers):
     """The sums of ``propagator_sums`` on the whole grid: its blocks stacked, one (times, sites) table per power."""
-    blocks = [sums for _, sums in propagator_sums(spec, x, sites, times, powers)]
+    blocks = [sums for _, sums, _ in propagator_sums(spec, x, sites, times, powers)]
     return tuple(np.concatenate(tables) for tables in zip(*blocks))
 
 
@@ -1120,8 +1120,8 @@ class TestPropagatorSums:
         """Each block covers the next TIME_BLOCK times, and its sums are those of the times it covers alone."""
         _, spec = chain12
         monkeypatch.setattr(anderson, "TIME_BLOCK", block)
-        times, sites = np.array([0.0, 1.3, 7.9]), [2, 0, 11]
-        got = [(rows.start, rows.stop, sums) for rows, sums in propagator_sums(spec, 5, sites, times, (0, 1))]
+        times, sites = np.linspace(0.0, 7.9, 3), [2, 0, 11]
+        got = [(rows.start, rows.stop, sums) for rows, sums, _ in propagator_sums(spec, 5, sites, times, (0, 1))]
         assert [(start, stop) for start, stop, _ in got] == bounds
         for start, stop, sums in got:
             for t, (cos, sin) in zip(times[start:stop], zip(*sums)):
@@ -1130,20 +1130,20 @@ class TestPropagatorSums:
                 assert np.allclose(sin, alone[1], rtol=0, atol=1e-15)
 
     def test_matches_mode_sums(self, chain12):
+        """At each time, a one-point grid whose one row is evaluated directly, the sums are the mode sums."""
         _, spec = chain12
         lam = float(np.percentile(spec.eigenvalues, 70))
         count = spec.localized_count(lam)
         gam = spec.gammas[:count]
         x, sites = 4, np.array([0, 4, 9])
-        times = np.array([0.0, 0.4, 3.7, 250.0])
-        sums = _sum_tables(_chain12_at(lam), x, sites, times, (1, -1, 0))
-        for s, got in zip((1, -1, 0), sums):
-            assert got.shape == (times.size, sites.size)
-            u = np.cos if s == 0 else np.sin
-            for i, t in enumerate(times):
+        for t in (0.0, 0.4, 3.7, 250.0):
+            sums = _sum_tables(_chain12_at(lam), x, sites, [t], (1, -1, 0))
+            for s, got in zip((1, -1, 0), sums):
+                assert got.shape == (1, sites.size)
+                u = np.cos if s == 0 else np.sin
                 for k, y in enumerate(sites):
                     want = np.sum(u(2 * t * gam) * gam**s * spec.modes[x, :count] * spec.modes[y, :count])
-                    assert abs(got[i, k] - want) < 1e-13
+                    assert abs(got[0, k] - want) < 1e-13
 
     def test_right_factor_in_place_of_sites(self, chain12):
         """A 2D array with |S| rows is R itself: Phi_S[sites]^T gives the sums at those sites."""
@@ -1173,46 +1173,58 @@ class TestPropagatorSums:
         seed=st.integers(0, 2**16),
         k_max=st.floats(0.05, 8.0),
         level=st.one_of(st.none(), st.floats(0.0, 1.1)),
-        times=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=8),
+        start=st.floats(0.0, 1e6),
+        span=st.floats(0.0, 1e6),
+        points=st.integers(1, 8),
         data=st.data(),
     )
-    def test_dominated_by_eigencorrelator(self, lengths, seed, k_max, level, times, data):
-        """|sum| <= Q_s(x, y) for every s, off any grid: the domination the pq-bound flag tests."""
+    def test_dominated_by_eigencorrelator(self, lengths, seed, k_max, level, start, span, points, data):
+        """|sum| <= Q_s(x, y) for every s, on any grid, single arbitrary times included: the domination the
+        pq-bound flag tests."""
         box = BoxGeometry(list(lengths))
         h = assemble(box, sample_disorder(DisorderConfig(k_max=k_max, master_seed=seed), box, 0))
         spec = diagonalize(h, lambda0=np.inf if level is None else level * spectrum(h).norm)
         x = data.draw(st.integers(0, box.n_sites - 1))
-        sums = _sum_tables(spec, x, np.arange(box.n_sites), np.array(times), (-1, 0, 1))
+        times = np.linspace(start, start + span, points)
+        sums = _sum_tables(spec, x, np.arange(box.n_sites), times, (-1, 0, 1))
         for s, got in zip((-1, 0, 1), sums):
             envelope = eigencorrelator_profile(spec, s, x, np.arange(box.n_sites))
             assert np.all(np.abs(got) <= envelope[None, :] + DOMINATION_SLACK)
 
 
-def _blocks(spec, times, direct=False):
-    """Every block's sums and phase tables of all three powers at all sites of ``spec``, copied; ``direct``
-    forces np.cos/np.sin on every row."""
-    with pytest.MonkeyPatch.context() as patch:
-        if direct:
-            patch.setattr(anderson, "_rotation_step", lambda times: None)
-        blocks = propagator_sums(spec, 4, np.arange(spec.n), times, (-1, 0, 1), tables=True)
-        # the next block overwrites the phase tables, so each is copied as it comes
-        return [[table.copy() for table in (*sums, *tables)] for _, sums, tables in blocks]
+def _blocks(spec, times):
+    """Every block's sums of all three powers at all sites of ``spec`` and its phase tables, copied."""
+    blocks = propagator_sums(spec, 4, np.arange(spec.n), times, (-1, 0, 1))
+    # the next block overwrites the phase tables, so each is copied as it comes
+    return [[table.copy() for table in (*sums, *tables)] for _, sums, tables in blocks]
+
+
+def _direct_blocks(spec, times):
+    """What ``_blocks`` returns, from np.cos/np.sin of 2 t gamma on every row, the tables scaled by
+    gamma^s phi_4 and stacked into one product with Phi_S^T as ``propagator_sums`` does."""
+    gam, right = spec.localized_gammas, spec.modes[np.arange(spec.n)].T
+    blocks = []
+    for start in range(0, times.size, anderson.TIME_BLOCK):
+        angles = 2.0 * times[start : start + anderson.TIME_BLOCK, None] * gam
+        cos, sin = np.cos(angles), np.sin(angles)
+        scaled = np.concatenate([(cos if s == 0 else sin) * (spec.modes[4] * gam**s) for s in (-1, 0, 1)])
+        blocks.append([*np.split(scaled @ right, 3), cos, sin])
+    return blocks
 
 
 class TestPhaseRotation:
-    """On an arithmetic grid ``propagator_sums`` forms each block's phases by angle addition from its first row."""
+    """``propagator_sums`` forms each block's phases by angle addition from its first row."""
 
     @pytest.mark.parametrize("points", [1, 2, 63, 64, 65, 400, 2000])
     @pytest.mark.parametrize("start, t_max", [(0.0, 1.0), (0.0, 20.0), (0.0, 1e4), (5.0, 30.0)])
     def test_matches_direct_phases(self, chain12, points, start, t_max):
         """Every table and every sum agrees with np.cos/np.sin of 2 t gamma to 1e-13 absolute, or to
-        2 eps max|2 t gamma| where that is larger: the direct path rounds each angle 2 t gamma to about
-        eps |2 t gamma| itself, 4e-12 at t = 1e4, and the two paths round it differently."""
+        2 eps max|2 t gamma| where that is larger: np.cos/np.sin round each angle 2 t gamma to about
+        eps |2 t gamma| themselves, 4e-12 at t = 1e4, and the rotation rounds it differently."""
         _, spec = chain12
         times = np.linspace(start, t_max, points)
-        assert anderson._rotation_step(times) is not None
         tol = max(1e-13, 2 * np.finfo(float).eps * 2 * t_max * spec.gammas.max())
-        rotated, direct = _blocks(spec, times), _blocks(spec, times, direct=True)
+        rotated, direct = _blocks(spec, times), _direct_blocks(spec, times)
         assert len(rotated) == len(direct) == -(-points // anderson.TIME_BLOCK)
         for got, want in zip(rotated, direct):
             for table, ref in zip(got, want):
@@ -1223,8 +1235,7 @@ class TestPhaseRotation:
         """From t = 0 the offset table is the first block's own phases, so that block is bitwise the direct one."""
         _, spec = chain12
         times = np.linspace(0.0, 50.0, 150)
-        first = _blocks(spec, times)[0]
-        for table, ref in zip(first, _blocks(spec, times, direct=True)[0]):
+        for table, ref in zip(_blocks(spec, times)[0], _direct_blocks(spec, times)[0]):
             assert np.array_equal(table, ref)
 
     @pytest.mark.parametrize(
@@ -1234,16 +1245,19 @@ class TestPhaseRotation:
             pytest.param(np.geomspace(0.1, 30.0, 150), id="geometric"),
             pytest.param(np.append(np.linspace(0.0, 20.0, 99), 20.0 + 1e-9), id="uneven-last-step"),
             pytest.param(np.linspace(0.0, 3.0, 7).astype(complex) + np.eye(7)[3] * 3j, id="planted-complex"),
+            pytest.param(np.linspace(0.0, 3.0, 7).astype(complex), id="complex"),
+            pytest.param(np.array([]), id="empty"),
+            pytest.param(np.linspace(0.0, 3.0, 8).reshape(2, 4), id="2d"),
         ],
     )
     def test_other_grids_take_the_direct_path(self, chain12, times):
-        """Any grid that is not np.linspace's bits gets np.cos/np.sin on every row."""
+        """Any grid that is not np.linspace's real bits is a ValueError that names the requirement; there is
+        no other path to take."""
         _, spec = chain12
-        assert anderson._rotation_step(times) is None
-        gam = spec.gammas
-        for rows, _, (cos, sin) in propagator_sums(spec, 4, np.arange(12), times, (-1, 0), tables=True):
-            angles = 2.0 * times[rows, None] * gam
-            assert np.array_equal(cos, np.cos(angles)) and np.array_equal(sin, np.sin(angles))
+        with pytest.raises(ValueError, match="np.linspace"):
+            anderson._rotation_step(times)
+        with pytest.raises(ValueError, match="np.linspace"):
+            propagator_sums(spec, 4, np.arange(12), times, (-1, 0))
 
 
 class TestMinGap:

@@ -169,6 +169,22 @@ def decay_table(tmp_path):
     return path
 
 
+def _table_text(kind, key_fields, keys):
+    """The JSON document of a table with a positive mean at each of ``keys``."""
+    rows = [ResultRow(key=key, mean=0.1 * (i + 1), stderr=0.0, count=2) for i, key in enumerate(keys)]
+    return json.dumps(to_json_document(EnsembleResult(kind=kind, key_fields=key_fields, rows=rows)))
+
+
+#: A pq-bound table of one shell: its 7 quantities at a single distance.
+ONE_SHELL_PQ = _table_text(
+    "pq-bound",
+    ("distance", "quantity"),
+    [(3, q) for q in ("qq_sup", "qp_sup", "pq_sup", "pp_sup", "envelope_minus", "envelope_zero", "envelope_plus")],
+)
+#: A gap-stats table, keyed by its quantities alone.
+GAP_STATS = _table_text("gap-stats", ("quantity",), [(q,) for q in ("many_body_min_gap", "one_body_min_gap")])
+
+
 def _printed_fit(capsys):
     out = capsys.readouterr().out
     return {name: float(value) for name, value in (line.split() for line in out.splitlines())}
@@ -203,6 +219,10 @@ def test_fit_of_a_run_table(tmp_path, capsys):
         pytest.param("table", ["--range", "nan", "9", "--quantity", "decay"], "ValueError", id="nan-range"),
         pytest.param("table", ["--range", "1", "3", "--quantity", "decay"], "ValueError", id="three-keys"),
         pytest.param("table", ["--range", "1", "10", "--quantity", "absent"], "ValueError", id="unknown-quantity"),
+        # both quantities: 6 rows, but 3 distinct keys
+        pytest.param("table", ["--range", "1", "3"], "ValueError", id="three-keys-every-quantity"),
+        pytest.param(ONE_SHELL_PQ, ["--range", "0", "10"], "ValueError", id="one-shell"),
+        pytest.param(GAP_STATS, ["--range", "0", "10"], "ValueError", id="key-not-a-number"),
     ],
 )
 def test_fit_errors_exit_2(decay_table, content, fit_args, name, capsys):

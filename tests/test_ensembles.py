@@ -494,9 +494,9 @@ def test_planted_correlation_violation_is_counted(monkeypatch):
 def test_planted_domination_violation_is_counted(monkeypatch, kind, planted):
     """A value above its envelope at one (t, y) is counted there and summed by _reduce.
 
-    An imaginary part on one grid time lets |sin| and |cos| exceed 1 at that
-    time only, which breaks each domination (one in lr-bound; qq, qp and pp
-    in pq-bound) at the one shell site.
+    A wrapper of propagator_sums plants the sums at grid time 3 and the one
+    shell site: pi in lr-bound, where 2|sin(a^2 pi / 2)| = 2 breaks the
+    domination, and 1e6 in pq-bound, which breaks qq, qp and pp there.
     """
     # the center is the end of the chain, so shell 5 is the single site 5
     config = config_from_dict(
@@ -514,14 +514,16 @@ def test_planted_domination_violation_is_counted(monkeypatch, kind, planted):
     honest = [ensembles.run_sample(config, i) for i in range(config.samples)]
     assert all(o.flags["domination_violations"] == 0 for o in honest)
 
-    grid = ensembles._time_grid
+    sums_of, value = ensembles.propagator_sums, {"lr-bound": np.pi, "pq-bound": 1e6}[kind]
 
-    def planted_grid(config, spec):
-        times = grid(config, spec).astype(complex)
-        times[3] += 3j
-        return times
+    def planted_sums(*args):
+        for rows, sums, tables in sums_of(*args):
+            if rows.start <= 3 < rows.stop:
+                for table in sums:
+                    table[3 - rows.start] = value
+            yield rows, sums, tables
 
-    monkeypatch.setattr(ensembles, "_time_grid", planted_grid)
+    monkeypatch.setattr(ensembles, "propagator_sums", planted_sums)
     tampered = ensembles.run_sample(config, 1)
     assert tampered.flags["domination_violations"] == planted
     sups = [v for (_, name), v in tampered.rows if name.endswith("_sup")]
@@ -767,6 +769,22 @@ def test_kernel_memory_does_not_grow_with_the_grid(kind, lengths, lambda0):
         finally:
             tracemalloc.stop()
     assert peaks[1] < 1.25 * peaks[0], peaks
+
+
+def test_gap_stats_enumeration_peak():
+    """gap-stats enumerates its 2^16 occupation vectors of 16 modes as one int array: a sample's traced
+    peak stays under 3.5 times the vectors' 8 MiB.  Per-mode meshgrid copies beside the stacked vectors
+    peaked at over 4 times."""
+    doc = {"experiment": "gap-stats", "box": {"lengths": [12]}, "samples": 1, "mb_length": 16, "mb_occupation": 1}
+    config = config_from_dict(doc)
+    ensembles._gap_stats_sample(config, 0)  # anything formed once per process is formed before the trace
+    tracemalloc.start()
+    try:
+        ensembles._gap_stats_sample(config, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 2**16 * 16 * 8, peak
 
 
 def _kernel_config(kind):

@@ -90,6 +90,27 @@ class TestFitExponential:
         with pytest.raises(ValueError):
             fit_exponential(_decay_result(), (1, 3), quantity="decay")
 
+    def test_counts_distinct_keys_not_rows(self):
+        """Both quantities at 3 distances are 6 rows but 3 keys."""
+        with pytest.raises(ValueError, match="at least 4 distinct keys .* got 3 in 6 rows"):
+            fit_exponential(_decay_result(), (1, 3))
+
+    def test_one_shell_is_one_key(self):
+        """A one-shell pq-bound table has 7 rows at a single distance, which no line fits."""
+        quantities = ("qq_sup", "qp_sup", "pq_sup", "pp_sup", "envelope_minus", "envelope_zero", "envelope_plus")
+        rows = [ResultRow(key=(3, q), mean=0.1 * (i + 1), stderr=0.0, count=2) for i, q in enumerate(quantities)]
+        result = EnsembleResult(kind="pq-bound", key_fields=("distance", "quantity"), rows=rows)
+        with pytest.raises(ValueError, match="got 1 in 7 rows"):
+            fit_exponential(result, (0, 10))
+
+    @pytest.mark.parametrize("quantity", [None, "one_body_min_gap"])
+    def test_key_not_a_number(self, quantity):
+        """A gap-stats table is keyed by its quantities alone: the error names that key field."""
+        rows = [ResultRow(key=(q,), mean=0.5, stderr=0.0, count=2) for q in ("one_body_min_gap", "many_body_min_gap")]
+        result = EnsembleResult(kind="gap-stats", key_fields=("quantity",), rows=rows)
+        with pytest.raises(ValueError, match="key field 'quantity' holds '(one|many)_body_min_gap'"):
+            fit_exponential(result, (0, 10), quantity=quantity)
+
     def test_nonpositive_mean(self):
         result = _decay_result()
         result.rows.append(ResultRow(key=(11, "decay"), mean=0.0, stderr=0.0, count=8))
