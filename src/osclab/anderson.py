@@ -85,15 +85,16 @@ the exact value of the supremum over Borel functions |u| <= 1 of
 kernels built from them hold tables of TIME_BLOCK rows however long the
 grid.  Both read S from the ``SpectralData`` they are given, at just the
 sites a kernel reads.  Each block's phase tables cos and sin(2 t gamma_j)
-are scaled by gamma^s phi_j(x) and multiplied by one right-hand factor R:
-Phi_S at the sites read, or any matrix with a row per mode of S, such as
-the Gram matrix of the sites outside a neighbourhood that quasi-locality
-passes.  No weight array of |S| x sites per power is held.  The grid is
-arithmetic, the bits of ``np.linspace`` as every config grid is, and any
-other grid is a ValueError: a block's phases come from its first row,
-evaluated directly, by angle addition with one table of TIME_BLOCK
-offsets shared by all blocks.  Every block hands back both phase tables,
-and the kernels that need the phases mode by mode read them from it.
+are scaled by gamma^s phi_j(x) and multiplied by one right-hand factor R
+with a row per mode of S: Phi_S^T at the sites read, or the Gram matrix
+of the sites outside a neighbourhood that quasi-locality passes.  No
+weight array of |S| x sites per power is held.  The grid comes as the
+(start, stop, points) of ``np.linspace``, which ``propagator_sums`` calls
+itself, so it is arithmetic by construction: a block's phases come from
+its first row, evaluated directly, by angle addition with one table of
+TIME_BLOCK offsets shared by all blocks.  Every block hands back both
+phase tables, and the kernels that need the phases mode by mode read
+them from it.
 """
 
 from __future__ import annotations
@@ -192,30 +193,30 @@ class Stencil:
     """h = diag(d) - A for the nearest-neighbour adjacency A of a box, kept as the box and d.
 
     d is a read-only float copy with one entry per site; the -1 entries of h
-    sit on the edges of ``lattice._graph``, and ``e`` lists them, one per
-    edge.  With nu = 1 the edges run (0, 1), (1, 2), ..., so (d, e) is the
-    chain's band.  ``np.asarray(h)`` gives the dense form of h, and
-    ``h @ x`` applies h to the columns of x in O(n) per column, by the
-    neighbour slices that ``_graph``'s edges come from.
+    sit on the edges of ``lattice._graph``, and ``e``, formed once and
+    read-only too, lists them, one per edge.  With nu = 1 the edges run
+    (0, 1), (1, 2), ..., so (d, e) is the chain's band.  ``np.asarray(h)``
+    gives the dense form of h, and ``h @ x`` applies h to the columns of x
+    in O(n) per column, by the neighbour slices that ``_graph``'s edges
+    come from.
     """
 
     box: BoxGeometry
     d: np.ndarray
+    e: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = np.array(self.d, dtype=float)
         if d.shape != (self.box.n_sites,):
             raise ValueError(f"need one diagonal entry per site of the box, got {d.shape} for {self.box.n_sites} sites")
-        d.setflags(write=False)
-        object.__setattr__(self, "d", d)
+        e = np.full(_graph(self.box)[0].size, -1.0)
+        for name, value in (("d", d), ("e", e)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.d.size, self.d.size)
-
-    @property
-    def e(self) -> np.ndarray:
-        return np.full(_graph(self.box)[0].size, -1.0)
 
     def __array__(self, dtype=None, copy=None):
         i, j, _ = _graph(self.box)
@@ -553,53 +554,34 @@ def eigencorrelator_profile(spec: SpectralData, s: int, x: int, sites) -> np.nda
     return np.abs(spec.modes[sites]) @ (gam**s * np.abs(spec.modes[int(x)]))
 
 
-def propagator_sums(spec: SpectralData, x: int, sites, times, powers):
+def propagator_sums(spec: SpectralData, x: int, right: np.ndarray, grid, powers):
     """The sums sum_{j in S} gamma_j^s phi_j(x) R_jk u(2 t gamma_j) for each s in ``powers``.
 
-    u is cos for s = 0 and sin for s = -1, +1.  R is Phi_S[sites]^T, so the
-    sum at column k is the coefficient <delta_x, h^{s/2} u(2t sqrt(h)) X delta_y>
-    of a restricted position/momentum commutator at y = sites[k], and
-    |sum| <= Q_s(x, y) at every t.  ``sites`` may instead be a 2D array with
-    |S| rows, which is then R itself.  ``times`` is an arithmetic grid, the
-    bits of np.linspace(times[0], times[-1], times.size), as every config
-    grid is; any other grid, an empty, complex or 2D one included, is a
-    ValueError.  Returns an iterator over the blocks of TIME_BLOCK
-    consecutive ``times``: each item is (rows, sums, (cos, sin)), rows the
-    slice of ``times`` the block covers, sums one (rows, columns of R) array
-    per power, in the order of ``powers``, and cos and sin the block's phase
-    tables cos(2 t gamma_j) and sin(2 t gamma_j) (rows, |S|), which the
-    next block overwrites.  Per block both phase tables are formed once,
-    scaled by gamma^s phi_x into one buffer per power in turn and
-    multiplied by R.
+    u is cos for s = 0 and sin for s = -1, +1.  R = ``right`` has a row per
+    mode of S.  With R = Phi_S[sites]^T the sum at column k is the
+    coefficient <delta_x, h^{s/2} u(2t sqrt(h)) X delta_y> of a restricted
+    position/momentum commutator at y = sites[k], and |sum| <= Q_s(x, y) at
+    every t.  ``grid`` is (start, stop, points), the times
+    np.linspace(start, stop, points); points < 1 is a ValueError.  Returns an
+    iterator over the blocks of TIME_BLOCK consecutive times: each item is
+    (sums, (cos, sin)), sums one (block, columns of R) array per power, in
+    the order of ``powers``, and cos and sin the block's phase tables
+    cos(2 t gamma_j) and sin(2 t gamma_j) (block, |S|), which the next block
+    overwrites.  Per block both phase tables are formed once, scaled by
+    gamma^s phi_x into one buffer per power in turn and multiplied by R.
     """
-    times = np.asarray(times)
-    step = _rotation_step(times)
-    right = _right_factor(spec, x, sites)
+    start, stop, points = grid
+    if points < 1:
+        raise ValueError(f"a time grid needs at least one point, got {points}")
+    _checked_sites(spec, x, [])
     gam = spec.localized_gammas
+    if right.shape[0] != gam.size:
+        raise ValueError(f"R has {right.shape[0]} rows for {gam.size} modes")
     scales = [spec.modes[int(x)] * gam**s for s in powers]
-    return _propagator_blocks(gam, times, step, powers, scales, right)
+    return _propagator_blocks(gam, np.linspace(start, stop, points), powers, scales, right)
 
 
-def _right_factor(spec: SpectralData, x: int, sites) -> np.ndarray:
-    """R of ``propagator_sums``; ValueError unless x, and the sites if given, lie in the box."""
-    if np.ndim(sites) == 2:
-        _checked_sites(spec, x, [])
-        right = np.asarray(sites)
-        if right.shape[0] != spec.localized_gammas.size:
-            raise ValueError(f"R has {right.shape[0]} rows for {spec.localized_gammas.size} modes")
-        return right
-    return spec.modes[_checked_sites(spec, x, sites)].T
-
-
-def _rotation_step(times: np.ndarray) -> float:
-    """The step of ``times``; ValueError unless they are a real, nonempty grid and the bits of np.linspace."""
-    real_line = times.ndim == 1 and times.size > 0 and not np.iscomplexobj(times)
-    if not (real_line and np.array_equal(times, np.linspace(times[0], times[-1], times.size))):
-        raise ValueError("times must be a real, nonempty 1D grid equal to np.linspace(times[0], times[-1], times.size)")
-    return (times[-1] - times[0]) / max(times.size - 1, 1)
-
-
-def _propagator_blocks(gam, times, step, powers, scales, right):
+def _propagator_blocks(gam, times, powers, scales, right):
     """The blocks of ``propagator_sums``.
 
     The phases of a block come from its first row, evaluated directly, by
@@ -607,6 +589,7 @@ def _propagator_blocks(gam, times, step, powers, scales, right):
     k < TIME_BLOCK, shared by all blocks: a few products in place of a sine
     and a cosine per entry.
     """
+    step = (times[-1] - times[0]) / max(times.size - 1, 1)
     shape = (min(TIME_BLOCK, times.size), gam.size)
     cos_buf, sin_buf = np.empty(shape), np.empty(shape)
     # the scaled tables of all powers, stacked, so that each block takes one product with R
@@ -614,8 +597,7 @@ def _propagator_blocks(gam, times, step, powers, scales, right):
     offsets = 2.0 * (np.arange(shape[0]) * step)[:, None] * gam
     cos_off, sin_off = np.cos(offsets), np.sin(offsets, out=offsets)
     for start in range(0, times.size, TIME_BLOCK):
-        rows = slice(start, min(start + TIME_BLOCK, times.size))
-        n = rows.stop - start
+        n = min(TIME_BLOCK, times.size - start)
         cos, sin, scaled = cos_buf[:n], sin_buf[:n], stacked[: len(powers) * n]
         # cos(a + b) = cos a cos b - sin a sin b, sin(a + b) = sin a cos b + cos a sin b
         first = 2.0 * times[start] * gam
@@ -627,7 +609,7 @@ def _propagator_blocks(gam, times, step, powers, scales, right):
         for i, (s, w) in enumerate(zip(powers, scales)):
             np.multiply(cos if s == 0 else sin, w, out=scaled[i * n : (i + 1) * n])
         product = scaled @ right
-        yield rows, tuple(product[i * n : (i + 1) * n] for i in range(len(powers))), (cos, sin)
+        yield tuple(product[i * n : (i + 1) * n] for i in range(len(powers))), (cos, sin)
 
 
 def _checked_sites(spec: SpectralData, x: int, sites) -> np.ndarray:

@@ -3,10 +3,11 @@
 ``osclab run CONFIG --out PATH`` runs the experiment a JSON config
 describes and writes its result table.  ``osclab fit RESULT --range A B``
 fits C e^{-mu d} to the means of a JSON result table whose first key d lies
-in [A, B] and prints mu_hat, C_hat, R^2 and the number of points.  A
-malformed config or result file, a fit range that selects too few positive
-means, or a failed accuracy check exits with code 2 and a one-line message
-on standard error.
+in [A, B] and prints mu_hat, C_hat, R^2 and the number of points; a table
+of several quantities needs ``--quantity``.  A malformed config or result
+file, a fit range that selects too few positive means or several
+quantities, or a failed accuracy check exits with code 2 and a one-line
+message on standard error.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ def _parser() -> argparse.ArgumentParser:
     fit = commands.add_parser("fit", help="fit an exponential decay to a JSON result table")
     fit.add_argument("result", help="path of a result table written with --format json")
     fit.add_argument("--range", nargs=2, type=float, required=True, metavar=("A", "B"), help="fit the keys in [A, B]")
-    fit.add_argument("--quantity", help="fit only the rows of this quantity (default: every row)")
+    fit.add_argument("--quantity", help="fit the rows of this quantity (needed where the table holds several)")
     fit.set_defaults(action=_fit, errors=(OSError, ValueError))
     return parser
 

@@ -35,8 +35,8 @@ KINDS = {
 }
 
 #: Most many-body occupation vectors, (mb_occupation + 1)^mb_length, that gap-stats enumerates.  They are
-#: one int64 array of vectors x mb_length entries, and the energies' temporaries two more: a sample peaked
-#: at 25.7 MB traced at 2^16 vectors x 16 modes, the most entries this count allows (box [12]).
+#: one int64 array of vectors x mb_length entries, and the energies' one float copy of it: a sample peaked
+#: at 17.3 MB traced at 2^16 vectors x 16 modes, the most entries this count allows (box [12]).
 MAX_MANY_BODY_STATES = 100_000
 
 #: l1 distances or radii, which a document may also give as a {"min", "max"} range.

@@ -76,7 +76,7 @@ class SampleOutcome:
     extrema: dict = field(default_factory=dict)
 
 
-def _time_grid(config: ExperimentConfig, spec) -> np.ndarray:
+def _time_grid(config: ExperimentConfig, spec) -> tuple[float, float, int]:
     return default_time_grid(spec, points=config.time_points, t_max=config.t_max)
 
 
@@ -148,7 +148,7 @@ def _kernel_lr(config, box, spec, index):
     envelopes = cc * np.minimum(2.0, a2 * eigencorrelator_profile(spec, -1, center, ys))
     sups, violations = np.full(ys.size, -np.inf), 0
     # (V a delta_x)_j = a phi_j(x) / sqrt(gamma_j), so Im<X f_t, X g> = -a^2 times the s = -1 sum
-    for _, (sums,), _ in propagator_sums(spec, center, ys, _time_grid(config, spec), (-1,)):
+    for (sums,), _ in propagator_sums(spec, center, spec.modes[ys].T, _time_grid(config, spec), (-1,)):
         violations += _fold(sups, 2.0 * np.abs(np.sin(-a2 * sums / 2.0)) * cc, envelopes)
     rows = _shell_rows(shells, (("commutator_sup", sups), ("commutator_envelope", envelopes)))
     return rows, {"domination_violations": violations}
@@ -158,7 +158,7 @@ def _kernel_pq(config, box, spec, index):
     center, shells, ys = _shells(config, box)
     envelopes = [eigencorrelator_profile(spec, s, center, ys) for s in (-1, 0, 1)]
     sups, violations = np.full((3, ys.size), -np.inf), 0
-    for _, sums, _ in propagator_sums(spec, center, ys, _time_grid(config, spec), (-1, 0, 1)):
+    for sums, _ in propagator_sums(spec, center, spec.modes[ys].T, _time_grid(config, spec), (-1, 0, 1)):
         violations += sum(_fold(*args) for args in zip(sups, map(np.abs, sums), envelopes))
     qq_sup, qp_sup, pp_sup = sups
     quantities = (
@@ -175,7 +175,6 @@ def _kernel_correlations(config, box, spec, index):
     center, shells, ys = _shells(config, box)
     a = config.amplitude
     cc = _delta_restriction(spec, a, center, ys)
-    times = _time_grid(config, spec)
     gam = spec.localized_gammas
     family = OccupationFamily(sup_alpha_strategy(config, gam.size, index))
 
@@ -199,8 +198,8 @@ def _kernel_correlations(config, box, spec, index):
     d_product = d_eta[:, :, None] * d_xis[:, None, :]  # (A, 1, sites)
     sups = np.full(ys.size, -np.inf)
     violations = 0
-    for _, (theta,), (cos, _) in propagator_sums(spec, center, ys, times, (-1,)):  # (block, sites)
-        theta *= -a * a
+    for (theta,), (cos, _) in propagator_sums(spec, center, spec.modes[ys].T, _time_grid(config, spec), (-1,)):
+        theta *= -a * a  # (block, sites)
         # -Re(eta) for eta = a e^{2 i t gamma} w_center, in place over the block's cos table
         minus_eta = np.multiply(cos, -a * w_center, out=cos)
         x_sums = x_consts - minus_eta @ xis.T
@@ -251,7 +250,7 @@ def _kernel_quasi_locality(config, box, spec, index):
 
     err_sups, norm_sups = np.full(len(radii), -np.inf), np.full(len(radii), -np.inf)
     violations = 0
-    for _, (pos_re, pos_im), _ in propagator_sums(spec, center, right, _time_grid(config, spec), (0, -1)):
+    for (pos_re, pos_im), _ in propagator_sums(spec, center, right, _time_grid(config, spec), (0, -1)):
         u = np.array(pos_re[:, :count])  # contiguous: in-place sums on the strided view are slower
         v = np.multiply(pos_im[:, :count], gam)
         re_rings, im_rings = pos_re[:, count:], pos_im[:, count:]

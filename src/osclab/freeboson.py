@@ -15,8 +15,8 @@ from .anderson import SpectralData, Spectrum
 from .errors import NumericError
 
 
-def default_time_grid(spec: SpectralData, points: int = 2000, t_max: float | None = None) -> np.ndarray:
-    """Uniform grid on [0, T]; by default T = 4 pi / (min gamma spacing).
+def default_time_grid(spec: SpectralData, points: int = 2000, t_max: float | None = None) -> tuple[float, float, int]:
+    """np.linspace's (0, T, points) of a uniform grid on [0, T]; by default T = 4 pi / (min gamma spacing).
 
     A derived T that is not finite (a repeated gamma, so a zero spacing)
     is a NumericError: no finite grid resolves it, so pass ``t_max``.
@@ -30,7 +30,7 @@ def default_time_grid(spec: SpectralData, points: int = 2000, t_max: float | Non
             t_max = scale / spacing
         if not np.isfinite(t_max):
             raise NumericError(f"default time horizon is not finite: {name} {float(spacing):.3g}; set t_max")
-    return np.linspace(0.0, float(t_max), int(points))
+    return 0.0, float(t_max), int(points)
 
 
 def many_body_energy(spec: Spectrum, alphas) -> np.ndarray:
@@ -38,9 +38,14 @@ def many_body_energy(spec: Spectrum, alphas) -> np.ndarray:
     alphas = np.asarray(alphas, dtype=int)
     if alphas.ndim != 2 or alphas.shape[1] != spec.n:
         raise ValueError(f"occupation family has shape {alphas.shape}, expected (A, {spec.n})")
-    if np.any(alphas < 0):
+    if np.min(alphas, initial=0) < 0:
         raise ValueError("occupations must be nonnegative")
-    return (2 * alphas + 1) @ spec.gammas
+    # one float temporary, 2 alpha + 1 exactly; in C order, as numpy casts the int form for the
+    # product, since the order of the rows' sums, and so their bits, follows the memory order
+    weights = alphas.astype(float, order="C")
+    weights *= 2
+    weights += 1
+    return weights @ spec.gammas
 
 
 def excitation_energy_density(spec: Spectrum, lambda0: float, kappa: int) -> float:

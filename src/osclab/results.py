@@ -160,7 +160,9 @@ def fit_exponential(result: EnsembleResult, fit_range, quantity: str | None = No
     Uses rows whose first key component lies in ``fit_range`` = (A, B),
     inclusive, and, when given, whose quantity matches.  Raises ValueError
     unless A <= B, the first key of every row is a number, the rows
-    selected have at least 4 distinct keys and all their means are positive.
+    selected have at least 4 distinct keys, all their means are positive
+    and, without ``quantity``, they hold one quantity: a line through the
+    rows of several would mix their decays.
     """
     lo, hi = float(fit_range[0]), float(fit_range[1])
     if not lo <= hi:
@@ -169,12 +171,16 @@ def fit_exponential(result: EnsembleResult, fit_range, quantity: str | None = No
     for r in rows:
         if not isinstance(r.key[0], numbers.Real):
             raise ValueError(f"fit needs numeric keys, but key field {result.key_fields[0]!r} holds {r.key[0]!r}")
-    pts = [(float(r.key[0]), r.mean) for r in rows if lo <= float(r.key[0]) <= hi]
+    rows = [r for r in rows if lo <= float(r.key[0]) <= hi]
+    pts = [(float(r.key[0]), r.mean) for r in rows]
     if any(m <= 0.0 for _, m in pts):
         raise ValueError("fit range contains nonpositive means")
     keys = len({d for d, _ in pts})
     if keys < 4:
         raise ValueError(f"need at least 4 distinct keys with positive means in range, got {keys} in {len(pts)} rows")
+    names = list(dict.fromkeys(r.key[-1] for r in rows))
+    if len(names) > 1:
+        raise ValueError(f"the rows in range hold {len(names)} quantities ({', '.join(map(str, names))}): fit one by name")
     x = np.array([p[0] for p in pts])
     y = np.log([p[1] for p in pts])
     slope, intercept = np.polyfit(x, y, 1)

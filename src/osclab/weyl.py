@@ -1,31 +1,19 @@
-"""Closed-form Weyl-operator algebra on the regime of localized excitations.
+"""Diagonal elements of Weyl operators in the occupation basis, for a family of occupation vectors.
 
-Everything here works with displacement data, never with operator matrices:
-a Weyl operator W(f) is determined by its mode displacement vector V f
-(``fock_oracle.v_map`` forms it for reference), and products follow the
-Weyl relation
-
-    W(f) W(g) = exp(-(i/2) Im<f, g>) W(f + g),
-
-whose phase is preserved by V (the map preserves the symplectic form).
-Inner products are antilinear in the first argument throughout.  Matrix
-elements in the occupation basis are Laguerre expressions; the one-mode
-formula and its reference live in ``fock_oracle``.
-
-Restriction to the localized regime enters through the scalar
-C_f = exp(-||1_{S^c} V f||^2 / 4): the restricted operator equals
-C_f W(X f) P and has norm C_f.  The exact restricted quantities
-(commutator norms, dynamic correlations, quasi-locality errors) therefore
-reduce to phases, C-factors and diagonal products
-prod_j <a_j|W_{z_j}|a_j>.  The experiment kernels of ``ensembles``
-evaluate them for delta fields in batched form, from
-``anderson.propagator_sums``, ``anderson.eigencorrelator_profile`` and
-``OccupationFamily``, on the regime that ``anderson.diagonalize`` fixed:
-Phi_S, gamma_S and, for f = a delta_x, C_f = exp(-a^2 tau(x) / 4) with
-the tails tau that ``anderson.tails(spec, sites)`` forms.  The kernels are
-checked against the reference layer ``fock_oracle``: its truncated-Fock
-operators (``OracleBundle``) on boxes of at most three modes, and its
-``correlation_series`` and field maps on larger boxes.
+Through C_f = exp(-||1_{S^c} V f||^2 / 4) and the Weyl relation
+W(f) W(g) = exp(-(i/2) Im<f, g>) W(f + g), inner products antilinear in
+the first argument, the paper's restricted quantities (commutator norms,
+dynamic correlations, quasi-locality errors) reduce to phases, C-factors
+and diagonal products prod_j <a_j|W_{z_j}|a_j> = prod_j L_{a_j}(x_j)
+e^{-x_j/2}, with x_j = |z_j|^2 / 2.  This module forms those products:
+``OccupationFamily`` for every vector of a family at once, from the
+Laguerre values of ``_laguerre_orders``.  The kernels of ``ensembles``
+take z from ``anderson.propagator_sums`` and
+``anderson.eigencorrelator_profile``, and C_f of f = a delta_x from the
+tails ``anderson.tails`` forms.  The reference layer ``fock_oracle``
+checks them: its truncated-Fock operators (``OracleBundle``) on boxes of
+at most three modes, and its ``correlation_series`` and field maps on
+larger boxes.
 """
 
 from __future__ import annotations

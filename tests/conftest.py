@@ -1,9 +1,23 @@
 import numpy as np
 import pytest
 
-from osclab import ensembles
+from osclab import _lapack, ensembles
 from osclab.anderson import DisorderConfig, Stencil, assemble, diagonalize, sample_disorder
 from osclab.lattice import BoxGeometry
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--without-lapack",
+        action="store_true",
+        help="unbind numpy's LAPACK routines, so that every solve takes numpy's eigvalsh/eigh",
+    )
+
+
+def pytest_configure(config):
+    # before the test modules import, so that their skip conditions read the patched binding
+    if config.getoption("--without-lapack"):
+        _lapack.binding = lambda: None
 
 
 def make_chain_spec(n_sites, seed=11, k_max=1.0, bc="neumann", **regime):

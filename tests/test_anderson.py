@@ -433,6 +433,15 @@ class TestTridiagonal:
         with pytest.raises(ValueError):
             Stencil(box, np.ones(5))
 
+    def test_edges_formed_once(self):
+        """``e`` is one read-only array, formed with the stencil, and no argument of it."""
+        h = Stencil(BoxGeometry([3, 2]), np.full(6, 2.0))
+        assert h.e is h.e and not h.e.flags.writeable
+        assert np.array_equal(h.e, np.full(7, -1.0))
+        with pytest.raises(TypeError):
+            Stencil(h.box, h.d, h.e)
+
+    @pytest.mark.skipif(_lapack.binding() is None, reason="numpy's eigvalsh takes h's dense form, 200 MB here")
     def test_chain_allocates_no_matrix(self):
         """A 5000-site chain's spectrum never forms the 200 MB dense h."""
         import tracemalloc
@@ -449,8 +458,10 @@ class TestTridiagonal:
         assert peak < 2 * 2**20
 
 
-def test_binding_found_in_scipy_openblas():
+def test_binding_found_in_scipy_openblas(request):
     """numpy built against scipy-openblas exports the drivers under a name in ``_lapack.SYMBOLS``."""
+    if request.config.getoption("--without-lapack"):
+        pytest.skip("the routines are unbound by --without-lapack")
     lapack = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("lapack", {})
     if lapack.get("name") != "scipy-openblas":
         pytest.skip(f"numpy's LAPACK is {lapack.get('name', 'not reported')}")
@@ -834,7 +845,7 @@ class TestInverseIteration:
         """A band with an exact zero is solved as two blocks: dsterf's bits on all of it, and inverse
         iteration on each block, its vectors eigh's up to sign in the order of the eigenvalues."""
         chain = _box_hamiltonian([30], "neumann")
-        d, e = chain.d, chain.e
+        d, e = chain.d, chain.e.copy()
         e[9] = 0.0
         band = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
         evals, modes = np.linalg.eigh(band)
@@ -1108,9 +1119,10 @@ class TestEigencorrelator:
             assert abs(row[y] - want) < 1e-14
 
 
-def _sum_tables(spec, x, sites, times, powers):
-    """The sums of ``propagator_sums`` on the whole grid: its blocks stacked, one (times, sites) table per power."""
-    blocks = [sums for _, sums, _ in propagator_sums(spec, x, sites, times, powers)]
+def _sum_tables(spec, x, sites, grid, powers):
+    """The sums of ``propagator_sums`` at ``sites`` on the whole grid: its blocks stacked, one (times, sites)
+    table per power."""
+    blocks = [sums for sums, _ in propagator_sums(spec, x, spec.modes[sites].T, grid, powers)]
     return tuple(np.concatenate(tables) for tables in zip(*blocks))
 
 
@@ -1121,11 +1133,12 @@ class TestPropagatorSums:
         _, spec = chain12
         monkeypatch.setattr(anderson, "TIME_BLOCK", block)
         times, sites = np.linspace(0.0, 7.9, 3), [2, 0, 11]
-        got = [(rows.start, rows.stop, sums) for rows, sums, _ in propagator_sums(spec, 5, sites, times, (0, 1))]
-        assert [(start, stop) for start, stop, _ in got] == bounds
-        for start, stop, sums in got:
+        blocks = [sums for sums, _ in propagator_sums(spec, 5, spec.modes[sites].T, (0.0, 7.9, 3), (0, 1))]
+        stops = np.cumsum([len(sums[0]) for sums in blocks])
+        assert list(zip([0, *stops[:-1]], stops)) == bounds
+        for (start, stop), sums in zip(bounds, blocks):
             for t, (cos, sin) in zip(times[start:stop], zip(*sums)):
-                alone = [table[0] for table in _sum_tables(spec, 5, sites, [t], (0, 1))]
+                alone = [table[0] for table in _sum_tables(spec, 5, sites, (t, t, 1), (0, 1))]
                 assert np.allclose(cos, alone[0], rtol=0, atol=1e-15)
                 assert np.allclose(sin, alone[1], rtol=0, atol=1e-15)
 
@@ -1137,7 +1150,7 @@ class TestPropagatorSums:
         gam = spec.gammas[:count]
         x, sites = 4, np.array([0, 4, 9])
         for t in (0.0, 0.4, 3.7, 250.0):
-            sums = _sum_tables(_chain12_at(lam), x, sites, [t], (1, -1, 0))
+            sums = _sum_tables(_chain12_at(lam), x, sites, (t, t, 1), (1, -1, 0))
             for s, got in zip((1, -1, 0), sums):
                 assert got.shape == (1, sites.size)
                 u = np.cos if s == 0 else np.sin
@@ -1145,25 +1158,27 @@ class TestPropagatorSums:
                     want = np.sum(u(2 * t * gam) * gam**s * spec.modes[x, :count] * spec.modes[y, :count])
                     assert abs(got[0, k] - want) < 1e-13
 
-    def test_right_factor_in_place_of_sites(self, chain12):
-        """A 2D array with |S| rows is R itself: Phi_S[sites]^T gives the sums at those sites."""
+    def test_right_factor_needs_a_row_per_mode(self, chain12):
+        """R has a row per mode of S, whatever its columns; any other row count is a ValueError."""
         _, spec = chain12
         regime = _chain12_at(float(np.percentile(spec.eigenvalues, 70)))
-        sites, times = [2, 0, 11], np.linspace(0.0, 9.0, 70)
-        by_sites = _sum_tables(regime, 5, sites, times, (-1, 0, 1))
-        by_right = _sum_tables(regime, 5, regime.modes[sites].T.copy(), times, (-1, 0, 1))
-        for got, want in zip(by_right, by_sites):
-            assert np.allclose(got, want, rtol=0, atol=1e-15)
-        with pytest.raises(ValueError):
-            propagator_sums(regime, 5, np.ones((12, 3)), times, (0,))
-        with pytest.raises(ValueError):
-            propagator_sums(regime, 12, regime.modes[sites].T, times, (0,))
+        count, grid = regime.localized_gammas.size, (0.0, 9.0, 70)
+        assert count < 12
+        for columns in (1, 3, 12):
+            sums = _sum_tables(regime, 5, np.arange(columns), grid, (-1, 0))
+            assert [table.shape for table in sums] == [(70, columns)] * 2
+        for rows in (0, count - 1, count + 1, 12):
+            with pytest.raises(ValueError, match=f"R has {rows} rows for {count} modes"):
+                propagator_sums(regime, 5, np.ones((rows, 3)), grid, (0,))
 
     def test_sites_outside_box_rejected(self, chain12):
+        """x outside the box is a ValueError of ``propagator_sums``; the sites are R's to hold, and
+        ``eigencorrelator_profile`` checks them as well as x."""
         _, spec = chain12
-        for x, sites in ((-1, [0]), (12, [0]), (0, [12]), (0, [-1])):
+        for x in (-1, 12):
             with pytest.raises(ValueError):
-                propagator_sums(spec, x, sites, [0.0], (0,))
+                propagator_sums(spec, x, spec.modes.T, (0.0, 0.0, 1), (0,))
+        for x, sites in ((-1, [0]), (12, [0]), (0, [12]), (0, [-1])):
             with pytest.raises(ValueError):
                 eigencorrelator_profile(spec, 0, x, sites)
 
@@ -1185,24 +1200,23 @@ class TestPropagatorSums:
         h = assemble(box, sample_disorder(DisorderConfig(k_max=k_max, master_seed=seed), box, 0))
         spec = diagonalize(h, lambda0=np.inf if level is None else level * spectrum(h).norm)
         x = data.draw(st.integers(0, box.n_sites - 1))
-        times = np.linspace(start, start + span, points)
-        sums = _sum_tables(spec, x, np.arange(box.n_sites), times, (-1, 0, 1))
+        sums = _sum_tables(spec, x, np.arange(box.n_sites), (start, start + span, points), (-1, 0, 1))
         for s, got in zip((-1, 0, 1), sums):
             envelope = eigencorrelator_profile(spec, s, x, np.arange(box.n_sites))
             assert np.all(np.abs(got) <= envelope[None, :] + DOMINATION_SLACK)
 
 
-def _blocks(spec, times):
+def _blocks(spec, grid):
     """Every block's sums of all three powers at all sites of ``spec`` and its phase tables, copied."""
-    blocks = propagator_sums(spec, 4, np.arange(spec.n), times, (-1, 0, 1))
+    blocks = propagator_sums(spec, 4, spec.modes.T, grid, (-1, 0, 1))
     # the next block overwrites the phase tables, so each is copied as it comes
-    return [[table.copy() for table in (*sums, *tables)] for _, sums, tables in blocks]
+    return [[table.copy() for table in (*sums, *tables)] for sums, tables in blocks]
 
 
-def _direct_blocks(spec, times):
-    """What ``_blocks`` returns, from np.cos/np.sin of 2 t gamma on every row, the tables scaled by
-    gamma^s phi_4 and stacked into one product with Phi_S^T as ``propagator_sums`` does."""
-    gam, right = spec.localized_gammas, spec.modes[np.arange(spec.n)].T
+def _direct_blocks(spec, grid):
+    """What ``_blocks`` returns, from np.cos/np.sin of 2 t gamma on every row of np.linspace(*grid), the
+    tables scaled by gamma^s phi_4 and stacked into one product with Phi_S^T as ``propagator_sums`` does."""
+    gam, right, times = spec.localized_gammas, spec.modes.T, np.linspace(*grid)
     blocks = []
     for start in range(0, times.size, anderson.TIME_BLOCK):
         angles = 2.0 * times[start : start + anderson.TIME_BLOCK, None] * gam
@@ -1222,9 +1236,9 @@ class TestPhaseRotation:
         2 eps max|2 t gamma| where that is larger: np.cos/np.sin round each angle 2 t gamma to about
         eps |2 t gamma| themselves, 4e-12 at t = 1e4, and the rotation rounds it differently."""
         _, spec = chain12
-        times = np.linspace(start, t_max, points)
+        grid = (start, t_max, points)
         tol = max(1e-13, 2 * np.finfo(float).eps * 2 * t_max * spec.gammas.max())
-        rotated, direct = _blocks(spec, times), _direct_blocks(spec, times)
+        rotated, direct = _blocks(spec, grid), _direct_blocks(spec, grid)
         assert len(rotated) == len(direct) == -(-points // anderson.TIME_BLOCK)
         for got, want in zip(rotated, direct):
             for table, ref in zip(got, want):
@@ -1234,30 +1248,16 @@ class TestPhaseRotation:
     def test_first_block_of_a_grid_from_zero_is_direct(self, chain12):
         """From t = 0 the offset table is the first block's own phases, so that block is bitwise the direct one."""
         _, spec = chain12
-        times = np.linspace(0.0, 50.0, 150)
-        for table, ref in zip(_blocks(spec, times)[0], _direct_blocks(spec, times)[0]):
+        grid = (0.0, 50.0, 150)
+        for table, ref in zip(_blocks(spec, grid)[0], _direct_blocks(spec, grid)[0]):
             assert np.array_equal(table, ref)
 
-    @pytest.mark.parametrize(
-        "times",
-        [
-            pytest.param(np.array([0.0, 1.3, 7.9]), id="hand-picked"),
-            pytest.param(np.geomspace(0.1, 30.0, 150), id="geometric"),
-            pytest.param(np.append(np.linspace(0.0, 20.0, 99), 20.0 + 1e-9), id="uneven-last-step"),
-            pytest.param(np.linspace(0.0, 3.0, 7).astype(complex) + np.eye(7)[3] * 3j, id="planted-complex"),
-            pytest.param(np.linspace(0.0, 3.0, 7).astype(complex), id="complex"),
-            pytest.param(np.array([]), id="empty"),
-            pytest.param(np.linspace(0.0, 3.0, 8).reshape(2, 4), id="2d"),
-        ],
-    )
-    def test_other_grids_take_the_direct_path(self, chain12, times):
-        """Any grid that is not np.linspace's real bits is a ValueError that names the requirement; there is
-        no other path to take."""
+    @pytest.mark.parametrize("points", [0, -3])
+    def test_grid_needs_a_point(self, chain12, points):
+        """A grid of no times is a ValueError, raised by the call before any block is asked for."""
         _, spec = chain12
-        with pytest.raises(ValueError, match="np.linspace"):
-            anderson._rotation_step(times)
-        with pytest.raises(ValueError, match="np.linspace"):
-            propagator_sums(spec, 4, np.arange(12), times, (-1, 0))
+        with pytest.raises(ValueError, match=f"at least one point, got {points}"):
+            propagator_sums(spec, 4, spec.modes.T, (0.0, 3.0, points), (-1, 0))
 
 
 class TestMinGap:

@@ -223,6 +223,8 @@ def test_fit_of_a_run_table(tmp_path, capsys):
         pytest.param("table", ["--range", "1", "3"], "ValueError", id="three-keys-every-quantity"),
         pytest.param(ONE_SHELL_PQ, ["--range", "0", "10"], "ValueError", id="one-shell"),
         pytest.param(GAP_STATS, ["--range", "0", "10"], "ValueError", id="key-not-a-number"),
+        # pooled, the decay and the flat 0.5 would fit mu_hat 0.175 with R^2 0.46
+        pytest.param("table", ["--range", "2", "9"], "ValueError", id="several-quantities"),
     ],
 )
 def test_fit_errors_exit_2(decay_table, content, fit_args, name, capsys):

@@ -289,7 +289,7 @@ def _kernel_cases(kind, **extra):
 
 def _rows_at(monkeypatch, config, t):
     """The rows of run_sample, which runs the kernel on the sample's own solve, on the one-time grid [t]."""
-    monkeypatch.setattr(ensembles, "_time_grid", lambda config, spec: np.array([t]))
+    monkeypatch.setattr(ensembles, "_time_grid", lambda config, spec: (t, t, 1))
     return dict(ensembles.run_sample(config, 0).rows)
 
 
@@ -391,7 +391,7 @@ class TestRestrictedQuantitiesOracle:
             c = {y: np.linalg.norm(_act(fock, w, vac)) for y, w in weyl.items()}
             # W(g)_I psi does not depend on t
             fixed = {(k, y): _act(fock, weyl[y], psi) for k, psi in enumerate(states) for y in range(spec.n)}
-            for t in _TIME_GRID(config, spec):
+            for t in np.linspace(*_TIME_GRID(config, spec)):
                 rows = _rows_at(monkeypatch, config, t)
                 moved = [_act(fock, weyl[x], psi, t) for psi in states]
                 for d in config.shells:
@@ -419,7 +419,7 @@ class TestRestrictedQuantitiesOracle:
             band = fock.band_projector(1)
             vac = fock.state_index(np.zeros(spec.n, dtype=int))
             ops = {"q": fock.position, "p": fock.momentum}
-            for t in _TIME_GRID(config, spec):
+            for t in np.linspace(*_TIME_GRID(config, spec)):
                 rows = _rows_at(monkeypatch, config, t)
                 for d in config.shells:
                     sites = _shell(config, d)
@@ -453,7 +453,7 @@ class TestRestrictedQuantitiesOracle:
             # <psi, A B psi> = <A* psi, B psi>, with A* = tau_t(W(f)_I)* = tau_t(W(-f)_I)
             adjoint = [w.conj().T for w in weyl[x]]
             fixed = {(k, y): _act(fock, weyl[y], psi) for k, psi in enumerate(states) for y in range(spec.n)}
-            for t in _TIME_GRID(config, spec):
+            for t in np.linspace(*_TIME_GRID(config, spec)):
                 rows = _rows_at(monkeypatch, config, t)
                 moved = [(_act(fock, weyl[x], psi, t), _act(fock, adjoint, psi, t)) for psi in states]
                 for d in config.shells:
@@ -485,7 +485,7 @@ class TestRestrictedQuantitiesOracle:
             c_f = np.linalg.norm(_act(fock, weyl_f, fock.psi(vacuum)))
             family = kernel_family(config, spec)
             dist = l1_distances_from(config.box(), x)
-            for t in _TIME_GRID(config, spec):
+            for t in np.linspace(*_TIME_GRID(config, spec)):
                 rows = _rows_at(monkeypatch, config, t)
                 xft = project_localized(spec, lam, evolve(spec, f, t))
                 moved = [_act(fock, weyl_f, fock.psi(alpha), t) for alpha in family]

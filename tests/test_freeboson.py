@@ -143,7 +143,7 @@ def dynamics_blocks(lam, t):
     _, regime = make_chain_spec(12, lambda0=lam)
     sites = np.arange(regime.n)
     # one time is one block of the sums
-    rows = [next(propagator_sums(regime, x, sites, [t], (-1, 0, 1)))[1] for x in sites]
+    rows = [next(propagator_sums(regime, x, regime.modes.T, (t, t, 1), (-1, 0, 1)))[0] for x in sites]
     minus, zero, plus = (np.array([row[k][0] for row in rows]) for k in range(3))
     return zero, -plus, minus, zero
 
@@ -209,6 +209,31 @@ class TestEnergies:
             with pytest.raises(ValueError):
                 many_body_energy(spec, alphas)
 
+    @pytest.mark.parametrize("occupations, length", [(10, 5), (3, 6), (2, 12)])
+    def test_bits_of_the_int_form(self, occupations, length):
+        """Every energy is bitwise (2 alpha + 1) @ gamma on int vectors, for gap-stats' enumeration (a
+        transposed, F-ordered array) and for its C-ordered copy."""
+        spec = diagonalize(chain_stencil(np.linspace(2.0, 3.0, length)))
+        alphas = np.indices((occupations,) * length).reshape(length, -1).T
+        for family in (alphas, np.ascontiguousarray(alphas)):
+            assert np.array_equal(many_body_energy(spec, family), (2 * family + 1) @ spec.gammas)
+        assert many_body_energy(spec, alphas[:0]).shape == (0,)
+
+    def test_one_float_temporary(self):
+        """On 2^16 vectors of 16 modes (8 MiB) the traced peak is one float copy of them and the energies."""
+        import tracemalloc
+
+        spec = diagonalize(chain_stencil(np.linspace(2.0, 3.0, 16)))
+        alphas = np.indices((2,) * 16).reshape(16, -1).T
+        many_body_energy(spec, alphas)
+        tracemalloc.start()
+        try:
+            many_body_energy(spec, alphas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * alphas.nbytes, peak
+
     def test_density_cases(self, chain12):
         _, spec = chain12
         assert excitation_energy_density(spec, spec.norm, 0) == 0.0
@@ -252,9 +277,9 @@ class TestCountingFunction:
 
 def test_default_time_grid(chain12):
     _, spec = chain12
-    grid = default_time_grid(spec, points=100)
-    assert grid.size == 100 and grid[0] == 0.0 and grid[-1] > 0
-    assert default_time_grid(spec, points=10, t_max=2.0)[-1] == 2.0
+    start, stop, points = default_time_grid(spec, points=100)
+    assert (start, points) == (0.0, 100) and stop == 4 * np.pi / np.min(np.diff(spec.gammas))
+    assert default_time_grid(spec, points=10, t_max=2.0) == (0.0, 2.0, 10)
 
 
 def test_default_time_grid_rejects_zero_spacing():
@@ -265,4 +290,4 @@ def test_default_time_grid_rejects_zero_spacing():
     assert np.min(np.diff(spec.gammas)) == 0.0
     with pytest.raises(NumericError, match="spacing 0"):
         default_time_grid(spec, points=5)
-    assert default_time_grid(spec, points=5, t_max=2.0)[-1] == 2.0
+    assert default_time_grid(spec, points=5, t_max=2.0) == (0.0, 2.0, 5)

@@ -95,6 +95,12 @@ class TestFitExponential:
         with pytest.raises(ValueError, match="at least 4 distinct keys .* got 3 in 6 rows"):
             fit_exponential(_decay_result(), (1, 3))
 
+    def test_several_quantities_need_one_named(self):
+        """Pooled, the decay and the flat rows would fit neither; each alone fits its own rate."""
+        with pytest.raises(ValueError, match=r"hold 2 quantities \(decay, flat\)"):
+            fit_exponential(_decay_result(), (2, 9))
+        assert fit_exponential(_decay_result(), (2, 9), quantity="flat").mu_hat == pytest.approx(0.0, abs=1e-12)
+
     def test_one_shell_is_one_key(self):
         """A one-shell pq-bound table has 7 rows at a single distance, which no line fits."""
         quantities = ("qq_sup", "qp_sup", "pq_sup", "pp_sup", "envelope_minus", "envelope_zero", "envelope_plus")
