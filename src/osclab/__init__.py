@@ -17,7 +17,6 @@ from .anderson import (
     tails,
 )
 from .freeboson import (
-    counting_function,
     excitation_energy_density,
     many_body_energy,
 )

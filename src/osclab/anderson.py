@@ -5,7 +5,7 @@ The random potential k is i.i.d. per site with a bounded density on
 ``spectrum`` returns a ``Spectrum``: the ascending eigenvalues and the
 frequencies gamma_j, their positive square roots, checked against the
 invariants tr h and ||h||_F^2.  It serves the eigenvalue-only statistics
-(counting function, energy density, gaps).  ``diagonalize`` returns
+(energy density, interlacing, gaps).  ``diagonalize`` returns
 ``SpectralData``, a ``Spectrum`` that also carries the eigenvectors a
 regime needs.  Both take h only as the ``Stencil`` that ``assemble``
 builds: the box and the diagonal d, O(n) memory, symmetric by
@@ -162,6 +162,9 @@ class DisorderConfig:
                 raise ConfigError("table_u must span [0, 1]")
             if k[0] < 0.0 or k[-1] > self.k_max:
                 raise ConfigError("table_k values must lie in [0, k_max]")
+            # sample_disorder redraws k <= 0, so a table that never draws k > 0 would never return
+            if not np.any((np.diff(u) > 0) & (k[1:] > 0)):
+                raise ConfigError("inverse-CDF table draws k = 0 with probability 1; the model needs k > 0")
 
 
 def sample_disorder(config: DisorderConfig, box: BoxGeometry, index: int) -> np.ndarray:

@@ -65,8 +65,6 @@ class ExperimentConfig:
     powers: tuple[int, ...] = (0,)
     alpha_random: int = 2
     lengths_ladder: tuple[int, ...] = (50, 100, 200)
-    lambda_grid_points: int = 50
-    lambda_grid_max: float | None = None
     mb_length: int = 4
     mb_occupation: int = 2
 
@@ -122,10 +120,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.experiment!r}")
-        # numpy seeds a stream from nonnegative integers only; a one-point lambda grid
-        # or a one-site many-body box is malformed whether or not the kind reads it
+        # numpy seeds a stream from nonnegative integers only; a one-site many-body
+        # box is malformed whether or not the kind reads it
         for name, least in (("samples", 1), ("workers", 1), ("kappa", 0), ("time_points", 1), ("mb_occupation", 1),
-                            ("mb_length", 2), ("lambda_grid_points", 2), ("seed", 0), ("alpha_random", 0)):
+                            ("mb_length", 2), ("seed", 0), ("alpha_random", 0)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be at least {least}, got {getattr(self, name)!r}")
         # as mb_occupation + 1 >= 2, the cap's bit length as exponent already exceeds the cap: no huge int
@@ -142,7 +140,7 @@ class ExperimentConfig:
             raise ConfigError(f"gap-stats needs a box of at least two sites, got box lengths {list(self.lengths)}")
         if self.lambda0 != "full" and self.lambda0 < 0:
             raise ConfigError("lambda0 must be nonnegative or 'full'")
-        for name in ("t_max", "amplitude", "lambda_grid_max"):
+        for name in ("t_max", "amplitude"):
             if getattr(self, name) is not None and getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)!r}")
         # k_max, the disorder kind and an inverse-CDF table are checked here, not at the first sample

@@ -31,8 +31,10 @@ so the output is bit-identical regardless of the worker count.
 
 Every kernel also verifies its theorem-shape dominations pointwise on the
 evaluation grid (commutator values against envelopes, quasi-locality
-errors against their bounds, correlations against the uniform bound 2,
-counting-function bracketing) and reports violation counts in the flags.
+errors against their bounds, correlations against the uniform bound 2)
+and reports violation counts in the flags.  ``energy-density`` checks the
+Dirichlet-Neumann bracketing on each ladder box as the interlacing of the
+two ascending spectra, index by index, up to RECONSTRUCTION_RTOL * ||h_D||.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from functools import partial
 import numpy as np
 
 from .anderson import (
+    RECONSTRUCTION_RTOL,
     assemble,
     diagonalize,
     eigencorrelator_profile,
@@ -54,7 +57,7 @@ from .anderson import (
 )
 from .config import KINDS, ExperimentConfig
 from .errors import NumericError
-from .freeboson import counting_function, default_time_grid, excitation_energy_density, many_body_energy
+from .freeboson import default_time_grid, excitation_energy_density, many_body_energy
 from .lattice import BoxGeometry, box_boundary, l1_distances_from
 from .results import EnsembleResult, ResultRow
 from .weyl import OccupationFamily
@@ -282,9 +285,6 @@ def _kernel_quasi_locality(config, box, spec, index):
 def _energy_density_sample(config, index):
     disorder = config.disorder()
     lam = config.lambda0_value()
-    grid_max = config.lambda_grid_max
-    if grid_max is None:
-        grid_max = 4.0 * 1 + config.k_max  # nu = 1 ladder boxes
     rows = []
     bracketing = 0
     ordering = 0
@@ -295,14 +295,19 @@ def _energy_density_sample(config, index):
         spec_n = spectrum(assemble(box, k, "neumann"))
         spec_d = spectrum(assemble(box, k, "dirichlet"))
         degenerate += int(spec_n.flag_degenerate() or spec_d.flag_degenerate())
-        grid = np.linspace(0.0, grid_max, config.lambda_grid_points)
-        diff = counting_function(spec_n, grid) - counting_function(spec_d, grid)
-        limit = box_boundary(box).size
-        bracketing += int(np.sum((diff < 0) | (diff > limit)))
+        # h_D - h_N >= 0 is diagonal of rank r = |boundary|, so Weyl's inequalities give
+        # lambda_j(h_N) <= lambda_j(h_D) <= lambda_{j+r}(h_N), which at every lambda is
+        # 0 <= N_N(lambda) - N_D(lambda) <= r.  An index j counts once if it breaks either side by
+        # more than tol, the eigenvalues' accuracy: modes far from the ends agree to round-off
+        ev_n, ev_d, limit = spec_n.eigenvalues, spec_d.eigenvalues, box_boundary(box).size
+        tol = RECONSTRUCTION_RTOL * spec_d.norm
+        broken = ev_n > ev_d + tol
+        above = box.n_sites - limit  # slices: r equals n on an L = 2 box
+        broken[:above] |= ev_d[:above] > ev_n[limit:] + tol
+        bracketing += int(np.sum(broken))
         rho_n = excitation_energy_density(spec_n, lam, config.kappa)
         rho_d = excitation_energy_density(spec_d, lam, config.kappa)
-        # h_D - h_N >= 0 has rank r = |boundary|, so Weyl interlacing gives
-        # rho_N <= rho_D with every mode kept, and |rho_N - rho_D| <= 2 kappa r sqrt(lambda0) / n;
+        # interlacing gives rho_N <= rho_D with every mode kept, and |rho_N - rho_D| <= 2 kappa r sqrt(lambda0) / n;
         # from lambda0 = ||h_D|| on every mode is kept, so lambda0 is capped there
         if np.isinf(lam):
             ordering += int(rho_n > rho_d + DOMINATION_SLACK)

@@ -1,4 +1,4 @@
-"""Free-boson quantities the experiments read: time grids, energies, counting.
+"""Free-boson quantities the experiments read: time grids and energies.
 
 Everything is evaluated spectrally through ``Spectrum`` or
 ``SpectralData``; no series approximations anywhere.  The map V, the field
@@ -57,13 +57,3 @@ def excitation_energy_density(spec: Spectrum, lambda0: float, kappa: int) -> flo
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
     return 2.0 * kappa * float(np.sum(spec.gammas[: spec.localized_count(lambda0)])) / spec.n
-
-
-def counting_function(spec: Spectrum, lambda_grid) -> np.ndarray:
-    """N(lambda) = number of eigenvalues strictly below lambda, per grid point."""
-    grid = np.asarray(lambda_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("lambda grid must be a nonempty vector")
-    if np.any(np.diff(grid) < 0):
-        raise ValueError("lambda grid must be ascending")
-    return np.searchsorted(spec.eigenvalues, grid, side="left").astype(int)

@@ -90,7 +90,8 @@ class OccupationFamily:
     calls on one shape allocate nothing of the size of x.
     The recurrence reads x only through L_1(x) = 1 - x, so a caller whose
     L_1 is base * scale + shift calls ``affine``, which writes it straight
-    into the table and forms no array of x.
+    into the table and forms no array of x.  A call on x is ``affine`` of
+    base x, scale -1 and shift 1, the one way the table is filled.
     """
 
     def __init__(self, alphas):
@@ -110,10 +111,8 @@ class OccupationFamily:
     def __call__(self, x, x_sum=None) -> np.ndarray:
         """The products at x; ``x_sum`` is sum_j x_j over the last axis if the caller has it."""
         x = np.asarray(x, dtype=float)
-        self._check(x.shape)
-        if x_sum is None:
-            x_sum = x.sum(axis=-1)
-        return self._products(self._fill(x), x_sum)
+        # (-1) x + 1 rounds exactly as 1 - x
+        return self.affine(x, -1.0, 1.0, x.sum(axis=-1) if x_sum is None else x_sum)
 
     def affine(self, base, scale, shift, x_sum) -> np.ndarray:
         """The products at the x whose L_1(x) = 1 - x is base * scale + shift, modes on the last axis.
@@ -122,17 +121,14 @@ class OccupationFamily:
         formed; ``x_sum``, sum_j x_j over the last axis, comes from the caller.
         """
         shape = np.broadcast_shapes(np.shape(base), np.shape(scale), np.shape(shift))
-        self._check(shape)
+        if len(shape) < 1 or shape[-1] != self.alphas.shape[1]:
+            raise ValueError("need x with one entry per mode on the last axis")
         table, slots = self._slots(shape)
         if self.orders:
             np.multiply(base, scale, out=slots[0])
             slots[0] += shift
             _laguerre_orders(len(slots) - 1, slots)
         return self._products(table, x_sum)
-
-    def _check(self, shape):
-        if len(shape) < 1 or shape[-1] != self.alphas.shape[1]:
-            raise ValueError("need x with one entry per mode on the last axis")
 
     def _slots(self, shape):
         """(table, slots) for x of ``shape``: the (..., K, m) table of L_k for the K orders in use, and
@@ -149,14 +145,6 @@ class OccupationFamily:
             slots.append(np.empty(shape) if top > 1 else None)
             self._buffers[shape] = table, slots
         return self._buffers[shape]
-
-    def _fill(self, x: np.ndarray) -> np.ndarray:
-        """The table of ``_slots`` with L_k(x) filled in."""
-        table, slots = self._slots(x.shape)
-        if self.orders:
-            np.subtract(1.0, x, out=slots[0])
-            _laguerre_orders(len(slots) - 1, slots)
-        return table
 
     def _products(self, table: np.ndarray, x_sum) -> np.ndarray:
         # NaN fails the test and takes the general path

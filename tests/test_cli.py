@@ -53,13 +53,15 @@ def test_config_error_exits_2(tmp_path, capsys):
         {"samples": 2.5},
         {"seed": "x"},
         {"workers": 2, "disorder": {"kind": "inverse_cdf", "table_u": [0, 0.5, 1], "table_k": [0, 0.8, 0.3]}},
-        {"experiment": "energy-density", "lambda_grid_max": "5", "lengths_ladder": [6, 8]},
+        {"experiment": "energy-density", "amplitude": "5", "lengths_ladder": [6, 8]},
+        # sample_disorder would redraw its zeros forever
+        {"disorder": {"kind": "inverse_cdf", "table_u": [0, 1], "table_k": [0, 0]}},
     ],
-    ids=["fractional-samples", "string-seed", "non-monotone-table-with-workers", "string-lambda_grid_max"],
+    ids=["fractional-samples", "string-seed", "non-monotone-table-with-workers", "string-amplitude", "zero-mass-table"],
 )
 def test_config_checked_before_any_sample(tmp_path, capsys, change):
-    """An ill-typed integer or a bad disorder table is a ConfigError at load, not a traceback or a
-    worker failure once samples run."""
+    """An ill-typed number or a bad disorder table is a ConfigError at load, not a traceback, a
+    worker failure or a hang once samples run."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**DOC, **change}), encoding="utf-8")
     out = tmp_path / "table.csv"

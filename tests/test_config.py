@@ -39,15 +39,10 @@ class TestValidation:
             pytest.param(_doc(lambda0=NAN), id="nan-lambda0"),
             pytest.param(_doc(time_grid={"t_max": INF}), id="infinite-t_max"),
             pytest.param(_doc(time_grid={"t_max": NAN}), id="nan-t_max"),
-            pytest.param(_doc(experiment="energy-density", lambda_grid_max=INF), id="infinite-lambda_grid_max"),
-            pytest.param(_doc(experiment="energy-density", lambda_grid_max=NAN), id="nan-lambda_grid_max"),
-            pytest.param(_doc(experiment="energy-density", lambda_grid_max=-5.0), id="negative-lambda_grid_max"),
-            pytest.param(_doc(experiment="energy-density", lambda_grid_max=0.0), id="zero-lambda_grid_max"),
             pytest.param(_doc(center=[40]), id="center-outside"),
             pytest.param(_doc(shells=[5, 11]), id="shell-beyond-box"),
             pytest.param(_doc(experiment="quasi-locality", n_values=[3, 20]), id="radius-beyond-box"),
             pytest.param(_doc(experiment="energy-density", lengths_ladder=[1, 10]), id="short-ladder"),
-            pytest.param(_doc(experiment="energy-density", lambda_grid_points=1), id="one-point-grid"),
             pytest.param(_doc(experiment="gap-stats", mb_length=1), id="one-site-many-body-box"),
             pytest.param(_doc(experiment="gap-stats", box={"lengths": [1]}), id="one-site-gap-box"),
             pytest.param(_doc(experiment="gap-stats", box={"lengths": [1, 1]}), id="one-site-square-gap-box"),
@@ -107,11 +102,27 @@ class TestValidation:
             pytest.param(
                 _doc(disorder={"kind": "inverse_cdf", "table_u": [0, 1], "table_k": [0, 2]}), id="table-beyond-k_max"
             ),
+            # no draw is positive, and sample_disorder redraws k <= 0
+            pytest.param(
+                _doc(disorder={"kind": "inverse_cdf", "table_u": [0, 1], "table_k": [0, 0]}), id="zero-mass-table"
+            ),
+            pytest.param(
+                _doc(disorder={"kind": "inverse_cdf", "table_u": [0, 1, 1], "table_k": [0, 0, 1]}),
+                id="zero-mass-table-with-a-step",
+            ),
         ],
     )
     def test_rejected(self, doc):
         with pytest.raises(ConfigError):
             config_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "key, value", [("lambda_grid_points", 50), ("lambda_grid_max", 5.0)], ids=["lambda_grid_points", "lambda_grid_max"]
+    )
+    def test_removed_grid_key_is_unknown(self, key, value):
+        """energy-density checks bracketing by interlacing and has no lambda grid to set."""
+        with pytest.raises(ConfigError, match=f"unknown config fields: \\['{key}'\\]"):
+            config_from_dict(_doc(experiment="energy-density", **{key: value}))
 
     @pytest.mark.parametrize(
         "occupation, length, accepted",
@@ -147,7 +158,6 @@ class TestValidation:
             pytest.param(_doc(lambda0=True), "lambda0", id="lambda0"),
             pytest.param(_doc(lambda0=False), "lambda0", id="lambda0-false"),
             pytest.param(_doc(amplitude=True), "amplitude", id="amplitude"),
-            pytest.param(_doc(experiment="energy-density", lambda_grid_max=True), "lambda_grid_max", id="lambda_grid_max"),
             pytest.param(_doc(disorder={"k_max": True}), "k_max", id="k_max"),
             pytest.param(_doc(time_grid={"t_max": True}), "t_max", id="t_max"),
             pytest.param(
@@ -235,7 +245,7 @@ def _paths():
 PATHS = [pytest.param(path, f, id=".".join(path)) for path, f in _paths()]
 
 #: The fields a document may set to null: those that may be None.
-NULLABLE = {"center", "table_u", "table_k", "t_max", "lambda_grid_max"}
+NULLABLE = {"center", "table_u", "table_k", "t_max"}
 
 
 def _with(path, value):
@@ -270,12 +280,11 @@ class TestSchema:
                 experiment="energy-density",
                 lambda0=2,
                 amplitude=3,
-                lambda_grid_max=6,
                 disorder={"k_max": 2, "kind": "inverse_cdf", "table_u": [0, 1], "table_k": [0, 2]},
                 time_grid={"t_max": 5},
             )
         )
-        reals = [config.lambda0, config.amplitude, config.lambda_grid_max, config.k_max, config.t_max]
+        reals = [config.lambda0, config.amplitude, config.k_max, config.t_max]
         assert all(type(value) is float for value in reals + list(config.table_u + config.table_k))
 
     @pytest.mark.parametrize("literal", [10**400, -(10**400)])

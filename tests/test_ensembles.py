@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from osclab import anderson, ensembles
-from osclab.anderson import DisorderConfig, SpectralData, assemble, diagonalize, sample_disorder, tails
+from osclab.anderson import DisorderConfig, SpectralData, Stencil, assemble, diagonalize, sample_disorder, tails
 from osclab.config import KINDS, config_from_dict
 from osclab.errors import ConfigError
 from osclab.fock_oracle import correlation_series, delta_field, diagonal_elements, evolve, neighborhood, project_localized, v_map
@@ -138,6 +138,14 @@ def _spy_paths(monkeypatch):
     return paths
 
 
+def _general_path(family, x):
+    """The family's products at x through the general path, on the table that ``affine`` fills."""
+    finish = family._finish
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(family, "_finish", lambda table, x_sum, positive: finish(table, x_sum, positive=False))
+        return family(x)
+
+
 class TestSupAlphaStrategy:
     def test_vacuum_full_and_random_rows(self):
         config = _config("correlations", "full", kappa=3, seed=5, alpha_random=4)
@@ -169,7 +177,7 @@ class TestOccupationFamily:
         x = rng.uniform(0.0, 0.25, size=lead + (m,))
         family = OccupationFamily(alphas)
         fast = family(x)
-        general = family._finish(family._fill(x), x.sum(axis=-1), positive=False)
+        general = _general_path(family, x)
         assert fast.shape == (alphas.shape[0],) + lead
         assert np.array_equal(fast, general)
         assert np.array_equal(fast, OccupationFamily(alphas)(x))
@@ -214,9 +222,9 @@ class TestOccupationFamily:
         family(x)
         table, _ = family._buffers[x.shape]
         assert table.shape == (7, 3, 11) and family._signs == {}
-        family._finish(family._fill(x), x.sum(axis=-1), positive=False)
+        _general_path(family, x)
         signs = family._signs[(7, 33)]
-        family._finish(family._fill(x), x.sum(axis=-1), positive=False)
+        _general_path(family, x)
         assert list(family._signs) == [(7, 33)] and family._signs[(7, 33)] is signs
 
     def test_vacuum_family_has_no_tables(self):
@@ -468,9 +476,12 @@ def test_planted_correlation_violation_is_counted(monkeypatch):
     joint_calls = []
 
     class Planted(OccupationFamily):
-        # the kernel forms the joint elements through ``affine``, a few shell sites per call and block
+        # the kernel forms the joint elements through ``affine``, a few shell sites per call and block;
+        # a call on x goes through it too, with the scalar scale -1
         def affine(self, base, scale, shift, x_sum):
             out = super().affine(base, scale, shift, x_sum)
+            if np.ndim(scale) == 0:
+                return out
             if not joint_calls:
                 out[(0,) * out.ndim] = 50.0  # the joint element of the first alpha, first site, t = 0
             joint_calls.append(base.shape)
@@ -606,6 +617,37 @@ def test_planted_ordering_violation_is_counted(monkeypatch, lambda0, gap, counte
         ensembles, "excitation_energy_density", lambda spec, lam, kappa: 1.0 + (gap if next(calls) % 2 == 0 else 0.0)
     )
     assert ensembles.run_sample(config, 0).flags["ordering_violations"] == counted
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_bracketing_flag_quiet_on_ladder_boxes(monkeypatch, seed):
+    """Interlacing holds on the default ladder (L = 50, 100, 200) over 40 samples up to the eigenvalues'
+    accuracy, and only up to it: modes far from the ends agree in both spectra to round-off, and a
+    comparison without the tolerance counts some of them."""
+    config = config_from_dict({"experiment": "energy-density", "samples": 40, "seed": seed})
+    assert ensembles.run_ensemble(config).metadata["bracketing_violations"] == 0
+    monkeypatch.setattr(ensembles, "RECONSTRUCTION_RTOL", 0.0)
+    assert ensembles.run_ensemble(config).metadata["bracketing_violations"] > 0
+
+
+@pytest.mark.parametrize("delta, counted", [(-1e-3, [4, 9, 9]), (1e-3, [1, 4, 0])], ids=["lowered", "raised"])
+def test_moved_dirichlet_entry_is_counted(monkeypatch, delta, counted):
+    """h_D moved by delta at site 100 of an L = 200 chain, samples 0-2 of seed 1.  Lowered, h_D - h_N is
+    no longer >= 0 and lambda_j(h_N) <= lambda_j(h_D) breaks; raised, it has rank r + 1 and
+    lambda_j(h_D) <= lambda_{j+r}(h_N) breaks.  Each index is counted once."""
+    assemble = ensembles.assemble
+
+    def moved(box, k, bc="neumann"):
+        h = assemble(box, k, bc)
+        if bc == "dirichlet":
+            d = h.d.copy()
+            d[100] += delta
+            h = Stencil(box, d)
+        return h
+
+    monkeypatch.setattr(ensembles, "assemble", moved)
+    config = config_from_dict({"experiment": "energy-density", "samples": 3, "seed": 1, "lengths_ladder": [200]})
+    assert [ensembles.run_sample(config, i).flags["bracketing_violations"] for i in range(3)] == counted
 
 
 #: The flags that count violations of a kernel's dominations.

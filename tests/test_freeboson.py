@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from osclab.anderson import DisorderConfig, assemble, diagonalize, sample_disorder
-from osclab.freeboson import counting_function, default_time_grid, excitation_energy_density, many_body_energy
+from osclab.anderson import RECONSTRUCTION_RTOL, DisorderConfig, assemble, diagonalize, sample_disorder, spectrum
+from osclab.freeboson import default_time_grid, excitation_energy_density, many_body_energy
 from osclab.anderson import eigencorrelator_profile, propagator_sums
 from osclab.errors import NumericError
 from osclab.fock_oracle import evolve, project_localized, v_inverse, v_map
@@ -242,37 +242,21 @@ class TestEnergies:
         assert abs(excitation_energy_density(spec1, 4.0, 1) - 4.0) < 1e-14
 
 
-class TestCountingFunction:
-    def test_extremes(self, chain12):
-        _, spec = chain12
-        grid = np.array([0.0, spec.norm + 1.0])
-        counts = counting_function(spec, grid)
-        assert counts[0] == 0 and counts[-1] == spec.n
-
-    def test_three_site_jumps(self):
-        box = BoxGeometry([3])
-        spec = diagonalize(assemble(box, np.full(3, 0.5)))
-        grid = np.array([0.4, 0.6, 1.4, 1.6, 3.4, 3.6])
-        assert counting_function(spec, grid).tolist() == [0, 1, 1, 2, 2, 3]
-        # strictly-below convention: no jump exactly at an eigenvalue
-        assert counting_function(spec, np.array([0.5, 1.5, 3.5])).tolist() == [0, 1, 2]
-
-    def test_neumann_dirichlet_bracketing(self):
-        box = BoxGeometry([40])
-        cfg = DisorderConfig(k_max=1.0, master_seed=21)
-        grid = np.linspace(0.0, 5.0, 50)
-        for i in range(5):
-            k = sample_disorder(cfg, box, i)
-            n_count = counting_function(diagonalize(assemble(box, k, "neumann")), grid)
-            d_count = counting_function(diagonalize(assemble(box, k, "dirichlet")), grid)
-            diff = n_count - d_count
-            assert np.all(diff >= 0)
-            assert np.all(diff <= box_boundary(box).size)
-
-    def test_grid_validation(self, chain12):
-        _, spec = chain12
-        with pytest.raises(ValueError):
-            counting_function(spec, np.array([1.0, 0.5]))
+@pytest.mark.parametrize("lengths", [[40], [6, 5], [4, 3, 3]], ids=["chain-40", "box-6x5", "box-4x3x3"])
+def test_neumann_dirichlet_bracketing(lengths):
+    """h_D - h_N is diagonal, nonnegative and of rank r, the boundary-site count, so the ascending
+    spectra interlace: lambda_j(h_N) <= lambda_j(h_D) <= lambda_{j+r}(h_N), up to their accuracy."""
+    box = BoxGeometry(lengths)
+    n, r = box.n_sites, box_boundary(box).size
+    cfg = DisorderConfig(k_max=1.0, master_seed=21)
+    for i in range(5):
+        k = sample_disorder(cfg, box, i)
+        h_n, h_d = assemble(box, k, "neumann"), assemble(box, k, "dirichlet")
+        assert np.all(h_d.d >= h_n.d) and np.count_nonzero(h_d.d - h_n.d) == r
+        neumann, dirichlet = spectrum(h_n).eigenvalues, spectrum(h_d).eigenvalues
+        tol = RECONSTRUCTION_RTOL * dirichlet[-1]
+        assert np.all(neumann <= dirichlet + tol)
+        assert np.all(dirichlet[: n - r] <= neumann[r:] + tol)
 
 
 def test_default_time_grid(chain12):
