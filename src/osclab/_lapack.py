@@ -135,30 +135,26 @@ def dstevd(d, e) -> tuple[np.ndarray, np.ndarray]:
     return d, z
 
 
-def dstein(d, e, w, iblock, isplit) -> np.ndarray:
+def dstein(d, e, w) -> np.ndarray:
     """Z (F-contiguous, one column per entry of w): the eigenvectors of the band (d, e) for eigenvalues w.
 
-    The band splits into blocks ending at the 1-based rows ``isplit``; w
-    lists each block's eigenvalues in ascending order, block after block,
-    and ``iblock`` the 1-based block of each.  Raises LinAlgError, naming
-    how many, when some vectors fail to converge.
+    w is ascending, at most n eigenvalues of the band.  The band goes to
+    LAPACK as one block (IBLOCK = 1, ISPLIT = (n, 0, ...)): a split is only
+    a saving, so an off-diagonal zero changes no result.  Raises LinAlgError,
+    naming how many, when some vectors fail to converge.
     """
     d, e = _band(d, e)
     n = d.size
     w = np.array(w, dtype=np.float64)
-    iblock, isplit = (np.array(v, dtype=np.int64) for v in (iblock, isplit))
     m = w.size
-    if (
-        w.ndim != 1 or m > n or iblock.shape != (m,) or isplit.ndim != 1 or not 0 < isplit.size <= n
-        or isplit[0] < 1 or np.any(np.diff(isplit) <= 0) or isplit[-1] != n
-        or np.any((iblock < 1) | (iblock > isplit.size))
-    ):
-        raise ValueError("need at most n eigenvalues, their blocks, and ascending block ends that close at the last row")
+    if w.ndim != 1 or m > n:
+        raise ValueError("need a vector of at most n eigenvalues")
     z = np.zeros((n, m), order="F")
     if m == 0:
         return z
     # both are declared of length N
-    iblock, isplit = (np.concatenate((v, np.zeros(n - v.size, dtype=np.int64))) for v in (iblock, isplit))
+    iblock, isplit = np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    isplit[0] = n
     work, iwork, ifail = np.empty(5 * n), np.empty(n, dtype=np.int64), np.empty(m, dtype=np.int64)
     info = ctypes.c_int64(0)
     binding().dstein(

@@ -128,6 +128,10 @@ TAILS_BLOCK = 64
 #: Columns per block in which the residual check subtracts Phi_S Lambda_S.
 RESIDUAL_BLOCK = 64
 
+#: Rounds in which ``sample_disorder`` redraws its draws of k <= 0 before it gives up: a table
+#: with zero mass u* = 0.99 fails a 10^5-site sample with probability below 1e-38.
+DISORDER_REDRAWS = 10_000
+
 #: Times per block of ``propagator_sums``: each block's phase tables and sums, and the tables the
 #: kernels form from them, have TIME_BLOCK rows, so a kernel's memory does not grow with the grid.
 TIME_BLOCK = 64
@@ -162,8 +166,8 @@ class DisorderConfig:
                 raise ConfigError("table_u must span [0, 1]")
             if k[0] < 0.0 or k[-1] > self.k_max:
                 raise ConfigError("table_k values must lie in [0, k_max]")
-            # sample_disorder redraws k <= 0, so a table that never draws k > 0 would never return
-            if not np.any((np.diff(u) > 0) & (k[1:] > 0)):
+            # k is nondecreasing in u, and 1 - 2^-53 is the largest u that uniform(0, 1) draws
+            if not np.interp(np.nextafter(1.0, 0.0), u, k) > 0:
                 raise ConfigError("inverse-CDF table draws k = 0 with probability 1; the model needs k > 0")
 
 
@@ -171,23 +175,32 @@ def sample_disorder(config: DisorderConfig, box: BoxGeometry, index: int) -> np.
     """k, the potential of realization ``index``: one float per site of the box, in site order.
 
     The stream is seeded with (master_seed, index), so any sample can be
-    regenerated independently of execution order.  Exact zero draws are
-    resampled: the model requires k > 0 pointwise.
+    regenerated independently of execution order.  Draws k <= 0 are
+    redrawn, since the model requires k > 0 pointwise, for at most
+    DISORDER_REDRAWS rounds; a site still at k <= 0 after them raises
+    NumericError.  A table with zero mass u* (k = 0 for u <= u*) fails so on
+    n sites with probability at most n u*^DISORDER_REDRAWS.
     """
     rng = np.random.default_rng([int(config.master_seed), int(index)])
-    n = box.n_sites
     if config.kind == "uniform":
         draw = lambda size: rng.uniform(0.0, config.k_max, size=size)
     else:
         u_tab = np.asarray(config.table_u, dtype=float)
         k_tab = np.asarray(config.table_k, dtype=float)
         draw = lambda size: np.interp(rng.uniform(0.0, 1.0, size=size), u_tab, k_tab)
-    k = draw(n)
-    while True:
-        bad = np.flatnonzero(k <= 0.0)
-        if bad.size == 0:
-            break
+    k = draw(box.n_sites)
+    bad = np.flatnonzero(k <= 0.0)
+    rounds = 0
+    while bad.size:
+        if rounds == DISORDER_REDRAWS:
+            what = "uniform disorder"
+            if config.kind == "inverse_cdf":
+                u_star = float(np.max(u_tab[k_tab <= 0.0], initial=0.0))
+                what = f"inverse-CDF table {u_tab.tolist()} -> {k_tab.tolist()} (zero mass u* = {u_star!r})"
+            raise NumericError(f"{what} drew k <= 0 at {bad.size} sites in {DISORDER_REDRAWS} redraw rounds")
         k[bad] = draw(bad.size)
+        bad = bad[k[bad] <= 0.0]
+        rounds += 1
     return k
 
 
@@ -325,30 +338,17 @@ def _band_window(d: np.ndarray, e: np.ndarray, lambda0: float):
     eigenvectors of S by ``dstein``, or by ``dstevd`` where S is every mode, F-ordered.
 
     At lambda0 = inf S is every mode whatever the eigenvalues, so ``dstevd``
-    alone runs and returns eigh's bits.  Otherwise T is cut where ``dsterf``
-    itself takes an off-diagonal entry for zero and each block is solved
-    apart, which gives dsterf's bits on all of T and the block of every
-    eigenvalue, which ``dstein`` needs.
+    alone runs and returns eigh's bits.  Otherwise ``dsterf`` on the whole
+    band, the call ``spectrum`` makes, gives the eigenvalues, and ``dstein``
+    takes the first |S| of them with T as one block.
     """
     if lambda0 == np.inf:
         return _lapack.dstevd(d, e)
-    eps = np.finfo(float).eps / 2  # LAPACK's DLAMCH('E')
-    cut = np.abs(e) <= np.sqrt(np.abs(d[:-1])) * np.sqrt(np.abs(d[1:])) * eps
-    ends = np.append(np.flatnonzero(cut) + 1, d.size)
-    starts = np.append(0, ends[:-1])
-    vals = np.concatenate([_lapack.dsterf(d[lo:hi], e[lo : hi - 1]) for lo, hi in zip(starts, ends)])
-    order = np.argsort(vals, kind="stable")
-    evals = vals[order]
+    evals = _lapack.dsterf(d, e)
     count = _prefix_count(evals, lambda0)
     if count == d.size:
         return evals, _lapack.dstevd(d, e)[1]
-    # dstein takes the eigenvalues block after block, ascending within each
-    chosen = np.sort(order[:count])
-    z = _lapack.dstein(d, e, vals[chosen], np.searchsorted(ends, chosen, side="right") + 1, ends)
-    columns = np.searchsorted(chosen, order[:count])
-    if np.array_equal(columns, np.arange(count)):
-        return evals, z
-    return evals, np.asfortranarray(z[:, columns])
+    return evals, _lapack.dstein(d, e, evals[:count])
 
 
 def _scale(h: Stencil) -> float:

@@ -199,8 +199,7 @@ def _kernel_correlations(config, box, spec, index):
     shifts = 1.0 - (x_eta + x_xis)  # (sites, modes)
     x_consts = x_eta.sum() + x_xis.sum(axis=1)
     d_product = d_eta[:, :, None] * d_xis[:, None, :]  # (A, 1, sites)
-    sups = np.full(ys.size, -np.inf)
-    violations = 0
+    sups, violations = np.full(ys.size, -np.inf), 0
     for (theta,), (cos, _) in propagator_sums(spec, center, spec.modes[ys].T, _time_grid(config, spec), (-1,)):
         theta *= -a * a  # (block, sites)
         # -Re(eta) for eta = a e^{2 i t gamma} w_center, in place over the block's cos table
@@ -212,8 +211,7 @@ def _kernel_correlations(config, box, spec, index):
             joint = family.affine(minus_eta, xis[batch, None], shifts[batch, None], x_sums[:, batch].T)
             d_joint[:, :, batch] = joint.transpose(0, 2, 1)
         mags = np.abs(cc * (np.exp(-0.5j * theta) * d_joint - d_product))
-        violations += int(np.sum(mags > 2.0 + DOMINATION_SLACK))
-        np.maximum(sups, mags.max(axis=(0, 1)), out=sups)
+        violations += _fold(sups, mags.reshape(-1, ys.size), 2.0)
     rows = _shell_rows(shells, (("correlation_sup", sups), ("overlap_sum", overlap)))
     return rows, {"correlation_bound_violations": violations}
 

@@ -59,6 +59,28 @@ class TestSampling:
         assert np.all((k > 0) & (k <= 1.0))
         assert k.mean() > 0.6  # skewed upward by construction
 
+    def test_redraws_are_bounded(self):
+        """A table that passes the load check but draws k > 0 only at u = 1 - 2^-53 raises NumericError,
+        naming the table and its zero mass, once DISORDER_REDRAWS rounds have drawn no k > 0."""
+        u_star = float(np.nextafter(np.nextafter(1.0, 0.0), 0.0))
+        table = dict(table_u=(0.0, u_star, 1.0), table_k=(0.0, 0.0, 1.0))
+        cfg = DisorderConfig(k_max=1.0, master_seed=0, kind="inverse_cdf", **table)
+        message = (
+            rf"table \[0.0, {u_star!r}, 1.0\] -> \[0.0, 0.0, 1.0\] \(zero mass u\* = {u_star!r}\) "
+            f"drew k <= 0 at 12 sites in {anderson.DISORDER_REDRAWS} redraw rounds"
+        )
+        with pytest.raises(NumericError, match=message):
+            sample_disorder(cfg, BoxGeometry([12]), 0)
+
+    def test_large_zero_mass(self):
+        """A valid table that draws k = 0 with probability 0.9 fills a 40 x 40 box with k > 0."""
+        table = dict(table_u=(0.0, 0.9, 1.0), table_k=(0.0, 0.0, 1.0))
+        cfg = DisorderConfig(k_max=1.0, master_seed=3, kind="inverse_cdf", **table)
+        box = BoxGeometry([40, 40])
+        for index in range(8):
+            k = sample_disorder(cfg, box, index)
+            assert np.all((k > 0) & (k <= 1.0))
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -483,7 +505,7 @@ def test_solvers_leave_no_cyclic_garbage():
     calls = [
         lambda: _lapack.dsterf(chain.d, chain.e),
         lambda: _lapack.dstevd(chain.d, chain.e),
-        lambda: _lapack.dstein(chain.d, chain.e, _lapack.dsterf(chain.d, chain.e)[:5], np.ones(5), [30]),
+        lambda: _lapack.dstein(chain.d, chain.e, _lapack.dsterf(chain.d, chain.e)[:5]),
         reduce_and_map_back,
         lambda: spectrum(chain),
         lambda: diagonalize(chain, lambda0=2.0),
@@ -827,35 +849,50 @@ class TestWindow:
 
 @pytest.mark.skipif(_lapack.binding() is None, reason="numpy's LAPACK exports no dstein")
 class TestInverseIteration:
-    """dstein's edge cases: T splits into blocks, S holds 0, 1 or n - 1 modes, vectors fail to converge."""
+    """dstein's edge cases: T has a zero off-diagonal entry, S holds 0, 1 or n - 1 modes, vectors fail
+    to converge.  dstein always takes T as one block."""
 
     @staticmethod
-    def _spy_blocks(monkeypatch):
-        blocks = []
-        stein = _lapack.dstein
+    def _band_stencil(d, e):
+        """A chain's stencil whose band, dense form and product are those of (d, e), not of the Laplacian."""
+        h = Stencil(BoxGeometry([d.size]), d)
+        dense = np.diag(h.d) + np.diag(e, 1) + np.diag(e, -1)
+        object.__setattr__(h, "e", e)
+        object.__setattr__(h, "_apply", lambda x, out: np.matmul(dense, x, out=out))
+        return h, dense
 
-        def spy(d, e, w, iblock, isplit):
-            blocks.append(list(isplit))
-            return stein(d, e, w, iblock, isplit)
-
-        monkeypatch.setattr(_lapack, "dstein", spy)
-        return blocks
-
-    def test_band_with_a_zero(self, monkeypatch):
-        """A band with an exact zero is solved as two blocks: dsterf's bits on all of it, and inverse
-        iteration on each block, its vectors eigh's up to sign in the order of the eigenvalues."""
+    def test_band_with_a_zero(self):
+        """A band with an exact zero: dsterf's bits on all of it, and inverse iteration on it as one
+        block, its vectors eigh's up to sign in the order of the eigenvalues."""
         chain = _box_hamiltonian([30], "neumann")
         d, e = chain.d, chain.e.copy()
         e[9] = 0.0
         band = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
         evals, modes = np.linalg.eigh(band)
-        blocks = self._spy_blocks(monkeypatch)
         got, z = anderson._band_window(d, e, float(evals[14] + evals[15]) / 2)
-        assert blocks == [[10, 30]]
         assert np.array_equal(got, _lapack.dsterf(d, e))
         assert z.shape == (30, 15) and z.flags.f_contiguous
         signs = np.where(np.sum(z * modes[:, :15], axis=0) < 0, -1.0, 1.0)
         assert np.max(np.abs(z - modes[:, :15] * signs)) <= 1e-12
+
+    @pytest.mark.parametrize("coupling", [0.0, 1e-300, 1e-17])
+    def test_identical_halves(self, coupling):
+        """Two identical 15-site halves, joined by an entry dsterf takes for zero, have pairs of equal
+        eigenvalues across the join.  The window as one block passes diagonalize's residual and
+        orthonormality checks, and its eigenvalues are spectrum's bits."""
+        half = _box_hamiltonian([15], "neumann")
+        d, e = np.tile(half.d, 2), np.concatenate((half.e, [-coupling], half.e))
+        evals = _lapack.dsterf(d, e)
+        assert np.max(np.abs(evals[1::2] - evals[::2])) <= 1e-14
+        lambda0 = float(evals[15] + evals[16]) / 2
+        got, z = anderson._band_window(d, e, lambda0)
+        assert np.array_equal(got, evals) and z.shape == (30, 16) and z.flags.f_contiguous
+        h, dense = self._band_stencil(d, e)
+        spec = diagonalize(h, lambda0=lambda0)
+        assert np.array_equal(spec.modes, z)
+        assert np.array_equal(spec.eigenvalues, spectrum(h).eigenvalues)
+        assert np.max(np.abs(dense @ z - z * evals[:16])) <= RECONSTRUCTION_RTOL * np.max(np.abs(dense))
+        assert np.max(np.abs(z.T @ z - np.eye(16))) <= RECONSTRUCTION_RTOL
 
     @pytest.mark.parametrize("lengths", [[30], [6, 5]], ids=["band", "stencil"])
     @pytest.mark.parametrize("count", [0, 1, 29])
@@ -866,19 +903,11 @@ class TestInverseIteration:
         _assert_window(diagonalize(h, lambda0=lambda0), h, count)
 
     @pytest.mark.parametrize(
-        "w, iblock, isplit",
-        [
-            pytest.param([1.0], [1], [3], id="short-blocks"),
-            pytest.param([1.0], [1, 1], [4], id="blocks-of-other-values"),
-            pytest.param(np.ones(5), np.ones(5), [4], id="more-values-than-rows"),
-            pytest.param([1.0], [1], [], id="no-blocks"),
-            pytest.param([1.0], [3], [2, 4], id="block-out-of-range"),
-            pytest.param([1.0], [1], [3, 2, 4], id="ends-not-ascending"),
-        ],
+        "w", [pytest.param(np.ones(5), id="more-values-than-rows"), pytest.param(np.ones((1, 2)), id="not-a-vector")]
     )
-    def test_rejects_malformed_input(self, w, iblock, isplit):
+    def test_rejects_malformed_input(self, w):
         with pytest.raises(ValueError):
-            _lapack.dstein(np.full(4, 2.0), np.full(3, -1.0), w, iblock, isplit)
+            _lapack.dstein(np.full(4, 2.0), np.full(3, -1.0), w)
 
     def test_unconverged_vectors(self, monkeypatch):
         from types import SimpleNamespace

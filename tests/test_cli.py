@@ -54,10 +54,18 @@ def test_config_error_exits_2(tmp_path, capsys):
         {"seed": "x"},
         {"workers": 2, "disorder": {"kind": "inverse_cdf", "table_u": [0, 0.5, 1], "table_k": [0, 0.8, 0.3]}},
         {"experiment": "energy-density", "amplitude": "5", "lengths_ladder": [6, 8]},
-        # sample_disorder would redraw its zeros forever
+        # no draw is positive: sample_disorder would redraw its zeros until it gave up
         {"disorder": {"kind": "inverse_cdf", "table_u": [0, 1], "table_k": [0, 0]}},
+        {"disorder": {"kind": "inverse_cdf", "table_u": [0, 0.9999999999999999, 1], "table_k": [0, 0, 1]}},
     ],
-    ids=["fractional-samples", "string-seed", "non-monotone-table-with-workers", "string-amplitude", "zero-mass-table"],
+    ids=[
+        "fractional-samples",
+        "string-seed",
+        "non-monotone-table-with-workers",
+        "string-amplitude",
+        "zero-mass-table",
+        "narrow-positive-segment",
+    ],
 )
 def test_config_checked_before_any_sample(tmp_path, capsys, change):
     """An ill-typed number or a bad disorder table is a ConfigError at load, not a traceback, a

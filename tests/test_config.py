@@ -110,6 +110,11 @@ class TestValidation:
                 _doc(disorder={"kind": "inverse_cdf", "table_u": [0, 1, 1], "table_k": [0, 0, 1]}),
                 id="zero-mass-table-with-a-step",
             ),
+            # its positive segment lies above 1 - 2^-53, the largest u that a uniform draw returns
+            pytest.param(
+                _doc(disorder={"kind": "inverse_cdf", "table_u": [0, 0.9999999999999999, 1], "table_k": [0, 0, 1]}),
+                id="narrow-positive-segment",
+            ),
         ],
     )
     def test_rejected(self, doc):
