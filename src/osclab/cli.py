@@ -45,7 +45,12 @@ def _parser() -> argparse.ArgumentParser:
     run.add_argument("config", help="path of the JSON config")
     run.add_argument("--out", required=True, help="path of the result table")
     run.add_argument("--format", choices=("csv", "json"), default="csv", help="table format (default: csv)")
-    run.add_argument("--workers", type=_positive_int, help="worker processes (default: the config's)")
+    run.add_argument(
+        "--workers",
+        type=_positive_int,
+        help="worker processes (default: the config's); at one, eigenvalue-only ensembles on chains "
+        "run their samples on threads, one per usable core; the table is the same either way",
+    )
     run.set_defaults(action=_run, errors=(ConfigError, NumericError, OSError))
     fit = commands.add_parser("fit", help="fit an exponential decay to a JSON result table")
     fit.add_argument("result", help="path of a result table written with --format json")

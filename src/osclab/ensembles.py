@@ -27,7 +27,12 @@ a / sqrt(2 gamma) folded into its columns and passed to
 ``propagator_sums`` as its right-hand factor, so a block needs one
 |S| x |S| product per power; each smaller radius adds its ring of sites.
 Reduction happens after all samples are collected, in sample-index order,
-so the output is bit-identical regardless of the worker count.
+so the output is bit-identical whatever runs the samples.  ``workers``
+counts processes.  At one worker the samples of an eigenvalue-only ensemble
+whose every solve is ``dsterf`` on a chain's band run on threads, one per
+usable core, since that sequential LAPACK routine calls no BLAS and
+releases the GIL; at one worker every other ensemble runs them in the
+caller's thread.
 
 Every kernel also verifies its theorem-shape dominations pointwise on the
 evaluation grid (commutator values against envelopes, quasi-locality
@@ -40,11 +45,13 @@ two ascending spectra, index by index, up to RECONSTRUCTION_RTOL * ||h_D||.
 from __future__ import annotations
 
 import concurrent.futures
+import os
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
+from . import _lapack
 from .anderson import (
     RECONSTRUCTION_RTOL,
     assemble,
@@ -357,13 +364,18 @@ KERNELS = {
 }
 
 
+#: The eigenvalue-only kinds, which sample and solve their own boxes and run no kernel.
+SPECTRUM_SAMPLERS = {
+    "energy-density": _energy_density_sample,
+    "gap-stats": _gap_stats_sample,
+}
+
+
 def run_sample(config: ExperimentConfig, index: int) -> SampleOutcome:
     """Evaluate one disorder realization; pure in (config, index)."""
     kind = config.experiment
-    if kind == "energy-density":
-        return _energy_density_sample(config, index)
-    if kind == "gap-stats":
-        return _gap_stats_sample(config, index)
+    if kind in SPECTRUM_SAMPLERS:
+        return SPECTRUM_SAMPLERS[kind](config, index)
     box = config.box()
     k = sample_disorder(config.disorder(), box, index)
     spec = diagonalize(assemble(box, k), lambda0=config.lambda0_value())
@@ -410,18 +422,59 @@ def _reduce(config: ExperimentConfig, outcomes: list[SampleOutcome]) -> Ensemble
     )
 
 
+def _solves_only_chain_bands(config: ExperimentConfig) -> bool:
+    """Whether every solve of a sample is ``dsterf`` on a chain's band: the ladder of ``energy-density``,
+    and ``gap-stats`` on a chain, with numpy's LAPACK bound.  A 2D reduction, the kernels and numpy's
+    solvers call BLAS-threaded code, which sample threads slowed down or did not speed up."""
+    if config.experiment not in SPECTRUM_SAMPLERS or _lapack.binding() is None:
+        return False
+    return config.experiment == "energy-density" or config.box().nu == 1
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+@cache
+def _sample_threads() -> concurrent.futures.ThreadPoolExecutor | None:
+    """The process's thread pool for samples, made on first use with one thread per usable core;
+    None where only one core is usable."""
+    cores = _usable_cores()
+    return concurrent.futures.ThreadPoolExecutor(max_workers=cores) if cores > 1 else None
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child has none of its parent's pool threads, so it makes its own pool
+    os.register_at_fork(after_in_child=_sample_threads.cache_clear)
+
+
 def run_ensemble(config: ExperimentConfig, workers: int | None = None) -> EnsembleResult:
     """Run all disorder samples of an experiment and aggregate per key.
 
-    ``workers`` overrides the config; per-sample results are collected and
-    reduced in index order, so the numbers are independent of parallelism.
+    ``workers`` overrides the config's count of worker processes.  At one
+    worker the samples of an ensemble whose every solve is ``dsterf`` on a
+    chain's band (``energy-density``, and ``gap-stats`` on a chain, with
+    numpy's LAPACK bound) run on the process's thread pool, one thread per
+    usable core, and any other one in the caller's thread.
+    Per-sample results are collected and reduced in index order, so the
+    bytes of the table depend on neither the worker count nor the threads.
+    An exception a sample raises on a thread reaches the caller unchanged;
+    a failure in a worker process becomes a NumericError.
     """
     n_workers = int(workers if workers is not None else config.workers)
     indices = range(config.samples)
-    if n_workers <= 1 or config.samples == 1:
-        outcomes = [run_sample(config, i) for i in indices]
+    job = partial(run_sample, config)
+    threads = None
+    if n_workers <= 1 and config.samples > 1 and _solves_only_chain_bands(config):
+        threads = _sample_threads()
+    if threads is not None:
+        outcomes = list(threads.map(job, indices))
+    elif n_workers <= 1 or config.samples == 1:
+        outcomes = list(map(job, indices))
     else:
-        job = partial(run_sample, config)
         completed = 0
         outcomes = []
         try:

@@ -2,7 +2,8 @@
 
 An ensemble result is a table keyed by (key fields..., quantity) with the
 sample mean, standard error and count per key, plus a metadata block
-carrying the config digest, seed, code version and any per-run flags.
+carrying the config digest, seed and any per-run flags.  The JSON document
+also records the code version, at its top level beside the metadata.
 CSV output prints floats with 17 significant digits so that byte-identical
 reproduction across runs is meaningful; JSON round-trips losslessly.
 """

@@ -130,6 +130,18 @@ def test_infinite_default_horizon_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sample_error_on_threads_exits_2(tmp_path, capsys):
+    """A NumericError raised in a sample of a threaded ensemble exits 2 like one raised in the caller's thread."""
+    table = {"kind": "inverse_cdf", "table_u": [0, 1 - 2**-52, 1], "table_k": [0, 0, 1]}
+    doc = {"experiment": "energy-density", "samples": 4, "lengths_ladder": [10, 20], "disorder": table}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "table.csv"
+    assert cli.main(["run", str(path), "--out", str(out), "--workers", "1"]) == 2
+    _one_line_error(capsys, "NumericError")
+    assert not out.exists()
+
+
 def test_unwritable_out_exits_2(config_path, tmp_path, capsys):
     assert cli.main(["run", str(config_path), "--out", str(tmp_path / "absent" / "t.csv")]) == 2
     _one_line_error(capsys, "OSError")

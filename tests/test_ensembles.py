@@ -1,4 +1,6 @@
 import itertools
+import multiprocessing
+import threading
 import tracemalloc
 from functools import partial
 
@@ -7,10 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from osclab import anderson, ensembles
+from osclab import _lapack, anderson, ensembles
 from osclab.anderson import DisorderConfig, SpectralData, Stencil, assemble, diagonalize, sample_disorder, tails
 from osclab.config import KINDS, config_from_dict
-from osclab.errors import ConfigError
+from osclab.errors import ConfigError, NumericError
 from osclab.fock_oracle import correlation_series, delta_field, diagonal_elements, evolve, neighborhood, project_localized, v_map
 from osclab.lattice import BoxGeometry
 from osclab.results import render_csv
@@ -869,21 +871,101 @@ def test_tails_formed_only_where_c_f_is_read(monkeypatch, kind):
     assert read == {"lr-bound": pair, "correlations": pair, "quasi-locality": [[center]]}.get(kind, [])
 
 
+def _grid_doc(kind):
+    return {
+        "experiment": kind,
+        "box": {"lengths": [12]},
+        "lambda0": "full",
+        "kappa": 1,
+        "samples": 3,
+        "seed": 21,
+        "time_grid": {"points": 20},
+    }
+
+
+LADDER_DOC = {"experiment": "energy-density", "samples": 4, "seed": 21, "lengths_ladder": [10, 20]}
+CHAIN_GAPS_DOC = {"experiment": "gap-stats", "box": {"lengths": [40]}, "samples": 4, "seed": 21, "mb_length": 3}
+BOX_GAPS_DOC = {**CHAIN_GAPS_DOC, "box": {"lengths": [6, 6]}}
+
+#: Whether a thread route can run here: numpy's LAPACK is bound and more than one core is usable.
+THREADS_USABLE = _lapack.binding() is not None and ensembles._usable_cores() > 1
+
+
+def _threads_running_samples(monkeypatch, doc, meet=False):
+    """The idents of the threads that run ``run_sample`` in a one-worker ensemble of ``doc``.  With
+    ``meet``, the first two samples wait for each other, so that two threads must run them."""
+    run_sample = ensembles.run_sample
+    idents = set()
+    barrier = threading.Barrier(2)
+
+    def spy(config, index):
+        idents.add(threading.get_ident())
+        if meet and index < 2:
+            barrier.wait(timeout=10)
+        return run_sample(config, index)
+
+    monkeypatch.setattr(ensembles, "run_sample", spy)
+    ensembles.run_ensemble(config_from_dict(doc), workers=1)
+    return idents
+
+
 class TestRunEnsemble:
-    @pytest.mark.parametrize("kind", ["correlations", "quasi-locality"])
-    def test_csv_independent_of_workers(self, kind):
-        doc = {
-            "experiment": kind,
-            "box": {"lengths": [12]},
-            "lambda0": "full",
-            "kappa": 1,
-            "samples": 3,
-            "seed": 21,
-            "time_grid": {"points": 20},
-        }
+    @pytest.mark.parametrize(
+        "doc",
+        [_grid_doc("correlations"), _grid_doc("quasi-locality"), LADDER_DOC, CHAIN_GAPS_DOC, BOX_GAPS_DOC],
+        ids=["correlations", "quasi-locality", "energy-density", "gap-stats-chain", "gap-stats-box"],
+    )
+    def test_csv_independent_of_workers(self, doc):
+        """One worker, on threads where every solve is a chain's dsterf, and two worker processes
+        write the same bytes."""
         serial = render_csv(ensembles.run_ensemble(config_from_dict(doc), workers=1))
         pooled = render_csv(ensembles.run_ensemble(config_from_dict(doc), workers=2))
         assert serial == pooled
+
+    @pytest.mark.skipif(not THREADS_USABLE, reason="needs numpy's LAPACK bound and two usable cores")
+    @pytest.mark.parametrize("doc", [LADDER_DOC, CHAIN_GAPS_DOC], ids=["energy-density", "gap-stats-chain"])
+    def test_chain_spectra_run_on_threads(self, monkeypatch, doc):
+        idents = _threads_running_samples(monkeypatch, doc, meet=True)
+        assert len(idents) > 1 and threading.get_ident() not in idents
+
+    @pytest.mark.parametrize(
+        "doc, bound",
+        [(BOX_GAPS_DOC, True), (_grid_doc("lr-bound"), True), (LADDER_DOC, False), (CHAIN_GAPS_DOC, False)],
+        ids=["gap-stats-box", "kernel", "energy-density-without-lapack", "gap-stats-chain-without-lapack"],
+    )
+    def test_other_ensembles_stay_on_the_callers_thread(self, monkeypatch, doc, bound):
+        """A 2D reduction, a kernel and numpy's solvers call BLAS-threaded code, which threads slow down."""
+        if not bound:
+            monkeypatch.setattr(_lapack, "binding", lambda: None)
+        assert _threads_running_samples(monkeypatch, doc) == {threading.get_ident()}
+
+    def test_process_pool_after_thread_pool(self):
+        """Worker processes forked once the thread pool exists still run, and agree with one worker."""
+        ensembles.run_ensemble(config_from_dict(LADDER_DOC), workers=1)
+        doc = _grid_doc("lr-bound")
+        serial = render_csv(ensembles.run_ensemble(config_from_dict(doc), workers=1))
+        pooled = render_csv(ensembles.run_ensemble(config_from_dict(doc), workers=2))
+        assert serial == pooled
+
+    def test_forked_child_makes_its_own_thread_pool(self):
+        """A child forked from a process with a thread pool has none of its threads; without a pool
+        of its own, its first threaded ensemble would wait forever."""
+        config = config_from_dict(LADDER_DOC)
+        expected = ensembles.run_ensemble(config, workers=1)
+        # the pool's exit terminates a child that still waits
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.apply_async(ensembles.run_ensemble, (config, 1)).get(timeout=60) == expected
+
+    def test_sample_error_reaches_the_caller_unchanged(self):
+        """A table positive only above 1 - 2^-52 passes the load check; each sample then fails in
+        sample_disorder, and the NumericError, which names the table, reaches the caller as raised.
+        The pool runs the next ensemble."""
+        table = {"kind": "inverse_cdf", "table_u": [0, 1 - 2**-52, 1], "table_k": [0, 0, 1]}
+        config = config_from_dict({**LADDER_DOC, "disorder": table})
+        with pytest.raises(NumericError, match=r"inverse-CDF table \[0\.0, 0\.9999999999999998, 1\.0\] -> "):
+            ensembles.run_ensemble(config, workers=1)
+        serial = render_csv(ensembles.run_ensemble(config_from_dict(LADDER_DOC), workers=1))
+        assert serial == render_csv(ensembles.run_ensemble(config_from_dict(LADDER_DOC), workers=2))
 
     def test_result_independent_of_configured_workers(self):
         """Tables and metadata, the config digest included, agree whether the config asks for 1 or 2 workers."""
@@ -894,8 +976,8 @@ class TestRunEnsemble:
 
     def test_every_kind_has_a_sampler(self):
         """The kernels and the two eigenvalue-only kinds, which run_sample samples itself, are the kinds."""
-        assert set(ensembles.KERNELS) | {"energy-density", "gap-stats"} == set(KINDS)
-        assert not set(ensembles.KERNELS) & {"energy-density", "gap-stats"}
+        assert set(ensembles.KERNELS) | set(ensembles.SPECTRUM_SAMPLERS) == set(KINDS)
+        assert not set(ensembles.KERNELS) & set(ensembles.SPECTRUM_SAMPLERS)
 
     def test_oracle_check_rejected_at_config_time(self):
         with pytest.raises(ConfigError):
