@@ -89,12 +89,12 @@ are scaled by gamma^s phi_j(x) and multiplied by one right-hand factor R
 with a row per mode of S: Phi_S^T at the sites read, or the Gram matrix
 of the sites outside a neighbourhood that quasi-locality passes.  No
 weight array of |S| x sites per power is held.  The grid comes as the
-(start, stop, points) of ``np.linspace``, which ``propagator_sums`` calls
-itself, so it is arithmetic by construction: a block's phases come from
-its first row, evaluated directly, by angle addition with one table of
-TIME_BLOCK offsets shared by all blocks.  Every block hands back both
-phase tables, and the kernels that need the phases mode by mode read
-them from it.
+(start, stop, points) of ``np.linspace``, so it is arithmetic by
+construction, and is never formed: a block's phases come from its first
+time, computed by np.linspace's own arithmetic, by angle addition with
+one table of TIME_BLOCK offsets shared by all blocks.  Every block hands
+back both phase tables, and the kernels that need the phases mode by
+mode read them from it.
 """
 
 from __future__ import annotations
@@ -551,10 +551,7 @@ def eigencorrelator_profile(spec: SpectralData, s: int, x: int, sites) -> np.nda
     if s not in (-1, 0, 1):
         raise ValueError("power s must be -1, 0 or +1")
     sites = _checked_sites(spec, x, sites)
-    gam = spec.localized_gammas
-    if gam.size == 0:
-        return np.zeros(sites.size)
-    return np.abs(spec.modes[sites]) @ (gam**s * np.abs(spec.modes[int(x)]))
+    return np.abs(spec.modes[sites]) @ (spec.localized_gammas**s * np.abs(spec.modes[int(x)]))
 
 
 def propagator_sums(spec: SpectralData, x: int, right: np.ndarray, grid, powers):
@@ -565,13 +562,14 @@ def propagator_sums(spec: SpectralData, x: int, right: np.ndarray, grid, powers)
     coefficient <delta_x, h^{s/2} u(2t sqrt(h)) X delta_y> of a restricted
     position/momentum commutator at y = sites[k], and |sum| <= Q_s(x, y) at
     every t.  ``grid`` is (start, stop, points), the times
-    np.linspace(start, stop, points); points < 1 is a ValueError.  Returns an
-    iterator over the blocks of TIME_BLOCK consecutive times: each item is
-    (sums, (cos, sin)), sums one (block, columns of R) array per power, in
-    the order of ``powers``, and cos and sin the block's phase tables
-    cos(2 t gamma_j) and sin(2 t gamma_j) (block, |S|), which the next block
-    overwrites.  Per block both phase tables are formed once, scaled by
-    gamma^s phi_x into one buffer per power in turn and multiplied by R.
+    np.linspace(start, stop, points), of which only each block's first is
+    computed; points < 1 is a ValueError.  Returns an iterator over the
+    blocks of TIME_BLOCK consecutive times: each item is (sums, (cos, sin)),
+    sums one (block, columns of R) array per power, in the order of
+    ``powers``, and cos and sin the block's phase tables cos(2 t gamma_j)
+    and sin(2 t gamma_j) (block, |S|), which the next block overwrites.  Per
+    block both phase tables are formed once, scaled by gamma^s phi_x into
+    one buffer per power in turn and multiplied by R.
     """
     start, stop, points = grid
     if points < 1:
@@ -581,10 +579,21 @@ def propagator_sums(spec: SpectralData, x: int, right: np.ndarray, grid, powers)
     if right.shape[0] != gam.size:
         raise ValueError(f"R has {right.shape[0]} rows for {gam.size} modes")
     scales = [spec.modes[int(x)] * gam**s for s in powers]
-    return _propagator_blocks(gam, np.linspace(start, stop, points), powers, scales, right)
+    return _propagator_blocks(gam, (float(start), float(stop), points), powers, scales, right)
 
 
-def _propagator_blocks(gam, times, powers, scales, right):
+def _grid_time(grid, i: int) -> float:
+    """Entry i of np.linspace(*grid) by np.linspace's own arithmetic, bit for bit, without forming the grid."""
+    start, stop, points = grid
+    div, delta = points - 1, stop - start
+    if i == div > 0:
+        return stop
+    step = delta / div if div else 0.0
+    # np.linspace scales i by delta where the step is undefined (one point) or zero (a subnormal span)
+    return (i / max(div, 1) * delta if step == 0 else i * step) + start
+
+
+def _propagator_blocks(gam, grid, powers, scales, right):
     """The blocks of ``propagator_sums``.
 
     The phases of a block come from its first row, evaluated directly, by
@@ -592,18 +601,19 @@ def _propagator_blocks(gam, times, powers, scales, right):
     k < TIME_BLOCK, shared by all blocks: a few products in place of a sine
     and a cosine per entry.
     """
-    step = (times[-1] - times[0]) / max(times.size - 1, 1)
-    shape = (min(TIME_BLOCK, times.size), gam.size)
+    points = grid[2]
+    step = (_grid_time(grid, points - 1) - _grid_time(grid, 0)) / max(points - 1, 1)
+    shape = (min(TIME_BLOCK, points), gam.size)
     cos_buf, sin_buf = np.empty(shape), np.empty(shape)
     # the scaled tables of all powers, stacked, so that each block takes one product with R
     stacked = np.empty((len(powers) * shape[0], gam.size))
     offsets = 2.0 * (np.arange(shape[0]) * step)[:, None] * gam
     cos_off, sin_off = np.cos(offsets), np.sin(offsets, out=offsets)
-    for start in range(0, times.size, TIME_BLOCK):
-        n = min(TIME_BLOCK, times.size - start)
+    for start in range(0, points, TIME_BLOCK):
+        n = min(TIME_BLOCK, points - start)
         cos, sin, scaled = cos_buf[:n], sin_buf[:n], stacked[: len(powers) * n]
         # cos(a + b) = cos a cos b - sin a sin b, sin(a + b) = sin a cos b + cos a sin b
-        first = 2.0 * times[start] * gam
+        first = 2.0 * _grid_time(grid, start) * gam
         cos_a, sin_a, spare = np.cos(first), np.sin(first), scaled[:n]
         np.multiply(cos_off[:n], cos_a, out=cos)
         cos -= np.multiply(sin_off[:n], sin_a, out=spare)

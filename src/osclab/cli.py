@@ -1,11 +1,12 @@
 """Command-line entry point.
 
 ``osclab run CONFIG --out PATH`` runs the experiment a JSON config
-describes and writes its result table.  ``osclab fit RESULT --range A B``
-fits C e^{-mu d} to the means of a JSON result table whose first key d lies
-in [A, B] and prints mu_hat, C_hat, R^2 and the number of points; a table
-of several quantities needs ``--quantity``.  A malformed config or result
-file, a fit range that selects too few positive means or several
+describes, with ``--workers`` as its worker count if given, and writes its
+result table.  ``osclab fit RESULT --range A B`` fits C e^{-mu d} to the
+means of a JSON result table whose first key d lies in [A, B] and prints
+mu_hat, C_hat, R^2 and the number of points; a table of several quantities
+needs ``--quantity``.  A malformed config or result file, a worker count
+below one, a fit range that selects too few positive means or several
 quantities, or a failed accuracy check exits with code 2 and a one-line
 message on standard error.
 """
@@ -13,6 +14,7 @@ message on standard error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .config import load_config
@@ -21,15 +23,11 @@ from .errors import ConfigError, NumericError
 from .results import emit, fit_exponential, load
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def _run(args):
-    emit(run_ensemble(load_config(args.config), workers=args.workers), args.format, args.out)
+    config = load_config(args.config)
+    if args.workers is not None:
+        config = dataclasses.replace(config, workers=args.workers)
+    emit(run_ensemble(config), args.format, args.out)
 
 
 def _fit(args):
@@ -47,9 +45,9 @@ def _parser() -> argparse.ArgumentParser:
     run.add_argument("--format", choices=("csv", "json"), default="csv", help="table format (default: csv)")
     run.add_argument(
         "--workers",
-        type=_positive_int,
-        help="worker processes (default: the config's); at one, eigenvalue-only ensembles on chains "
-        "run their samples on threads, one per usable core; the table is the same either way",
+        type=int,
+        help="worker processes, at most one per sample and per usable core (default: the config's); at one, "
+        "eigenvalue-only ensembles on chains run their samples on threads; the table is the same either way",
     )
     run.set_defaults(action=_run, errors=(ConfigError, NumericError, OSError))
     fit = commands.add_parser("fit", help="fit an exponential decay to a JSON result table")

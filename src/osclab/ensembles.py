@@ -27,12 +27,12 @@ a / sqrt(2 gamma) folded into its columns and passed to
 ``propagator_sums`` as its right-hand factor, so a block needs one
 |S| x |S| product per power; each smaller radius adds its ring of sites.
 Reduction happens after all samples are collected, in sample-index order,
-so the output is bit-identical whatever runs the samples.  ``workers``
-counts processes.  At one worker the samples of an eigenvalue-only ensemble
-whose every solve is ``dsterf`` on a chain's band run on threads, one per
-usable core, since that sequential LAPACK routine calls no BLAS and
-releases the GIL; at one worker every other ensemble runs them in the
-caller's thread.
+so the output is bit-identical whatever runs the samples.  The config's
+``workers`` counts processes, at most one per sample and per usable core.
+At one worker the samples of an eigenvalue-only ensemble whose every solve
+is ``dsterf`` on a chain's band run on threads, one per usable core, since
+that sequential LAPACK routine calls no BLAS and releases the GIL; every
+other ensemble runs them in the caller's thread.
 
 Every kernel also verifies its theorem-shape dominations pointwise on the
 evaluation grid (commutator values against envelopes, quasi-locality
@@ -426,9 +426,8 @@ def _solves_only_chain_bands(config: ExperimentConfig) -> bool:
     """Whether every solve of a sample is ``dsterf`` on a chain's band: the ladder of ``energy-density``,
     and ``gap-stats`` on a chain, with numpy's LAPACK bound.  A 2D reduction, the kernels and numpy's
     solvers call BLAS-threaded code, which sample threads slowed down or did not speed up."""
-    if config.experiment not in SPECTRUM_SAMPLERS or _lapack.binding() is None:
-        return False
-    return config.experiment == "energy-density" or config.box().nu == 1
+    kind = config.experiment
+    return _lapack.binding() is not None and (kind == "energy-density" or kind == "gap-stats" and config.box().nu == 1)
 
 
 def _usable_cores() -> int:
@@ -451,39 +450,31 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_sample_threads.cache_clear)
 
 
-def run_ensemble(config: ExperimentConfig, workers: int | None = None) -> EnsembleResult:
+def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
     """Run all disorder samples of an experiment and aggregate per key.
 
-    ``workers`` overrides the config's count of worker processes.  At one
-    worker the samples of an ensemble whose every solve is ``dsterf`` on a
-    chain's band (``energy-density``, and ``gap-stats`` on a chain, with
-    numpy's LAPACK bound) run on the process's thread pool, one thread per
-    usable core, and any other one in the caller's thread.
-    Per-sample results are collected and reduced in index order, so the
-    bytes of the table depend on neither the worker count nor the threads.
-    An exception a sample raises on a thread reaches the caller unchanged;
-    a failure in a worker process becomes a NumericError.
+    With ``config.workers`` above one and more than one sample, the samples
+    run in a pool of min(workers, samples, usable cores) worker processes,
+    and a failure in one becomes a NumericError.  Otherwise the samples of
+    an ensemble whose every solve is ``dsterf`` on a chain's band
+    (``energy-density``, and ``gap-stats`` on a chain, with numpy's LAPACK
+    bound) run on the process's thread pool, one thread per usable core,
+    and any other one in the caller's thread; an exception a sample raises
+    on a thread reaches the caller unchanged.  Per-sample results are
+    collected and reduced in index order, so the bytes of the table depend
+    on neither the worker count nor the threads.
     """
-    n_workers = int(workers if workers is not None else config.workers)
-    indices = range(config.samples)
-    job = partial(run_sample, config)
-    threads = None
-    if n_workers <= 1 and config.samples > 1 and _solves_only_chain_bands(config):
-        threads = _sample_threads()
-    if threads is not None:
-        outcomes = list(threads.map(job, indices))
-    elif n_workers <= 1 or config.samples == 1:
-        outcomes = list(map(job, indices))
-    else:
-        completed = 0
+    job, indices = partial(run_sample, config), range(config.samples)
+    if config.workers > 1 and config.samples > 1:
+        workers = min(config.workers, config.samples, _usable_cores())
         outcomes = []
         try:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=n_workers) as pool:
-                for outcome in pool.map(job, indices):
-                    outcomes.append(outcome)
-                    completed += 1
+            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+                outcomes.extend(pool.map(job, indices))  # keeps the outcomes that came before a failure
         except Exception as exc:
-            raise NumericError(
-                f"worker failure after {completed} of {config.samples} samples: {exc}"
-            ) from exc
+            raise NumericError(f"worker failure after {len(outcomes)} of {config.samples} samples: {exc}") from exc
+    elif config.samples > 1 and _solves_only_chain_bands(config) and (threads := _sample_threads()):
+        outcomes = list(threads.map(job, indices))
+    else:
+        outcomes = list(map(job, indices))
     return _reduce(config, outcomes)

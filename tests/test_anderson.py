@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -1112,7 +1114,8 @@ class TestEigencorrelator:
         assert q >= 1.0 - 1e-12
 
     def test_empty_regime(self):
-        assert np.array_equal(eigencorrelator_profile(_chain12_at(1e-6), 0, 0, np.arange(12)), np.zeros(12))
+        for s in (-1, 0, 1):
+            assert np.array_equal(eigencorrelator_profile(_chain12_at(1e-6), s, 0, np.arange(12)), np.zeros(12))
 
     def test_symmetry_and_monotone(self, chain12):
         _, spec = chain12
@@ -1280,6 +1283,30 @@ class TestPhaseRotation:
         grid = (0.0, 50.0, 150)
         for table, ref in zip(_blocks(spec, grid)[0], _direct_blocks(spec, grid)[0]):
             assert np.array_equal(table, ref)
+
+    @pytest.mark.parametrize("points", [1, 2, 64, 65, 129, 400, 2000])
+    @pytest.mark.parametrize("start, stop", [(0.0, 20.0), (5.0, 30.0), (1.0, 1.0), (0.0, 1e-310), (0.0, 5e-324)])
+    def test_grid_times_are_linspace_bit_for_bit(self, points, start, stop):
+        """The times a block starts at are np.linspace's, its last point and zero-step branch included: a
+        span of subnormal 5e-324 has a step of 0 from 3 points on, where np.linspace divides first."""
+        grid = (start, stop, points)
+        times = np.array([anderson._grid_time(grid, i) for i in range(points)])
+        assert times.tobytes() == np.linspace(*grid).tobytes()
+
+    def test_grid_is_not_formed(self, chain12):
+        """The first block of a grid of 10^11 points, whose times alone would take 800 GB, holds little."""
+        _, spec = chain12
+        grid = (0.0, 20.0, 10**11)
+        tracemalloc.start()
+        try:
+            _, (cos, sin) = next(propagator_sums(spec, 4, spec.modes.T, grid, (-1, 0)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        times = np.array([anderson._grid_time(grid, i) for i in range(anderson.TIME_BLOCK)])
+        assert np.allclose(cos, np.cos(2.0 * times[:, None] * spec.gammas), rtol=0, atol=1e-13)
+        assert np.allclose(sin, np.sin(2.0 * times[:, None] * spec.gammas), rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("points", [0, -3])
     def test_grid_needs_a_point(self, chain12, points):

@@ -148,12 +148,21 @@ def test_unwritable_out_exits_2(config_path, tmp_path, capsys):
 
 
 def test_numeric_error_exits_2(monkeypatch, config_path, tmp_path, capsys):
-    def fail(config, workers=None):
+    def fail(config):
         raise NumericError("residual max|h Phi_S - Phi_S Lambda_S| 1.000e-03 exceeds 5.000e-10\nsecond line")
 
     monkeypatch.setattr(cli, "run_ensemble", fail)
     assert cli.main(["run", str(config_path), "--out", str(tmp_path / "t.csv")]) == 2
     _one_line_error(capsys, "NumericError")
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_workers_below_one_exit_2(config_path, tmp_path, capsys, workers):
+    """``--workers`` replaces the config's field, so a count below one is the config's ConfigError."""
+    out = tmp_path / "t.csv"
+    assert cli.main(["run", str(config_path), "--out", str(out), "--workers", workers]) == 2
+    assert capsys.readouterr().err == f"osclab: ConfigError: workers must be at least 1, got {workers}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -162,7 +171,7 @@ def test_numeric_error_exits_2(monkeypatch, config_path, tmp_path, capsys):
         pytest.param([], id="no-command"),
         pytest.param(["run", "cfg.json"], id="no-out"),
         pytest.param(["run", "cfg.json", "--out", "t.csv", "--format", "xml"], id="bad-format"),
-        pytest.param(["run", "cfg.json", "--out", "t.csv", "--workers", "0"], id="no-workers"),
+        pytest.param(["run", "cfg.json", "--out", "t.csv", "--workers", "2.5"], id="fractional-workers"),
         pytest.param(["fit", "t.json"], id="fit-no-range"),
         pytest.param(["fit", "t.json", "--range", "1"], id="fit-one-bound"),
         pytest.param(["fit", "t.json", "--range", "1", "x"], id="fit-bound-not-a-number"),

@@ -1,7 +1,9 @@
+import concurrent.futures
 import itertools
 import multiprocessing
 import threading
 import tracemalloc
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -887,6 +889,40 @@ LADDER_DOC = {"experiment": "energy-density", "samples": 4, "seed": 21, "lengths
 CHAIN_GAPS_DOC = {"experiment": "gap-stats", "box": {"lengths": [40]}, "samples": 4, "seed": 21, "mb_length": 3}
 BOX_GAPS_DOC = {**CHAIN_GAPS_DOC, "box": {"lengths": [6, 6]}}
 
+
+def _with_workers(doc, workers):
+    """The config of ``doc`` with ``workers`` worker processes."""
+    return replace(config_from_dict(doc), workers=workers)
+
+
+def _csv(doc, workers):
+    """The CSV table of ``doc``'s ensemble run with ``workers`` worker processes."""
+    return render_csv(ensembles.run_ensemble(_with_workers(doc, workers)))
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of every process pool an ensemble makes; in place of processes, each pool runs its jobs
+    in the caller's thread."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return None
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
 #: Whether a thread route can run here: numpy's LAPACK is bound and more than one core is usable.
 THREADS_USABLE = _lapack.binding() is not None and ensembles._usable_cores() > 1
 
@@ -905,7 +941,7 @@ def _threads_running_samples(monkeypatch, doc, meet=False):
         return run_sample(config, index)
 
     monkeypatch.setattr(ensembles, "run_sample", spy)
-    ensembles.run_ensemble(config_from_dict(doc), workers=1)
+    ensembles.run_ensemble(_with_workers(doc, 1))
     return idents
 
 
@@ -918,9 +954,7 @@ class TestRunEnsemble:
     def test_csv_independent_of_workers(self, doc):
         """One worker, on threads where every solve is a chain's dsterf, and two worker processes
         write the same bytes."""
-        serial = render_csv(ensembles.run_ensemble(config_from_dict(doc), workers=1))
-        pooled = render_csv(ensembles.run_ensemble(config_from_dict(doc), workers=2))
-        assert serial == pooled
+        assert _csv(doc, 1) == _csv(doc, 2)
 
     @pytest.mark.skipif(not THREADS_USABLE, reason="needs numpy's LAPACK bound and two usable cores")
     @pytest.mark.parametrize("doc", [LADDER_DOC, CHAIN_GAPS_DOC], ids=["energy-density", "gap-stats-chain"])
@@ -941,31 +975,54 @@ class TestRunEnsemble:
 
     def test_process_pool_after_thread_pool(self):
         """Worker processes forked once the thread pool exists still run, and agree with one worker."""
-        ensembles.run_ensemble(config_from_dict(LADDER_DOC), workers=1)
-        doc = _grid_doc("lr-bound")
-        serial = render_csv(ensembles.run_ensemble(config_from_dict(doc), workers=1))
-        pooled = render_csv(ensembles.run_ensemble(config_from_dict(doc), workers=2))
-        assert serial == pooled
+        ensembles.run_ensemble(_with_workers(LADDER_DOC, 1))
+        assert _csv(_grid_doc("lr-bound"), 1) == _csv(_grid_doc("lr-bound"), 2)
 
     def test_forked_child_makes_its_own_thread_pool(self):
         """A child forked from a process with a thread pool has none of its threads; without a pool
         of its own, its first threaded ensemble would wait forever."""
-        config = config_from_dict(LADDER_DOC)
-        expected = ensembles.run_ensemble(config, workers=1)
+        config = _with_workers(LADDER_DOC, 1)
+        expected = ensembles.run_ensemble(config)
         # the pool's exit terminates a child that still waits
         with multiprocessing.get_context("fork").Pool(1) as pool:
-            assert pool.apply_async(ensembles.run_ensemble, (config, 1)).get(timeout=60) == expected
+            assert pool.apply_async(ensembles.run_ensemble, (config,)).get(timeout=60) == expected
 
     def test_sample_error_reaches_the_caller_unchanged(self):
         """A table positive only above 1 - 2^-52 passes the load check; each sample then fails in
         sample_disorder, and the NumericError, which names the table, reaches the caller as raised.
         The pool runs the next ensemble."""
         table = {"kind": "inverse_cdf", "table_u": [0, 1 - 2**-52, 1], "table_k": [0, 0, 1]}
-        config = config_from_dict({**LADDER_DOC, "disorder": table})
+        config = _with_workers({**LADDER_DOC, "disorder": table}, 1)
         with pytest.raises(NumericError, match=r"inverse-CDF table \[0\.0, 0\.9999999999999998, 1\.0\] -> "):
-            ensembles.run_ensemble(config, workers=1)
-        serial = render_csv(ensembles.run_ensemble(config_from_dict(LADDER_DOC), workers=1))
-        assert serial == render_csv(ensembles.run_ensemble(config_from_dict(LADDER_DOC), workers=2))
+            ensembles.run_ensemble(config)
+        assert _csv(LADDER_DOC, 1) == _csv(LADDER_DOC, 2)
+
+    @pytest.mark.parametrize(
+        "workers, samples, cores, sizes",
+        [(5000, 2, 4, [2]), (3, 8, 4, [3]), (8, 8, 4, [4]), (2, 3, 1, [1]), (5000, 1, 4, [])],
+        ids=["samples", "workers", "cores", "one-core", "one-sample"],
+    )
+    def test_process_pool_is_limited(self, monkeypatch, pool_sizes, workers, samples, cores, sizes):
+        """The pool holds min(workers, samples, usable cores) processes, one sample runs in the caller,
+        and the table is that of one worker."""
+        monkeypatch.setattr(ensembles, "_usable_cores", lambda: cores)
+        doc = {**_grid_doc("lr-bound"), "samples": samples}
+        assert _csv(doc, workers) == _csv(doc, 1)
+        assert pool_sizes == sizes
+
+    def test_worker_failure_is_a_numeric_error(self, monkeypatch, pool_sizes):
+        """An exception in the process pool becomes a NumericError that counts the samples before it."""
+        run_sample = ensembles.run_sample
+
+        def fail_third(config, index):
+            if index == 2:
+                raise ValueError("planted")
+            return run_sample(config, index)
+
+        monkeypatch.setattr(ensembles, "run_sample", fail_third)
+        with pytest.raises(NumericError, match=r"^worker failure after 2 of 4 samples: planted$"):
+            ensembles.run_ensemble(_with_workers({**_grid_doc("lr-bound"), "samples": 4}, 2))
+        assert pool_sizes
 
     def test_result_independent_of_configured_workers(self):
         """Tables and metadata, the config digest included, agree whether the config asks for 1 or 2 workers."""
