@@ -1,7 +1,8 @@
 """Disorder sampling and spectra of the effective Hamiltonian h = h_0 + k.
 
 The random potential k is i.i.d. per site with a bounded density on
-(0, k_max]; the default is uniform.  Spectra come in two forms.
+(0, k_max], given by one inverse-CDF table (``DisorderConfig``); without a
+table the law is uniform on [0, k_max).  Spectra come in two forms.
 ``spectrum`` returns a ``Spectrum``: the ascending eigenvalues and the
 frequencies gamma_j, their positive square roots, checked against the
 invariants tr h and ||h||_F^2.  It serves the eigenvalue-only statistics
@@ -139,42 +140,51 @@ TIME_BLOCK = 64
 
 @dataclass(frozen=True)
 class DisorderConfig:
-    """Distribution of the i.i.d. potential entries and the master seed."""
+    """Distribution of the i.i.d. potential entries and the master seed.
+
+    The law is one inverse-CDF table: k = interp(u, table_u, table_k) with u
+    uniform on [0, 1).  Without a table it is [0, 1] -> [0, k_max], uniform
+    disorder on [0, k_max).  Every table, the default too, passes the same
+    checks, and a table given on one side only is a ConfigError.
+    """
 
     k_max: float
     master_seed: int
-    kind: str = "uniform"
-    # Inverse-CDF table for a custom bounded density: k = interp(u, table_u, table_k).
     table_u: tuple[float, ...] | None = None
     table_k: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if not 0 < self.k_max < np.inf:
             raise ConfigError(f"k_max must be positive and finite, got {self.k_max!r}")
-        if self.kind not in ("uniform", "inverse_cdf"):
-            raise ConfigError(f"unknown disorder kind {self.kind!r}")
-        if self.kind == "inverse_cdf":
-            if self.table_u is None or self.table_k is None:
-                raise ConfigError("inverse_cdf disorder needs table_u and table_k")
-            u = np.asarray(self.table_u, dtype=float)
-            k = np.asarray(self.table_k, dtype=float)
-            if u.ndim != 1 or u.shape != k.shape or u.size < 2:
-                raise ConfigError("inverse-CDF table must be two equal-length vectors")
-            if np.any(np.diff(u) < 0) or np.any(np.diff(k) < 0):
-                raise ConfigError("inverse-CDF table must be monotone")
-            if u[0] != 0.0 or u[-1] != 1.0:
-                raise ConfigError("table_u must span [0, 1]")
-            if k[0] < 0.0 or k[-1] > self.k_max:
-                raise ConfigError("table_k values must lie in [0, k_max]")
-            # k is nondecreasing in u, and 1 - 2^-53 is the largest u that uniform(0, 1) draws
-            if not np.interp(np.nextafter(1.0, 0.0), u, k) > 0:
-                raise ConfigError("inverse-CDF table draws k = 0 with probability 1; the model needs k > 0")
+        if (self.table_u is None) != (self.table_k is None):
+            given = "table_u" if self.table_k is None else "table_k"
+            raise ConfigError(f"an inverse-CDF table needs table_u and table_k, got {given} alone")
+        u, k = self.table
+        if u.ndim != 1 or u.shape != k.shape or u.size < 2:
+            raise ConfigError("inverse-CDF table must be two equal-length vectors")
+        if np.any(np.diff(u) < 0) or np.any(np.diff(k) < 0):
+            raise ConfigError("inverse-CDF table must be monotone")
+        if u[0] != 0.0 or u[-1] != 1.0:
+            raise ConfigError("table_u must span [0, 1]")
+        if k[0] < 0.0 or k[-1] > self.k_max:
+            raise ConfigError("table_k values must lie in [0, k_max]")
+        # k is nondecreasing in u, and 1 - 2^-53 is the largest u that uniform(0, 1) draws
+        if not np.interp(np.nextafter(1.0, 0.0), u, k) > 0:
+            raise ConfigError("inverse-CDF table draws k = 0 with probability 1; the model needs k > 0")
+
+    @functools.cached_property
+    def table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(u, k), the table as float arrays; interp on [0, 1] -> [0, k_max] draws the bits of uniform(0, k_max)."""
+        if self.table_u is None:
+            return np.array([0.0, 1.0]), np.array([0.0, self.k_max])
+        return np.asarray(self.table_u, dtype=float), np.asarray(self.table_k, dtype=float)
 
 
 def sample_disorder(config: DisorderConfig, box: BoxGeometry, index: int) -> np.ndarray:
     """k, the potential of realization ``index``: one float per site of the box, in site order.
 
-    The stream is seeded with (master_seed, index), so any sample can be
+    Each site takes k = interp(u, *config.table) at a u uniform on [0, 1),
+    from a stream seeded with (master_seed, index), so any sample can be
     regenerated independently of execution order.  Draws k <= 0 are
     redrawn, since the model requires k > 0 pointwise, for at most
     DISORDER_REDRAWS rounds; a site still at k <= 0 after them raises
@@ -182,22 +192,18 @@ def sample_disorder(config: DisorderConfig, box: BoxGeometry, index: int) -> np.
     n sites with probability at most n u*^DISORDER_REDRAWS.
     """
     rng = np.random.default_rng([int(config.master_seed), int(index)])
-    if config.kind == "uniform":
-        draw = lambda size: rng.uniform(0.0, config.k_max, size=size)
-    else:
-        u_tab = np.asarray(config.table_u, dtype=float)
-        k_tab = np.asarray(config.table_k, dtype=float)
-        draw = lambda size: np.interp(rng.uniform(0.0, 1.0, size=size), u_tab, k_tab)
+    u_tab, k_tab = config.table
+    draw = lambda size: np.interp(rng.uniform(0.0, 1.0, size=size), u_tab, k_tab)
     k = draw(box.n_sites)
     bad = np.flatnonzero(k <= 0.0)
     rounds = 0
     while bad.size:
         if rounds == DISORDER_REDRAWS:
-            what = "uniform disorder"
-            if config.kind == "inverse_cdf":
-                u_star = float(np.max(u_tab[k_tab <= 0.0], initial=0.0))
-                what = f"inverse-CDF table {u_tab.tolist()} -> {k_tab.tolist()} (zero mass u* = {u_star!r})"
-            raise NumericError(f"{what} drew k <= 0 at {bad.size} sites in {DISORDER_REDRAWS} redraw rounds")
+            u_star = float(np.max(u_tab[k_tab <= 0.0], initial=0.0))
+            raise NumericError(
+                f"inverse-CDF table {u_tab.tolist()} -> {k_tab.tolist()} (zero mass u* = {u_star!r}) "
+                f"drew k <= 0 at {bad.size} sites in {DISORDER_REDRAWS} redraw rounds"
+            )
         k[bad] = draw(bad.size)
         bad = bad[k[bad] <= 0.0]
         rounds += 1

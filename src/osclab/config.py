@@ -16,7 +16,7 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass, asdict, fields
-from functools import partial
+from functools import cached_property, partial
 
 from .anderson import DisorderConfig
 from .errors import ConfigError
@@ -48,7 +48,6 @@ class ExperimentConfig:
     experiment: str
     lengths: tuple[int, ...] = (100,)
     k_max: float = 1.0
-    disorder_kind: str = "uniform"
     table_u: tuple[float, ...] | None = None
     table_k: tuple[float, ...] | None = None
     seed: int = 1
@@ -73,10 +72,10 @@ class ExperimentConfig:
     def box(self) -> BoxGeometry:
         return BoxGeometry(self.lengths)
 
+    @cached_property
     def disorder(self) -> DisorderConfig:
-        return DisorderConfig(
-            k_max=self.k_max, master_seed=self.seed, kind=self.disorder_kind, table_u=self.table_u, table_k=self.table_k
-        )
+        """The law of k, built and checked once per config."""
+        return DisorderConfig(k_max=self.k_max, master_seed=self.seed, table_u=self.table_u, table_k=self.table_k)
 
     def lambda0_value(self) -> float:
         return float("inf") if self.lambda0 == "full" else self.lambda0
@@ -143,8 +142,8 @@ class ExperimentConfig:
         for name in ("t_max", "amplitude"):
             if getattr(self, name) is not None and getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)!r}")
-        # k_max, the disorder kind and an inverse-CDF table are checked here, not at the first sample
-        self.disorder()
+        # k_max and the inverse-CDF table are checked here, not at the first sample
+        self.disorder
         if not self.powers or not set(self.powers) <= {-1, 0, 1}:
             raise ConfigError(f"powers must be one or more of -1, 0 and 1, got {list(self.powers)}")
         # A repeated key would be folded into one row with count samples x
@@ -228,7 +227,7 @@ _READERS = {
 #: The sections of the document and the field each of their keys sets; every other field is a top-level key.
 _SECTIONS = {
     "box": {"lengths": "lengths"},
-    "disorder": {"k_max": "k_max", "kind": "disorder_kind", "table_u": "table_u", "table_k": "table_k"},
+    "disorder": {"k_max": "k_max", "table_u": "table_u", "table_k": "table_k"},
     "time_grid": {"points": "time_points", "t_max": "t_max"},
 }
 

@@ -288,7 +288,6 @@ def _kernel_quasi_locality(config, box, spec, index):
 
 
 def _energy_density_sample(config, index):
-    disorder = config.disorder()
     lam = config.lambda0_value()
     rows = []
     bracketing = 0
@@ -296,7 +295,7 @@ def _energy_density_sample(config, index):
     degenerate = 0
     for length in config.lengths_ladder:
         box = BoxGeometry((length,))
-        k = sample_disorder(disorder, box, index)
+        k = sample_disorder(config.disorder, box, index)
         spec_n = spectrum(assemble(box, k, "neumann"))
         spec_d = spectrum(assemble(box, k, "dirichlet"))
         degenerate += int(spec_n.flag_degenerate() or spec_d.flag_degenerate())
@@ -330,13 +329,12 @@ def _energy_density_sample(config, index):
 
 
 def _gap_stats_sample(config, index):
-    disorder = config.disorder()
     box = config.box()
-    spec = spectrum(assemble(box, sample_disorder(disorder, box, index)))
+    spec = spectrum(assemble(box, sample_disorder(config.disorder, box, index)))
     gap = spec.min_gap()
     rel = gap / spec.norm
     mb_box = BoxGeometry((config.mb_length,))
-    mb_spec = spectrum(assemble(mb_box, sample_disorder(disorder, mb_box, index)))
+    mb_spec = spectrum(assemble(mb_box, sample_disorder(config.disorder, mb_box, index)))
     occ = config.mb_occupation
     # every occupation vector, in C order, as one int array
     alphas = np.indices((occ + 1,) * mb_box.n_sites).reshape(mb_box.n_sites, -1).T
@@ -377,7 +375,7 @@ def run_sample(config: ExperimentConfig, index: int) -> SampleOutcome:
     if kind in SPECTRUM_SAMPLERS:
         return SPECTRUM_SAMPLERS[kind](config, index)
     box = config.box()
-    k = sample_disorder(config.disorder(), box, index)
+    k = sample_disorder(config.disorder, box, index)
     spec = diagonalize(assemble(box, k), lambda0=config.lambda0_value())
     rows, flags = KERNELS[kind](config, box, spec, index)
     flags["degenerate_samples"] = int(spec.flag_degenerate())

@@ -15,7 +15,7 @@ from .anderson import SpectralData, Spectrum
 from .errors import NumericError
 
 
-def default_time_grid(spec: SpectralData, points: int = 2000, t_max: float | None = None) -> tuple[float, float, int]:
+def default_time_grid(spec: SpectralData, points: int, t_max: float | None = None) -> tuple[float, float, int]:
     """np.linspace's (0, T, points) of a uniform grid on [0, T]; by default T = 4 pi / (min gamma spacing).
 
     A derived T that is not finite (a repeated gamma, so a zero spacing)

@@ -128,7 +128,8 @@ class OccupationFamily:
             np.multiply(base, scale, out=slots[0])
             slots[0] += shift
             _laguerre_orders(len(slots) - 1, slots)
-        return self._products(table, x_sum)
+        # NaN fails the test and takes the general path
+        return self._finish(table, x_sum, positive=bool(table.min(initial=np.inf) > 0.0))
 
     def _slots(self, shape):
         """(table, slots) for x of ``shape``: the (..., K, m) table of L_k for the K orders in use, and
@@ -145,10 +146,6 @@ class OccupationFamily:
             slots.append(np.empty(shape) if top > 1 else None)
             self._buffers[shape] = table, slots
         return self._buffers[shape]
-
-    def _products(self, table: np.ndarray, x_sum) -> np.ndarray:
-        # NaN fails the test and takes the general path
-        return self._finish(table, x_sum, positive=bool(table.min(initial=np.inf) > 0.0))
 
     def _finish(self, table: np.ndarray, x_sum, positive: bool) -> np.ndarray:
         """Turn a filled table into the products; ``positive`` says every factor is > 0."""

@@ -52,7 +52,6 @@ class TestSampling:
         cfg = DisorderConfig(
             k_max=1.0,
             master_seed=9,
-            kind="inverse_cdf",
             table_u=(0.0, 0.5, 1.0),
             table_k=(0.0, 0.8, 1.0),
         )
@@ -66,7 +65,7 @@ class TestSampling:
         naming the table and its zero mass, once DISORDER_REDRAWS rounds have drawn no k > 0."""
         u_star = float(np.nextafter(np.nextafter(1.0, 0.0), 0.0))
         table = dict(table_u=(0.0, u_star, 1.0), table_k=(0.0, 0.0, 1.0))
-        cfg = DisorderConfig(k_max=1.0, master_seed=0, kind="inverse_cdf", **table)
+        cfg = DisorderConfig(k_max=1.0, master_seed=0, **table)
         message = (
             rf"table \[0.0, {u_star!r}, 1.0\] -> \[0.0, 0.0, 1.0\] \(zero mass u\* = {u_star!r}\) "
             f"drew k <= 0 at 12 sites in {anderson.DISORDER_REDRAWS} redraw rounds"
@@ -77,7 +76,7 @@ class TestSampling:
     def test_large_zero_mass(self):
         """A valid table that draws k = 0 with probability 0.9 fills a 40 x 40 box with k > 0."""
         table = dict(table_u=(0.0, 0.9, 1.0), table_k=(0.0, 0.0, 1.0))
-        cfg = DisorderConfig(k_max=1.0, master_seed=3, kind="inverse_cdf", **table)
+        cfg = DisorderConfig(k_max=1.0, master_seed=3, **table)
         box = BoxGeometry([40, 40])
         for index in range(8):
             k = sample_disorder(cfg, box, index)
@@ -87,17 +86,28 @@ class TestSampling:
         "kwargs",
         [
             dict(k_max=-1.0, master_seed=0),
-            dict(k_max=1.0, master_seed=0, kind="gaussian"),
-            dict(k_max=1.0, master_seed=0, kind="inverse_cdf"),
-            dict(k_max=1.0, master_seed=0, kind="inverse_cdf", table_u=(0.0, 1.0), table_k=(0.5, 0.2)),
-            dict(k_max=1.0, master_seed=0, kind="inverse_cdf", table_u=(0.1, 1.0), table_k=(0.0, 1.0)),
+            dict(k_max=1.0, master_seed=0, table_u=(0.0, 1.0)),
+            dict(k_max=1.0, master_seed=0, table_k=(0.0, 1.0)),
+            dict(k_max=1.0, master_seed=0, table_u=(0.0, 1.0), table_k=(0.5, 0.2)),
+            dict(k_max=1.0, master_seed=0, table_u=(0.1, 1.0), table_k=(0.0, 1.0)),
             dict(k_max=float("inf"), master_seed=0),
             dict(k_max=float("nan"), master_seed=0),
+            dict(k_max=10.0, master_seed=0, table_u=(0.3, 0.1), table_k=(5.0, -2.0, 7.0)),
         ],
     )
     def test_malformed_config(self, kwargs):
         with pytest.raises(ConfigError):
             DisorderConfig(**kwargs)
+
+    @pytest.mark.parametrize("k_max", [1e-300, 0.3, 1.0, 1.5, 2.0, 7.25, 1e300])
+    def test_default_table_draws_uniform_bits(self, k_max):
+        """interp on the default table [0, 1] -> [0, k_max] returns the bits of uniform(0, k_max)."""
+        box = BoxGeometry([1600])
+        for seed in range(5):
+            cfg = DisorderConfig(k_max=k_max, master_seed=seed)
+            assert [t.tolist() for t in cfg.table] == [[0.0, 1.0], [0.0, k_max]]
+            want = np.random.default_rng([seed, 4]).uniform(0.0, k_max, size=box.n_sites)
+            assert sample_disorder(cfg, box, 4).tobytes() == want.tobytes()
 
 
 class TestAssemble:

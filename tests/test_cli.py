@@ -52,11 +52,14 @@ def test_config_error_exits_2(tmp_path, capsys):
     [
         {"samples": 2.5},
         {"seed": "x"},
-        {"workers": 2, "disorder": {"kind": "inverse_cdf", "table_u": [0, 0.5, 1], "table_k": [0, 0.8, 0.3]}},
+        {"workers": 2, "disorder": {"table_u": [0, 0.5, 1], "table_k": [0, 0.8, 0.3]}},
         {"experiment": "energy-density", "amplitude": "5", "lengths_ladder": [6, 8]},
         # no draw is positive: sample_disorder would redraw its zeros until it gave up
-        {"disorder": {"kind": "inverse_cdf", "table_u": [0, 1], "table_k": [0, 0]}},
-        {"disorder": {"kind": "inverse_cdf", "table_u": [0, 0.9999999999999999, 1], "table_k": [0, 0, 1]}},
+        {"disorder": {"table_u": [0, 1], "table_k": [0, 0]}},
+        {"disorder": {"table_u": [0, 0.9999999999999999, 1], "table_k": [0, 0, 1]}},
+        # the removed key, and a table with one side
+        {"disorder": {"kind": "uniform"}},
+        {"disorder": {"table_u": [0, 1]}},
     ],
     ids=[
         "fractional-samples",
@@ -65,6 +68,8 @@ def test_config_error_exits_2(tmp_path, capsys):
         "string-amplitude",
         "zero-mass-table",
         "narrow-positive-segment",
+        "disorder-kind",
+        "one-sided-table",
     ],
 )
 def test_config_checked_before_any_sample(tmp_path, capsys, change):
@@ -118,7 +123,7 @@ def test_infinite_default_horizon_exits_2(tmp_path, capsys):
     doc = {
         "experiment": "lr-bound",
         "box": {"lengths": [6, 6]},
-        "disorder": {"kind": "inverse_cdf", "table_u": [0.0, 1.0], "table_k": [0.5, 0.5]},
+        "disorder": {"table_u": [0.0, 1.0], "table_k": [0.5, 0.5]},
         "time_grid": {"points": 5, "t_max": None},
         "shells": [2, 3],
     }
@@ -132,7 +137,7 @@ def test_infinite_default_horizon_exits_2(tmp_path, capsys):
 
 def test_sample_error_on_threads_exits_2(tmp_path, capsys):
     """A NumericError raised in a sample of a threaded ensemble exits 2 like one raised in the caller's thread."""
-    table = {"kind": "inverse_cdf", "table_u": [0, 1 - 2**-52, 1], "table_k": [0, 0, 1]}
+    table = {"table_u": [0, 1 - 2**-52, 1], "table_k": [0, 0, 1]}
     doc = {"experiment": "energy-density", "samples": 4, "lengths_ladder": [10, 20], "disorder": table}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc), encoding="utf-8")

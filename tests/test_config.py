@@ -1,8 +1,10 @@
 import json
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
+from osclab.anderson import sample_disorder
 from osclab.config import _LAYOUT, MAX_MANY_BODY_STATES, ExperimentConfig, config_from_dict, load_config
 from osclab.errors import ConfigError
 from osclab.lattice import l1_distances_from
@@ -94,25 +96,23 @@ class TestValidation:
             pytest.param(_doc(experiment="gap-stats", mb_occupation=2.5), id="fractional-many-body-occupation"),
             # the disorder is checked at load, not at the first sample
             pytest.param(_doc(disorder={"kind": "gaussian"}), id="unknown-disorder-kind"),
+            pytest.param(_doc(disorder={"table_u": [0.3, 0.1], "table_k": [5, -2, 7]}), id="malformed-table"),
             pytest.param(
-                _doc(disorder={"kind": "inverse_cdf", "table_u": [0, 0.5, 1], "table_k": [0, 0.8, 0.3]}),
+                _doc(disorder={"table_u": [0, 0.5, 1], "table_k": [0, 0.8, 0.3]}),
                 id="non-monotone-inverse-cdf",
             ),
-            pytest.param(_doc(disorder={"kind": "inverse_cdf", "table_u": [0, 1]}), id="inverse-cdf-without-k"),
-            pytest.param(
-                _doc(disorder={"kind": "inverse_cdf", "table_u": [0, 1], "table_k": [0, 2]}), id="table-beyond-k_max"
-            ),
+            pytest.param(_doc(disorder={"table_u": [0, 1]}), id="inverse-cdf-without-k"),
+            pytest.param(_doc(disorder={"table_k": [0, 1]}), id="inverse-cdf-without-u"),
+            pytest.param(_doc(disorder={"table_u": [0, 1], "table_k": [0, 2]}), id="table-beyond-k_max"),
             # no draw is positive, and sample_disorder redraws k <= 0
+            pytest.param(_doc(disorder={"table_u": [0, 1], "table_k": [0, 0]}), id="zero-mass-table"),
             pytest.param(
-                _doc(disorder={"kind": "inverse_cdf", "table_u": [0, 1], "table_k": [0, 0]}), id="zero-mass-table"
-            ),
-            pytest.param(
-                _doc(disorder={"kind": "inverse_cdf", "table_u": [0, 1, 1], "table_k": [0, 0, 1]}),
+                _doc(disorder={"table_u": [0, 1, 1], "table_k": [0, 0, 1]}),
                 id="zero-mass-table-with-a-step",
             ),
             # its positive segment lies above 1 - 2^-53, the largest u that a uniform draw returns
             pytest.param(
-                _doc(disorder={"kind": "inverse_cdf", "table_u": [0, 0.9999999999999999, 1], "table_k": [0, 0, 1]}),
+                _doc(disorder={"table_u": [0, 0.9999999999999999, 1], "table_k": [0, 0, 1]}),
                 id="narrow-positive-segment",
             ),
         ],
@@ -128,6 +128,13 @@ class TestValidation:
         """energy-density checks bracketing by interlacing and has no lambda grid to set."""
         with pytest.raises(ConfigError, match=f"unknown config fields: \\['{key}'\\]"):
             config_from_dict(_doc(experiment="energy-density", **{key: value}))
+
+    @pytest.mark.parametrize("kind", ["uniform", "inverse_cdf"])
+    def test_removed_disorder_kind_is_unknown(self, kind):
+        """The law is the table given, or the uniform default: there is no kind to pick."""
+        table = {"table_u": [0, 1], "table_k": [0, 1]}
+        with pytest.raises(ConfigError, match=r"unknown disorder fields: \['kind'\]"):
+            config_from_dict(_doc(disorder={"kind": kind, **table}))
 
     @pytest.mark.parametrize(
         "occupation, length, accepted",
@@ -165,12 +172,8 @@ class TestValidation:
             pytest.param(_doc(amplitude=True), "amplitude", id="amplitude"),
             pytest.param(_doc(disorder={"k_max": True}), "k_max", id="k_max"),
             pytest.param(_doc(time_grid={"t_max": True}), "t_max", id="t_max"),
-            pytest.param(
-                _doc(disorder={"kind": "inverse_cdf", "table_u": [0, True], "table_k": [0, 1]}), "table_u", id="table_u"
-            ),
-            pytest.param(
-                _doc(disorder={"kind": "inverse_cdf", "table_u": [0, 1], "table_k": [0, True]}), "table_k", id="table_k"
-            ),
+            pytest.param(_doc(disorder={"table_u": [0, True], "table_k": [0, 1]}), "table_u", id="table_u"),
+            pytest.param(_doc(disorder={"table_u": [0, 1], "table_k": [0, True]}), "table_k", id="table_k"),
         ],
     )
     def test_bool_for_a_real_rejected(self, doc, name):
@@ -285,7 +288,7 @@ class TestSchema:
                 experiment="energy-density",
                 lambda0=2,
                 amplitude=3,
-                disorder={"k_max": 2, "kind": "inverse_cdf", "table_u": [0, 1], "table_k": [0, 2]},
+                disorder={"k_max": 2, "table_u": [0, 1], "table_k": [0, 2]},
                 time_grid={"t_max": 5},
             )
         )
@@ -296,6 +299,18 @@ class TestSchema:
     def test_integer_beyond_the_floats_rejected(self, literal):
         with pytest.raises(ConfigError, match="^amplitude must be finite"):
             config_from_dict(_doc(amplitude=literal))
+
+
+class TestDisorder:
+    def test_table_without_kind_is_applied(self):
+        """A table given is the law: [0, 1] -> [0.5, 0.5] draws every k = 0.5."""
+        config = config_from_dict(_doc(disorder={"table_u": [0, 1], "table_k": [0.5, 0.5]}))
+        assert np.all(sample_disorder(config.disorder, config.box(), 0) == 0.5)
+
+    def test_built_once(self):
+        """The table is checked once per config, not once per sample."""
+        config = config_from_dict(_doc(disorder={"table_u": [0, 0.5, 1], "table_k": [0, 0.8, 1]}))
+        assert config.disorder is config.disorder
 
 
 class TestDigest:

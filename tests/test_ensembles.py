@@ -758,7 +758,7 @@ def _grid_kernel(kind, lengths, lambda0, points, **extra):
     doc = {"experiment": kind, "box": {"lengths": lengths}, "lambda0": lambda0, "kappa": 1, "samples": 1, "seed": 2}
     config = config_from_dict({**doc, "time_grid": {"points": points, "t_max": 50.0}, **extra})
     box = config.box()
-    spec = diagonalize(assemble(box, sample_disorder(config.disorder(), box, 0)), lambda0=config.lambda0_value())
+    spec = diagonalize(assemble(box, sample_disorder(config.disorder, box, 0)), lambda0=config.lambda0_value())
     return partial(ensembles.KERNELS[kind], config, box, spec, 0)
 
 
@@ -991,7 +991,7 @@ class TestRunEnsemble:
         """A table positive only above 1 - 2^-52 passes the load check; each sample then fails in
         sample_disorder, and the NumericError, which names the table, reaches the caller as raised.
         The pool runs the next ensemble."""
-        table = {"kind": "inverse_cdf", "table_u": [0, 1 - 2**-52, 1], "table_k": [0, 0, 1]}
+        table = {"table_u": [0, 1 - 2**-52, 1], "table_k": [0, 0, 1]}
         config = _with_workers({**LADDER_DOC, "disorder": table}, 1)
         with pytest.raises(NumericError, match=r"inverse-CDF table \[0\.0, 0\.9999999999999998, 1\.0\] -> "):
             ensembles.run_ensemble(config)

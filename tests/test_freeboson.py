@@ -269,7 +269,7 @@ def test_default_time_grid(chain12):
 def test_default_time_grid_rejects_zero_spacing():
     # constant k on a square box: the Laplacian's symmetry repeats eigenvalues exactly
     box = BoxGeometry([6, 6])
-    cfg = DisorderConfig(k_max=1.0, master_seed=1, kind="inverse_cdf", table_u=(0.0, 1.0), table_k=(0.5, 0.5))
+    cfg = DisorderConfig(k_max=1.0, master_seed=1, table_u=(0.0, 1.0), table_k=(0.5, 0.5))
     spec = diagonalize(assemble(box, sample_disorder(cfg, box, 0)))
     assert np.min(np.diff(spec.gammas)) == 0.0
     with pytest.raises(NumericError, match="spacing 0"):
